@@ -3,8 +3,8 @@
 Computation and refinement of the indexed zero family, winding-number
 certification via the argument principle, region decomposition of the
 complex plane, and seeded sampling verification of the lower-bound
-estimates.  Hot kernels run in a compiled Cython extension when available,
-with a bit-identical pure-Python fallback selected at import time.
+estimates.  The hot kernels (scaled evaluation, contour quadrature sums,
+seeded samplers) are plain Python in quasizeros._kernels_py.
 """
 
 from ._backend import backend_name

@@ -1,27 +1,14 @@
-"""Kernel backend selection.
+"""Kernel import seam: every module reaches the hot kernels as
+``_backend.kernels``.
 
-The compiled Cython kernels are preferred when importable; the pure-Python
-twin is the fallback.  QUASIZEROS_PURE_PYTHON=1 forces the fallback (used by
-the backend-parity tests and the benchmark).
+The kernels live in ``_kernels_py`` rather than ``_kernels`` so that a stale
+compiled ``_kernels*.so`` left in a checkout can never shadow them (the
+import system tries extension modules before ``.py`` files).
 """
 
-import os
-
-if os.environ.get("QUASIZEROS_PURE_PYTHON") == "1":
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
+from . import _kernels_py as kernels
 
 
 def backend_name():
-    """Which kernel backend is active: 'compiled' or 'python'."""
-    return BACKEND
+    """Name of the kernel implementation: always 'python'."""
+    return "python"

@@ -1,11 +1,11 @@
 """Pure-Python kernels: overflow-safe evaluation, contour quadrature sums,
 and seeded rejection samplers.
 
-This module is the reference backend.  quasizeros._kernels is a Cython twin
-compiled with -ffp-contract=off; both backends execute the same double
-operations in the same order (libm exp/log/sqrt/sin/cos/atan2 only, no
-hypot, no complex type, explicit re/im arithmetic), so results agree
-bit-for-bit.  Any change here must be mirrored in _kernels.pyx.
+This is the package's only kernel implementation; the other modules import
+it through quasizeros._backend.  The operation order (libm
+exp/log/sqrt/sin/cos/atan2 only, no hypot, no complex type, explicit re/im
+arithmetic) is part of the contract: reordering a floating-point step can
+change the last bits of the printed documents and of the sample streams.
 
 Conventions:
   * the quasipolynomial is f(x+iy) = e^(x+iy) + (are+i*aim)*(x+iy)**k

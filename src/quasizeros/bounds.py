@@ -13,18 +13,16 @@ Strip bound: away from delta-disks around the zeros, |f| >= C_delta |l|^k
 with C_delta > 0 estimated empirically as the sampled infimum of |f|/|l|^k.
 
 All sampling is seeded and deterministic: a fixed number of splitmix64
-substreams is derived from the seed, so reports are bit-for-bit reproducible
-regardless of the QZ_THREADS worker count.
+substreams is derived from the seed and merged in a fixed order, so reports
+are bit-for-bit reproducible.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import certify as certify_mod, zeros as zeros_mod
-from ._backend import BACKEND, kernels
+from ._backend import kernels
 from .errors import (
     DeltaTooLargeError,
     DomainError,
@@ -36,8 +34,8 @@ from .errors import (
 M64 = 0xFFFFFFFFFFFFFFFF
 TWO_PI = 2.0 * math.pi
 
-#: fixed substream count; independent of the worker thread count so that
-#: results never depend on scheduling
+#: fixed substream count; part of the sample stream, so changing it changes
+#: every seeded report
 SUBSTREAMS = 16
 
 #: outer radius cap for the radially unbounded exterior regions
@@ -84,17 +82,8 @@ class CDeltaEstimate:
     sample_count: int
 
 
-def _thread_count():
-    raw = os.environ.get("QZ_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def derive_substream(seed, index):
-    """Deterministic 64-bit substream seed (same derivation in every backend)."""
+    """Deterministic 64-bit seed of substream `index` derived from `seed`."""
     state = (seed + (index + 1) * 0x9E3779B97F4A7C15) & M64
     state, _ = kernels.sm64(state)
     state, z = kernels.sm64(state)
@@ -108,21 +97,13 @@ def _chunk_sizes(n):
 
 
 def _run_chunks(worker, n, seed):
-    """Run the sampler in fixed chunks and merge deterministically.
+    """Run the sampler over the fixed chunk layout, one substream per chunk.
 
-    QZ_THREADS > 1 parallelizes the chunks (the compiled kernels release the
-    GIL); the chunk layout and merge order never change, so the merged result
-    is identical for any worker count.
+    Results come back in chunk order; the sample stream depends on both the
+    layout and that order.
     """
-    sizes = _chunk_sizes(n)
-    jobs = [(worker, size, derive_substream(seed, i)) for i, size in enumerate(sizes)]
-    threads = _thread_count()
-    if threads > 1 and BACKEND == "compiled" and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: j[0](j[1], j[2]), jobs))
-    else:
-        results = [w(size, s) for w, size, s in jobs]
-    return results
+    return [worker(size, derive_substream(seed, i))
+            for i, size in enumerate(_chunk_sizes(n))]
 
 
 def h_threshold(qp, which):

@@ -4,8 +4,7 @@ Subcommands: zeros, origin, classify, certify, bounds, gaps, sector-radius.
 Documents go to stdout (or --out) as JSON or CSV; errors are single-line
 JSON on stderr.  Exit codes: 0 success/pass, 1 verification failure,
 2 usage/validation error, 3 numerical failure.  Identical argv and seed
-produce byte-identical output.  QZ_THREADS caps internal parallelism
-without affecting results.
+produce byte-identical output.
 """
 
 import argparse
@@ -224,12 +223,30 @@ def _cmd_classify(args):
     return EXIT_OK
 
 
+def _parse_float(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_box(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise DomainError("box must be re_min,im_min,re_max,im_max")
-    re0, im0, re1, im1 = (float(p) for p in parts)
+    re0, im0, re1, im1 = (_parse_float(p, "box coordinate") for p in parts)
     return certify_mod.Rectangle(complex(re0, im0), complex(re1, im1))
+
+
+def _load_records(path):
+    """Zero records of a JSON document written by the zeros command."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return [record_from_obj(obj) for obj in json.load(fh)["results"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(
+                f"{path} is not a zeros document ({type(exc).__name__}: {exc})"
+            ) from None
 
 
 def _cmd_certify(args):
@@ -246,9 +263,7 @@ def _cmd_certify(args):
         doc = document(qp, "certify", {"box": args.box}, [], summary)
         _write(doc, args.format, args.out)
         return EXIT_OK
-    with open(args.expect_from, "r", encoding="utf-8") as fh:
-        expected_doc = json.load(fh)
-    records = [record_from_obj(obj) for obj in expected_doc["results"]]
+    records = _load_records(args.expect_from)
     inside = [r for r in records if box.contains(r.value)]
     ok, detail = certify_mod.certify_completeness(qp, box, inside, args.quad_tol)
     summary = {
@@ -268,7 +283,7 @@ def _cmd_certify(args):
 def _auto_h(qp, which, spec):
     if spec == "auto":
         return bounds.h_threshold(qp, which) + 0.5
-    return float(spec)
+    return _parse_float(spec, "--h")
 
 
 def _cmd_bounds(args):
@@ -284,7 +299,7 @@ def _cmd_bounds(args):
         report = bounds.verify_T2_bound(qp, h, args.R, args.samples, args.seed,
                                         args.rmax, s_branch=args.s_branch)
     else:
-        h = 2.0 if args.h == "auto" else float(args.h)
+        h = 2.0 if args.h == "auto" else _parse_float(args.h, "--h")
         _check_tol(args.tol)
         span = int(args.im_cap / (2.0 * math.pi)) + 3
         strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,

@@ -171,19 +171,33 @@ def _check_duplicates(records):
                 f"{a.value:.9g}")
 
 
+def _nearest_distances(records):
+    """Distance from each record to its nearest other record, in input order.
+
+    Sweeps the records sorted by Im: the scan from each record stops in each
+    direction once the Im gap alone exceeds the best distance found so far.
+    A lone record gets inf.
+    """
+    order = sorted(range(len(records)),
+                   key=lambda i: (records[i].value.imag, records[i].value.real))
+    values = [records[i].value for i in order]
+    nearest = [math.inf] * len(records)
+    for pos, i in enumerate(order):
+        a = values[pos]
+        best = math.inf
+        for step, stop in ((1, len(values)), (-1, -1)):
+            for j in range(pos + step, stop, step):
+                b = values[j]
+                if abs(b.imag - a.imag) > best:
+                    break
+                best = min(best, abs(a - b))
+        nearest[i] = best
+    return nearest
+
+
 def isolation_radii(records):
-    """min(1, half nearest-neighbor distance) for each record."""
-    radii = []
-    for rec in records:
-        nearest = math.inf
-        for other in records:
-            if other is rec:
-                continue
-            d = abs(rec.value - other.value)
-            if d < nearest:
-                nearest = d
-        radii.append(min(1.0, 0.5 * nearest) if nearest < math.inf else 1.0)
-    return radii
+    """min(1, half nearest-neighbor distance) for each record (1 when alone)."""
+    return [min(1.0, 0.5 * d) for d in _nearest_distances(records)]
 
 
 def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
@@ -255,15 +269,7 @@ def separation_radius(records):
     """Half the minimum pairwise distance; disks of this radius are disjoint."""
     if len(records) < 2:
         raise TooFewRecordsError("separation radius needs at least two records")
-    ordered = sorted(records, key=lambda r: (r.value.imag, r.value.real))
-    best = math.inf
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b.value.imag - a.value.imag > best:
-                break
-            d = abs(a.value - b.value)
-            if d < best:
-                best = d
+    best = min(_nearest_distances(records))
     if best < DUPLICATE_DISTANCE:
         raise DuplicateZeroError(f"records contain a duplicate (distance {best:.3g})")
     return 0.5 * best

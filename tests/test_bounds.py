@@ -88,12 +88,6 @@ class TestExteriorBounds:
         c = qz.verify_T1_bound(qp11, 1.0, 5.0, 20000, seed=43)
         assert c.min_margin != a.min_margin
 
-    def test_thread_count_invariance(self, qp11, monkeypatch):
-        base = qz.verify_T1_bound(qp11, 1.0, 5.0, 20000, seed=42)
-        monkeypatch.setenv("QZ_THREADS", "4")
-        threaded = qz.verify_T1_bound(qp11, 1.0, 5.0, 20000, seed=42)
-        assert base == threaded
-
     def test_small_sample_counts(self, qp11):
         rep = qz.verify_T1_bound(qp11, 1.0, 5.0, 3, seed=5)
         assert rep.samples == 3

@@ -82,10 +82,29 @@ class TestZerosCommand:
                                    "--nu", "1..2", "--tol", "0.5")
         assert code == 2
 
-    def test_usage_error(self):
-        code, _out, err = run_cli("zeros", "--k", "1", "--a", "1+0i")
+    @pytest.mark.parametrize("argv,expect_text", [
+        (("zeros", "--k", "1", "--a", "1+0i"), None),
+        (("certify", "--k", "1", "--a", "1+0i", "--box", "a,b,c,d"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "T1", "--h", "abc"),
+         None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--h", "abc"), None),
+        (("certify", "--k", "1", "--a", "1+0i", "--box", "-1,-1,1,1"),
+         "nu,re,im\n1,2.0,3.0\n"),
+        (("certify", "--k", "1", "--a", "1+0i", "--box", "-1,-1,1,1"),
+         '{"command": "zeros"}'),
+    ], ids=["zeros-no-nu", "certify-box-text", "bounds-T1-h-text",
+            "bounds-cdelta-h-text", "certify-expect-not-json",
+            "certify-expect-no-results"])
+    def test_usage_error(self, argv, expect_text, tmp_path):
+        if expect_text is not None:
+            path = tmp_path / "expected.json"
+            path.write_text(expect_text)
+            argv = (*argv, "--expect-from", str(path))
+        code, _out, err = run_cli(*argv)
         assert code == 2
-        assert "error" in err
+        assert err.count("\n") == 1
+        assert "message" in json.loads(err)["error"]
 
     def test_byte_identical_reruns(self):
         args = ("zeros", "--k", "2", "--a", "2+1i", "--nu", "-3..3",
@@ -197,10 +216,14 @@ class TestBoundsCommand:
         assert doc["summary"]["c_hat"] > 0
 
     def test_thread_env_invariance(self):
+        # The sampler's stream layout is fixed, so thread settings in the
+        # environment must not change a byte of the output.
         args = ("bounds", "--k", "1", "--a", "1+0i", "--which", "T1",
                 "--samples", "20000", "--seed", "3")
-        _c, out1, _ = run_cli(*args, env={"QZ_THREADS": "1"})
-        _c, out4, _ = run_cli(*args, env={"QZ_THREADS": "4"})
+        _c, out1, _ = run_cli(*args, env={"QZ_THREADS": "1",
+                                          "OMP_NUM_THREADS": "1"})
+        _c, out4, _ = run_cli(*args, env={"QZ_THREADS": "4",
+                                          "OMP_NUM_THREADS": "4"})
         assert out1 == out4
 
 

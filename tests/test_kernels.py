@@ -1,22 +1,13 @@
-"""Backend contract tests: splitmix64 stream, angle wrapping, and exact
-agreement between the compiled and pure-Python kernels."""
+"""Kernel contract tests: splitmix64 stream, angle wrapping, and the
+reported backend name."""
 
-import array
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasizeros import _kernels_py as kp
 from quasizeros._backend import backend_name
-
-try:
-    from quasizeros import _kernels as kc
-except ImportError:
-    kc = None
-
-needs_compiled = pytest.mark.skipif(kc is None, reason="compiled kernels absent")
 
 
 def test_splitmix64_reference_stream():
@@ -57,56 +48,5 @@ def test_wrap_angle_boundaries():
     assert kp.wrap_angle(0.0) == 0.0
 
 
-def _point_cloud(n):
-    pts = []
-    s = 2024
-    for _ in range(n):
-        s, z = kp.sm64(s)
-        u1 = (z >> 11) * (2.0 ** -53)
-        s, z = kp.sm64(s)
-        u2 = (z >> 11) * (2.0 ** -53)
-        pts.append((math.tan(3 * u1 - 1.5) * 60, math.tan(3 * u2 - 1.5) * 60))
-    return pts
-
-
-@needs_compiled
-def test_scalar_kernels_bitwise_identical():
-    pts = _point_cloud(4000)
-    for k, (ar, ai) in [(1, (1.0, 0.0)), (2, (-3.0, 4.0)), (3, (0.0, 0.5)),
-                        (1, (-math.e, 0.0))]:
-        for x, y in pts:
-            assert kc.eval_scaled(k, ar, ai, x, y) == kp.eval_scaled(k, ar, ai, x, y)
-            assert kc.newton_step(k, ar, ai, x, y) == kp.newton_step(k, ar, ai, x, y)
-            assert (kc.relative_residual(k, ar, ai, x, y)
-                    == kp.relative_residual(k, ar, ai, x, y))
-
-
-@needs_compiled
-def test_segment_kernels_bitwise_identical():
-    nodes = array.array("d", [-0.9815606342467192, -0.3678314989981802,
-                              0.1252334085114689, 0.9041172563704748])
-    weights = array.array("d", [0.11, 0.31, 0.17, 0.41])
-    pts = _point_cloud(500)
-    for (x, y), (x2, y2) in zip(pts, pts[1:]):
-        args = (2, 1.5, -0.5, x, y, x2, y2, nodes, weights)
-        assert kc.line_segment_logderiv(*args) == kp.line_segment_logderiv(*args)
-        arc = (2, 1.5, -0.5, x, y, abs(x2) + 0.1, -1.0, 2.0, nodes, weights)
-        assert kc.arc_segment_logderiv(*arc) == kp.arc_segment_logderiv(*arc)
-
-
-@needs_compiled
-def test_samplers_bitwise_identical():
-    t1 = (1, 1.0, 0.0, 1, -1, 1.2, 10.0, 1000.0, 1, 30000, 11)
-    assert kc.sample_exterior_margin(*t1) == kp.sample_exterior_margin(*t1)
-    t2 = (3, 0.0, 0.5, 1, 1, 0.7, 10.0, 1000.0, 2, 30000, 12)
-    assert kc.sample_exterior_margin(*t2) == kp.sample_exterior_margin(*t2)
-    sec = (1, 1.0, 0.0, 2, 2.0, 8.7, 1000.0, 0.5, 20000, 13)
-    assert kc.sample_strip_sector(*sec) == kp.sample_strip_sector(*sec)
-    zre = array.array("d", [2.4, 2.85, 3.16])
-    zim = array.array("d", [10.77, 17.11, 23.43])
-    rat = (1, 1.0, 0.0, 2.0, 10.0, 30.0, 0.5, zre, zim, 20000, 14)
-    assert kc.sample_strip_ratio(*rat) == kp.sample_strip_ratio(*rat)
-
-
 def test_active_backend_reported():
-    assert backend_name() in ("compiled", "python")
+    assert backend_name() == "python"

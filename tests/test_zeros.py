@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from scipy.special import lambertw
@@ -12,6 +13,7 @@ from quasizeros.errors import (
     InvalidIndexError,
     TooFewRecordsError,
 )
+from quasizeros.zeros import isolation_radii
 
 from conftest import direct_f
 
@@ -203,6 +205,22 @@ class TestSeparationRadius:
     def test_too_few(self):
         with pytest.raises(TooFewRecordsError):
             qz.separation_radius([])
+
+
+class TestIsolationRadii:
+    def test_matches_brute_force(self):
+        # heavy-tailed cloud: the Im order says little about who is nearest
+        rng = random.Random(11)
+        values = [complex(math.tan(rng.uniform(-1.5, 1.5)),
+                          math.tan(rng.uniform(-1.5, 1.5))) for _ in range(300)]
+        values += [complex(rng.uniform(-2, 2), 0.25) for _ in range(20)]
+        records = [qz.ZeroRecord(nu=None, value=v, residual=0.0, seed=v,
+                                 iterations=0) for v in values]
+        nearest = [min(abs(a - b) for j, b in enumerate(values) if j != i)
+                   for i, a in enumerate(values)]
+        assert isolation_radii(records) == [min(1.0, 0.5 * d) for d in nearest]
+        assert qz.separation_radius(records) == 0.5 * min(nearest)
+        assert isolation_radii(records[:1]) == [1.0]
 
 
 class TestRefinerAgreement:
