@@ -1,5 +1,5 @@
-"""Pure-Python kernels: overflow-safe evaluation, contour quadrature sums,
-and seeded rejection samplers.
+"""Pure-Python kernels: overflow-safe evaluation, the Rouche disk test,
+contour quadrature sums, and seeded rejection samplers.
 
 This is the package's only kernel implementation; the other modules import
 it through quasizeros._backend.  The operation order (libm
@@ -130,7 +130,21 @@ def newton_step(k, are, aim, xre, xim):
         if math.sqrt(dd) < 1e-14 * scale:
             return 0.0, 0.0, 1
         return dre / dd, -dim / dd, 0
-    expdom, cre, cim, tre, tim, lnr, _th, _la, _aa = _cofactor(k, are, aim, xre, xim)
+    expdom, cre, cim, tre, tim, _lnr, _th, _la, _aa = _cofactor(k, are, aim, xre, xim)
+    ure, uim, _r, _tmag, vanishes = _derivative_cofactor(k, xre, xim, expdom, tre, tim)
+    if vanishes:
+        return 0.0, 0.0, 1
+    den = ure * ure + uim * uim
+    return (cre * ure + cim * uim) / den, (cim * ure - cre * uim) / den, 0
+
+
+def _derivative_cofactor(k, xre, xim, expdom, tre, tim):
+    """f' divided by the dominant term of f, from _cofactor's outputs.
+
+    Returns (u_re, u_im, |l|, |t|, vanishes): u = 1 + (k/l) t when e^l
+    dominates and t + k/l otherwise, so f' = dominant * u; vanishes is True
+    when |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  x+iy != 0.
+    """
     r2 = xre * xre + xim * xim
     r = math.sqrt(r2)
     kre = k * xre / r2
@@ -148,10 +162,43 @@ def newton_step(k, are, aim, xre, xim):
         scale = k / r
         if tmag > scale:
             scale = tmag
-    if math.sqrt(ure * ure + uim * uim) < 1e-14 * scale:
-        return 0.0, 0.0, 1
-    den = ure * ure + uim * uim
-    return (cre * ure + cim * uim) / den, (cim * ure - cre * uim) / den, 0
+    return ure, uim, r, tmag, math.sqrt(ure * ure + uim * uim) < 1e-14 * scale
+
+
+def rouche_isolates(k, are, aim, xre, xim, radius):
+    """True when Rouche's theorem proves exactly one zero of f in the open
+    disk |l - z| < radius around z = x+iy.
+
+    With |h| = radius, f(z+h) = f(z) + f'(z) h + R(h) and
+      |R(h)| <= |e^z| (e^r - 1 - r) + |A| sum_{j=2..k} C(k,j) |z|^(k-j) r^j.
+    When |f(z)| + that bound < |f'(z)| r, f has as many zeros in the disk
+    as the linear part, which has exactly one.  Every term is divided by
+    D = max(|e^z|, |A||z|^k), so nothing overflows; the polynomial sum is
+    accumulated term by term from positive terms (never below its true
+    value but for rounding), and the inequality must hold with a 1% margin.
+    False means "not proven", never "no zero".
+    """
+    if (xre == 0.0 and xim == 0.0) or not 0.0 < radius < 700.0:
+        return False
+    expdom, cre, cim, tre, tim, _lnr, _th, _la, _aa = _cofactor(k, are, aim, xre, xim)
+    ure, uim, zabs, tmag, vanishes = _derivative_cofactor(k, xre, xim, expdom, tre, tim)
+    if vanishes:
+        return False
+    # e^r - 1 - r; its rounding error (~eps * r) is far inside the margin
+    etail = math.expm1(radius) - radius
+    # sum_{j=2..k} C(k,j) rho^j with rho = r/|z|, term by term
+    rho = radius / zabs
+    term = k * rho
+    poly = 0.0
+    for j in range(2, k + 1):
+        term *= rho * (k - j + 1) / j
+        poly += term
+    if expdom:
+        remainder = etail + tmag * poly
+    else:
+        remainder = tmag * etail + poly
+    lhs = math.sqrt(cre * cre + cim * cim) + remainder
+    return lhs < 0.99 * math.sqrt(ure * ure + uim * uim) * radius
 
 
 def _logderiv(k, are, aim, xre, xim):

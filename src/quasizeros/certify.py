@@ -1,12 +1,17 @@
-"""Argument-principle certification: winding counts, exhaustive zero search
-in a disk, and completeness checks.
+"""Certification: per-record isolation certificates, winding counts,
+exhaustive zero search in a disk, and completeness checks.
 
 The winding count (1/2*pi*i) * contour integral of f'/f is computed by
 per-segment Gauss quadrature with adaptive bisection; the integrand is
 evaluated in dominance-factored form so contours with |Re l| in the
-hundreds are safe.  Everything downstream (isolation certificates, the
-recursive disk search, completeness of an enumeration over a window) reduces
-to integer winding counts.
+hundreds are safe.  The recursive disk search and the completeness of an
+enumeration over a window reduce to integer winding counts.
+
+A certified record has exactly `multiplicity` zeros in the open disk
+|l - value| < isolation_radius.  For a simple zero this is proven by an
+O(k) Rouche disk test (f against its linear Taylor part, with a closed-form
+bound on the remainder; see _kernels_py.rouche_isolates); otherwise, or when
+that test does not succeed, by a winding count over the disk.
 """
 
 import array
@@ -228,9 +233,14 @@ def winding_count(qp, contour, quadrature_tolerance=1e-6):
 
 
 def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
-    """Certify a zero record: winding count over its isolation disk.
+    """Certify a zero record: prove that exactly record.multiplicity zeros
+    lie in the open disk |l - value| < isolation_radius.
 
-    Shrinks the disk (up to three times) when the count exceeds the record's
+    The value must first have relative residual below 1e-6.  A simple zero
+    is then tried with the closed-form Rouche disk test at the given radius;
+    when that test does not prove the claim (or the record is not simple)
+    a winding count over the disk decides.  The winding-count path shrinks
+    the disk (up to three times) when the count exceeds the record's
     multiplicity because of a close neighbor.  A count of 2 around a
     multiplicity-1 record is re-read as a double zero when the critical point
     of f polishes to a genuine zero inside the disk; the record is then
@@ -243,6 +253,15 @@ def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
     # for a stale value whose disk still happens to contain the true zero
     if core.relative_residual(qp, record.value) >= 1e-6:
         return replace(record, certified=False, isolation_radius=r)
+    z = complex(record.value)
+    if record.multiplicity == 1 and kernels.rouche_isolates(
+            qp.k, qp.a.real, qp.a.imag, z.real, z.imag, r):
+        return replace(record, certified=True, isolation_radius=r)
+    return _winding_certificate(qp, record, r, quadrature_tolerance)
+
+
+def _winding_certificate(qp, record, r, quadrature_tolerance):
+    """certify_record's winding-count path, starting at radius r."""
     mult = record.multiplicity
     for _ in range(4):
         try:

@@ -71,7 +71,9 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--nu", type=str, required=True, help="index range 'lo..hi'")
     p.add_argument("--certify", action="store_true",
-                   help="winding-count certificate per record")
+                   help="certify each record: exactly multiplicity zeros in "
+                        "|l - value| < isolation_radius (Rouche test, "
+                        "else winding count)")
     p.add_argument("--with-disk", type=float, default=None, metavar="R",
                    help="also search the disk |l| <= R and merge the results")
     p.add_argument("--quad-tol", type=float, default=1e-6)

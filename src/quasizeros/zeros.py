@@ -42,8 +42,9 @@ class ZeroRecord:
 
     nu is None for zeros found in the origin disk (outside the indexed
     family).  residual is the relative residual |f|/max(|e^l|, |A l^k|) at
-    value.  certified means a winding count over the isolation disk equals
-    multiplicity.
+    value.  certified means exactly `multiplicity` zeros lie in the open
+    disk |l - value| < isolation_radius, proven by the Rouche disk test for
+    simple zeros and otherwise by a winding count.
     """
 
     nu: Optional[int]
@@ -206,8 +207,8 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     Newton from the asymptotic seed, falling back to the fixed-point
     iteration when Newton escapes the branch or stalls.  Records are sorted
     by nu; values collapsing within 1e-6 raise DuplicateZeroError.  With
-    certify=True each record gets a winding-count certificate over its
-    isolation disk.
+    certify=True each record is certified over its isolation disk (see
+    certify.certify_record).
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")

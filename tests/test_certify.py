@@ -1,10 +1,13 @@
 import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 from scipy.special import lambertw
 
 import quasizeros as qz
+from quasizeros import _kernels_py as kp, certify as certify_mod, zeros as zeros_mod
 from quasizeros.errors import (
     DomainError,
     RecordOutsideContourError,
@@ -181,3 +184,97 @@ class TestCertifyCompleteness:
         box = qz.Rectangle(complex(-10, 0.5), complex(10, z4.imag))
         with pytest.raises(ZeroOnContourError):
             qz.certify_completeness(qp11, box, recs)
+
+
+ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
+
+
+def _rouche(qp, value, radius):
+    return kp.rouche_isolates(qp.k, qp.a.real, qp.a.imag, value.real, value.imag, radius)
+
+
+class TestRoucheDiskTest:
+    @pytest.mark.parametrize("k, a, lo, hi",
+                             [(k, a, -50, 50) for k, a in ACCEPTANCE_COMBOS]
+                             + [(1, 1 + 0j, -1000, 1000)])
+    def test_parity_with_winding_count(self, k, a, lo, hi):
+        qp = qz.QuasiPolynomial(k, a)
+        records = qz.zeros_in_index_range(qp, lo, hi, 1e-12, certify=False)
+        radii = zeros_mod.isolation_radii(records)
+        accepted = 0
+        for rec, r in zip(records, radii):
+            checked = qz.certify_record(qp, rec, r)
+            assert checked.certified and checked.multiplicity == 1
+            if _rouche(qp, rec.value, r):
+                accepted += 1
+                assert checked.isolation_radius == r
+                winding = certify_mod._winding_certificate(qp, rec, r, 1e-6)
+                assert winding.certified
+                assert winding.isolation_radius == r
+                assert winding.multiplicity == 1
+        # the fast test carries nearly every record; only a few zeros near
+        # the origin (k = 3, nu = -1) need the fallback
+        assert accepted >= len(records) - 1
+
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (2, 1 + 0j), (3, 2 + 1j),
+                                      (5, 0.5j), (8, 1 + 0j)])
+    def test_sound_on_offset_disks(self, k, a):
+        # centres a little off the zeros, radii up to several spacings: every
+        # disk the test accepts must hold exactly one zero
+        qp = qz.QuasiPolynomial(k, a)
+        zeros = [rec.value for rec in qz.find_zeros_in_disk(qp, 8.0)]
+        rng = random.Random(k)
+        accepted = 0
+        for _ in range(60):
+            z = rng.choice(zeros) + cmath.rect(rng.uniform(0.0, 0.1), rng.uniform(-3.2, 3.2))
+            r = rng.uniform(0.1, 4.0)
+            if _rouche(qp, z, r):
+                accepted += 1
+                assert qz.winding_count(qp, qz.Circle(z, r)).count == 1
+        assert accepted > 0
+
+    def test_rejects_disk_holding_neighbours(self, qp11):
+        z = qz.zeros_in_index_range(qp11, 5, 5, 1e-12, certify=False)[0].value
+        assert qz.winding_count(qp11, qz.Circle(z, 7.0)).count > 1
+        assert not _rouche(qp11, z, 7.0)
+
+    def test_rejects_double_zero(self):
+        qp = qz.QuasiPolynomial(1, complex(-math.e, 0))
+        assert not _rouche(qp, 1 + 0j, 0.2)
+        rec = qz.ZeroRecord(nu=None, value=1 + 0j, residual=0.0, seed=1 + 0j,
+                            iterations=0)
+        checked = qz.certify_record(qp, rec, 0.2)
+        assert checked.certified
+        assert checked.multiplicity == 2
+
+    def test_stale_value_refused_before_fast_test(self, qp11):
+        rec = qz.zeros_in_index_range(qp11, 5, 5, 1e-12, certify=False)[0]
+        stale = dataclasses.replace(rec, value=rec.value + 0.01)
+        # the disk around the stale value does hold one zero, so only the
+        # residual gate can refuse it
+        assert _rouche(qp11, stale.value, 0.5)
+        checked = qz.certify_record(qp11, stale, 0.5)
+        assert not checked.certified
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_large_height(self, k):
+        qp = qz.QuasiPolynomial(k, 1 + 0j)
+        rec, _trace = qz.fixed_point_refine(qp, 100000, 1e-13)
+        assert 1e-12 < rec.residual < 1e-6
+        assert _rouche(qp, rec.value, 1.0)
+        assert qz.winding_count(qp, qz.Circle(rec.value, 1.0)).count == 1
+        checked = qz.certify_record(qp, rec, 1.0)
+        assert checked.certified and checked.isolation_radius == 1.0
+
+    def test_no_overflow_beyond_direct_range(self):
+        # Re l ~ 1500: e^l and l^k overflow unscaled
+        qp = qz.QuasiPolynomial(200, 1 + 0j)
+        rec = qz.zeros_in_index_range(qp, 200, 200, 1e-12, certify=False)[0]
+        assert rec.value.real > 1000
+        assert _rouche(qp, rec.value, 1.0)
+        assert qz.winding_count(qp, qz.Circle(rec.value, 1.0)).count == 1
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, 1e4])
+    def test_degenerate_radius_not_proven(self, qp11, radius):
+        z = qz.zeros_in_index_range(qp11, 5, 5, 1e-12, certify=False)[0].value
+        assert not _rouche(qp11, z, radius)
