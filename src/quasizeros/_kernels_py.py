@@ -2,18 +2,21 @@
 contour quadrature sums, and seeded rejection samplers.
 
 This is the package's only kernel implementation; the other modules import
-it through quasizeros._backend.  The operation order (libm
-exp/log/sqrt/sin/cos/atan2 only, no hypot, no complex type, explicit re/im
-arithmetic) is part of the contract: reordering a floating-point step can
-change the last bits of the printed documents and of the sample streams.
+it through quasizeros._backend.  The contract is reproducibility: identical
+argv and seed give a byte-identical document at one commit.  Reordering a
+floating-point step may change the last bits of the documents and of the
+sample streams between commits.
 
 Conventions:
-  * the quasipolynomial is f(x+iy) = e^(x+iy) + (are+i*aim)*(x+iy)**k
+  * the quasipolynomial is f(l) = e^l + A l^k; kernels take k, the complex
+    logarithm log_a = ln|A| + i arg A (computed once per QuasiPolynomial),
+    and complex points
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
   * the RNG is splitmix64; a seed fully determines every sample stream
 """
 
+import cmath
 import math
 
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -47,127 +50,106 @@ def wrap_angle(x):
     return y
 
 
-def _cofactor(k, are, aim, xre, xim):
-    """Dominance-factored co-factor of f at x+iy.
+def _cofactor(k, log_a, lam):
+    """Dominance-factored co-factor of f at lam != 0.
 
-    Returns (expdom, co_re, co_im, t_re, t_im, lnr, theta, la, aarg) where
-    t = subdominant/dominant term (|t| <= 1) and co = 1 + t, so that
-      f = e^l * co            when expdom (Re l - k ln|l| >= ln|A|)
-      f = A l^k * co          otherwise.
-    Caller must ensure x+iy != 0.
+    With w = Log A + k Log lam - lam, returns (expdom, t, Log lam) where t is
+    the subdominant/dominant term (|t| <= 1), so that
+      f = e^lam (1 + t)       when expdom (Re w <= 0, t = e^w)
+      f = A lam^k (1 + t)     otherwise (t = e^-w).
     """
-    r2 = xre * xre + xim * xim
-    lnr = 0.5 * math.log(r2)
-    theta = math.atan2(xim, xre)
-    la = 0.5 * math.log(are * are + aim * aim)
-    aarg = math.atan2(aim, are)
-    d = xre - k * lnr - la
-    if d >= 0.0:
-        gre = -d
-        gim = aarg + k * theta - xim
-        m = math.exp(gre)
-        tre = m * math.cos(gim)
-        tim = m * math.sin(gim)
-        return True, 1.0 + tre, tim, tre, tim, lnr, theta, la, aarg
-    qre = d
-    qim = xim - k * theta - aarg
-    m = math.exp(qre)
-    tre = m * math.cos(qim)
-    tim = m * math.sin(qim)
-    return False, 1.0 + tre, tim, tre, tim, lnr, theta, la, aarg
+    loglam = cmath.log(lam)
+    w = log_a + k * loglam - lam
+    if w.real <= 0.0:
+        return True, cmath.exp(w), loglam
+    return False, cmath.exp(-w), loglam
 
 
-def _logmag(k, are, aim, xre, xim):
-    """(log|f|, ln|l|, ln|A|) at x+iy != 0, computed without overflow."""
-    expdom, cre, cim, _tre, _tim, lnr, _th, la, _aa = _cofactor(k, are, aim, xre, xim)
-    c2 = cre * cre + cim * cim
-    lnco = 0.5 * math.log(c2) if c2 > 0.0 else -math.inf
+def _logmag(k, log_a, lam):
+    """(log|f|, ln|lam|) at lam != 0, computed without overflow."""
+    expdom, t, loglam = _cofactor(k, log_a, lam)
+    c = abs(1.0 + t)
+    lnco = math.log(c) if c > 0.0 else -math.inf
     if expdom:
-        return xre + lnco, lnr, la
-    return la + k * lnr + lnco, lnr, la
+        return lam.real + lnco, loglam.real
+    return log_a.real + k * loglam.real + lnco, loglam.real
 
 
-def eval_scaled(k, are, aim, xre, xim):
-    """log|f| and principal arg f at x+iy.  Exact zeros give -inf magnitude."""
-    if xre == 0.0 and xim == 0.0:
-        return 0.0, 0.0
-    expdom, cre, cim, _tre, _tim, lnr, theta, la, aarg = _cofactor(k, are, aim, xre, xim)
-    c2 = cre * cre + cim * cim
-    if c2 == 0.0:
-        return -math.inf, 0.0
-    lnco = 0.5 * math.log(c2)
-    if expdom:
-        return xre + lnco, wrap_angle(xim + math.atan2(cim, cre))
-    return la + k * lnr + lnco, wrap_angle(aarg + k * theta + math.atan2(cim, cre))
+def eval_scaled(k, log_a, lam):
+    """Log f at lam: log|f| + i (principal arg f).  An exact zero gives
+    complex(-inf, 0)."""
+    if lam == 0:
+        return 0j
+    expdom, t, loglam = _cofactor(k, log_a, lam)
+    co = 1.0 + t
+    if co == 0:
+        return complex(-math.inf, 0.0)
+    lf = (lam if expdom else log_a + k * loglam) + cmath.log(co)
+    return complex(lf.real, wrap_angle(lf.imag))
 
 
-def relative_residual(k, are, aim, xre, xim):
-    """|f| / max(|e^l|, |A l^k|) at x+iy; equals |1 + subdominant/dominant|."""
-    if xre == 0.0 and xim == 0.0:
+def relative_residual(k, log_a, lam):
+    """|f| / max(|e^l|, |A l^k|) at lam; equals |1 + subdominant/dominant|."""
+    if lam == 0:
         return 1.0
-    _e, cre, cim, _tre, _tim, _l, _t, _a, _g = _cofactor(k, are, aim, xre, xim)
-    return math.sqrt(cre * cre + cim * cim)
+    return abs(1.0 + _cofactor(k, log_a, lam)[1])
 
 
-def newton_step(k, are, aim, xre, xim):
+def newton_step(k, log_a, lam):
     """Newton ratio f/f' in dominance-factored form.
 
-    Returns (ratio_re, ratio_im, flag); flag = 1 means |f'| fell below
+    Returns (ratio, vanishes); vanishes is True when |f'| fell below
     1e-14 * max(|e^l|, k|A||l|^(k-1)) and the ratio is unusable.
     """
-    if xre == 0.0 and xim == 0.0:
-        if k == 1:
-            dre = 1.0 + are
-            dim = aim
-            scale = math.sqrt(are * are + aim * aim)
-            if scale < 1.0:
-                scale = 1.0
-        else:
-            dre = 1.0
-            dim = 0.0
-            scale = 1.0
-        dd = dre * dre + dim * dim
-        if math.sqrt(dd) < 1e-14 * scale:
-            return 0.0, 0.0, 1
-        return dre / dd, -dim / dd, 0
-    expdom, cre, cim, tre, tim, _lnr, _th, _la, _aa = _cofactor(k, are, aim, xre, xim)
-    ure, uim, _r, _tmag, vanishes = _derivative_cofactor(k, xre, xim, expdom, tre, tim)
+    if lam == 0:
+        d, scale = _derivative_at_origin(k, log_a)
+        if abs(d) < 1e-14 * scale:
+            return 0j, True
+        return 1.0 / d, False
+    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    u, _r, _tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
     if vanishes:
-        return 0.0, 0.0, 1
-    den = ure * ure + uim * uim
-    return (cre * ure + cim * uim) / den, (cim * ure - cre * uim) / den, 0
+        return 0j, True
+    return (1.0 + t) / u, False
 
 
-def _derivative_cofactor(k, xre, xim, expdom, tre, tim):
+def _derivative_at_origin(k, log_a):
+    """(f'(0), the scale of its vanishing check); f(0) = 1 for every k."""
+    if k > 1:
+        return 1.0 + 0j, 1.0
+    a = cmath.exp(log_a)
+    scale = abs(a)
+    if scale < 1.0:
+        scale = 1.0
+    return 1.0 + a, scale
+
+
+def _derivative_cofactor(k, lam, expdom, t):
     """f' divided by the dominant term of f, from _cofactor's outputs.
 
-    Returns (u_re, u_im, |l|, |t|, vanishes): u = 1 + (k/l) t when e^l
-    dominates and t + k/l otherwise, so f' = dominant * u; vanishes is True
-    when |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  x+iy != 0.
+    Returns (u, |lam|, |t|, vanishes): u = 1 + (k/lam) t when e^lam
+    dominates and t + k/lam otherwise, so f' = dominant * u; vanishes is True
+    when |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  lam != 0.
     """
-    r2 = xre * xre + xim * xim
-    r = math.sqrt(r2)
-    kre = k * xre / r2
-    kim = -k * xim / r2
-    tmag = math.sqrt(tre * tre + tim * tim)
+    r = abs(lam)
+    q = k / lam
+    tmag = abs(t)
     if expdom:
-        ure = 1.0 + (kre * tre - kim * tim)
-        uim = kre * tim + kim * tre
+        u = 1.0 + q * t
         scale = (k / r) * tmag
         if scale < 1.0:
             scale = 1.0
     else:
-        ure = kre + tre
-        uim = kim + tim
+        u = q + t
         scale = k / r
         if tmag > scale:
             scale = tmag
-    return ure, uim, r, tmag, math.sqrt(ure * ure + uim * uim) < 1e-14 * scale
+    return u, r, tmag, abs(u) < 1e-14 * scale
 
 
-def rouche_isolates(k, are, aim, xre, xim, radius):
+def rouche_isolates(k, log_a, lam, radius):
     """True when Rouche's theorem proves exactly one zero of f in the open
-    disk |l - z| < radius around z = x+iy.
+    disk |l - lam| < radius.
 
     With |h| = radius, f(z+h) = f(z) + f'(z) h + R(h) and
       |R(h)| <= |e^z| (e^r - 1 - r) + |A| sum_{j=2..k} C(k,j) |z|^(k-j) r^j.
@@ -178,10 +160,10 @@ def rouche_isolates(k, are, aim, xre, xim, radius):
     value but for rounding), and the inequality must hold with a 1% margin.
     False means "not proven", never "no zero".
     """
-    if (xre == 0.0 and xim == 0.0) or not 0.0 < radius < 700.0:
+    if lam == 0 or not 0.0 < radius < 700.0:
         return False
-    expdom, cre, cim, tre, tim, _lnr, _th, _la, _aa = _cofactor(k, are, aim, xre, xim)
-    ure, uim, zabs, tmag, vanishes = _derivative_cofactor(k, xre, xim, expdom, tre, tim)
+    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return False
     # e^r - 1 - r; its rounding error (~eps * r) is far inside the margin
@@ -197,78 +179,58 @@ def rouche_isolates(k, are, aim, xre, xim, radius):
         remainder = etail + tmag * poly
     else:
         remainder = tmag * etail + poly
-    lhs = math.sqrt(cre * cre + cim * cim) + remainder
-    return lhs < 0.99 * math.sqrt(ure * ure + uim * uim) * radius
+    return abs(1.0 + t) + remainder < 0.99 * abs(u) * radius
 
 
-def _logderiv(k, are, aim, xre, xim):
-    """f'/f and the scaled |f| on the contour (for zero-on-contour checks)."""
-    if xre == 0.0 and xim == 0.0:
-        if k == 1:
-            return 1.0 + are, aim, 1.0
-        return 1.0, 0.0, 1.0
-    expdom, cre, cim, tre, tim, _l, _t, _a, _g = _cofactor(k, are, aim, xre, xim)
-    c2 = cre * cre + cim * cim
-    if c2 == 0.0:
-        return 0.0, 0.0, 0.0
-    r2 = xre * xre + xim * xim
-    kre = k * xre / r2
-    kim = -k * xim / r2
-    if expdom:
-        ure = 1.0 + (kre * tre - kim * tim)
-        uim = kre * tim + kim * tre
-    else:
-        ure = kre + tre
-        uim = kim + tim
-    return (ure * cre + uim * cim) / c2, (uim * cre - ure * cim) / c2, math.sqrt(c2)
+def _logderiv(k, log_a, lam):
+    """(f'/f, scaled |f|) at lam; the modulus feeds zero-on-contour checks."""
+    if lam == 0:
+        return _derivative_at_origin(k, log_a)[0], 1.0
+    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    co = 1.0 + t
+    if co == 0:
+        return 0j, 0.0
+    q = k / lam
+    u = 1.0 + q * t if expdom else q + t
+    return u / co, abs(co)
 
 
-def line_segment_logderiv(k, are, aim, z0re, z0im, z1re, z1im, nodes, weights):
+def line_segment_logderiv(k, log_a, z0, z1, nodes, weights):
     """Gauss sum of (f'/f) dz over the segment z0 -> z1.
 
-    Returns (sum_re, sum_im, min scaled |f| over the nodes).
+    Returns (sum, min scaled |f| over the nodes).
     """
-    mre = 0.5 * (z0re + z1re)
-    mim = 0.5 * (z0im + z1im)
-    hre = 0.5 * (z1re - z0re)
-    him = 0.5 * (z1im - z0im)
-    sre = 0.0
-    sim = 0.0
+    m = 0.5 * (z0 + z1)
+    h = 0.5 * (z1 - z0)
+    s = 0j
     minmod = math.inf
-    for j in range(len(nodes)):
-        t = nodes[j]
-        gre, gim, mod = _logderiv(k, are, aim, mre + hre * t, mim + him * t)
+    for x, w in zip(nodes, weights):
+        g, mod = _logderiv(k, log_a, m + h * x)
         if mod < minmod:
             minmod = mod
-        w = weights[j]
-        sre += w * gre
-        sim += w * gim
-    return sre * hre - sim * him, sre * him + sim * hre, minmod
+        s += w * g
+    return s * h, minmod
 
 
-def arc_segment_logderiv(k, are, aim, cre, cim, radius, t0, t1, nodes, weights):
-    """Gauss sum of (f'/f) dz over the arc angle range [t0, t1] of a circle."""
+def arc_segment_logderiv(k, log_a, center, radius, t0, t1, nodes, weights):
+    """Gauss sum of (f'/f) dz over the arc angle range [t0, t1] of a circle.
+
+    Returns (sum, min scaled |f| over the nodes).
+    """
     mt = 0.5 * (t0 + t1)
     ht = 0.5 * (t1 - t0)
-    sre = 0.0
-    sim = 0.0
+    s = 0j
     minmod = math.inf
-    for j in range(len(nodes)):
-        th = mt + ht * nodes[j]
-        c = math.cos(th)
-        s = math.sin(th)
-        gre, gim, mod = _logderiv(k, are, aim, cre + radius * c, cim + radius * s)
+    for x, w in zip(nodes, weights):
+        e = cmath.rect(radius, mt + ht * x)
+        g, mod = _logderiv(k, log_a, center + e)
         if mod < minmod:
             minmod = mod
-        dre = -radius * s
-        dim = radius * c
-        w = weights[j]
-        sre += w * (gre * dre - gim * dim)
-        sim += w * (gre * dim + gim * dre)
-    return sre * ht, sim * ht, minmod
+        s += w * (g * (1j * e))
+    return s * ht, minmod
 
 
-def sample_exterior_margin(k, are, aim, s_branch, side, h, r_in, r_max,
+def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
                            bound_kind, n, seed):
     """Sample an exterior region and track the worst lower-bound margin.
 
@@ -311,9 +273,9 @@ def sample_exterior_margin(k, are, aim, s_branch, side, h, r_in, r_max,
                 return minlog, wre, wim, 0
             continue
         consec = 0
-        logf, lnr, la = _logmag(k, are, aim, xre, xim)
+        logf, lnr = _logmag(k, log_a, complex(xre, xim))
         if bound_kind == 1:
-            lm = logf - (la - LN2 + k * lnr)
+            lm = logf - (log_a.real - LN2 + k * lnr)
         else:
             lm = logf - (xre - LN2)
         if lm < minlog:
@@ -324,7 +286,7 @@ def sample_exterior_margin(k, are, aim, s_branch, side, h, r_in, r_max,
     return minlog, wre, wim, 1
 
 
-def sample_strip_sector(k, are, aim, s_branch, h, r_in, r_max, delta, n, seed):
+def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
     """Sample the curvilinear strip and measure sector containment.
 
     margin = delta - |arg l -+ pi/2| (sign matched to the half-plane).
@@ -375,7 +337,7 @@ def sample_strip_sector(k, are, aim, s_branch, h, r_in, r_max, delta, n, seed):
     return minmargin, wre, wim, violations, 1
 
 
-def sample_strip_ratio(k, are, aim, h, r_in, im_cap, delta, zre, zim, n, seed):
+def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     """Sample the punctured strip and track the minimum of |f|/|l|^k.
 
     Coordinates are (y, t) uniform over [-im_cap, im_cap] x [-h, h] with
@@ -455,7 +417,7 @@ def sample_strip_ratio(k, are, aim, h, r_in, im_cap, delta, zre, zim, n, seed):
                 return minlog, wre, wim, 0
             continue
         consec = 0
-        logf, lnr, _la = _logmag(k, are, aim, x, y)
+        logf, lnr = _logmag(k, log_a, complex(x, y))
         lm = logf - k * lnr
         if lm < minlog:
             minlog = lm

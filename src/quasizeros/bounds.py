@@ -131,7 +131,7 @@ def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
 
     def worker(size, sub_seed):
         return kernels.sample_exterior_margin(
-            qp.k, qp.a.real, qp.a.imag, s_branch, side, h, r_cut, r_max,
+            qp.k, qp.log_a, s_branch, side, h, r_cut, r_max,
             bound_kind, size, sub_seed)
 
     results = _run_chunks(worker, sample_count, seed)
@@ -203,8 +203,7 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
 
         def worker(size, sub_seed, _b=branch):
             return kernels.sample_strip_sector(
-                qp.k, qp.a.real, qp.a.imag, _b, h, r_cut, r_max, delta,
-                size, sub_seed)
+                qp.k, _b, h, r_cut, r_max, delta, size, sub_seed)
 
         results = _run_chunks(worker, count, seed + branch)
         if any(r[4] == 0 for r in results):
@@ -277,15 +276,12 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
         _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros,
                              quadrature_tolerance)
     ordered = sorted(strip_zeros, key=lambda rec: rec.value.imag)
-    import array
-
-    zre = array.array("d", [rec.value.real for rec in ordered])
-    zim = array.array("d", [rec.value.imag for rec in ordered])
+    zre = [rec.value.real for rec in ordered]
+    zim = [rec.value.imag for rec in ordered]
 
     def worker(size, sub_seed):
         return kernels.sample_strip_ratio(
-            qp.k, qp.a.real, qp.a.imag, h, r_cut, im_cap, delta, zre, zim,
-            size, sub_seed)
+            qp.k, qp.log_a, h, r_cut, im_cap, delta, zre, zim, size, sub_seed)
 
     results = _run_chunks(worker, sample_count, seed)
     if any(r[3] == 0 for r in results):

@@ -14,9 +14,9 @@ bound on the remainder; see _kernels_py.rouche_isolates); otherwise, or when
 that test does not succeed, by a winding count over the disk.
 """
 
-import array
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Union
 
 from . import core, zeros as zeros_mod
@@ -33,18 +33,18 @@ from .errors import (
 )
 
 # 12-point Gauss-Legendre rule on [-1, 1]
-_GL_NODES = array.array("d", [
+_GL_NODES = (
     -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
     -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
     0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
     0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
-])
-_GL_WEIGHTS = array.array("d", [
+)
+_GL_WEIGHTS = (
     0.04717533638651202, 0.10693932599531888, 0.1600783285433461,
     0.20316742672306565, 0.23349253653835464, 0.2491470458134027,
     0.2491470458134027, 0.23349253653835464, 0.20316742672306565,
     0.1600783285433461, 0.10693932599531888, 0.04717533638651202,
-])
+)
 
 #: scaled |f| below this on a contour triggers ZeroOnContourError
 ZERO_ON_CONTOUR_MODULUS = 1e-8
@@ -119,64 +119,41 @@ class _Budget:
         self.minmod = math.inf
 
 
-def _line_eval(qp, z0, z1, budget):
+def _segment_eval(segment, p0, p1, budget):
+    """One Gauss sum over the contour piece with parameters p0 -> p1."""
     budget.segments += 1
-    sre, sim, mod = kernels.line_segment_logderiv(
-        qp.k, qp.a.real, qp.a.imag, z0.real, z0.imag, z1.real, z1.imag,
-        _GL_NODES, _GL_WEIGHTS)
+    total, mod = segment(p0, p1, _GL_NODES, _GL_WEIGHTS)
     if mod < budget.minmod:
         budget.minmod = mod
         if mod < ZERO_ON_CONTOUR_MODULUS:
-            raise ZeroOnContourError(
-                f"scaled |f| = {mod:.3g} on the contour near {z0:.6g}")
-    return complex(sre, sim)
+            where = (f"near {p0:.6g}" if isinstance(p0, complex)
+                     else f"(arc at angle {p0:.3g})")
+            raise ZeroOnContourError(f"scaled |f| = {mod:.3g} on the contour {where}")
+    return total
 
 
-def _arc_eval(qp, center, radius, t0, t1, budget):
-    budget.segments += 1
-    sre, sim, mod = kernels.arc_segment_logderiv(
-        qp.k, qp.a.real, qp.a.imag, center.real, center.imag, radius, t0, t1,
-        _GL_NODES, _GL_WEIGHTS)
-    if mod < budget.minmod:
-        budget.minmod = mod
-        if mod < ZERO_ON_CONTOUR_MODULUS:
-            raise ZeroOnContourError(
-                f"scaled |f| = {mod:.3g} on the contour (arc at angle {t0:.3g})")
-    return complex(sre, sim)
-
-
-def _adaptive_line(qp, z0, z1, whole, tol, budget, depth):
-    zm = 0.5 * (z0 + z1)
-    left = _line_eval(qp, z0, zm, budget)
-    right = _line_eval(qp, zm, z1, budget)
+def _adaptive(segment, p0, p1, whole, tol, budget, depth):
+    """Bisect p0 -> p1 until the two halves agree with the whole."""
+    pm = 0.5 * (p0 + p1)
+    left = _segment_eval(segment, p0, pm, budget)
+    right = _segment_eval(segment, pm, p1, budget)
     if budget.segments > SEGMENT_BUDGET:
         raise QuadratureStalledError("segment budget exhausted")
     err = abs(whole - left - right)
     if err < tol or err < ACCEPT_FLOOR or depth >= MAX_BISECTION_DEPTH:
         return left + right
     half_tol = max(0.5 * tol, ACCEPT_FLOOR)
-    return (_adaptive_line(qp, z0, zm, left, half_tol, budget, depth + 1)
-            + _adaptive_line(qp, zm, z1, right, half_tol, budget, depth + 1))
-
-
-def _adaptive_arc(qp, center, radius, t0, t1, whole, tol, budget, depth):
-    tm = 0.5 * (t0 + t1)
-    left = _arc_eval(qp, center, radius, t0, tm, budget)
-    right = _arc_eval(qp, center, radius, tm, t1, budget)
-    if budget.segments > SEGMENT_BUDGET:
-        raise QuadratureStalledError("segment budget exhausted")
-    err = abs(whole - left - right)
-    if err < tol or err < ACCEPT_FLOOR or depth >= MAX_BISECTION_DEPTH:
-        return left + right
-    half_tol = max(0.5 * tol, ACCEPT_FLOOR)
-    return (_adaptive_arc(qp, center, radius, t0, tm, left, half_tol, budget, depth + 1)
-            + _adaptive_arc(qp, center, radius, tm, t1, right, half_tol, budget, depth + 1))
+    return (_adaptive(segment, p0, pm, left, half_tol, budget, depth + 1)
+            + _adaptive(segment, pm, p1, right, half_tol, budget, depth + 1))
 
 
 def _integrate(qp, contour, tol):
+    """Contour integral of f'/f.  Line pieces are parametrised by their
+    complex end points, arc pieces by their angles."""
     budget = _Budget()
-    total = 0j
+    parts = []
     if isinstance(contour, Rectangle):
+        segment = partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
         a, c = contour.corner_min, contour.corner_max
         b = complex(c.real, a.imag)
         d = complex(a.real, c.imag)
@@ -187,19 +164,22 @@ def _integrate(qp, contour, tol):
             for j in range(pieces):
                 s0 = z0 + (z1 - z0) * (j / pieces)
                 s1 = z0 + (z1 - z0) * ((j + 1) / pieces)
-                whole = _line_eval(qp, s0, s1, budget)
-                total += _adaptive_line(qp, s0, s1, whole, seg_tol, budget, 0)
+                parts.append((s0, s1, seg_tol))
     elif isinstance(contour, Circle):
+        segment = partial(kernels.arc_segment_logderiv, qp.k, qp.log_a,
+                          contour.center, contour.radius)
         pieces = max(8, math.ceil(2.0 * math.pi * contour.radius / BASE_SEGMENT_LENGTH))
         seg_tol = tol / pieces
         for j in range(pieces):
             t0 = 2.0 * math.pi * j / pieces
             t1 = 2.0 * math.pi * (j + 1) / pieces
-            whole = _arc_eval(qp, contour.center, contour.radius, t0, t1, budget)
-            total += _adaptive_arc(qp, contour.center, contour.radius,
-                                   t0, t1, whole, seg_tol, budget, 0)
+            parts.append((t0, t1, seg_tol))
     else:
         raise DomainError(f"unsupported contour type {type(contour).__name__}")
+    total = 0j
+    for p0, p1, seg_tol in parts:
+        whole = _segment_eval(segment, p0, p1, budget)
+        total += _adaptive(segment, p0, p1, whole, seg_tol, budget, 0)
     return total, budget
 
 
@@ -253,9 +233,8 @@ def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
     # for a stale value whose disk still happens to contain the true zero
     if core.relative_residual(qp, record.value) >= 1e-6:
         return replace(record, certified=False, isolation_radius=r)
-    z = complex(record.value)
     if record.multiplicity == 1 and kernels.rouche_isolates(
-            qp.k, qp.a.real, qp.a.imag, z.real, z.imag, r):
+            qp.k, qp.log_a, complex(record.value), r):
         return replace(record, certified=True, isolation_radius=r)
     return _winding_certificate(qp, record, r, quadrature_tolerance)
 
@@ -338,7 +317,8 @@ def _polish_cell(qp, xmin, xmax, ymin, ymax, tolerance):
     v = rec.value
     if not (xmin < v.real < xmax and ymin < v.imag < ymax):
         raise EscapedBasinError("polished zero left its cell")
-    return rec
+    nu = zeros_mod.disk_zero_index(qp, v)
+    return rec if nu == rec.nu else replace(rec, nu=nu)
 
 
 def _critical_point(qp, seed, iterations=80):

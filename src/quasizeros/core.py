@@ -8,7 +8,7 @@ co-factor 1 + subdominant/dominant has magnitude at most 2).
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._backend import kernels
 from .errors import DerivativeVanishesError, DomainError, OverflowRangeError
@@ -22,10 +22,13 @@ class QuasiPolynomial:
     """The pair (k, A) defining f(l) = e^l + A*l^k.
 
     k must be a positive integer and A a nonzero complex coefficient.
+    log_a = ln|A| + i arg A (principal argument in (-pi, pi]) is derived
+    once here; the kernels take it in place of A.
     """
 
     k: int
     a: complex
+    log_a: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
@@ -34,6 +37,8 @@ class QuasiPolynomial:
         object.__setattr__(self, "a", a)
         if a == 0:
             raise DomainError("coefficient A must be nonzero")
+        arg = kernels.wrap_angle(math.atan2(a.imag, a.real))
+        object.__setattr__(self, "log_a", complex(math.log(abs(a)), arg))
 
     @property
     def b_magnitude(self):
@@ -42,12 +47,12 @@ class QuasiPolynomial:
 
     @property
     def log_abs_a(self):
-        return math.log(abs(self.a))
+        return self.log_a.real
 
     @property
     def arg_a(self):
         """Principal argument of A in (-pi, pi]."""
-        return kernels.wrap_angle(math.atan2(self.a.imag, self.a.real))
+        return self.log_a.imag
 
 
 @dataclass(frozen=True)
@@ -115,15 +120,13 @@ def evaluate_scaled(qp, lam):
     EvalScale(-inf, 0.0) rather than an error, so contour integrands can
     detect near-zeros uniformly.
     """
-    lam = complex(lam)
-    logmag, phase = kernels.eval_scaled(qp.k, qp.a.real, qp.a.imag, lam.real, lam.imag)
-    return EvalScale(logmag, phase)
+    logf = kernels.eval_scaled(qp.k, qp.log_a, complex(lam))
+    return EvalScale(logf.real, logf.imag)
 
 
 def relative_residual(qp, lam):
     """|f(l)| / max(|e^l|, |A*l^k|): the scale-free size of f at l."""
-    lam = complex(lam)
-    return kernels.relative_residual(qp.k, qp.a.real, qp.a.imag, lam.real, lam.imag)
+    return kernels.relative_residual(qp.k, qp.log_a, complex(lam))
 
 
 def newton_ratio(qp, lam):
@@ -133,7 +136,7 @@ def newton_ratio(qp, lam):
     1e-14 * max(|e^l|, k|A||l|^(k-1)).
     """
     lam = complex(lam)
-    rre, rim, flag = kernels.newton_step(qp.k, qp.a.real, qp.a.imag, lam.real, lam.imag)
-    if flag:
+    ratio, vanishes = kernels.newton_step(qp.k, qp.log_a, lam)
+    if vanishes:
         raise DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}")
-    return complex(rre, rim)
+    return ratio

@@ -35,6 +35,9 @@ DUPLICATE_DISTANCE = 1e-6
 #: neighboring branch's zero.
 ESCAPE_RADIUS = 3.0
 
+#: |Im l| at or below this times max(1, |l|) counts as the real axis
+REAL_AXIS_NOISE = 1e-9
+
 
 @dataclass(frozen=True)
 class ZeroRecord:
@@ -96,6 +99,22 @@ def branch_index(qp, value):
     y = complex(value).imag
     s = 1.0 if y > 0 else (-1.0 if y < 0 else 0.0)
     return round((y - math.pi - s * 0.5 * math.pi * qp.k - qp.arg_a) / TWO_PI)
+
+
+def disk_zero_index(qp, value):
+    """Ladder index of a zero found by the disk search, or None.
+
+    The ladder ordinates 2*pi*nu + pi + sign(nu)*k*pi/2 + arg A have the
+    sign of nu (|arg A| <= pi), so a value within rounding noise of the real
+    axis, or one whose nearest index has the opposite sign, is off the
+    ladder.  The index range search labels its zeros by the requested index
+    instead, real ones included.
+    """
+    z = complex(value)
+    if abs(z.imag) <= REAL_AXIS_NOISE * max(1.0, abs(z)):
+        return None
+    nu = branch_index(qp, z)
+    return nu if nu * z.imag > 0 else None
 
 
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):

@@ -68,6 +68,14 @@ class TestWindingCount:
         with pytest.raises(ZeroOnContourError):
             qz.winding_count(qp11, qz.Circle(complex(omega_root + 0.2, 0), 0.2))
 
+    def test_zero_on_contour_message(self, qp11, omega_root):
+        # the message names the piece the way the contour is parametrised
+        with pytest.raises(ZeroOnContourError, match=r"\(arc at angle 3\.14\)"):
+            qz.winding_count(qp11, qz.Circle(complex(omega_root + 0.2, 0), 0.2))
+        z4 = qz.zeros_in_index_range(qp11, 4, 4, 1e-12)[0].value
+        with pytest.raises(ZeroOnContourError, match=r"on the contour near 3\.39869\+29\.7313j"):
+            qz.winding_count(qp11, qz.Rectangle(complex(-10, 0.5), complex(10, z4.imag)))
+
     def test_large_real_part_contour(self, qp11):
         # dominance-factored integrand keeps |Re l| in the hundreds safe
         box = qz.Rectangle(complex(100, -5), complex(300, 5))
@@ -104,6 +112,21 @@ class TestFindZerosInDisk:
         assert recs[0].multiplicity == 1
         assert recs[0].certified
         assert recs[0].nu is None
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
+    def test_real_zero_labelled_origin(self, qp11, omega_root, radius):
+        # the label must not depend on the rounding-level Im of the value
+        recs = [r for r in qz.find_zeros_in_disk(qp11, radius)
+                if abs(r.value - omega_root) < 1e-10]
+        assert len(recs) == 1
+        assert recs[0].nu is None
+
+    def test_two_real_zeros_labelled_origin(self):
+        qp = qz.QuasiPolynomial(1, -3 + 0j)
+        real = [r for r in qz.find_zeros_in_disk(qp, 3.0)
+                if abs(r.value.imag) < 1e-9]
+        assert len(real) == 2
+        assert all(r.nu is None for r in real)
 
     def test_conjugate_pair(self):
         # zeros of e^l = l; oracle via the Lambert function: l = -W_0(-1)
@@ -190,7 +213,7 @@ ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
 
 
 def _rouche(qp, value, radius):
-    return kp.rouche_isolates(qp.k, qp.a.real, qp.a.imag, value.real, value.imag, radius)
+    return kp.rouche_isolates(qp.k, qp.log_a, complex(value), radius)
 
 
 class TestRoucheDiskTest:

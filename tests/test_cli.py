@@ -106,6 +106,34 @@ class TestZerosCommand:
         assert err.count("\n") == 1
         assert "message" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("origin", "--k", "3", "--a", "2+1i", "--radius", "10"),
+        ("zeros", "--k", "1", "--a", "1+0i", "--nu", "-20..20", "--certify",
+         "--with-disk", "5"),
+    ], ids=["origin-k3", "zeros-with-disk"])
+    def test_ladder_labels_distinct(self, argv):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        indexed = [r for r in json.loads(out)["results"] if r["nu"] != "origin"]
+        assert len({r["nu"] for r in indexed}) == len(indexed)
+        assert all((r["nu"] > 0) == (r["im"] > 0) for r in indexed)
+
+    @pytest.mark.parametrize("a,real,upper", [
+        ("-3+0i", 1.5121345516578426, 3.76401928188419 + 13.87221103936666j),
+        ("-2.73+0i", 1.0956431687878527, 3.6684271740829573 + 13.878757095433144j),
+    ])
+    def test_ladder_keeps_index_of_real_zero(self, a, real, upper):
+        # for k=1 and real A < -e the index -1 zero is real; the ladder keeps
+        # its requested index (the disk search would call it "origin")
+        code, out, _ = run_cli("zeros", "--k", "1", "--a", a, "--nu", "-1..1",
+                               "--certify")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [r["nu"] for r in results] == [-1, 1]
+        assert all(r["certified"] for r in results)
+        for r, want in zip(results, (real, upper)):
+            assert abs(complex(r["re"], r["im"]) - want) <= 1e-12 * abs(want)
+
     def test_byte_identical_reruns(self):
         args = ("zeros", "--k", "2", "--a", "2+1i", "--nu", "-3..3",
                 "--certify")

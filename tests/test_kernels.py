@@ -1,12 +1,18 @@
-"""Kernel contract tests: splitmix64 stream, angle wrapping, and the
+"""Kernel contract tests: splitmix64 stream, angle wrapping, the contour
+segment sums against the same Gauss rule applied to direct f'/f, and the
 reported backend name."""
 
+import cmath
 import math
+import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasizeros import _kernels_py as kp
+from quasizeros import _kernels_py as kp, core
+from quasizeros.certify import _GL_NODES, _GL_WEIGHTS
 from quasizeros._backend import backend_name
 
 
@@ -50,3 +56,57 @@ def test_wrap_angle_boundaries():
 
 def test_active_backend_reported():
     assert backend_name() == "python"
+
+
+ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
+
+
+def _direct_rule(qp, points, dz):
+    """The 12-point rule applied to direct f'/f, and the min scaled |f|."""
+    total = 0j
+    minmod = math.inf
+    for w, lam, d in zip(_GL_WEIGHTS, points, dz):
+        f = core.evaluate(qp, lam)
+        total += w * (core.derivative(qp, lam) / f) * d
+        minmod = min(minmod, abs(f) / max(abs(cmath.exp(lam)), abs(qp.a * lam ** qp.k)))
+    return total, minmod
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
+def test_line_segment_sum_matches_direct_rule(k, a):
+    qp = core.QuasiPolynomial(k, a)
+    rng = random.Random(1000 * k + int(4 * a.real + 2 * a.imag))
+    for _ in range(40):
+        z0 = complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
+        z1 = z0 + cmath.rect(rng.uniform(0.1, 4.0), rng.uniform(-math.pi, math.pi))
+        total, minmod = kp.line_segment_logderiv(k, qp.log_a, z0, z1,
+                                                 _GL_NODES, _GL_WEIGHTS)
+        m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+        want, want_mod = _direct_rule(qp, [m + h * x for x in _GL_NODES],
+                                      [h] * len(_GL_NODES))
+        _assert_close(total, want)
+        _assert_close(minmod, want_mod)
+
+
+@pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
+def test_arc_segment_sum_matches_direct_rule(k, a):
+    qp = core.QuasiPolynomial(k, a)
+    rng = random.Random(2000 * k + int(4 * a.real + 2 * a.imag))
+    for _ in range(40):
+        center = complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
+        radius = rng.uniform(0.1, 4.0)
+        t0 = rng.uniform(0.0, 2.0 * math.pi)
+        t1 = t0 + rng.uniform(0.1, 1.5)
+        total, minmod = kp.arc_segment_logderiv(k, qp.log_a, center, radius, t0, t1,
+                                                _GL_NODES, _GL_WEIGHTS)
+        mt, ht = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        angles = [mt + ht * x for x in _GL_NODES]
+        want, want_mod = _direct_rule(
+            qp, [center + cmath.rect(radius, th) for th in angles],
+            [1j * ht * cmath.rect(radius, th) for th in angles])
+        _assert_close(total, want)
+        _assert_close(minmod, want_mod)
