@@ -7,6 +7,15 @@ evaluated in dominance-factored form so contours with |Re l| in the
 hundreds are safe.  The recursive disk search and the completeness of an
 enumeration over a window reduce to integer winding counts.
 
+A contour piece keeps its Gauss sum and its two halves once computed, and a
+rectangle side is one piece in canonical direction (west to east, south to
+north), added or subtracted.  The disk search passes each cell's four sides
+down the recursion: a child's outer sides are halves of its parent's, and
+each half-edge of the inner cross is shared by the two children that border
+it, so a split integrates only its new inner cross.  A piece's sum depends
+only on its end points, so every cell's report is the one a fresh
+winding_count on the same rectangle gives.
+
 A certified record has exactly `multiplicity` zeros in the open disk
 |l - value| < isolation_radius.  For a simple zero this is proven by an
 O(k) Rouche disk test (f against its linear Taylor part, with a closed-form
@@ -52,7 +61,9 @@ ZERO_ON_CONTOUR_MODULUS = 1e-8
 #: adaptive bisection segment budget per winding computation
 SEGMENT_BUDGET = 1 << 16
 
-#: initial segment length (contours are pre-split to about this length)
+#: rectangle sides are bisected at exact midpoints until each piece is at
+#: most 2 * BASE_SEGMENT_LENGTH long, and the adaptive test compares each
+#: with its two halves; circles are cut into arcs about this long
 BASE_SEGMENT_LENGTH = 2.0
 
 #: bisection error below this is accepted regardless of the local tolerance.
@@ -102,7 +113,12 @@ Contour = Union[Circle, Rectangle]
 
 @dataclass(frozen=True)
 class ContourReport:
-    """Result of one winding-number computation."""
+    """Result of one winding-number computation.
+
+    segments_used counts the Gauss sums the contour integral summed, whether
+    evaluated for it or reused from a piece shared with another contour;
+    SEGMENT_BUDGET bounds the same count.
+    """
 
     count: int
     raw_integral: complex
@@ -119,84 +135,111 @@ class _Budget:
         self.minmod = math.inf
 
 
-def _segment_eval(segment, p0, p1, budget):
-    """One Gauss sum over the contour piece with parameters p0 -> p1."""
-    budget.segments += 1
-    total, mod = segment(p0, p1, _GL_NODES, _GL_WEIGHTS)
-    if mod < budget.minmod:
-        budget.minmod = mod
-        if mod < ZERO_ON_CONTOUR_MODULUS:
-            where = (f"near {p0:.6g}" if isinstance(p0, complex)
-                     else f"(arc at angle {p0:.3g})")
-            raise ZeroOnContourError(f"scaled |f| = {mod:.3g} on the contour {where}")
-    return total
+class _Piece:
+    """A contour piece with parameters p0 -> p1 (complex end points for
+    lines, angles for arcs).  Its Gauss sum and its two halves are computed
+    once, on first use, and kept: the sum depends only on the end points, so
+    every contour that runs along the piece, in either direction, reuses
+    them."""
+
+    __slots__ = ("p0", "p1", "_sum", "_mod", "_halves")
+
+    def __init__(self, p0, p1):
+        self.p0 = p0
+        self.p1 = p1
+        self._mod = None
+        self._halves = None
+
+    def halves(self):
+        if self._halves is None:
+            pm = 0.5 * (self.p0 + self.p1)
+            self._halves = (_Piece(self.p0, pm), _Piece(pm, self.p1))
+        return self._halves
+
+    def visit(self, segment, budget):
+        """The Gauss sum, counted as one segment of the contour being summed
+        and checked against the zero-on-contour modulus, whether it is
+        evaluated here or reused."""
+        if self._mod is None:
+            self._sum, self._mod = segment(self.p0, self.p1, _GL_NODES, _GL_WEIGHTS)
+        mod = self._mod
+        budget.segments += 1
+        if mod < budget.minmod:
+            budget.minmod = mod
+            if mod < ZERO_ON_CONTOUR_MODULUS:
+                p0 = self.p0
+                where = (f"near {p0:.6g}" if isinstance(p0, complex)
+                         else f"(arc at angle {p0:.3g})")
+                raise ZeroOnContourError(f"scaled |f| = {mod:.3g} on the contour {where}")
+        return self._sum
 
 
-def _adaptive(segment, p0, p1, whole, tol, budget, depth):
-    """Bisect p0 -> p1 until the two halves agree with the whole."""
-    pm = 0.5 * (p0 + p1)
-    left = _segment_eval(segment, p0, pm, budget)
-    right = _segment_eval(segment, pm, p1, budget)
+def _adaptive(segment, piece, whole, tol, budget, depth):
+    """Bisect the piece until its two halves agree with the whole."""
+    left, right = piece.halves()
+    lsum = left.visit(segment, budget)
+    rsum = right.visit(segment, budget)
     if budget.segments > SEGMENT_BUDGET:
         raise QuadratureStalledError("segment budget exhausted")
-    err = abs(whole - left - right)
+    err = abs(whole - lsum - rsum)
     if err < tol or err < ACCEPT_FLOOR or depth >= MAX_BISECTION_DEPTH:
-        return left + right
+        return lsum + rsum
     half_tol = max(0.5 * tol, ACCEPT_FLOOR)
-    return (_adaptive(segment, p0, pm, left, half_tol, budget, depth + 1)
-            + _adaptive(segment, pm, p1, right, half_tol, budget, depth + 1))
+    return (_adaptive(segment, left, lsum, half_tol, budget, depth + 1)
+            + _adaptive(segment, right, rsum, half_tol, budget, depth + 1))
 
 
-def _integrate(qp, contour, tol):
-    """Contour integral of f'/f.  Line pieces are parametrised by their
-    complex end points, arc pieces by their angles."""
-    budget = _Budget()
+def _rect_sides(xmin, xmax, ymin, ymax):
+    """The four sides (south, east, north, west) of a rectangle, each a piece
+    in canonical direction: west to east, or south to north."""
+    sw, se = complex(xmin, ymin), complex(xmax, ymin)
+    nw, ne = complex(xmin, ymax), complex(xmax, ymax)
+    return (_Piece(sw, se), _Piece(se, ne), _Piece(nw, ne), _Piece(sw, nw))
+
+
+def _presplit(piece):
+    """The piece bisected at exact midpoints into pieces at most
+    2 * BASE_SEGMENT_LENGTH long."""
+    if abs(piece.p1 - piece.p0) <= 2.0 * BASE_SEGMENT_LENGTH:
+        return [piece]
+    left, right = piece.halves()
+    return _presplit(left) + _presplit(right)
+
+
+def _rect_parts(sides):
+    """(piece, tolerance divisor, sign) for the counter-clockwise boundary
+    of a rectangle given by its four canonical sides."""
     parts = []
-    if isinstance(contour, Rectangle):
-        segment = partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
-        a, c = contour.corner_min, contour.corner_max
-        b = complex(c.real, a.imag)
-        d = complex(a.real, c.imag)
-        for z0, z1 in ((a, b), (b, c), (c, d), (d, a)):
-            length = abs(z1 - z0)
-            pieces = max(1, math.ceil(length / BASE_SEGMENT_LENGTH))
-            seg_tol = tol / (4.0 * pieces)
-            for j in range(pieces):
-                s0 = z0 + (z1 - z0) * (j / pieces)
-                s1 = z0 + (z1 - z0) * ((j + 1) / pieces)
-                parts.append((s0, s1, seg_tol))
-    elif isinstance(contour, Circle):
-        segment = partial(kernels.arc_segment_logderiv, qp.k, qp.log_a,
-                          contour.center, contour.radius)
-        pieces = max(8, math.ceil(2.0 * math.pi * contour.radius / BASE_SEGMENT_LENGTH))
-        seg_tol = tol / pieces
-        for j in range(pieces):
-            t0 = 2.0 * math.pi * j / pieces
-            t1 = 2.0 * math.pi * (j + 1) / pieces
-            parts.append((t0, t1, seg_tol))
-    else:
-        raise DomainError(f"unsupported contour type {type(contour).__name__}")
-    total = 0j
-    for p0, p1, seg_tol in parts:
-        whole = _segment_eval(segment, p0, p1, budget)
-        total += _adaptive(segment, p0, p1, whole, seg_tol, budget, 0)
-    return total, budget
+    for side, sign in zip(sides, (1, 1, -1, -1)):
+        pieces = _presplit(side)
+        parts.extend((p, 4 * len(pieces), sign) for p in pieces)
+    return parts
 
 
-def winding_count(qp, contour, quadrature_tolerance=1e-6):
-    """Number of zeros of f inside the contour, with multiplicity.
+def _circle_parts(circle):
+    """(piece, tolerance divisor, sign) for a circle cut into equal arcs."""
+    pieces = max(8, math.ceil(2.0 * math.pi * circle.radius / BASE_SEGMENT_LENGTH))
+    return [(_Piece(2.0 * math.pi * j / pieces, 2.0 * math.pi * (j + 1) / pieces),
+             pieces, 1) for j in range(pieces)]
 
-    Computes (1/2*pi*i) * integral of f'/f by adaptive Gauss quadrature and
-    rounds to the nearest integer; the rounding distance must come out below
-    0.1 (the tolerance is tightened and the computation retried otherwise).
-    Raises ZeroOnContourError when the contour runs too close to a zero.
+
+def _report(segment, parts, quadrature_tolerance):
+    """Winding count of the contour made of parts (see _rect_parts).
+
+    Each piece is summed by adaptive bisection at quadrature_tolerance /
+    divisor.  The integral, rounded to the nearest integer, must come out
+    within 0.1 of it; otherwise the tolerance is tightened 100x and the sum
+    taken again, reusing every Gauss sum already computed.
     """
-    if quadrature_tolerance <= 0:
-        raise DomainError("quadrature tolerance must be positive")
     tol = quadrature_tolerance
     last_exc = None
     for _ in range(3):
-        total, budget = _integrate(qp, contour, tol)
+        budget = _Budget()
+        total = 0j
+        for piece, div, sign in parts:
+            whole = piece.visit(segment, budget)
+            s = _adaptive(segment, piece, whole, tol / div, budget, 0)
+            total = total + s if sign > 0 else total - s
         raw = complex(total.imag / (2.0 * math.pi), -total.real / (2.0 * math.pi))
         count = round(raw.real)
         dist = abs(raw - count)
@@ -210,6 +253,33 @@ def winding_count(qp, contour, quadrature_tolerance=1e-6):
             f"admissible integer")
         tol /= 100.0
     raise last_exc
+
+
+def _line_segment(qp):
+    # bound at call time, so a rebinding of the kernel (tracing) is seen
+    return partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
+
+
+def winding_count(qp, contour, quadrature_tolerance=1e-6):
+    """Number of zeros of f inside the contour, with multiplicity.
+
+    Computes (1/2*pi*i) * integral of f'/f by adaptive Gauss quadrature and
+    rounds to the nearest integer; the rounding distance must come out below
+    0.1 (the tolerance is tightened and the computation retried otherwise).
+    Raises ZeroOnContourError when the contour runs too close to a zero.
+    """
+    if quadrature_tolerance <= 0:
+        raise DomainError("quadrature tolerance must be positive")
+    if isinstance(contour, Rectangle):
+        a, c = contour.corner_min, contour.corner_max
+        return _report(_line_segment(qp),
+                       _rect_parts(_rect_sides(a.real, c.real, a.imag, c.imag)),
+                       quadrature_tolerance)
+    if isinstance(contour, Circle):
+        segment = partial(kernels.arc_segment_logderiv, qp.k, qp.log_a,
+                          contour.center, contour.radius)
+        return _report(segment, _circle_parts(contour), quadrature_tolerance)
+    raise DomainError(f"unsupported contour type {type(contour).__name__}")
 
 
 def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
@@ -232,11 +302,19 @@ def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
     # the value itself must be a zero; the disk count alone would also pass
     # for a stale value whose disk still happens to contain the true zero
     if core.relative_residual(qp, record.value) >= 1e-6:
-        return replace(record, certified=False, isolation_radius=r)
+        return _certificate(record, False, r)
     if record.multiplicity == 1 and kernels.rouche_isolates(
             qp.k, qp.log_a, complex(record.value), r):
-        return replace(record, certified=True, isolation_radius=r)
+        return _certificate(record, True, r)
     return _winding_certificate(qp, record, r, quadrature_tolerance)
+
+
+def _certificate(record, certified, radius):
+    """The record with its certificate fields set.  Built directly: this is
+    about twice as fast as dataclasses.replace, and it runs once per record."""
+    return zeros_mod.ZeroRecord(record.nu, record.value, record.residual, record.seed,
+                                record.iterations, certified, radius,
+                                record.multiplicity)
 
 
 def _winding_certificate(qp, record, r, quadrature_tolerance):
@@ -250,8 +328,7 @@ def _winding_certificate(qp, record, r, quadrature_tolerance):
             r *= 0.5
             continue
         if report.count == mult:
-            return replace(record, certified=True, isolation_radius=r,
-                           multiplicity=mult)
+            return _certificate(record, True, r)
         if report.count == 2 and mult == 1:
             try:
                 c = _critical_point(qp, record.value)
@@ -259,16 +336,11 @@ def _winding_certificate(qp, record, r, quadrature_tolerance):
                 c = None
             if (c is not None and abs(c - record.value) < r
                     and core.relative_residual(qp, c) < 1e-10):
-                return replace(record, value=c,
-                               residual=core.relative_residual(qp, c),
-                               certified=True, isolation_radius=r,
-                               multiplicity=2)
+                return zeros_mod.ZeroRecord(
+                    record.nu, c, core.relative_residual(qp, c), record.seed,
+                    record.iterations, True, r, 2)
         r *= 0.5
-    return replace(record, certified=False, isolation_radius=r)
-
-
-def _cell_winding(qp, xmin, xmax, ymin, ymax, tol):
-    return winding_count(qp, Rectangle(complex(xmin, ymin), complex(xmax, ymax)), tol)
+    return _certificate(record, False, r)
 
 
 def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
@@ -280,13 +352,20 @@ def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
     return True
 
 
-def _split_cell(qp, xmin, xmax, ymin, ymax, count, tol):
+def _split_cell(qp, segment, cell, sides, count, tol):
     """Split a cell into four children whose contours avoid zeros.
 
     The split point starts at the midpoint and is nudged by multiples of
     1e-3 * diameter when a child contour runs through a zero; children always
     tile the parent exactly.  Child counts must add up to the parent count.
+    Returns (child cell, its four sides, its ContourReport) per child.
+
+    At the midpoint the children's outer sides are the halves of the parent's
+    sides; a nudged split builds fresh ones.  Each half-edge of the inner
+    cross is one piece, shared with opposite signs by the two children that
+    border it.
     """
+    xmin, xmax, ymin, ymax = cell
     diam = math.sqrt((xmax - xmin) ** 2 + (ymax - ymin) ** 2)
     for j in range(9):
         shift = ((j + 1) // 2) * (1 if j % 2 else -1) * 1e-3 * diam
@@ -294,18 +373,37 @@ def _split_cell(qp, xmin, xmax, ymin, ymax, count, tol):
         ym = 0.5 * (ymin + ymax) + shift
         if not (xmin < xm < xmax and ymin < ym < ymax):
             continue
-        if not (_edge_clear(qp, complex(xm, ymin), complex(xm, ymax))
-                and _edge_clear(qp, complex(xmin, ym), complex(xmax, ym))):
+        mid_s, mid_n = complex(xm, ymin), complex(xm, ymax)
+        mid_w, mid_e = complex(xmin, ym), complex(xmax, ym)
+        if not (_edge_clear(qp, mid_s, mid_n) and _edge_clear(qp, mid_w, mid_e)):
             continue
-        quads = ((xmin, xm, ymin, ym), (xm, xmax, ymin, ym),
-                 (xmin, xm, ym, ymax), (xm, xmax, ym, ymax))
+        if shift == 0:
+            south, east, north, west = (side.halves() for side in sides)
+        else:
+            sw, se = complex(xmin, ymin), complex(xmax, ymin)
+            nw, ne = complex(xmin, ymax), complex(xmax, ymax)
+            south = (_Piece(sw, mid_s), _Piece(mid_s, se))
+            east = (_Piece(se, mid_e), _Piece(mid_e, ne))
+            north = (_Piece(nw, mid_n), _Piece(mid_n, ne))
+            west = (_Piece(sw, mid_w), _Piece(mid_w, nw))
+        centre = complex(xm, ym)
+        cross_s, cross_n = _Piece(mid_s, centre), _Piece(centre, mid_n)
+        cross_w, cross_e = _Piece(mid_w, centre), _Piece(centre, mid_e)
+        children = (
+            ((xmin, xm, ymin, ym), (south[0], cross_s, cross_w, west[0])),
+            ((xm, xmax, ymin, ym), (south[1], east[0], cross_e, cross_s)),
+            ((xmin, xm, ym, ymax), (cross_w, cross_n, north[0], west[1])),
+            ((xm, xmax, ym, ymax), (cross_e, east[1], north[1], cross_n)),
+        )
         try:
-            reports = [_cell_winding(qp, *q, tol) for q in quads]
+            reports = [_report(segment, _rect_parts(child_sides), tol)
+                       for _, child_sides in children]
         except (ZeroOnContourError, QuadratureStalledError):
             continue
         if sum(rep.count for rep in reports) != count:
             continue
-        return [(q, rep.count) for q, rep in zip(quads, reports)]
+        return [(child, child_sides, rep)
+                for (child, child_sides), rep in zip(children, reports)]
     raise SubdivisionStalledError(
         f"could not split cell [{xmin:.4g},{xmax:.4g}]x[{ymin:.4g},{ymax:.4g}] "
         "without hitting a zero")
@@ -336,7 +434,7 @@ def _critical_point(qp, seed, iterations=80):
     raise MaxIterationsError("critical-point polish did not converge")
 
 
-def _search_cells(qp, cell, count, tolerance, tol, out, depth=0):
+def _search_cells(qp, segment, cell, sides, count, tolerance, tol, out, depth=0):
     xmin, xmax, ymin, ymax = cell
     if count == 0:
         return
@@ -369,8 +467,29 @@ def _search_cells(qp, cell, count, tolerance, tol, out, depth=0):
         raise SubdivisionStalledError(
             f"count {count} in a cell of diameter {diam:.3g}: multiplicity above "
             "2 is impossible for this family, aborting")
-    for child, child_count in _split_cell(qp, xmin, xmax, ymin, ymax, count, tol):
-        _search_cells(qp, child, child_count, tolerance, tol, out, depth + 1)
+    for child, child_sides, report in _split_cell(qp, segment, cell, sides, count, tol):
+        _search_cells(qp, segment, child, child_sides, report.count, tolerance, tol,
+                      out, depth + 1)
+
+
+def _outer_cell(qp, segment, radius, tol):
+    """The disk search's bounding square, a little wider than the disk and
+    placed off the zero set: (cell, its four sides, its ContourReport)."""
+    for attempt in range(9):
+        m = radius * 1e-3 * (attempt + 1)
+        cell = (-radius - m, radius + m, -radius - m, radius + m)
+        corners = (complex(cell[0], cell[2]), complex(cell[1], cell[2]),
+                   complex(cell[1], cell[3]), complex(cell[0], cell[3]))
+        if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4])
+                   for i in range(4)):
+            continue
+        sides = _rect_sides(*cell)
+        try:
+            return cell, sides, _report(segment, _rect_parts(sides), tol)
+        except (ZeroOnContourError, QuadratureStalledError):
+            continue
+    raise SubdivisionStalledError(
+        "could not place the outer square off the zero set")
 
 
 def find_zeros_in_disk(qp, radius, tolerance=1e-12, quadrature_tolerance=1e-6):
@@ -383,26 +502,10 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12, quadrature_tolerance=1e-6):
     """
     if radius <= 0:
         raise DomainError("radius must be positive")
-    outer_report = None
-    outer = None
-    for attempt in range(9):
-        m = radius * 1e-3 * (attempt + 1)
-        outer = (-radius - m, radius + m, -radius - m, radius + m)
-        corners = (complex(outer[0], outer[2]), complex(outer[1], outer[2]),
-                   complex(outer[1], outer[3]), complex(outer[0], outer[3]))
-        if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4])
-                   for i in range(4)):
-            continue
-        try:
-            outer_report = _cell_winding(qp, *outer, quadrature_tolerance)
-            break
-        except (ZeroOnContourError, QuadratureStalledError):
-            continue
-    if outer_report is None:
-        raise SubdivisionStalledError(
-            "could not place the outer square off the zero set")
+    segment = _line_segment(qp)
+    outer, sides, outer_report = _outer_cell(qp, segment, radius, quadrature_tolerance)
     found: List[zeros_mod.ZeroRecord] = []
-    _search_cells(qp, outer, outer_report.count, tolerance,
+    _search_cells(qp, segment, outer, sides, outer_report.count, tolerance,
                   quadrature_tolerance, found)
     # dedupe (polishing from adjacent cells can reach the same zero)
     unique: List[zeros_mod.ZeroRecord] = []

@@ -39,7 +39,7 @@ class DerivativeVanishesError(NumericalError):
 
 
 class NotConvergedError(NumericalError):
-    """Fixed-point iteration did not reach tolerance in the iteration budget."""
+    """Fixed-point iteration stopped contracting before it reached tolerance."""
 
 
 class MaxIterationsError(NumericalError):

@@ -164,6 +164,66 @@ class TestFindZerosInDisk:
             qz.find_zeros_in_disk(qp11, -1.0)
 
 
+class TestSharedEdges:
+    """Cells reuse their parent's half-sides and share the inner cross; the
+    numbers must be those of a fresh winding count on the same rectangle."""
+
+    def _same(self, report, cell, qp):
+        xmin, xmax, ymin, ymax = cell
+        fresh = qz.winding_count(qp, qz.Rectangle(complex(xmin, ymin), complex(xmax, ymax)))
+        assert report.count == fresh.count
+        assert report.raw_integral == fresh.raw_integral
+        assert report.min_scaled_modulus == fresh.min_scaled_modulus
+        assert report.segments_used == fresh.segments_used
+
+    def test_child_reports_match_fresh_winding_count(self, qp11):
+        segment = certify_mod._line_segment(qp11)
+        cell, sides, report = certify_mod._outer_cell(qp11, segment, 40.0, 1e-6)
+        self._same(report, cell, qp11)
+        level = [(cell, sides, report)]
+        checked = 0
+        for _ in range(2):
+            children = []
+            for cell, sides, report in level:
+                if report.count:
+                    children += certify_mod._split_cell(qp11, segment, cell, sides,
+                                                        report.count, 1e-6)
+            for child, _sides, child_report in children:
+                self._same(child_report, child, qp11)
+                checked += 1
+            level = children
+        assert checked == 16  # 4 children, 3 of which hold zeros and split again
+
+    def test_nudged_split_matches_fresh_winding_count(self, qp11, monkeypatch):
+        # refusing the midpoint's inner cross forces the first nudged split,
+        # whose outer sides are built fresh
+        segment = certify_mod._line_segment(qp11)
+        cell, sides, report = certify_mod._outer_cell(qp11, segment, 10.0, 1e-6)
+        clear = certify_mod._edge_clear
+        midpoint = 0.5 * (cell[0] + cell[1])
+        monkeypatch.setattr(certify_mod, "_edge_clear", lambda qp, z0, z1: (
+            z0.real != midpoint and clear(qp, z0, z1)))
+        children = certify_mod._split_cell(qp11, segment, cell, sides, report.count, 1e-6)
+        assert children[0][0][1] != midpoint
+        for child, _sides, child_report in children:
+            self._same(child_report, child, qp11)
+
+    def test_disk_search_work_bound(self, qp11, monkeypatch):
+        # each split integrates only its new inner cross: r=40 took 9,579
+        # line-segment sums when every child was integrated from scratch
+        kernel = certify_mod.kernels.line_segment_logderiv
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(certify_mod.kernels, "line_segment_logderiv", counted)
+        recs = qz.find_zeros_in_disk(qp11, 40.0)
+        assert len(recs) == 13 and all(r.certified for r in recs)
+        assert len(calls) <= 4000
+
+
 class TestCertifyCompleteness:
     def _window_records(self, qp, lo, hi):
         # window bottom at Im = 5 stays above the unindexed zero near

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from scipy.special import lambertw
@@ -11,6 +12,7 @@ from quasizeros.errors import (
     DuplicateZeroError,
     EscapedBasinError,
     InvalidIndexError,
+    NotConvergedError,
     TooFewRecordsError,
 )
 from quasizeros.zeros import isolation_radii
@@ -83,6 +85,39 @@ class TestFixedPointRefine:
             qz.fixed_point_refine(qz.QuasiPolynomial(7, 1 + 0j), 1)
         rec, _ = qz.fixed_point_refine(qp3, 1, 1e-13)
         assert rec.residual < 1e-13
+
+
+    @pytest.mark.parametrize("a, steps", [(-2.73, 259), (-2.72, 614)])
+    def test_slow_contraction_converges(self, a, steps):
+        # k=1, real A just below -e: the nu=-1 zero is the larger real root of
+        # e^l = |A| l, where the map contracts only by 1/l ~ 0.91 (A=-2.73)
+        # or ~0.97 (A=-2.72) per step, so the tolerance takes more than the
+        # 200-step budget
+        qp = qz.QuasiPolynomial(1, complex(a, 0))
+        rec, trace = qz.fixed_point_refine(qp, -1, 1e-12)
+        assert trace.converged
+        assert rec.iterations == steps
+        assert rec.residual < 1e-12
+        oracle = -lambertw(1.0 / a, -1).real
+        assert abs(rec.value - oracle) < 1e-9
+
+    def test_double_zero_gives_up_quickly(self):
+        # A=-e: the nu=-1 iteration creeps sublinearly towards the double
+        # zero at l=1 and its step ratio tends to 1
+        qp = qz.QuasiPolynomial(1, complex(-math.e, 0))
+        start = time.perf_counter()
+        with pytest.raises(NotConvergedError):
+            qz.fixed_point_refine(qp, -1, 1e-12)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("k, a, nu, steps", [
+        (1, 1 + 0j, 5, 9), (1, 1 + 0j, -1, 20), (2, 2 + 1j, 3, 13),
+        (3, 0.5j, -2, 22), (1, -3 + 0j, -1, 71),
+    ])
+    def test_iteration_count_within_budget(self, k, a, nu, steps):
+        # counts of inputs that converge inside the 200-step budget, pinned
+        rec, _ = qz.fixed_point_refine(qz.QuasiPolynomial(k, a), nu, 1e-13)
+        assert rec.iterations == steps
 
 
 class TestNewtonRefine:
