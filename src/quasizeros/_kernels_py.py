@@ -13,7 +13,8 @@ Conventions:
     and complex points
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
-  * the RNG is splitmix64; a seed fully determines every sample stream
+  * a sampler accepts n >= 1 points, drawing its uniforms from
+    uniform_pairs(seed), so a seed fully determines the samples
 """
 
 import cmath
@@ -35,6 +36,16 @@ def sm64(state):
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
     z = z ^ (z >> 31)
     return state, z
+
+
+def uniform_pairs(seed):
+    """Endless (u1, u2) pairs in [0, 1) from the splitmix64 stream of seed:
+    each is the top 53 bits of one output times 2^-53, u1 first."""
+    state = seed & M64
+    while True:
+        state, z1 = sm64(state)
+        state, z2 = sm64(state)
+        yield (z1 >> 11) * U53, (z2 >> 11) * U53
 
 
 def wrap_angle(x):
@@ -246,17 +257,12 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
     lr0 = math.log(r_in)
     lspan = math.log(r_max) - lr0
     sgn = -1.0 if s_branch == 1 else 1.0
-    state = seed & M64
     accepted = 0
     consec = 0
     minlog = math.inf
     wre = 0.0
     wim = 0.0
-    while accepted < n:
-        state, z = sm64(state)
-        u1 = (z >> 11) * U53
-        state, z = sm64(state)
-        u2 = (z >> 11) * U53
+    for u1, u2 in uniform_pairs(seed):
         lr = lr0 + u1 * lspan
         r = math.exp(lr)
         th = -PI + TWO_PI * u2
@@ -283,6 +289,8 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
             wre = xre
             wim = xim
         accepted += 1
+        if accepted >= n:
+            break
     return minlog, wre, wim, 1
 
 
@@ -296,18 +304,13 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
     lr0 = math.log(r_in)
     lspan = math.log(r_max) - lr0
     sgn = -1.0 if s_branch == 1 else 1.0
-    state = seed & M64
     accepted = 0
     consec = 0
     violations = 0
     minmargin = math.inf
     wre = 0.0
     wim = 0.0
-    while accepted < n:
-        state, z = sm64(state)
-        u1 = (z >> 11) * U53
-        state, z = sm64(state)
-        u2 = (z >> 11) * U53
+    for u1, u2 in uniform_pairs(seed):
         lr = lr0 + u1 * lspan
         r = math.exp(lr)
         th = -PI + TWO_PI * u2
@@ -334,6 +337,8 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
             wre = xre
             wim = xim
         accepted += 1
+        if accepted >= n:
+            break
     return minmargin, wre, wim, violations, 1
 
 
@@ -347,17 +352,12 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     """
     nz = len(zre)
     d2 = delta * delta
-    state = seed & M64
     accepted = 0
     consec = 0
     minlog = math.inf
     wre = 0.0
     wim = 0.0
-    while accepted < n:
-        state, z = sm64(state)
-        u1 = (z >> 11) * U53
-        state, z = sm64(state)
-        u2 = (z >> 11) * U53
+    for u1, u2 in uniform_pairs(seed):
         y = -im_cap + (2.0 * im_cap) * u1
         t = -h + (2.0 * h) * u2
         ay = y if y >= 0.0 else -y
@@ -424,4 +424,6 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
             wre = x
             wim = y
         accepted += 1
+        if accepted >= n:
+            break
     return minlog, wre, wim, 1

@@ -3,7 +3,9 @@
 Exterior bounds: with offset = Re l - k ln|l| (branch S=1),
     offset < -h, h > ln(2/|A|)  =>  |f| >= (1/2) |A| |l|^k
     offset >  h, h > ln(2|A|)   =>  |f| >= (1/2) |e^l|.
-Both follow from |subdominant/dominant| <= e^(-h) * (2 e^(-h') ...) < 1/2.
+Both follow from |subdominant/dominant| < 1/2: on offset < -h,
+|e^l|/|A l^k| = e^offset/|A| < e^(-h)/|A| < 1/2, and on offset > h the ratio
+|A l^k|/|e^l| < |A| e^(-h) < 1/2.
 Note the second estimate lives on the S=1 offset's right side: its proof
 needs Re l - k ln|l| > h, and the S=2 right side provably contains zeros of
 f (where no lower bound can hold) -- that variant stays available through
@@ -12,14 +14,13 @@ s_branch=2 for demonstration.
 Strip bound: away from delta-disks around the zeros, |f| >= C_delta |l|^k
 with C_delta > 0 estimated empirically as the sampled infimum of |f|/|l|^k.
 
-All sampling is seeded and deterministic: a fixed number of splitmix64
-substreams is derived from the seed and merged in a fixed order, so reports
-are bit-for-bit reproducible.
+All sampling is seeded and deterministic: a fixed number of substreams is
+derived from the seed, each drawn through kernels.uniform_pairs, and their
+results are merged in a fixed order, so reports are bit-for-bit reproducible.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from . import certify as certify_mod, zeros as zeros_mod
 from ._backend import kernels
@@ -38,7 +39,8 @@ TWO_PI = 2.0 * math.pi
 #: every seeded report
 SUBSTREAMS = 16
 
-#: outer radius cap for the radially unbounded exterior regions
+#: outer radius of the sampled shell for the radially unbounded regions
+#: (the exteriors, and the strip in the sector cover)
 DEFAULT_R_MAX = 1e3
 
 #: clamp for threshold formulas that come out nonpositive (the region
@@ -96,14 +98,35 @@ def _chunk_sizes(n):
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
-def _run_chunks(worker, n, seed):
-    """Run the sampler over the fixed chunk layout, one substream per chunk.
+def _check_log_polar(r_cut, r_max, sample_count, s_branch):
+    """Inputs of the log-polar samplers (exterior and strip sector): they
+    draw from the shell R <= |l| <= r_max."""
+    if not r_cut > 0:
+        raise DomainError("R must be a positive number")
+    if not r_cut < r_max < math.inf:
+        raise DomainError(f"r_max = {r_max:g} must be finite and exceed R = {r_cut:g}")
+    if sample_count < 1:
+        raise DomainError("sample count must be at least 1")
+    if s_branch not in (1, 2):
+        raise DomainError("s_branch must be 1 or 2")
 
-    Results come back in chunk order; the sample stream depends on both the
-    layout and that order.
+
+def _run_chunks(sampler, args, n, seed, region):
+    """Run sampler(*args, size, substream seed) over the fixed chunk layout,
+    one substream per chunk, and return the results in chunk order.
+
+    The sample stream depends on both the layout and that order.  A result's
+    last field is the sampler's ok flag; the first stalled chunk raises
+    EmptyRegionSampleError, so an empty region costs one rejection budget.
     """
-    return [worker(size, derive_substream(seed, i))
-            for i, size in enumerate(_chunk_sizes(n))]
+    results = []
+    for i, size in enumerate(_chunk_sizes(n)):
+        result = sampler(*args, size, derive_substream(seed, i))
+        if not result[-1]:
+            raise EmptyRegionSampleError(
+                f"rejection sampling of {region} stalled (region empty?)")
+        results.append(result)
+    return results
 
 
 def h_threshold(qp, which):
@@ -122,24 +145,12 @@ def h_threshold(qp, which):
 
 def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
                      seed, r_max, bound_kind, threshold):
-    if r_cut <= 0:
-        raise DomainError("R must be positive")
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
-    if r_max <= r_cut:
-        raise DomainError("r_max must exceed R")
-
-    def worker(size, sub_seed):
-        return kernels.sample_exterior_margin(
-            qp.k, qp.log_a, s_branch, side, h, r_cut, r_max,
-            bound_kind, size, sub_seed)
-
-    results = _run_chunks(worker, sample_count, seed)
-    if any(r[3] == 0 for r in results):
-        raise EmptyRegionSampleError(
-            f"rejection sampling of {region_name} stalled (region empty?)")
-    best = min(range(len(results)), key=lambda i: (results[i][0], i))
-    min_log, wre, wim, _ = results[best]
+    _check_log_polar(r_cut, r_max, sample_count, s_branch)
+    results = _run_chunks(
+        kernels.sample_exterior_margin,
+        (qp.k, qp.log_a, s_branch, side, h, r_cut, r_max, bound_kind),
+        sample_count, seed, region_name)
+    min_log, wre, wim, _ = min(results, key=lambda r: r[0])
     margin = math.exp(min_log)
     return BoundReport(
         region=f"{region_name}(h={h:g}, R={r_cut:g}, r_max={r_max:g})",
@@ -175,8 +186,6 @@ def verify_T2_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX,
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T2 threshold {threshold:g}")
-    if s_branch not in (1, 2):
-        raise DomainError("s_branch must be 1 or 2")
     name = f"T2 exterior: offset(S={s_branch}) > h"
     return _exterior_report(qp, name, s_branch, +1, h, r_cut, sample_count,
                             seed, r_max, 2, threshold)
@@ -186,38 +195,29 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
                         r_max=DEFAULT_R_MAX, s_branch=None):
     """Sample strip points with |l| >= R and check sector containment.
 
-    With s_branch None both branches are sampled (half the budget each).
-    Passes when every sampled point lies within delta of +-pi/2 in argument.
+    With s_branch None both branches are sampled (half the budget each;
+    branch 1 draws first and takes the odd sample).  Passes when every
+    sampled point lies within delta of +-pi/2 in argument.  The strip is
+    sampled only out to r_max, so R must lie below it.
     """
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
     branches = (1, 2) if s_branch is None else (s_branch,)
-    per_branch = sample_count // len(branches)
-    counts = [per_branch] * len(branches)
-    counts[0] += sample_count - per_branch * len(branches)
-    merged: Optional[Tuple[float, float, float]] = None
-    violations = 0
-    for branch, count in zip(branches, counts):
-        if count < 1:
-            continue
-
-        def worker(size, sub_seed, _b=branch):
-            return kernels.sample_strip_sector(
-                qp.k, _b, h, r_cut, r_max, delta, size, sub_seed)
-
-        results = _run_chunks(worker, count, seed + branch)
-        if any(r[4] == 0 for r in results):
-            raise EmptyRegionSampleError("strip rejection sampling stalled")
-        for mm, wre, wim, viol, _ok in results:
-            violations += viol
-            if merged is None or mm < merged[0]:
-                merged = (mm, wre, wim)
-    assert merged is not None
+    per_branch, extra = divmod(sample_count, len(branches))
+    results = []
+    for i, branch in enumerate(branches):
+        _check_log_polar(r_cut, r_max, sample_count, branch)
+        count = per_branch + (extra if i == 0 else 0)
+        if count:
+            results += _run_chunks(
+                kernels.sample_strip_sector,
+                (qp.k, branch, h, r_cut, r_max, delta),
+                count, seed + branch, f"the S={branch} strip")
+    min_margin, wre, wim, _, _ = min(results, key=lambda r: r[0])
+    violations = sum(r[3] for r in results)
     return SectorCoverReport(
         r_used=r_cut,
         samples=sample_count,
-        min_margin=merged[0],
-        worst_point=complex(merged[1], merged[2]),
+        min_margin=min_margin,
+        worst_point=complex(wre, wim),
         violations=violations,
         passed=violations == 0,
     )
@@ -278,16 +278,11 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     ordered = sorted(strip_zeros, key=lambda rec: rec.value.imag)
     zre = [rec.value.real for rec in ordered]
     zim = [rec.value.imag for rec in ordered]
-
-    def worker(size, sub_seed):
-        return kernels.sample_strip_ratio(
-            qp.k, qp.log_a, h, r_cut, im_cap, delta, zre, zim, size, sub_seed)
-
-    results = _run_chunks(worker, sample_count, seed)
-    if any(r[3] == 0 for r in results):
-        raise EmptyRegionSampleError("punctured-strip rejection sampling stalled")
-    best = min(range(len(results)), key=lambda i: (results[i][0], i))
-    min_log, wre, wim, _ = results[best]
+    results = _run_chunks(
+        kernels.sample_strip_ratio,
+        (qp.k, qp.log_a, h, r_cut, im_cap, delta, zre, zim),
+        sample_count, seed, "the punctured strip")
+    min_log, wre, wim, _ = min(results, key=lambda r: r[0])
     return CDeltaEstimate(
         c_hat=math.exp(min_log),
         argmin=complex(wre, wim),

@@ -253,7 +253,7 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
         rec = None
         try:
             cand = newton_refine(qp, seed, tolerance)
-            if cand.nu == nu and branch_index(qp, cand.value) == nu:
+            if cand.nu == nu:
                 rec = cand
         except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError):
             rec = None

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import quasizeros as qz
-from quasizeros import bounds
+from quasizeros import _kernels_py as kp, bounds
 from quasizeros.errors import (
     DeltaTooLargeError,
     DomainError,
@@ -38,6 +38,12 @@ class TestExteriorBounds:
         # worst point really sits in the sampled region
         off = qz.signed_offset(qp11, rep.worst_point, 1)
         assert off < -1.0 and abs(rep.worst_point) >= 5.0
+
+    @pytest.mark.parametrize("r_cut, r_max", [
+        (0.0, 1e3), (math.nan, 1e3), (10.0, 10.0), (10.0, math.inf), (10.0, math.nan)])
+    def test_shell_rejected(self, qp11, r_cut, r_max):
+        with pytest.raises(DomainError):
+            qz.verify_T1_bound(qp11, 1.0, r_cut, 100, seed=1, r_max=r_max)
 
     def test_T1_precondition(self, qp11):
         with pytest.raises(PreconditionHError):
@@ -118,6 +124,20 @@ class TestSectorCover:
         w = rep_half.worst_point
         assert not (qz.sector_contains(w, 0.5, 1) or qz.sector_contains(w, 0.5, 2))
 
+    def test_radius_beyond_r_max_rejected(self, qp11):
+        r_star = qz.sector_cover_radius(qp11, 2.0, 0.005)
+        assert r_star > bounds.DEFAULT_R_MAX
+        with pytest.raises(DomainError):
+            qz.verify_sector_cover(qp11, 2.0, 0.005, r_star, 2000, seed=1)
+
+    @pytest.mark.parametrize("r_cut, r_max, samples, s_branch", [
+        (0.0, 1e3, 100, None), (10.0, 10.0, 100, None), (10.0, 1e3, 0, None),
+        (10.0, 1e3, 100, 3)])
+    def test_bad_inputs(self, qp11, r_cut, r_max, samples, s_branch):
+        with pytest.raises(DomainError):
+            qz.verify_sector_cover(qp11, 2.0, 0.5, r_cut, samples, seed=1,
+                                   r_max=r_max, s_branch=s_branch)
+
 
 def _strip_zeros(qp, span, tol=1e-12):
     return qz.zeros_in_index_range(qp, -span, span, tol)
@@ -170,6 +190,34 @@ class TestCDelta:
         a = qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 5000, 77, strip, **kw)
         b = qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 5000, 77, strip, **kw)
         assert a == b
+
+
+class TestEmptyRegion:
+    """An empty region stalls the first substream; _run_chunks raises there
+    instead of spending a rejection budget on every chunk."""
+
+    @pytest.mark.parametrize("sampler, run", [
+        # offset(S=1) > 5000 is empty for |l| <= 1e3
+        ("sample_exterior_margin",
+         lambda qp: qz.verify_T2_bound(qp, 5000.0, 10.0, 1000, seed=1)),
+        # |l| >= 1e6 is out of reach in the strip for |Im l| <= 20
+        ("sample_strip_ratio",
+         lambda qp: qz.estimate_C_delta(qp, 2.0, 1e6, 0.5, 1000, 1, _strip_zeros(qp, 8),
+                                        im_cap=20.0, verify_completeness=False)),
+    ])
+    def test_raises_after_one_substream(self, qp11, monkeypatch, sampler, run):
+        monkeypatch.setattr(kp, "REJECTION_BUDGET", 1000)
+        calls = []
+        original = getattr(kp, sampler)
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(kp, sampler, counted)
+        with pytest.raises(EmptyRegionSampleError):
+            run(qp11)
+        assert calls == [bounds.derive_substream(1, 0)]
 
 
 class TestSubstreams:

@@ -216,6 +216,16 @@ class TestSectorRadiusCommand:
         assert doc["summary"]["r_star"] == pytest.approx(8.68, abs=0.05)
         assert doc["summary"]["violations"] == 0
 
+    def test_radius_beyond_sampled_shell_rejected(self):
+        # r_star = 1911 exceeds the 1e3 outer sampling radius: sampling the
+        # reversed shell would test points inside the certified radius
+        code, out, err = run_cli("sector-radius", "--k", "1", "--h", "2",
+                                 "--delta", "0.005", "--samples", "2000")
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "DomainError"
+
 
 class TestBoundsCommand:
     def test_T1_auto(self):

@@ -1,6 +1,6 @@
-"""Kernel contract tests: splitmix64 stream, angle wrapping, the contour
-segment sums against the same Gauss rule applied to direct f'/f, and the
-reported backend name."""
+"""Kernel contract tests: splitmix64 and the samplers' uniform stream, angle
+wrapping, the contour segment sums against the same Gauss rule applied to
+direct f'/f, and the reported backend name."""
 
 import cmath
 import math
@@ -16,26 +16,32 @@ from quasizeros.certify import _GL_NODES, _GL_WEIGHTS
 from quasizeros._backend import backend_name
 
 
+SPLITMIX64_SEED0 = [  # standard splitmix64 test vector for seed 0
+    0xE220A8397B1DCDAF,
+    0x6E789E6AA1B965F4,
+    0x06C45D188009454F,
+    0xF88BB8A8724C81EC,
+]
+
+
 def test_splitmix64_reference_stream():
-    # reference values for seed 0 (standard splitmix64 test vector)
     state = 0
     outs = []
-    for _ in range(3):
+    for _ in range(4):
         state, z = kp.sm64(state)
         outs.append(z)
-    assert outs == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    ]
+    assert outs == SPLITMIX64_SEED0
+    # the samplers' stream: consecutive outputs paired, top 53 bits * 2^-53
+    pairs = kp.uniform_pairs(0)
+    top53 = [(z >> 11) * 2.0 ** -53 for z in SPLITMIX64_SEED0]
+    assert [next(pairs) for _ in range(2)] == [tuple(top53[:2]), tuple(top53[2:])]
 
 
 def test_uniform_in_unit_interval():
-    state = 987654321
+    pairs = kp.uniform_pairs(987654321)
     for _ in range(1000):
-        state, z = kp.sm64(state)
-        u = (z >> 11) * (1.0 / 9007199254740992.0)
-        assert 0.0 <= u < 1.0
+        u1, u2 = next(pairs)
+        assert 0.0 <= u1 < 1.0 and 0.0 <= u2 < 1.0
 
 
 @settings(max_examples=300, deadline=None)
