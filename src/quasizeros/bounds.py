@@ -111,6 +111,21 @@ def _check_log_polar(r_cut, r_max, sample_count, s_branch):
         raise DomainError("s_branch must be 1 or 2")
 
 
+def _check_strip(h, r_cut, delta, im_cap, sample_count):
+    """Inputs of the punctured-strip sampler: the strip |offset| <= h cut
+    to R <= |l| and |Im l| <= im_cap, less the delta-disks."""
+    if not h > 0:
+        raise DomainError("h must be a positive number")
+    if not r_cut > 0:
+        raise DomainError("R must be a positive number")
+    if not delta > 0:
+        raise DomainError("delta must be a positive number")
+    if not 0 < im_cap < math.inf:
+        raise DomainError(f"im_cap = {im_cap:g} must be positive and finite")
+    if sample_count < 1:
+        raise DomainError("sample count must be at least 1")
+
+
 def _run_chunks(sampler, args, n, seed, region):
     """Run sampler(*args, size, substream seed) over the fixed chunk layout,
     one substream per chunk, and return the results in chunk order.
@@ -223,9 +238,9 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
     )
 
 
-def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros,
-                         quadrature_tolerance):
-    """Verify the zero list covers the sampled strip window (both halves)."""
+def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros):
+    """Verify the zero list covers the sampled strip window (both halves):
+    certify_completeness over each half-window's box."""
     k = qp.k
     # smallest |Im| reachable by a strip sample: |l| >= R with |Re| bounded
     re_at_r = min(r_cut, h + k * math.log(r_cut))
@@ -243,17 +258,16 @@ def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros,
         else:
             box = certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi, -y_lo))
         inside = [rec for rec in strip_zeros if box.contains(rec.value)]
-        report = certify_mod.winding_count(qp, box, quadrature_tolerance)
-        if report.count != sum(rec.multiplicity for rec in inside):
+        ok, detail = certify_mod.certify_completeness(qp, box, inside)
+        if not ok:
             raise IncompleteZeroListError(
-                f"zero list covers {sum(r.multiplicity for r in inside)} zeros in "
+                f"zero list covers {detail['expected_count']} zeros in "
                 f"the sampled window (half {half}) but the winding count is "
-                f"{report.count}")
+                f"{detail['contour_count']}")
 
 
 def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
-                     im_cap=TWO_PI * 60.0, verify_completeness=True,
-                     quadrature_tolerance=1e-6):
+                     im_cap=TWO_PI * 60.0, verify_completeness=True):
     """Sampled infimum of |f(l)|/|l|^k over the punctured strip.
 
     Samples the S=1 strip with |Im l| <= im_cap and |l| >= R, rejecting
@@ -262,8 +276,7 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     sampled window (checked by winding counts unless verify_completeness is
     disabled).
     """
-    if sample_count < 1:
-        raise DomainError("sample count must be at least 1")
+    _check_strip(h, r_cut, delta, im_cap, sample_count)
     if not strip_zeros:
         raise IncompleteZeroListError("an empty zero list cannot cover the strip")
     if any(not rec.certified for rec in strip_zeros):
@@ -273,8 +286,7 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
         raise DeltaTooLargeError(
             f"delta = {delta:g} is not below the separation radius {sep:g}")
     if verify_completeness:
-        _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros,
-                             quadrature_tolerance)
+        _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros)
     ordered = sorted(strip_zeros, key=lambda rec: rec.value.imag)
     zre = [rec.value.real for rec in ordered]
     zim = [rec.value.imag for rec in ordered]

@@ -23,6 +23,7 @@ bound on the remainder; see _kernels_py.rouche_isolates); otherwise, or when
 that test does not succeed, by a winding count over the disk.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -55,6 +56,10 @@ _GL_WEIGHTS = (
     0.1600783285433461, 0.10693932599531888, 0.04717533638651202,
 )
 
+#: quadrature tolerance of every certificate and cell count: the adaptive
+#: bisection's error target for a whole contour (see _report)
+QUADRATURE_TOLERANCE = 1e-6
+
 #: scaled |f| below this on a contour triggers ZeroOnContourError
 ZERO_ON_CONTOUR_MODULUS = 1e-8
 
@@ -83,11 +88,12 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DomainError("circle radius must be positive")
+        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise DomainError("circle needs a finite center and a positive "
+                              "finite radius")
 
-    def contains(self, point, margin=0.0):
-        return abs(complex(point) - self.center) < self.radius - margin
+    def contains(self, point):
+        return abs(complex(point) - self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -98,14 +104,16 @@ class Rectangle:
     corner_max: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.corner_min) and cmath.isfinite(self.corner_max)):
+            raise DomainError("rectangle corners must be finite")
         if not (self.corner_max.real > self.corner_min.real
                 and self.corner_max.imag > self.corner_min.imag):
             raise DomainError("rectangle must have positive width and height")
 
-    def contains(self, point, margin=0.0):
+    def contains(self, point):
         p = complex(point)
-        return (self.corner_min.real + margin < p.real < self.corner_max.real - margin
-                and self.corner_min.imag + margin < p.imag < self.corner_max.imag - margin)
+        return (self.corner_min.real < p.real < self.corner_max.real
+                and self.corner_min.imag < p.imag < self.corner_max.imag)
 
 
 Contour = Union[Circle, Rectangle]
@@ -199,9 +207,14 @@ def _rect_sides(xmin, xmax, ymin, ymax):
 
 def _presplit(piece):
     """The piece bisected at exact midpoints into pieces at most
-    2 * BASE_SEGMENT_LENGTH long."""
-    if abs(piece.p1 - piece.p0) <= 2.0 * BASE_SEGMENT_LENGTH:
+    2 * BASE_SEGMENT_LENGTH long; a piece that would need more than
+    SEGMENT_BUDGET of them is refused before any is built."""
+    length = abs(piece.p1 - piece.p0)
+    if length <= 2.0 * BASE_SEGMENT_LENGTH:
         return [piece]
+    if length > 2.0 * BASE_SEGMENT_LENGTH * SEGMENT_BUDGET:
+        raise QuadratureStalledError(
+            f"a side {length:.3g} long exceeds the segment budget")
     left, right = piece.halves()
     return _presplit(left) + _presplit(right)
 
@@ -260,7 +273,7 @@ def _line_segment(qp):
     return partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
 
 
-def winding_count(qp, contour, quadrature_tolerance=1e-6):
+def winding_count(qp, contour, quadrature_tolerance=QUADRATURE_TOLERANCE):
     """Number of zeros of f inside the contour, with multiplicity.
 
     Computes (1/2*pi*i) * integral of f'/f by adaptive Gauss quadrature and
@@ -282,7 +295,7 @@ def winding_count(qp, contour, quadrature_tolerance=1e-6):
     raise DomainError(f"unsupported contour type {type(contour).__name__}")
 
 
-def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
+def certify_record(qp, record, radius=None):
     """Certify a zero record: prove that exactly record.multiplicity zeros
     lie in the open disk |l - value| < isolation_radius.
 
@@ -306,7 +319,7 @@ def certify_record(qp, record, radius=None, quadrature_tolerance=1e-6):
     if record.multiplicity == 1 and kernels.rouche_isolates(
             qp.k, qp.log_a, complex(record.value), r):
         return _certificate(record, True, r)
-    return _winding_certificate(qp, record, r, quadrature_tolerance)
+    return _winding_certificate(qp, record, r)
 
 
 def _certificate(record, certified, radius):
@@ -317,25 +330,21 @@ def _certificate(record, certified, radius):
                                 record.multiplicity)
 
 
-def _winding_certificate(qp, record, r, quadrature_tolerance):
+def _winding_certificate(qp, record, r):
     """certify_record's winding-count path, starting at radius r."""
     mult = record.multiplicity
     for _ in range(4):
+        disk = Circle(complex(record.value), r)
         try:
-            report = winding_count(qp, Circle(complex(record.value), r),
-                                   quadrature_tolerance)
+            report = winding_count(qp, disk)
         except ZeroOnContourError:
             r *= 0.5
             continue
         if report.count == mult:
             return _certificate(record, True, r)
         if report.count == 2 and mult == 1:
-            try:
-                c = _critical_point(qp, record.value)
-            except (MaxIterationsError, DerivativeVanishesError):
-                c = None
-            if (c is not None and abs(c - record.value) < r
-                    and core.relative_residual(qp, c) < 1e-10):
+            c = _double_zero(qp, disk, record.value)
+            if c is not None:
                 return zeros_mod.ZeroRecord(
                     record.nu, c, core.relative_residual(qp, c), record.seed,
                     record.iterations, True, r, 2)
@@ -352,7 +361,7 @@ def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
     return True
 
 
-def _split_cell(qp, segment, cell, sides, count, tol):
+def _split_cell(qp, segment, cell, sides, count):
     """Split a cell into four children whose contours avoid zeros.
 
     The split point starts at the midpoint and is nudged by multiples of
@@ -396,7 +405,7 @@ def _split_cell(qp, segment, cell, sides, count, tol):
             ((xm, xmax, ym, ymax), (cross_e, east[1], north[1], cross_n)),
         )
         try:
-            reports = [_report(segment, _rect_parts(child_sides), tol)
+            reports = [_report(segment, _rect_parts(child_sides), QUADRATURE_TOLERANCE)
                        for _, child_sides in children]
         except (ZeroOnContourError, QuadratureStalledError):
             continue
@@ -419,22 +428,29 @@ def _polish_cell(qp, xmin, xmax, ymin, ymax, tolerance):
     return rec if nu == rec.nu else replace(rec, nu=nu)
 
 
-def _critical_point(qp, seed, iterations=80):
-    """Newton on f' from the seed (locates double zeros)."""
+def _double_zero(qp, region, seed):
+    """The double zero that Newton on f' reaches from the seed, or None.
+
+    The critical point it converges to must lie inside the region (a Circle
+    or Rectangle whose count of 2 the caller has read) and be a zero of f to
+    relative residual below 1e-10.
+    """
     lam = complex(seed)
-    for _ in range(iterations):
+    for _ in range(80):
         d1 = core.derivative(qp, lam)
         d2 = core.second_derivative(qp, lam)
         if d2 == 0:
-            raise DerivativeVanishesError("f'' vanished during critical-point polish")
+            return None
         step = d1 / d2
         lam -= step
         if abs(step) < 1e-14 * max(1.0, abs(lam)):
-            return lam
-    raise MaxIterationsError("critical-point polish did not converge")
+            if region.contains(lam) and core.relative_residual(qp, lam) < 1e-10:
+                return lam
+            return None
+    return None
 
 
-def _search_cells(qp, segment, cell, sides, count, tolerance, tol, out, depth=0):
+def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
     xmin, xmax, ymin, ymax = cell
     if count == 0:
         return
@@ -450,29 +466,25 @@ def _search_cells(qp, segment, cell, sides, count, tolerance, tol, out, depth=0)
     if count == 2 and diam < 0.5:
         # a genuine double zero sits at a critical point and cannot be split
         # off (clearance around it decays quadratically); try that reading
-        # first and only keep subdividing for a separable close pair
-        try:
-            c = _critical_point(qp, complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
-            if (xmin < c.real < xmax and ymin < c.imag < ymax
-                    and core.relative_residual(qp, c) < 1e-10
-                    and winding_count(qp, Circle(c, diam), tol).count == 2):
-                out.append(zeros_mod.ZeroRecord(
-                    nu=None, value=c, residual=core.relative_residual(qp, c),
-                    seed=c, iterations=0, multiplicity=2))
-                return
-        except (MaxIterationsError, DerivativeVanishesError, ZeroOnContourError,
-                QuadratureStalledError):
-            pass
+        # first and only keep subdividing for a separable close pair.  The
+        # cell's count of 2 makes a zero of f and f' inside it its only zero.
+        c = _double_zero(qp, Rectangle(complex(xmin, ymin), complex(xmax, ymax)),
+                         complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
+        if c is not None:
+            out.append(zeros_mod.ZeroRecord(
+                nu=None, value=c, residual=core.relative_residual(qp, c),
+                seed=c, iterations=0, multiplicity=2))
+            return
     if count > 2 and diam < 0.01:
         raise SubdivisionStalledError(
             f"count {count} in a cell of diameter {diam:.3g}: multiplicity above "
             "2 is impossible for this family, aborting")
-    for child, child_sides, report in _split_cell(qp, segment, cell, sides, count, tol):
-        _search_cells(qp, segment, child, child_sides, report.count, tolerance, tol,
+    for child, child_sides, report in _split_cell(qp, segment, cell, sides, count):
+        _search_cells(qp, segment, child, child_sides, report.count, tolerance,
                       out, depth + 1)
 
 
-def _outer_cell(qp, segment, radius, tol):
+def _outer_cell(qp, segment, radius):
     """The disk search's bounding square, a little wider than the disk and
     placed off the zero set: (cell, its four sides, its ContourReport)."""
     for attempt in range(9):
@@ -485,43 +497,37 @@ def _outer_cell(qp, segment, radius, tol):
             continue
         sides = _rect_sides(*cell)
         try:
-            return cell, sides, _report(segment, _rect_parts(sides), tol)
+            report = _report(segment, _rect_parts(sides), QUADRATURE_TOLERANCE)
+            return cell, sides, report
         except (ZeroOnContourError, QuadratureStalledError):
             continue
     raise SubdivisionStalledError(
         "could not place the outer square off the zero set")
 
 
-def find_zeros_in_disk(qp, radius, tolerance=1e-12, quadrature_tolerance=1e-6):
+def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """All zeros of f with |l| <= radius, each certified.
 
     Recursive subdivision of the bounding square: cells with winding count 0
     are dropped, count-1 cells small enough are polished by Newton from the
     center, and persistent count-2 cells are resolved as double zeros.  Cell
     boundaries that hit zeros are nudged deterministically and retried.
+    Each record lies strictly inside its own leaf cell, and leaf cells are
+    disjoint, so no zero is found twice.
     """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError("radius must be a positive finite number")
     segment = _line_segment(qp)
-    outer, sides, outer_report = _outer_cell(qp, segment, radius, quadrature_tolerance)
+    outer, sides, outer_report = _outer_cell(qp, segment, radius)
     found: List[zeros_mod.ZeroRecord] = []
-    _search_cells(qp, segment, outer, sides, outer_report.count, tolerance,
-                  quadrature_tolerance, found)
-    # dedupe (polishing from adjacent cells can reach the same zero)
-    unique: List[zeros_mod.ZeroRecord] = []
-    for rec in sorted(found, key=lambda r: (r.value.imag, r.value.real)):
-        if all(abs(rec.value - u.value) >= zeros_mod.DUPLICATE_DISTANCE
-               for u in unique):
-            unique.append(rec)
-    radii = zeros_mod.isolation_radii(unique)
-    records = []
-    for rec, r in zip(unique, radii):
-        if abs(rec.value) <= radius:
-            records.append(certify_record(qp, rec, r, quadrature_tolerance))
-    return records
+    _search_cells(qp, segment, outer, sides, outer_report.count, tolerance, found)
+    found.sort(key=lambda r: (r.value.imag, r.value.real))
+    radii = zeros_mod.isolation_radii(found)
+    return [certify_record(qp, rec, r) for rec, r in zip(found, radii)
+            if abs(rec.value) <= radius]
 
 
-def certify_completeness(qp, contour, records, quadrature_tolerance=1e-6):
+def certify_completeness(qp, contour, records):
     """Check that records are exactly the zeros of f inside the contour.
 
     Every record must lie strictly inside.  Passes when the contour winding
@@ -532,11 +538,11 @@ def certify_completeness(qp, contour, records, quadrature_tolerance=1e-6):
         if not contour.contains(rec.value):
             raise RecordOutsideContourError(
                 f"record at {rec.value:.6g} lies outside the contour")
-    report = winding_count(qp, contour, quadrature_tolerance)
+    report = winding_count(qp, contour)
     expected = sum(rec.multiplicity for rec in records)
     failures = []
     for rec in records:
-        checked = certify_record(qp, rec, rec.isolation_radius, quadrature_tolerance)
+        checked = certify_record(qp, rec, rec.isolation_radius)
         if not checked.certified or checked.multiplicity != rec.multiplicity:
             failures.append(rec)
     ok = report.count == expected and not failures

@@ -76,12 +76,10 @@ def _build_parser():
                         "else winding count)")
     p.add_argument("--with-disk", type=float, default=None, metavar="R",
                    help="also search the disk |l| <= R and merge the results")
-    p.add_argument("--quad-tol", type=float, default=1e-6)
 
     p = sub.add_parser("origin", help="exhaustive zero search in a disk")
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--quad-tol", type=float, default=1e-6)
 
     p = sub.add_parser("classify", help="classify points into regions")
     _add_common(p, tol=False)
@@ -100,7 +98,6 @@ def _build_parser():
                    help="re_min,im_min,re_max,im_max")
     p.add_argument("--expect-from", type=str, default=None,
                    help="JSON document whose records should be complete")
-    p.add_argument("--quad-tol", type=float, default=1e-6)
 
     p = sub.add_parser("bounds", help="sampled lower-bound verification")
     _add_common(p, tol=False)
@@ -156,8 +153,7 @@ def _cmd_zeros(args):
     if lo <= 0 <= hi:
         notes["nu_skipped"] = [0]
     if args.with_disk is not None:
-        disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol,
-                                              args.quad_tol)
+        disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
         for rec in disk:
             if all(abs(rec.value - r.value) >= zeros_mod.DUPLICATE_DISTANCE
                    for r in records):
@@ -182,10 +178,7 @@ def _cmd_zeros(args):
 def _cmd_origin(args):
     qp = _make_qp(args)
     _check_tol(args.tol)
-    if args.radius <= 0:
-        raise DomainError("radius must be positive")
-    records = certify_mod.find_zeros_in_disk(qp, args.radius, args.tol,
-                                             args.quad_tol)
+    records = certify_mod.find_zeros_in_disk(qp, args.radius, args.tol)
     results = [record_to_obj(r) for r in records]
     summary = {"count": len(records),
                "all_certified": all(r.certified for r in records)}
@@ -255,7 +248,7 @@ def _cmd_certify(args):
     qp = _make_qp(args)
     box = _parse_box(args.box)
     if args.expect_from is None:
-        report = certify_mod.winding_count(qp, box, args.quad_tol)
+        report = certify_mod.winding_count(qp, box)
         summary = {
             "contour_count": report.count,
             "integer_distance": report.integer_distance,
@@ -267,7 +260,7 @@ def _cmd_certify(args):
         return EXIT_OK
     records = _load_records(args.expect_from)
     inside = [r for r in records if box.contains(r.value)]
-    ok, detail = certify_mod.certify_completeness(qp, box, inside, args.quad_tol)
+    ok, detail = certify_mod.certify_completeness(qp, box, inside)
     summary = {
         "pass": ok,
         "contour_count": detail["contour_count"],
@@ -290,8 +283,6 @@ def _auto_h(qp, which, spec):
 
 def _cmd_bounds(args):
     qp = _make_qp(args)
-    if args.samples < 1:
-        raise DomainError("--samples must be at least 1")
     if args.which == "T1":
         h = _auto_h(qp, "T1", args.h)
         report = bounds.verify_T1_bound(qp, h, args.R, args.samples, args.seed,
@@ -303,6 +294,7 @@ def _cmd_bounds(args):
     else:
         h = 2.0 if args.h == "auto" else _parse_float(args.h, "--h")
         _check_tol(args.tol)
+        bounds._check_strip(h, args.R, args.delta, args.im_cap, args.samples)
         span = int(args.im_cap / (2.0 * math.pi)) + 3
         strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,
                                                certify=True)

@@ -184,6 +184,18 @@ class TestCDelta:
             qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, strip,
                                 im_cap=2 * math.pi * 5.5)
 
+    @pytest.mark.parametrize("h, r_cut, delta, im_cap, samples", [
+        (0.0, 10.0, 0.5, 40.0, 100), (-1.0, 10.0, 0.5, 40.0, 100),
+        (2.0, 0.0, 0.5, 40.0, 100), (2.0, -5.0, 0.5, 40.0, 100),
+        (2.0, 10.0, 0.0, 40.0, 100), (2.0, 10.0, -0.5, 40.0, 100),
+        (2.0, 10.0, 0.5, 0.0, 100), (2.0, 10.0, 0.5, math.inf, 100),
+        (2.0, 10.0, 0.5, math.nan, 100), (2.0, 10.0, 0.5, 40.0, 0),
+    ])
+    def test_bad_inputs(self, qp11, h, r_cut, delta, im_cap, samples):
+        with pytest.raises(DomainError):
+            qz.estimate_C_delta(qp11, h, r_cut, delta, samples, 1,
+                                _strip_zeros(qp11, 8), im_cap=im_cap)
+
     def test_determinism(self, qp11):
         strip = _strip_zeros(qp11, 8)
         kw = dict(im_cap=2 * math.pi * 5.5, verify_completeness=False)

@@ -10,6 +10,7 @@ import quasizeros as qz
 from quasizeros import _kernels_py as kp, certify as certify_mod, zeros as zeros_mod
 from quasizeros.errors import (
     DomainError,
+    QuadratureStalledError,
     RecordOutsideContourError,
     ZeroOnContourError,
 )
@@ -84,6 +85,23 @@ class TestWindingCount:
     def test_bad_tolerance(self, qp11):
         with pytest.raises(DomainError):
             qz.winding_count(qp11, qz.Circle(0j, 0.1), -1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: qz.Circle(complex(math.nan, 0), 1.0),
+        lambda: qz.Circle(0j, math.inf),
+        lambda: qz.Circle(0j, math.nan),
+        lambda: qz.Rectangle(complex(-math.inf, 0), 1 + 1j),
+        lambda: qz.Rectangle(0j, complex(1, math.nan)),
+    ], ids=["circle-center-nan", "circle-radius-inf", "circle-radius-nan",
+            "rectangle-corner-inf", "rectangle-corner-nan"])
+    def test_non_finite_contour_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_oversize_side_stalls(self, qp11):
+        # 1e20 long would take about 2**65 pieces; none is built
+        with pytest.raises(QuadratureStalledError, match="segment budget"):
+            qz.winding_count(qp11, qz.Rectangle(0j, complex(1e20, 1)))
 
 
 class TestMultiplicity:
@@ -163,6 +181,28 @@ class TestFindZerosInDisk:
         with pytest.raises(DomainError):
             qz.find_zeros_in_disk(qp11, -1.0)
 
+    @pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
+    def test_radius_must_be_positive_and_finite(self, qp11, radius):
+        with pytest.raises(DomainError):
+            qz.find_zeros_in_disk(qp11, radius)
+
+    def test_double_zero_read_once(self, monkeypatch):
+        # the cell's count of 2 already proves the critical point is its
+        # double zero: the only circle winding count is the certificate's
+        qp = qz.QuasiPolynomial(1, complex(-math.e, 0))
+        winding = certify_mod.winding_count
+        circles = []
+
+        def counted(qp, contour, *args):
+            if isinstance(contour, qz.Circle):
+                circles.append(contour)
+            return winding(qp, contour, *args)
+
+        monkeypatch.setattr(certify_mod, "winding_count", counted)
+        recs = qz.find_zeros_in_disk(qp, 1.5)
+        assert [(r.multiplicity, r.certified) for r in recs] == [(2, True)]
+        assert len(circles) == 1
+
 
 class TestSharedEdges:
     """Cells reuse their parent's half-sides and share the inner cross; the
@@ -178,7 +218,7 @@ class TestSharedEdges:
 
     def test_child_reports_match_fresh_winding_count(self, qp11):
         segment = certify_mod._line_segment(qp11)
-        cell, sides, report = certify_mod._outer_cell(qp11, segment, 40.0, 1e-6)
+        cell, sides, report = certify_mod._outer_cell(qp11, segment, 40.0)
         self._same(report, cell, qp11)
         level = [(cell, sides, report)]
         checked = 0
@@ -187,7 +227,7 @@ class TestSharedEdges:
             for cell, sides, report in level:
                 if report.count:
                     children += certify_mod._split_cell(qp11, segment, cell, sides,
-                                                        report.count, 1e-6)
+                                                        report.count)
             for child, _sides, child_report in children:
                 self._same(child_report, child, qp11)
                 checked += 1
@@ -198,12 +238,12 @@ class TestSharedEdges:
         # refusing the midpoint's inner cross forces the first nudged split,
         # whose outer sides are built fresh
         segment = certify_mod._line_segment(qp11)
-        cell, sides, report = certify_mod._outer_cell(qp11, segment, 10.0, 1e-6)
+        cell, sides, report = certify_mod._outer_cell(qp11, segment, 10.0)
         clear = certify_mod._edge_clear
         midpoint = 0.5 * (cell[0] + cell[1])
         monkeypatch.setattr(certify_mod, "_edge_clear", lambda qp, z0, z1: (
             z0.real != midpoint and clear(qp, z0, z1)))
-        children = certify_mod._split_cell(qp11, segment, cell, sides, report.count, 1e-6)
+        children = certify_mod._split_cell(qp11, segment, cell, sides, report.count)
         assert children[0][0][1] != midpoint
         for child, _sides, child_report in children:
             self._same(child_report, child, qp11)
@@ -291,7 +331,7 @@ class TestRoucheDiskTest:
             if _rouche(qp, rec.value, r):
                 accepted += 1
                 assert checked.isolation_radius == r
-                winding = certify_mod._winding_certificate(qp, rec, r, 1e-6)
+                winding = certify_mod._winding_certificate(qp, rec, r)
                 assert winding.certified
                 assert winding.isolation_radius == r
                 assert winding.multiplicity == 1

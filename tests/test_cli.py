@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasizeros._serialize import parse_complex, parse_nu_range
-from quasizeros.cli import main
+from quasizeros.cli import _build_parser, main
 from quasizeros.errors import DomainError
 
 
@@ -93,9 +94,38 @@ class TestZerosCommand:
          "nu,re,im\n1,2.0,3.0\n"),
         (("certify", "--k", "1", "--a", "1+0i", "--box", "-1,-1,1,1"),
          '{"command": "zeros"}'),
+        (("certify", "--k", "1", "--a", "1+0i", "--box", "-inf,0,1,1"), None),
+        (("origin", "--k", "1", "--a", "1+0i", "--radius", "nan"), None),
+        (("origin", "--k", "1", "--a", "1+0i", "--radius", "inf"), None),
+        (("zeros", "--k", "1", "--a", "1+0i", "--nu", "1..3", "--with-disk", "nan"),
+         None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--im-cap", "inf"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--im-cap", "nan"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--im-cap", "0"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--R", "0"),
+         None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--R", "-5"),
+         None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--delta", "0"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--delta", "-0.5"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--h", "-1"),
+         None),
+        (("origin", "--k", "1", "--a", "1+0i", "--radius", "2",
+          "--quad-tol", "1e-6"), None),
     ], ids=["zeros-no-nu", "certify-box-text", "bounds-T1-h-text",
             "bounds-cdelta-h-text", "certify-expect-not-json",
-            "certify-expect-no-results"])
+            "certify-expect-no-results", "certify-box-infinite",
+            "origin-radius-nan", "origin-radius-inf", "zeros-with-disk-nan",
+            "bounds-cdelta-im-cap-inf", "bounds-cdelta-im-cap-nan",
+            "bounds-cdelta-im-cap-zero", "bounds-cdelta-R-zero",
+            "bounds-cdelta-R-negative", "bounds-cdelta-delta-zero",
+            "bounds-cdelta-delta-negative", "bounds-cdelta-h-negative",
+            "origin-quad-tol-removed"])
     def test_usage_error(self, argv, expect_text, tmp_path):
         if expect_text is not None:
             path = tmp_path / "expected.json"
@@ -105,6 +135,15 @@ class TestZerosCommand:
         assert code == 2
         assert err.count("\n") == 1
         assert "message" in json.loads(err)["error"]
+
+    def test_oversize_box_stalls(self):
+        # a finite side that needs more pieces than the segment budget is
+        # refused before any piece is built
+        code, _out, err = run_cli("certify", "--k", "1", "--a", "1+0i",
+                                  "--box", "0,0,1e308,1")
+        assert code == 3
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "QuadratureStalledError"
 
     @pytest.mark.parametrize("argv", [
         ("origin", "--k", "3", "--a", "2+1i", "--radius", "10"),
@@ -308,3 +347,31 @@ class TestInProcessMain:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestOptionSurface:
+    """The options each subcommand accepts.  Adding or removing one must
+    edit this table on purpose."""
+
+    COMMON = {"-h", "--help", "--k", "--a", "--format", "--out"}
+    EXPECTED = {
+        "zeros": COMMON | {"--tol", "--nu", "--certify", "--with-disk"},
+        "origin": COMMON | {"--tol", "--radius"},
+        "classify": COMMON | {"--h", "--R", "--S", "--delta", "--point"},
+        "certify": COMMON | {"--box", "--expect-from"},
+        "bounds": COMMON | {"--which", "--h", "--R", "--samples", "--seed",
+                            "--rmax", "--s-branch", "--delta", "--im-cap",
+                            "--tol"},
+        "gaps": COMMON | {"--tol", "--nu"},
+        "sector-radius": {"-h", "--help", "--k", "--a", "--h", "--delta",
+                          "--samples", "--seed", "--format", "--out"},
+    }
+
+    def test_options_per_subcommand(self):
+        parser = _build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        found = {name: {opt for action in command._actions
+                        for opt in action.option_strings}
+                 for name, command in sub.choices.items()}
+        assert found == self.EXPECTED
