@@ -14,14 +14,16 @@ Conventions:
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
   * a sampler accepts n >= 1 points, drawing its uniforms from
-    uniform_pairs(seed), so a seed fully determines the samples
+    uniform_pairs(seed), the Mersenne Twister stream of random.Random(seed),
+    so a seed fully determines the samples; sm64 (splitmix64) only derives
+    the substream seeds (bounds.derive_substream)
 """
 
 import cmath
 import math
+import random
 
 M64 = 0xFFFFFFFFFFFFFFFF
-U53 = 1.0 / 9007199254740992.0  # 2**-53
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -39,13 +41,14 @@ def sm64(state):
 
 
 def uniform_pairs(seed):
-    """Endless (u1, u2) pairs in [0, 1) from the splitmix64 stream of seed:
-    each is the top 53 bits of one output times 2^-53, u1 first."""
-    state = seed & M64
-    while True:
-        state, z1 = sm64(state)
-        state, z2 = sm64(state)
-        yield (z1 >> 11) * U53, (z2 >> 11) * U53
+    """Endless (u1, u2) pairs in [0, 1): consecutive random.Random(seed)
+    .random() values, u1 first.  That generator is the C Mersenne Twister
+    (MT19937), and Python repeats its sequence for a given seed across
+    versions (the random module's "Notes on Reproducibility")."""
+    # random() < 1.0, so the sentinel never ends the stream; zip draws u1
+    # then u2 from the one iterator, all in C
+    draws = iter(random.Random(seed).random, 1.0)
+    return zip(draws, draws)
 
 
 def wrap_angle(x):

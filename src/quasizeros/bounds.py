@@ -5,7 +5,12 @@ Exterior bounds: with offset = Re l - k ln|l| (branch S=1),
     offset >  h, h > ln(2|A|)   =>  |f| >= (1/2) |e^l|.
 Both follow from |subdominant/dominant| < 1/2: on offset < -h,
 |e^l|/|A l^k| = e^offset/|A| < e^(-h)/|A| < 1/2, and on offset > h the ratio
-|A l^k|/|e^l| < |A| e^(-h) < 1/2.
+|A l^k|/|e^l| < |A| e^(-h) < 1/2.  Since |f| >= dominant * (1 - |ratio|),
+the margins against the claimed bounds are proven in closed form:
+    T1:  |f| / ((1/2)|A||l|^k) >= 2 (1 - e^(-h)/|A|)
+    T2:  |f| / ((1/2)|e^l|)    >= 2 (1 - |A| e^(-h))
+and both exceed 1 above the thresholds.  Reports carry this proven margin
+beside the sampled minimum.
 Note the second estimate lives on the S=1 offset's right side: its proof
 needs Re l - k ln|l| > h, and the S=2 right side provably contains zeros of
 f (where no lower bound can hold) -- that variant stays available through
@@ -14,13 +19,16 @@ s_branch=2 for demonstration.
 Strip bound: away from delta-disks around the zeros, |f| >= C_delta |l|^k
 with C_delta > 0 estimated empirically as the sampled infimum of |f|/|l|^k.
 
-All sampling is seeded and deterministic: a fixed number of substreams is
-derived from the seed, each drawn through kernels.uniform_pairs, and their
-results are merged in a fixed order, so reports are bit-for-bit reproducible.
+All sampling is seeded and deterministic: a fixed number of substream seeds
+is derived from the seed by splitmix64 (derive_substream), each substream
+draws its uniforms through kernels.uniform_pairs (the Mersenne Twister of
+random.Random(substream seed)), and the results are merged in a fixed
+order, so reports are bit-for-bit reproducible.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from . import certify as certify_mod, zeros as zeros_mod
 from ._backend import kernels
@@ -50,11 +58,17 @@ H_CLAMP = 1e-3
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one sampled lower-bound verification."""
+    """Outcome of one sampled lower-bound verification.
+
+    proven_margin is the closed-form lower bound on the margin over the whole
+    region (see the module docstring), or None where no proof exists (T2 on
+    the S=2 branch); passed still reads the sampled min_margin >= 1.
+    """
 
     region: str
     samples: int
     min_margin: float
+    proven_margin: Optional[float]
     worst_point: complex
     threshold_h_used: float
     passed: bool
@@ -159,7 +173,7 @@ def h_threshold(qp, which):
 
 
 def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
-                     seed, r_max, bound_kind, threshold):
+                     seed, r_max, bound_kind, threshold, proven_margin):
     _check_log_polar(r_cut, r_max, sample_count, s_branch)
     results = _run_chunks(
         kernels.sample_exterior_margin,
@@ -171,6 +185,7 @@ def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
         region=f"{region_name}(h={h:g}, R={r_cut:g}, r_max={r_max:g})",
         samples=sample_count,
         min_margin=margin,
+        proven_margin=proven_margin,
         worst_point=complex(wre, wim),
         threshold_h_used=threshold,
         passed=margin >= 1.0,
@@ -184,8 +199,10 @@ def verify_T1_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX):
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T1 threshold {threshold:g}")
+    proven = 2.0 * (1.0 - math.exp(-h) / abs(qp.a))
     return _exterior_report(qp, "T1 exterior: offset(S=1) < -h", 1, -1, h,
-                            r_cut, sample_count, seed, r_max, 1, threshold)
+                            r_cut, sample_count, seed, r_max, 1, threshold,
+                            proven)
 
 
 def verify_T2_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX,
@@ -195,15 +212,17 @@ def verify_T2_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX,
     The default region is offset(S=1) > h, the side on which the estimate
     actually holds (the dominant term is e^l there).  s_branch=2 samples the
     S=2 right side instead; that region contains zeros of f, so the check is
-    expected to fail there -- it exists to demonstrate the distinction.
+    expected to fail there -- it exists to demonstrate the distinction,
+    and its report has no proven margin.
     """
     threshold = h_threshold(qp, "T2")
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T2 threshold {threshold:g}")
+    proven = 2.0 * (1.0 - abs(qp.a) * math.exp(-h)) if s_branch == 1 else None
     name = f"T2 exterior: offset(S={s_branch}) > h"
     return _exterior_report(qp, name, s_branch, +1, h, r_cut, sample_count,
-                            seed, r_max, 2, threshold)
+                            seed, r_max, 2, threshold, proven)
 
 
 def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,

@@ -486,7 +486,11 @@ def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
 
 def _outer_cell(qp, segment, radius):
     """The disk search's bounding square, a little wider than the disk and
-    placed off the zero set: (cell, its four sides, its ContourReport)."""
+    placed off the zero set: (cell, its four sides, its ContourReport).
+
+    Only a zero on the square moves it; a QuadratureStalledError (a side
+    over the segment budget, or an integral that will not settle) would
+    recur on every wider square, so it propagates at once."""
     for attempt in range(9):
         m = radius * 1e-3 * (attempt + 1)
         cell = (-radius - m, radius + m, -radius - m, radius + m)
@@ -499,7 +503,7 @@ def _outer_cell(qp, segment, radius):
         try:
             report = _report(segment, _rect_parts(sides), QUADRATURE_TOLERANCE)
             return cell, sides, report
-        except (ZeroOnContourError, QuadratureStalledError):
+        except ZeroOnContourError:
             continue
     raise SubdivisionStalledError(
         "could not place the outer square off the zero set")

@@ -320,6 +320,7 @@ def _cmd_bounds(args):
     summary = {
         "pass": report.passed,
         "min_margin": report.min_margin,
+        "proven_margin": report.proven_margin,
         "worst_re": report.worst_point.real,
         "worst_im": report.worst_point.imag,
         "threshold_h": report.threshold_h_used,

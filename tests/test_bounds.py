@@ -113,6 +113,46 @@ class TestExteriorBounds:
             assert qz.signed_offset(qp11, rec.value, 1) < h
 
 
+ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
+
+
+class TestProvenMargin:
+    def test_example(self, qp11):
+        h = qz.h_threshold(qp11, "T1") + 0.5
+        rep = qz.verify_T1_bound(qp11, h, 10.0, 100, seed=7)
+        assert round(rep.proven_margin, 4) == 1.3935
+
+    def test_closed_forms(self):
+        qp = qz.QuasiPolynomial(2, 2 + 1j)
+        h = qz.h_threshold(qp, "T2") + 0.25
+        rep1 = qz.verify_T1_bound(qp, h, 10.0, 100, seed=1)
+        rep2 = qz.verify_T2_bound(qp, h, 10.0, 100, seed=1)
+        assert rep1.proven_margin == pytest.approx(2.0 * (1.0 - math.exp(-h) / abs(qp.a)))
+        assert rep2.proven_margin == pytest.approx(2.0 * (1.0 - abs(qp.a) * math.exp(-h)))
+
+    @pytest.mark.parametrize("which", ["T1", "T2"])
+    def test_above_one_past_threshold(self, which):
+        verify = qz.verify_T1_bound if which == "T1" else qz.verify_T2_bound
+        for k, a in ACCEPTANCE_COMBOS:
+            qp = qz.QuasiPolynomial(k, a)
+            h = qz.h_threshold(qp, which) * (1.0 + 1e-9) + 1e-12
+            assert verify(qp, h, 10.0, 10, seed=1).proven_margin >= 1.0
+
+    def test_no_proof_on_s2_branch(self, qp11):
+        h = qz.h_threshold(qp11, "T2") + 0.5
+        rep = qz.verify_T2_bound(qp11, h, 10.0, 100, seed=1, s_branch=2)
+        assert rep.proven_margin is None
+
+    @pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
+    def test_sampled_minimum_above_proven(self, k, a):
+        # the sizes and seed of acceptance criteria 05 and 06
+        qp = qz.QuasiPolynomial(k, a)
+        for verify, which in ((qz.verify_T1_bound, "T1"), (qz.verify_T2_bound, "T2")):
+            h = qz.h_threshold(qp, which) + 0.5
+            rep = verify(qp, h, 10.0, 100000, seed=1)
+            assert rep.min_margin >= rep.proven_margin * (1.0 - 1e-12), (which, rep)
+
+
 class TestSectorCover:
     def test_pass_and_witness(self, qp11):
         r_star = qz.sector_cover_radius(qp11, 2.0, 0.5)

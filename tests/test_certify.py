@@ -203,6 +203,22 @@ class TestFindZerosInDisk:
         assert [(r.multiplicity, r.certified) for r in recs] == [(2, True)]
         assert len(circles) == 1
 
+    def test_stalled_outer_square_not_retried(self, qp11, monkeypatch):
+        # a budget the r=40 square cannot meet: the stall recurs on every
+        # wider square, so the search spends one budget and reports it
+        monkeypatch.setattr(certify_mod, "SEGMENT_BUDGET", 64)
+        report = certify_mod._report
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return report(*args)
+
+        monkeypatch.setattr(certify_mod, "_report", counted)
+        with pytest.raises(QuadratureStalledError, match="segment budget exhausted"):
+            qz.find_zeros_in_disk(qp11, 40.0)
+        assert len(calls) == 1
+
 
 class TestSharedEdges:
     """Cells reuse their parent's half-sides and share the inner cross; the

@@ -276,6 +276,19 @@ class TestBoundsCommand:
         assert doc["summary"]["pass"] is True
         assert doc["summary"]["min_margin"] >= 1.0
 
+    def test_proven_margin_reported(self):
+        code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
+                               "--which", "T1", "--samples", "1000",
+                               "--seed", "7")
+        summary = json.loads(out)["summary"]
+        assert code == 0
+        assert round(summary["proven_margin"], 4) == 1.3935
+        assert summary["min_margin"] >= summary["proven_margin"]
+        code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
+                               "--which", "T2", "--samples", "1000",
+                               "--seed", "7", "--s-branch", "2")
+        assert json.loads(out)["summary"]["proven_margin"] is None
+
     def test_T2_printed_branch_fails(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "T2", "--samples", "100000",

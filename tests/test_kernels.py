@@ -1,6 +1,7 @@
-"""Kernel contract tests: splitmix64 and the samplers' uniform stream, angle
-wrapping, the contour segment sums against the same Gauss rule applied to
-direct f'/f, and the reported backend name."""
+"""Kernel contract tests: splitmix64 (which derives the substream seeds) and
+the samplers' Mersenne Twister uniform stream, angle wrapping, the contour
+segment sums against the same Gauss rule applied to direct f'/f, and the
+reported backend name."""
 
 import cmath
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasizeros import _kernels_py as kp, core
+from quasizeros import _kernels_py as kp, bounds, core
 from quasizeros.certify import _GL_NODES, _GL_WEIGHTS
 from quasizeros._backend import backend_name
 
@@ -31,10 +32,17 @@ def test_splitmix64_reference_stream():
         state, z = kp.sm64(state)
         outs.append(z)
     assert outs == SPLITMIX64_SEED0
-    # the samplers' stream: consecutive outputs paired, top 53 bits * 2^-53
+    # the samplers' stream: consecutive random.Random(seed).random() values
     pairs = kp.uniform_pairs(0)
-    top53 = [(z >> 11) * 2.0 ** -53 for z in SPLITMIX64_SEED0]
-    assert [next(pairs) for _ in range(2)] == [tuple(top53[:2]), tuple(top53[2:])]
+    assert [next(pairs) for _ in range(2)] == [
+        (0.8444218515250481, 0.7579544029403025),
+        (0.420571580830845, 0.25891675029296335)]
+
+
+def test_substream_seeds_pinned():
+    # the 16-substream layout is derived by splitmix64 and must not move
+    assert bounds.derive_substream(0, 0) == 0x06C45D188009454F
+    assert bounds.derive_substream(7, 15) == 0x538C6A0CDA7326C7
 
 
 def test_uniform_in_unit_interval():
