@@ -17,6 +17,11 @@ Conventions:
     uniform_pairs(seed), the Mersenne Twister stream of random.Random(seed),
     so a seed fully determines the samples; sm64 (splitmix64) only derives
     the substream seeds (bounds.derive_substream)
+  * a sampler takes each accepted point's margin from what its draw already
+    computed: w = Log A + k Log l - l is formed from the point's ln|l| and
+    arg l, |f| is the dominant term times |1 + t| (see _cofactor), and
+    ln|1 + t| comes from _log_abs_1p, so no point costs a complex logarithm
+    and the margin is never a difference of two large logarithms
 """
 
 import cmath
@@ -79,14 +84,18 @@ def _cofactor(k, log_a, lam):
     return False, cmath.exp(-w), loglam
 
 
-def _logmag(k, log_a, lam):
-    """(log|f|, ln|lam|) at lam != 0, computed without overflow."""
-    expdom, t, loglam = _cofactor(k, log_a, lam)
-    c = abs(1.0 + t)
-    lnco = math.log(c) if c > 0.0 else -math.inf
-    if expdom:
-        return lam.real + lnco, loglam.real
-    return log_a.real + k * loglam.real + lnco, loglam.real
+def _log_abs_1p(wr, wi):
+    """ln|1 + t| for t = e^(-|wr|) e^(+-i wi), the co-factor of _cofactor
+    with w = wr + i wi; -inf at an exact zero.
+
+    |1 + t|^2 = 1 + x with x = e (2 cos wi + e) and e = |t|.  At a zero x
+    is -1, where log1p raises, so any x <= -1 reads as a zero.
+    """
+    e = math.exp(-abs(wr))
+    x = e * (2.0 * math.cos(wi) + e)
+    if x <= -1.0:
+        return -math.inf
+    return 0.5 * math.log1p(x)
 
 
 def eval_scaled(k, log_a, lam):
@@ -254,12 +263,19 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
         side < 0: offset < -h,   side > 0: offset > h.
     The margin is log|f| minus the log of the claimed bound:
         bound_kind 1:  (|A|/2) |l|^k      bound_kind 2:  |e^l| / 2.
+    It is taken from the drawn ln|l| and arg l: with
+    w = ln|A| + k ln|l| - Re l + i (arg A + k arg l - Im l), |f| is the
+    dominant term times |1 + t| (see _cofactor), so the margin is
+    ln 2 + ln|1 + t|, less Re w where e^l dominates (Re w <= 0) under
+    bound 1, plus Re w where A l^k dominates under bound 2.
     Returns (min_log_margin, worst_re, worst_im, ok); ok = 0 after
     REJECTION_BUDGET consecutive rejections.
     """
     lr0 = math.log(r_in)
     lspan = math.log(r_max) - lr0
     sgn = -1.0 if s_branch == 1 else 1.0
+    lna = log_a.real
+    arga = log_a.imag
     accepted = 0
     consec = 0
     minlog = math.inf
@@ -270,8 +286,8 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
         r = math.exp(lr)
         th = -PI + TWO_PI * u2
         xre = r * math.cos(th)
-        xim = r * math.sin(th)
-        off = xre + sgn * (k * lr)
+        klr = k * lr
+        off = xre + sgn * klr
         if side < 0:
             inside = off < -h
         else:
@@ -282,11 +298,14 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
                 return minlog, wre, wim, 0
             continue
         consec = 0
-        logf, lnr = _logmag(k, log_a, complex(xre, xim))
-        if bound_kind == 1:
-            lm = logf - (log_a.real - LN2 + k * lnr)
-        else:
-            lm = logf - (xre - LN2)
+        xim = r * math.sin(th)
+        wr = lna + klr - xre
+        lm = LN2 + _log_abs_1p(wr, arga + k * th - xim)
+        if wr <= 0.0:
+            if bound_kind == 1:
+                lm -= wr
+        elif bound_kind == 2:
+            lm += wr
         if lm < minlog:
             minlog = lm
             wre = xre
@@ -318,7 +337,6 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
         r = math.exp(lr)
         th = -PI + TWO_PI * u2
         xre = r * math.cos(th)
-        xim = r * math.sin(th)
         off = xre + sgn * (k * lr)
         if off < -h or off > h:
             consec += 1
@@ -326,6 +344,7 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
                 return minmargin, wre, wim, violations, 0
             continue
         consec = 0
+        xim = r * math.sin(th)
         if xim >= 0.0:
             dev = th - 0.5 * PI
         else:
@@ -351,8 +370,13 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     Coordinates are (y, t) uniform over [-im_cap, im_cap] x [-h, h] with
     Re l solved from Re l - k ln|l| = t; points with |l| < r_in or within
     delta of a listed zero (zre/zim sorted by imaginary part) are rejected.
+    The log ratio is ln|A| + ln|1 + t|, less Re w where e^l dominates, with
+    w as in sample_exterior_margin from k ln|l| (kept from the residual
+    check) and arg l.
     Returns (min_log_ratio, worst_re, worst_im, ok).
     """
+    lna = log_a.real
+    arga = log_a.imag
     nz = len(zre)
     d2 = delta * delta
     accepted = 0
@@ -392,7 +416,8 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
             if r < r_in:
                 bad = True
             else:
-                resid = x - t - 0.5 * k * math.log(r2)
+                klr = k * (0.5 * math.log(r2))
+                resid = x - t - klr
                 if resid > 1e-9 or resid < -1e-9:
                     bad = True
         if not bad and nz > 0:
@@ -420,8 +445,10 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
                 return minlog, wre, wim, 0
             continue
         consec = 0
-        logf, lnr = _logmag(k, log_a, complex(x, y))
-        lm = logf - k * lnr
+        wr = lna + klr - x
+        lm = lna + _log_abs_1p(wr, arga + k * math.atan2(y, x) - y)
+        if wr <= 0.0:
+            lm -= wr
         if lm < minlog:
             minlog = lm
             wre = x

@@ -206,50 +206,59 @@ def _rect_sides(xmin, xmax, ymin, ymax):
 
 
 def _presplit(piece):
-    """The piece bisected at exact midpoints into pieces at most
-    2 * BASE_SEGMENT_LENGTH long; a piece that would need more than
-    SEGMENT_BUDGET of them is refused before any is built."""
-    length = abs(piece.p1 - piece.p0)
-    if length <= 2.0 * BASE_SEGMENT_LENGTH:
+    """The piece bisected at exact midpoints into pieces whose parameter
+    spans at most 2 * BASE_SEGMENT_LENGTH."""
+    if abs(piece.p1 - piece.p0) <= 2.0 * BASE_SEGMENT_LENGTH:
         return [piece]
-    if length > 2.0 * BASE_SEGMENT_LENGTH * SEGMENT_BUDGET:
-        raise QuadratureStalledError(
-            f"a side {length:.3g} long exceeds the segment budget")
     left, right = piece.halves()
     return _presplit(left) + _presplit(right)
 
 
 def _rect_parts(sides):
-    """(piece, tolerance divisor, sign) for the counter-clockwise boundary
-    of a rectangle given by its four canonical sides."""
-    parts = []
-    for side, sign in zip(sides, (1, 1, -1, -1)):
-        pieces = _presplit(side)
-        parts.extend((p, 4 * len(pieces), sign) for p in pieces)
-    return parts
+    """(part, sign) for the counter-clockwise boundary of a rectangle given
+    by its four canonical sides."""
+    return list(zip(sides, (1, 1, -1, -1)))
 
 
 def _circle_parts(circle):
-    """(piece, tolerance divisor, sign) for a circle cut into equal arcs."""
+    """(part, sign) for a circle cut into equal arcs; an arc spans at most
+    pi/4 in angle, so _presplit keeps it whole."""
     pieces = max(8, math.ceil(2.0 * math.pi * circle.radius / BASE_SEGMENT_LENGTH))
-    return [(_Piece(2.0 * math.pi * j / pieces, 2.0 * math.pi * (j + 1) / pieces),
-             pieces, 1) for j in range(pieces)]
+    return [(_Piece(2.0 * math.pi * j / pieces, 2.0 * math.pi * (j + 1) / pieces), 1)
+            for j in range(pieces)]
 
 
 def _report(segment, parts, quadrature_tolerance):
     """Winding count of the contour made of parts (see _rect_parts).
 
-    Each piece is summed by adaptive bisection at quadrature_tolerance /
-    divisor.  The integral, rounded to the nearest integer, must come out
+    Each part is presplit, and each of its pieces is summed by adaptive
+    bisection at quadrature_tolerance / (number of parts * pieces of the
+    part).  The integral, rounded to the nearest integer, must come out
     within 0.1 of it; otherwise the tolerance is tightened 100x and the sum
     taken again, reusing every Gauss sum already computed.
+
+    A piece costs at least three visits (itself and its two halves), so a
+    contour of more than SEGMENT_BUDGET / 3 pieces is refused before any
+    sum: from the part lengths before any piece is built (a part L long
+    needs at least L / (2 * BASE_SEGMENT_LENGTH) pieces), then from the
+    exact count.
     """
+    span = 2.0 * BASE_SEGMENT_LENGTH
+    if 3.0 * sum(max(1.0, abs(part.p1 - part.p0) / span)
+                 for part, _ in parts) > SEGMENT_BUDGET:
+        raise QuadratureStalledError("segment budget exhausted")
+    pieces = []
+    for part, sign in parts:
+        split = _presplit(part)
+        pieces.extend((piece, len(parts) * len(split), sign) for piece in split)
+    if 3 * len(pieces) > SEGMENT_BUDGET:
+        raise QuadratureStalledError("segment budget exhausted")
     tol = quadrature_tolerance
     last_exc = None
     for _ in range(3):
         budget = _Budget()
         total = 0j
-        for piece, div, sign in parts:
+        for piece, div, sign in pieces:
             whole = piece.visit(segment, budget)
             s = _adaptive(segment, piece, whole, tol / div, budget, 0)
             total = total + s if sign > 0 else total - s

@@ -283,6 +283,8 @@ def _auto_h(qp, which, spec):
 
 def _cmd_bounds(args):
     qp = _make_qp(args)
+    if args.s_branch != 1 and args.which != "T2":
+        raise DomainError(f"--s-branch {args.s_branch} applies to --which T2 only")
     if args.which == "T1":
         h = _auto_h(qp, "T1", args.h)
         report = bounds.verify_T1_bound(qp, h, args.R, args.samples, args.seed,
@@ -313,7 +315,8 @@ def _cmd_bounds(args):
         doc = document(qp, "bounds",
                        {"which": "cdelta", "h": h, "R": args.R,
                         "delta": args.delta, "im_cap": args.im_cap,
-                        "samples": args.samples, "seed": args.seed},
+                        "samples": args.samples, "seed": args.seed,
+                        "tol": args.tol},
                        [], summary)
         _write(doc, args.format, args.out)
         return EXIT_OK if summary["pass"] else EXIT_VERIFICATION

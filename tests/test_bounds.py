@@ -13,6 +13,8 @@ from quasizeros.errors import (
     PreconditionHError,
 )
 
+from conftest import direct_f
+
 LN2 = math.log(2.0)
 
 
@@ -151,6 +153,70 @@ class TestProvenMargin:
             h = qz.h_threshold(qp, which) + 0.5
             rep = verify(qp, h, 10.0, 100000, seed=1)
             assert rep.min_margin >= rep.proven_margin * (1.0 - 1e-12), (which, rep)
+
+
+class TestMarginAgainstDirect:
+    """The samplers take each margin from the drawn ln|l| and arg l; the
+    worst point's margin must match a direct evaluation there (|l| <= 60,
+    so plain complex arithmetic cannot overflow)."""
+
+    @pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
+    def test_exterior(self, k, a):
+        qp = qz.QuasiPolynomial(k, a)
+        h1 = qz.h_threshold(qp, "T1") + 0.5
+        h2 = qz.h_threshold(qp, "T2") + 0.5
+        runs = [
+            (qz.verify_T1_bound(qp, h1, 10.0, 10000, 1, r_max=60.0),
+             lambda lam: math.log(0.5 * abs(a)) + k * math.log(abs(lam))),
+            (qz.verify_T2_bound(qp, h2, 10.0, 10000, 1, r_max=60.0),
+             lambda lam: lam.real - LN2),
+            (qz.verify_T2_bound(qp, h2, 10.0, 10000, 1, r_max=60.0, s_branch=2),
+             lambda lam: lam.real - LN2),
+        ]
+        for rep, log_bound in runs:
+            lam = rep.worst_point
+            direct = math.log(abs(direct_f(qp, lam))) - log_bound(lam)
+            assert abs(math.log(rep.min_margin) - direct) < 1e-12, rep
+
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (1, 2 + 1j), (1, 0.5j), (2, 1 + 0j),
+                                      (2, 2 + 1j)])
+    def test_cdelta(self, k, a):
+        qp = qz.QuasiPolynomial(k, a)
+        strip = qz.zeros_in_index_range(qp, -12, 12)
+        est = qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 10000, 1, strip, im_cap=50.0)
+        lam = est.argmin
+        assert abs(lam) <= 60.0
+        direct = math.log(abs(direct_f(qp, lam))) - k * math.log(abs(lam))
+        assert abs(math.log(est.c_hat) - direct) < 1e-12
+
+
+class TestStreamPinned:
+    """Seeded reports at fixed inputs, as computed with each margin taken
+    from a fresh complex logarithm.  Taking it from the draw may move a
+    margin only in its last bits; the worst point stays exact."""
+
+    EXTERIOR = [
+        (1, 1 + 0j, "T1", 1.4811523814612082, complex(1.0559996067755972, -10.981247206771597)),
+        (1, 1 + 0j, "T2", 1.4447642107251573, complex(4.14192753677746, -16.99528638029078)),
+        (2, 2 + 1j, "T1", 1.5711696400026125, complex(4.467833780649664, 12.543178593451161)),
+        (2, 2 + 1j, "T2", 1.484967211659639, complex(7.395633515924106, 12.31461968464209)),
+    ]
+
+    @pytest.mark.parametrize("k, a, which, margin, worst", EXTERIOR)
+    def test_exterior(self, k, a, which, margin, worst):
+        qp = qz.QuasiPolynomial(k, a)
+        verify = qz.verify_T1_bound if which == "T1" else qz.verify_T2_bound
+        rep = verify(qp, qz.h_threshold(qp, which) + 0.5, 10.0, 10000, seed=1)
+        assert rep.worst_point == worst
+        assert rep.min_margin == pytest.approx(margin, rel=1e-13, abs=0.0)
+
+    def test_sector_cover(self, qp11):
+        r_star = qz.sector_cover_radius(qp11, 2.0, 0.5)
+        rep = qz.verify_sector_cover(qp11, 2.0, 0.5, r_star, 1000, 3)
+        assert rep == bounds.SectorCoverReport(
+            r_used=8.678923298880754, samples=1000, min_margin=0.015621586673110421,
+            worst_point=complex(-4.195669398198697, 7.97369705704107), violations=0,
+            passed=True)
 
 
 class TestSectorCover:

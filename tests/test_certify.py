@@ -103,6 +103,30 @@ class TestWindingCount:
         with pytest.raises(QuadratureStalledError, match="segment budget"):
             qz.winding_count(qp11, qz.Rectangle(0j, complex(1e20, 1)))
 
+    @pytest.mark.parametrize("corner, budget", [
+        (complex(20.0, 3.0), 24),    # 3 x perimeter / 4 = 69 > 24: refused from its lengths
+        (complex(2.25, 2.25), 23),   # 8 pieces, 24 visits > 23: refused from its count
+    ])
+    def test_over_budget_refused_before_any_sum(self, qp11, monkeypatch, corner, budget):
+        monkeypatch.setattr(certify_mod, "SEGMENT_BUDGET", budget)
+        line = kp.line_segment_logderiv
+        sums = []
+
+        def counted(*args):
+            sums.append(args)
+            return line(*args)
+
+        monkeypatch.setattr(kp, "line_segment_logderiv", counted)
+        with pytest.raises(QuadratureStalledError, match="segment budget exhausted"):
+            qz.winding_count(qp11, qz.Rectangle(-corner, corner))
+        assert sums == []
+
+    def test_just_inside_budget_counts(self, qp11, monkeypatch):
+        # sides 6 long: 8 pieces of 3, each visited whole and as two halves
+        monkeypatch.setattr(certify_mod, "SEGMENT_BUDGET", 24)
+        report = qz.winding_count(qp11, qz.Rectangle(complex(-3, -3), complex(3, 3)))
+        assert report.count == 1 and report.segments_used == 24
+
 
 class TestMultiplicity:
     @pytest.mark.parametrize("k", [1, 2])

@@ -305,6 +305,22 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["summary"]["c_hat"] > 0
 
+    def test_cdelta_records_tol(self):
+        code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
+                               "--which", "cdelta", "--samples", "1000",
+                               "--seed", "1", "--im-cap", "40", "--tol", "1e-10")
+        assert code == 0
+        assert json.loads(out)["params"]["tol"] == 1e-10
+
+    @pytest.mark.parametrize("which", ["T1", "cdelta"])
+    def test_s_branch_2_outside_T2_rejected(self, which):
+        code, out, err = run_cli("bounds", "--k", "1", "--a", "1+0i",
+                                 "--which", which, "--samples", "100",
+                                 "--s-branch", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_thread_env_invariance(self):
         # The sampler's stream layout is fixed, so thread settings in the
         # environment must not change a byte of the output.

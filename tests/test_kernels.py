@@ -1,11 +1,12 @@
 """Kernel contract tests: splitmix64 (which derives the substream seeds) and
-the samplers' Mersenne Twister uniform stream, angle wrapping, the contour
-segment sums against the same Gauss rule applied to direct f'/f, and the
-reported backend name."""
+the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
+ln|1 + t|, the contour segment sums against the same Gauss rule applied to
+direct f'/f, and the reported backend name."""
 
 import cmath
 import math
 import random
+import types
 
 import pytest
 
@@ -66,6 +67,32 @@ def test_wrap_angle_boundaries():
     assert kp.wrap_angle(math.pi) == math.pi
     assert kp.wrap_angle(-math.pi) == math.pi
     assert kp.wrap_angle(0.0) == 0.0
+
+
+def test_log_abs_1p_matches_direct():
+    rng = random.Random(5)
+    for _ in range(2000):
+        wr = rng.uniform(-40.0, 40.0)
+        wi = rng.uniform(-1e3, 1e3)
+        direct = abs(1.0 + cmath.exp(complex(-abs(wr), wi)))
+        if direct > 1e-3:
+            assert abs(kp._log_abs_1p(wr, wi) - math.log(direct)) < 1e-13
+
+
+def test_log_abs_1p_exact_zero():
+    # t = -1: the log1p argument is exactly -1
+    assert kp._log_abs_1p(0.0, math.pi) == -math.inf
+    assert kp._log_abs_1p(-0.0, -math.pi) == -math.inf
+
+
+def test_log_abs_1p_argument_below_minus_one(monkeypatch):
+    # a cosine rounded one ulp below -1 puts the log1p argument below -1,
+    # where math.log1p raises; the helper must read it as a zero
+    below = math.nextafter(-1.0, -2.0)
+    fake = types.SimpleNamespace(exp=math.exp, cos=lambda x: below,
+                                 log1p=math.log1p, inf=math.inf)
+    monkeypatch.setattr(kp, "math", fake)
+    assert kp._log_abs_1p(0.0, math.pi) == -math.inf
 
 
 def test_active_backend_reported():
