@@ -1,5 +1,5 @@
-"""Pure-Python kernels: overflow-safe evaluation, the Rouche disk test,
-contour quadrature sums, and seeded rejection samplers.
+"""Pure-Python kernels: overflow-safe evaluation, the Rouche disk test, the
+Lambert W function, contour quadrature sums, and seeded rejection samplers.
 
 This is the package's only kernel implementation; the other modules import
 it through quasizeros._backend.  The contract is reproducibility: identical
@@ -203,6 +203,45 @@ def rouche_isolates(k, log_a, lam, radius):
     else:
         remainder = tmag * etail + poly
     return abs(1.0 + t) + remainder < 0.99 * abs(u) * radius
+
+
+def lambert_w(z, m=0):
+    """Branch m of the Lambert W function: the w with w e^w = z on the
+    branches of Corless, Gonnet, Hare, Jeffrey & Knuth (Adv. Comput. Math. 5,
+    1996), with counter-clockwise continuity: a real z on a branch cut lies
+    on its upper side, or on its lower side when its imaginary part is -0.0,
+    as in scipy.special.lambertw.  z != 0.
+
+    The seed is the branch-point series in p = +-sqrt(2(e z + 1)) near
+    z = -1/e on the branches that meet there (m = 0, and m = -1 above the
+    cut or m = 1 below it), Log(1 + z) for m = 0 and small |z|, and
+    otherwise Corless's asymptotic L1 - L2 + L2/L1 with L1 = Log z + 2 pi i m
+    and L2 = Log L1.  Halley's iteration on w - z e^-w then polishes it;
+    z e^-w is formed as exp(Log z - w), so nothing overflows.
+    """
+    z = complex(z)
+    logz = cmath.log(z)
+    q = math.e * z + 1.0
+    if abs(q) < 0.3 and (m == 0 or m == -math.copysign(1.0, z.imag)):
+        p = cmath.sqrt(2.0 * q) * (1 if m == 0 else -1)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+    elif m == 0 and abs(z) < 2.0 and abs(1.0 + z) > 0.5:
+        w = cmath.log(1.0 + z)
+    else:
+        l1 = logz + complex(0.0, TWO_PI * m)
+        l2 = cmath.log(l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(30):
+        t = cmath.exp(logz - w)
+        g = w - t
+        d = 1.0 + t
+        if d == 0:
+            break
+        step = g / (d + 0.5 * g * t / d)
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
 
 
 def _logderiv(k, log_a, lam):

@@ -257,9 +257,10 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
     )
 
 
-def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros):
-    """Verify the zero list covers the sampled strip window (both halves):
-    certify_completeness over each half-window's box."""
+def _window_boxes(qp, h, r_cut, im_cap, delta):
+    """The boxes of the sampled strip's two half-windows, upper then lower:
+    each holds its half's samples with delta + 1 to spare.  Empty when the
+    padded window has no height."""
     k = qp.k
     # smallest |Im| reachable by a strip sample: |l| >= R with |Re| bounded
     re_at_r = min(r_cut, h + k * math.log(r_cut))
@@ -270,12 +271,15 @@ def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros):
     x_hi = h + k * math.log(y_hi + 5.0) + pad
     y_lo = max(y_min - pad, 1.0)
     if y_lo >= y_hi:
-        return
-    for half in (1, -1):
-        if half == 1:
-            box = certify_mod.Rectangle(complex(x_lo, y_lo), complex(x_hi, y_hi))
-        else:
-            box = certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi, -y_lo))
+        return []
+    return [certify_mod.Rectangle(complex(x_lo, y_lo), complex(x_hi, y_hi)),
+            certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi, -y_lo))]
+
+
+def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros):
+    """Verify the zero list covers the sampled strip window (both halves):
+    certify_completeness over each half-window's box."""
+    for half, box in zip((1, -1), _window_boxes(qp, h, r_cut, im_cap, delta)):
         inside = [rec for rec in strip_zeros if box.contains(rec.value)]
         ok, detail = certify_mod.certify_completeness(qp, box, inside)
         if not ok:

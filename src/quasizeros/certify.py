@@ -4,12 +4,22 @@ exhaustive zero search in a disk, and completeness checks.
 The winding count (1/2*pi*i) * contour integral of f'/f is computed by
 per-segment Gauss quadrature with adaptive bisection; the integrand is
 evaluated in dominance-factored form so contours with |Re l| in the
-hundreds are safe.  The recursive disk search and the completeness of an
-enumeration over a window reduce to integer winding counts.
+hundreds are safe.  The disk search and the completeness of an enumeration
+over a window reduce to integer winding counts.
+
+Both rest on one count identity (_count_identity): a contour's winding count
+equals the sum of the multiplicities of the records inside it, and every
+record certifies at its isolation radius.  The disk search lists the zeros
+in its bounding square ahead of time, l = -k W_m(-1/(k w_j)) over the roots
+w_j of w^k = -A and the branches m of Lambert W (Corless, Gonnet, Hare,
+Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), and proves the list with the
+square's one winding count: count-then-polish run in reverse (Kravanja &
+Van Barel, LNM 1727, 2000).  Recursive subdivision of the square (Delves &
+Lyness, Math. Comp. 21, 1967) runs only when the identity fails.
 
 A contour piece keeps its Gauss sum and its two halves once computed, and a
 rectangle side is one piece in canonical direction (west to east, south to
-north), added or subtracted.  The disk search passes each cell's four sides
+north), added or subtracted.  The subdivision passes each cell's four sides
 down the recursion: a child's outer sides are halves of its parent's, and
 each half-edge of the inner cross is shared by the two children that border
 it, so a split integrates only its new inner cross.  A piece's sum depends
@@ -27,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Union
+from typing import Union
 
 from . import core, zeros as zeros_mod
 from ._backend import kernels
@@ -76,6 +86,11 @@ BASE_SEGMENT_LENGTH = 2.0
 #: 1e-8 x |f'/f|*len, so halving tolerances forever would only burn budget;
 #: the floor keeps the total error far below the 0.1 integer margin.
 ACCEPT_FLOOR = 1e-7
+
+#: |e z + 1| below this puts z = -1/(k w_j) at the Lambert-W branch point
+#: -1/e, where W_0 and its partner branch meet in a double zero; a float A =
+#: -e^k/k^k lands ~1e-16 from it, and A = -e^k/k^k (1 + eps) lands ~eps/k
+BRANCH_POINT_DISTANCE = 1e-12
 
 #: adaptive bisection depth cap (the modulus check catches on-contour zeros
 #: long before segments get this short)
@@ -321,6 +336,8 @@ def certify_record(qp, record, radius=None):
     r = radius if radius is not None else record.isolation_radius
     if r is None:
         r = 1.0
+    if not r > 0:  # a duplicate record's isolation radius: no room to prove
+        return _certificate(record, False, r)
     # the value itself must be a zero; the disk count alone would also pass
     # for a stale value whose disk still happens to contain the true zero
     if core.relative_residual(qp, record.value) >= 1e-6:
@@ -427,9 +444,11 @@ def _split_cell(qp, segment, cell, sides, count):
         "without hitting a zero")
 
 
-def _polish_cell(qp, xmin, xmax, ymin, ymax, tolerance):
-    center = complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-    rec = zeros_mod.newton_refine(qp, center, tolerance)
+def _polish(qp, seed, cell, tolerance):
+    """Newton from the seed; the zero it reaches must lie strictly inside
+    the cell (xmin, xmax, ymin, ymax).  Labelled by disk_zero_index."""
+    xmin, xmax, ymin, ymax = cell
+    rec = zeros_mod.newton_refine(qp, seed, tolerance)
     v = rec.value
     if not (xmin < v.real < xmax and ymin < v.imag < ymax):
         raise EscapedBasinError("polished zero left its cell")
@@ -459,6 +478,16 @@ def _double_zero(qp, region, seed):
     return None
 
 
+def _double_zero_record(qp, region, seed):
+    """The record of the double zero _double_zero reads from the seed, or
+    None."""
+    c = _double_zero(qp, region, seed)
+    if c is None:
+        return None
+    return zeros_mod.ZeroRecord(nu=None, value=c, residual=core.relative_residual(qp, c),
+                                seed=c, iterations=0, multiplicity=2)
+
+
 def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
     xmin, xmax, ymin, ymax = cell
     if count == 0:
@@ -468,7 +497,8 @@ def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
     diam = math.sqrt((xmax - xmin) ** 2 + (ymax - ymin) ** 2)
     if count == 1 and diam < 0.5:
         try:
-            out.append(_polish_cell(qp, xmin, xmax, ymin, ymax, tolerance))
+            out.append(_polish(qp, complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)),
+                               cell, tolerance))
             return
         except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError):
             pass  # fall through to further subdivision
@@ -477,12 +507,11 @@ def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
         # off (clearance around it decays quadratically); try that reading
         # first and only keep subdividing for a separable close pair.  The
         # cell's count of 2 makes a zero of f and f' inside it its only zero.
-        c = _double_zero(qp, Rectangle(complex(xmin, ymin), complex(xmax, ymax)),
-                         complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
-        if c is not None:
-            out.append(zeros_mod.ZeroRecord(
-                nu=None, value=c, residual=core.relative_residual(qp, c),
-                seed=c, iterations=0, multiplicity=2))
+        rec = _double_zero_record(
+            qp, Rectangle(complex(xmin, ymin), complex(xmax, ymax)),
+            complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
+        if rec is not None:
+            out.append(rec)
             return
     if count > 2 and diam < 0.01:
         raise SubdivisionStalledError(
@@ -518,26 +547,98 @@ def _outer_cell(qp, segment, radius):
         "could not place the outer square off the zero set")
 
 
+def _enumerate_cell(qp, cell, tolerance):
+    """The zeros -k W_m(-1/(k w_j)) of f inside the square cell, centred on
+    the origin: one record per zero, Newton-polished from its Lambert-W
+    value and labelled by disk_zero_index.
+
+    Every zero solves e^(l/k) = w_j l for exactly one root w_j of
+    w^k = -A, so l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly one
+    branch m.  For each j the branches run m = 0, 1, 2, ... and m = -1,
+    -2, ...; a direction stops after two consecutive values beyond the
+    square's circumradius (|W_m| grows like 2 pi |m|).  Where z_j is the
+    branch point -1/e (|e z_j + 1| < BRANCH_POINT_DISTANCE), W_0 and its
+    partner branch give one double zero, read by _double_zero.  A seed whose
+    Newton polish fails or leaves the square is dropped: the count identity
+    in find_zeros_in_disk decides whether the list is complete.
+    """
+    k = qp.k
+    xmin, xmax, ymin, ymax = cell
+    reach = math.hypot(xmax, ymax)
+    square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
+    found = []
+    for j in range(k):
+        z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+        # the two branches that meet at -1/e, when z_j is there
+        branch_pair = ((0, -math.copysign(1.0, z.imag))
+                       if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else ())
+        for m, step in ((0, 1), (-1, -1)):
+            outside = 0
+            while outside < 2:
+                lam = -k * kernels.lambert_w(z, m)
+                outside = 0 if abs(lam) <= reach else outside + 1
+                if m == 0 and branch_pair:
+                    rec = _double_zero_record(qp, square, lam)
+                    if rec is not None:
+                        found.append(rec)
+                elif m not in branch_pair and square.contains(lam):
+                    try:
+                        found.append(_polish(qp, lam, cell, tolerance))
+                    except (EscapedBasinError, MaxIterationsError,
+                            DerivativeVanishesError):
+                        pass
+                m += step
+    return found
+
+
+def _im_order(rec):
+    return rec.value.imag, rec.value.real
+
+
 def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """All zeros of f with |l| <= radius, each certified.
 
-    Recursive subdivision of the bounding square: cells with winding count 0
-    are dropped, count-1 cells small enough are polished by Newton from the
-    center, and persistent count-2 cells are resolved as double zeros.  Cell
-    boundaries that hit zeros are nudged deterministically and retried.
-    Each record lies strictly inside its own leaf cell, and leaf cells are
-    disjoint, so no zero is found twice.
+    The bounding square, a little wider than the disk, gets one winding
+    count.  The zeros inside it are enumerated by their Lambert-W branches
+    (_enumerate_cell) and certified at their isolation radii; when their
+    multiplicities add up to the square's count and every record certifies
+    (the count identity, see _count_identity), the list is complete.  Only
+    when the identity fails does the search fall back to recursive
+    subdivision of the same square, reusing its count and side sums: cells
+    with winding count 0 are dropped, count-1 cells small enough are
+    polished by Newton from the center, and persistent count-2 cells are
+    resolved as double zeros.  Cell boundaries that hit zeros are nudged
+    deterministically and retried.  Each record lies strictly inside its own
+    leaf cell, and leaf cells are disjoint, so no zero is found twice.
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
     segment = _line_segment(qp)
     outer, sides, outer_report = _outer_cell(qp, segment, radius)
-    found: List[zeros_mod.ZeroRecord] = []
-    _search_cells(qp, segment, outer, sides, outer_report.count, tolerance, found)
-    found.sort(key=lambda r: (r.value.imag, r.value.real))
-    radii = zeros_mod.isolation_radii(found)
-    return [certify_record(qp, rec, r) for rec, r in zip(found, radii)
-            if abs(rec.value) <= radius]
+    found = sorted(_enumerate_cell(qp, outer, tolerance), key=_im_order)
+    ok, records, _failures = _count_identity(
+        qp, outer_report.count, found, zeros_mod.isolation_radii(found))
+    if not ok:
+        found = []
+        _search_cells(qp, segment, outer, sides, outer_report.count, tolerance, found)
+        found.sort(key=_im_order)
+        records = [certify_record(qp, rec, r)
+                   for rec, r in zip(found, zeros_mod.isolation_radii(found))]
+    return [rec for rec in records if abs(rec.value) <= radius]
+
+
+def _count_identity(qp, count, records, radii):
+    """The count identity: a contour's winding count equals the sum of the
+    multiplicities of the records inside it, and every record certifies, with
+    its own multiplicity, at its radius.  Certified disks at isolation radii
+    are disjoint, so the identity proves the records are all the zeros
+    inside (Kravanja & Van Barel, LNM 1727, 2000).  Returns (whether it
+    holds, the records as certified, the records that did not certify)."""
+    checked = [certify_record(qp, rec, r) for rec, r in zip(records, radii)]
+    failures = [rec for rec, c in zip(records, checked)
+                if not c.certified or c.multiplicity != rec.multiplicity]
+    ok = count == sum(rec.multiplicity for rec in records) and not failures
+    return ok, checked, failures
 
 
 def certify_completeness(qp, contour, records):
@@ -552,16 +653,11 @@ def certify_completeness(qp, contour, records):
             raise RecordOutsideContourError(
                 f"record at {rec.value:.6g} lies outside the contour")
     report = winding_count(qp, contour)
-    expected = sum(rec.multiplicity for rec in records)
-    failures = []
-    for rec in records:
-        checked = certify_record(qp, rec, rec.isolation_radius)
-        if not checked.certified or checked.multiplicity != rec.multiplicity:
-            failures.append(rec)
-    ok = report.count == expected and not failures
+    ok, _checked, failures = _count_identity(
+        qp, report.count, records, [rec.isolation_radius for rec in records])
     detail = {
         "contour_count": report.count,
-        "expected_count": expected,
+        "expected_count": sum(rec.multiplicity for rec in records),
         "record_failures": [r.value for r in failures],
         "integer_distance": report.integer_distance,
         "min_scaled_modulus": report.min_scaled_modulus,

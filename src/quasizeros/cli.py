@@ -143,6 +143,15 @@ def _check_tol(tol):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol:g}")
 
 
+def _merge_disk_zeros(records, disk):
+    """Append to records the disk-search records that none of them holds
+    (within zeros.DUPLICATE_DISTANCE)."""
+    for rec in disk:
+        if all(abs(rec.value - r.value) >= zeros_mod.DUPLICATE_DISTANCE
+               for r in records):
+            records.append(rec)
+
+
 def _cmd_zeros(args):
     qp = _make_qp(args)
     _check_tol(args.tol)
@@ -153,11 +162,8 @@ def _cmd_zeros(args):
     if lo <= 0 <= hi:
         notes["nu_skipped"] = [0]
     if args.with_disk is not None:
-        disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
-        for rec in disk:
-            if all(abs(rec.value - r.value) >= zeros_mod.DUPLICATE_DISTANCE
-                   for r in records):
-                records.append(rec)
+        _merge_disk_zeros(records, certify_mod.find_zeros_in_disk(qp, args.with_disk,
+                                                                  args.tol))
         notes["disk_radius"] = args.with_disk
     records.sort(key=lambda r: (r.value.imag, r.value.real))
     results = [record_to_obj(r) for r in records]
@@ -300,6 +306,17 @@ def _cmd_bounds(args):
         span = int(args.im_cap / (2.0 * math.pi)) + 3
         strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,
                                                certify=True)
+        # the ladder skips the index gap around nu = 0 (|Im l| up to about
+        # 2 pi + k pi / 2), where some window zeros lie; the disk search
+        # supplies them, and the completeness check stays the arbiter.  Only
+        # zeros in the sampled window are added: a list missing one of those
+        # failed that check anyway, and the others lie beyond delta of every
+        # sample, where they would only shrink the separation radius.
+        boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
+        disk = certify_mod.find_zeros_in_disk(
+            qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)
+        _merge_disk_zeros(strip, [rec for rec in disk
+                                  if any(box.contains(rec.value) for box in boxes)])
         est = bounds.estimate_C_delta(qp, h, args.R, args.delta, args.samples,
                                       args.seed, strip, im_cap=args.im_cap)
         summary = {

@@ -12,8 +12,22 @@ from quasizeros.errors import (
     DomainError,
     QuadratureStalledError,
     RecordOutsideContourError,
+    SubdivisionStalledError,
     ZeroOnContourError,
 )
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    inner = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestWindingCount:
@@ -144,6 +158,28 @@ class TestMultiplicity:
         assert all(r.multiplicity == 1 and r.certified for r in doubles)
         mid = 0.5 * (doubles[0].value + doubles[1].value)
         assert abs(mid - k) < 0.01
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-4])
+    def test_near_double_disks(self, k, eps, monkeypatch):
+        # A = -e^k/k^k (1 + eps): a double zero at l = k for eps = 0, else a
+        # pair about 2k sqrt(2 eps/k) apart.  The branch point is read from
+        # z = -1/(k w_j), so the rounded eps = 0 case is one double zero
+        # although W_0 and W_-1 polish to two values there.
+        qp = qz.QuasiPolynomial(k, complex(-math.exp(k) / k ** k * (1 + eps), 0))
+        searches = _counting(monkeypatch, certify_mod, "_search_cells")
+        if eps == 1e-9 and k > 1:
+            # the pair is too close for the Rouche bound and for a circle
+            # count clear of both zeros, so the search falls back to
+            # subdivision, which cannot split it either
+            with pytest.raises(SubdivisionStalledError):
+                qz.find_zeros_in_disk(qp, k + 2.0)
+            return
+        recs = qz.find_zeros_in_disk(qp, k + 2.0)
+        assert not searches
+        assert all(r.certified for r in recs)
+        near = [r.multiplicity for r in recs if abs(r.value - k) < 0.2]
+        assert near == ([2] if eps == 0.0 else [1, 1])
 
 
 class TestFindZerosInDisk:
@@ -302,6 +338,68 @@ class TestSharedEdges:
         recs = qz.find_zeros_in_disk(qp11, 40.0)
         assert len(recs) == 13 and all(r.certified for r in recs)
         assert len(calls) <= 4000
+
+    def test_fallback_work_bound(self, qp11, monkeypatch):
+        # the subdivision, forced by an empty enumeration, keeps the bound
+        # that the shared edges give it
+        monkeypatch.setattr(certify_mod, "_enumerate_cell", lambda *args: [])
+        segments = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
+        searches = _counting(monkeypatch, certify_mod, "_search_cells")
+        recs = qz.find_zeros_in_disk(qp11, 40.0)
+        assert len(recs) == 13 and all(r.certified for r in recs)
+        assert searches and len(segments) <= 4000
+
+
+class TestEnumeration:
+    """The disk search lists the zeros by Lambert-W branch and proves the
+    list with the outer square's one count; subdivision is the fallback."""
+
+    def _subdivision(self, qp, radius):
+        """The records of the subdivision search alone."""
+        segment = certify_mod._line_segment(qp)
+        cell, sides, report = certify_mod._outer_cell(qp, segment, radius)
+        found = []
+        certify_mod._search_cells(qp, segment, cell, sides, report.count, 1e-12, found)
+        found.sort(key=lambda r: (r.value.imag, r.value.real))
+        radii = zeros_mod.isolation_radii(found)
+        return [certify_mod.certify_record(qp, rec, r) for rec, r in zip(found, radii)
+                if abs(rec.value) <= radius]
+
+    def test_one_count_and_no_subdivision(self, qp11, monkeypatch):
+        segments = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
+        reports = _counting(monkeypatch, certify_mod, "_report")
+        searches = _counting(monkeypatch, certify_mod, "_search_cells")
+        recs = qz.find_zeros_in_disk(qp11, 40.0)
+        assert len(recs) == 13 and all(r.certified for r in recs)
+        assert not searches and len(reports) == 1
+        assert len(segments) <= 500
+
+    @pytest.mark.parametrize("k, a, radius", [(1, 1 + 0j, 40.0), (3, 2 + 1j, 20.0),
+                                              (2, 3 + 0j, 8.0)])
+    def test_matches_subdivision(self, k, a, radius):
+        qp = qz.QuasiPolynomial(k, a)
+        recs = qz.find_zeros_in_disk(qp, radius)
+        oracle = self._subdivision(qp, radius)
+        assert len(recs) == len(oracle)
+        for rec, want in zip(recs, oracle):
+            assert abs(rec.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
+            assert (rec.nu, rec.certified, rec.multiplicity) == (
+                want.nu, want.certified, want.multiplicity)
+            assert rec.isolation_radius == pytest.approx(want.isolation_radius, abs=1e-9)
+
+    @pytest.mark.parametrize("tamper", ["drop", "duplicate"])
+    def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
+        enumerate_cell = certify_mod._enumerate_cell
+
+        def broken(*args):
+            found = enumerate_cell(*args)
+            return found[1:] if tamper == "drop" else found + found[:1]
+
+        monkeypatch.setattr(certify_mod, "_enumerate_cell", broken)
+        searches = _counting(monkeypatch, certify_mod, "_search_cells")
+        recs = qz.find_zeros_in_disk(qp11, 10.0)
+        assert searches
+        assert recs == self._subdivision(qp11, 10.0)
 
 
 class TestCertifyCompleteness:

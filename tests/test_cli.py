@@ -305,6 +305,18 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["summary"]["c_hat"] > 0
 
+    @pytest.mark.parametrize("k, a", [("3", "1+0i"), ("2", "0+0.5i"), ("1", "-3+0i")])
+    def test_cdelta_window_zero_off_the_ladder(self, k, a):
+        # the default window holds a zero the index ladder does not list
+        # (6.31+5.21i for k=3, 3.40+6.94i for k=2); the disk search adds it.
+        # For k=1, A=-3 the disk's two real zeros, 0.89 apart, lie outside
+        # the window and stay out of the list, whose separation radius
+        # would otherwise fall below delta = 0.5
+        code, out, err = run_cli("bounds", "--k", k, "--a", a, "--which", "cdelta",
+                                 "--samples", "2000")
+        assert code == 0, err
+        assert json.loads(out)["summary"]["pass"] is True
+
     def test_cdelta_records_tol(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "cdelta", "--samples", "1000",

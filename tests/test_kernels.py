@@ -1,7 +1,8 @@
 """Kernel contract tests: splitmix64 (which derives the substream seeds) and
 the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
 ln|1 + t|, the contour segment sums against the same Gauss rule applied to
-direct f'/f, and the reported backend name."""
+direct f'/f, the Lambert-W kernel against scipy, and the reported backend
+name."""
 
 import cmath
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from quasizeros import _kernels_py as kp, bounds, core
 from quasizeros.certify import _GL_NODES, _GL_WEIGHTS
@@ -151,3 +153,54 @@ def test_arc_segment_sum_matches_direct_rule(k, a):
             [1j * ht * cmath.rect(radius, th) for th in angles])
         _assert_close(total, want)
         _assert_close(minmod, want_mod)
+
+
+BRANCHES = range(-50, 51)
+
+
+def _omega_points(k, a):
+    """z_j = -1/(k w_j) for the k roots w_j of w^k = -A: every zero of
+    e^l + A l^k is -k W_m(z_j) for one j and one branch m."""
+    qp = core.QuasiPolynomial(k, a)
+    return qp, [-1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+                for j in range(k)]
+
+
+def _w_error(z, m):
+    want = complex(lambertw(z, m))
+    return abs(kp.lambert_w(z, m) - want) / abs(want)
+
+
+def test_lambert_w_matches_scipy_at_seeded_points():
+    rng = random.Random(31)
+    for _ in range(60):
+        z = cmath.rect(10.0 ** rng.uniform(-8.0, 8.0), rng.uniform(-math.pi, math.pi))
+        assert max(_w_error(z, m) for m in BRANCHES) <= 1e-12, z
+
+
+@pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS + [(5, 1 + 0j), (10, 1 + 0j),
+                                                      (25, 1 + 0j)])
+def test_lambert_w_gives_the_zeros(k, a):
+    qp, points = _omega_points(k, a)
+    for z in points:
+        for m in BRANCHES:
+            assert _w_error(z, m) <= 1e-12, (z, m)
+            lam = -k * kp.lambert_w(z, m)
+            if abs(lam) <= 200.0:
+                assert core.relative_residual(qp, lam) <= 1e-13, (z, m)
+
+
+@pytest.mark.parametrize("offset", [1e-3, -1e-3, 1e-3j, -1e-3j, 1e-8, 1e-8j])
+def test_lambert_w_near_branch_point(offset):
+    # W's condition number near -1/e grows like 1/|p|, p = sqrt(2(e z + 1)):
+    # a rounding of z moves W by ~1e-16/|p| relative
+    z = -1.0 / math.e + offset
+    p = abs(cmath.sqrt(2.0 * (math.e * z + 1.0)))
+    assert max(_w_error(z, m) for m in BRANCHES) <= 1e-13 + 1e-15 / p
+
+
+def test_lambert_w_signed_zero_picks_the_cut_side():
+    # a real z left of -1/e on the cut: +0.0 is its upper side, -0.0 its lower
+    for z in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
+        for m in (-1, 0, 1):
+            assert _w_error(z, m) <= 1e-13, (z, m)
