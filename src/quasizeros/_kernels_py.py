@@ -170,14 +170,43 @@ def _derivative_cofactor(k, lam, expdom, t):
     return u, r, tmag, abs(u) < 1e-14 * scale
 
 
+def _second_derivative_cofactor(k, lam, expdom, t):
+    """f'' divided by the dominant term of f, from _cofactor's outputs:
+    1 + k(k-1) t / lam^2 when e^lam dominates, t + k(k-1) / lam^2
+    otherwise.  lam != 0."""
+    c = k * (k - 1) / (lam * lam)
+    return 1.0 + c * t if expdom else t + c
+
+
+def _exp_tail3(r):
+    """e^r - 1 - r - r^2/2 for r > 0, without cancellation: its series
+    sum_{j>=3} r^j / j! below r = 1, where the terms fall at least 4-fold
+    each, and the direct difference above, which loses under 3 bits."""
+    if r >= 1.0:
+        return math.expm1(r) - r - 0.5 * r * r
+    term = r * r * r / 6.0
+    total = term
+    j = 3
+    while term > 1e-17 * total:
+        j += 1
+        term *= r / j
+        total += term
+    return total
+
+
 def rouche_isolates(k, log_a, lam, radius):
     """True when Rouche's theorem proves exactly one zero of f in the open
     disk |l - lam| < radius.
 
-    With |h| = radius, f(z+h) = f(z) + f'(z) h + R(h) and
-      |R(h)| <= |e^z| (e^r - 1 - r) + |A| sum_{j=2..k} C(k,j) |z|^(k-j) r^j.
-    When |f(z)| + that bound < |f'(z)| r, f has as many zeros in the disk
-    as the linear part, which has exactly one.  Every term is divided by
+    With |h| = radius, f(z+h) = f(z) + f'(z) h + f''(z) h^2/2 + R(h) and
+      |R(h)| <= |e^z| (e^r - 1 - r - r^2/2)
+                + |A| sum_{j=3..k} C(k,j) |z|^(k-j) r^j.
+    When |f(z)| + |f''(z)| r^2/2 + that bound < |f'(z)| r, f has as many
+    zeros in the disk as the linear part, which has exactly one.  The
+    second-order term is exact, so it keeps the cancellation between e^z
+    and k(k-1) A z^(k-2) that makes a zero of a near-double pair provable
+    at its isolation radius; by the triangle inequality the bound is never
+    above the one with f'' bounded term by term.  Every term is divided by
     D = max(|e^z|, |A||z|^k), so nothing overflows; the polynomial sum is
     accumulated term by term from positive terms (never below its true
     value but for rounding), and the inequality must hold with a 1% margin.
@@ -189,20 +218,35 @@ def rouche_isolates(k, log_a, lam, radius):
     u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return False
-    # e^r - 1 - r; its rounding error (~eps * r) is far inside the margin
-    etail = math.expm1(radius) - radius
-    # sum_{j=2..k} C(k,j) rho^j with rho = r/|z|, term by term
+    s = _second_derivative_cofactor(k, lam, expdom, t)
+    etail = _exp_tail3(radius)
+    # sum_{j=3..k} C(k,j) rho^j with rho = r/|z|, term by term
     rho = radius / zabs
-    term = k * rho
+    term = 0.5 * k * (k - 1) * rho * rho
     poly = 0.0
-    for j in range(2, k + 1):
+    for j in range(3, k + 1):
         term *= rho * (k - j + 1) / j
         poly += term
     if expdom:
         remainder = etail + tmag * poly
     else:
         remainder = tmag * etail + poly
+    remainder += 0.5 * abs(s) * radius * radius
     return abs(1.0 + t) + remainder < 0.99 * abs(u) * radius
+
+
+def critical_step(k, log_a, lam):
+    """Newton step f'/f'' towards a critical point of f, in dominance-factored
+    form (both divided by the dominant term of f); None where f'' vanishes or
+    lam = 0."""
+    if lam == 0:
+        return None
+    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    u, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
+    s = _second_derivative_cofactor(k, lam, expdom, t)
+    if s == 0:
+        return None
+    return u / s
 
 
 def lambert_w(z, m=0):

@@ -276,10 +276,10 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
             certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi, -y_lo))]
 
 
-def _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros):
+def _completeness_window(qp, boxes, strip_zeros):
     """Verify the zero list covers the sampled strip window (both halves):
-    certify_completeness over each half-window's box."""
-    for half, box in zip((1, -1), _window_boxes(qp, h, r_cut, im_cap, delta)):
+    certify_completeness over each half-window's box (see _window_boxes)."""
+    for half, box in zip((1, -1), boxes):
         inside = [rec for rec in strip_zeros if box.contains(rec.value)]
         ok, detail = certify_mod.certify_completeness(qp, box, inside)
         if not ok:
@@ -295,21 +295,28 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
 
     Samples the S=1 strip with |Im l| <= im_cap and |l| >= R, rejecting
     points within delta of any listed zero.  delta must stay below the
-    separation radius of the list; the list must be certified and cover the
-    sampled window (checked by winding counts unless verify_completeness is
-    disabled).
+    separation radius of the listed zeros inside the sampled window's boxes
+    (_window_boxes); zeros outside them lie more than delta + 1 from every
+    sample and constrain nothing, and with fewer than two inside there is no
+    constraint.  The list must be certified and cover the sampled window
+    (checked by winding counts unless verify_completeness is disabled).
     """
     _check_strip(h, r_cut, delta, im_cap, sample_count)
     if not strip_zeros:
         raise IncompleteZeroListError("an empty zero list cannot cover the strip")
     if any(not rec.certified for rec in strip_zeros):
         raise IncompleteZeroListError("strip zeros must be certified")
-    sep = zeros_mod.separation_radius(strip_zeros)
-    if delta >= sep:
-        raise DeltaTooLargeError(
-            f"delta = {delta:g} is not below the separation radius {sep:g}")
+    boxes = _window_boxes(qp, h, r_cut, im_cap, delta)
+    windowed = [rec for rec in strip_zeros
+                if any(box.contains(rec.value) for box in boxes)]
+    if len(windowed) >= 2:
+        sep = zeros_mod.separation_radius(windowed)
+        if delta >= sep:
+            raise DeltaTooLargeError(
+                f"delta = {delta:g} is not below the separation radius {sep:g} "
+                f"of the zeros in the sampled window")
     if verify_completeness:
-        _completeness_window(qp, h, r_cut, im_cap, delta, strip_zeros)
+        _completeness_window(qp, boxes, strip_zeros)
     ordered = sorted(strip_zeros, key=lambda rec: rec.value.imag)
     zre = [rec.value.real for rec in ordered]
     zim = [rec.value.imag for rec in ordered]

@@ -14,23 +14,21 @@ in its bounding square ahead of time, l = -k W_m(-1/(k w_j)) over the roots
 w_j of w^k = -A and the branches m of Lambert W (Corless, Gonnet, Hare,
 Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), and proves the list with the
 square's one winding count: count-then-polish run in reverse (Kravanja &
-Van Barel, LNM 1727, 2000).  Recursive subdivision of the square (Delves &
-Lyness, Math. Comp. 21, 1967) runs only when the identity fails.
+Van Barel, LNM 1727, 2000).  When the identity fails the search raises
+SubdivisionStalledError.
 
-A contour piece keeps its Gauss sum and its two halves once computed, and a
+A contour piece keeps its Gauss sum and its two halves once computed, so a
+count retried at a tighter tolerance reuses every sum already taken, and a
 rectangle side is one piece in canonical direction (west to east, south to
-north), added or subtracted.  The subdivision passes each cell's four sides
-down the recursion: a child's outer sides are halves of its parent's, and
-each half-edge of the inner cross is shared by the two children that border
-it, so a split integrates only its new inner cross.  A piece's sum depends
-only on its end points, so every cell's report is the one a fresh
-winding_count on the same rectangle gives.
+north), added or subtracted.
 
 A certified record has exactly `multiplicity` zeros in the open disk
 |l - value| < isolation_radius.  For a simple zero this is proven by an
-O(k) Rouche disk test (f against its linear Taylor part, with a closed-form
-bound on the remainder; see _kernels_py.rouche_isolates); otherwise, or when
-that test does not succeed, by a winding count over the disk.
+O(k) Rouche disk test (f against its linear Taylor part, with the exact
+second-order term and a closed-form bound on the rest; see
+_kernels_py.rouche_isolates), which also proves each zero of a near-double
+pair at its own isolation radius; otherwise, or when that test does not
+succeed, by a winding count over the disk.
 """
 
 import cmath
@@ -139,7 +137,7 @@ class ContourReport:
     """Result of one winding-number computation.
 
     segments_used counts the Gauss sums the contour integral summed, whether
-    evaluated for it or reused from a piece shared with another contour;
+    evaluated in its last pass or reused from an earlier, looser one;
     SEGMENT_BUDGET bounds the same count.
     """
 
@@ -161,8 +159,7 @@ class _Budget:
 class _Piece:
     """A contour piece with parameters p0 -> p1 (complex end points for
     lines, angles for arcs).  Its Gauss sum and its two halves are computed
-    once, on first use, and kept: the sum depends only on the end points, so
-    every contour that runs along the piece, in either direction, reuses
+    once, on first use, and kept, so a pass at a tighter tolerance reuses
     them."""
 
     __slots__ = ("p0", "p1", "_sum", "_mod", "_halves")
@@ -212,14 +209,6 @@ def _adaptive(segment, piece, whole, tol, budget, depth):
             + _adaptive(segment, right, rsum, half_tol, budget, depth + 1))
 
 
-def _rect_sides(xmin, xmax, ymin, ymax):
-    """The four sides (south, east, north, west) of a rectangle, each a piece
-    in canonical direction: west to east, or south to north."""
-    sw, se = complex(xmin, ymin), complex(xmax, ymin)
-    nw, ne = complex(xmin, ymax), complex(xmax, ymax)
-    return (_Piece(sw, se), _Piece(se, ne), _Piece(nw, ne), _Piece(sw, nw))
-
-
 def _presplit(piece):
     """The piece bisected at exact midpoints into pieces whose parameter
     spans at most 2 * BASE_SEGMENT_LENGTH."""
@@ -229,10 +218,14 @@ def _presplit(piece):
     return _presplit(left) + _presplit(right)
 
 
-def _rect_parts(sides):
-    """(part, sign) for the counter-clockwise boundary of a rectangle given
-    by its four canonical sides."""
-    return list(zip(sides, (1, 1, -1, -1)))
+def _rect_parts(rect):
+    """(part, sign) for the counter-clockwise boundary of a rectangle: its
+    four sides (south, east, north, west), each a piece in canonical
+    direction (west to east, or south to north), added or subtracted."""
+    sw, ne = rect.corner_min, rect.corner_max
+    se, nw = complex(ne.real, sw.imag), complex(sw.real, ne.imag)
+    return [(_Piece(sw, se), 1), (_Piece(se, ne), 1), (_Piece(nw, ne), -1),
+            (_Piece(sw, nw), -1)]
 
 
 def _circle_parts(circle):
@@ -292,11 +285,6 @@ def _report(segment, parts, quadrature_tolerance):
     raise last_exc
 
 
-def _line_segment(qp):
-    # bound at call time, so a rebinding of the kernel (tracing) is seen
-    return partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
-
-
 def winding_count(qp, contour, quadrature_tolerance=QUADRATURE_TOLERANCE):
     """Number of zeros of f inside the contour, with multiplicity.
 
@@ -307,11 +295,10 @@ def winding_count(qp, contour, quadrature_tolerance=QUADRATURE_TOLERANCE):
     """
     if quadrature_tolerance <= 0:
         raise DomainError("quadrature tolerance must be positive")
+    # kernels bound at call time, so a rebinding of them (tracing) is seen
     if isinstance(contour, Rectangle):
-        a, c = contour.corner_min, contour.corner_max
-        return _report(_line_segment(qp),
-                       _rect_parts(_rect_sides(a.real, c.real, a.imag, c.imag)),
-                       quadrature_tolerance)
+        segment = partial(kernels.line_segment_logderiv, qp.k, qp.log_a)
+        return _report(segment, _rect_parts(contour), quadrature_tolerance)
     if isinstance(contour, Circle):
         segment = partial(kernels.arc_segment_logderiv, qp.k, qp.log_a,
                           contour.center, contour.radius)
@@ -387,63 +374,6 @@ def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
     return True
 
 
-def _split_cell(qp, segment, cell, sides, count):
-    """Split a cell into four children whose contours avoid zeros.
-
-    The split point starts at the midpoint and is nudged by multiples of
-    1e-3 * diameter when a child contour runs through a zero; children always
-    tile the parent exactly.  Child counts must add up to the parent count.
-    Returns (child cell, its four sides, its ContourReport) per child.
-
-    At the midpoint the children's outer sides are the halves of the parent's
-    sides; a nudged split builds fresh ones.  Each half-edge of the inner
-    cross is one piece, shared with opposite signs by the two children that
-    border it.
-    """
-    xmin, xmax, ymin, ymax = cell
-    diam = math.sqrt((xmax - xmin) ** 2 + (ymax - ymin) ** 2)
-    for j in range(9):
-        shift = ((j + 1) // 2) * (1 if j % 2 else -1) * 1e-3 * diam
-        xm = 0.5 * (xmin + xmax) + shift
-        ym = 0.5 * (ymin + ymax) + shift
-        if not (xmin < xm < xmax and ymin < ym < ymax):
-            continue
-        mid_s, mid_n = complex(xm, ymin), complex(xm, ymax)
-        mid_w, mid_e = complex(xmin, ym), complex(xmax, ym)
-        if not (_edge_clear(qp, mid_s, mid_n) and _edge_clear(qp, mid_w, mid_e)):
-            continue
-        if shift == 0:
-            south, east, north, west = (side.halves() for side in sides)
-        else:
-            sw, se = complex(xmin, ymin), complex(xmax, ymin)
-            nw, ne = complex(xmin, ymax), complex(xmax, ymax)
-            south = (_Piece(sw, mid_s), _Piece(mid_s, se))
-            east = (_Piece(se, mid_e), _Piece(mid_e, ne))
-            north = (_Piece(nw, mid_n), _Piece(mid_n, ne))
-            west = (_Piece(sw, mid_w), _Piece(mid_w, nw))
-        centre = complex(xm, ym)
-        cross_s, cross_n = _Piece(mid_s, centre), _Piece(centre, mid_n)
-        cross_w, cross_e = _Piece(mid_w, centre), _Piece(centre, mid_e)
-        children = (
-            ((xmin, xm, ymin, ym), (south[0], cross_s, cross_w, west[0])),
-            ((xm, xmax, ymin, ym), (south[1], east[0], cross_e, cross_s)),
-            ((xmin, xm, ym, ymax), (cross_w, cross_n, north[0], west[1])),
-            ((xm, xmax, ym, ymax), (cross_e, east[1], north[1], cross_n)),
-        )
-        try:
-            reports = [_report(segment, _rect_parts(child_sides), QUADRATURE_TOLERANCE)
-                       for _, child_sides in children]
-        except (ZeroOnContourError, QuadratureStalledError):
-            continue
-        if sum(rep.count for rep in reports) != count:
-            continue
-        return [(child, child_sides, rep)
-                for (child, child_sides), rep in zip(children, reports)]
-    raise SubdivisionStalledError(
-        f"could not split cell [{xmin:.4g},{xmax:.4g}]x[{ymin:.4g},{ymax:.4g}] "
-        "without hitting a zero")
-
-
 def _polish(qp, seed, cell, tolerance):
     """Newton from the seed; the zero it reaches must lie strictly inside
     the cell (xmin, xmax, ymin, ymax).  Labelled by disk_zero_index."""
@@ -461,20 +391,28 @@ def _double_zero(qp, region, seed):
 
     The critical point it converges to must lie inside the region (a Circle
     or Rectangle whose count of 2 the caller has read) and be a zero of f to
-    relative residual below 1e-10.
+    relative residual below 1e-10.  Newton on f' takes the step f'/f'' in
+    dominance-factored form (kernels.critical_step), so it holds beyond the
+    direct range; it stops once the step is below 1e-14 * max(1, |l|) or no
+    longer shrinks, where rounding has taken over.
     """
     lam = complex(seed)
+    last = math.inf
     for _ in range(80):
-        d1 = core.derivative(qp, lam)
-        d2 = core.second_derivative(qp, lam)
-        if d2 == 0:
+        step = kernels.critical_step(qp.k, qp.log_a, lam)
+        if step is None:
             return None
-        step = d1 / d2
+        size = abs(step)
+        if size >= last:
+            break
         lam -= step
-        if abs(step) < 1e-14 * max(1.0, abs(lam)):
-            if region.contains(lam) and core.relative_residual(qp, lam) < 1e-10:
-                return lam
-            return None
+        if size < 1e-14 * max(1.0, abs(lam)):
+            break
+        last = size
+    else:
+        return None
+    if region.contains(lam) and core.relative_residual(qp, lam) < 1e-10:
+        return lam
     return None
 
 
@@ -488,43 +426,9 @@ def _double_zero_record(qp, region, seed):
                                 seed=c, iterations=0, multiplicity=2)
 
 
-def _search_cells(qp, segment, cell, sides, count, tolerance, out, depth=0):
-    xmin, xmax, ymin, ymax = cell
-    if count == 0:
-        return
-    if depth > 60:
-        raise SubdivisionStalledError("subdivision recursion limit reached")
-    diam = math.sqrt((xmax - xmin) ** 2 + (ymax - ymin) ** 2)
-    if count == 1 and diam < 0.5:
-        try:
-            out.append(_polish(qp, complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)),
-                               cell, tolerance))
-            return
-        except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError):
-            pass  # fall through to further subdivision
-    if count == 2 and diam < 0.5:
-        # a genuine double zero sits at a critical point and cannot be split
-        # off (clearance around it decays quadratically); try that reading
-        # first and only keep subdividing for a separable close pair.  The
-        # cell's count of 2 makes a zero of f and f' inside it its only zero.
-        rec = _double_zero_record(
-            qp, Rectangle(complex(xmin, ymin), complex(xmax, ymax)),
-            complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax)))
-        if rec is not None:
-            out.append(rec)
-            return
-    if count > 2 and diam < 0.01:
-        raise SubdivisionStalledError(
-            f"count {count} in a cell of diameter {diam:.3g}: multiplicity above "
-            "2 is impossible for this family, aborting")
-    for child, child_sides, report in _split_cell(qp, segment, cell, sides, count):
-        _search_cells(qp, segment, child, child_sides, report.count, tolerance,
-                      out, depth + 1)
-
-
-def _outer_cell(qp, segment, radius):
+def _outer_cell(qp, radius):
     """The disk search's bounding square, a little wider than the disk and
-    placed off the zero set: (cell, its four sides, its ContourReport).
+    placed off the zero set: (cell, its ContourReport).
 
     Only a zero on the square moves it; a QuadratureStalledError (a side
     over the segment budget, or an integral that will not settle) would
@@ -537,10 +441,8 @@ def _outer_cell(qp, segment, radius):
         if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4])
                    for i in range(4)):
             continue
-        sides = _rect_sides(*cell)
         try:
-            report = _report(segment, _rect_parts(sides), QUADRATURE_TOLERANCE)
-            return cell, sides, report
+            return cell, winding_count(qp, Rectangle(corners[0], corners[2]))
         except ZeroOnContourError:
             continue
     raise SubdivisionStalledError(
@@ -602,28 +504,22 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     count.  The zeros inside it are enumerated by their Lambert-W branches
     (_enumerate_cell) and certified at their isolation radii; when their
     multiplicities add up to the square's count and every record certifies
-    (the count identity, see _count_identity), the list is complete.  Only
-    when the identity fails does the search fall back to recursive
-    subdivision of the same square, reusing its count and side sums: cells
-    with winding count 0 are dropped, count-1 cells small enough are
-    polished by Newton from the center, and persistent count-2 cells are
-    resolved as double zeros.  Cell boundaries that hit zeros are nudged
-    deterministically and retried.  Each record lies strictly inside its own
-    leaf cell, and leaf cells are disjoint, so no zero is found twice.
+    (the count identity, see _count_identity), the list is complete.  When
+    the identity fails, SubdivisionStalledError names the count, the listed
+    multiplicity sum and the records that did not certify.
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
-    segment = _line_segment(qp)
-    outer, sides, outer_report = _outer_cell(qp, segment, radius)
+    outer, outer_report = _outer_cell(qp, radius)
     found = sorted(_enumerate_cell(qp, outer, tolerance), key=_im_order)
-    ok, records, _failures = _count_identity(
+    ok, records, failures = _count_identity(
         qp, outer_report.count, found, zeros_mod.isolation_radii(found))
     if not ok:
-        found = []
-        _search_cells(qp, segment, outer, sides, outer_report.count, tolerance, found)
-        found.sort(key=_im_order)
-        records = [certify_record(qp, rec, r)
-                   for rec, r in zip(found, zeros_mod.isolation_radii(found))]
+        listed = sum(rec.multiplicity for rec in found)
+        raise SubdivisionStalledError(
+            f"the square's winding count is {outer_report.count}, the listed "
+            f"multiplicities add up to {listed}, and the uncertified records "
+            f"are [{', '.join(f'{rec.value:.12g}' for rec in failures)}]")
     return [rec for rec in records if abs(rec.value) <= radius]
 
 

@@ -311,7 +311,7 @@ def _cmd_bounds(args):
         # supplies them, and the completeness check stays the arbiter.  Only
         # zeros in the sampled window are added: a list missing one of those
         # failed that check anyway, and the others lie beyond delta of every
-        # sample, where they would only shrink the separation radius.
+        # sample.
         boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
         disk = certify_mod.find_zeros_in_disk(
             qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)

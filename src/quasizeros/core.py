@@ -103,16 +103,6 @@ def derivative(qp, lam):
     return cmath.exp(lam) + qp.k * qp.a * lam ** (qp.k - 1)
 
 
-def second_derivative(qp, lam):
-    """f''(l) = e^l + k(k-1)*A*l^(k-2) (direct range only)."""
-    lam = _check_direct_range(qp, lam)
-    if qp.k == 1:
-        return cmath.exp(lam)
-    if qp.k == 2:
-        return cmath.exp(lam) + 2 * qp.a
-    return cmath.exp(lam) + qp.k * (qp.k - 1) * qp.a * lam ** (qp.k - 2)
-
-
 def evaluate_scaled(qp, lam):
     """log|f| and arg f with the dominant term factored out.
 

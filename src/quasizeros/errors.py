@@ -67,7 +67,10 @@ class QuadratureStalledError(NumericalError):
 
 
 class SubdivisionStalledError(NumericalError):
-    """Recursive zero search exhausted its retry or depth budget."""
+    """The disk search could not prove its zero list: no bounding square
+    clear of the zero set was found, or the square's winding count differs
+    from the listed multiplicities, or a listed record did not certify.  The
+    name stays for the CLI's error type string."""
 
 
 class RecordOutsideContourError(DomainError):

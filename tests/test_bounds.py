@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
 import quasizeros as qz
-from quasizeros import _kernels_py as kp, bounds
+from quasizeros import _kernels_py as kp, bounds, cli
 from quasizeros.errors import (
     DeltaTooLargeError,
     DomainError,
@@ -274,6 +275,30 @@ class TestCDelta:
         strip = _strip_zeros(qp11, 8)
         with pytest.raises(DeltaTooLargeError):
             qz.estimate_C_delta(qp11, 2.0, 10.0, 4.0, 1000, 1, strip,
+                                im_cap=2 * math.pi * 5.5)
+
+    def test_zeros_outside_the_window_do_not_constrain_delta(self, capsys):
+        # k=1, A=-3: two real zeros 0.89 apart near the origin, 8 or more
+        # from any sample at R=10.  The ladder plus every disk zero the CLI
+        # searches (|l| <= R + h + 2 pi k) gives the c_hat of the CLI's
+        # window-filtered list.
+        qp = qz.QuasiPolynomial(1, -3 + 0j)
+        strip = qz.zeros_in_index_range(qp, -63, 63, 1e-12)
+        disk = qz.find_zeros_in_disk(qp, 10.0 + 2.0 + 2.0 * math.pi)
+        strip += [rec for rec in disk
+                  if all(abs(rec.value - r.value) >= 1e-6 for r in strip)]
+        assert qz.separation_radius(strip) < 0.5
+        est = qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 2000, 1, strip)
+        assert cli.main(["bounds", "--k", "1", "--a", "-3+0i", "--which", "cdelta",
+                         "--samples", "2000", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["c_hat"] == est.c_hat
+
+    def test_close_pair_inside_the_window_refused(self, qp11):
+        strip = _strip_zeros(qp11, 8)
+        inside = next(rec for rec in strip if rec.nu == 3)
+        crowded = strip + [dataclasses.replace(inside, value=inside.value + 0.6)]
+        with pytest.raises(DeltaTooLargeError, match="separation radius 0.3 "):
+            qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, crowded,
                                 im_cap=2 * math.pi * 5.5)
 
     def test_incomplete_list_detected(self, qp11):

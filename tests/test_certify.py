@@ -159,27 +159,27 @@ class TestMultiplicity:
         mid = 0.5 * (doubles[0].value + doubles[1].value)
         assert abs(mid - k) < 0.01
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-4])
+    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, -1e-9, 1e-10, 1e-11, 1e-6, 1e-4])
     def test_near_double_disks(self, k, eps, monkeypatch):
         # A = -e^k/k^k (1 + eps): a double zero at l = k for eps = 0, else a
-        # pair about 2k sqrt(2 eps/k) apart.  The branch point is read from
+        # pair about 2k sqrt(2 |eps|/k) apart.  The branch point is read from
         # z = -1/(k w_j), so the rounded eps = 0 case is one double zero
-        # although W_0 and W_-1 polish to two values there.
+        # although W_0 and W_-1 polish to two values there.  The exact f''
+        # term of the Rouche test proves each zero of a pair at its own
+        # isolation radius, down to eps = 1e-11 (pairs ~1e-5 apart).
         qp = qz.QuasiPolynomial(k, complex(-math.exp(k) / k ** k * (1 + eps), 0))
-        searches = _counting(monkeypatch, certify_mod, "_search_cells")
-        if eps == 1e-9 and k > 1:
-            # the pair is too close for the Rouche bound and for a circle
-            # count clear of both zeros, so the search falls back to
-            # subdivision, which cannot split it either
-            with pytest.raises(SubdivisionStalledError):
-                qz.find_zeros_in_disk(qp, k + 2.0)
-            return
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
         recs = qz.find_zeros_in_disk(qp, k + 2.0)
-        assert not searches
         assert all(r.certified for r in recs)
         near = [r.multiplicity for r in recs if abs(r.value - k) < 0.2]
         assert near == ([2] if eps == 0.0 else [1, 1])
+        # one count of the square and no cells; near l = k only a double
+        # zero takes a circle count, the pair's zeros certify by Rouche
+        contours = [args[1] for args in counts]
+        assert sum(isinstance(c, qz.Rectangle) for c in contours) == 1
+        assert sum(isinstance(c, qz.Circle) and abs(c.center - k) < 0.2
+                   for c in contours) == near.count(2)
 
 
 class TestFindZerosInDisk:
@@ -281,52 +281,17 @@ class TestFindZerosInDisk:
 
 
 class TestSharedEdges:
-    """Cells reuse their parent's half-sides and share the inner cross; the
-    numbers must be those of a fresh winding count on the same rectangle."""
+    """A contour piece keeps its Gauss sum; the disk search's square count
+    must be the one a fresh winding count on the same rectangle gives."""
 
-    def _same(self, report, cell, qp):
-        xmin, xmax, ymin, ymax = cell
-        fresh = qz.winding_count(qp, qz.Rectangle(complex(xmin, ymin), complex(xmax, ymax)))
-        assert report.count == fresh.count
-        assert report.raw_integral == fresh.raw_integral
-        assert report.min_scaled_modulus == fresh.min_scaled_modulus
-        assert report.segments_used == fresh.segments_used
-
-    def test_child_reports_match_fresh_winding_count(self, qp11):
-        segment = certify_mod._line_segment(qp11)
-        cell, sides, report = certify_mod._outer_cell(qp11, segment, 40.0)
-        self._same(report, cell, qp11)
-        level = [(cell, sides, report)]
-        checked = 0
-        for _ in range(2):
-            children = []
-            for cell, sides, report in level:
-                if report.count:
-                    children += certify_mod._split_cell(qp11, segment, cell, sides,
-                                                        report.count)
-            for child, _sides, child_report in children:
-                self._same(child_report, child, qp11)
-                checked += 1
-            level = children
-        assert checked == 16  # 4 children, 3 of which hold zeros and split again
-
-    def test_nudged_split_matches_fresh_winding_count(self, qp11, monkeypatch):
-        # refusing the midpoint's inner cross forces the first nudged split,
-        # whose outer sides are built fresh
-        segment = certify_mod._line_segment(qp11)
-        cell, sides, report = certify_mod._outer_cell(qp11, segment, 10.0)
-        clear = certify_mod._edge_clear
-        midpoint = 0.5 * (cell[0] + cell[1])
-        monkeypatch.setattr(certify_mod, "_edge_clear", lambda qp, z0, z1: (
-            z0.real != midpoint and clear(qp, z0, z1)))
-        children = certify_mod._split_cell(qp11, segment, cell, sides, report.count)
-        assert children[0][0][1] != midpoint
-        for child, _sides, child_report in children:
-            self._same(child_report, child, qp11)
+    def test_outer_square_report_matches_fresh_winding_count(self, qp11):
+        (xmin, xmax, ymin, ymax), report = certify_mod._outer_cell(qp11, 40.0)
+        fresh = qz.winding_count(qp11, qz.Rectangle(complex(xmin, ymin),
+                                                    complex(xmax, ymax)))
+        assert report == fresh
 
     def test_disk_search_work_bound(self, qp11, monkeypatch):
-        # each split integrates only its new inner cross: r=40 took 9,579
-        # line-segment sums when every child was integrated from scratch
+        # the square's one count and the record certificates
         kernel = certify_mod.kernels.line_segment_logderiv
         calls = []
 
@@ -339,56 +304,66 @@ class TestSharedEdges:
         assert len(recs) == 13 and all(r.certified for r in recs)
         assert len(calls) <= 4000
 
-    def test_fallback_work_bound(self, qp11, monkeypatch):
-        # the subdivision, forced by an empty enumeration, keeps the bound
-        # that the shared edges give it
-        monkeypatch.setattr(certify_mod, "_enumerate_cell", lambda *args: [])
-        segments = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
-        searches = _counting(monkeypatch, certify_mod, "_search_cells")
-        recs = qz.find_zeros_in_disk(qp11, 40.0)
-        assert len(recs) == 13 and all(r.certified for r in recs)
-        assert searches and len(segments) <= 4000
+
+def _lambert_oracle(qp, radius):
+    """The zeros with |l| <= radius from scipy: -k W_m(z_j) over the roots
+    w_j of w^k = -A, z_j = -1/(k w_j), as (value, multiplicity), the two
+    values of a double zero merged.  |Im W_m| > 2 (|m| - 1) pi for |m| >= 2
+    (Corless et al.), so |m| <= radius / (2 pi k) + 1 covers the disk."""
+    k = qp.k
+    top = int(radius / (2.0 * math.pi * k)) + 2
+    out = []
+    for j in range(k):
+        z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+        for m in range(-top, top + 1):
+            lam = -k * complex(lambertw(z, m))
+            if abs(lam) > radius:
+                continue
+            twin = [i for i, (v, _) in enumerate(out) if abs(v - lam) < 1e-6]
+            if twin:
+                out[twin[0]] = (out[twin[0]][0], 2)
+            else:
+                out.append((lam, 1))
+    return out
 
 
 class TestEnumeration:
     """The disk search lists the zeros by Lambert-W branch and proves the
-    list with the outer square's one count; subdivision is the fallback."""
-
-    def _subdivision(self, qp, radius):
-        """The records of the subdivision search alone."""
-        segment = certify_mod._line_segment(qp)
-        cell, sides, report = certify_mod._outer_cell(qp, segment, radius)
-        found = []
-        certify_mod._search_cells(qp, segment, cell, sides, report.count, 1e-12, found)
-        found.sort(key=lambda r: (r.value.imag, r.value.real))
-        radii = zeros_mod.isolation_radii(found)
-        return [certify_mod.certify_record(qp, rec, r) for rec, r in zip(found, radii)
-                if abs(rec.value) <= radius]
+    list with the outer square's one count; a list that fails the count
+    identity raises SubdivisionStalledError."""
 
     def test_one_count_and_no_subdivision(self, qp11, monkeypatch):
         segments = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
         reports = _counting(monkeypatch, certify_mod, "_report")
-        searches = _counting(monkeypatch, certify_mod, "_search_cells")
         recs = qz.find_zeros_in_disk(qp11, 40.0)
         assert len(recs) == 13 and all(r.certified for r in recs)
-        assert not searches and len(reports) == 1
+        assert len(reports) == 1
         assert len(segments) <= 500
 
     @pytest.mark.parametrize("k, a, radius", [(1, 1 + 0j, 40.0), (3, 2 + 1j, 20.0),
                                               (2, 3 + 0j, 8.0)])
     def test_matches_subdivision(self, k, a, radius):
+        # the oracle, scipy's Lambert W with a fresh winding count, matched
+        # the recursive subdivision that it replaced on 111 disks
         qp = qz.QuasiPolynomial(k, a)
         recs = qz.find_zeros_in_disk(qp, radius)
-        oracle = self._subdivision(qp, radius)
+        oracle = _lambert_oracle(qp, radius)
+        assert qz.winding_count(qp, qz.Circle(0j, radius)).count == sum(
+            mult for _, mult in oracle)
         assert len(recs) == len(oracle)
-        for rec, want in zip(recs, oracle):
-            assert abs(rec.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
-            assert (rec.nu, rec.certified, rec.multiplicity) == (
-                want.nu, want.certified, want.multiplicity)
-            assert rec.isolation_radius == pytest.approx(want.isolation_radius, abs=1e-9)
+        radii = zeros_mod.isolation_radii(
+            [qz.ZeroRecord(None, v, 0.0, v, 0) for v, _ in oracle])
+        for (want, mult), radius_want in zip(oracle, radii):
+            rec = min(recs, key=lambda r: abs(r.value - want))
+            assert abs(rec.value - want) <= 1e-12 * max(1.0, abs(want))
+            assert rec.nu == zeros_mod.disk_zero_index(qp, want)
+            assert rec.certified and rec.multiplicity == mult
+            assert rec.isolation_radius == pytest.approx(radius_want, abs=1e-9)
 
     @pytest.mark.parametrize("tamper", ["drop", "duplicate"])
     def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
+        # a list that fails the count identity stops the search, naming the
+        # count and the listed sum
         enumerate_cell = certify_mod._enumerate_cell
 
         def broken(*args):
@@ -396,10 +371,10 @@ class TestEnumeration:
             return found[1:] if tamper == "drop" else found + found[:1]
 
         monkeypatch.setattr(certify_mod, "_enumerate_cell", broken)
-        searches = _counting(monkeypatch, certify_mod, "_search_cells")
-        recs = qz.find_zeros_in_disk(qp11, 10.0)
-        assert searches
-        assert recs == self._subdivision(qp11, 10.0)
+        listed = 2 if tamper == "drop" else 4
+        with pytest.raises(SubdivisionStalledError,
+                           match=f"count is 3, the listed multiplicities add up to {listed}"):
+            qz.find_zeros_in_disk(qp11, 10.0)
 
 
 class TestCertifyCompleteness:
@@ -507,6 +482,28 @@ class TestRoucheDiskTest:
         checked = qz.certify_record(qp, rec, 0.2)
         assert checked.certified
         assert checked.multiplicity == 2
+
+    def test_double_zero_beyond_direct_range(self):
+        # A = -e^150/150^150: k ln|l| = 752 at the double zero l = 150, past
+        # the direct range, so its reading takes Newton on f' in scaled form
+        qp = qz.QuasiPolynomial(150, complex(-math.exp(150.0 - 150.0 * math.log(150.0)), 0))
+        rec = qz.ZeroRecord(nu=None, value=150 + 0j, residual=0.0, seed=150 + 0j,
+                            iterations=0)
+        checked = qz.certify_record(qp, rec, 0.2)
+        assert checked.certified and checked.multiplicity == 2
+        assert abs(checked.value - 150) < 1e-8
+
+    @pytest.mark.parametrize("k", [37, 41, 150])
+    def test_double_zero_reading_stops_at_rounding(self, k):
+        # near l = k Newton on f' ends in steps that cycle around
+        # 1e-14 |l| at rounding level; the reading stops once they no
+        # longer shrink instead of running out of iterations
+        qp = qz.QuasiPolynomial(k, complex(-math.exp(k - k * math.log(k)), 0))
+        rng = random.Random(k)
+        for _ in range(10):
+            seed = complex(k + rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            c = certify_mod._double_zero(qp, qz.Circle(complex(k, 0), 0.5), seed)
+            assert c is not None and abs(c - k) < 1e-8 * k, seed
 
     def test_stale_value_refused_before_fast_test(self, qp11):
         rec = qz.zeros_in_index_range(qp11, 5, 5, 1e-12, certify=False)[0]

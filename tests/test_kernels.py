@@ -1,10 +1,12 @@
 """Kernel contract tests: splitmix64 (which derives the substream seeds) and
 the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
 ln|1 + t|, the contour segment sums against the same Gauss rule applied to
-direct f'/f, the Lambert-W kernel against scipy, and the reported backend
-name."""
+direct f'/f, the Lambert-W kernel against scipy, the Rouche disk test
+against its first-order predecessor and at (near-)double zeros, and the
+reported backend name."""
 
 import cmath
+import decimal
 import math
 import random
 import types
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
-from quasizeros import _kernels_py as kp, bounds, core
+from quasizeros import _kernels_py as kp, bounds, core, zeros as zeros_mod
 from quasizeros.certify import _GL_NODES, _GL_WEIGHTS
 from quasizeros._backend import backend_name
 
@@ -204,3 +206,85 @@ def test_lambert_w_signed_zero_picks_the_cut_side():
     for z in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
         for m in (-1, 0, 1):
             assert _w_error(z, m) <= 1e-13, (z, m)
+
+
+def _first_order_isolates(k, log_a, lam, radius):
+    """The Rouche test with f'' bounded term by term, as it stood before the
+    exact second-order term: the reference the new test must never refuse
+    where this one accepts."""
+    expdom, t, _loglam = kp._cofactor(k, log_a, lam)
+    u, zabs, tmag, vanishes = kp._derivative_cofactor(k, lam, expdom, t)
+    if vanishes:
+        return False
+    etail = math.expm1(radius) - radius
+    rho = radius / zabs
+    term = k * rho
+    poly = 0.0
+    for j in range(2, k + 1):
+        term *= rho * (k - j + 1) / j
+        poly += term
+    remainder = etail + tmag * poly if expdom else tmag * etail + poly
+    return abs(1.0 + t) + remainder < 0.99 * abs(u) * radius
+
+
+def _pair(k, eps):
+    """The two zeros near l = k for A = -e^k/k^k (1 + eps): W_0 and W_-1 at
+    z = -1/(e (1 + eps)^(1/k)), Newton-polished."""
+    qp = core.QuasiPolynomial(k, complex(-math.exp(k) / k ** k * (1 + eps), 0))
+    z = complex(-1.0 / (math.e * (1 + eps) ** (1.0 / k)), 0.0)
+    return qp, [zeros_mod.newton_refine(qp, -k * kp.lambert_w(z, m), 1e-12).value
+                for m in (0, -1)]
+
+
+def test_rouche_never_refuses_what_the_first_order_test_proves():
+    rng = random.Random(12)
+    agreed = 0
+    for _ in range(2000):
+        k = rng.randint(1, 25)
+        qp = core.QuasiPolynomial(k, cmath.rect(10.0 ** rng.uniform(-3, 3),
+                                                rng.uniform(-math.pi, math.pi)))
+        z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * rng.randrange(k) + 1)))
+                                  / k))
+        lam = -k * kp.lambert_w(z, rng.randint(-5, 5))
+        lam += cmath.rect(10.0 ** rng.uniform(-8, -1), rng.uniform(-math.pi, math.pi))
+        r = 10.0 ** rng.uniform(-6, 0)
+        if _first_order_isolates(k, qp.log_a, lam, r):
+            agreed += 1
+            assert kp.rouche_isolates(k, qp.log_a, lam, r), (k, qp.a, lam, r)
+    assert agreed > 500
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("delta", [1e-3, 1e-6])
+def test_rouche_refuses_double_zero(k, delta):
+    # a disk around k + delta holds the double zero at l = k (r > delta) or
+    # no zero at all: either way never exactly one
+    qp = core.QuasiPolynomial(k, complex(-math.exp(k) / k ** k, 0))
+    for r in (10.0 ** e for e in range(-9, 2)):
+        for r_scaled in (r, 0.5 * r, 3.0 * r):
+            assert not kp.rouche_isolates(k, qp.log_a, complex(k + delta, 0), r_scaled)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("eps", [1e-9, -1e-9])
+def test_rouche_isolates_near_double_pair(k, eps):
+    # each zero at its isolation radius, half the pair's distance; the
+    # term-by-term bound on f'' cannot prove either
+    qp, pair = _pair(k, eps)
+    radius = 0.5 * abs(pair[0] - pair[1])
+    assert 1e-5 < radius < 1e-3
+    for lam in pair:
+        assert kp.rouche_isolates(k, qp.log_a, lam, radius)
+        assert not _first_order_isolates(k, qp.log_a, lam, radius)
+
+
+def test_exp_tail_matches_decimal():
+    decimal.getcontext().prec = 60
+    rng = random.Random(3)
+    radii = [1e-8, 1e-4, 0.1, 0.5, math.nextafter(1.0, 0.0), 1.0]
+    radii += [10.0 ** rng.uniform(-8, 0) for _ in range(300)]
+    for r in radii:
+        d = decimal.Decimal(r)
+        want = d.exp() - 1 - d - d * d / 2
+        got = decimal.Decimal(kp._exp_tail3(r))
+        assert abs(got - want) <= decimal.Decimal("1e-12") * want, r
