@@ -4,17 +4,22 @@ exhaustive zero search in a disk, and completeness checks.
 The winding count (1/2*pi*i) * contour integral of f'/f is computed by
 per-segment Gauss quadrature with adaptive bisection; the integrand is
 evaluated in dominance-factored form so contours with |Re l| in the
-hundreds are safe.  The disk search and the completeness of an enumeration
-over a window reduce to integer winding counts.
+hundreds are safe.
 
-Both rest on one count identity (_count_identity): a contour's winding count
-equals the sum of the multiplicities of the records inside it, and every
-record certifies at its isolation radius.  The disk search lists the zeros
-in its bounding square ahead of time, l = -k W_m(-1/(k w_j)) over the roots
-w_j of w^k = -A and the branches m of Lambert W (Corless, Gonnet, Hare,
-Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), and proves the list with the
-square's one winding count: count-then-polish run in reverse (Kravanja &
-Van Barel, LNM 1727, 2000).  When the identity fails the search raises
+The disk search and the completeness of an enumeration over a rectangle
+rest on two proofs of the number of zeros in a region, and on one count
+identity (_count_identity): that number equals the sum of the
+multiplicities of the records inside, and every record certifies at its
+isolation radius.  Every zero is l = -k W_m(z_j), z_j = -1/(k w_j), for
+exactly one root w_j of w^k = -A and one branch m of Lambert W (Corless,
+Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996).  The branch
+proof (_branch_zeros) walks the (j, m) a rectangle can hold and proves, in
+closed form, that each value is the zero of its own (j, m) and lies inside
+or outside; the number inside follows with no contour integral.  Where a
+value is undecided (a z_j at the branch point -1/e or on the cut, a failed
+polish, a value within about 1e-8 |l| of the edge) the rectangle gets one
+winding count instead: count-then-polish run in reverse (Kravanja & Van
+Barel, LNM 1727, 2000).  When the identity fails the disk search raises
 SubdivisionStalledError.
 
 A contour piece keeps its Gauss sum and its two halves once computed, so a
@@ -89,6 +94,18 @@ ACCEPT_FLOOR = 1e-7
 #: -1/e, where W_0 and its partner branch meet in a double zero; a float A =
 #: -e^k/k^k lands ~1e-16 from it, and A = -e^k/k^k (1 + eps) lands ~eps/k
 BRANCH_POINT_DISTANCE = 1e-12
+
+#: the closed-form count isolates each Lambert-W value l in a Rouche disk of
+#: radius BRANCH_DISK * max(1, |l|) (see _proven_side)
+BRANCH_DISK = 1e-8
+
+#: the root, branch and side tests of _proven_side run on the Rouche disk
+#: widened by this factor, a margin of 1e-12 * max(1, |l|).  Their closed
+#: forms lose a few ulps of |l| (about 1e-13 absolute in the reduced angle
+#: Im l / k for |l| near 1e3), so the margin covers rounding by orders of
+#: magnitude, as the Rouche test's 1% margin does, until one error model
+#: bounds both
+BRANCH_WIDENING = 1.0001
 
 #: adaptive bisection depth cap (the modulus check catches on-contour zeros
 #: long before segments get this short)
@@ -426,16 +443,23 @@ def _double_zero_record(qp, region, seed):
                                 seed=c, iterations=0, multiplicity=2)
 
 
+def _square(radius, attempt):
+    """The disk search's bounding square (xmin, xmax, ymin, ymax), wider
+    than the disk by radius * 1e-3 * (attempt + 1) on each side."""
+    m = radius * 1e-3 * (attempt + 1)
+    return (-radius - m, radius + m, -radius - m, radius + m)
+
+
 def _outer_cell(qp, radius):
-    """The disk search's bounding square, a little wider than the disk and
-    placed off the zero set: (cell, its ContourReport).
+    """The disk search's bounding square, placed off the zero set, with its
+    winding count: (cell, its ContourReport).  The fallback of the
+    closed-form count.
 
     Only a zero on the square moves it; a QuadratureStalledError (a side
     over the segment budget, or an integral that will not settle) would
     recur on every wider square, so it propagates at once."""
     for attempt in range(9):
-        m = radius * 1e-3 * (attempt + 1)
-        cell = (-radius - m, radius + m, -radius - m, radius + m)
+        cell = _square(radius, attempt)
         corners = (complex(cell[0], cell[2]), complex(cell[1], cell[2]),
                    complex(cell[1], cell[3]), complex(cell[0], cell[3]))
         if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4])
@@ -449,75 +473,187 @@ def _outer_cell(qp, radius):
         "could not place the outer square off the zero set")
 
 
-def _enumerate_cell(qp, cell, tolerance):
-    """The zeros -k W_m(-1/(k w_j)) of f inside the square cell, centred on
-    the origin: one record per zero, Newton-polished from its Lambert-W
-    value and labelled by disk_zero_index.
+def _branch_of(w, eps):
+    """The branch m of Lambert W whose range holds the whole disk
+    |v - w| < eps, or None when a boundary of the ranges may cross it.
+
+    The ranges are bounded by the curves x = x_c(y) = -y cot y on the
+    strips |y| < pi and 2n pi < |y| < (2n + 1) pi, and by the half-line
+    y = 0, x <= -1 that the curve on |y| < pi meets (Corless, Gonnet, Hare,
+    Jeffrey & Knuth, Adv. Comput. Math. 5, 1996).  For y > 0 a point right
+    of the curve on strip n has branch n; left of it, or in the curve-free
+    strip above it, branch n + 1.  The lower half-plane is the mirror image
+    with the sign of m flipped.  x_c is even and increases with |y| on each
+    strip, so testing the disk's x-range against x_c at the two ends of its
+    |y|-range clears it of the curve; a disk that reaches a strip's edge is
+    refused.
+    """
+    x, y = w.real, w.imag
+    lo, hi = abs(y) - eps, abs(y) + eps
+    if lo <= 0.0:
+        # across the real axis only branch 0's range holds the disk: right
+        # of the curve on |y| < pi, which also clears the half-line
+        if hi < math.pi and x - eps > -hi / math.tan(hi):
+            return 0
+        return None
+    n = math.floor(lo / math.pi)
+    if hi >= (n + 1) * math.pi:
+        return None
+    if n % 2:
+        branch = (n + 1) // 2
+    elif x - eps > -hi / math.tan(hi):
+        branch = n // 2
+    elif x + eps < -lo / math.tan(lo):
+        branch = n // 2 + 1
+    else:
+        return None
+    return branch if y > 0 else -branch
+
+
+def _root_index_holds(k, log_a, lam, j, rho):
+    """True when every l in the disk |l - lam| < rho has arg(e^(l/k) / l)
+    within pi/k of arg w_j = (arg A + pi (2j + 1)) / k: a zero of f there
+    then solves e^(l/k) = w_j l for this root w_j of w^k = -A, since the
+    roots lie 2 pi / k apart in argument.  Over the disk Im l / k moves by
+    less than rho / k and arg l by at most asin(rho / |lam|)."""
+    r = abs(lam)
+    if not rho < r:
+        return False
+    d = kernels.wrap_angle(lam.imag / k - cmath.phase(lam)
+                           - (log_a.imag + math.pi * (2 * j + 1)) / k)
+    return abs(d) + rho / k + math.asin(rho / r) < math.pi / k
+
+
+def _disk_side(cell, lam, rho):
+    """True when the disk |l - lam| < rho lies inside the open cell
+    (xmin, xmax, ymin, ymax), False when it misses the closed cell, None
+    when it reaches an edge."""
+    xmin, xmax, ymin, ymax = cell
+    x, y = lam.real, lam.imag
+    if xmin < x - rho and x + rho < xmax and ymin < y - rho and y + rho < ymax:
+        return True
+    if x + rho < xmin or xmax < x - rho or y + rho < ymin or ymax < y - rho:
+        return False
+    return None
+
+
+def _proven_side(qp, lam, j, m, cell):
+    """Whether the zero -k W_m(z_j) lies in the cell, proven from a value
+    lam near it: True inside, False outside, None when undecided.
+
+    The Rouche test proves exactly one zero l* in |l - lam| < rho with
+    rho = BRANCH_DISK * max(1, |lam|).  On that disk, widened by
+    BRANCH_WIDENING against rounding, the root test names the j of l*
+    (for k > 1), _branch_of names the branch of -l*/k, and the side test
+    places l* in or out of the cell.  With the right j and m, l* is the
+    (j, m) zero.
+    """
+    k = qp.k
+    rho = BRANCH_DISK * max(1.0, abs(lam))
+    if not kernels.rouche_isolates(k, qp.log_a, lam, rho):
+        return None
+    rho *= BRANCH_WIDENING
+    if k > 1 and not _root_index_holds(k, qp.log_a, lam, j, rho):
+        return None
+    if _branch_of(-lam / k, rho / k) != m:
+        return None
+    return _disk_side(cell, lam, rho)
+
+
+def _branch_zeros(qp, cell, tolerance=1e-12, prove=True):
+    """The zeros of f inside the cell (xmin, xmax, ymin, ymax), listed by
+    Lambert-W branch: (records, count).  With prove, count is their number,
+    proven in closed form, or None once a branch value is undecided, where
+    the walk stops; without, the whole list is built and count is None.
 
     Every zero solves e^(l/k) = w_j l for exactly one root w_j of
-    w^k = -A, so l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly one
-    branch m.  For each j the branches run m = 0, 1, 2, ... and m = -1,
-    -2, ...; a direction stops after two consecutive values beyond the
-    square's circumradius (|W_m| grows like 2 pi |m|).  Where z_j is the
-    branch point -1/e (|e z_j + 1| < BRANCH_POINT_DISTANCE), W_0 and its
-    partner branch give one double zero, read by _double_zero.  A seed whose
-    Newton polish fails or leaves the square is dropped: the count identity
-    in find_zeros_in_disk decides whether the list is complete.
+    w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
+    one (j, m), and every (j, m) gives a zero.  For |m| >= 2,
+    |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
+    |m| > Y / (2 pi k) + 1; the rest are walked.  A value inside the cell
+    is Newton-polished into a record labelled by disk_zero_index, and each
+    value is placed in or out of the cell by _proven_side; the count is the
+    number inside.  Undecided: z_j at the branch point -1/e
+    (|e z_j + 1| < BRANCH_POINT_DISTANCE), where W_0 and its partner branch
+    give one double zero, read by _double_zero; a polish that fails or
+    leaves the cell (without prove, that value is dropped); a value on a
+    branch boundary, as every W value of a z_j on the cut (real A < 0) is;
+    and a disk reaching an edge.  A cell reaching so far from the real axis
+    that each root would walk more than SEGMENT_BUDGET / 3 branches is not
+    walked: ([], None).
     """
     k = qp.k
     xmin, xmax, ymin, ymax = cell
-    reach = math.hypot(xmax, ymax)
+    top = int(max(-ymin, ymax) / (2.0 * math.pi * k)) + 1
+    if 3 * (2 * top + 1) > SEGMENT_BUDGET:
+        return [], None
     square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
     found = []
+    count = 0
     for j in range(k):
         z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
         # the two branches that meet at -1/e, when z_j is there
         branch_pair = ((0, -math.copysign(1.0, z.imag))
                        if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else ())
-        for m, step in ((0, 1), (-1, -1)):
-            outside = 0
-            while outside < 2:
-                lam = -k * kernels.lambert_w(z, m)
-                outside = 0 if abs(lam) <= reach else outside + 1
-                if m == 0 and branch_pair:
+        if branch_pair and prove:
+            return found, None
+        for m in range(-top, top + 1):
+            lam = -k * kernels.lambert_w(z, m)
+            if m in branch_pair:
+                if m == 0:
                     rec = _double_zero_record(qp, square, lam)
                     if rec is not None:
                         found.append(rec)
-                elif m not in branch_pair and square.contains(lam):
-                    try:
-                        found.append(_polish(qp, lam, cell, tolerance))
-                    except (EscapedBasinError, MaxIterationsError,
-                            DerivativeVanishesError):
-                        pass
-                m += step
-    return found
-
-
-def _im_order(rec):
-    return rec.value.imag, rec.value.real
+                continue
+            if square.contains(lam):
+                try:
+                    rec = _polish(qp, lam, cell, tolerance)
+                except (EscapedBasinError, MaxIterationsError,
+                        DerivativeVanishesError):
+                    if prove:
+                        return found, None
+                    continue
+                found.append(rec)
+                lam = rec.value
+            if prove:
+                side = _proven_side(qp, lam, j, m, cell)
+                if side is None:
+                    return found, None
+                count += side
+    return found, (count if prove else None)
 
 
 def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """All zeros of f with |l| <= radius, each certified.
 
-    The bounding square, a little wider than the disk, gets one winding
-    count.  The zeros inside it are enumerated by their Lambert-W branches
-    (_enumerate_cell) and certified at their isolation radii; when their
-    multiplicities add up to the square's count and every record certifies
-    (the count identity, see _count_identity), the list is complete.  When
-    the identity fails, SubdivisionStalledError names the count, the listed
-    multiplicity sum and the records that did not certify.
+    The zeros inside a square a little wider than the disk are listed by
+    their Lambert-W branches, polished by Newton and certified at their
+    isolation radii (see _branch_zeros).  The list is proven complete in
+    closed form when every branch value is placed in or out of the square;
+    otherwise the square, placed off the zero set (_outer_cell), gets one
+    winding count.  The multiplicities must add up to that count and every
+    record must certify (the count identity, see _count_identity); when
+    they do not, SubdivisionStalledError names the count, the listed
+    multiplicity sum and the records that did not certify.  The winding
+    count runs for a z_j at the branch point (a double zero), for real
+    A < 0 (a z_j on the cut), after a failed polish, and when a zero lies
+    within about 1e-8 |l| of the square's edge.
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
-    outer, outer_report = _outer_cell(qp, radius)
-    found = sorted(_enumerate_cell(qp, outer, tolerance), key=_im_order)
+    found, count = _branch_zeros(qp, _square(radius, 0), tolerance)
+    proof = "Lambert-W branch"
+    if count is None:
+        cell, report = _outer_cell(qp, radius)
+        found = _branch_zeros(qp, cell, tolerance, prove=False)[0]
+        count, proof = report.count, "winding"
+    found.sort(key=zeros_mod.im_order)
     ok, records, failures = _count_identity(
-        qp, outer_report.count, found, zeros_mod.isolation_radii(found))
+        qp, count, found, zeros_mod.isolation_radii(found))
     if not ok:
         listed = sum(rec.multiplicity for rec in found)
         raise SubdivisionStalledError(
-            f"the square's winding count is {outer_report.count}, the listed "
+            f"the square's {proof} count is {count}, the listed "
             f"multiplicities add up to {listed}, and the uncertified records "
             f"are [{', '.join(f'{rec.value:.12g}' for rec in failures)}]")
     return [rec for rec in records if abs(rec.value) <= radius]
@@ -540,22 +676,37 @@ def _count_identity(qp, count, records, radii):
 def certify_completeness(qp, contour, records):
     """Check that records are exactly the zeros of f inside the contour.
 
-    Every record must lie strictly inside.  Passes when the contour winding
-    count equals the sum of record multiplicities and every record
-    individually certifies in its isolation disk.  Returns (ok, report).
+    Every record must lie strictly inside.  Passes when the number of zeros
+    inside the contour equals the sum of record multiplicities and every
+    record individually certifies in its isolation disk.  For a Rectangle
+    that number is proven in closed form by Lambert-W branch (see
+    _branch_zeros); a Circle, and a Rectangle where that proof is undecided
+    (a z_j at the branch point or on the cut, a failed polish, a zero
+    within about 1e-8 |l| of an edge), takes the winding count.  Returns
+    (ok, detail); detail["proof"] is "branch" or "winding", and only the
+    winding count adds integer_distance and min_scaled_modulus.
     """
     for rec in records:
         if not contour.contains(rec.value):
             raise RecordOutsideContourError(
                 f"record at {rec.value:.6g} lies outside the contour")
-    report = winding_count(qp, contour)
+    count = None
+    if isinstance(contour, Rectangle):
+        lo, hi = contour.corner_min, contour.corner_max
+        count = _branch_zeros(qp, (lo.real, hi.real, lo.imag, hi.imag))[1]
+    proof = {"proof": "branch"}
+    if count is None:
+        report = winding_count(qp, contour)
+        count = report.count
+        proof = {"proof": "winding",
+                 "integer_distance": report.integer_distance,
+                 "min_scaled_modulus": report.min_scaled_modulus}
     ok, _checked, failures = _count_identity(
-        qp, report.count, records, [rec.isolation_radius for rec in records])
+        qp, count, records, [rec.isolation_radius for rec in records])
     detail = {
-        "contour_count": report.count,
+        "contour_count": count,
         "expected_count": sum(rec.multiplicity for rec in records),
         "record_failures": [r.value for r in failures],
-        "integer_distance": report.integer_distance,
-        "min_scaled_modulus": report.min_scaled_modulus,
+        **proof,
     }
     return ok, detail

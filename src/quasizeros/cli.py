@@ -165,7 +165,7 @@ def _cmd_zeros(args):
         _merge_disk_zeros(records, certify_mod.find_zeros_in_disk(qp, args.with_disk,
                                                                   args.tol))
         notes["disk_radius"] = args.with_disk
-    records.sort(key=lambda r: (r.value.imag, r.value.real))
+    records.sort(key=zeros_mod.im_order)
     results = [record_to_obj(r) for r in records]
     summary = {
         "count": len(records),

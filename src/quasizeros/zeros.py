@@ -108,6 +108,18 @@ def branch_index(qp, value):
     return round((y - math.pi - s * 0.5 * math.pi * qp.k - qp.arg_a) / TWO_PI)
 
 
+def _on_real_axis(z):
+    return abs(z.imag) <= REAL_AXIS_NOISE * max(1.0, abs(z))
+
+
+def im_order(record):
+    """Sort key of a record: (Im, Re) of its value, with an Im within
+    REAL_AXIS_NOISE of the real axis read as 0, so real zeros come in Re
+    order whatever the sign of their rounding-level Im."""
+    z = record.value
+    return (0.0 if _on_real_axis(z) else z.imag), z.real
+
+
 def disk_zero_index(qp, value):
     """Ladder index of a zero found by the disk search, or None.
 
@@ -118,7 +130,7 @@ def disk_zero_index(qp, value):
     instead, real ones included.
     """
     z = complex(value)
-    if abs(z.imag) <= REAL_AXIS_NOISE * max(1.0, abs(z)):
+    if _on_real_axis(z):
         return None
     nu = branch_index(qp, z)
     return nu if nu * z.imag > 0 else None

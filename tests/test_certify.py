@@ -263,9 +263,25 @@ class TestFindZerosInDisk:
         assert [(r.multiplicity, r.certified) for r in recs] == [(2, True)]
         assert len(circles) == 1
 
-    def test_stalled_outer_square_not_retried(self, qp11, monkeypatch):
-        # a budget the r=40 square cannot meet: the stall recurs on every
-        # wider square, so the search spends one budget and reports it
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("extra", [0.5, 2.0, None])
+    @pytest.mark.parametrize("zero_sign", [1.0, -1.0])
+    def test_real_zeros_in_re_order(self, k, extra, zero_sign):
+        # A = -e^k/k^k (a double zero at l = k), with Im A = +-0: the real
+        # zeros' rounding-level Im must not decide their order
+        radius = 3 * k + 3.0 if extra is None else k + extra
+        qp = qz.QuasiPolynomial(k, complex(-math.exp(k) / k ** k, zero_sign * 0.0))
+        recs = qz.find_zeros_in_disk(qp, radius)
+        real = [r.value.real for r in recs
+                if abs(r.value.imag) <= zeros_mod.REAL_AXIS_NOISE * max(1.0, abs(r.value))]
+        assert len(real) >= 2 and real == sorted(real)
+
+    def test_stalled_outer_square_not_retried(self, monkeypatch):
+        # k=1, A=-3: z_0 lies on the cut, so the square takes the winding
+        # count, at a budget the r=40 square cannot meet: the stall recurs
+        # on every wider square, so the search spends one budget and
+        # reports it
+        qp = qz.QuasiPolynomial(1, -3 + 0j)
         monkeypatch.setattr(certify_mod, "SEGMENT_BUDGET", 64)
         report = certify_mod._report
         calls = []
@@ -276,7 +292,7 @@ class TestFindZerosInDisk:
 
         monkeypatch.setattr(certify_mod, "_report", counted)
         with pytest.raises(QuadratureStalledError, match="segment budget exhausted"):
-            qz.find_zeros_in_disk(qp11, 40.0)
+            qz.find_zeros_in_disk(qp, 40.0)
         assert len(calls) == 1
 
 
@@ -329,16 +345,18 @@ def _lambert_oracle(qp, radius):
 
 class TestEnumeration:
     """The disk search lists the zeros by Lambert-W branch and proves the
-    list with the outer square's one count; a list that fails the count
-    identity raises SubdivisionStalledError."""
+    list in closed form, or with the outer square's one count where that
+    proof is undecided; a list that fails the count identity raises
+    SubdivisionStalledError."""
 
     def test_one_count_and_no_subdivision(self, qp11, monkeypatch):
+        # every branch value is decided: no rectangle count, no line sum
         segments = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
-        reports = _counting(monkeypatch, certify_mod, "_report")
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
         recs = qz.find_zeros_in_disk(qp11, 40.0)
         assert len(recs) == 13 and all(r.certified for r in recs)
-        assert len(reports) == 1
-        assert len(segments) <= 500
+        assert not any(isinstance(args[1], qz.Rectangle) for args in counts)
+        assert segments == []
 
     @pytest.mark.parametrize("k, a, radius", [(1, 1 + 0j, 40.0), (3, 2 + 1j, 20.0),
                                               (2, 3 + 0j, 8.0)])
@@ -364,17 +382,130 @@ class TestEnumeration:
     def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
         # a list that fails the count identity stops the search, naming the
         # count and the listed sum
-        enumerate_cell = certify_mod._enumerate_cell
+        branch_zeros = certify_mod._branch_zeros
 
         def broken(*args):
-            found = enumerate_cell(*args)
-            return found[1:] if tamper == "drop" else found + found[:1]
+            found, count = branch_zeros(*args)
+            return (found[1:] if tamper == "drop" else found + found[:1]), count
 
-        monkeypatch.setattr(certify_mod, "_enumerate_cell", broken)
+        monkeypatch.setattr(certify_mod, "_branch_zeros", broken)
         listed = 2 if tamper == "drop" else 4
         with pytest.raises(SubdivisionStalledError,
                            match=f"count is 3, the listed multiplicities add up to {listed}"):
             qz.find_zeros_in_disk(qp11, 10.0)
+
+
+def _rect_cell(rect):
+    lo, hi = rect.corner_min, rect.corner_max
+    return lo.real, hi.real, lo.imag, hi.imag
+
+
+class TestBranchProof:
+    """The closed-form count: each branch value is proven to be the zero of
+    its own (j, m) and placed in or out of the rectangle, with no contour
+    integral; an undecided value sends the region to the winding count."""
+
+    def test_count_matches_winding_count(self):
+        rng = random.Random(1301)
+        boxes = [(1, 1 + 0j, qz.Rectangle(complex(-12, -2 * math.pi * 20.6),
+                                          complex(12, 2 * math.pi * 20.6)))]
+        while len(boxes) < 40:
+            k = rng.choice((1, 2, 3, 4, 5, 7, 10, 15, 25))
+            a = cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+            x0, y0 = rng.uniform(-30, 15), rng.uniform(-150, 120)
+            boxes.append((k, a, qz.Rectangle(
+                complex(x0, y0), complex(x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 60)))))
+        decided = 0
+        for k, a, box in boxes:
+            qp = qz.QuasiPolynomial(k, a)
+            count = certify_mod._branch_zeros(qp, _rect_cell(box))[1]
+            if count is not None:
+                decided += 1
+                assert count == qz.winding_count(qp, box).count, (k, a, box)
+        assert decided == len(boxes)
+
+    @pytest.mark.parametrize("a, radius", [(complex(-math.e, 0), 1.5), (-3 + 0j, 6.0)],
+                             ids=["branch-point", "cut"])
+    def test_fallback_takes_one_count(self, a, radius, monkeypatch):
+        # A = -e puts z_0 at the branch point; A = -3 puts it on the cut
+        qp = qz.QuasiPolynomial(1, a)
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        recs = qz.find_zeros_in_disk(qp, radius)
+        assert recs and all(r.certified for r in recs)
+        assert sum(isinstance(args[1], qz.Rectangle) for args in counts) == 1
+        box = qz.Rectangle(complex(-radius, -radius), complex(radius, radius))
+        ok, detail = qz.certify_completeness(qp, box, recs)
+        assert ok and detail["proof"] == "winding"
+        assert detail["integer_distance"] < 0.1
+
+    def test_completeness_reports_branch_proof(self, qp11, monkeypatch):
+        recs = qz.zeros_in_index_range(qp11, 1, 10, 1e-12)
+        box = qz.Rectangle(complex(-10, 5.0), complex(10, recs[-1].value.imag + math.pi))
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        ok, detail = qz.certify_completeness(qp11, box, recs)
+        assert ok and detail["proof"] == "branch" and detail["contour_count"] == 10
+        assert "integer_distance" not in detail and "min_scaled_modulus" not in detail
+        assert counts == []
+        ok, detail = qz.certify_completeness(qp11, box, recs[:-1])
+        assert not ok and detail["contour_count"] == 10 and detail["expected_count"] == 9
+
+    def test_branch_rule_matches_scipy(self):
+        rng = random.Random(1302)
+        for _ in range(2000):
+            z = cmath.rect(math.exp(rng.uniform(-12, 12)), rng.uniform(-math.pi, math.pi))
+            for m in range(-6, 7):
+                w = complex(lambertw(z, m))
+                assert certify_mod._branch_of(w, 1e-8 * max(1.0, abs(w))) == m, (z, m)
+
+    @pytest.mark.parametrize("y", [0.3, 2.0, 3.1, 2 * math.pi + 0.2, 4 * math.pi + 2.5,
+                                   20 * math.pi + 1.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_refused_at_a_curve(self, y, sign):
+        # w within eps of the curve x = -y cot y is refused; clear of it by
+        # 1.5 eps (1 + the curve's slope dx/dy), on either side, it is not
+        eps = 1e-6
+        xc = -y / math.tan(y)
+        slope = (y - math.sin(y) * math.cos(y)) / math.sin(y) ** 2
+        for dx in (0.0, 0.5 * eps, -0.5 * eps):
+            assert certify_mod._branch_of(complex(xc + dx, sign * y), eps) is None
+        n = int(y / (2 * math.pi))
+        clear = 1.5 * eps * (1.0 + slope)
+        right = certify_mod._branch_of(complex(xc + clear, sign * y), eps)
+        left = certify_mod._branch_of(complex(xc - clear, sign * y), eps)
+        assert (right, left) == (sign * n, sign * (n + 1))
+
+    def test_refused_on_the_cut(self):
+        # the half-line y = 0, x <= -1 bounds W_1 above and W_-1 below
+        assert certify_mod._branch_of(-2 + 0j, 1e-8) is None
+        assert certify_mod._branch_of(complex(-2, 1e-9), 1e-8) is None
+        assert certify_mod._branch_of(complex(-2, 1e-7), 1e-8) == 1
+        assert certify_mod._branch_of(complex(-2, -1e-7), 1e-8) == -1
+        assert certify_mod._branch_of(-0.5 + 0j, 1e-8) == 0
+
+    def test_root_index_refused_at_pi_over_k(self):
+        k = 3
+        qp = qz.QuasiPolynomial(k, 2 + 1j)
+        lam = qz.find_zeros_in_disk(qp, 10.0)[0].value
+        # the j whose root w_j = e^(l/k) / l
+        omega = cmath.exp(lam / k) / lam
+        j = min(range(k), key=lambda i: abs(
+            cmath.exp((qp.log_a + complex(0, math.pi * (2 * i + 1))) / k) - omega))
+        holds = certify_mod._root_index_holds
+        assert holds(k, qp.log_a, lam, j, 1e-8 * abs(lam))
+        assert not any(holds(k, qp.log_a, lam, i, 1e-8 * abs(lam))
+                       for i in range(k) if i != j)
+        d = abs(kp.wrap_angle(lam.imag / k - cmath.phase(lam)
+                              - (qp.log_a.imag + math.pi * (2 * j + 1)) / k))
+        # the rho at which d + rho/k + asin(rho/|l|) reaches pi/k, by bisection
+        lo, hi = 0.0, abs(lam) * math.sin(math.pi / k - d)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if d + mid / k + math.asin(mid / abs(lam)) < math.pi / k:
+                lo = mid
+            else:
+                hi = mid
+        assert not holds(k, qp.log_a, lam, j, hi * (1 + 1e-9))
+        assert holds(k, qp.log_a, lam, j, lo * (1 - 1e-6))
 
 
 class TestCertifyCompleteness:
