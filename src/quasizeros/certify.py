@@ -591,7 +591,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12, prove=True):
     found = []
     count = 0
     for j in range(k):
-        z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+        z = zeros_mod.lambert_argument(qp, j)
         # the two branches that meet at -1/e, when z_j is there
         branch_pair = ((0, -math.copysign(1.0, z.imag))
                        if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else ())

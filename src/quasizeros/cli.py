@@ -306,12 +306,12 @@ def _cmd_bounds(args):
         span = int(args.im_cap / (2.0 * math.pi)) + 3
         strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,
                                                certify=True)
-        # the ladder skips the index gap around nu = 0 (|Im l| up to about
-        # 2 pi + k pi / 2), where some window zeros lie; the disk search
-        # supplies them, and the completeness check stays the arbiter.  Only
-        # zeros in the sampled window are added: a list missing one of those
-        # failed that check anyway, and the others lie beyond delta of every
-        # sample.
+        # the ladder leaves k + 1 zeros to the disk search, (j, 0) for each
+        # root j and (0, -1) (see zeros._ladder_branch), and some lie in the
+        # window; the disk search supplies them, and the completeness check
+        # stays the arbiter.  Only zeros in the sampled window are added: a
+        # list missing one of those failed that check anyway, and the others
+        # lie beyond delta of every sample.
         boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
         disk = certify_mod.find_zeros_in_disk(
             qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)

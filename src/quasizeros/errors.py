@@ -39,7 +39,8 @@ class DerivativeVanishesError(NumericalError):
 
 
 class NotConvergedError(NumericalError):
-    """Fixed-point iteration stopped contracting before it reached tolerance."""
+    """A zero of the index ladder could not be refined, or the fixed-point
+    iteration stopped contracting before it reached tolerance."""
 
 
 class MaxIterationsError(NumericalError):

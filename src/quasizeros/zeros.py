@@ -2,19 +2,27 @@
 
 Large zeros sit on the branch ladder
     l_nu ~ [ln|A| + k ln(2*pi*|nu|)] + i*[2*pi*nu + pi + sign(nu)*k*pi/2 + arg A],
-one per nonzero integer nu, with consecutive gaps approaching 2*pi.  Seeds
-from the asymptotic formula are polished by Newton (quadratic near simple
-zeros) with a branch-anchored fixed-point iteration as the robust fallback.
-nu = 0 is excluded: the formula degenerates there, and any zeros it misses
-are recovered exhaustively by the disk search in the certify module.
+one per nonzero integer nu, with consecutive gaps approaching 2*pi.  Every
+zero is l = -k W_m(z_j), z_j = -1/(k w_j), for exactly one root w_j of
+w^k = -A and one branch m of Lambert W (Corless, Gonnet, Hare, Jeffrey &
+Knuth, Adv. Comput. Math. 5, 1996).  The ladder names index nu by
+j = nu mod k and m = (j - nu)/k - [nu > 0], and Newton polishes that W
+value (quadratic near simple zeros); the zero satisfies the fixed-point
+equation Im l = 2*pi*nu + pi + arg A + k Arg l.  nu = 0 is excluded: the
+k + 1 zeros no index names, (j, 0) for each j and (0, -1), are recovered
+exhaustively by the disk search in the certify module.  asymptotic_zero
+(the ladder formula above) and fixed_point_refine (the branch-anchored
+fixed-point iteration) are standalone; the ladder calls neither.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from . import core
+from ._backend import kernels
 from .errors import (
     DerivativeVanishesError,
     DomainError,
@@ -136,6 +144,61 @@ def disk_zero_index(qp, value):
     return nu if nu * z.imag > 0 else None
 
 
+def lambert_argument(qp, j):
+    """z_j = -1/(k w_j) for the root w_j = exp((Log A + i pi (2j + 1)) / k)
+    of w^k = -A.  Every zero of f solves e^(l/k) = w_j l for exactly one j,
+    so it is l = -k W_m(z_j) for exactly one branch m of Lambert W."""
+    k = qp.k
+    return -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+
+
+def _ladder_index(qp, value):
+    """The index nu whose fixed-point map (see fixed_point_refine) has value
+    as its fixed point: Im l = 2 pi nu + pi + arg A + k Arg l, rounded."""
+    z = complex(value)
+    return round((z.imag - qp.k * cmath.phase(z) - qp.arg_a - math.pi) / TWO_PI)
+
+
+def _ladder_branch(qp, nu):
+    """The (j, m) of the nu-th zero -k W_m(z_j): j = nu mod k and
+    m = (j - nu) / k - [nu > 0], so nu = j - k (m + [nu > 0]).  The k + 1
+    zeros no nu reaches, (j, 0) for each j and (0, -1), are left to the disk
+    search."""
+    j = nu % qp.k
+    return j, (j - nu) // qp.k - (nu > 0)
+
+
+def _ladder_zero(qp, nu, tolerance):
+    """The nu-th zero, Newton-polished from -k W_m(z_j) with
+    (j, m) = _ladder_branch(qp, nu), its index checked by _ladder_index.
+
+    Where z_j lies on the cut (real A < 0), the (j, m) labels read it from
+    below, the side that arg A -> pi reaches; above it, branch m holds
+    another zero with the same j (W_1 below is W_-1 above, and every other
+    W_m below with m != 0 is W_(m-1) above).  When rounding puts Im z_j
+    above the cut, the seed's index differs from nu by a multiple of k, and
+    the seed is taken once more from the conjugate z_j.  Any failure raises
+    NotConvergedError naming nu.
+    """
+    k = qp.k
+    j, m = _ladder_branch(qp, nu)
+    z = lambert_argument(qp, j)
+    seed = -k * kernels.lambert_w(z, m)
+    off = _ladder_index(qp, seed) - nu
+    if off and off % k == 0:
+        seed = -k * kernels.lambert_w(z.conjugate(), m)
+    try:
+        rec = newton_refine(qp, seed, tolerance)
+    except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
+        raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
+    found = _ladder_index(qp, rec.value)
+    if found != nu:
+        raise NotConvergedError(
+            f"refinement failed for nu = {nu}: Newton reached the zero of "
+            f"index {found}")
+    return replace(rec, nu=nu)
+
+
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
     """Refine the nu-th zero by the branch-anchored fixed-point iteration.
 
@@ -181,11 +244,10 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
                 f"in {it} iterations (last step ratio {step / prev:.6g})")
 
 
-def newton_refine(qp, seed, tolerance=1e-13, max_iterations=60,
-                  escape_radius=ESCAPE_RADIUS):
+def newton_refine(qp, seed, tolerance=1e-13, max_iterations=60):
     """Polish a seed by Newton iteration until the relative residual passes.
 
-    Raises EscapedBasinError when an iterate strays more than escape_radius
+    Raises EscapedBasinError when an iterate strays more than ESCAPE_RADIUS
     from the seed (protects the index bookkeeping), and propagates
     DerivativeVanishesError from critical points.
     """
@@ -200,9 +262,9 @@ def newton_refine(qp, seed, tolerance=1e-13, max_iterations=60,
             return ZeroRecord(nu=idx if idx != 0 else None, value=lam,
                               residual=residual, seed=seed, iterations=it)
         lam = lam - core.newton_ratio(qp, lam)
-        if abs(lam - seed) > escape_radius:
+        if abs(lam - seed) > ESCAPE_RADIUS:
             raise EscapedBasinError(
-                f"Newton iterate left the seed basin (|l - seed| > {escape_radius:g})")
+                f"Newton iterate left the seed basin (|l - seed| > {ESCAPE_RADIUS:g})")
     raise MaxIterationsError(
         f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
         f"in {max_iterations} iterations")
@@ -249,37 +311,16 @@ def isolation_radii(records):
 def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     """Refined zeros for every index in [nu_min, nu_max] (nu = 0 skipped).
 
-    Newton from the asymptotic seed, falling back to the fixed-point
-    iteration when Newton escapes the branch or stalls.  Records are sorted
-    by nu; values collapsing within 1e-6 raise DuplicateZeroError.  With
-    certify=True each record is certified over its isolation disk (see
-    certify.certify_record).
+    Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu),
+    Newton-polished from that Lambert-W value (see _ladder_zero); a failure
+    raises NotConvergedError naming nu.  Records are sorted by nu; values
+    collapsing within 1e-6 raise DuplicateZeroError.  With certify=True each
+    record is certified over its isolation disk (see certify.certify_record).
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
-    records = []
-    for nu in range(nu_min, nu_max + 1):
-        if nu == 0:
-            continue
-        seed = asymptotic_zero(qp, nu)
-        rec = None
-        try:
-            cand = newton_refine(qp, seed, tolerance)
-            if cand.nu == nu:
-                rec = cand
-        except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError):
-            rec = None
-        if rec is None:
-            try:
-                rec, _trace = fixed_point_refine(qp, nu, tolerance)
-                if rec.residual >= tolerance:
-                    # polish locally; the fixed point is already on-branch
-                    rec = replace(newton_refine(qp, rec.value, tolerance,
-                                                escape_radius=1.0), nu=nu)
-            except (InvalidIndexError, NotConvergedError, EscapedBasinError,
-                    MaxIterationsError, DerivativeVanishesError) as exc:
-                raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
-        records.append(rec)
+    records = [_ladder_zero(qp, nu, tolerance)
+               for nu in range(nu_min, nu_max + 1) if nu != 0]
     _check_duplicates(records)
     if certify:
         from . import certify as certify_mod

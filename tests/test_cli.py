@@ -173,6 +173,22 @@ class TestZerosCommand:
         for r, want in zip(results, (real, upper)):
             assert abs(complex(r["re"], r["im"]) - want) <= 1e-12 * abs(want)
 
+    def test_low_indices_of_large_k(self):
+        code, out, _ = run_cli("zeros", "--k", "10", "--a", "1+0i", "--nu", "-3..3",
+                               "--certify")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [r["nu"] for r in results] == [-3, -2, -1, 1, 2, 3]
+        assert all(r["certified"] for r in results)
+
+    def test_residual_floor_exits_3(self):
+        code, _out, err = run_cli("zeros", "--k", "1", "--a", "1+0i",
+                                  "--nu", "2609..2609")
+        assert code == 3
+        error = json.loads(err)["error"]
+        assert error["type"] == "NotConvergedError"
+        assert "nu = 2609" in error["message"]
+
     def test_byte_identical_reruns(self):
         args = ("zeros", "--k", "2", "--a", "2+1i", "--nu", "-3..3",
                 "--certify")

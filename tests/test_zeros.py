@@ -12,9 +12,11 @@ from quasizeros.errors import (
     DuplicateZeroError,
     EscapedBasinError,
     InvalidIndexError,
+    MaxIterationsError,
     NotConvergedError,
     TooFewRecordsError,
 )
+from quasizeros import zeros as zeros_mod
 from quasizeros.zeros import isolation_radii
 
 from conftest import direct_f
@@ -185,6 +187,116 @@ class TestZerosInIndexRange:
         qp = qz.QuasiPolynomial(3, 0.5j)
         for rec in qz.zeros_in_index_range(qp, -6, 6, 1e-12, certify=False):
             assert qz.branch_index(qp, rec.value) == rec.nu
+
+
+class TestLambertLadder:
+    """zeros_in_index_range seeds each nu from -k W_m(z_j), (j, m) from nu."""
+
+    @staticmethod
+    def _certified_one_per_nu(k, a, lo, hi):
+        records = qz.zeros_in_index_range(qz.QuasiPolynomial(k, a), lo, hi)
+        assert [r.nu for r in records] == [nu for nu in range(lo, hi + 1) if nu]
+        assert all(r.certified and r.residual < 1e-12 for r in records)
+        return records
+
+    @pytest.mark.parametrize("k, a, lo, hi", [
+        (4, 1 + 0j, -5, 5), (5, 1 + 0j, -5, 5), (10, 1 + 0j, -20, 20),
+        (25, 1 + 0j, -20, 20), (5, 0.319 + 2.203j, -23, 23),
+    ])
+    def test_low_indices_certify(self, k, a, lo, hi):
+        # the lowest |nu| of each range lie where the fixed-point map does
+        # not contract (2 pi |nu| <= 2k)
+        self._certified_one_per_nu(k, a, lo, hi)
+
+    def test_seeded_windows_certify(self):
+        rng = random.Random(10)
+        for _ in range(60):
+            k = rng.randint(1, 10)
+            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            self._certified_one_per_nu(k, a, -12, 12)
+
+    def test_branch_labels(self):
+        # nu = j - k (m + [nu > 0]) with j = nu mod k; (j, 0) for every j and
+        # (0, -1) are the k + 1 zeros no nu reaches
+        for k in (1, 2, 5):
+            qp = qz.QuasiPolynomial(k, 1 + 0j)
+            pairs = {zeros_mod._ladder_branch(qp, nu): nu
+                     for nu in range(-6 * k, 6 * k + 1) if nu}
+            assert len(pairs) == 12 * k
+            assert not pairs.keys() & ({(j, 0) for j in range(k)} | {(0, -1)})
+            for (j, m), nu in pairs.items():
+                assert 0 <= j < k and nu == j - k * (m + (nu > 0))
+
+    def test_matches_fixed_point(self):
+        # wherever the fixed-point map contracts (2 pi |nu| > 2k) it names
+        # the same zero; real A < 0 puts z_(k-1) on the cut, and rounding
+        # puts it above the cut for k = 7 and 9
+        rng = random.Random(2024)
+        cases = []
+        for _ in range(40):
+            k = rng.randint(1, 10)
+            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            lo = int(k / math.pi) + 1
+            cases.append((k, a, [rng.choice((-1, 1)) * rng.randint(lo, 400)
+                                 for _ in range(8)]))
+        near_double = set()
+        for k in range(1, 11):
+            c = math.e ** k / k ** k
+            lo = int(k / math.pi) + 1
+            nus = sorted({nu for nu in (-lo, lo, -k - 1, k - 1, -2 * k - 1,
+                                        2 * k - 1, -40, 40)
+                          if TWO_PI * abs(nu) > 2 * k})
+            for a in (-0.1, -1.0, -3.0, -10.0, -c * (1 + 1e-9), -c * (1 - 1e-9)):
+                cases.append((k, complex(a, 0.0), nus))
+            near_double |= {(k, complex(-c * (1 + s), 0.0)) for s in (1e-9, -1e-9)}
+        slow = []
+        for k, a, nus in cases:
+            qp = qz.QuasiPolynomial(k, a)
+            for nu in nus:
+                value = qz.zeros_in_index_range(qp, nu, nu, certify=False)[0].value
+                try:
+                    fixed, _ = qz.fixed_point_refine(qp, nu)
+                except NotConvergedError:
+                    # the map's step ratio tends to 1 beside a double zero
+                    slow.append((k, a, nu))
+                    assert abs(value - k) < 1e-4
+                    continue
+                assert abs(value - fixed.value) < 1e-10 * abs(fixed.value)
+        assert {(k, a) for k, a, _nu in slow} <= near_double
+        assert {nu for _k, _a, nu in slow} == {-1}
+
+    @pytest.mark.parametrize("k, a", [(7, -1 + 0j), (7, -3 + 0j), (9, -1 + 0j)])
+    def test_cut_reads_from_below(self, k, a):
+        # z_(k-1) is real and lands above the cut in rounding; nu = -1 is
+        # still the larger real zero, as for A just above the negative axis
+        # (the smaller one, (k - 1, 0), is left to the disk search)
+        qp = qz.QuasiPolynomial(k, a)
+        z = -1.0 / (k * abs(a) ** (1.0 / k))
+        assert zeros_mod.lambert_argument(qp, k - 1).imag > 0
+        records = self._certified_one_per_nu(k, a, -30, 30)
+        larger, smaller = (complex(-k * lambertw(z, m)) for m in (-1, 0))
+        by_nu = {r.nu: r.value for r in records}
+        assert abs(by_nu[-1] - larger) < 1e-12 * abs(larger)
+        assert all(abs(v - smaller) > 0.1 for v in by_nu.values())
+        above = qz.QuasiPolynomial(k, complex(a.real, 1e-10))
+        nearby = qz.zeros_in_index_range(above, -1, -1, certify=False)[0]
+        assert abs(nearby.value - larger) < 1e-8
+
+    def test_never_calls_fixed_point(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("fixed_point_refine called")
+
+        monkeypatch.setattr(zeros_mod, "fixed_point_refine", refuse)
+        for k in (1, 2, 3):
+            for a in (1 + 0j, 2 + 1j, 0.5j):
+                self._certified_one_per_nu(k, a, -50, 50)
+
+    def test_residual_floor_raises_not_converged(self):
+        # at nu = 2609 for k=1, A=1 Newton cannot reach the default 1e-12;
+        # the failure names nu and keeps the type the CLI maps to exit 3
+        with pytest.raises(NotConvergedError, match="nu = 2609") as info:
+            qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), 2609, 2609)
+        assert isinstance(info.value.__cause__, MaxIterationsError)
 
 
 class TestDuplicateDetection:
