@@ -302,38 +302,46 @@ def _logderiv(k, log_a, lam):
 
 
 def line_segment_logderiv(k, log_a, z0, z1, nodes, weights):
-    """Gauss sum of (f'/f) dz over the segment z0 -> z1.
+    """Gauss-Kronrod sums of (f'/f) dz over the segment z0 -> z1, in one
+    pass over the nodes: weights holds a (Kronrod, Gauss) weight pair per
+    node, the Gauss weight 0 at the nodes only the Kronrod rule has.
 
-    Returns (sum, min scaled |f| over the nodes).
+    Returns (Kronrod sum, Gauss sum, min scaled |f| over the nodes).
     """
     m = 0.5 * (z0 + z1)
     h = 0.5 * (z1 - z0)
     s = 0j
+    e = 0j
     minmod = math.inf
-    for x, w in zip(nodes, weights):
+    for x, (w, v) in zip(nodes, weights):
         g, mod = _logderiv(k, log_a, m + h * x)
         if mod < minmod:
             minmod = mod
         s += w * g
-    return s * h, minmod
+        e += v * g
+    return s * h, e * h, minmod
 
 
 def arc_segment_logderiv(k, log_a, center, radius, t0, t1, nodes, weights):
-    """Gauss sum of (f'/f) dz over the arc angle range [t0, t1] of a circle.
+    """Gauss-Kronrod sums of (f'/f) dz over the arc angle range [t0, t1] of
+    a circle, with nodes and weight pairs as in line_segment_logderiv.
 
-    Returns (sum, min scaled |f| over the nodes).
+    Returns (Kronrod sum, Gauss sum, min scaled |f| over the nodes).
     """
     mt = 0.5 * (t0 + t1)
     ht = 0.5 * (t1 - t0)
     s = 0j
+    e = 0j
     minmod = math.inf
-    for x, w in zip(nodes, weights):
-        e = cmath.rect(radius, mt + ht * x)
-        g, mod = _logderiv(k, log_a, center + e)
+    for x, (w, v) in zip(nodes, weights):
+        p = cmath.rect(radius, mt + ht * x)
+        g, mod = _logderiv(k, log_a, center + p)
         if mod < minmod:
             minmod = mod
-        s += w * (g * (1j * e))
-    return s * ht, minmod
+        g *= 1j * p
+        s += w * g
+        e += v * g
+    return s * ht, e * ht, minmod
 
 
 def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,

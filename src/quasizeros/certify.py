@@ -2,9 +2,11 @@
 exhaustive zero search in a disk, and completeness checks.
 
 The winding count (1/2*pi*i) * contour integral of f'/f is computed by
-per-segment Gauss quadrature with adaptive bisection; the integrand is
-evaluated in dominance-factored form so contours with |Re l| in the
-hundreds are safe.
+the embedded 7-point Gauss / 15-point Kronrod pair on each contour piece:
+one pass over the fifteen nodes gives the Kronrod sum, the piece's value,
+and the Gauss sum, and a piece is bisected while |K15 - G7| is above its
+share of the tolerance.  The integrand is evaluated in dominance-factored
+form so contours with |Re l| in the hundreds are safe.
 
 The disk search and the completeness of an enumeration over a rectangle
 rest on two proofs of the number of zeros in a region, and on one count
@@ -22,10 +24,10 @@ winding count instead: count-then-polish run in reverse (Kravanja & Van
 Barel, LNM 1727, 2000).  When the identity fails the disk search raises
 SubdivisionStalledError.
 
-A contour piece keeps its Gauss sum and its two halves once computed, so a
-count retried at a tighter tolerance reuses every sum already taken, and a
-rectangle side is one piece in canonical direction (west to east, south to
-north), added or subtracted.
+A contour piece keeps its sum, its error estimate and its two halves once
+computed, so a count retried at a tighter tolerance reuses every sum
+already taken, and a rectangle side is one piece in canonical direction
+(west to east, south to north), added or subtracted.
 
 A certified record has exactly `multiplicity` zeros in the open disk
 |l - value| < isolation_radius.  For a simple zero this is proven by an
@@ -38,7 +40,7 @@ succeed, by a winding count over the disk.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
@@ -55,18 +57,27 @@ from .errors import (
     ZeroOnContourError,
 )
 
-# 12-point Gauss-Legendre rule on [-1, 1]
-_GL_NODES = (
-    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
-    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
-    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1] (Piessens, de
+# Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983): the
+# fifteen Kronrod nodes, and per node its (Kronrod, Gauss) weights, the Gauss
+# weight 0 at the eight nodes the Kronrod extension adds.  The Kronrod sum is
+# exact for polynomials of degree 22 and the Gauss sum for degree 13.
+_GK_NODES = (
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+    -0.20778495500789848, 0.0, 0.20778495500789848,
+    0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
+    0.8648644233597691, 0.9491079123427585, 0.9914553711208126,
 )
-_GL_WEIGHTS = (
-    0.04717533638651202, 0.10693932599531888, 0.1600783285433461,
-    0.20316742672306565, 0.23349253653835464, 0.2491470458134027,
-    0.2491470458134027, 0.23349253653835464, 0.20316742672306565,
-    0.1600783285433461, 0.10693932599531888, 0.04717533638651202,
+_GK_WEIGHTS = (
+    (0.022935322010529224, 0.0), (0.06309209262997856, 0.1294849661688697),
+    (0.10479001032225019, 0.0), (0.14065325971552592, 0.27970539148927664),
+    (0.1690047266392679, 0.0), (0.19035057806478542, 0.3818300505051189),
+    (0.20443294007529889, 0.0), (0.20948214108472782, 0.4179591836734694),
+    (0.20443294007529889, 0.0), (0.19035057806478542, 0.3818300505051189),
+    (0.1690047266392679, 0.0), (0.14065325971552592, 0.27970539148927664),
+    (0.10479001032225019, 0.0), (0.06309209262997856, 0.1294849661688697),
+    (0.022935322010529224, 0.0),
 )
 
 #: quadrature tolerance of every certificate and cell count: the adaptive
@@ -80,14 +91,16 @@ ZERO_ON_CONTOUR_MODULUS = 1e-8
 SEGMENT_BUDGET = 1 << 16
 
 #: rectangle sides are bisected at exact midpoints until each piece is at
-#: most 2 * BASE_SEGMENT_LENGTH long, and the adaptive test compares each
-#: with its two halves; circles are cut into arcs about this long
+#: most 2 * BASE_SEGMENT_LENGTH long, and each piece is then bisected while
+#: its Kronrod and Gauss sums disagree; circles are cut into arcs about
+#: this long
 BASE_SEGMENT_LENGTH = 2.0
 
-#: bisection error below this is accepted regardless of the local tolerance.
-#: Near an off-contour zero the Gauss error per segment plateaus around
-#: 1e-8 x |f'/f|*len, so halving tolerances forever would only burn budget;
-#: the floor keeps the total error far below the 0.1 integer margin.
+#: a piece's error estimate |K15 - G7| below this is accepted regardless of
+#: the local tolerance.  Near an off-contour zero the estimate plateaus
+#: around 1e-8 x |f'/f|*len, so halving tolerances forever would only burn
+#: budget; the Kronrod sum is far more accurate than the estimate, and the
+#: floor keeps the total error far below the 0.1 integer margin.
 ACCEPT_FLOOR = 1e-7
 
 #: |e z + 1| below this puts z = -1/(k w_j) at the Lambert-W branch point
@@ -153,9 +166,9 @@ Contour = Union[Circle, Rectangle]
 class ContourReport:
     """Result of one winding-number computation.
 
-    segments_used counts the Gauss sums the contour integral summed, whether
-    evaluated in its last pass or reused from an earlier, looser one;
-    SEGMENT_BUDGET bounds the same count.
+    segments_used counts the contour pieces the integral summed, each one
+    15-node Gauss-Kronrod sum, whether evaluated in its last pass or reused
+    from an earlier, looser one; SEGMENT_BUDGET bounds the same count.
     """
 
     count: int
@@ -175,11 +188,11 @@ class _Budget:
 
 class _Piece:
     """A contour piece with parameters p0 -> p1 (complex end points for
-    lines, angles for arcs).  Its Gauss sum and its two halves are computed
-    once, on first use, and kept, so a pass at a tighter tolerance reuses
-    them."""
+    lines, angles for arcs).  Its Kronrod sum and error estimate |K15 - G7|
+    are computed once, on first use, and kept, as are its two halves, so a
+    pass at a tighter tolerance reuses them."""
 
-    __slots__ = ("p0", "p1", "_sum", "_mod", "_halves")
+    __slots__ = ("p0", "p1", "_sum", "err", "_mod", "_halves")
 
     def __init__(self, p0, p1):
         self.p0 = p0
@@ -194,11 +207,13 @@ class _Piece:
         return self._halves
 
     def visit(self, segment, budget):
-        """The Gauss sum, counted as one segment of the contour being summed
-        and checked against the zero-on-contour modulus, whether it is
-        evaluated here or reused."""
+        """The Kronrod sum, counted as one segment of the contour being
+        summed and checked against the zero-on-contour modulus, whether it
+        is evaluated here or reused."""
         if self._mod is None:
-            self._sum, self._mod = segment(self.p0, self.p1, _GL_NODES, _GL_WEIGHTS)
+            kronrod, gauss, self._mod = segment(self.p0, self.p1, _GK_NODES, _GK_WEIGHTS)
+            self._sum = kronrod
+            self.err = abs(kronrod - gauss)
         mod = self._mod
         budget.segments += 1
         if mod < budget.minmod:
@@ -211,19 +226,19 @@ class _Piece:
         return self._sum
 
 
-def _adaptive(segment, piece, whole, tol, budget, depth):
-    """Bisect the piece until its two halves agree with the whole."""
-    left, right = piece.halves()
-    lsum = left.visit(segment, budget)
-    rsum = right.visit(segment, budget)
+def _adaptive(segment, piece, tol, budget, depth):
+    """The piece's Kronrod sum, bisected while its error estimate is
+    above tol."""
+    value = piece.visit(segment, budget)
     if budget.segments > SEGMENT_BUDGET:
         raise QuadratureStalledError("segment budget exhausted")
-    err = abs(whole - lsum - rsum)
+    err = piece.err
     if err < tol or err < ACCEPT_FLOOR or depth >= MAX_BISECTION_DEPTH:
-        return lsum + rsum
+        return value
+    left, right = piece.halves()
     half_tol = max(0.5 * tol, ACCEPT_FLOOR)
-    return (_adaptive(segment, left, lsum, half_tol, budget, depth + 1)
-            + _adaptive(segment, right, rsum, half_tol, budget, depth + 1))
+    return (_adaptive(segment, left, half_tol, budget, depth + 1)
+            + _adaptive(segment, right, half_tol, budget, depth + 1))
 
 
 def _presplit(piece):
@@ -260,13 +275,12 @@ def _report(segment, parts, quadrature_tolerance):
     bisection at quadrature_tolerance / (number of parts * pieces of the
     part).  The integral, rounded to the nearest integer, must come out
     within 0.1 of it; otherwise the tolerance is tightened 100x and the sum
-    taken again, reusing every Gauss sum already computed.
+    taken again, reusing every Gauss-Kronrod sum already computed.
 
-    A piece costs at least three visits (itself and its two halves), so a
-    contour of more than SEGMENT_BUDGET / 3 pieces is refused before any
-    sum: from the part lengths before any piece is built (a part L long
-    needs at least L / (2 * BASE_SEGMENT_LENGTH) pieces), then from the
-    exact count.
+    A contour of more than SEGMENT_BUDGET / 3 pieces is refused before any
+    sum, so the budget leaves room to bisect every piece once: from the
+    part lengths before any piece is built (a part L long needs at least
+    L / (2 * BASE_SEGMENT_LENGTH) pieces), then from the exact count.
     """
     span = 2.0 * BASE_SEGMENT_LENGTH
     if 3.0 * sum(max(1.0, abs(part.p1 - part.p0) / span)
@@ -284,8 +298,7 @@ def _report(segment, parts, quadrature_tolerance):
         budget = _Budget()
         total = 0j
         for piece, div, sign in pieces:
-            whole = piece.visit(segment, budget)
-            s = _adaptive(segment, piece, whole, tol / div, budget, 0)
+            s = _adaptive(segment, piece, tol / div, budget, 0)
             total = total + s if sign > 0 else total - s
         raw = complex(total.imag / (2.0 * math.pi), -total.real / (2.0 * math.pi))
         count = round(raw.real)
@@ -400,7 +413,11 @@ def _polish(qp, seed, cell, tolerance):
     if not (xmin < v.real < xmax and ymin < v.imag < ymax):
         raise EscapedBasinError("polished zero left its cell")
     nu = zeros_mod.disk_zero_index(qp, v)
-    return rec if nu == rec.nu else replace(rec, nu=nu)
+    if nu == rec.nu:
+        return rec
+    # newton_refine's record is uncertified and simple: its last three
+    # fields are the defaults
+    return zeros_mod.ZeroRecord(nu, v, rec.residual, rec.seed, rec.iterations)
 
 
 def _double_zero(qp, region, seed):
@@ -565,6 +582,9 @@ def _branch_zeros(qp, cell, tolerance=1e-12, prove=True):
     Lambert-W branch: (records, count).  With prove, count is their number,
     proven in closed form, or None once a branch value is undecided, where
     the walk stops; without, the whole list is built and count is None.
+    With tolerance None nothing is polished: records is empty and the count
+    is proven from the Lambert-W values themselves, which lie within about
+    1e-15 |l| of their zeros, far inside the Rouche disk of _proven_side.
 
     Every zero solves e^(l/k) = w_j l for exactly one root w_j of
     w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
@@ -605,7 +625,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12, prove=True):
                     if rec is not None:
                         found.append(rec)
                 continue
-            if square.contains(lam):
+            if tolerance is not None and square.contains(lam):
                 try:
                     rec = _polish(qp, lam, cell, tolerance)
                 except (EscapedBasinError, MaxIterationsError,
@@ -680,11 +700,11 @@ def certify_completeness(qp, contour, records):
     inside the contour equals the sum of record multiplicities and every
     record individually certifies in its isolation disk.  For a Rectangle
     that number is proven in closed form by Lambert-W branch (see
-    _branch_zeros); a Circle, and a Rectangle where that proof is undecided
-    (a z_j at the branch point or on the cut, a failed polish, a zero
-    within about 1e-8 |l| of an edge), takes the winding count.  Returns
-    (ok, detail); detail["proof"] is "branch" or "winding", and only the
-    winding count adds integer_distance and min_scaled_modulus.
+    _branch_zeros, from the unpolished Lambert-W values); a Circle, and a
+    Rectangle where that proof is undecided (a z_j at the branch point or
+    on the cut, a zero within about 1e-8 |l| of an edge), takes the winding
+    count.  Returns (ok, detail); detail["proof"] is "branch" or "winding",
+    and only the winding count adds integer_distance and min_scaled_modulus.
     """
     for rec in records:
         if not contour.contains(rec.value):
@@ -693,7 +713,7 @@ def certify_completeness(qp, contour, records):
     count = None
     if isinstance(contour, Rectangle):
         lo, hi = contour.corner_min, contour.corner_max
-        count = _branch_zeros(qp, (lo.real, hi.real, lo.imag, hi.imag))[1]
+        count = _branch_zeros(qp, (lo.real, hi.real, lo.imag, hi.imag), None)[1]
     proof = {"proof": "branch"}
     if count is None:
         report = winding_count(qp, contour)

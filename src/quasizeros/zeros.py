@@ -18,7 +18,7 @@ fixed-point iteration) are standalone; the ladder calls neither.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import core
@@ -196,7 +196,9 @@ def _ladder_zero(qp, nu, tolerance):
         raise NotConvergedError(
             f"refinement failed for nu = {nu}: Newton reached the zero of "
             f"index {found}")
-    return replace(rec, nu=nu)
+    # built directly, about twice as fast as dataclasses.replace;
+    # newton_refine's record is uncertified and simple
+    return ZeroRecord(nu, rec.value, rec.residual, rec.seed, rec.iterations)
 
 
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):

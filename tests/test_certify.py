@@ -136,10 +136,11 @@ class TestWindingCount:
         assert sums == []
 
     def test_just_inside_budget_counts(self, qp11, monkeypatch):
-        # sides 6 long: 8 pieces of 3, each visited whole and as two halves
+        # sides 6 long: 8 pieces of 3, one Gauss-Kronrod sum each, and the
+        # two pieces whose estimate is above tolerance bisected once
         monkeypatch.setattr(certify_mod, "SEGMENT_BUDGET", 24)
         report = qz.winding_count(qp11, qz.Rectangle(complex(-3, -3), complex(3, 3)))
-        assert report.count == 1 and report.segments_used == 24
+        assert report.count == 1 and report.segments_used == 12
 
 
 class TestMultiplicity:
@@ -319,6 +320,47 @@ class TestSharedEdges:
         recs = qz.find_zeros_in_disk(qp11, 40.0)
         assert len(recs) == 13 and all(r.certified for r in recs)
         assert len(calls) <= 4000
+
+
+class TestGaussKronrod:
+    """One 15-node Gauss-Kronrod sum per contour piece, bisected only while
+    |K15 - G7| is above the piece's share of the tolerance."""
+
+    def test_count_matches_branch_proof(self):
+        # the closed-form count takes no contour integral: an independent
+        # oracle wherever it decides
+        rng = random.Random(1501)
+        decided = 0
+        for _ in range(200):
+            k = rng.randint(1, 10)
+            a = cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+            x0, y0 = rng.uniform(-30, 15), rng.uniform(-300, 240)
+            box = qz.Rectangle(complex(x0, y0),
+                               complex(x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 60)))
+            qp = qz.QuasiPolynomial(k, a)
+            count = certify_mod._branch_zeros(qp, _rect_cell(box))[1]
+            if count is not None:
+                decided += 1
+                assert qz.winding_count(qp, box).count == count, (k, a, box)
+        assert decided == 200
+
+    def test_criterion_02_box_work(self, qp11):
+        box = qz.Rectangle(complex(-12, -2 * math.pi * 20.6), complex(12, 2 * math.pi * 20.6))
+        report = qz.winding_count(qp11, box)
+        assert report.count == 41 and report.segments_used <= 300
+
+    @pytest.mark.parametrize("a, radius, bound", [(complex(-math.e, 0), 1.5, 40),
+                                                  (-3 + 0j, 40.0, 384)],
+                             ids=["branch-point", "cut"])
+    def test_fallback_search_work(self, a, radius, bound, monkeypatch):
+        # the square's count and the certificates' circle counts together
+        # take no more sums than the whole-versus-halves rule did (bound)
+        qp = qz.QuasiPolynomial(1, a)
+        lines = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
+        arcs = _counting(monkeypatch, certify_mod.kernels, "arc_segment_logderiv")
+        recs = qz.find_zeros_in_disk(qp, radius)
+        assert recs and all(r.certified for r in recs)
+        assert lines and len(lines) + len(arcs) <= bound
 
 
 def _lambert_oracle(qp, radius):
