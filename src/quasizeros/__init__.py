@@ -1,10 +1,11 @@
 """quasizeros: zeros of f(l) = e^l + A*l^k, certified.
 
 Computation and refinement of the indexed zero family, winding-number
-certification via the argument principle, region decomposition of the
-complex plane, and seeded sampling verification of the lower-bound
-estimates.  The hot kernels (scaled evaluation, contour quadrature sums,
-seeded samplers) are plain Python in quasizeros._kernels_py.
+certification via the argument principle (arg f tracked around a contour
+in proven steps), region decomposition of the complex plane, and seeded
+sampling verification of the lower-bound estimates.  The hot kernels
+(scaled evaluation, argument tracking, seeded samplers) are plain Python
+in quasizeros._kernels_py.
 """
 
 from ._backend import backend_name

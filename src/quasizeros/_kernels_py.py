@@ -1,5 +1,6 @@
 """Pure-Python kernels: overflow-safe evaluation, the Rouche disk test, the
-Lambert W function, contour quadrature sums, and seeded rejection samplers.
+Lambert W function, argument tracking along contour pieces, and seeded
+rejection samplers.
 
 This is the package's only kernel implementation; the other modules import
 it through quasizeros._backend.  The contract is reproducibility: identical
@@ -28,9 +29,12 @@ import cmath
 import math
 import random
 
+from .errors import QuadratureStalledError, ZeroOnContourError
+
 M64 = 0xFFFFFFFFFFFFFFFF
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+HALF_PI = 0.5 * math.pi
 LN2 = math.log(2.0)
 REJECTION_BUDGET = 1000000
 
@@ -288,60 +292,212 @@ def lambert_w(z, m=0):
     return w
 
 
-def _logderiv(k, log_a, lam):
-    """(f'/f, scaled |f|) at lam; the modulus feeds zero-on-contour checks."""
-    if lam == 0:
-        return _derivative_at_origin(k, log_a)[0], 1.0
-    expdom, t, _loglam = _cofactor(k, log_a, lam)
-    co = 1.0 + t
-    if co == 0:
-        return 0j, 0.0
-    q = k / lam
-    u = 1.0 + q * t if expdom else q + t
-    return u / co, abs(co)
+#: a tracking step from c is sized for |t(c)| (e^delta - 1) = STEP_TARGET
+#: |1 + t(c)| and accepted while that bound stays below STEP_ACCEPT |1 + t(c)|
+#: (see _track); the gap absorbs the step solver's last Newton iterate
+STEP_TARGET = 0.5
+STEP_ACCEPT = 0.75
+LN_TARGET = math.log(STEP_TARGET)
+LN_ACCEPT = math.log(STEP_ACCEPT)
+
+#: inside this radius the tracker bounds |f(z) - f(c)| directly, since
+#: f(0) = 1 where the split f = D (1 + t) needs Log l; its steps are at most
+#: this long, so every power of |l| it takes stays below 1
+ORIGIN_RADIUS = 0.5
+
+#: the tracker refuses a step whose size rests on a scaled |f| at c below
+#: STEP_FLOOR times the rounding scale of its evaluation: the sum of the
+#: moduli of the terms of w = Log A + k Log c - c (about eps times it is the
+#: error of w, so of t relative), or 1 + k near the origin (the error of
+#: e^c + A c^k relative to its larger term).  At 1e-12, about 4500 eps,
+#: rounding moves |1 + t| by under 1e-3 relative, far inside the
+#: STEP_TARGET / STEP_ACCEPT gap
+STEP_FLOOR = 1e-12
 
 
-def line_segment_logderiv(k, log_a, z0, z1, nodes, weights):
-    """Gauss-Kronrod sums of (f'/f) dz over the segment z0 -> z1, in one
-    pass over the nodes: weights holds a (Kronrod, Gauss) weight pair per
-    node, the Gauss weight 0 at the nodes only the Kronrod rule has.
+def _log1p_exp(x):
+    """log(1 + e^x) without overflow."""
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
 
-    Returns (Kronrod sum, Gauss sum, min scaled |f| over the nodes).
+
+def _cofactor_radius(k, c, ln_tau, mu, cap):
+    """Largest rho <= min(cap, |c| / 2) with |t(c)| (e^delta - 1) <=
+    STEP_TARGET |1 + t(c)|, returned once the bound is below
+    STEP_ACCEPT |1 + t(c)|; ln_tau = ln|t(c)| = -|Re w(c)| and
+    mu = |1 + t(c)| > 0.  The bound is taken in logarithms, so a
+    |t(c)| below the float range still bounds the step by about |Re w(c)|.
+
+    With h = z - c and s = rho / |c|, w(z) - w(c) = (k/c - 1) h
+    + k (log(1 + h/c) - h/c), so over |h| <= rho
+      |w(z) - w(c)| <= delta = |k/c - 1| rho + k (-log(1 - s) - s),
+    which keeps the cancellation in w' = k/l - 1 near l = k, where double
+    zeros sit.  delta is convex and at least |k/c - 1| rho + k s^2 / 2, so
+    Newton from that quadratic's root (capped) stays above the root of
+    delta = log(1 + STEP_TARGET mu / |t(c)|) and falls to it monotonically.
     """
-    m = 0.5 * (z0 + z1)
-    h = 0.5 * (z1 - z0)
-    s = 0j
-    e = 0j
+    r = abs(c)
+    top = 0.5 * r
+    if cap < top:
+        top = cap
+    lm = math.log(mu) - ln_tau
+    target = _log1p_exp(lm + LN_TARGET)
+    accept = _log1p_exp(lm + LN_ACCEPT)
+    slope = abs(k / c - 1.0)
+    curve = k / (r * r)
+    rho = 2.0 * target / (slope + math.sqrt(slope * slope + 2.0 * curve * target))
+    if rho > top:
+        rho = top
+    for _ in range(30):
+        s = rho / r
+        d = slope * rho - k * (math.log1p(-s) + s)
+        if d < accept:
+            return rho
+        rho -= (d - target) / (slope + k / r * s / (1.0 - s))
+    return 0.0
+
+
+def _origin_radius(k, ea, aa, r, fmod, cap):
+    """Largest rho <= min(cap, ORIGIN_RADIUS) with
+    |e^c| (e^rho - 1) + |A| ((r + rho)^k - r^k) <= STEP_TARGET |f(c)|, a bound
+    on |f(z) - f(c)| over |z - c| <= rho; ea = |e^c|, aa = |A|, r = |c| and
+    fmod = |f(c)|.  Returned once the bound is below STEP_ACCEPT |f(c)|.
+
+    The bound is convex in rho and 0 at 0, so its tangent there is below it
+    and Newton from where that tangent meets the target falls to the root
+    from above.
+    """
+    top = ORIGIN_RADIUS if cap > ORIGIN_RADIUS else cap
+    target = STEP_TARGET * fmod
+    accept = STEP_ACCEPT * fmod
+    rho = target / (ea + aa * k * r ** (k - 1))
+    if rho > top:
+        rho = top
+    rk = r ** k
+    for _ in range(30):
+        b = ea * math.expm1(rho) + aa * ((r + rho) ** k - rk)
+        if b < accept:
+            return rho
+        rho -= (b - target) / (ea * math.exp(rho) + aa * k * (r + rho) ** (k - 1))
+    return 0.0
+
+
+def _exponent(k, log_a, c):
+    """w = Log A + k Log c - c at c != 0, and its rounding scale, the sum
+    of its terms' moduli."""
+    loglam = cmath.log(c)
+    return log_a + k * loglam - c, abs(log_a) + k * abs(loglam) + abs(c)
+
+
+def _where(arc, p, c):
+    """Where a tracked point lies, the way its piece is parametrised."""
+    return f"near {c:.6g}" if arc is None else f"(arc at angle {p:.3g})"
+
+
+def _track(k, log_a, point, p0, p1, arc, budget):
+    """(change of arg f, steps, smallest scaled |f| at a step's start) along
+    point(p) for p from p0 up to p1: a line parametrised by arc length (arc
+    None) or an arc of radius `arc` parametrised by angle.
+
+    Each step from c = point(p) is proven on the disk |z - c| <= rho that
+    holds the step's path.  For |c| >= ORIGIN_RADIUS, f = D (1 + t) as in
+    _cofactor, chosen at c; on the disk |w(z) - w(c)| <= delta (see
+    _cofactor_radius, rho <= |c| / 2), so |t(z) - t(c)| <=
+    |t(c)| (e^delta - 1) < STEP_ACCEPT |1 + t(c)|: 1 + t has no zero there
+    and its change of argument is the principal phase of
+    (1 + t(c1)) / (1 + t(c)), t(c1) taken with the factor chosen at c.  The
+    change of arg D is exact: Im(c1 - c) for e^l, k Arg(c1 / c) for A l^k.
+    Nearer the origin the step bounds |f(z) - f(c)| below
+    STEP_ACCEPT |f(c)| (_origin_radius) and adds the phase of
+    f(c1) / f(c).  A step from a scaled |f| below the rounding floor
+    (STEP_FLOOR), or one too short to move p, raises ZeroOnContourError,
+    naming c (an arc: its angle); more than `budget` steps raise
+    QuadratureStalledError.
+    """
+    a = cmath.exp(log_a)
+    aa = abs(a)
+    total = 0.0
+    steps = 0
     minmod = math.inf
-    for x, (w, v) in zip(nodes, weights):
-        g, mod = _logderiv(k, log_a, m + h * x)
+    p = p0
+    c = point(p)
+    w = fc = None  # w (with its rounding scale) or f at c, carried from the step ending there
+    while p < p1:
+        steps += 1
+        if steps > budget:
+            raise QuadratureStalledError("step budget exhausted")
+        r = abs(c)
+        rem = p1 - p
+        if arc is None:
+            cap = rem
+        else:  # the chord to the arc's end, at most a quarter turn away
+            cap = 2.0 * arc * math.sin(0.5 * (rem if rem < HALF_PI else HALF_PI))
+        direct = r < ORIGIN_RADIUS
+        if direct:
+            if fc is None:
+                fc = cmath.exp(c) + a * c ** k
+            ea = math.exp(c.real)
+            fmod = abs(fc)
+            mod = fmod / max(ea, aa * r ** k)
+            scale = 1.0 + k
+        else:
+            if w is None:
+                w, scale = _exponent(k, log_a, c)
+            expdom = w.real <= 0.0
+            t = cmath.exp(w if expdom else -w)
+            mod = abs(1.0 + t)
         if mod < minmod:
             minmod = mod
-        s += w * g
-        e += v * g
-    return s * h, e * h, minmod
+        if mod < STEP_FLOOR * scale:
+            raise ZeroOnContourError(f"scaled |f| = {mod:.3g} is below the rounding floor "
+                                     f"on the contour {_where(arc, p, c)}")
+        if direct:
+            rho = _origin_radius(k, ea, aa, r, fmod, cap)
+        else:
+            rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
+        if rho >= cap:
+            q = p1 if arc is None or rem <= HALF_PI else p + HALF_PI
+        else:
+            q = p + (rho if arc is None else 2.0 * math.asin(0.5 * rho / arc))
+            if not q > p:
+                raise ZeroOnContourError(f"proven step {rho:.3g} does not move the point "
+                                         f"on the contour {_where(arc, p, c)}")
+        c1 = point(q)
+        if direct:
+            f1 = cmath.exp(c1) + a * c1 ** k
+            total += cmath.phase(f1 / fc)
+            fc, w = f1, None
+        else:
+            w1, scale1 = _exponent(k, log_a, c1)
+            t1 = cmath.exp(w1 if expdom else -w1)
+            total += ((c1.imag - c.imag) if expdom else k * cmath.phase(c1 / c)) \
+                + cmath.phase((1.0 + t1) / (1.0 + t))
+            fc, w, scale = None, w1, scale1
+        p, c = q, c1
+    return total, steps, minmod
 
 
-def arc_segment_logderiv(k, log_a, center, radius, t0, t1, nodes, weights):
-    """Gauss-Kronrod sums of (f'/f) dz over the arc angle range [t0, t1] of
-    a circle, with nodes and weight pairs as in line_segment_logderiv.
+def line_segment_logderiv(k, log_a, z0, z1, budget):
+    """Im of the integral of f'/f along the segment z0 -> z1, the exact
+    change of arg f, by proven steps (see _track).
 
-    Returns (Kronrod sum, Gauss sum, min scaled |f| over the nodes).
+    Returns (that change, steps taken, smallest scaled |f| at a step's
+    start); at most `budget` steps.
     """
-    mt = 0.5 * (t0 + t1)
-    ht = 0.5 * (t1 - t0)
-    s = 0j
-    e = 0j
-    minmod = math.inf
-    for x, (w, v) in zip(nodes, weights):
-        p = cmath.rect(radius, mt + ht * x)
-        g, mod = _logderiv(k, log_a, center + p)
-        if mod < minmod:
-            minmod = mod
-        g *= 1j * p
-        s += w * g
-        e += v * g
-    return s * ht, e * ht, minmod
+    length = abs(z1 - z0)
+    if length == 0.0:
+        return 0.0, 0, math.inf
+    u = (z1 - z0) / length
+    return _track(k, log_a, lambda s: z1 if s >= length else z0 + u * s, 0.0, length, None,
+                  budget)
+
+
+def arc_segment_logderiv(k, log_a, center, radius, t0, t1, budget):
+    """Im of the integral of f'/f along the arc of the circle
+    |l - center| = radius from angle t0 up to t1, as line_segment_logderiv.
+    """
+    return _track(k, log_a, lambda t: center + cmath.rect(radius, t), t0, t1, radius, budget)
 
 
 def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,

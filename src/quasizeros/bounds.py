@@ -285,8 +285,8 @@ def _completeness_window(qp, boxes, strip_zeros):
         if not ok:
             raise IncompleteZeroListError(
                 f"zero list covers {detail['expected_count']} zeros in "
-                f"the sampled window (half {half}) but the {detail['proof']} "
-                f"proof counts {detail['contour_count']}")
+                f"the sampled window (half {half}) but the winding count is "
+                f"{detail['contour_count']}")
 
 
 def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
@@ -299,9 +299,8 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     (_window_boxes); zeros outside them lie more than delta + 1 from every
     sample and constrain nothing, and with fewer than two inside there is no
     constraint.  The list must be certified and cover the sampled window
-    (checked by certify_completeness over each half-window's box, in closed
-    form by Lambert-W branch or by a winding count, unless
-    verify_completeness is disabled).
+    (checked by certify_completeness over each half-window's box, by its
+    winding count, unless verify_completeness is disabled).
     """
     _check_strip(h, r_cut, delta, im_cap, sample_count)
     if not strip_zeros:

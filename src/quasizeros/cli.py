@@ -257,7 +257,6 @@ def _cmd_certify(args):
         report = certify_mod.winding_count(qp, box)
         summary = {
             "contour_count": report.count,
-            "integer_distance": report.integer_distance,
             "min_scaled_modulus": report.min_scaled_modulus,
             "segments_used": report.segments_used,
         }

@@ -60,11 +60,13 @@ class TooFewRecordsError(DomainError):
 
 
 class ZeroOnContourError(NumericalError):
-    """A contour passes too close to a zero for reliable quadrature."""
+    """A contour passes through or too near a zero: a proven tracking step
+    fell below the rounding floor."""
 
 
 class QuadratureStalledError(NumericalError):
-    """Adaptive contour quadrature exhausted its segment budget."""
+    """A winding count or the disk search's branch walk exhausted its step
+    budget.  The name stays for the CLI's error type string."""
 
 
 class SubdivisionStalledError(NumericalError):

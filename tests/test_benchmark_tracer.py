@@ -37,3 +37,11 @@ def test_traced_functions_resolve(layers):
                if not callable(getattr(layers.MODULES[layer], attr, None))]
     assert not missing
     assert ("certify", "_edge_clear") in wrapped
+
+
+def test_winding_report_has_integer_segments(layers):
+    # the traced winding_count hook adds report.segments_used to a counter
+    report = quasizeros.winding_count(quasizeros.QuasiPolynomial(1, 1 + 0j),
+                                      quasizeros.Circle(0j, 1.0))
+    assert isinstance(report.segments_used, int) and report.segments_used > 0
+    assert ("certify", "winding_count") in layers.TIMED

@@ -304,7 +304,9 @@ class TestCDelta:
     def test_incomplete_list_detected(self, qp11):
         strip = _strip_zeros(qp11, 8)
         gutted = [r for r in strip if r.nu != 3]
-        with pytest.raises(IncompleteZeroListError, match="the branch proof counts"):
+        with pytest.raises(IncompleteZeroListError,
+                           match=r"zero list covers 4 zeros in the sampled window "
+                                 r"\(half 1\) but the winding count is 5$"):
             qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, gutted,
                                 im_cap=2 * math.pi * 5.5)
 

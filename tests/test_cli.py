@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasizeros import QuasiPolynomial, zeros_in_index_range
 from quasizeros._serialize import parse_complex, parse_nu_range
 from quasizeros.cli import _build_parser, main
 from quasizeros.errors import DomainError
@@ -137,10 +138,10 @@ class TestZerosCommand:
         assert "message" in json.loads(err)["error"]
 
     def test_oversize_box_stalls(self):
-        # a finite side that needs more pieces than the segment budget is
-        # refused before any piece is built
+        # a box whose side runs along the zero strip past 6,024 zeros needs
+        # more tracking steps than the budget
         code, _out, err = run_cli("certify", "--k", "1", "--a", "1+0i",
-                                  "--box", "0,0,1e308,1")
+                                  "--box", "10,1e3,11,1e5")
         assert code == 3
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "QuadratureStalledError"
@@ -229,6 +230,24 @@ class TestOriginCommand:
         rec = doc["results"][0]
         assert rec["nu"] == "origin"
         assert rec["re"] == pytest.approx(-0.5671432904, abs=1e-9)
+
+    @pytest.mark.parametrize("radius, code, error", [
+        ("1e4", 0, None),
+        ("2e4", 3, "MaxIterationsError"),
+        ("3e4", 3, "MaxIterationsError"),
+        ("1e5", 3, "MaxIterationsError"),
+        ("3e5", 3, "QuadratureStalledError"),
+    ])
+    def test_large_disk_exit_codes(self, radius, code, error):
+        # the square's count holds at any of these radii; above |Im l| of
+        # about 16,400 the Newton polish cannot reach the default tolerance
+        # (1e-12), and beyond 2.05e5 the branch walk is over the budget
+        got, out, err = run_cli("origin", "--k", "1", "--a", "1+0i", "--radius", radius)
+        assert got == code
+        if error is None:
+            assert json.loads(out)["summary"]["count"] > 3000
+        else:
+            assert out == "" and json.loads(err)["error"]["type"] == error
 
 
 class TestClassifyCommand:
@@ -354,10 +373,8 @@ class TestBoundsCommand:
         # environment must not change a byte of the output.
         args = ("bounds", "--k", "1", "--a", "1+0i", "--which", "T1",
                 "--samples", "20000", "--seed", "3")
-        _c, out1, _ = run_cli(*args, env={"QZ_THREADS": "1",
-                                          "OMP_NUM_THREADS": "1"})
-        _c, out4, _ = run_cli(*args, env={"QZ_THREADS": "4",
-                                          "OMP_NUM_THREADS": "4"})
+        _c, out1, _ = run_cli(*args, env={"OMP_NUM_THREADS": "1"})
+        _c, out4, _ = run_cli(*args, env={"OMP_NUM_THREADS": "4"})
         assert out1 == out4
 
 
@@ -368,6 +385,15 @@ class TestCertifyRoundTrip:
         assert code == 0
         doc = json.loads(out)
         assert doc["summary"]["contour_count"] == 4
+        assert set(doc["summary"]) == {"contour_count", "min_scaled_modulus", "segments_used"}
+        assert isinstance(doc["summary"]["segments_used"], int)
+
+    def test_edge_through_a_zero_exits_3(self):
+        z = zeros_in_index_range(QuasiPolynomial(1, 1 + 0j), 4, 4, 1e-12)[0].value
+        code, out, err = run_cli("certify", "--k", "1", "--a", "1+0i",
+                                 "--box", f"-10,0.5,10,{z.imag!r}")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "ZeroOnContourError"
 
     def test_round_trip_and_tamper(self, tmp_path):
         zpath = tmp_path / "zeros.json"

@@ -1,7 +1,7 @@
 """Kernel contract tests: splitmix64 (which derives the substream seeds) and
 the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
-ln|1 + t|, the 7-point Gauss / 15-point Kronrod rule and the contour
-segment sums against the same rule applied to direct f'/f, the Lambert-W kernel against scipy, the Rouche disk test
+ln|1 + t|, the contour segment kernels' tracked change of arg f against
+direct f unwrapped on a fine grid, the Lambert-W kernel against scipy, the Rouche disk test
 against its first-order predecessor and at (near-)double zeros, and the
 reported backend name."""
 
@@ -11,7 +11,6 @@ import math
 import random
 import types
 
-import numpy
 import pytest
 
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.special import lambertw
 
 from quasizeros import _kernels_py as kp, bounds, core, zeros as zeros_mod
-from quasizeros.certify import _GK_NODES, _GK_WEIGHTS
 from quasizeros._backend import backend_name
 
 
@@ -107,78 +105,66 @@ def test_active_backend_reported():
 ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
 
 
-KRONROD_WEIGHTS = [w for w, _ in _GK_WEIGHTS]
-GAUSS_WEIGHTS = [v for _, v in _GK_WEIGHTS]
+def _direct_turn(qp, points):
+    """The change of arg f along the polygon through points, from direct f
+    unwrapped between neighbours; None when a neighbour's phase moves by
+    more than 0.5, where the grid is too coarse to unwrap."""
+    phases = [cmath.phase(core.evaluate(qp, lam)) for lam in points]
+    total = 0.0
+    for p0, p1 in zip(phases, phases[1:]):
+        d = kp.wrap_angle(p1 - p0)
+        if abs(d) > 0.5:
+            return None
+        total += d
+    return total
 
 
-def test_gauss_rule_is_leggauss7():
-    gauss = [(x, v) for x, v in zip(_GK_NODES, GAUSS_WEIGHTS) if v != 0.0]
-    nodes, weights = numpy.polynomial.legendre.leggauss(7)
-    assert len(gauss) == 7
-    for (x, v), want_x, want_v in zip(gauss, nodes, weights):
-        assert abs(x - want_x) <= 1e-15 and abs(v - want_v) <= 1e-15
+def _scaled_modulus(qp, lam):
+    return abs(core.evaluate(qp, lam)) / max(abs(cmath.exp(lam)), abs(qp.a * lam ** qp.k))
 
 
-def test_kronrod_rule_exact_to_degree_22():
-    assert len(_GK_NODES) == 15 and sum(KRONROD_WEIGHTS) == 2.0
-    for j in range(23):
-        got = math.fsum(w * x ** j for w, x in zip(KRONROD_WEIGHTS, _GK_NODES))
-        assert abs(got - (2.0 / (j + 1) if j % 2 == 0 else 0.0)) <= 1e-15
-
-
-def _direct_rule(qp, weights, points, dz):
-    """The rule with these weights applied to direct f'/f, and the min
-    scaled |f|."""
-    total = 0j
-    minmod = math.inf
-    for w, lam, d in zip(weights, points, dz):
-        f = core.evaluate(qp, lam)
-        total += w * (core.derivative(qp, lam) / f) * d
-        minmod = min(minmod, abs(f) / max(abs(cmath.exp(lam)), abs(qp.a * lam ** qp.k)))
-    return total, minmod
-
-
-def _assert_close(got, want):
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def _assert_matches_direct(sums, qp, points, dz):
-    kronrod, gauss, minmod = sums
-    want, want_mod = _direct_rule(qp, KRONROD_WEIGHTS, points, dz)
-    _assert_close(kronrod, want)
-    _assert_close(minmod, want_mod)
-    _assert_close(gauss, _direct_rule(qp, GAUSS_WEIGHTS, points, dz)[0])
+GRID = 4000
 
 
 @pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
 def test_line_segment_sum_matches_direct_rule(k, a):
     qp = core.QuasiPolynomial(k, a)
     rng = random.Random(1000 * k + int(4 * a.real + 2 * a.imag))
+    checked = 0
     for _ in range(40):
         z0 = complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
         z1 = z0 + cmath.rect(rng.uniform(0.1, 4.0), rng.uniform(-math.pi, math.pi))
-        sums = kp.line_segment_logderiv(k, qp.log_a, z0, z1, _GK_NODES, _GK_WEIGHTS)
-        m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-        _assert_matches_direct(sums, qp, [m + h * x for x in _GK_NODES],
-                               [h] * len(_GK_NODES))
+        turn, steps, minmod = kp.line_segment_logderiv(k, qp.log_a, z0, z1, 10000)
+        want = _direct_turn(qp, [z0 + (z1 - z0) * (i / GRID) for i in range(GRID + 1)])
+        if want is None:
+            continue
+        checked += 1
+        assert abs(turn - want) <= 1e-9 * max(1.0, abs(want))
+        assert 0 < steps and 0.0 < minmod <= _scaled_modulus(qp, z0) * (1 + 1e-12)
+    assert checked >= 35
 
 
 @pytest.mark.parametrize("k, a", ACCEPTANCE_COMBOS)
 def test_arc_segment_sum_matches_direct_rule(k, a):
     qp = core.QuasiPolynomial(k, a)
     rng = random.Random(2000 * k + int(4 * a.real + 2 * a.imag))
+    checked = 0
     for _ in range(40):
         center = complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
         radius = rng.uniform(0.1, 4.0)
         t0 = rng.uniform(0.0, 2.0 * math.pi)
         t1 = t0 + rng.uniform(0.1, 1.5)
-        sums = kp.arc_segment_logderiv(k, qp.log_a, center, radius, t0, t1,
-                                       _GK_NODES, _GK_WEIGHTS)
-        mt, ht = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        angles = [mt + ht * x for x in _GK_NODES]
-        _assert_matches_direct(
-            sums, qp, [center + cmath.rect(radius, th) for th in angles],
-            [1j * ht * cmath.rect(radius, th) for th in angles])
+        turn, steps, minmod = kp.arc_segment_logderiv(k, qp.log_a, center, radius, t0, t1,
+                                                      10000)
+        want = _direct_turn(qp, [center + cmath.rect(radius, t0 + (t1 - t0) * (i / GRID))
+                                 for i in range(GRID + 1)])
+        if want is None:
+            continue
+        checked += 1
+        assert abs(turn - want) <= 1e-9 * max(1.0, abs(want))
+        start = center + cmath.rect(radius, t0)
+        assert 0 < steps and 0.0 < minmod <= _scaled_modulus(qp, start) * (1 + 1e-12)
+    assert checked >= 35
 
 
 BRANCHES = range(-50, 51)
