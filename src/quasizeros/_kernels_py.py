@@ -311,7 +311,8 @@ ORIGIN_RADIUS = 0.5
 #: error of w, so of t relative), or 1 + k near the origin (the error of
 #: e^c + A c^k relative to its larger term).  At 1e-12, about 4500 eps,
 #: rounding moves |1 + t| by under 1e-3 relative, far inside the
-#: STEP_TARGET / STEP_ACCEPT gap
+#: STEP_TARGET / STEP_ACCEPT gap.  Beyond |c| of about 1e12 the floor
+#: exceeds any |1 + t|: no step there can be proven
 STEP_FLOOR = 1e-12
 
 
@@ -449,9 +450,10 @@ def _track(k, log_a, point, p0, p1, arc, budget):
             mod = abs(1.0 + t)
         if mod < minmod:
             minmod = mod
-        if mod < STEP_FLOOR * scale:
+        floor = STEP_FLOOR * scale
+        if mod < floor:
             raise ZeroOnContourError(f"scaled |f| = {mod:.3g} is below the rounding floor "
-                                     f"on the contour {_where(arc, p, c)}")
+                                     f"{floor:.3g} on the contour {_where(arc, p, c)}")
         if direct:
             rho = _origin_radius(k, ea, aa, r, fmod, cap)
         else:
