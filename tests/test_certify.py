@@ -96,6 +96,14 @@ class TestWindingCount:
         box = qz.Rectangle(complex(100, -5), complex(300, 5))
         assert qz.winding_count(qp11, box).count == 0
 
+    def test_bad_tolerance(self, qp11):
+        # the count is exact and takes no tolerance; the disk search's polish
+        # tolerance must be positive
+        with pytest.raises(TypeError):
+            qz.winding_count(qp11, qz.Circle(0j, 0.1), -1.0)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            qz.find_zeros_in_disk(qp11, 10.0, -1.0)
+
     @pytest.mark.parametrize("make", [
         lambda: qz.Circle(complex(math.nan, 0), 1.0),
         lambda: qz.Circle(0j, math.inf),
@@ -115,6 +123,26 @@ class TestWindingCount:
         # over the budget
         with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
             qz.winding_count(qp11, qz.Rectangle(complex(10, 1e3), complex(11, 1e5)))
+
+    @pytest.mark.parametrize("corner, budget", [
+        (complex(20.0, 3.0), 24),    # sides of 14, 1, 13 and 1 steps: 29 > 24
+    ])
+    def test_over_budget_refused_before_any_sum(self, qp11, monkeypatch, corner, budget):
+        # the budget is the whole contour's: each side is handed what the
+        # sides before it left, and the side that runs out refuses before
+        # the turns are summed into a count
+        monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
+        line = kp.line_segment_logderiv
+        handed = []
+
+        def counted(*args):
+            handed.append(args[-1])
+            return line(*args)
+
+        monkeypatch.setattr(kp, "line_segment_logderiv", counted)
+        with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
+            qz.winding_count(qp11, qz.Rectangle(-corner, corner))
+        assert handed == [budget, budget - 14, budget - 15]
 
     def test_just_inside_budget_counts(self, qp11, monkeypatch):
         # the budget bounds the steps of the whole contour, all four sides
@@ -294,11 +322,11 @@ class TestFindZerosInDisk:
         assert calls[1].corner_max.real > calls[0].corner_max.real
 
 
-class TestDiskSquare:
+class TestSharedEdges:
     """The disk search's square gets one winding count, the count a fresh
     winding count of the same rectangle gives."""
 
-    def test_outer_square_count_matches_fresh_winding_count(self, qp11):
+    def test_outer_square_report_matches_fresh_winding_count(self, qp11):
         found, count = certify_mod._outer_cell(qp11, 40.0, 1e-12)
         xmin, xmax, ymin, ymax = certify_mod._square(40.0, 0)
         fresh = qz.winding_count(qp11, qz.Rectangle(complex(xmin, ymin),
@@ -353,13 +381,14 @@ def _lambert_count(qp, box):
     return count
 
 
-class TestTracking:
-    """A winding count walks the contour in proven steps: exact, with no
-    tolerance, and long steps away from the zeros."""
+class TestGaussKronrod:
+    """The winding count against the closed-form count of scipy's Lambert
+    W, and the work it takes on the criterion-02 box and in the disk
+    searches whose branch values meet at the branch point or lie on the
+    cut."""
 
-    def test_count_matches_lambert_oracle(self):
-        # the closed-form count from scipy's Lambert W takes no contour
-        # walk: an independent oracle
+    def test_count_matches_branch_proof(self):
+        # the closed-form count takes no contour walk: an independent oracle
         rng = random.Random(1501)
         decided = 0
         for _ in range(200):
@@ -379,6 +408,31 @@ class TestTracking:
         box = qz.Rectangle(complex(-12, -2 * math.pi * 20.6), complex(12, 2 * math.pi * 20.6))
         report = qz.winding_count(qp11, box)
         assert report.count == 41 and report.segments_used <= 100
+
+    @pytest.mark.parametrize("a, radius, bound", [(complex(-math.e, 0), 1.5, 64),
+                                                  (-3 + 0j, 40.0, 48)],
+                             ids=["branch-point", "cut"])
+    def test_fallback_search_work(self, a, radius, bound, monkeypatch):
+        # the square's count and the certificates' circle counts together
+        # take at most `bound` tracking steps
+        qp = qz.QuasiPolynomial(1, a)
+        inner = certify_mod.winding_count
+        steps = []
+
+        def counted(*args):
+            report = inner(*args)
+            steps.append(report.segments_used)
+            return report
+
+        monkeypatch.setattr(certify_mod, "winding_count", counted)
+        recs = qz.find_zeros_in_disk(qp, radius)
+        assert recs and all(r.certified for r in recs)
+        assert steps and sum(steps) <= bound
+
+
+class TestTracking:
+    """A winding count walks the contour in proven steps: exact, with no
+    tolerance, and long steps away from the zeros."""
 
     def test_large_square_counts_in_few_steps(self, qp11):
         # the cost follows the strip crossings, not the perimeter
@@ -440,20 +494,6 @@ class TestEnumeration:
             assert rec.certified and rec.multiplicity == mult
             assert rec.isolation_radius == pytest.approx(radius_want, abs=1e-9)
 
-    @pytest.mark.parametrize("a, radius", [(complex(-math.e, 0), 1.5), (-3 + 0j, 6.0)],
-                             ids=["branch-point", "cut"])
-    def test_branch_point_and_cut_take_one_count(self, a, radius, monkeypatch):
-        # A = -e puts z_0 at the branch point; A = -3 puts it on the cut:
-        # listed like any other, with the one rectangle count
-        qp = qz.QuasiPolynomial(1, a)
-        counts = _counting(monkeypatch, certify_mod, "winding_count")
-        recs = qz.find_zeros_in_disk(qp, radius)
-        assert recs and all(r.certified for r in recs)
-        assert sum(isinstance(args[1], qz.Rectangle) for args in counts) == 1
-        box = qz.Rectangle(complex(-radius, -radius), complex(radius, radius))
-        ok, detail = qz.certify_completeness(qp, box, recs)
-        assert ok and detail["contour_count"] == sum(r.multiplicity for r in recs)
-
     @pytest.mark.parametrize("tamper", ["drop", "duplicate"])
     def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
         # a list that fails the count identity stops the search, naming the
@@ -470,6 +510,90 @@ class TestEnumeration:
                            match=f"^the square's count is 3, the listed multiplicities "
                                  f"add up to {listed}, and the uncertified records are "):
             qz.find_zeros_in_disk(qp11, 10.0)
+
+
+def _rect_cell(rect):
+    lo, hi = rect.corner_min, rect.corner_max
+    return lo.real, hi.real, lo.imag, hi.imag
+
+
+class TestBranchProof:
+    """The Lambert-W branch listing of the disk search: its multiplicities
+    add up to the winding count, the branch point and the cut are listed
+    like any other z_j, and a completeness check counts by tracking."""
+
+    def test_count_matches_winding_count(self):
+        rng = random.Random(1301)
+        boxes = [(1, 1 + 0j, qz.Rectangle(complex(-12, -2 * math.pi * 20.6),
+                                          complex(12, 2 * math.pi * 20.6)))]
+        while len(boxes) < 40:
+            k = rng.choice((1, 2, 3, 4, 5, 7, 10, 15, 25))
+            a = cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+            x0, y0 = rng.uniform(-30, 15), rng.uniform(-150, 120)
+            boxes.append((k, a, qz.Rectangle(
+                complex(x0, y0), complex(x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 60)))))
+        for k, a, box in boxes:
+            qp = qz.QuasiPolynomial(k, a)
+            found = certify_mod._branch_zeros(qp, _rect_cell(box))
+            assert all(box.contains(rec.value) for rec in found), (k, a, box)
+            assert sum(rec.multiplicity for rec in found) == qz.winding_count(
+                qp, box).count, (k, a, box)
+
+    @pytest.mark.parametrize("a, radius", [(complex(-math.e, 0), 1.5), (-3 + 0j, 6.0)],
+                             ids=["branch-point", "cut"])
+    def test_fallback_takes_one_count(self, a, radius, monkeypatch):
+        # A = -e puts z_0 at the branch point; A = -3 puts it on the cut:
+        # listed like any other, with the one rectangle count
+        qp = qz.QuasiPolynomial(1, a)
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        recs = qz.find_zeros_in_disk(qp, radius)
+        assert recs and all(r.certified for r in recs)
+        assert sum(isinstance(args[1], qz.Rectangle) for args in counts) == 1
+        box = qz.Rectangle(complex(-radius, -radius), complex(radius, radius))
+        ok, detail = qz.certify_completeness(qp, box, recs)
+        assert ok and detail["contour_count"] == sum(r.multiplicity for r in recs)
+
+    def test_completeness_reports_branch_proof(self, qp11, monkeypatch):
+        # one tracking count, and a report of the counts and the failures
+        # only: no proof kind, no quadrature figures
+        recs = qz.zeros_in_index_range(qp11, 1, 10, 1e-12)
+        box = qz.Rectangle(complex(-10, 5.0), complex(10, recs[-1].value.imag + math.pi))
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        ok, detail = qz.certify_completeness(qp11, box, recs)
+        assert ok and detail == {"contour_count": 10, "expected_count": 10,
+                                 "record_failures": []}
+        assert len(counts) == 1
+        ok, detail = qz.certify_completeness(qp11, box, recs[:-1])
+        assert not ok and detail["contour_count"] == 10 and detail["expected_count"] == 9
+
+    def test_branch_rule_matches_scipy(self):
+        # the listing walks |m| <= Y / (2 pi k) + 1 only: lambert_w(z, m) is
+        # scipy's branch m, and |Im W_m| > 2 (|m| - 1) pi for |m| >= 2
+        rng = random.Random(1302)
+        for _ in range(2000):
+            z = cmath.rect(math.exp(rng.uniform(-12, 12)), rng.uniform(-math.pi, math.pi))
+            for m in range(-6, 7):
+                w = complex(lambertw(z, m))
+                assert abs(kp.lambert_w(z, m) - w) <= 1e-12 * abs(w), (z, m)
+                if abs(m) >= 2:
+                    assert abs(w.imag) > 2 * (abs(m) - 1) * math.pi, (z, m)
+
+    def test_refused_on_the_cut(self):
+        # A = -3 puts z_0 = -1/3 on the cut, where W_0 and W_-1 give the two
+        # real zeros: an edge through either is refused, and an edge clear
+        # of it by 1e-6, on either side, places it
+        qp = qz.QuasiPolynomial(1, -3 + 0j)
+        recs = qz.find_zeros_in_disk(qp, 6.0)
+        assert len(recs) == 2
+        for rec in recs:
+            x = rec.value.real
+            for box in (qz.Rectangle(complex(x, -1), complex(x + 0.5, 1)),
+                        qz.Rectangle(complex(x - 0.5, -1), complex(x, 1))):
+                with pytest.raises(ZeroOnContourError, match="rounding floor"):
+                    qz.winding_count(qp, box)
+            for dx, want in ((-1e-6, 1), (1e-6, 0)):
+                box = qz.Rectangle(complex(x + dx, -1), complex(x + 0.5, 1))
+                assert qz.winding_count(qp, box).count == want
 
 
 class TestCertifyCompleteness:
