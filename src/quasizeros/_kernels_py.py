@@ -29,7 +29,13 @@ import cmath
 import math
 import random
 
-from .errors import QuadratureStalledError, ZeroOnContourError
+from .errors import (
+    DerivativeVanishesError,
+    EscapedBasinError,
+    MaxIterationsError,
+    QuadratureStalledError,
+    ZeroOnContourError,
+)
 
 M64 = 0xFFFFFFFFFFFFFFFF
 PI = math.pi
@@ -122,6 +128,47 @@ def relative_residual(k, log_a, lam):
     return abs(1.0 + _cofactor(k, log_a, lam)[1])
 
 
+def residual_cofactor(k, log_a, lam):
+    """(relative_residual, (expdom, t)) at lam from one _cofactor, the
+    cofactor as rouche_holds takes it; (1.0, None) at lam = 0."""
+    if lam == 0:
+        return 1.0, None
+    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    return abs(1.0 + t), (expdom, t)
+
+
+def newton_polish(k, log_a, seed, tolerance, max_iterations, escape):
+    """Newton iteration from seed until the relative residual is below
+    tolerance.
+
+    Returns (lam, residual, iterations, cofactor): the first iterate that
+    passes, its residual, the steps taken, and (expdom, t) at it (None at
+    lam = 0).  Each iterate costs one _cofactor, shared by its residual and,
+    when it does not pass, its Newton step f/f' = (1 + t)/u.  Raises
+    EscapedBasinError when an iterate lies farther than `escape` from the
+    seed, DerivativeVanishesError where the step is unusable (see
+    newton_step), and MaxIterationsError after max_iterations steps.
+    """
+    lam = seed
+    for it in range(max_iterations + 1):
+        residual, cofactor = residual_cofactor(k, log_a, lam)
+        if residual < tolerance:
+            return lam, residual, it, cofactor
+        if cofactor is None:
+            ratio, vanishes = newton_step(k, log_a, lam)
+        else:
+            ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
+        if vanishes:
+            raise DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}")
+        lam = lam - ratio
+        if abs(lam - seed) > escape:
+            raise EscapedBasinError(
+                f"Newton iterate left the seed basin (|l - seed| > {escape:g})")
+    raise MaxIterationsError(
+        f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
+        f"in {max_iterations} iterations")
+
+
 def newton_step(k, log_a, lam):
     """Newton ratio f/f' in dominance-factored form.
 
@@ -134,6 +181,11 @@ def newton_step(k, log_a, lam):
             return 0j, True
         return 1.0 / d, False
     expdom, t, _loglam = _cofactor(k, log_a, lam)
+    return _newton_step_cofactor(k, lam, expdom, t)
+
+
+def _newton_step_cofactor(k, lam, expdom, t):
+    """newton_step at lam != 0 from the cofactor (expdom, t) of _cofactor."""
     u, _r, _tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return 0j, True
@@ -177,8 +229,13 @@ def _derivative_cofactor(k, lam, expdom, t):
 def _second_derivative_cofactor(k, lam, expdom, t):
     """f'' divided by the dominant term of f, from _cofactor's outputs:
     1 + k(k-1) t / lam^2 when e^lam dominates, t + k(k-1) / lam^2
-    otherwise.  lam != 0."""
-    c = k * (k - 1) / (lam * lam)
+    otherwise.  lam != 0.  For k = 1 the lam^2 term is exactly 0; where
+    lam^2 underflows (|lam| below about 1e-154) it is formed as
+    (k(k-1) / lam) / lam, which may overflow to a non-finite value."""
+    if k == 1:
+        return 1.0 + 0j if expdom else t
+    sq = lam * lam
+    c = k * (k - 1) / sq if sq else k * (k - 1) / lam / lam
     return 1.0 + c * t if expdom else t + c
 
 
@@ -214,13 +271,26 @@ def rouche_isolates(k, log_a, lam, radius):
     D = max(|e^z|, |A||z|^k), so nothing overflows; the polynomial sum is
     accumulated term by term from positive terms (never below its true
     value but for rounding), and the inequality must hold with a 1% margin.
-    False means "not proven", never "no zero".
+    False means "not proven", never "no zero".  The inequality is
+    rouche_holds, from the cofactor at lam.
     """
-    if lam == 0 or not 0.0 < radius < 700.0:
+    if lam == 0:
         return False
     expdom, t, _loglam = _cofactor(k, log_a, lam)
+    return rouche_holds(k, lam, expdom, t, radius)
+
+
+def rouche_holds(k, lam, expdom, t, radius):
+    """rouche_isolates from the cofactor (expdom, t) of _cofactor at
+    lam != 0, so a caller that has just evaluated f at lam tests the disk
+    without evaluating it again.  Where k/lam overflows (|lam| near the
+    float range's bottom) the scaled f' is not finite and the test reads as
+    not proven, as it does with a non-finite f'' term (see
+    _second_derivative_cofactor)."""
+    if not 0.0 < radius < 700.0:
+        return False
     u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
-    if vanishes:
+    if vanishes or not cmath.isfinite(u):
         return False
     s = _second_derivative_cofactor(k, lam, expdom, t)
     etail = _exp_tail3(radius)
@@ -253,7 +323,7 @@ def critical_step(k, log_a, lam):
     return u / s
 
 
-def lambert_w(z, m=0):
+def lambert_w(z, m=0, logz=None):
     """Branch m of the Lambert W function: the w with w e^w = z on the
     branches of Corless, Gonnet, Hare, Jeffrey & Knuth (Adv. Comput. Math. 5,
     1996), with counter-clockwise continuity: a real z on a branch cut lies
@@ -265,10 +335,13 @@ def lambert_w(z, m=0):
     cut or m = 1 below it), Log(1 + z) for m = 0 and small |z|, and
     otherwise Corless's asymptotic L1 - L2 + L2/L1 with L1 = Log z + 2 pi i m
     and L2 = Log L1.  Halley's iteration on w - z e^-w then polishes it;
-    z e^-w is formed as exp(Log z - w), so nothing overflows.
+    z e^-w is formed as exp(Log z - w), so nothing overflows.  A caller
+    that holds Log z passes it as logz; then z may be a non-finite rounding
+    of a |z| beyond the float range, and Log z alone places the seed.
     """
     z = complex(z)
-    logz = cmath.log(z)
+    if logz is None:
+        logz = cmath.log(z)
     q = math.e * z + 1.0
     if abs(q) < 0.3 and (m == 0 or m == -math.copysign(1.0, z.imag)):
         p = cmath.sqrt(2.0 * q) * (1 if m == 0 else -1)

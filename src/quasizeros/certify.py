@@ -29,7 +29,10 @@ O(k) Rouche disk test (f against its linear Taylor part, with the exact
 second-order term and a closed-form bound on the rest; see
 _kernels_py.rouche_isolates), which also proves each zero of a near-double
 pair at its own isolation radius; otherwise, or when that test does not
-succeed, by a winding count over the disk.
+succeed, by a winding count over the disk.  certify_record evaluates f once
+at the record's value for both the residual gate and the Rouche test; the
+ladder's fresh records take that evaluation from their Newton polish
+(certify_polished).
 """
 
 import cmath
@@ -51,6 +54,9 @@ from .errors import (
 #: tracking steps per winding count, and Lambert-W branches per root per
 #: disk-search walk
 STEP_BUDGET = 1 << 16
+
+#: a record's value must have relative residual below this to certify
+RESIDUAL_GATE = 1e-6
 
 #: |e z + 1| below this puts z = -1/(k w_j) at the Lambert-W branch point
 #: -1/e, where W_0 and its partner branch meet in a double zero; a float A =
@@ -148,15 +154,19 @@ def certify_record(qp, record, radius=None):
     """Certify a zero record: prove that exactly record.multiplicity zeros
     lie in the open disk |l - value| < isolation_radius.
 
-    The value must first have relative residual below 1e-6.  A simple zero
-    is then tried with the closed-form Rouche disk test at the given radius;
-    when that test does not prove the claim (or the record is not simple)
-    a winding count over the disk decides.  The winding-count path shrinks
-    the disk (up to three times) when the count exceeds the record's
-    multiplicity because of a close neighbor.  A count of 2 around a
-    multiplicity-1 record is re-read as a double zero when the critical point
-    of f polishes to a genuine zero inside the disk; the record is then
-    upgraded (value moved to the critical point, multiplicity 2).
+    The value must first have relative residual below RESIDUAL_GATE,
+    recomputed here at record.value whatever the record stores, so a stale
+    or tampered record is refused.  A simple zero is then tried with the
+    closed-form Rouche disk test at the given radius, from the same
+    evaluation of f; when that test does not prove the claim (or the record
+    is not simple) a winding count over the disk decides.  The
+    winding-count path shrinks the disk (up to three times) when the count
+    exceeds the record's multiplicity because of a close neighbor.  A count
+    of 2 around a multiplicity-1 record is re-read as a double zero when the
+    critical point of f polishes to a genuine zero inside the disk; the
+    record is then upgraded (value moved to the critical point,
+    multiplicity 2).  The ladder certifies its own records with
+    certify_polished, which takes that evaluation from the polish.
     """
     r = radius if radius is not None else record.isolation_radius
     if r is None:
@@ -165,12 +175,36 @@ def certify_record(qp, record, radius=None):
         return _certificate(record, False, r)
     # the value itself must be a zero; the disk count alone would also pass
     # for a stale value whose disk still happens to contain the true zero
-    if core.relative_residual(qp, record.value) >= 1e-6:
-        return _certificate(record, False, r)
-    if record.multiplicity == 1 and kernels.rouche_isolates(
-            qp.k, qp.log_a, complex(record.value), r):
-        return _certificate(record, True, r)
-    return _winding_certificate(qp, record, r)
+    value = complex(record.value)
+    residual, cofactor = kernels.residual_cofactor(qp.k, qp.log_a, value)
+    proven = _proven(qp, value, residual, cofactor, record.multiplicity, r)
+    if proven is None:
+        return _winding_certificate(qp, record, r)
+    return _certificate(record, proven, r)
+
+
+def certify_polished(qp, nu, value, residual, seed, iterations, cofactor, radius):
+    """The record of a simple zero, certified as certify_record would certify
+    it, from the residual and cofactor (expdom, t) that the polish computed
+    at value (kernels.newton_polish): no further evaluation of f unless
+    Rouche fails and a winding count decides.  Builds one ZeroRecord."""
+    proven = _proven(qp, value, residual, cofactor, 1, radius)
+    if proven is None:
+        return _winding_certificate(
+            qp, zeros_mod.ZeroRecord(nu, value, residual, seed, iterations), radius)
+    return zeros_mod.ZeroRecord(nu, value, residual, seed, iterations, proven, radius)
+
+
+def _proven(qp, value, residual, cofactor, multiplicity, r):
+    """A certificate settled without a winding count: False when the radius
+    leaves no room or the residual at value fails RESIDUAL_GATE, True when
+    the Rouche test (kernels.rouche_holds, from the cofactor at value)
+    proves a simple zero, None when a winding count decides."""
+    if not r > 0 or residual >= RESIDUAL_GATE:
+        return False
+    if multiplicity == 1 and kernels.rouche_holds(qp.k, value, *cofactor, r):
+        return True
+    return None
 
 
 def _certificate(record, certified, radius):
@@ -213,19 +247,15 @@ def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
 
 
 def _polish(qp, seed, cell, tolerance):
-    """Newton from the seed; the zero it reaches must lie strictly inside
-    the cell (xmin, xmax, ymin, ymax).  Labelled by disk_zero_index."""
+    """Newton from the complex seed, as newton_refine; the zero it reaches
+    must lie strictly inside the cell (xmin, xmax, ymin, ymax).  Labelled by
+    disk_zero_index."""
     xmin, xmax, ymin, ymax = cell
-    rec = zeros_mod.newton_refine(qp, seed, tolerance)
-    v = rec.value
+    v, residual, iterations, _cofactor = zeros_mod._newton_polish(qp, seed, tolerance)
     if not (xmin < v.real < xmax and ymin < v.imag < ymax):
         raise EscapedBasinError("polished zero left its cell")
-    nu = zeros_mod.disk_zero_index(qp, v)
-    if nu == rec.nu:
-        return rec
-    # newton_refine's record is uncertified and simple: its last three
-    # fields are the defaults
-    return zeros_mod.ZeroRecord(nu, v, rec.residual, rec.seed, rec.iterations)
+    return zeros_mod.ZeroRecord(zeros_mod.disk_zero_index(qp, v), v, residual, seed,
+                                iterations)
 
 
 def _double_zero(qp, region, seed):

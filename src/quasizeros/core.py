@@ -1,7 +1,7 @@
 """The quasipolynomial f(l) = e^l + A*l^k and its numerically stable evaluation.
 
 Direct evaluation is exact double-precision complex arithmetic and is limited
-to the range where e^l and A*l^k representable; the scaled forms factor out
+to the range where e^l and A*l^k are representable; the scaled forms factor out
 the dominant of the two terms, so they work across the whole plane (the
 co-factor 1 + subdominant/dominant has magnitude at most 2).
 """

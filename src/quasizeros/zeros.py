@@ -18,6 +18,7 @@ fixed-point iteration) are standalone; the ladder calls neither.
 import cmath
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+#: Newton steps the ladder allows each zero (newton_refine's default)
+NEWTON_ITERATIONS = 60
 
 #: refined values closer than this collapse onto one zero
 DUPLICATE_DISTANCE = 1e-6
@@ -152,6 +156,18 @@ def lambert_argument(qp, j):
     return -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
 
 
+def _lambert_root(qp, j):
+    """(z_j, Log z_j) for lambert_argument(qp, j).  Log z_j is cmath.log(z_j)
+    where z_j is finite and nonzero; where |z_j| = 1/(k |A|^(1/k)) leaves the
+    float range (|A| below about 1e-308 for k = 1) it is formed from Log A,
+    as -ln k - (Log A + i pi (2j + 1)) / k + i pi, wrapped to (-pi, pi]."""
+    z = lambert_argument(qp, j)
+    if z and cmath.isfinite(z):
+        return z, cmath.log(z)
+    u = (qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / qp.k
+    return z, complex(-math.log(qp.k) - u.real, kernels.wrap_angle(math.pi - u.imag))
+
+
 def _ladder_index(qp, value):
     """The index nu whose fixed-point map (see fixed_point_refine) has value
     as its fixed point: Im l = 2 pi nu + pi + arg A + k Arg l, rounded."""
@@ -168,37 +184,43 @@ def _ladder_branch(qp, nu):
     return j, (j - nu) // qp.k - (nu > 0)
 
 
-def _ladder_zero(qp, nu, tolerance):
+#: one ladder zero before its certificate: the polish's last iterate, its
+#: residual and its cofactor (expdom, t) (see kernels.newton_polish)
+_Polished = namedtuple("_Polished", "nu value residual seed iterations cofactor")
+
+
+def _ladder_zero(qp, nu, m, root, tolerance):
     """The nu-th zero, Newton-polished from -k W_m(z_j) with
-    (j, m) = _ladder_branch(qp, nu), its index checked by _ladder_index.
+    (j, m) = _ladder_branch(qp, nu) and root = _lambert_root(qp, j), its
+    index checked by _ladder_index; a _Polished.
 
     Where z_j lies on the cut (real A < 0), the (j, m) labels read it from
     below, the side that arg A -> pi reaches; above it, branch m holds
     another zero with the same j (W_1 below is W_-1 above, and every other
     W_m below with m != 0 is W_(m-1) above).  When rounding puts Im z_j
     above the cut, the seed's index differs from nu by a multiple of k, and
-    the seed is taken once more from the conjugate z_j.  Any failure raises
-    NotConvergedError naming nu.
+    the seed is taken once more from the conjugate z_j.  A seed that already
+    passes the tolerance is its own zero, so its index is checked once.  Any
+    failure raises NotConvergedError naming nu.
     """
     k = qp.k
-    j, m = _ladder_branch(qp, nu)
-    z = lambert_argument(qp, j)
-    seed = -k * kernels.lambert_w(z, m)
-    off = _ladder_index(qp, seed) - nu
-    if off and off % k == 0:
-        seed = -k * kernels.lambert_w(z.conjugate(), m)
+    z, logz = root
+    seed = -k * kernels.lambert_w(z, m, logz)
+    found = _ladder_index(qp, seed)
+    if found != nu and (found - nu) % k == 0:
+        seed = -k * kernels.lambert_w(z.conjugate(), m, logz.conjugate())
+        found = _ladder_index(qp, seed)
     try:
-        rec = newton_refine(qp, seed, tolerance)
+        lam, residual, iterations, cofactor = _newton_polish(qp, seed, tolerance)
     except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
         raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
-    found = _ladder_index(qp, rec.value)
+    if iterations:
+        found = _ladder_index(qp, lam)
     if found != nu:
         raise NotConvergedError(
             f"refinement failed for nu = {nu}: Newton reached the zero of "
             f"index {found}")
-    # built directly, about twice as fast as dataclasses.replace;
-    # newton_refine's record is uncertified and simple
-    return ZeroRecord(nu, rec.value, rec.residual, rec.seed, rec.iterations)
+    return _Polished(nu, lam, residual, seed, iterations, cofactor)
 
 
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
@@ -246,30 +268,32 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
                 f"in {it} iterations (last step ratio {step / prev:.6g})")
 
 
-def newton_refine(qp, seed, tolerance=1e-13, max_iterations=60):
+def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     """Polish a seed by Newton iteration until the relative residual passes.
 
-    Raises EscapedBasinError when an iterate strays more than ESCAPE_RADIUS
-    from the seed (protects the index bookkeeping), and propagates
+    Each iterate costs one scaled evaluation, shared by its residual and its
+    Newton step (kernels.newton_polish).  The ladder runs the same polish
+    and certifies from its final evaluation; a record from here is certified
+    by certify.certify_record, which evaluates f at its value again.  The
+    record is labelled by branch_index (None for 0).  Raises
+    EscapedBasinError when an iterate strays more than ESCAPE_RADIUS from
+    the seed (protects the index bookkeeping), and propagates
     DerivativeVanishesError from critical points.
     """
+    seed = complex(seed)
+    lam, residual, iterations, _cofactor = _newton_polish(qp, seed, tolerance, max_iterations)
+    idx = branch_index(qp, lam)
+    return ZeroRecord(nu=idx if idx != 0 else None, value=lam,
+                      residual=residual, seed=seed, iterations=iterations)
+
+
+def _newton_polish(qp, seed, tolerance, max_iterations=NEWTON_ITERATIONS):
+    """kernels.newton_polish from the complex seed with ESCAPE_RADIUS:
+    (value, residual, iterations, cofactor at value)."""
     if tolerance <= 0:
         raise InvalidIndexError("tolerance must be positive")
-    seed = complex(seed)
-    lam = seed
-    for it in range(max_iterations + 1):
-        residual = core.relative_residual(qp, lam)
-        if residual < tolerance:
-            idx = branch_index(qp, lam)
-            return ZeroRecord(nu=idx if idx != 0 else None, value=lam,
-                              residual=residual, seed=seed, iterations=it)
-        lam = lam - core.newton_ratio(qp, lam)
-        if abs(lam - seed) > ESCAPE_RADIUS:
-            raise EscapedBasinError(
-                f"Newton iterate left the seed basin (|l - seed| > {ESCAPE_RADIUS:g})")
-    raise MaxIterationsError(
-        f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
-        f"in {max_iterations} iterations")
+    return kernels.newton_polish(qp.k, qp.log_a, seed, tolerance, max_iterations,
+                                 ESCAPE_RADIUS)
 
 
 def _check_duplicates(records):
@@ -288,25 +312,35 @@ def _nearest_distances(records):
     direction once the Im gap alone exceeds the best distance found so far.
     A lone record gets inf.
     """
-    order = sorted(range(len(records)),
-                   key=lambda i: (records[i].value.imag, records[i].value.real))
-    values = [records[i].value for i in order]
-    nearest = [math.inf] * len(records)
+    values = [rec.value for rec in records]
+    order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
+    ordered = [values[i] for i in order]
+    ims = [z.imag for z in ordered]
+    n = len(ordered)
+    nearest = [math.inf] * n
     for pos, i in enumerate(order):
-        a = values[pos]
+        a = ordered[pos]
+        im = ims[pos]
         best = math.inf
-        for step, stop in ((1, len(values)), (-1, -1)):
-            for j in range(pos + step, stop, step):
-                b = values[j]
-                if abs(b.imag - a.imag) > best:
-                    break
-                best = min(best, abs(a - b))
+        j = pos + 1
+        while j < n and not ims[j] - im > best:
+            d = abs(a - ordered[j])
+            if d < best:
+                best = d
+            j += 1
+        j = pos - 1
+        while j >= 0 and not im - ims[j] > best:
+            d = abs(a - ordered[j])
+            if d < best:
+                best = d
+            j -= 1
         nearest[i] = best
     return nearest
 
 
 def isolation_radii(records):
-    """min(1, half nearest-neighbor distance) for each record (1 when alone)."""
+    """min(1, half nearest-neighbor distance) for each record (1 when alone);
+    a record is anything with a complex .value."""
     return [min(1.0, 0.5 * d) for d in _nearest_distances(records)]
 
 
@@ -314,23 +348,36 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     """Refined zeros for every index in [nu_min, nu_max] (nu = 0 skipped).
 
     Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu),
-    Newton-polished from that Lambert-W value (see _ladder_zero); a failure
-    raises NotConvergedError naming nu.  Records are sorted by nu; values
-    collapsing within 1e-6 raise DuplicateZeroError.  With certify=True each
-    record is certified over its isolation disk (see certify.certify_record).
+    Newton-polished from that Lambert-W value (see _ladder_zero); z_j is
+    computed once per root j.  A failure raises NotConvergedError naming
+    nu.  Records are sorted by nu; values collapsing within 1e-6 raise
+    DuplicateZeroError.  With certify=True each record is certified over its
+    isolation disk from its polish's final evaluation: the residual gate and
+    the Rouche test take the residual and cofactor the polish computed at the
+    value, and only a zero Rouche does not prove costs a winding count (see
+    certify.certify_polished; certify.certify_record re-checks the residual
+    of a stored record at its value).
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
-    records = [_ladder_zero(qp, nu, tolerance)
-               for nu in range(nu_min, nu_max + 1) if nu != 0]
-    _check_duplicates(records)
-    if certify:
-        from . import certify as certify_mod
+    roots = {}
+    polished = []
+    for nu in range(nu_min, nu_max + 1):
+        if nu == 0:
+            continue
+        j, m = _ladder_branch(qp, nu)
+        root = roots.get(j)
+        if root is None:
+            root = roots[j] = _lambert_root(qp, j)
+        polished.append(_ladder_zero(qp, nu, m, root, tolerance))
+    _check_duplicates(polished)
+    if not certify:
+        return [ZeroRecord(p.nu, p.value, p.residual, p.seed, p.iterations)
+                for p in polished]
+    from . import certify as certify_mod
 
-        radii = isolation_radii(records)
-        records = [certify_mod.certify_record(qp, rec, radius)
-                   for rec, radius in zip(records, radii)]
-    return records
+    return [certify_mod.certify_polished(qp, *p, radius)
+            for p, radius in zip(polished, isolation_radii(polished))]
 
 
 def gap_statistics(records):

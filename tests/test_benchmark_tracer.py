@@ -4,6 +4,7 @@ first show up as a broken `perfbench/run.py --trace 1`."""
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,32 @@ def test_winding_report_has_integer_segments(layers):
                                       quasizeros.Circle(0j, 1.0))
     assert isinstance(report.segments_used, int) and report.segments_used > 0
     assert ("certify", "winding_count") in layers.TIMED
+
+
+def test_traced_ladder_accounting(layers):
+    # a traced ladder run adds up, although its records are certified from
+    # their polish and none goes through certify_record
+    tracer_module = sys.modules[layers.self_times.__module__]
+    qp = quasizeros.QuasiPolynomial(1, 1 + 0j)
+    start = time.perf_counter()
+    quasizeros.zeros_in_index_range(qp, -20, 20)
+    base_wall = time.perf_counter() - start
+    ladder = quasizeros.zeros_in_index_range
+    tracer = tracer_module.Tracer()
+    layers.install(tracer)
+    try:
+        start = time.perf_counter()
+        records = quasizeros.zeros_in_index_range(qp, -20, 20)
+        traced_wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert quasizeros.zeros_in_index_range is ladder
+    assert len(records) == 40 and all(rec.certified for rec in records)
+    metrics, accounting, _shares = layers.summarize(
+        tracer, cycles=1, traced_wall=traced_wall, base_wall=base_wall, base_samples=0,
+        import_s=0.0)
+    assert accounting["ok"], accounting
+    assert metrics["certify.certify_record.calls"]["value"] == 0
+    assert metrics["certify.certify_record.certified_frac"]["value"] == 0.0
+    assert metrics["zeros.isolation_radii.pairs"]["value"] == 40 * 39
+    assert metrics["zeros.zeros_in_index_range.self_s"]["value"] > 0.0

@@ -190,6 +190,23 @@ class TestZerosCommand:
         assert error["type"] == "NotConvergedError"
         assert "nu = 2609" in error["message"]
 
+    def test_subnormal_coefficient(self):
+        # |z_j| = 1/|A| = 1e320 is beyond the float range; the Lambert-W seed
+        # is placed from Log z_j.  The zeros solve e^l = -A l, so their real
+        # parts are ln|A| + ln|l|
+        code, out, err = run_cli("zeros", "--k", "1", "--a", "1e-320+0i", "--nu", "1..3",
+                                 "--certify")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert [r["nu"] for r in results] == [1, 2, 3]
+        for r in results:
+            assert r["certified"] and r["residual"] < 1e-12
+            lam = complex(r["re"], r["im"])
+            assert abs(lam.real - math.log(1e-320) - math.log(abs(lam))) < 1e-9
+        code, out, err = run_cli("origin", "--k", "1", "--a", "1e-320+0i", "--radius", "5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"]["count"] == 0
+
     def test_byte_identical_reruns(self):
         args = ("zeros", "--k", "2", "--a", "2+1i", "--nu", "-3..3",
                 "--certify")
@@ -230,6 +247,15 @@ class TestOriginCommand:
         rec = doc["results"][0]
         assert rec["nu"] == "origin"
         assert rec["re"] == pytest.approx(-0.5671432904, abs=1e-9)
+
+    def test_zero_below_squaring_range(self):
+        # e^l + 1e300 l has a zero at about -1e-300, where l^2 underflows;
+        # for k = 1 the Rouche test's second-order term is exactly 0
+        code, out, err = run_cli("origin", "--k", "1", "--a", "1e300+0i", "--radius", "5")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["summary"] == {"count": 1, "all_certified": True}
+        assert doc["results"][0]["re"] == pytest.approx(-1e-300, rel=1e-12)
 
     @pytest.mark.parametrize("radius, code, error", [
         ("1e4", 0, None),

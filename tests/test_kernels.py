@@ -298,3 +298,49 @@ def test_exp_tail_matches_decimal():
         want = d.exp() - 1 - d - d * d / 2
         got = decimal.Decimal(kp._exp_tail3(r))
         assert abs(got - want) <= decimal.Decimal("1e-12") * want, r
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rouche_at_tiny_lambda(k):
+    # lam^2 underflows below |lam| ~ 1e-154 and k/lam overflows near 5e-324;
+    # the test then answers without raising.  For k = 1 the second-order
+    # term is exactly 0: e^l + 1e300 l has its one zero near -1e-300 in the
+    # disk, and e^l + l none within 0.5 of the origin
+    for a in (1 + 0j, 1e300 + 0j):
+        log_a = core.QuasiPolynomial(k, a).log_a
+        for lam in (1e-300 + 0j, -1e-300 + 0j, 1e-300j, 5e-324 + 0j):
+            proven = kp.rouche_isolates(k, log_a, lam, 0.5)
+            assert isinstance(proven, bool)
+            if k == 1 and lam != 5e-324:
+                assert proven == (a == 1e300)
+            if k == 1 and lam == 5e-324:
+                assert not proven
+
+
+def test_newton_polish_carries_its_last_evaluation():
+    rng = random.Random(8)
+    for _ in range(200):
+        k = rng.choice((1, 2, 3, 5))
+        qp = core.QuasiPolynomial(k, complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+        z = zeros_mod.lambert_argument(qp, rng.randrange(k))
+        lam = -k * kp.lambert_w(z, rng.randint(-4, 4))
+        lam += complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+        value, residual, _its, cofactor = kp.newton_polish(
+            k, qp.log_a, lam, 1e-12, 60, zeros_mod.ESCAPE_RADIUS)
+        assert (residual, cofactor) == kp.residual_cofactor(k, qp.log_a, value)
+        assert residual == kp.relative_residual(k, qp.log_a, value) < 1e-12
+        for r in (1e-3, 0.1, 1.0):
+            assert kp.rouche_holds(k, value, *cofactor, r) == kp.rouche_isolates(
+                k, qp.log_a, value, r)
+
+
+def test_lambert_w_from_log_argument():
+    # with Log z passed, a z beyond the float range still gives W: for
+    # |z| = 1e320, w + Log w = Log z + 2 pi i m
+    logz = complex(320 * math.log(10.0), 0.5)
+    for m in (-3, -1, 0, 1, 4):
+        w = kp.lambert_w(complex(math.inf, 0.0), m, logz)
+        assert abs(w + cmath.log(w) - logz - 2j * math.pi * m) < 1e-12 * abs(logz)
+    for z in (0.3 + 2j, -5 - 1e-3j, 1e200 + 1e200j):
+        for m in (-2, 0, 3):
+            assert kp.lambert_w(z, m, cmath.log(z)) == kp.lambert_w(z, m)

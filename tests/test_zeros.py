@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 import random
 import time
@@ -6,6 +8,7 @@ import pytest
 from scipy.special import lambertw
 
 import quasizeros as qz
+from quasizeros import _kernels_py as kp, certify as certify_mod, core
 from quasizeros.errors import (
     DerivativeVanishesError,
     DomainError,
@@ -297,6 +300,198 @@ class TestLambertLadder:
         with pytest.raises(NotConvergedError, match="nu = 2609") as info:
             qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), 2609, 2609)
         assert isinstance(info.value.__cause__, MaxIterationsError)
+
+
+def _reference_ladder(qp, lo, hi, certify):
+    """The ladder composed from the public pieces: newton_refine from the
+    Lambert-W seed (re-read from the conjugate z_j when its index is off by
+    a multiple of k), relabelled to nu, then certify_record at the
+    isolation radius.  A failure is returned as (type, message)."""
+    k = qp.k
+    records = []
+    for nu in range(lo, hi + 1):
+        if nu == 0:
+            continue
+        j, m = zeros_mod._ladder_branch(qp, nu)
+        z = zeros_mod.lambert_argument(qp, j)
+        seed = -k * kp.lambert_w(z, m)
+        off = zeros_mod._ladder_index(qp, seed) - nu
+        if off and off % k == 0:
+            seed = -k * kp.lambert_w(z.conjugate(), m)
+        try:
+            rec = qz.newton_refine(qp, seed, 1e-12)
+        except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
+            return NotConvergedError, f"refinement failed for nu = {nu}: {exc}"
+        found = zeros_mod._ladder_index(qp, rec.value)
+        if found != nu:
+            return NotConvergedError, (f"refinement failed for nu = {nu}: Newton reached "
+                                       f"the zero of index {found}")
+        records.append(dataclasses.replace(rec, nu=nu))
+    if certify:
+        records = [qz.certify_record(qp, rec, r)
+                   for rec, r in zip(records, isolation_radii(records))]
+    return records
+
+
+def _fields(records):
+    """Every field of every record by repr, or a failure as (type, message)."""
+    if isinstance(records, tuple):
+        return records
+    return [tuple(repr(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+            for rec in records]
+
+
+def _ladder_outcome(qp, lo, hi, certify):
+    try:
+        return qz.zeros_in_index_range(qp, lo, hi, 1e-12, certify)
+    except NotConvergedError as exc:
+        return NotConvergedError, str(exc)
+
+
+def _parity_cases():
+    cases = [(k, a, -50, 50) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
+    cases.append((1, 1 + 0j, -1000, 1000))
+    rng = random.Random(17)
+    for _ in range(40):
+        k = rng.choice((1, 2, 3, 4, 5, 10, 25))
+        lo = rng.randint(-200, 170)
+        cases.append((k, complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), lo, lo + 30))
+    # real A < 0: z_(k-1) on the cut, above it in rounding for k = 7 and 9
+    cases += [(k, complex(a, 0.0), -30, 30)
+              for k in (1, 2, 3, 7, 9) for a in (-0.1, -1.0, -3.0, -10.0)]
+    # beside a (near-)double zero Rouche fails at nu = -1 and the winding
+    # count decides: a certificate at a shrunk radius, none, or a double zero
+    for k in (1, 2, 3):
+        c = math.e ** k / k ** k
+        cases += [(k, complex(-c * (1 + s), 0.0), -5, 5) for s in (1e-9, -1e-9, 1e-3, 0.0)]
+    # Newton stalls at the residual floor: the failure names nu = 2609
+    cases.append((1, 1 + 0j, 2600, 2610))
+    return cases
+
+
+class TestLadderParity:
+    """The ladder certifies from its polish's final evaluation; its records
+    must be those of the public composition, bit for bit."""
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_matches_reference_composition(self, certify, monkeypatch):
+        seeds = []
+        lambert_w = kp.lambert_w
+
+        def counted(*args):
+            seeds.append(args)
+            return lambert_w(*args)
+
+        rereads = failures = 0
+        for k, a, lo, hi in _parity_cases():
+            qp = qz.QuasiPolynomial(k, a)
+            monkeypatch.setattr(kp, "lambert_w", counted)
+            got = _ladder_outcome(qp, lo, hi, certify)
+            monkeypatch.setattr(kp, "lambert_w", lambert_w)
+            if isinstance(got, tuple):
+                failures += 1
+            else:
+                rereads += len(seeds) - len(got)
+            seeds.clear()
+            assert _fields(got) == _fields(_reference_ladder(qp, lo, hi, certify)), (k, a, lo, hi)
+        # the conjugate re-read on the cut and the ladder failure both occur
+        assert rereads > 0 and failures == 1
+
+    def test_winding_fallback_exercised(self, monkeypatch):
+        calls = []
+        inner = certify_mod._winding_certificate
+
+        def counted(qp, record, r):
+            out = inner(qp, record, r)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(certify_mod, "_winding_certificate", counted)
+        for k in (1, 2):
+            c = math.e ** k / k ** k
+            for s in (1e-9, 1e-3, 0.0):
+                qz.zeros_in_index_range(qz.QuasiPolynomial(k, complex(-c * (1 + s), 0.0)), -5, 5)
+        assert {(rec.certified, rec.multiplicity) for rec in calls} == {
+            (False, 1), (True, 1), (True, 2)}
+
+
+class TestLadderWork:
+    """Each ladder zero costs one Lambert-W seed, one scaled evaluation per
+    Newton iterate and one record; a Rouche certificate reuses the last
+    evaluation."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        inner = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (3, 2 + 1j), (10, 1 + 0j)])
+    def test_lambert_argument_once_per_root(self, monkeypatch, k, a):
+        calls = self._count(monkeypatch, zeros_mod, "lambert_argument")
+        qp = qz.QuasiPolynomial(k, a)
+        qz.zeros_in_index_range(qp, -40, 40)
+        assert sorted(j for _qp, j in calls) == list(range(k))
+        calls.clear()
+        qz.zeros_in_index_range(qp, 21, 21 + (k - 1) // 2)
+        assert len(calls) == (k - 1) // 2 + 1
+
+    def test_rouche_record_costs_no_further_evaluation(self, monkeypatch):
+        qp = qz.QuasiPolynomial(2, 2 + 1j)
+        refused = []
+        for module, name in ((core, "relative_residual"), (core, "newton_ratio"),
+                             (kp, "rouche_isolates"), (kp, "relative_residual"),
+                             (kp, "newton_step"), (zeros_mod, "newton_refine"),
+                             (certify_mod, "certify_record"),
+                             (certify_mod, "_winding_certificate")):
+            refused += [self._count(monkeypatch, module, name)]
+        cofactors = self._count(monkeypatch, kp, "_cofactor")
+        records = qz.zeros_in_index_range(qp, -50, 50)
+        assert all(rec.certified and rec.isolation_radius == 1.0 for rec in records)
+        assert not any(refused)
+        # one cofactor per Newton iterate, the last one shared by the
+        # residual gate and the Rouche test
+        assert len(cofactors) == sum(rec.iterations + 1 for rec in records)
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_one_record_per_zero(self, monkeypatch, certify):
+        built = self._count(monkeypatch, zeros_mod, "ZeroRecord")
+        records = qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), -30, 30,
+                                          certify=certify)
+        assert len(built) == len(records) == 60
+
+
+class TestSubnormalCoefficient:
+    """|z_j| = 1/(k |A|^(1/k)) overflows for A = 1e-320 and k = 1; the seed
+    is placed from Log z_j."""
+
+    def test_ladder_matches_fixed_point(self):
+        qp = qz.QuasiPolynomial(1, 1e-320 + 0j)
+        assert not cmath.isfinite(zeros_mod.lambert_argument(qp, 0))
+        records = qz.zeros_in_index_range(qp, -6, 6)
+        assert [r.nu for r in records] == [nu for nu in range(-6, 7) if nu]
+        for rec in records:
+            assert rec.certified and rec.residual < 1e-12
+            fixed, _ = qz.fixed_point_refine(qp, rec.nu)
+            assert abs(rec.value - fixed.value) < 1e-10 * abs(fixed.value)
+
+    def test_lambert_root_log_form(self):
+        # where z_j is finite the carried Log z_j is cmath.log(z_j) itself;
+        # the closed form agrees with it
+        for k, a in ((1, 1 + 0j), (3, 2 + 1j), (7, -1 + 0j), (2, 1e-300j)):
+            qp = qz.QuasiPolynomial(k, a)
+            for j in range(k):
+                z, logz = zeros_mod._lambert_root(qp, j)
+                assert logz == cmath.log(z)
+                u = (qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k
+                closed = complex(-math.log(k) - u.real, kp.wrap_angle(math.pi - u.imag))
+                assert abs(cmath.exp(closed) - z) < 1e-12 * abs(z)
 
 
 class TestDuplicateDetection:
