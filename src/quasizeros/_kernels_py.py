@@ -23,6 +23,17 @@ Conventions:
     arg l, |f| is the dominant term times |1 + t| (see _cofactor), and
     ln|1 + t| comes from _log_abs_1p, so no point costs a complex logarithm
     and the margin is never a difference of two large logarithms
+  * a sampler evaluates only the margins that can lower its running
+    minimum.  Every accepted point's log margin is at least
+    base + ln(1 - e^-|Re w|), base = ln 2 for the exteriors and ln|A| for
+    the strip, since |1 + t| >= 1 - |t| with |t| = e^-|Re w| and the Re w
+    corrections only add.  So a point with |Re w| beyond
+    _skip_cut(minimum so far, base) counts as accepted but costs no sin,
+    atan2 or _log_abs_1p.  The cut is never below ln 2, where |t| <= 1/2
+    and a margin's rounding is about 1e-14, far below SKIP_SLACK: had a
+    skipped point been evaluated, its margin would not have been below the
+    minimum, so reports and worst points are the same bit for bit, and so
+    is the number of points drawn
 """
 
 import cmath
@@ -43,6 +54,11 @@ TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 LN2 = math.log(2.0)
 REJECTION_BUDGET = 1000000
+
+#: a sampler skips a point whose log margin is proven at least this far
+#: above the running minimum (see _skip_cut); it dwarfs the ~1e-14 rounding
+#: of a margin evaluated beyond |Re w| = ln 2
+SKIP_SLACK = 1e-9
 
 
 def sm64(state):
@@ -92,6 +108,18 @@ def _cofactor(k, log_a, lam):
     if w.real <= 0.0:
         return True, cmath.exp(w), loglam
     return False, cmath.exp(-w), loglam
+
+
+def _skip_cut(minlog, base):
+    """|Re w| beyond which a margin of at least base + ln(1 - e^-|Re w|)
+    exceeds minlog + SKIP_SLACK: -ln(1 - e^d) with d = minlog - base +
+    SKIP_SLACK, at least ln 2, and +inf when d >= 0 (no point can be
+    skipped)."""
+    d = minlog - base + SKIP_SLACK
+    if d >= 0.0:
+        return math.inf
+    cut = -math.log(-math.expm1(d))
+    return cut if cut > LN2 else LN2
 
 
 def _log_abs_1p(wr, wi):
@@ -177,7 +205,7 @@ def newton_step(k, log_a, lam):
     """
     if lam == 0:
         d, scale = _derivative_at_origin(k, log_a)
-        if abs(d) < 1e-14 * scale:
+        if _modulus(d) < 1e-14 * scale:
             return 0j, True
         return 1.0 / d, False
     expdom, t, _loglam = _cofactor(k, log_a, lam)
@@ -197,7 +225,7 @@ def _derivative_at_origin(k, log_a):
     if k > 1:
         return 1.0 + 0j, 1.0
     a = cmath.exp(log_a)
-    scale = abs(a)
+    scale = _modulus(a)
     if scale < 1.0:
         scale = 1.0
     return 1.0 + a, scale
@@ -223,7 +251,16 @@ def _derivative_cofactor(k, lam, expdom, t):
         scale = k / r
         if tmag > scale:
             scale = tmag
-    return u, r, tmag, abs(u) < 1e-14 * scale
+    return u, r, tmag, _modulus(u) < 1e-14 * scale
+
+
+def _modulus(u):
+    """|u|, +inf where it overflows (|A| beyond the float range, or
+    k/lam with |lam| near the bottom of it)."""
+    try:
+        return abs(u)
+    except OverflowError:
+        return math.inf
 
 
 def _second_derivative_cofactor(k, lam, expdom, t):
@@ -290,7 +327,8 @@ def rouche_holds(k, lam, expdom, t, radius):
     if not 0.0 < radius < 700.0:
         return False
     u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
-    if vanishes or not cmath.isfinite(u):
+    umag = _modulus(u)
+    if vanishes or not umag < math.inf:
         return False
     s = _second_derivative_cofactor(k, lam, expdom, t)
     etail = _exp_tail3(radius)
@@ -306,7 +344,7 @@ def rouche_holds(k, lam, expdom, t, radius):
     else:
         remainder = tmag * etail + poly
     remainder += 0.5 * abs(s) * radius * radius
-    return abs(1.0 + t) + remainder < 0.99 * abs(u) * radius
+    return abs(1.0 + t) + remainder < 0.99 * umag * radius
 
 
 def critical_step(k, log_a, lam):
@@ -377,6 +415,12 @@ LN_ACCEPT = math.log(STEP_ACCEPT)
 #: f(0) = 1 where the split f = D (1 + t) needs Log l; its steps are at most
 #: this long, so every power of |l| it takes stays below 1
 ORIGIN_RADIUS = 0.5
+
+#: above this |A| the tracker forms |A| |l|^k near the origin in logarithms
+#: (_origin_radius_scaled): there |A| k may overflow, and |A| times the
+#: rounding of a subnormal power of |l| is no longer negligible
+HUGE_A = 1e280
+LN_HUGE_A = math.log(HUGE_A)
 
 #: the tracker refuses a step whose size rests on a scaled |f| at c below
 #: STEP_FLOOR times the rounding scale of its evaluation: the sum of the
@@ -457,6 +501,45 @@ def _origin_radius(k, ea, aa, r, fmod, cap):
     return 0.0
 
 
+def _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap):
+    """_origin_radius for |A| above HUGE_A, from lna = ln|A| and
+    lark = ln(|A| r^k) (-inf at r = 0).  The polynomial term
+    |A| ((r + rho)^k - r^k) is formed as |A| r^k expm1(k log1p(rho / r)), so
+    no power of r is formed and the difference keeps its relative precision;
+    where |A| r^k underflows it is |A| (r + rho)^k, formed in logarithms.
+
+    Newton starts from where each term alone meets the target, the smaller
+    of the two: both lie above the root, and from there it falls to the
+    root without forming anything that overflows.
+    """
+    top = ORIGIN_RADIUS if cap > ORIGIN_RADIUS else cap
+    target = STEP_TARGET * fmod
+    accept = STEP_ACCEPT * fmod
+    ark = math.exp(lark)
+    rho = math.log1p(target / ea)
+    if ark:
+        g = _log1p_exp(math.log(target) - lark) / k  # (1 + rho/r)^k = 1 + target/ark
+        alone = r * math.expm1(g) if g < 1.0 else math.exp(math.log(r) + g)
+    else:
+        alone = math.exp((math.log(target) - lna) / k)
+    if alone < rho:
+        rho = alone
+    if rho > top:
+        rho = top
+    for _ in range(30):
+        if ark:
+            g = k * math.log1p(rho / r)
+            poly = ark * math.expm1(g) if g < 700.0 else math.exp(lark + g)
+        else:
+            poly = math.exp(lna + k * math.log(r + rho))
+        b = ea * math.expm1(rho) + poly
+        if b < accept:
+            return rho
+        step = r + rho
+        rho -= (b - target) * step / (step * ea * math.exp(rho) + k * (ark + poly))
+    return 0.0
+
+
 def _exponent(k, log_a, c):
     """w = Log A + k Log c - c at c != 0, and its rounding scale, the sum
     of its terms' moduli."""
@@ -483,14 +566,17 @@ def _track(k, log_a, point, p0, p1, arc, budget):
     (1 + t(c1)) / (1 + t(c)), t(c1) taken with the factor chosen at c.  The
     change of arg D is exact: Im(c1 - c) for e^l, k Arg(c1 / c) for A l^k.
     Nearer the origin the step bounds |f(z) - f(c)| below
-    STEP_ACCEPT |f(c)| (_origin_radius) and adds the phase of
+    STEP_ACCEPT |f(c)| (_origin_radius, or _origin_radius_scaled for |A|
+    above HUGE_A) and adds the phase of
     f(c1) / f(c).  A step from a scaled |f| below the rounding floor
     (STEP_FLOOR), or one too short to move p, raises ZeroOnContourError,
     naming c (an arc: its angle); more than `budget` steps raise
     QuadratureStalledError.
     """
     a = cmath.exp(log_a)
-    aa = abs(a)
+    lna = log_a.real
+    huge = lna > LN_HUGE_A
+    aa = None if huge else abs(a)
     total = 0.0
     steps = 0
     minmod = math.inf
@@ -513,7 +599,12 @@ def _track(k, log_a, point, p0, p1, arc, budget):
                 fc = cmath.exp(c) + a * c ** k
             ea = math.exp(c.real)
             fmod = abs(fc)
-            mod = fmod / max(ea, aa * r ** k)
+            if huge:
+                lark = lna + k * math.log(r) if r else -math.inf
+                ark = math.exp(lark)
+            else:
+                ark = aa * r ** k
+            mod = fmod / max(ea, ark)
             scale = 1.0 + k
         else:
             if w is None:
@@ -527,7 +618,9 @@ def _track(k, log_a, point, p0, p1, arc, budget):
         if mod < floor:
             raise ZeroOnContourError(f"scaled |f| = {mod:.3g} is below the rounding floor "
                                      f"{floor:.3g} on the contour {_where(arc, p, c)}")
-        if direct:
+        if huge and direct:
+            rho = _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
+        elif direct:
             rho = _origin_radius(k, ea, aa, r, fmod, cap)
         else:
             rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
@@ -589,7 +682,8 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
     w = ln|A| + k ln|l| - Re l + i (arg A + k arg l - Im l), |f| is the
     dominant term times |1 + t| (see _cofactor), so the margin is
     ln 2 + ln|1 + t|, less Re w where e^l dominates (Re w <= 0) under
-    bound 1, plus Re w where A l^k dominates under bound 2.
+    bound 1, plus Re w where A l^k dominates under bound 2; a point beyond
+    _skip_cut(minimum so far, ln 2) is counted but not evaluated.
     Returns (min_log_margin, worst_re, worst_im, ok); ok = 0 after
     REJECTION_BUDGET consecutive rejections.
     """
@@ -601,6 +695,7 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
     accepted = 0
     consec = 0
     minlog = math.inf
+    wcut = math.inf
     wre = 0.0
     wim = 0.0
     for u1, u2 in uniform_pairs(seed):
@@ -620,18 +715,20 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
                 return minlog, wre, wim, 0
             continue
         consec = 0
-        xim = r * math.sin(th)
         wr = lna + klr - xre
-        lm = LN2 + _log_abs_1p(wr, arga + k * th - xim)
-        if wr <= 0.0:
-            if bound_kind == 1:
-                lm -= wr
-        elif bound_kind == 2:
-            lm += wr
-        if lm < minlog:
-            minlog = lm
-            wre = xre
-            wim = xim
+        if -wcut <= wr <= wcut:
+            xim = r * math.sin(th)
+            lm = LN2 + _log_abs_1p(wr, arga + k * th - xim)
+            if wr <= 0.0:
+                if bound_kind == 1:
+                    lm -= wr
+            elif bound_kind == 2:
+                lm += wr
+            if lm < minlog:
+                minlog = lm
+                wre = xre
+                wim = xim
+                wcut = _skip_cut(minlog, LN2)
         accepted += 1
         if accepted >= n:
             break
@@ -694,16 +791,20 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     delta of a listed zero (zre/zim sorted by imaginary part) are rejected.
     The log ratio is ln|A| + ln|1 + t|, less Re w where e^l dominates, with
     w as in sample_exterior_margin from k ln|l| (kept from the residual
-    check) and arg l.
+    check) and arg l; a point beyond _skip_cut(minimum so far, ln|A|) is
+    counted but not evaluated.  The Newton solve for Re l stops early once
+    an iterate repeats exactly.
     Returns (min_log_ratio, worst_re, worst_im, ok).
     """
     lna = log_a.real
     arga = log_a.imag
     nz = len(zre)
     d2 = delta * delta
+    hk = 0.5 * k
     accepted = 0
     consec = 0
     minlog = math.inf
+    wcut = math.inf
     wre = 0.0
     wim = 0.0
     for u1, u2 in uniform_pairs(seed):
@@ -719,19 +820,24 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
             if r2 == 0.0:
                 bad = True
                 break
-            x = t + 0.5 * k * math.log(r2)
+            x = t + hk * math.log(r2)
         if not bad:
             for _ in range(6):
                 r2 = x * x + y * y
                 if r2 == 0.0:
                     bad = True
                     break
-                g = x - t - 0.5 * k * math.log(r2)
+                kln = hk * math.log(r2)
                 gp = 1.0 - k * x / r2
                 if gp < 0.5 and gp > -0.5:
-                    x = t + 0.5 * k * math.log(r2)
+                    x1 = t + kln
                 else:
-                    x = x - g / gp
+                    x1 = x - (x - t - kln) / gp
+                # an exact repeat (sign of zero included) is a fixed point:
+                # the remaining steps would reproduce it bit for bit
+                if x1 == x and (x1 != 0.0 or math.copysign(1.0, x1) == math.copysign(1.0, x)):
+                    break
+                x = x1
         if not bad:
             r2 = x * x + y * y
             r = math.sqrt(r2)
@@ -768,13 +874,15 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
             continue
         consec = 0
         wr = lna + klr - x
-        lm = lna + _log_abs_1p(wr, arga + k * math.atan2(y, x) - y)
-        if wr <= 0.0:
-            lm -= wr
-        if lm < minlog:
-            minlog = lm
-            wre = x
-            wim = y
+        if -wcut <= wr <= wcut:
+            lm = lna + _log_abs_1p(wr, arga + k * math.atan2(y, x) - y)
+            if wr <= 0.0:
+                lm -= wr
+            if lm < minlog:
+                minlog = lm
+                wre = x
+                wim = y
+                wcut = _skip_cut(minlog, lna)
         accepted += 1
         if accepted >= n:
             break

@@ -27,6 +27,7 @@ order, so reports are bit-for-bit reproducible.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,7 @@ from .errors import (
 
 M64 = 0xFFFFFFFFFFFFFFFF
 TWO_PI = 2.0 * math.pi
+LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: fixed substream count; part of the sample stream, so changing it changes
 #: every seeded report
@@ -166,7 +168,8 @@ def h_threshold(qp, which):
     if which == "T1":
         value = math.log(2.0 * qp.b_magnitude)
     elif which == "T2":
-        value = math.log(2.0 * abs(qp.a))
+        two_a = 2.0 * qp.a_magnitude
+        value = math.log(two_a) if two_a < math.inf else kernels.LN2 + qp.log_abs_a
     else:
         raise DomainError("which must be 'T1' or 'T2'")
     return max(value, H_CLAMP)
@@ -199,7 +202,7 @@ def verify_T1_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX):
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T1 threshold {threshold:g}")
-    proven = 2.0 * (1.0 - math.exp(-h) / abs(qp.a))
+    proven = 2.0 * (1.0 - math.exp(-h) / qp.a_magnitude)
     return _exterior_report(qp, "T1 exterior: offset(S=1) < -h", 1, -1, h,
                             r_cut, sample_count, seed, r_max, 1, threshold,
                             proven)
@@ -219,7 +222,9 @@ def verify_T2_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX,
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T2 threshold {threshold:g}")
-    proven = 2.0 * (1.0 - abs(qp.a) * math.exp(-h)) if s_branch == 1 else None
+    a_mag = qp.a_magnitude
+    a_exp = a_mag * math.exp(-h) if a_mag < math.inf else math.exp(qp.log_abs_a - h)
+    proven = 2.0 * (1.0 - a_exp) if s_branch == 1 else None
     name = f"T2 exterior: offset(S={s_branch}) > h"
     return _exterior_report(qp, name, s_branch, +1, h, r_cut, sample_count,
                             seed, r_max, 2, threshold, proven)
@@ -326,6 +331,9 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
         (qp.k, qp.log_a, h, r_cut, im_cap, delta, zre, zim),
         sample_count, seed, "the punctured strip")
     min_log, wre, wim, _ = min(results, key=lambda r: r[0])
+    if min_log > LN_FLOAT_MAX:
+        raise DomainError(f"C_delta = e^{min_log:.6g} is beyond the float range "
+                          f"(|A| = e^{qp.log_abs_a:.6g})")
     return CDeltaEstimate(
         c_hat=math.exp(min_log),
         argmin=complex(wre, wim),

@@ -356,12 +356,12 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
     found = []
     for j in range(k):
-        z = zeros_mod.lambert_argument(qp, j)
+        z, logz = zeros_mod._lambert_root(qp, j)
         # the two branches that meet at -1/e, when z_j is there
         branch_pair = ((0, -math.copysign(1.0, z.imag))
                        if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else ())
         for m in range(-top, top + 1):
-            lam = -k * kernels.lambert_w(z, m)
+            lam = -k * kernels.lambert_w(z, m, logz)
             if m in branch_pair:
                 if m == 0:
                     rec = _double_zero_record(qp, square, lam)

@@ -38,12 +38,28 @@ class QuasiPolynomial:
         if a == 0:
             raise DomainError("coefficient A must be nonzero")
         arg = kernels.wrap_angle(math.atan2(a.imag, a.real))
-        object.__setattr__(self, "log_a", complex(math.log(abs(a)), arg))
+        try:
+            log_abs = math.log(abs(a))
+        except OverflowError:  # |A| beyond the float range; A/4 is exact
+            log_abs = math.log(abs(0.25 * a)) + 2.0 * kernels.LN2
+        object.__setattr__(self, "log_a", complex(log_abs, arg))
+
+    @property
+    def a_magnitude(self):
+        """|A|; +inf where |A| is beyond the float range (log_abs_a holds
+        it there)."""
+        try:
+            return abs(self.a)
+        except OverflowError:
+            return math.inf
 
     @property
     def b_magnitude(self):
         """1/|A|, the reciprocal coefficient magnitude."""
-        return 1.0 / abs(self.a)
+        try:
+            return 1.0 / abs(self.a)
+        except OverflowError:
+            return 0.25 / abs(0.25 * self.a)
 
     @property
     def log_abs_a(self):

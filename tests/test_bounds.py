@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -30,6 +32,23 @@ class TestHThreshold:
     def test_bad_selector(self, qp11):
         with pytest.raises(DomainError):
             qz.h_threshold(qp11, "T3")
+
+    @pytest.mark.parametrize("a", [1e308 + 0j, 1.7e308 + 1e308j])
+    def test_huge_coefficient(self, a):
+        # 2|A| (and for the second A, |A| itself) overflows; ln(2|A|) does not
+        qp = qz.QuasiPolynomial(1, a)
+        assert qz.h_threshold(qp, "T2") == pytest.approx(LN2 + qp.log_abs_a, rel=1e-15)
+        rep = qz.verify_T2_bound(qp, qz.h_threshold(qp, "T2") + 0.5, 10.0, 100, seed=1)
+        assert rep.passed and rep.proven_margin == pytest.approx(2.0 * (1.0 - math.exp(-0.5) / 2))
+        rep = qz.verify_T1_bound(qp, 0.5, 10.0, 100, seed=1)
+        assert rep.passed and rep.proven_margin == 2.0
+
+    def test_strip_constant_beyond_the_float_range(self):
+        # |f|/|l|^k is about |A| in the strip; e^709.9 has no float
+        qp = qz.QuasiPolynomial(1, 1.7e308 + 1e308j)
+        strip = qz.zeros_in_index_range(qp, -12, 12)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 100, 1, strip, im_cap=50.0)
 
 
 class TestExteriorBounds:
@@ -377,3 +396,180 @@ class TestSubstreams:
             sizes = bounds._chunk_sizes(n)
             assert sum(sizes) == n
             assert all(s >= 1 for s in sizes)
+
+
+PARITY_PINS = pathlib.Path(__file__).with_name("bounds_parity.json")
+
+#: (k, A) pairs of the parity pins: real, complex and imaginary A, real A < 0,
+#: small and large |A|, k up to 10
+PARITY_EXTERIOR = [(1, 1 + 0j), (1, 2 + 1j), (1, -3 + 0j), (2, 0.5j), (2, -1.5 + 0j),
+                   (3, 2 + 1j), (4, 0.01 + 0j), (7, 1 + 1j), (10, 1 + 0j)]
+PARITY_STRIP = [(1, 1 + 0j), (1, 2 + 1j), (1, -3 + 0j), (2, 0.5j), (2, -1.5 + 0j),
+                (3, 2 + 1j)]
+PARITY_SECTOR = [(1, 1 + 0j), (2, 2 + 1j), (10, 1 + 0j)]
+#: (samples, seed, r_max, h above the threshold)
+PARITY_RUNS = [(1, 3, 1e3, 0.5), (7, 4, 1e3, 0.05), (500, 5, 60.0, 0.5),
+               (3000, 6, 1e3, 1.5)]
+
+
+def _parity_cases():
+    """(id, thunk) pairs: each thunk returns one seeded report, whose repr
+    tests/bounds_parity.json pins."""
+    cases = []
+    for k, a in PARITY_EXTERIOR:
+        qp = qz.QuasiPolynomial(k, a)
+        for which, s_branch in (("T1", 1), ("T2", 1), ("T2", 2)):
+            verify = qz.verify_T1_bound if which == "T1" else qz.verify_T2_bound
+            extra = {} if which == "T1" else {"s_branch": s_branch}
+            for n, seed, r_max, dh in PARITY_RUNS:
+                h = qz.h_threshold(qp, which) + dh
+                cases.append((f"{which}/S{s_branch} k={k} A={a} n={n} r_max={r_max:g}",
+                              lambda v=verify, qp=qp, h=h, n=n, seed=seed, r_max=r_max,
+                              extra=extra: v(qp, h, 10.0, n, seed, r_max=r_max, **extra)))
+    for k, a in PARITY_STRIP:
+        qp = qz.QuasiPolynomial(k, a)
+        strip = []
+        for delta in (0.5, 0.25):
+            for n, seed, _r_max, dh in PARITY_RUNS:
+                def run(qp=qp, strip=strip, delta=delta, n=n, seed=seed, h=1.5 + dh):
+                    if not strip:
+                        strip.extend(qz.zeros_in_index_range(qp, -12, 12))
+                    return qz.estimate_C_delta(qp, h, 10.0, delta, n, seed, strip,
+                                               im_cap=50.0, verify_completeness=False)
+                cases.append((f"cdelta k={k} A={a} delta={delta} n={n}", run))
+    for k, a in PARITY_SECTOR:
+        qp = qz.QuasiPolynomial(k, a)
+        for s_branch in (None, 1, 2):
+            for n, seed, _r_max, dh in PARITY_RUNS:
+                cases.append((f"sector S={s_branch} k={k} A={a} n={n}",
+                              lambda qp=qp, n=n, seed=seed, h=1.5 + dh, s=s_branch:
+                              qz.verify_sector_cover(qp, h, 0.5, 20.0, n, seed,
+                                                     s_branch=s)))
+    return cases
+
+
+class TestParity:
+    """Seeded reports pinned by their repr, as computed when every accepted
+    point's margin was evaluated and the strip's Newton solve always took
+    its six steps: the samplers may skip work but never change a report."""
+
+    def test_every_pin_reproduced(self):
+        pins = json.loads(PARITY_PINS.read_text())
+        cases = _parity_cases()
+        assert sorted(pins) == sorted(name for name, _run in cases)
+        wrong = [name for name, run in cases if repr(run()) != pins[name]]
+        assert not wrong, wrong
+
+
+class TestSamplerWork:
+    """A sampler evaluates the margin only of points that could lower its
+    running minimum (kernels._skip_cut); the skipped points change nothing."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        inner = getattr(kp, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kp, name, counted)
+        return calls
+
+    def test_few_margins_evaluated(self, qp11, monkeypatch):
+        calls = self._count(monkeypatch, "_log_abs_1p")
+        h = qz.h_threshold(qp11, "T1") + 0.5
+        rep = qz.verify_T1_bound(qp11, h, 10.0, 10000, seed=1)
+        assert rep.samples == 10000
+        assert 0 < len(calls) < 1000
+
+    @pytest.mark.parametrize("run", [
+        lambda qp: qz.verify_T1_bound(qp, qz.h_threshold(qp, "T1") + 0.5, 10.0, 5000, 11),
+        lambda qp: qz.verify_T2_bound(qp, qz.h_threshold(qp, "T2") + 0.05, 10.0, 5000, 12),
+        lambda qp: qz.verify_T2_bound(qp, qz.h_threshold(qp, "T2") + 0.5, 10.0, 5000, 13,
+                                      r_max=60.0, s_branch=2),
+        lambda qp: qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 5000, 14,
+                                       qz.zeros_in_index_range(qp, -12, 12), im_cap=50.0,
+                                       verify_completeness=False),
+    ])
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (3, 2 + 1j), (2, -1.5 + 0j)])
+    def test_skipping_changes_no_report(self, monkeypatch, run, k, a):
+        qp = qz.QuasiPolynomial(k, a)
+        skipped = run(qp)
+        monkeypatch.setattr(kp, "_skip_cut", lambda minlog, base: math.inf)
+        assert repr(run(qp)) == repr(skipped)
+
+    @pytest.mark.parametrize("base", [LN2, 0.0, -5.0, 709.8, -744.4])
+    def test_skip_bound(self, base):
+        """Beyond the cut, base + ln|1 + t| clears the minimum at every
+        phase, cos = -1 included, and the cut is tight there to the slack."""
+        phases = [math.pi * j / 64 for j in range(-64, 65)]
+        assert math.cos(phases[0]) == math.cos(phases[-1]) == -1.0
+        for gap in (0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3, 0.1, LN2, 0.7, 3.0, 50.0, 1e3,
+                    math.inf):
+            minlog = base - gap
+            cut = kp._skip_cut(minlog, base)
+            assert cut >= LN2
+            if cut == math.inf:
+                assert minlog - base + kp.SKIP_SLACK >= 0.0
+                continue
+            if cut > LN2:
+                edge = base + kp._log_abs_1p(cut, math.pi) - minlog
+                assert 0.0 < edge < 2.0 * kp.SKIP_SLACK
+            for stretch in (1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1.01, 1.5, 4.0, 100.0):
+                wr = math.nextafter(cut, math.inf) * stretch
+                for sign in (1.0, -1.0):
+                    for wi in phases:
+                        assert base + kp._log_abs_1p(sign * wr, wi) >= minlog, (gap, wr, wi)
+
+
+class TestSamplerStream:
+    """Every accepted point, skipped or not, as the samplers drew and placed
+    it before the skip rule and the early stop of the strip's Newton solve:
+    the pairs drawn from the stream, and a digest of (Re w, Im w) over the
+    accepted points, with the skip rule switched off to see them all."""
+
+    QP11 = (1, 1 + 0j)
+    QP2 = (2, 2 + 1j)
+    RUNS = [
+        ("T1", QP11, 3775, "73ab184810b5d366",
+         lambda qp: qz.verify_T1_bound(qp, qz.h_threshold(qp, "T1") + 0.5, 10.0, 2000, 1)),
+        ("T2", QP2, 4405, "cfea714dbf08e2d2",
+         lambda qp: qz.verify_T2_bound(qp, qz.h_threshold(qp, "T2") + 0.5, 10.0, 2000, 2)),
+        ("T2/S2", QP11, 3933, "cd278590cbf69fda",
+         lambda qp: qz.verify_T2_bound(qp, qz.h_threshold(qp, "T2") + 0.5, 10.0, 2000, 3,
+                                       s_branch=2)),
+        ("cdelta k=1", QP11, 2563, "63c1b43f7b868416",
+         lambda qp: qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 2000, 4,
+                                        qz.zeros_in_index_range(qp, -12, 12), im_cap=50.0,
+                                        verify_completeness=False)),
+        ("cdelta k=2", QP2, 2515, "f73bfc4bed2b2690",
+         lambda qp: qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 2000, 5,
+                                        qz.zeros_in_index_range(qp, -12, 12), im_cap=50.0,
+                                        verify_completeness=False)),
+        ("sector", QP11, 126324, None,
+         lambda qp: qz.verify_sector_cover(qp, 2.0, 0.5, 20.0, 2000, 6)),
+    ]
+
+    @pytest.mark.parametrize("name, kq, draws, digest, run", RUNS, ids=[r[0] for r in RUNS])
+    def test_stream(self, monkeypatch, name, kq, draws, digest, run):
+        qp = qz.QuasiPolynomial(*kq)
+        points = TestSamplerWork._count(monkeypatch, "_log_abs_1p")
+        monkeypatch.setattr(kp, "_skip_cut", lambda minlog, base: math.inf)
+        pairs = [0]
+        stream = kp.uniform_pairs
+
+        def counted(seed):
+            for pair in stream(seed):
+                pairs[0] += 1
+                yield pair
+
+        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        run(qp)
+        assert pairs[0] == draws
+        if digest is None:
+            assert not points
+        else:
+            assert len(points) == 2000
+            assert hashlib.sha256(repr(points).encode()).hexdigest()[:16] == digest

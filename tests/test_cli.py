@@ -207,6 +207,20 @@ class TestZerosCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["summary"]["count"] == 0
 
+    def test_coefficient_beyond_the_float_range(self):
+        # |A| = 1.97e308 overflows abs(); ln|A| is formed from A/4.  The
+        # zeros solve e^l = -A l, so their real parts are ln|A| + ln|l|
+        code, out, err = run_cli("zeros", "--k", "1", "--a", "1.7e308+1e308i", "--nu", "-3..3",
+                                 "--certify")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert [r["nu"] for r in results] == [-3, -2, -1, 1, 2, 3]
+        ln_a = math.log(abs(complex(1.7e308, 1e308) / 4)) + math.log(4.0)
+        for r in results:
+            assert r["certified"] and r["residual"] < 1e-12
+            lam = complex(r["re"], r["im"])
+            assert abs(lam.real - ln_a - math.log(abs(lam))) < 1e-9
+
     def test_byte_identical_reruns(self):
         args = ("zeros", "--k", "2", "--a", "2+1i", "--nu", "-3..3",
                 "--certify")
@@ -256,6 +270,18 @@ class TestOriginCommand:
         doc = json.loads(out)
         assert doc["summary"] == {"count": 1, "all_certified": True}
         assert doc["results"][0]["re"] == pytest.approx(-1e-300, rel=1e-12)
+
+    def test_zeros_where_powers_are_subnormal(self):
+        # e^l + 1e308 l^2 has its zeros at about +-1e-154 i, where |l|^2 is
+        # near the bottom of the normal range and |A| k overflows; the
+        # tracker forms |A| |l|^k there in logarithms
+        code, out, err = run_cli("origin", "--k", "2", "--a", "1e308+0i", "--radius", "5")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["summary"] == {"count": 2, "all_certified": True}
+        ims = sorted(r["im"] for r in doc["results"])
+        assert ims == [pytest.approx(-1e-154, rel=1e-12), pytest.approx(1e-154, rel=1e-12)]
+        assert all(abs(r["re"]) < 1e-165 for r in doc["results"])
 
     @pytest.mark.parametrize("radius, code, error", [
         ("1e4", 0, None),

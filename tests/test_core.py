@@ -30,6 +30,26 @@ class TestQuasiPolynomial:
         prod = qp.b_magnitude * abs(a)
         assert abs(prod - 1.0) <= 2 ** -52
 
+    @pytest.mark.parametrize("a", [1 + 0j, -3 + 4j, 5e-324 + 0j, 1e308 + 1e308j,
+                                   -1.7e308 + 0j, 1.2e308 - 1.2e308j])
+    def test_log_a_where_abs_is_finite(self, a):
+        qp = qz.QuasiPolynomial(1, a)
+        assert qp.log_a.real == math.log(abs(a))
+        assert qp.a_magnitude == abs(a) and qp.b_magnitude == 1.0 / abs(a)
+
+    @pytest.mark.parametrize("a", [1.7e308 + 1e308j, -1.7e308 - 1.7e308j, 1.3e308j + 1.3e308])
+    def test_coefficient_beyond_the_float_range(self, a):
+        # |A| overflows; ln|A| and 1/|A| are formed from A/4, which is exact
+        qp = qz.QuasiPolynomial(1, a)
+        exact = math.log(abs(a / 4)) + math.log(4.0)
+        assert qp.log_a.real == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert qp.log_a.real > math.log(1.7976931348623157e308)
+        assert qp.a_magnitude == math.inf
+        assert qp.b_magnitude == pytest.approx(0.25 / abs(a / 4), rel=1e-15, abs=0.0)
+        # f'(0) = 1 + A overflows abs(); the Newton ratio 1 / (1 + A) at the
+        # origin is below the normal range
+        assert abs(qz.newton_ratio(qp, 0)) < 1e-300
+
 
 class TestEvaluate:
     def test_at_zero(self):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
-from quasizeros import _kernels_py as kp, bounds, core, zeros as zeros_mod
+from quasizeros import _kernels_py as kp, bounds, certify, core, zeros as zeros_mod
 from quasizeros._backend import backend_name
 
 
@@ -344,3 +344,37 @@ def test_lambert_w_from_log_argument():
     for z in (0.3 + 2j, -5 - 1e-3j, 1e200 + 1e200j):
         for m in (-2, 0, 3):
             assert kp.lambert_w(z, m, cmath.log(z)) == kp.lambert_w(z, m)
+
+
+def test_origin_radius_scaled_keeps_its_bound():
+    # the step bound e^Re c (e^rho - 1) + |A| ((r + rho)^k - r^k) at the
+    # returned rho, in 60-digit decimals: below STEP_ACCEPT |f(c)|, and above
+    # 0.4 |f(c)| unless the step reached its cap.  |A| up to beyond the
+    # float range, r down to subnormal powers and 0
+    decimal.getcontext().prec = 60
+    rng = random.Random(18)
+    cases = [(2, math.log(1e308), 1.414213562373095e-154, 1.0, 2.2360679774998133, 1.4e-154),
+             (1, 709.875, 4e-309, 1.0, 1e-3, 0.5), (3, 700.0, 0.0, 1.0, 1.0, 0.5)]
+    for _ in range(300):
+        k = rng.choice((1, 2, 3, 5, 10))
+        lna = rng.uniform(math.log(kp.HUGE_A), 709.9)
+        r = math.exp(-lna / k) * 10.0 ** rng.uniform(-3, 3) if rng.random() < 0.9 else 0.0
+        cases.append((k, lna, min(r, 0.49), math.exp(rng.uniform(-0.5, 0.5)),
+                      10.0 ** rng.uniform(-10, 1), 10.0 ** rng.uniform(-160, 0)))
+    for k, lna, r, ea, fmod, cap in cases:
+        lark = lna + k * math.log(r) if r else -math.inf
+        rho = kp._origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
+        assert 0.0 < rho <= min(cap, kp.ORIGIN_RADIUS), (k, lna, r, fmod, cap)
+        d_rho, d_r = decimal.Decimal(rho), decimal.Decimal(r)
+        bound = (decimal.Decimal(ea) * (d_rho.exp() - 1)
+                 + decimal.Decimal(lna).exp() * ((d_r + d_rho) ** k - d_r ** k))
+        assert bound < decimal.Decimal(kp.STEP_ACCEPT * fmod), (k, lna, r, fmod, cap)
+        if rho < min(cap, kp.ORIGIN_RADIUS):
+            assert bound > decimal.Decimal(0.4 * fmod), (k, lna, r, fmod, cap)
+
+
+def test_winding_where_powers_are_subnormal():
+    # e^l + 1e308 l^2: zeros at about +-1e-154 i; the circle about the upper
+    # one passes within rounding of the origin, where |l|^2 is subnormal
+    qp = core.QuasiPolynomial(2, 1e308 + 0j)
+    assert certify.winding_count(qp, certify.Circle(1e-154j, 1e-154)).count == 1
