@@ -34,11 +34,31 @@ Conventions:
     skipped point been evaluated, its margin would not have been below the
     minimum, so reports and worst points are the same bit for bit, and so
     is the number of points drawn
+  * the log-polar samplers decide most draws from their angle alone.  The
+    region test and the skip rule both read r cos(theta) <> a + b ln r, so
+    over the shell (a drawn ln r = lr0 + u1 lspan lies in [lr0, lr0 +
+    lspan] as floats, since rounding is monotone) the boundary value of
+    cos(theta) lies in a bracket whose ends come in closed form from the
+    shell's two ends and the one stationary point ln r = 1 - a/b
+    (_cos_bracket).
+    acos maps it to cuts on v = |u2 - 1/2|, which is exact in floats, and
+    cos(theta) = cos(2 pi v).  A draw past a cut is rejected, or accepted
+    and skipped, with no exp, cos or region test; only draws between the
+    cuts take the exact path.  The bracket is widened by BRACKET_SLACK
+    times 1 + (|a| + |b| max|ln r|)/r_in.  Rounding moves theta by about
+    1e-15 and cos by an ulp, exp(ln r) by an ulp of r, and r cos(theta) and
+    the sums by an ulp of the terms they add, so the float test differs
+    from the exact one by a few 1e-16 r times that factor, and acos by an
+    ulp more: a decided draw's float test comes out as its cut says, and
+    reports, worst points and the points drawn are the same bit for bit.
+    Near r_in = 1e-300 the slack swamps the bracket and every draw takes
+    the exact path
 """
 
 import cmath
 import math
 import random
+import sys
 
 from .errors import (
     DerivativeVanishesError,
@@ -53,12 +73,21 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 LN2 = math.log(2.0)
+FLOAT_MAX = sys.float_info.max
 REJECTION_BUDGET = 1000000
 
 #: a sampler skips a point whose log margin is proven at least this far
 #: above the running minimum (see _skip_cut); it dwarfs the ~1e-14 rounding
 #: of a margin evaluated beyond |Re w| = ln 2
 SKIP_SLACK = 1e-9
+
+#: relative widening of an angle bracket (see _cos_bracket); the float
+#: region test and skip rule it stands in for round by a few 1e-16 of the
+#: terms they add
+BRACKET_SLACK = 1e-12
+
+#: below this ln|l| a bracket's e^-ln|l| may overflow; no bracket is formed
+BRACKET_LN_FLOOR = -700.0
 
 
 def sm64(state):
@@ -120,6 +149,74 @@ def _skip_cut(minlog, base):
         return math.inf
     cut = -math.log(-math.expm1(d))
     return cut if cut > LN2 else LN2
+
+
+def _cos_bracket(a, b, s_lo, s_hi, size):
+    """(lo, hi) bracketing g = (a + b s) e^-s over s = ln r in [s_lo, s_hi],
+    widened by BRACKET_SLACK (1 + (size + |b| max|s|) e^-s_lo); size bounds
+    the magnitudes of the terms a was formed from.
+
+    g is where r cos(theta) = a + b ln r.  Its extremes lie at the two ends
+    and at its one stationary point s = 1 - a/b.  A draw whose cos(theta)
+    is below lo has r cos(theta) < a + b ln r at every radius of the shell,
+    as the samplers compute it in floats, and one above hi has it >.
+    (-inf, inf) below BRACKET_LN_FLOOR; nan when a or size is nan.
+    """
+    if s_lo < BRACKET_LN_FLOOR:
+        return -math.inf, math.inf
+    ends = [s_lo, s_hi]
+    s_star = 1.0 - a / b
+    if s_lo < s_star < s_hi:
+        ends.append(s_star)
+    g = [(a + b * s) * math.exp(-s) for s in ends]
+    slack = BRACKET_SLACK * (1.0 + (size + abs(b) * max(abs(s_lo), abs(s_hi))) * math.exp(-s_lo))
+    return min(g) - slack, max(g) + slack
+
+
+def _angle_cut(c):
+    """acos(c)/2pi clamped to [0, 1/2], nan for nan.  With v = |u2 - 1/2|,
+    exact in floats, a sampler's cos(theta) = cos(2 pi v) up to rounding:
+    it is below c where v exceeds the cut and above c where v falls short
+    of it."""
+    if c >= 1.0:
+        return 0.0
+    if c <= -1.0:
+        return 0.5
+    return math.acos(c) / TWO_PI
+
+
+def _region_cuts(k, sgn, side, h, s_lo, s_hi):
+    """Angle cuts of a sampler's region test on
+    off = r cos(theta) + sgn k ln r: off < -h for side -1, off > h for side
+    1, -h <= off <= h for side 0 (the strip), over ln r in [s_lo, s_hi].
+
+    Returns (reject_below, reject_above, accept_below, accept_above): a draw
+    with v below reject_below or above reject_above is outside at every
+    radius, one with v strictly between the accept cuts is inside.  The
+    left edge off = -h has cos(theta) = (-h - sgn k ln r)/r, the right edge
+    off = h has (h - sgn k ln r)/r.
+    """
+    b = -sgn * k
+    lo_l, hi_l = _cos_bracket(-h, b, s_lo, s_hi, abs(h))
+    lo_r, hi_r = _cos_bracket(h, b, s_lo, s_hi, abs(h))
+    if side < 0:
+        return _angle_cut(hi_l), 1.0, _angle_cut(lo_l), 1.0
+    if side > 0:
+        return -1.0, _angle_cut(lo_r), -1.0, _angle_cut(hi_r)
+    return _angle_cut(hi_r), _angle_cut(lo_l), _angle_cut(lo_r), _angle_cut(hi_l)
+
+
+def _skip_angles(lna, k, wcut, s_lo, s_hi):
+    """(below, above): a draw with v below `below` has Re w < -wcut at every
+    radius of the shell, one with v above `above` has Re w > wcut, with
+    Re w = lna + k ln r - r cos(theta) as the samplers form it; (-1, 1)
+    while wcut is infinite."""
+    if wcut == math.inf:
+        return -1.0, 1.0
+    size = abs(lna) + wcut
+    lo = _cos_bracket(lna - wcut, k, s_lo, s_hi, size)[0]
+    hi = _cos_bracket(lna + wcut, k, s_lo, s_hi, size)[1]
+    return _angle_cut(hi), _angle_cut(lo)
 
 
 def _log_abs_1p(wr, wi):
@@ -208,8 +305,28 @@ def newton_step(k, log_a, lam):
         if _modulus(d) < 1e-14 * scale:
             return 0j, True
         return 1.0 / d, False
-    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    expdom, t, loglam = _cofactor(k, log_a, lam)
+    if abs(lam) * FLOAT_MAX < k:
+        return _newton_step_tiny(k, log_a, lam, expdom, t, loglam)
     return _newton_step_cofactor(k, lam, expdom, t)
+
+
+def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
+    """newton_step where k/lam overflows, |lam| < k/FLOAT_MAX.
+
+    Where e^lam dominates, the product (k/lam) t of _derivative_cofactor is
+    formed as k e^(Log A + (k-1) Log lam - lam), which is finite and keeps
+    its precision when t is subnormal.  Where A lam^k dominates,
+    f/f' = lam (1 + t) / (lam t + k), and |lam t + k| >= k - |lam| never
+    falls below 1e-14 max(k, |lam t|), the vanishing test times |lam|.
+    """
+    if not expdom:
+        return lam * (1.0 + t) / (lam * t + k), False
+    qt = k * cmath.exp(log_a + (k - 1) * loglam - lam)
+    u = 1.0 + qt
+    if _modulus(u) < 1e-14 * max(1.0, _modulus(qt)):
+        return 0j, True
+    return (1.0 + t) / u, False
 
 
 def _newton_step_cofactor(k, lam, expdom, t):
@@ -683,15 +800,24 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
     dominant term times |1 + t| (see _cofactor), so the margin is
     ln 2 + ln|1 + t|, less Re w where e^l dominates (Re w <= 0) under
     bound 1, plus Re w where A l^k dominates under bound 2; a point beyond
-    _skip_cut(minimum so far, ln 2) is counted but not evaluated.
+    _skip_cut(minimum so far, ln 2) is counted but not evaluated.  A draw
+    past an angle cut (_region_cuts, _skip_angles) is rejected, or counted
+    as accepted and skipped, from u2 alone.
     Returns (min_log_margin, worst_re, worst_im, ok); ok = 0 after
     REJECTION_BUDGET consecutive rejections.
     """
     lr0 = math.log(r_in)
     lspan = math.log(r_max) - lr0
+    lr1 = lr0 + lspan
     sgn = -1.0 if s_branch == 1 else 1.0
     lna = log_a.real
     arga = log_a.imag
+    rej_below, rej_above, acc_below, acc_above = _region_cuts(
+        k, sgn, -1 if side < 0 else 1, h, lr0, lr1)
+    # certainly accepted and skipped: v in (acc_below, skip_below) or in
+    # (skip_above, acc_above), the skip cuts clipped to the accept cuts;
+    # both empty until the first margin
+    skip_below, skip_above = acc_below, acc_above
     accepted = 0
     consec = 0
     minlog = math.inf
@@ -699,6 +825,20 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
     wre = 0.0
     wim = 0.0
     for u1, u2 in uniform_pairs(seed):
+        v = u2 - 0.5
+        if v < 0.0:
+            v = -v
+        if v < rej_below or v > rej_above:
+            consec += 1
+            if consec > REJECTION_BUDGET:
+                return minlog, wre, wim, 0
+            continue
+        if acc_below < v < skip_below or skip_above < v < acc_above:
+            consec = 0
+            accepted += 1
+            if accepted >= n:
+                break
+            continue
         lr = lr0 + u1 * lspan
         r = math.exp(lr)
         th = -PI + TWO_PI * u2
@@ -729,6 +869,9 @@ def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,
                 wre = xre
                 wim = xim
                 wcut = _skip_cut(minlog, LN2)
+                skip_below, skip_above = _skip_angles(lna, k, wcut, lr0, lr1)
+                skip_below = min(skip_below, acc_above)
+                skip_above = max(skip_above, acc_below)
         accepted += 1
         if accepted >= n:
             break
@@ -740,11 +883,14 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
 
     margin = delta - |arg l -+ pi/2| (sign matched to the half-plane).
     Returns (min_margin, worst_re, worst_im, violations, ok); a violation is
-    a sampled strip point outside both sectors (margin <= 0).
+    a sampled strip point outside both sectors (margin <= 0).  A draw past
+    an angle cut (_region_cuts) is rejected from u2 alone.
     """
     lr0 = math.log(r_in)
     lspan = math.log(r_max) - lr0
+    lr1 = lr0 + lspan
     sgn = -1.0 if s_branch == 1 else 1.0
+    rej_below, rej_above, _acc_below, _acc_above = _region_cuts(k, sgn, 0, h, lr0, lr1)
     accepted = 0
     consec = 0
     violations = 0
@@ -752,6 +898,14 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
     wre = 0.0
     wim = 0.0
     for u1, u2 in uniform_pairs(seed):
+        v = u2 - 0.5
+        if v < 0.0:
+            v = -v
+        if v < rej_below or v > rej_above:
+            consec += 1
+            if consec > REJECTION_BUDGET:
+                return minmargin, wre, wim, violations, 0
+            continue
         lr = lr0 + u1 * lspan
         r = math.exp(lr)
         th = -PI + TWO_PI * u2

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import pathlib
+import random
+import types
 
 import pytest
 
@@ -410,6 +412,29 @@ PARITY_SECTOR = [(1, 1 + 0j), (2, 2 + 1j), (10, 1 + 0j)]
 #: (samples, seed, r_max, h above the threshold)
 PARITY_RUNS = [(1, 3, 1e3, 0.5), (7, 4, 1e3, 0.05), (500, 5, 60.0, 0.5),
                (3000, 6, 1e3, 1.5)]
+#: runs at the edges of the samplers' angle brackets: shells from R = 0.01
+#: to 1e5 and from R = 1e-300, k = 25, h within 1e-6 of its threshold and
+#: T2 on the S=2 branch; (which, S, k, A, h above the threshold, R, r_max,
+#: samples, seed)
+PARITY_EDGE_EXTERIOR = [
+    ("T1", 1, 1, 1 + 0j, 0.5, 0.01, 1e5, 3000, 21),
+    ("T2", 1, 2, 0.5j, 0.5, 0.01, 1e5, 3000, 22),
+    ("T2", 2, 3, 2 + 1j, 0.5, 0.01, 1e5, 3000, 23),
+    ("T1", 1, 25, 2 + 1j, 0.5, 10.0, 1e3, 3000, 24),
+    ("T2", 1, 25, 1 + 0j, 0.5, 10.0, 1e3, 3000, 25),
+    ("T2", 2, 25, 0.5j, 0.5, 10.0, 1e3, 3000, 26),
+    ("T1", 1, 3, 2 + 1j, 1e-6, 10.0, 1e3, 3000, 27),
+    ("T2", 1, 1, 1 + 0j, 1e-6, 10.0, 1e3, 3000, 28),
+    ("T2", 2, 1, -3 + 0j, 1e-6, 0.01, 1e5, 3000, 29),
+    ("T1", 1, 2, -1.5 + 0j, 0.5, 1e-300, 1e3, 500, 30),
+]
+#: sector runs whose R lies near r_max, and one from R = 0.01 to 1e5;
+#: (k, A, S, h, delta, R, r_max, samples, seed)
+PARITY_EDGE_SECTOR = [
+    (1, 1 + 0j, None, 2.0, 0.5, 999.0, 1e3, 300, 31),
+    (10, 1 + 0j, 1, 5.0, 0.1, 990.0, 1e3, 200, 32),
+    (2, 2 + 1j, 2, 0.5, 0.5, 0.01, 1e5, 500, 33),
+]
 
 
 def _parity_cases():
@@ -445,13 +470,31 @@ def _parity_cases():
                               lambda qp=qp, n=n, seed=seed, h=1.5 + dh, s=s_branch:
                               qz.verify_sector_cover(qp, h, 0.5, 20.0, n, seed,
                                                      s_branch=s)))
+    for which, s_branch, k, a, dh, r_cut, r_max, n, seed in PARITY_EDGE_EXTERIOR:
+        qp = qz.QuasiPolynomial(k, a)
+        verify = qz.verify_T1_bound if which == "T1" else qz.verify_T2_bound
+        extra = {} if which == "T1" else {"s_branch": s_branch}
+        h = qz.h_threshold(qp, which) + dh
+        cases.append((f"edge {which}/S{s_branch} k={k} A={a} h=+{dh:g} R={r_cut:g} "
+                      f"r_max={r_max:g} n={n}",
+                      lambda v=verify, qp=qp, h=h, r_cut=r_cut, n=n, seed=seed, r_max=r_max,
+                      extra=extra: v(qp, h, r_cut, n, seed, r_max=r_max, **extra)))
+    for k, a, s_branch, h, delta, r_cut, r_max, n, seed in PARITY_EDGE_SECTOR:
+        qp = qz.QuasiPolynomial(k, a)
+        cases.append((f"edge sector S={s_branch} k={k} A={a} h={h:g} R={r_cut:g} "
+                      f"r_max={r_max:g} n={n}",
+                      lambda qp=qp, h=h, delta=delta, r_cut=r_cut, r_max=r_max, n=n,
+                      seed=seed, s=s_branch:
+                      qz.verify_sector_cover(qp, h, delta, r_cut, n, seed, r_max=r_max,
+                                             s_branch=s)))
     return cases
 
 
 class TestParity:
     """Seeded reports pinned by their repr, as computed when every accepted
     point's margin was evaluated and the strip's Newton solve always took
-    its six steps: the samplers may skip work but never change a report."""
+    its six steps (the edge runs: when every draw took the exact region
+    test): the samplers may skip work but never change a report."""
 
     def test_every_pin_reproduced(self):
         pins = json.loads(PARITY_PINS.read_text())
@@ -573,3 +616,161 @@ class TestSamplerStream:
         else:
             assert len(points) == 2000
             assert hashlib.sha256(repr(points).encode()).hexdigest()[:16] == digest
+
+
+def _float_region(k, sgn, lna, lr0, lspan, u1, u2):
+    """The samplers' exact float steps for one draw: (offset, Re w)."""
+    lr = lr0 + u1 * lspan
+    r = math.exp(lr)
+    th = -kp.PI + kp.TWO_PI * u2
+    xre = r * math.cos(th)
+    klr = k * lr
+    return xre + sgn * klr, lna + klr - xre
+
+
+def _near(cut, unit):
+    """Draws v just past an angle cut, on the side where its fast path
+    fires (unit = +1: above, -1: below), down to one ulp."""
+    out = [math.nextafter(cut, unit * math.inf)]
+    out += [cut + unit * d for d in (1e-15, 1e-13, 1e-12, 1e-10, 1e-6, 1e-3)]
+    return [v for v in out if 0.0 <= v <= 0.5]
+
+
+def _lattice(u):
+    """The nearest value random() can return (a multiple of 2^-53 below 1)."""
+    return min(round(u * 2.0 ** 53), 2 ** 53 - 1) / 2.0 ** 53
+
+
+class TestAngleBracket:
+    """Every decision an angle cut makes agrees with the exact float test:
+    a rejected draw is outside, an accepted one inside, a skipped one has
+    |Re w| beyond the cut, whatever its radius.  Draws sit just past each
+    cut, at the radii where the bracket is tight (the shell's ends and the
+    stationary point) and at seeded random radii."""
+
+    @staticmethod
+    def _grid():
+        rng = random.Random(1907)
+        for _ in range(240):
+            k = rng.randint(1, 25)
+            lna = rng.uniform(math.log(1e-3), math.log(1e3))
+            r_in = 10.0 ** rng.uniform(-3.0, 3.0)
+            r_max = min(r_in * 10.0 ** rng.uniform(0.01, 6.0), 1e6)
+            yield (k, lna, rng.choice((1, 2)), rng.choice((-1, 0, 1)),
+                   10.0 ** rng.uniform(-3.0, math.log10(50.0)), r_in, r_max, rng)
+
+    @staticmethod
+    def _radii(lr0, lspan, edges, rng):
+        """u1 at both ends, at the stationary point s = 1 - a/b of each
+        boundary (a + b s) e^-s, and three at random."""
+        us = [0.0, math.nextafter(1.0, 0.0)]
+        us += [(1.0 - a / b - lr0) / lspan for a, b in edges]
+        us += [rng.random() for _ in range(3)]
+        return [_lattice(u) for u in us if 0.0 <= u < 1.0]
+
+    def test_decisions_match_the_float_test(self):
+        checked = {"reject": 0, "accept": 0, "skip": 0}
+        for k, lna, s_branch, side, h, r_in, r_max, rng in self._grid():
+            sgn = -1.0 if s_branch == 1 else 1.0
+            lr0 = math.log(r_in)
+            lspan = math.log(r_max) - lr0
+            lr1 = lr0 + lspan
+            rej_below, rej_above, acc_below, acc_above = kp._region_cuts(
+                k, sgn, side, h, lr0, lr1)
+            wcuts = [kp.LN2, 1.0, 5.0, 30.0, rng.uniform(kp.LN2, 50.0)]
+            skips = [(wcut, *kp._skip_angles(lna, k, wcut, lr0, lr1)) for wcut in wcuts]
+            vs = (_near(rej_below, -1) + _near(rej_above, 1) + _near(acc_below, 1)
+                  + _near(acc_above, -1))
+            for _wcut, below, above in skips:
+                vs += _near(below, -1) + _near(above, 1)
+            u2s = {_lattice(0.5 + sign * v) for v in vs for sign in (1.0, -1.0)}
+            u2s |= {rng.random() for _ in range(20)}
+            edges = [(h, -sgn * k), (-h, -sgn * k)]
+            edges += [(lna + sign * wcut, k) for wcut in wcuts for sign in (1.0, -1.0)]
+            for u1 in self._radii(lr0, lspan, edges, rng):
+                for u2 in u2s:
+                    off, wr = _float_region(k, sgn, lna, lr0, lspan, u1, u2)
+                    inside = off < -h if side < 0 else off > h if side > 0 else -h <= off <= h
+                    v = abs(u2 - 0.5)
+                    case = (k, lna, s_branch, side, h, r_in, r_max, u1, u2)
+                    if v < rej_below or v > rej_above:
+                        assert not inside, case
+                        checked["reject"] += 1
+                    if acc_below < v < acc_above:
+                        assert inside, case
+                        checked["accept"] += 1
+                    for wcut, below, above in skips:
+                        if v < below:
+                            assert wr < -wcut, (case, wcut)
+                            checked["skip"] += 1
+                        if v > above:
+                            assert wr > wcut, (case, wcut)
+                            checked["skip"] += 1
+        assert min(checked.values()) > 10000, checked
+
+    @pytest.mark.parametrize("r_in", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_degenerate_shell_decides_nothing(self, r_in, side):
+        """Where e^-ln r reaches the hundreds of orders, the slack swamps the
+        bracket: no cut may fire, and every draw takes the exact path."""
+        lr0 = math.log(r_in)
+        lr1 = math.log(1e3)
+        for k, sgn, h in ((1, -1.0, 0.5), (25, 1.0, 50.0), (3, -1.0, 1e-3)):
+            rej_below, rej_above, acc_below, acc_above = kp._region_cuts(
+                k, sgn, side, h, lr0, lr1)
+            assert rej_below <= 0.0 and rej_above >= 0.5
+            assert acc_below >= min(acc_above, 0.5) or acc_above <= 0.0
+            for wcut in (kp.LN2, 5.0, 700.0):
+                below, above = kp._skip_angles(0.0, k, wcut, lr0, lr1)
+                assert below <= 0.0 and above >= 0.5
+
+
+class TestAngleWork:
+    """Most draws are decided by their angle alone: a draw reaches the exact
+    path (exp, cos and the region test) only inside the thin band of angles
+    the bracket leaves open.  The exact draws are the cos calls less the
+    margins evaluated, which call cos once each."""
+
+    @staticmethod
+    def _counters(monkeypatch):
+        calls = {"cos": 0, "pairs": 0}
+        proxy = types.SimpleNamespace(**vars(math))
+
+        def cos(x):
+            calls["cos"] += 1
+            return math.cos(x)
+
+        proxy.cos = cos
+        monkeypatch.setattr(kp, "math", proxy)
+        margins = TestSamplerWork._count(monkeypatch, "_log_abs_1p")
+        stream = kp.uniform_pairs
+
+        def counted(seed):
+            for pair in stream(seed):
+                calls["pairs"] += 1
+                yield pair
+
+        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        return lambda: (calls["cos"] - len(margins), calls["pairs"])
+
+    def test_T1_exact_draws(self, qp11, monkeypatch):
+        counts = self._counters(monkeypatch)
+        h = qz.h_threshold(qp11, "T1") + 0.5
+        qz.verify_T1_bound(qp11, h, 10.0, 10000, seed=1)
+        exact, pairs = counts()
+        assert pairs > 19000
+        assert exact < 1500, (exact, pairs)
+
+    def test_sector_exact_draws(self, qp11, monkeypatch):
+        counts = self._counters(monkeypatch)
+        qz.verify_sector_cover(qp11, 2.0, 0.5, 20.0, 2000, 6)
+        exact, pairs = counts()
+        assert pairs == TestSamplerStream.RUNS[-1][2]
+        assert exact < 12000, (exact, pairs)
+
+    def test_degenerate_shell_takes_the_exact_path(self, qp11, monkeypatch):
+        counts = self._counters(monkeypatch)
+        h = qz.h_threshold(qp11, "T1") + 0.5
+        qz.verify_T1_bound(qp11, h, 1e-300, 200, seed=1)
+        exact, pairs = counts()
+        assert exact == pairs

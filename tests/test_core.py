@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -184,3 +185,21 @@ class TestNewtonRatio:
         for lam in (0.3 + 1j, -4 + 2j, 6 - 3j):
             direct = qz.evaluate(qp, lam) / qz.derivative(qp, lam)
             assert abs(qz.newton_ratio(qp, lam) - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1 + 0j, 2 + 1j, 1.7e308 + 1e308j])
+    @pytest.mark.parametrize("lam", [1e-310, 3e-309, 1e-320, 5e-324])
+    def test_subnormal_point(self, lam, a, k):
+        """k/lam overflows below |lam| = k/FLOAT_MAX; the ratio stays finite
+        and matches f/f' formed directly, with k multiplied into lam^(k-1)
+        before A so that k A cannot overflow."""
+        qp = qz.QuasiPolynomial(k, a)
+        direct = direct_f(qp, lam) / (cmath.exp(lam) + qp.a * (k * lam ** (k - 1)))
+        ratio = qz.newton_ratio(qp, lam)
+        assert cmath.isfinite(ratio)
+        assert abs(ratio - direct) <= 1e-12 * abs(direct) + 1e-300
+
+    def test_subnormal_point_derivative_vanishes(self):
+        # f'(l) = e^l - 1 is about 1e-310 there
+        with pytest.raises(DerivativeVanishesError):
+            qz.newton_ratio(qz.QuasiPolynomial(1, -1 + 0j), 1e-310)
