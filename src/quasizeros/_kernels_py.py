@@ -53,6 +53,17 @@ Conventions:
     reports, worst points and the points drawn are the same bit for bit.
     Near r_in = 1e-300 the slack swamps the bracket and every draw takes
     the exact path
+  * the strip sampler decides most draws from the drawn (y, t) before its
+    Newton solve (_strip_decision).  A draw with |y| >= y_dec whose t lies
+    outside both the listed zeros' t-band, widened by how far t can move
+    within delta of a zero, and the skip band |t - ln|A|| <= wcut is
+    counted as accepted and skipped: above y_dec the solve provably passes
+    the r_in and residual checks, no listed zero lies within delta, and
+    |Re w| = |ln|A| - t - residual| exceeds the cut.  The bands are widened
+    by STRIP_SLACK, which covers the 1e-9 the residual check allows and the
+    rounding of the check, of Re w and of the bands, so a decided draw's
+    exact float steps accept and skip it, and reports, worst points and the
+    points drawn are the same bit for bit
 """
 
 import cmath
@@ -88,6 +99,20 @@ BRACKET_SLACK = 1e-12
 
 #: below this ln|l| a bracket's e^-ln|l| may overflow; no bracket is formed
 BRACKET_LN_FLOOR = -700.0
+
+#: the strip sampler decides draws from (y, t) only where a bound on
+#: |Re l| over its solves, and with it on t and k ln|l|, is at most this
+#: (see _strip_decision); a step of its solve then rounds by under 5e-11
+STRIP_SCALE_CAP = 1e4
+
+#: widening of the strip sampler's t-bands (see _strip_decision): it covers
+#: the 1e-9 the residual check lets Re l - k ln|l| stray from the drawn t,
+#: and the few 1e-11 of rounding in that check, in Re w and in the bands
+STRIP_SLACK = 2e-9
+
+#: the largest im_cap at which the strip sampler decides draws: y^2 stays
+#: finite
+STRIP_IM_CAP = 1e150
 
 
 def sm64(state):
@@ -269,7 +294,8 @@ def newton_polish(k, log_a, seed, tolerance, max_iterations, escape):
     Returns (lam, residual, iterations, cofactor): the first iterate that
     passes, its residual, the steps taken, and (expdom, t) at it (None at
     lam = 0).  Each iterate costs one _cofactor, shared by its residual and,
-    when it does not pass, its Newton step f/f' = (1 + t)/u.  Raises
+    when it does not pass, its Newton step f/f' = (1 + t)/u; an iterate
+    where k/lam overflows steps by newton_step's tiny-lam form.  Raises
     EscapedBasinError when an iterate lies farther than `escape` from the
     seed, DerivativeVanishesError where the step is unusable (see
     newton_step), and MaxIterationsError after max_iterations steps.
@@ -279,7 +305,7 @@ def newton_polish(k, log_a, seed, tolerance, max_iterations, escape):
         residual, cofactor = residual_cofactor(k, log_a, lam)
         if residual < tolerance:
             return lam, residual, it, cofactor
-        if cofactor is None:
+        if cofactor is None or abs(lam) * FLOAT_MAX < k:
             ratio, vanishes = newton_step(k, log_a, lam)
         else:
             ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
@@ -319,6 +345,9 @@ def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
     its precision when t is subnormal.  Where A lam^k dominates,
     f/f' = lam (1 + t) / (lam t + k), and |lam t + k| >= k - |lam| never
     falls below 1e-14 max(k, |lam t|), the vanishing test times |lam|.
+    u = 1 + (k/lam) t reaches the float range's top for |A| near FLOAT_MAX
+    (k = 1), where complex division overflows forming |u|^2 / Re u and
+    returns 0; both sides are scaled by 1/16 first, which is exact.
     """
     if not expdom:
         return lam * (1.0 + t) / (lam * t + k), False
@@ -326,7 +355,7 @@ def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
     u = 1.0 + qt
     if _modulus(u) < 1e-14 * max(1.0, _modulus(qt)):
         return 0j, True
-    return (1.0 + t) / u, False
+    return (0.0625 * (1.0 + t)) / (0.0625 * u), False
 
 
 def _newton_step_cofactor(k, lam, expdom, t):
@@ -466,16 +495,40 @@ def rouche_holds(k, lam, expdom, t, radius):
 
 def critical_step(k, log_a, lam):
     """Newton step f'/f'' towards a critical point of f, in dominance-factored
-    form (both divided by the dominant term of f); None where f'' vanishes or
-    lam = 0."""
+    form (both divided by the dominant term of f); None where f'' vanishes,
+    at lam = 0, and where the step is not finite (f' or f'' beyond the
+    float range).  Where k/lam overflows (|lam| < k/FLOAT_MAX) the terms
+    are formed as in _newton_step_tiny (_critical_step_tiny)."""
     if lam == 0:
         return None
-    expdom, t, _loglam = _cofactor(k, log_a, lam)
-    u, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
-    s = _second_derivative_cofactor(k, lam, expdom, t)
-    if s == 0:
-        return None
-    return u / s
+    expdom, t, loglam = _cofactor(k, log_a, lam)
+    if abs(lam) * FLOAT_MAX < k:
+        try:
+            step = _critical_step_tiny(k, log_a, lam, expdom, t, loglam)
+        except OverflowError:  # cmath.exp where A e^-lam rounds past FLOAT_MAX
+            return None
+    else:
+        u, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
+        s = _second_derivative_cofactor(k, lam, expdom, t)
+        if s == 0:
+            return None
+        step = u / s
+    return step if cmath.isfinite(step) else None
+
+
+def _critical_step_tiny(k, log_a, lam, expdom, t, loglam):
+    """f'/f'' at |lam| < k/FLOAT_MAX.  For k = 1, f'' = e^lam and the step
+    is 1 + A e^-lam.  Otherwise, where e^lam dominates, (k/lam) t and
+    k(k-1) t/lam^2 are k e^(Log A + (k-1) Log lam - lam) and
+    k(k-1) e^(Log A + (k-2) Log lam - lam); where A lam^k dominates, the
+    step (t + k/lam) / (t + k(k-1)/lam^2) is
+    lam (lam t + k) / (lam^2 t + k(k-1))."""
+    if k == 1:
+        return 1.0 + cmath.exp(log_a - lam)
+    if expdom:
+        return ((1.0 + k * cmath.exp(log_a + (k - 1) * loglam - lam))
+                / (1.0 + k * (k - 1) * cmath.exp(log_a + (k - 2) * loglam - lam)))
+    return lam * (lam * t + k) / (lam * lam * t + k * (k - 1))
 
 
 def lambert_w(z, m=0, logz=None):
@@ -937,6 +990,75 @@ def sample_strip_sector(k, s_branch, h, r_in, r_max, delta, n, seed):
     return minmargin, wre, wim, violations, 1
 
 
+def _strip_decision(k, h, r_in, im_cap, delta, zre, zim):
+    """(y_dec, zone_lo, zone_hi) for sample_strip_ratio: a draw (y, t) with
+    |y| >= y_dec and t outside [zone_lo, zone_hi] passes the solve's checks
+    and lies at least delta from every listed zero.  (inf, -inf, inf),
+    nothing decided, where y_dec would exceed im_cap, where im_cap exceeds
+    STRIP_IM_CAP or where the bound on |Re l| below exceeds STRIP_SCALE_CAP.
+
+    y_dec = max(r_in (1 + 1e-12), 4k, 2 delta).  The float r2 is at least
+    the float y^2, so r = sqrt(r2) >= r_in and r2 != 0.  The fixed-point map
+    g(x) = t + (k/2) ln(x^2 + y^2) has slope k|x|/r^2 <= k/(2|y|) <= 1/8, so
+    the solution x* is unique and every Newton step takes the Newton branch
+    (|gp - 1| <= 1/8).  With big >= h + k + 1 and
+    h + k ln(im_cap + big) + 1 <= big, x* <= h + k ln(x* + im_cap) gives
+    |x*| <= big, and |k ln r| <= big + h.  From x = g(0),
+    |x - x*| <= (k/2) ln(1 + big^2/y^2); three fixed-point steps divide that
+    by 512, and Newton's error e -> 4k/(7 y^2) e^2 then reaches the rounding
+    floor within three steps: each step rounds by at most
+    eta = 10 eps (2 big + h + k) < 5e-11 under STRIP_SCALE_CAP, so the
+    solve ends with |resid| at most a few eta (an exact repeat included,
+    where |f/f'| rounds to nothing), far below 1e-9.
+
+    The solved point P then has |t(P) - t| <= 1e-9 + eta, t(l) =
+    Re l - k ln|l|.  Within reach = delta (1 + 1e-12) of P every point has
+    |Im| >= y_dec - reach > 0, where |grad t| <= 1 + k/|l|; so a listed zero
+    Z within reach of P has |t(Z) - t(P)| < reach (1 + k/(y_dec - reach)).
+    The zone is the listed zeros' t(Z) widened by that, by STRIP_SLACK and
+    by 1e-12 of the terms each t(Z) is formed from: a draw outside it is
+    at least reach from every zero, and the float test
+    dx^2 + dy^2 < delta^2 (rounding a few eps) cannot fire.  Zeros with
+    |Im Z| <= y_dec - 2 delta or beyond im_cap + 2 delta lie more than
+    reach from every decided draw and are left out.
+    """
+    nothing = (math.inf, -math.inf, math.inf)
+    y_dec = max(r_in * (1.0 + 1e-12), 4.0 * k, 2.0 * delta)
+    if y_dec > im_cap or im_cap > STRIP_IM_CAP:
+        return nothing
+    big = h + k + 1.0
+    while big <= STRIP_SCALE_CAP and h + k * math.log(im_cap + big) + 1.0 > big:
+        big *= 2.0
+    if big > STRIP_SCALE_CAP:
+        return nothing
+    reach = delta * (1.0 + 1e-12)
+    widen = reach * (1.0 + k / (y_dec - reach)) + STRIP_SLACK
+    y_lo = y_dec - 2.0 * delta
+    y_hi = im_cap + 2.0 * delta
+    zone_lo = math.inf
+    zone_hi = -math.inf
+    for zr, zi in zip(zre, zim):
+        if y_lo < abs(zi) <= y_hi:
+            kl = k * math.log(math.hypot(zr, zi))
+            tz = zr - kl
+            err = 1e-12 * (abs(zr) + abs(kl))
+            zone_lo = min(zone_lo, tz - err - widen)
+            zone_hi = max(zone_hi, tz + err + widen)
+    return y_dec, zone_lo, zone_hi
+
+
+def _strip_band(zone_lo, zone_hi, lna, wcut):
+    """(t_lo, t_hi): sample_strip_ratio decides a draw with |y| >= y_dec and
+    t below t_lo or above t_hi.  The hull of the zone and of the skip band
+    |t - ln|A|| <= wcut + STRIP_SLACK, where the solved point's
+    Re w = ln|A| - t - resid, with the rounding of Re w, may lie within
+    wcut; (-inf, inf) while wcut is infinite."""
+    if wcut == math.inf:
+        return -math.inf, math.inf
+    reach = wcut + STRIP_SLACK
+    return min(zone_lo, lna - reach), max(zone_hi, lna + reach)
+
+
 def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     """Sample the punctured strip and track the minimum of |f|/|l|^k.
 
@@ -946,8 +1068,15 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     The log ratio is ln|A| + ln|1 + t|, less Re w where e^l dominates, with
     w as in sample_exterior_margin from k ln|l| (kept from the residual
     check) and arg l; a point beyond _skip_cut(minimum so far, ln|A|) is
-    counted but not evaluated.  The Newton solve for Re l stops early once
-    an iterate repeats exactly.
+    counted but not evaluated.  A draw with |y| >= y_dec and t outside the
+    listed zeros' widened t-band and the skip band |t - ln|A|| <= wcut
+    (_strip_decision, _strip_band; the skip band is reset only when the
+    minimum falls) is counted as accepted and skipped before the solve: the
+    solve would pass its checks there, no zero lies within delta, and
+    |Re w| = |ln|A| - t - residual| > wcut, the bands being widened by
+    STRIP_SLACK for the 1e-9 residual and the rounding.  The Newton solve
+    for Re l stops early once an iterate repeats exactly; the k ln|l| of
+    that repeat is the residual check's, one rounding of k ln(r^2)/2.
     Returns (min_log_ratio, worst_re, worst_im, ok).
     """
     lna = log_a.real
@@ -955,6 +1084,9 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     nz = len(zre)
     d2 = delta * delta
     hk = 0.5 * k
+    y_dec, zone_lo, zone_hi = _strip_decision(k, h, r_in, im_cap, delta, zre, zim)
+    t_lo = -math.inf
+    t_hi = math.inf
     accepted = 0
     consec = 0
     minlog = math.inf
@@ -964,11 +1096,18 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
     for u1, u2 in uniform_pairs(seed):
         y = -im_cap + (2.0 * im_cap) * u1
         t = -h + (2.0 * h) * u2
+        if (t < t_lo or t > t_hi) and (y >= y_dec or y <= -y_dec):
+            consec = 0
+            accepted += 1
+            if accepted >= n:
+                break
+            continue
         ay = y if y >= 0.0 else -y
         if ay < 1e-300:
             ay = 1e-300
         x = t + k * math.log(ay)
         bad = False
+        klr = None
         for _ in range(3):
             r2 = x * x + y * y
             if r2 == 0.0:
@@ -988,17 +1127,21 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
                 else:
                     x1 = x - (x - t - kln) / gp
                 # an exact repeat (sign of zero included) is a fixed point:
-                # the remaining steps would reproduce it bit for bit
+                # the remaining steps would reproduce it bit for bit, and
+                # its r2 and kln = (k/2) ln r2 are the residual check's
                 if x1 == x and (x1 != 0.0 or math.copysign(1.0, x1) == math.copysign(1.0, x)):
+                    klr = kln
                     break
                 x = x1
         if not bad:
-            r2 = x * x + y * y
+            if klr is None:
+                r2 = x * x + y * y
             r = math.sqrt(r2)
             if r < r_in:
                 bad = True
             else:
-                klr = k * (0.5 * math.log(r2))
+                if klr is None:
+                    klr = k * (0.5 * math.log(r2))
                 resid = x - t - klr
                 if resid > 1e-9 or resid < -1e-9:
                     bad = True
@@ -1037,6 +1180,7 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
                 wre = x
                 wim = y
                 wcut = _skip_cut(minlog, lna)
+                t_lo, t_hi = _strip_band(zone_lo, zone_hi, lna, wcut)
         accepted += 1
         if accepted >= n:
             break

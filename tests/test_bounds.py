@@ -435,6 +435,19 @@ PARITY_EDGE_SECTOR = [
     (10, 1 + 0j, 1, 5.0, 0.1, 990.0, 1e3, 200, 32),
     (2, 2 + 1j, 2, 0.5, 0.5, 0.01, 1e5, 500, 33),
 ]
+#: C_delta runs at the edges of the strip sampler's (y, t) decision: R just
+#: above delta, k = 25 with the decision height above im_cap (nothing
+#: decided), |A| near 1e+-300 (ln|A| far outside [-h, h] unless h covers
+#: it) and delta just below the separation radius of the windowed zeros;
+#: (k, A, h, R, delta, im_cap, samples, seed)
+PARITY_EDGE_CDELTA = [
+    (1, 1 + 0j, 2.0, 0.5000001, 0.5, 50.0, 3000, 41),
+    (25, 1 + 0j, 2.0, 10.0, 0.5, 50.0, 2000, 42),
+    (1, 1e300 + 0j, 695.0, 10.0, 0.5, 50.0, 3000, 43),
+    (2, 1e-300j, 695.0, 10.0, 0.5, 50.0, 3000, 44),
+    (1, 1 + 0j, 2.0, 10.0, 3.14, 50.0, 3000, 45),
+    (3, 2 + 1j, 2.0, 10.0, 3.18, 50.0, 3000, 46),
+]
 
 
 def _parity_cases():
@@ -487,6 +500,18 @@ def _parity_cases():
                       seed=seed, s=s_branch:
                       qz.verify_sector_cover(qp, h, delta, r_cut, n, seed, r_max=r_max,
                                              s_branch=s)))
+    for k, a, h, r_cut, delta, im_cap, n, seed in PARITY_EDGE_CDELTA:
+        qp = qz.QuasiPolynomial(k, a)
+        strip = []
+
+        def run(qp=qp, strip=strip, h=h, r_cut=r_cut, delta=delta, im_cap=im_cap, n=n,
+                seed=seed):
+            if not strip:
+                strip.extend(qz.zeros_in_index_range(qp, -12, 12))
+            return qz.estimate_C_delta(qp, h, r_cut, delta, n, seed, strip, im_cap=im_cap,
+                                       verify_completeness=False)
+        cases.append((f"edge cdelta k={k} A={a} h={h:g} R={r_cut:.9g} delta={delta:g} "
+                      f"im_cap={im_cap:g} n={n}", run))
     return cases
 
 
@@ -494,7 +519,8 @@ class TestParity:
     """Seeded reports pinned by their repr, as computed when every accepted
     point's margin was evaluated and the strip's Newton solve always took
     its six steps (the edge runs: when every draw took the exact region
-    test): the samplers may skip work but never change a report."""
+    test, or for C_delta the solve): the samplers may skip work but never
+    change a report."""
 
     def test_every_pin_reproduced(self):
         pins = json.loads(PARITY_PINS.read_text())
@@ -774,3 +800,219 @@ class TestAngleWork:
         qz.verify_T1_bound(qp11, h, 1e-300, 200, seed=1)
         exact, pairs = counts()
         assert exact == pairs
+
+
+def _strip_exact(k, lna, r_in, delta, zre, zim, y, t):
+    """The strip sampler's exact float steps for one draw, as they ran
+    before any draw was decided from (y, t): Re w of the solved point, or
+    None where the draw is rejected."""
+    hk = 0.5 * k
+    x = t + k * math.log(max(abs(y), 1e-300))
+    for _ in range(3):
+        r2 = x * x + y * y
+        if r2 == 0.0:
+            return None
+        x = t + hk * math.log(r2)
+    for _ in range(6):
+        r2 = x * x + y * y
+        if r2 == 0.0:
+            return None
+        kln = hk * math.log(r2)
+        gp = 1.0 - k * x / r2
+        x = t + kln if -0.5 < gp < 0.5 else x - (x - t - kln) / gp
+    r2 = x * x + y * y
+    if math.sqrt(r2) < r_in:
+        return None
+    klr = k * (0.5 * math.log(r2))
+    resid = x - t - klr
+    if resid > 1e-9 or resid < -1e-9:
+        return None
+    for zr, zi in zip(zre, zim):
+        dx, dy = x - zr, y - zi
+        if y - delta <= zi <= y + delta and dx * dx + dy * dy < delta * delta:
+            return None
+    return lna + klr - x
+
+
+def _strip_points(k, lna, im_cap, spacing, rng):
+    """Listed points for the strip sampler, sorted by Im: about `spacing`
+    apart in Im over the window and a little beyond it, most on the curve
+    Re l - k ln|l| = ln|A| where the zeros lie, some off it."""
+    points = []
+    y = -im_cap - 3.0 + rng.uniform(0.0, spacing)
+    while y < im_cap + 3.0:
+        tz = lna + (rng.choice((-1.5, 1.5, 0.3)) if rng.random() < 0.2 else 0.0)
+        x = tz + k * math.log(max(abs(y), 1.0))
+        for _ in range(60):
+            x = tz + 0.5 * k * math.log(x * x + y * y)
+        points.append(complex(x, y))
+        y += spacing * rng.uniform(0.9, 1.1)
+    return [p.real for p in points], [p.imag for p in points]
+
+
+def _steepest(k, zre, zim, delta):
+    """Draws (y, t) of the points a shade inside delta of each listed point
+    along +-grad t, where t = Re l - k ln|l| moves fastest, by up to
+    delta (1 + k/|l|): the zone must keep every one of them."""
+    out = []
+    for zr, zi in zip(zre, zim):
+        r2 = zr * zr + zi * zi
+        gx, gy = 1.0 - k * zr / r2, -k * zi / r2
+        g = math.hypot(gx, gy)
+        for s in (1.0, -1.0):
+            px = zr + s * (1.0 - 1e-9) * delta * gx / g
+            py = zi + s * (1.0 - 1e-9) * delta * gy / g
+            out.append((py, px - 0.5 * k * math.log(px * px + py * py)))
+    return out
+
+
+def _past(edge, unit):
+    """Values just past a band edge, on the side where the draw is decided
+    (unit = -1: below, +1: above), from one ulp to 1e-3."""
+    out = [math.nextafter(edge, unit * math.inf)]
+    return out + [edge + unit * d * max(1.0, abs(edge)) for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
+
+
+class TestStripDecision:
+    """Every draw the strip sampler decides from (y, t) before its solve is
+    one its exact float steps accept, with |Re w| beyond the skip cut: draws
+    at |y| = y_dec, at each end of the zone around the listed points and of
+    the skip band, one ulp past each and at random, at the listed points'
+    heights, and just inside delta of each listed point where t moves
+    fastest, over seeded parameter sets and the decision's edges; and the
+    sampler's reports are the same with the decision switched off."""
+
+    #: (k, ln|A|, h, R, delta, im_cap, spacing): R just above delta, k = 25
+    #: with y_dec = 4k above im_cap, |A| near 1e+-300, delta just below half
+    #: the spacing of the listed points
+    EDGES = [
+        (1, 0.0, 2.0, 0.5000001, 0.5, 50.0, 2 * math.pi),
+        (3, 0.8, 1.0, 1.5 * (1 + 1e-12), 1.5, 80.0, 2 * math.pi),
+        (25, 0.0, 2.0, 10.0, 0.5, 50.0, 2 * math.pi),
+        (1, math.log(1e300), 2.0, 10.0, 0.5, 100.0, 2 * math.pi),
+        (2, math.log(1e-300), 3.0, 10.0, 0.5, 100.0, 2 * math.pi),
+        (1, math.log(1e300), 695.0, 10.0, 0.5, 100.0, 2 * math.pi),
+        (1, 0.0, 2.0, 10.0, 0.999 * 0.45 * math.pi, 60.0, math.pi),
+        (5, -1.0, 0.5, 20.0, 0.999 * 0.9 * math.pi, 200.0, 2 * math.pi),
+        (1, -6.0, 8.0, 4.0, 0.5, 60.0, 2 * math.pi),
+        (2, -9.0, 9.0, 8.0, 0.5, 60.0, 2 * math.pi),
+    ]
+
+    @classmethod
+    def _grid(cls):
+        rng = random.Random(2003)
+        for edge in cls.EDGES:
+            yield edge + (rng,)
+        for _ in range(150):
+            k = rng.choice((1, 2, 3, 5, 10, 25))
+            lna = math.log(rng.uniform(1e-3, 1e3)) if rng.random() < 0.8 \
+                else rng.choice((-1.0, 1.0)) * rng.uniform(600.0, 709.0)
+            spacing = 2 * math.pi * rng.uniform(0.5, 1.0)
+            delta = rng.uniform(0.05, 0.5) if rng.random() < 0.8 else 0.9 * 0.45 * spacing
+            r_in = rng.uniform(0.5, 30.0) if rng.random() < 0.8 else delta * 1.0000001
+            yield (k, lna, rng.uniform(0.1, 5.0), r_in, delta, rng.uniform(20.0, 400.0),
+                   spacing, rng)
+
+    def test_decided_draws_pass_the_exact_steps(self):
+        checked = {"y_dec": 0, "zone": 0, "skip": 0, "random": 0}
+        undecided = 0
+        steep = 0
+        for k, lna, h, r_in, delta, im_cap, spacing, rng in self._grid():
+            zre, zim = _strip_points(k, lna, im_cap, spacing, rng)
+            y_dec, zone_lo, zone_hi = kp._strip_decision(k, h, r_in, im_cap, delta, zre, zim)
+            if y_dec == math.inf:
+                undecided += 1
+                continue
+            ys = [y_dec, math.nextafter(y_dec, math.inf), im_cap]
+            ys += [rng.uniform(y_dec, im_cap) for _ in range(4)]
+            ys += [abs(zi) + rng.uniform(-delta, delta) for zi in rng.sample(zim, 6)]
+            ys = [s * y for y in ys if y_dec <= y <= im_cap for s in (1.0, -1.0)]
+            ts = {"zone": _past(zone_lo, -1) + _past(zone_hi, 1),
+                  "random": [rng.uniform(-h, h) for _ in range(6)]}
+            wcuts = (kp.LN2, 1.0, 5.0, rng.uniform(kp.LN2, 30.0))
+            for wcut in wcuts:
+                t_lo, t_hi = kp._strip_band(zone_lo, zone_hi, lna, wcut)
+                assert t_lo <= zone_lo and t_hi >= zone_hi
+                ts["skip"] = _past(lna - wcut - kp.STRIP_SLACK, -1) \
+                    + _past(lna + wcut + kp.STRIP_SLACK, 1)
+                ts["y_dec"] = _past(t_lo, -1) + _past(t_hi, 1)
+                draws = [(case, y, t) for case, values in ts.items() for t in values
+                         for y in ys]
+                for y, t in _steepest(k, zre, zim, delta):
+                    # only the zone keeps a draw past the skip band and y_dec
+                    if abs(y) >= y_dec and abs(t - lna) > wcut + kp.STRIP_SLACK:
+                        steep += 1
+                        draws.append(("zone", y, t))
+                for case, y, t in draws:
+                    if -h <= t <= h and (t < t_lo or t > t_hi) and abs(y) >= y_dec:
+                        wr = _strip_exact(k, lna, r_in, delta, zre, zim, y, t)
+                        assert wr is not None and abs(wr) > wcut, \
+                            (k, lna, h, r_in, delta, im_cap, wcut, y, t)
+                        checked[case] += 1
+        assert undecided >= 1 and steep > 100, (undecided, steep)
+        assert min(checked.values()) > 2000, checked
+
+    @pytest.mark.parametrize("r_in", [10.0, 1e-300])
+    def test_large_k_decides_nothing(self, r_in):
+        # y_dec = 4k = 100 lies above im_cap
+        zre, zim = _strip_points(25, 0.0, 50.0, 2 * math.pi, random.Random(1))
+        assert kp._strip_decision(25, 2.0, r_in, 50.0, 0.5, zre, zim)[0] == math.inf
+
+    def test_reports_match_without_the_decision(self, monkeypatch):
+        runs = []
+        for k, lna, h, r_in, delta, im_cap, spacing, rng in self._grid():
+            zre, zim = _strip_points(k, lna, im_cap, spacing, rng)
+            log_a = complex(lna, rng.uniform(-math.pi, math.pi))
+            args = (k, log_a, h, r_in, im_cap, delta, zre, zim, 300, rng.getrandbits(32))
+            runs.append((args, kp.sample_strip_ratio(*args)))
+        monkeypatch.setattr(kp, "_strip_decision",
+                            lambda *args: (math.inf, -math.inf, math.inf))
+        for args, decided in runs:
+            assert repr(kp.sample_strip_ratio(*args)) == repr(decided), args[:6]
+
+    def test_fixed_point_log_is_the_residual_checks(self):
+        """At an exact repeat the solve's (k/2) ln r2 stands in for the
+        residual check's k (ln r2 / 2): both are one rounding of k ln(r2)/2,
+        halving being exact."""
+        rng = random.Random(20)
+        r2s = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 2.0, 5e-324, 1e308]
+        r2s += [10.0 ** rng.uniform(-300, 300) for _ in range(2000)]
+        r2s += [1.0 + rng.uniform(-1e-6, 1e-6) for _ in range(500)]
+        for k in list(range(1, 30)) + [rng.randint(30, 500) for _ in range(20)]:
+            for r2 in r2s:
+                a = (0.5 * k) * math.log(r2)
+                b = k * (0.5 * math.log(r2))
+                assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b), (k, r2)
+
+
+class TestStripWork:
+    """The C_delta sampler solves for Re l only on draws it cannot decide
+    from (y, t): at the benchmark's setting (k=1, A=1, h=2, R=10,
+    delta=0.5, im_cap=2 pi 60) most draws take no log at all.  A solve takes
+    at least five logs (the start, three fixed-point steps, one Newton step),
+    so solving every draw takes over 5 a draw (7.5 when every draw was
+    solved); about 2.9 a draw are taken here."""
+
+    def test_few_draws_reach_the_solve(self, qp11, monkeypatch):
+        strip = qz.zeros_in_index_range(qp11, -63, 63)
+        calls = {"log": 0, "pairs": 0}
+        proxy = types.SimpleNamespace(**vars(math))
+
+        def log(x):
+            calls["log"] += 1
+            return math.log(x)
+
+        proxy.log = log
+        monkeypatch.setattr(kp, "math", proxy)
+        stream = kp.uniform_pairs
+
+        def counted(seed):
+            for pair in stream(seed):
+                calls["pairs"] += 1
+                yield pair
+
+        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 10000, 1, strip, im_cap=2 * math.pi * 60.0,
+                            verify_completeness=False)
+        assert calls["pairs"] > 10000
+        assert calls["log"] < 4 * calls["pairs"], calls

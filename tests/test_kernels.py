@@ -19,6 +19,7 @@ from scipy.special import lambertw
 
 from quasizeros import _kernels_py as kp, bounds, certify, core, zeros as zeros_mod
 from quasizeros._backend import backend_name
+from quasizeros.errors import EscapedBasinError, MaxIterationsError
 
 
 SPLITMIX64_SEED0 = [  # standard splitmix64 test vector for seed 0
@@ -315,6 +316,38 @@ def test_rouche_at_tiny_lambda(k):
                 assert proven == (a == 1e300)
             if k == 1 and lam == 5e-324:
                 assert not proven
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a", [1 + 0j, 2 + 1j, 1.7e308 + 1e308j])
+@pytest.mark.parametrize("lam", [1e-310, 3e-309, 1e-320, 5e-324])
+def test_polish_and_critical_step_from_a_subnormal_point(lam, a, k):
+    """k/lam overflows below |lam| = k/FLOAT_MAX.  The polish steps from
+    there by newton_step's tiny-lam form and reaches the zero, except where
+    Newton's own course fails, which it reports: for k = 2 and A = 1 the
+    step leaves the seed's basin, and for |A| near FLOAT_MAX and k >= 2 the
+    zeros near |A|^(-1/k) (about 1e-154 and 1e-103) are approached only
+    geometrically from the first step's landing point, about 1 away.
+    critical_step is finite there or None, and matches f'/f'' formed
+    directly where both terms are in range."""
+    qp = core.QuasiPolynomial(k, a)
+    seed = complex(lam)
+    ratio, vanishes = kp.newton_step(k, qp.log_a, seed)
+    assert not vanishes and cmath.isfinite(ratio) and ratio != 0
+    huge = abs(a.real) > 1e300
+    if (k == 2 and a == 1) or (huge and k >= 2):
+        with pytest.raises(EscapedBasinError if a == 1 else MaxIterationsError):
+            kp.newton_polish(k, qp.log_a, seed, 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
+    else:
+        value, residual, _its, _cofactor = kp.newton_polish(
+            k, qp.log_a, seed, 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
+        assert residual < 1e-12 and value != seed
+    step = kp.critical_step(k, qp.log_a, seed)
+    assert step is None or cmath.isfinite(step)
+    if not huge:
+        d1 = cmath.exp(seed) + qp.a * (k * seed ** (k - 1))
+        d2 = cmath.exp(seed) + (qp.a * (k * (k - 1) * seed ** (k - 2)) if k > 1 else 0)
+        assert abs(step - d1 / d2) <= 1e-12 * abs(d1 / d2)
 
 
 def test_newton_polish_carries_its_last_evaluation():
