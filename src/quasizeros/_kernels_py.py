@@ -542,7 +542,9 @@ def lambert_w(z, m=0, logz=None):
     z = -1/e on the branches that meet there (m = 0, and m = -1 above the
     cut or m = 1 below it), Log(1 + z) for m = 0 and small |z|, and
     otherwise Corless's asymptotic L1 - L2 + L2/L1 with L1 = Log z + 2 pi i m
-    and L2 = Log L1.  Halley's iteration on w - z e^-w then polishes it;
+    and L2 = Log L1 (also for m = 0 within 1e-2 of the cut on (-1, -1/e),
+    where Log(1 + z) is nearly real and W_0 is not).  Halley's iteration on
+    w - z e^-w then polishes it;
     z e^-w is formed as exp(Log z - w), so nothing overflows.  A caller
     that holds Log z passes it as logz; then z may be a non-finite rounding
     of a |z| beyond the float range, and Log z alone places the seed.
@@ -554,7 +556,8 @@ def lambert_w(z, m=0, logz=None):
     if abs(q) < 0.3 and (m == 0 or m == -math.copysign(1.0, z.imag)):
         p = cmath.sqrt(2.0 * q) * (1 if m == 0 else -1)
         w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-    elif m == 0 and abs(z) < 2.0 and abs(1.0 + z) > 0.5:
+    elif (m == 0 and abs(z) < 2.0 and abs(1.0 + z) > 0.5
+          and not (-1.0 < z.real < -1.0 / math.e and abs(z.imag) < 1e-2)):
         w = cmath.log(1.0 + z)
     else:
         l1 = logz + complex(0.0, TWO_PI * m)

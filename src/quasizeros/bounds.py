@@ -129,7 +129,8 @@ def _check_log_polar(r_cut, r_max, sample_count, s_branch):
 
 def _check_strip(h, r_cut, delta, im_cap, sample_count):
     """Inputs of the punctured-strip sampler: the strip |offset| <= h cut
-    to R <= |l| and |Im l| <= im_cap, less the delta-disks."""
+    to R <= |l| and |Im l| <= im_cap, less the delta-disks; im_cap is at
+    most 2 pi certify.STEP_BUDGET, the budget of the disk search's walk."""
     if not h > 0:
         raise DomainError("h must be a positive number")
     if not r_cut > 0:
@@ -138,6 +139,10 @@ def _check_strip(h, r_cut, delta, im_cap, sample_count):
         raise DomainError("delta must be a positive number")
     if not 0 < im_cap < math.inf:
         raise DomainError(f"im_cap = {im_cap:g} must be positive and finite")
+    limit = TWO_PI * certify_mod.STEP_BUDGET
+    if im_cap > limit:
+        raise DomainError(f"im_cap = {im_cap:g} exceeds the limit {limit:g} "
+                          f"(2 pi times the step budget {certify_mod.STEP_BUDGET})")
     if sample_count < 1:
         raise DomainError("sample count must be at least 1")
 

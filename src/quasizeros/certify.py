@@ -20,8 +20,9 @@ exactly one root w_j of w^k = -A and one branch m of Lambert W (Corless,
 Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), so walking the
 (j, m) a square can hold and polishing each value lists its zeros; the
 square's winding count then checks the list (count-then-polish run in
-reverse; Kravanja & Van Barel, LNM 1727, 2000).  When the identity fails
-the disk search raises SubdivisionStalledError.
+reverse; Kravanja & Van Barel, LNM 1727, 2000), polished and labelled by
+the ladder's own zeros._branch_zero.  When the identity fails the disk
+search raises SubdivisionStalledError.
 
 A certified record has exactly `multiplicity` zeros in the open disk
 |l - value| < isolation_radius.  For a simple zero this is proven by an
@@ -31,8 +32,8 @@ _kernels_py.rouche_isolates), which also proves each zero of a near-double
 pair at its own isolation radius; otherwise, or when that test does not
 succeed, by a winding count over the disk.  certify_record evaluates f once
 at the record's value for both the residual gate and the Rouche test; the
-ladder's fresh records take that evaluation from their Newton polish
-(certify_polished).
+simple zeros the ladder and the disk search polish take that evaluation
+from their Newton polish (certify_polished).
 """
 
 import cmath
@@ -165,8 +166,8 @@ def certify_record(qp, record, radius=None):
     of 2 around a multiplicity-1 record is re-read as a double zero when the
     critical point of f polishes to a genuine zero inside the disk; the
     record is then upgraded (value moved to the critical point,
-    multiplicity 2).  The ladder certifies its own records with
-    certify_polished, which takes that evaluation from the polish.
+    multiplicity 2).  The ladder and the disk search certify their simple
+    zeros with certify_polished, which takes that evaluation from the polish.
     """
     r = radius if radius is not None else record.isolation_radius
     if r is None:
@@ -246,18 +247,6 @@ def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
     return True
 
 
-def _polish(qp, seed, cell, tolerance):
-    """Newton from the complex seed, as newton_refine; the zero it reaches
-    must lie strictly inside the cell (xmin, xmax, ymin, ymax).  Labelled by
-    disk_zero_index."""
-    xmin, xmax, ymin, ymax = cell
-    v, residual, iterations, _cofactor = zeros_mod._newton_polish(qp, seed, tolerance)
-    if not (xmin < v.real < xmax and ymin < v.imag < ymax):
-        raise EscapedBasinError("polished zero left its cell")
-    return zeros_mod.ZeroRecord(zeros_mod.disk_zero_index(qp, v), v, residual, seed,
-                                iterations)
-
-
 def _double_zero(qp, region, seed):
     """The double zero that Newton on f' reaches from the seed, or None.
 
@@ -286,16 +275,6 @@ def _double_zero(qp, region, seed):
     if region.contains(lam) and core.relative_residual(qp, lam) < 1e-10:
         return lam
     return None
-
-
-def _double_zero_record(qp, region, seed):
-    """The record of the double zero _double_zero reads from the seed, or
-    None."""
-    c = _double_zero(qp, region, seed)
-    if c is None:
-        return None
-    return zeros_mod.ZeroRecord(nu=None, value=c, residual=core.relative_residual(qp, c),
-                                seed=c, iterations=0, multiplicity=2)
 
 
 def _square(radius, attempt):
@@ -331,21 +310,21 @@ def _outer_cell(qp, radius, tolerance):
 
 def _branch_zeros(qp, cell, tolerance=1e-12):
     """The zeros of f inside the cell (xmin, xmax, ymin, ymax), listed by
-    Lambert-W branch.
+    Lambert-W branch, before their certificates.
 
     Every zero solves e^(l/k) = w_j l for exactly one root w_j of
     w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
     one (j, m), and every (j, m) gives a zero.  For |m| >= 2,
     |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
     |m| > Y / (2 pi k) + 1; the rest are walked, and a value inside the cell
-    is Newton-polished into a record labelled by disk_zero_index.  A polish
-    that leaves the cell drops its value, whose zero then lies across the
-    edge; one that fails raises its error (MaxIterationsError,
-    DerivativeVanishesError).  At a z_j at the branch point -1/e
-    (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
-    one double zero, read by _double_zero.  A cell reaching so far from the
-    real axis that each root would walk more than STEP_BUDGET branches
-    raises QuadratureStalledError before any is walked.
+    is polished and labelled by zeros._branch_zero, as the ladder does.  A
+    polish that leaves the cell drops its value, whose zero then lies across
+    the edge; one that fails raises its error.  At a z_j at the branch point
+    -1/e (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch
+    give one double zero, read by _double_zero into a ZeroRecord labelled by
+    the partner.  A cell reaching so far from the real axis that each root
+    would walk more than STEP_BUDGET branches raises QuadratureStalledError
+    before any is walked.
     """
     k = qp.k
     xmin, xmax, ymin, ymax = cell
@@ -357,21 +336,26 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     found = []
     for j in range(k):
         z, logz = zeros_mod._lambert_root(qp, j)
-        # the two branches that meet at -1/e, when z_j is there
-        branch_pair = ((0, -math.copysign(1.0, z.imag))
-                       if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else ())
+        # the branch that meets W_0 at -1/e, when z_j is there
+        partner = (int(-math.copysign(1.0, z.imag))
+                   if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else None)
         for m in range(-top, top + 1):
+            if m == partner:
+                continue
             lam = -k * kernels.lambert_w(z, m, logz)
-            if m in branch_pair:
-                if m == 0:
-                    rec = _double_zero_record(qp, square, lam)
-                    if rec is not None:
-                        found.append(rec)
+            if m == 0 and partner is not None:
+                c = _double_zero(qp, square, lam)
+                if c is not None:
+                    found.append(zeros_mod.ZeroRecord(
+                        zeros_mod._branch_nu(qp, j, partner), c,
+                        core.relative_residual(qp, c), c, 0, multiplicity=2))
             elif square.contains(lam):
                 try:
-                    found.append(_polish(qp, lam, cell, tolerance))
+                    polished = zeros_mod._branch_zero(qp, j, m, lam, tolerance)
                 except EscapedBasinError:
-                    pass
+                    continue
+                if square.contains(polished.value):
+                    found.append(polished)
     return found
 
 
@@ -379,11 +363,11 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """All zeros of f with |l| <= radius, each certified.
 
     The zeros inside a square a little wider than the disk are listed by
-    their Lambert-W branches, polished by Newton and certified at their
-    isolation radii (see _branch_zeros), and the square, placed off the
-    zero set (_outer_cell), gets one winding count.  The multiplicities
-    must add up to that count and every record must certify (the count
-    identity, see _count_identity); when they do not,
+    their Lambert-W branches, polished and labelled as the ladder does (see
+    _branch_zeros) and certified at their isolation radii, and the square,
+    placed off the zero set (_outer_cell), gets one winding count.  The
+    multiplicities must add up to that count and every record must certify
+    (the count identity, see _count_identity); when they do not,
     SubdivisionStalledError names the count, the listed multiplicity sum
     and the records that did not certify.
     """
@@ -391,8 +375,12 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
         raise DomainError("radius must be a positive finite number")
     found, count = _outer_cell(qp, radius, tolerance)
     found.sort(key=zeros_mod.im_order)
-    ok, records, failures = _count_identity(
-        qp, count, found, zeros_mod.isolation_radii(found))
+    # a simple zero certifies from its polish; the double zero at the
+    # branch point by certify_record's winding count
+    records = [certify_polished(qp, *rec, r) if isinstance(rec, zeros_mod._Polished)
+               else certify_record(qp, rec, r)
+               for rec, r in zip(found, zeros_mod.isolation_radii(found))]
+    ok, failures = _count_identity(count, found, records)
     if not ok:
         listed = sum(rec.multiplicity for rec in found)
         raise SubdivisionStalledError(
@@ -402,18 +390,16 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     return [rec for rec in records if abs(rec.value) <= radius]
 
 
-def _count_identity(qp, count, records, radii):
+def _count_identity(count, records, checked):
     """The count identity: a contour's winding count equals the sum of the
     multiplicities of the records inside it, and every record certifies, with
-    its own multiplicity, at its radius.  Certified disks at isolation radii
-    are disjoint, so the identity proves the records are all the zeros
-    inside (Kravanja & Van Barel, LNM 1727, 2000).  Returns (whether it
-    holds, the records as certified, the records that did not certify)."""
-    checked = [certify_record(qp, rec, r) for rec, r in zip(records, radii)]
+    its own multiplicity, at its radius (checked: the records as certified).
+    Certified disks at isolation radii are disjoint, so the identity proves
+    the records are all the zeros inside (Kravanja & Van Barel, LNM 1727,
+    2000).  Returns (whether it holds, the records that did not certify)."""
     failures = [rec for rec, c in zip(records, checked)
                 if not c.certified or c.multiplicity != rec.multiplicity]
-    ok = count == sum(rec.multiplicity for rec in records) and not failures
-    return ok, checked, failures
+    return count == sum(rec.multiplicity for rec in records) and not failures, failures
 
 
 def certify_completeness(qp, contour, records):
@@ -430,8 +416,8 @@ def certify_completeness(qp, contour, records):
             raise RecordOutsideContourError(
                 f"record at {rec.value:.6g} lies outside the contour")
     count = winding_count(qp, contour).count
-    ok, _checked, failures = _count_identity(
-        qp, count, records, [rec.isolation_radius for rec in records])
+    checked = [certify_record(qp, rec, rec.isolation_radius) for rec in records]
+    ok, failures = _count_identity(count, records, checked)
     detail = {
         "contour_count": count,
         "expected_count": sum(rec.multiplicity for rec in records),

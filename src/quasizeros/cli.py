@@ -143,15 +143,6 @@ def _check_tol(tol):
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol:g}")
 
 
-def _merge_disk_zeros(records, disk):
-    """Append to records the disk-search records that none of them holds
-    (within zeros.DUPLICATE_DISTANCE)."""
-    for rec in disk:
-        if all(abs(rec.value - r.value) >= zeros_mod.DUPLICATE_DISTANCE
-               for r in records):
-            records.append(rec)
-
-
 def _cmd_zeros(args):
     qp = _make_qp(args)
     _check_tol(args.tol)
@@ -162,8 +153,12 @@ def _cmd_zeros(args):
     if lo <= 0 <= hi:
         notes["nu_skipped"] = [0]
     if args.with_disk is not None:
-        _merge_disk_zeros(records, certify_mod.find_zeros_in_disk(qp, args.with_disk,
-                                                                  args.tol))
+        # the disk search labels a zero as the ladder does, so it adds only
+        # the zeros whose index the ladder did not walk; two records on one
+        # zero raise DuplicateZeroError
+        disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
+        records += [rec for rec in disk if rec.nu is None or not lo <= rec.nu <= hi]
+        zeros_mod._check_duplicates(records)
         notes["disk_radius"] = args.with_disk
     records.sort(key=zeros_mod.im_order)
     results = [record_to_obj(r) for r in records]
@@ -307,15 +302,18 @@ def _cmd_bounds(args):
                                                certify=True)
         # the ladder leaves k + 1 zeros to the disk search, (j, 0) for each
         # root j and (0, -1) (see zeros._ladder_branch), and some lie in the
-        # window; the disk search supplies them, and the completeness check
-        # stays the arbiter.  Only zeros in the sampled window are added: a
-        # list missing one of those failed that check anyway, and the others
-        # lie beyond delta of every sample.
+        # window; the disk search supplies them, labelled as the ladder
+        # labels, and the completeness check stays the arbiter.  Only zeros
+        # in the sampled window are added: a list missing one of those
+        # failed that check anyway, and the others lie beyond delta of
+        # every sample.
         boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
         disk = certify_mod.find_zeros_in_disk(
             qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)
-        _merge_disk_zeros(strip, [rec for rec in disk
-                                  if any(box.contains(rec.value) for box in boxes)])
+        strip += [rec for rec in disk
+                  if (rec.nu is None or abs(rec.nu) > span)
+                  and any(box.contains(rec.value) for box in boxes)]
+        zeros_mod._check_duplicates(strip)
         est = bounds.estimate_C_delta(qp, h, args.R, args.delta, args.samples,
                                       args.seed, strip, im_cap=args.im_cap)
         summary = {

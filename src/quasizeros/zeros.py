@@ -5,14 +5,15 @@ Large zeros sit on the branch ladder
 one per nonzero integer nu, with consecutive gaps approaching 2*pi.  Every
 zero is l = -k W_m(z_j), z_j = -1/(k w_j), for exactly one root w_j of
 w^k = -A and one branch m of Lambert W (Corless, Gonnet, Hare, Jeffrey &
-Knuth, Adv. Comput. Math. 5, 1996).  The ladder names index nu by
-j = nu mod k and m = (j - nu)/k - [nu > 0], and Newton polishes that W
-value (quadratic near simple zeros); the zero satisfies the fixed-point
-equation Im l = 2*pi*nu + pi + arg A + k Arg l.  nu = 0 is excluded: the
-k + 1 zeros no index names, (j, 0) for each j and (0, -1), are recovered
-exhaustively by the disk search in the certify module.  asymptotic_zero
-(the ladder formula above) and fixed_point_refine (the branch-anchored
-fixed-point iteration) are standalone; the ladder calls neither.
+Knuth, Adv. Comput. Math. 5, 1996).  Index nu names j = nu mod k and
+m = (j - nu)/k - [nu > 0]; the k + 1 pairs no index names, (j, 0) for each
+j and (0, -1), are unlabelled.  _branch_zero Newton-polishes the W value of
+a pair (quadratic near simple zeros) and checks a named zero against the
+fixed-point equation Im l = 2*pi*nu + pi + arg A + k Arg l; the ladder and
+the disk search in the certify module both list their zeros through it.
+asymptotic_zero (the ladder formula above), fixed_point_refine (the
+branch-anchored fixed-point iteration), newton_refine and branch_index are
+standalone references; the package paths call none of them.
 """
 
 import cmath
@@ -62,8 +63,10 @@ REAL_AXIS_NOISE = 1e-9
 class ZeroRecord:
     """One computed zero.
 
-    nu is None for zeros found in the origin disk (outside the indexed
-    family).  residual is the relative residual |f|/max(|e^l|, |A l^k|) at
+    nu is the ladder index of the branch pair (j, m) polished, whichever
+    search found the zero, and None for the k + 1 pairs no index names (a
+    double zero at the branch point takes its partner branch's index).
+    residual is the relative residual |f|/max(|e^l|, |A l^k|) at
     value.  certified means exactly `multiplicity` zeros lie in the open
     disk |l - value| < isolation_radius, proven by the Rouche disk test for
     simple zeros and otherwise by a winding count.
@@ -132,22 +135,6 @@ def im_order(record):
     return (0.0 if _on_real_axis(z) else z.imag), z.real
 
 
-def disk_zero_index(qp, value):
-    """Ladder index of a zero found by the disk search, or None.
-
-    The ladder ordinates 2*pi*nu + pi + sign(nu)*k*pi/2 + arg A have the
-    sign of nu (|arg A| <= pi), so a value within rounding noise of the real
-    axis, or one whose nearest index has the opposite sign, is off the
-    ladder.  The index range search labels its zeros by the requested index
-    instead, real ones included.
-    """
-    z = complex(value)
-    if _on_real_axis(z):
-        return None
-    nu = branch_index(qp, z)
-    return nu if nu * z.imag > 0 else None
-
-
 def lambert_argument(qp, j):
     """z_j = -1/(k w_j) for the root w_j = exp((Log A + i pi (2j + 1)) / k)
     of w^k = -A.  Every zero of f solves e^(l/k) = w_j l for exactly one j,
@@ -160,12 +147,21 @@ def _lambert_root(qp, j):
     """(z_j, Log z_j) for lambert_argument(qp, j).  Log z_j is cmath.log(z_j)
     where z_j is finite and nonzero; where |z_j| = 1/(k |A|^(1/k)) leaves the
     float range (|A| below about 1e-308 for k = 1) it is formed from Log A,
-    as -ln k - (Log A + i pi (2j + 1)) / k + i pi, wrapped to (-pi, pi]."""
+    as -ln k - (Log A + i pi (2j + 1)) / k + i pi, wrapped to (-pi, pi].
+
+    For real A < 0, z_(k-1) lies on the cut, and the (j, m) labels read it
+    from below, the side that arg A -> pi reaches (above it, W_1 below is
+    W_-1 above and every other W_m below with m != 0 is W_(m-1) above).
+    Where rounding puts it above, both are conjugated."""
     z = lambert_argument(qp, j)
     if z and cmath.isfinite(z):
-        return z, cmath.log(z)
-    u = (qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / qp.k
-    return z, complex(-math.log(qp.k) - u.real, kernels.wrap_angle(math.pi - u.imag))
+        logz = cmath.log(z)
+    else:
+        u = (qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / qp.k
+        logz = complex(-math.log(qp.k) - u.real, kernels.wrap_angle(math.pi - u.imag))
+    if j == qp.k - 1 and qp.arg_a == math.pi and logz.imag > 0:
+        return z.conjugate(), logz.conjugate()
+    return z, logz
 
 
 def _ladder_index(qp, value):
@@ -184,42 +180,36 @@ def _ladder_branch(qp, nu):
     return j, (j - nu) // qp.k - (nu > 0)
 
 
-#: one ladder zero before its certificate: the polish's last iterate, its
-#: residual and its cofactor (expdom, t) (see kernels.newton_polish)
-_Polished = namedtuple("_Polished", "nu value residual seed iterations cofactor")
+def _branch_nu(qp, j, m):
+    """The index of the zero -k W_m(z_j), inverting _ladder_branch: j - k m
+    for m >= 1, j - k (m + 1) for m <= -1, None for (j, 0) and (0, -1)."""
+    if m == 0:
+        return None
+    return j - qp.k * (m if m > 0 else m + 1) or None
 
 
-def _ladder_zero(qp, nu, m, root, tolerance):
-    """The nu-th zero, Newton-polished from -k W_m(z_j) with
-    (j, m) = _ladder_branch(qp, nu) and root = _lambert_root(qp, j), its
-    index checked by _ladder_index; a _Polished.
+class _Polished(namedtuple("_Polished", "nu value residual seed iterations cofactor")):
+    """One simple zero before its certificate: the polish's last iterate, its
+    residual and its cofactor (expdom, t) there (see kernels.newton_polish);
+    multiplicity 1, read like a ZeroRecord's."""
 
-    Where z_j lies on the cut (real A < 0), the (j, m) labels read it from
-    below, the side that arg A -> pi reaches; above it, branch m holds
-    another zero with the same j (W_1 below is W_-1 above, and every other
-    W_m below with m != 0 is W_(m-1) above).  When rounding puts Im z_j
-    above the cut, the seed's index differs from nu by a multiple of k, and
-    the seed is taken once more from the conjugate z_j.  A seed that already
-    passes the tolerance is its own zero, so its index is checked once.  Any
-    failure raises NotConvergedError naming nu.
-    """
-    k = qp.k
-    z, logz = root
-    seed = -k * kernels.lambert_w(z, m, logz)
-    found = _ladder_index(qp, seed)
-    if found != nu and (found - nu) % k == 0:
-        seed = -k * kernels.lambert_w(z.conjugate(), m, logz.conjugate())
-        found = _ladder_index(qp, seed)
-    try:
-        lam, residual, iterations, cofactor = _newton_polish(qp, seed, tolerance)
-    except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
-        raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
-    if iterations:
+    __slots__ = ()
+    multiplicity = 1
+
+
+def _branch_zero(qp, j, m, seed, tolerance):
+    """The zero -k W_m(z_j), Newton-polished from that seed (z_j from
+    _lambert_root(qp, j)); a _Polished labelled by _branch_nu.  A named
+    zero's index is checked at the polish's last iterate; reaching another
+    index raises NotConvergedError, and a failed polish its own error."""
+    nu = _branch_nu(qp, j, m)
+    lam, residual, iterations, cofactor = _newton_polish(qp, seed, tolerance)
+    if nu is not None:
         found = _ladder_index(qp, lam)
-    if found != nu:
-        raise NotConvergedError(
-            f"refinement failed for nu = {nu}: Newton reached the zero of "
-            f"index {found}")
+        if found != nu:
+            raise NotConvergedError(
+                f"refinement failed for nu = {nu}: Newton reached the zero of "
+                f"index {found}")
     return _Polished(nu, lam, residual, seed, iterations, cofactor)
 
 
@@ -271,11 +261,11 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
 def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     """Polish a seed by Newton iteration until the relative residual passes.
 
+    A standalone reference; the package polishes through _branch_zero.
     Each iterate costs one scaled evaluation, shared by its residual and its
-    Newton step (kernels.newton_polish).  The ladder runs the same polish
-    and certifies from its final evaluation; a record from here is certified
-    by certify.certify_record, which evaluates f at its value again.  The
-    record is labelled by branch_index (None for 0).  Raises
+    Newton step (kernels.newton_polish).  The record is labelled by
+    branch_index (None for 0), which for k >= 3 can differ from the ladder's
+    index for the same zero.  Raises
     EscapedBasinError when an iterate strays more than ESCAPE_RADIUS from
     the seed (protects the index bookkeeping), and propagates
     DerivativeVanishesError from critical points.
@@ -348,7 +338,7 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     """Refined zeros for every index in [nu_min, nu_max] (nu = 0 skipped).
 
     Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu),
-    Newton-polished from that Lambert-W value (see _ladder_zero); z_j is
+    Newton-polished from that Lambert-W value (see _branch_zero); z_j is
     computed once per root j.  A failure raises NotConvergedError naming
     nu.  Records are sorted by nu; values collapsing within 1e-6 raise
     DuplicateZeroError.  With certify=True each record is certified over its
@@ -369,7 +359,11 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
         root = roots.get(j)
         if root is None:
             root = roots[j] = _lambert_root(qp, j)
-        polished.append(_ladder_zero(qp, nu, m, root, tolerance))
+        seed = -qp.k * kernels.lambert_w(root[0], m, root[1])
+        try:
+            polished.append(_branch_zero(qp, j, m, seed, tolerance))
+        except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
+            raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
     _check_duplicates(polished)
     if not certify:
         return [ZeroRecord(p.nu, p.value, p.residual, p.seed, p.iterations)

@@ -350,6 +350,17 @@ class TestCDelta:
             qz.estimate_C_delta(qp11, h, r_cut, delta, samples, 1,
                                 _strip_zeros(qp11, 8), im_cap=im_cap)
 
+    def test_window_beyond_the_step_budget_refused(self, qp11):
+        # a window taller than 2 pi STEP_BUDGET is refused by name, before
+        # its draws, whether or not completeness is checked
+        limit = 2 * math.pi * qz.certify.STEP_BUDGET
+        strip = _strip_zeros(qp11, 8)
+        for im_cap in (1e200, limit * (1 + 1e-12)):
+            with pytest.raises(DomainError, match=r"^im_cap = .* exceeds the limit 411775 "):
+                qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 100, 1, strip, im_cap=im_cap,
+                                    verify_completeness=False)
+        bounds._check_strip(2.0, 10.0, 0.5, limit, 100)
+
     def test_determinism(self, qp11):
         strip = _strip_zeros(qp11, 8)
         kw = dict(im_cap=2 * math.pi * 5.5, verify_completeness=False)

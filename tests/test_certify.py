@@ -213,12 +213,17 @@ class TestFindZerosInDisk:
         assert len(recs) == 1
         assert recs[0].nu is None
 
-    def test_two_real_zeros_labelled_origin(self):
+    def test_two_real_zeros_labelled_by_branch(self):
+        # -W_0(-1/3) is unnamed; -W_1(-1/3) read below the cut is the
+        # ladder's nu = -1
         qp = qz.QuasiPolynomial(1, -3 + 0j)
         real = [r for r in qz.find_zeros_in_disk(qp, 3.0)
                 if abs(r.value.imag) < 1e-9]
-        assert len(real) == 2
-        assert all(r.nu is None for r in real)
+        assert sorted((r.value.real, r.nu is None) for r in real) == [
+            (pytest.approx(0.619061286), True), (pytest.approx(1.512134552), False)]
+        named = next(r for r in real if r.nu is not None)
+        assert named.nu == -1
+        assert named.value == qz.zeros_in_index_range(qp, -1, -1)[0].value
 
     def test_conjugate_pair(self):
         # zeros of e^l = l; oracle via the Lambert function: l = -W_0(-1)
@@ -250,6 +255,17 @@ class TestFindZerosInDisk:
         assert recs[0].multiplicity == 2
         assert abs(recs[0].value - 1.0) < 1e-8
         assert recs[0].certified
+        # labelled by W_0's partner branch, as the ladder's nu = -1
+        assert recs[0].nu == -1
+
+    def test_principal_zero_beside_the_cut(self):
+        # z_2 = -0.4933 lies on the cut, where W_0 was once seeded by a
+        # real Log(1 + z) and the listed sum fell one short of the count
+        qp = qz.QuasiPolynomial(3, complex(-0.3087231714916467, 0.0))
+        recs = qz.find_zeros_in_disk(qp, 4.2)
+        assert len(recs) == qz.winding_count(qp, qz.Circle(0j, 4.2)).count == 4
+        assert [r.nu for r in recs] == [-1, None, None, None]
+        assert recs[3].value == pytest.approx(recs[0].value.conjugate(), abs=1e-12)
 
     def test_bad_radius(self, qp11):
         with pytest.raises(DomainError):
@@ -490,9 +506,42 @@ class TestEnumeration:
         for (want, mult), radius_want in zip(oracle, radii):
             rec = min(recs, key=lambda r: abs(r.value - want))
             assert abs(rec.value - want) <= 1e-12 * max(1.0, abs(want))
-            assert rec.nu == zeros_mod.disk_zero_index(qp, want)
             assert rec.certified and rec.multiplicity == mult
             assert rec.isolation_radius == pytest.approx(radius_want, abs=1e-9)
+
+    def test_labels_name_the_ladder_zero(self):
+        # a disk zero labelled nu is the zero the index range search gives
+        # nu, and an unlabelled one is -k W_0(z_j) or -W_-1(z_0) (scipy)
+        for k, a, radius in _label_sweep():
+            qp = qz.QuasiPolynomial(k, a)
+            unnamed = [-k * complex(lambertw(zeros_mod._lambert_root(qp, j)[0], m))
+                       for j, m in [(j, 0) for j in range(k)] + [(0, -1)]]
+            for rec in qz.find_zeros_in_disk(qp, radius):
+                tol = 1e-8 * max(1.0, abs(rec.value))
+                if rec.nu is None:
+                    assert min(abs(rec.value - v) for v in unnamed) <= tol, (k, a, radius, rec)
+                else:
+                    want = qz.zeros_in_index_range(qp, rec.nu, rec.nu)[0].value
+                    assert abs(rec.value - want) <= tol, (k, a, radius, rec)
+
+    def test_simple_zeros_evaluated_once(self, qp11, monkeypatch):
+        # each simple zero costs its polish's evaluations and no more: the
+        # certificate takes the polish's last one, not certify_record's
+        records = _counting(monkeypatch, certify_mod, "certify_record")
+        evaluations = _counting(monkeypatch, kp, "residual_cofactor")
+        polish = zeros_mod._newton_polish
+        iterations = []
+
+        def counted(*args):
+            result = polish(*args)
+            iterations.append(result[2])
+            return result
+
+        monkeypatch.setattr(zeros_mod, "_newton_polish", counted)
+        recs = qz.find_zeros_in_disk(qp11, 100.0)
+        assert len(recs) == 33 and all(r.certified for r in recs)
+        assert records == []
+        assert len(evaluations) == sum(it + 1 for it in iterations)
 
     @pytest.mark.parametrize("tamper", ["drop", "duplicate"])
     def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
@@ -510,6 +559,25 @@ class TestEnumeration:
                            match=f"^the square's count is 3, the listed multiplicities "
                                  f"add up to {listed}, and the uncertified records are "):
             qz.find_zeros_in_disk(qp11, 10.0)
+
+
+def _label_sweep():
+    """210 seeded disks, k = 1..25: complex A, real A < 0, and
+    A = -e^k/k^k (1 + eps), which puts z_(k-1) at or beside the Lambert-W
+    branch point -1/e."""
+    rng = random.Random(2021)
+    disks = []
+    for i in range(210):
+        k = rng.randint(1, 25)
+        if i % 3 == 0:
+            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        elif i % 3 == 1:
+            a = complex(-10 ** rng.uniform(-3, 3), 0.0)
+        else:
+            eps = (0.0, 1e-9, -1e-9, 1e-3, -1e-3)[i // 3 % 5]
+            a = complex(-math.e ** k / k ** k * (1 + eps), 0.0)
+        disks.append((k, a, rng.uniform(2, 40)))
+    return disks
 
 
 def _rect_cell(rect):

@@ -106,6 +106,8 @@ class TestZerosCommand:
           "--im-cap", "nan"), None),
         (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
           "--im-cap", "0"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+          "--im-cap", "1e200", "--samples", "1000"), None),
         (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--R", "0"),
          None),
         (("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--R", "-5"),
@@ -123,7 +125,8 @@ class TestZerosCommand:
             "certify-expect-no-results", "certify-box-infinite",
             "origin-radius-nan", "origin-radius-inf", "zeros-with-disk-nan",
             "bounds-cdelta-im-cap-inf", "bounds-cdelta-im-cap-nan",
-            "bounds-cdelta-im-cap-zero", "bounds-cdelta-R-zero",
+            "bounds-cdelta-im-cap-zero", "bounds-cdelta-im-cap-too-tall",
+            "bounds-cdelta-R-zero",
             "bounds-cdelta-R-negative", "bounds-cdelta-delta-zero",
             "bounds-cdelta-delta-negative", "bounds-cdelta-h-negative",
             "origin-quad-tol-removed"])
@@ -164,7 +167,7 @@ class TestZerosCommand:
     ])
     def test_ladder_keeps_index_of_real_zero(self, a, real, upper):
         # for k=1 and real A < -e the index -1 zero is real; the ladder keeps
-        # its requested index (the disk search would call it "origin")
+        # its requested index, as the disk search does
         code, out, _ = run_cli("zeros", "--k", "1", "--a", a, "--nu", "-1..1",
                                "--certify")
         assert code == 0
@@ -173,6 +176,41 @@ class TestZerosCommand:
         assert all(r["certified"] for r in results)
         for r, want in zip(results, (real, upper)):
             assert abs(complex(r["re"], r["im"]) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("k, a, code, count, near", [
+        (1, -2.718281828459045, 0, 6, [(-1, 1.0, 2, True)]),
+        (1, -3.0, 0, 7, [("origin", 0.619061287, 1, True), (-1, 1.512134552, 1, True)]),
+        (1, -2.73, 0, 7, [("origin", 0.910091762, 1, True), (-1, 1.095643169, 1, True)]),
+        (1, -math.e * (1 + 1e-3), 1, 7,
+         [("origin", 0.955953651, 1, True), (-1, 1.045378987, 1, False)]),
+        (1, -math.e * (1 - 1e-3), 1, 7,
+         [(-1, 0.999332985 - 0.04473006j, 1, False),
+          ("origin", 0.999332985 + 0.04473006j, 1, True)]),
+        (2, -math.e ** 2 / 4, 0, 7, [("origin", -0.556929086, 1, True), (-1, 2.0, 2, True)]),
+        (4, -math.e ** 4 / 256, 0, 9,
+         [("origin", -0.411918915 - 1.26199823j, 1, True),
+          ("origin", -1.113858171, 1, True), (-1, 4.0, 2, True),
+          ("origin", -0.411918915 + 1.26199823j, 1, True)]),
+    ], ids=["k1-minus-e", "k1-minus-3", "k1-minus-2.73", "k1-above-e", "k1-below-e",
+            "k2-branch-point", "k4-branch-point"])
+    def test_disk_merge_at_the_branch_point(self, k, a, code, count, near):
+        # the disk search adds only the zeros the ladder does not name; at
+        # the branch point the double zero is the ladder's nu = -1, listed
+        # once.  The records within the disk are pinned, certificates
+        # included (nu = -1 beside its unnamed twin fails at 0.0625)
+        got, out, err = run_cli("zeros", "--k", str(k), "--a", f"{a!r}+0i", "--nu", "-3..3",
+                                "--certify", "--with-disk", "5")
+        assert got == code, err
+        results = json.loads(out)["results"]
+        values = [complex(r["re"], r["im"]) for r in results]
+        assert len(results) == count
+        assert min(abs(u - v) for i, u in enumerate(values) for v in values[:i]) > 1e-6
+        inside = [(r["nu"], v, r["multiplicity"], r["certified"])
+                  for r, v in zip(results, values) if abs(v) <= 5.0]
+        assert [(nu, mult, cert) for nu, _v, mult, cert in inside] == [
+            (nu, mult, cert) for nu, _v, mult, cert in near]
+        for (_nu, v, _m, _c), (_, want, _, _) in zip(inside, near):
+            assert abs(v - want) <= 1e-8
 
     def test_low_indices_of_large_k(self):
         code, out, _ = run_cli("zeros", "--k", "10", "--a", "1+0i", "--nu", "-3..3",

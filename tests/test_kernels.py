@@ -219,6 +219,15 @@ def test_lambert_w_signed_zero_picks_the_cut_side():
             assert _w_error(z, m) <= 1e-13, (z, m)
 
 
+@pytest.mark.parametrize("im", [1e-17, -1e-17, 1e-9, -1e-9, 5e-3, -5e-3])
+def test_lambert_w_principal_branch_beside_the_cut(im):
+    # between -0.5 and -1/e, just off the cut, Log(1 + z) is a nearly real
+    # seed for a W_0 with |Im W_0| near 0.75, and Halley's iteration from it
+    # stayed on the real axis
+    for x in (-0.4999, -0.49, -0.48):
+        assert _w_error(complex(x, im), 0) <= 1e-13, (x, im)
+
+
 def _first_order_isolates(k, log_a, lam, radius):
     """The Rouche test with f'' bounded term by term, as it stood before the
     exact second-order term: the reference the new test must never refuse

@@ -391,7 +391,10 @@ class TestLadderParity:
             if isinstance(got, tuple):
                 failures += 1
             else:
-                rereads += len(seeds) - len(got)
+                # one Lambert-W seed per zero: the cut is read once per root
+                assert len(seeds) == len(got), (k, a, lo, hi)
+            rereads += (zeros_mod._lambert_root(qp, k - 1)[0]
+                        != zeros_mod.lambert_argument(qp, k - 1))
             seeds.clear()
             assert _fields(got) == _fields(_reference_ladder(qp, lo, hi, certify)), (k, a, lo, hi)
         # the conjugate re-read on the cut and the ladder failure both occur
