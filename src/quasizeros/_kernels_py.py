@@ -535,8 +535,9 @@ def lambert_w(z, m=0, logz=None):
     """Branch m of the Lambert W function: the w with w e^w = z on the
     branches of Corless, Gonnet, Hare, Jeffrey & Knuth (Adv. Comput. Math. 5,
     1996), with counter-clockwise continuity: a real z on a branch cut lies
-    on its upper side, or on its lower side when its imaginary part is -0.0,
-    as in scipy.special.lambertw.  z != 0.
+    on its upper side, or on its lower side when its imaginary part is -0.0
+    (as in scipy.special.lambertw, except that scipy reads -0.0 as +0.0 for
+    W_-1 on (-1/e, 0)).  z != 0.
 
     The seed is the branch-point series in p = +-sqrt(2(e z + 1)) near
     z = -1/e on the branches that meet there (m = 0, and m = -1 above the
@@ -548,8 +549,17 @@ def lambert_w(z, m=0, logz=None):
     z e^-w is formed as exp(Log z - w), so nothing overflows.  A caller
     that holds Log z passes it as logz; then z may be a non-finite rounding
     of a |z| beyond the float range, and Log z alone places the seed.
+    Where W_m is real on the real axis (m = 0 right of -1/e, and on
+    (-1/e, 0) the branch m = -1 above or m = 1 below) a finite real z gets
+    a real w, whose imaginary part is the signed zero of z's.
     """
     z = complex(z)
+    on_axis = z.imag == 0
+    if on_axis and math.copysign(1.0, z.imag) < 0:
+        # mixed complex-float arithmetic below reads -0.0 as +0.0; the lower
+        # side of a cut is the mirror image of the upper side of branch -m
+        return lambert_w(z.conjugate(), -m,
+                         None if logz is None else logz.conjugate()).conjugate()
     if logz is None:
         logz = cmath.log(z)
     q = math.e * z + 1.0
@@ -573,6 +583,11 @@ def lambert_w(z, m=0, logz=None):
         w -= step
         if abs(step) <= 1e-15 * abs(w):
             break
+    if on_axis and -1.0 / math.e < z.real < math.inf and z.real != 0 and (
+            m == 0 or m == -1 and z.real < 0):
+        # W_m is real here, but Log z of a negative z carries the rounding
+        # of sin(pi) into t
+        return complex(w.real, 0.0)
     return w
 
 

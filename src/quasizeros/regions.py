@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, NoSolutionError, OutsideStripError
+from .errors import DomainError, OutsideStripError
 
 
 class RegionTag(enum.Enum):
@@ -33,14 +33,14 @@ class RegionParams:
     delta: Optional[float] = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise DomainError("h must be positive")
-        if self.r_cut <= 0:
-            raise DomainError("R must be positive")
+        if not 0 < self.h < math.inf:
+            raise DomainError("h must be a positive finite number")
+        if not 0 < self.r_cut < math.inf:
+            raise DomainError("R must be a positive finite number")
         if self.s_branch not in (1, 2):
             raise DomainError("S must be 1 or 2")
-        if self.delta is not None and self.delta <= 0:
-            raise DomainError("delta must be positive when present")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise DomainError("delta must be a positive finite number when present")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def sector_contains(lam, delta, i):
         raise DomainError("sector membership is undefined at l = 0")
     if i not in (1, 2):
         raise DomainError("sector index must be 1 or 2")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise DomainError("delta must be a positive finite number")
     target = 0.5 * math.pi if i == 1 else -0.5 * math.pi
     return abs(math.atan2(lam.imag, lam.real) - target) < delta
 
@@ -120,31 +120,33 @@ def sector_cover_radius(qp, h, delta):
     For a strip point, |Re l| <= h + k*ln|l|, so the deviation of arg l from
     +-pi/2 is at most arcsin((h + k ln r)/r).  The returned radius is the
     largest root of (h + k ln r)/r = sin(delta); beyond it the deviation is
-    strictly below delta.
+    strictly below delta.  h must be positive and finite; a root beyond the
+    float range (h near it) raises DomainError.
     """
     if not 0 < delta < 0.5 * math.pi:
         raise DomainError("delta must lie in (0, pi/2)")
-    if h <= 0:
-        raise DomainError("h must be positive")
+    if not 0 < h < math.inf:
+        raise DomainError("h must be a positive finite number")
     k = qp.k
     s = math.sin(delta)
 
     def g(r):
         return (h + k * math.log(r)) / r
 
-    r_peak = math.exp(1.0 - h / k)
+    # the maximum of g; below the float range for h/k beyond about 745, where
+    # the least positive float lies past it, on the decreasing side
+    r_peak = max(math.exp(1.0 - h / k), math.ulp(0.0))
     if g(r_peak) <= s:
         # bound already below sin(delta) everywhere: every radius works
         return r_peak
     lo = r_peak
     hi = 2.0 * r_peak
-    for _ in range(200):
-        if g(hi) < s:
-            break
+    while not g(hi) < s:
         lo = hi
         hi *= 2.0
-    else:
-        raise NoSolutionError("no crossing of (h + k ln r)/r = sin(delta) found")
+        if hi == math.inf:
+            raise DomainError(f"the sector-cover radius for h = {h:g} is beyond "
+                              f"the float range")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) > s:

@@ -69,6 +69,14 @@ class TestExteriorBounds:
         with pytest.raises(DomainError):
             qz.verify_T1_bound(qp11, 1.0, r_cut, 100, seed=1, r_max=r_max)
 
+    @pytest.mark.parametrize("which", ["T1", "T2"])
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_h_rejected(self, qp11, which, h):
+        # refused before sampling: the region is empty or undefined
+        verify = qz.verify_T1_bound if which == "T1" else qz.verify_T2_bound
+        with pytest.raises(DomainError, match="h must be a positive finite number"):
+            verify(qp11, h, 10.0, 100, seed=1)
+
     def test_T1_precondition(self, qp11):
         with pytest.raises(PreconditionHError):
             qz.verify_T1_bound(qp11, 0.5, 5.0, 100, seed=1)
@@ -266,6 +274,12 @@ class TestSectorCover:
             qz.verify_sector_cover(qp11, 2.0, 0.5, r_cut, samples, seed=1,
                                    r_max=r_max, s_branch=s_branch)
 
+    @pytest.mark.parametrize("h, delta", [
+        (math.nan, 0.5), (math.inf, 0.5), (2.0, math.nan), (2.0, math.inf), (2.0, 0.0)])
+    def test_bad_geometry(self, qp11, h, delta):
+        with pytest.raises(DomainError):
+            qz.verify_sector_cover(qp11, h, delta, 10.0, 100, seed=1)
+
 
 def _strip_zeros(qp, span, tol=1e-12):
     return qz.zeros_in_index_range(qp, -span, span, tol)
@@ -344,6 +358,9 @@ class TestCDelta:
         (2.0, 10.0, 0.0, 40.0, 100), (2.0, 10.0, -0.5, 40.0, 100),
         (2.0, 10.0, 0.5, 0.0, 100), (2.0, 10.0, 0.5, math.inf, 100),
         (2.0, 10.0, 0.5, math.nan, 100), (2.0, 10.0, 0.5, 40.0, 0),
+        (math.inf, 10.0, 0.5, 40.0, 100), (math.nan, 10.0, 0.5, 40.0, 100),
+        (2.0, math.inf, 0.5, 40.0, 100), (2.0, 10.0, math.inf, 40.0, 100),
+        (2.0, 10.0, math.nan, 40.0, 100),
     ])
     def test_bad_inputs(self, qp11, h, r_cut, delta, im_cap, samples):
         with pytest.raises(DomainError):

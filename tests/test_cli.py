@@ -120,6 +120,17 @@ class TestZerosCommand:
          None),
         (("origin", "--k", "1", "--a", "1+0i", "--radius", "2",
           "--quad-tol", "1e-6"), None),
+        (("classify", "--k", "1", "--a", "1+0i", "--h", "nan", "--R", "5",
+          "--point", "1+1i"), None),
+        (("classify", "--k", "1", "--a", "1+0i", "--h", "2", "--R", "inf",
+          "--point", "1+1i"), None),
+        (("sector-radius", "--k", "1", "--h", "nan", "--delta", "0.5"), None),
+        (("sector-radius", "--k", "1", "--h", "inf", "--delta", "0.5"), None),
+        (("sector-radius", "--k", "1", "--h", "1e308", "--delta", "0.5"), None),
+        (("sector-radius", "--k", "1", "--h", "2", "--delta", "0.5",
+          "--samples", "-5"), None),
+        (("bounds", "--k", "1", "--a", "1+0i", "--which", "T1", "--h", "nan"),
+         None),
     ], ids=["zeros-no-nu", "certify-box-text", "bounds-T1-h-text",
             "bounds-cdelta-h-text", "certify-expect-not-json",
             "certify-expect-no-results", "certify-box-infinite",
@@ -129,7 +140,10 @@ class TestZerosCommand:
             "bounds-cdelta-R-zero",
             "bounds-cdelta-R-negative", "bounds-cdelta-delta-zero",
             "bounds-cdelta-delta-negative", "bounds-cdelta-h-negative",
-            "origin-quad-tol-removed"])
+            "origin-quad-tol-removed", "classify-h-nan", "classify-R-inf",
+            "sector-radius-h-nan", "sector-radius-h-inf",
+            "sector-radius-beyond-float-range", "sector-radius-samples-negative",
+            "bounds-T1-h-nan"])
     def test_usage_error(self, argv, expect_text, tmp_path):
         if expect_text is not None:
             path = tmp_path / "expected.json"
@@ -379,6 +393,15 @@ class TestSectorRadiusCommand:
         doc = json.loads(out)
         assert doc["summary"]["r_star"] == pytest.approx(8.68, abs=0.05)
         assert doc["summary"]["violations"] == 0
+
+    def test_large_h(self):
+        # exp(1 - h/k) underflowed here and the command exited 1 with a
+        # ValueError traceback
+        code, out, _ = run_cli("sector-radius", "--k", "1", "--h", "1e3",
+                               "--delta", "0.5")
+        assert code == 0
+        r_star = json.loads(out)["summary"]["r_star"]
+        assert (1e3 + math.log(r_star)) / r_star == pytest.approx(math.sin(0.5), rel=1e-9)
 
     def test_radius_beyond_sampled_shell_rejected(self):
         # r_star = 1911 exceeds the 1e3 outer sampling radius: sampling the

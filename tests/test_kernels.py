@@ -212,11 +212,27 @@ def test_lambert_w_near_branch_point(offset):
     assert max(_w_error(z, m) for m in BRANCHES) <= 1e-13 + 1e-15 / p
 
 
+def _w_side(z, m):
+    """scipy's W_m(z) on the side of the real axis that the sign of a zero
+    imaginary part names: W_m(x - 0i) = conj W_-m(x + 0i).  scipy reads
+    -0.0 as +0.0 for some real z (W_-1 on (-1/e, 0), W_0 right of 0)."""
+    if math.copysign(1.0, z.imag) > 0:
+        return complex(lambertw(z, m))
+    return complex(lambertw(z.conjugate(), -m)).conjugate()
+
+
 def test_lambert_w_signed_zero_picks_the_cut_side():
-    # a real z left of -1/e on the cut: +0.0 is its upper side, -0.0 its lower
-    for z in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
-        for m in (-1, 0, 1):
-            assert _w_error(z, m) <= 1e-13, (z, m)
+    # a real z on a cut: +0.0 is its upper side, -0.0 its lower.  Where W_m
+    # is real (W_0 right of -1/e; W_-1 above and W_1 below on (-1/e, 0)) the
+    # result is real, with z's signed zero as its imaginary part
+    for x in (-3.0, -2.0, -1.7, -1.5, -1.0, -0.5, -0.45, -0.3679, -0.3678, -0.3,
+              -0.1, -1e-3, -1e-12, 1e-12, 1e-3, 0.5, 1.0, 1.9, 3.0, 1e5):
+        for z in (complex(x, 0.0), complex(x, -0.0)):
+            for m in range(-3, 4):
+                got, want = kp.lambert_w(z, m), _w_side(z, m)
+                assert abs(got - want) <= 1e-13 * abs(want), (z, m, got, want)
+                assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag), (z, m)
+                assert (got.imag == 0.0) == (want.imag == 0.0), (z, m, got, want)
 
 
 @pytest.mark.parametrize("im", [1e-17, -1e-17, 1e-9, -1e-9, 5e-3, -5e-3])

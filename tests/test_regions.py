@@ -14,6 +14,16 @@ def params():
     return qz.RegionParams(2.0, 5.0, 1)
 
 
+class TestRegionParams:
+    @pytest.mark.parametrize("h, r_cut, delta", [
+        (math.nan, 5.0, None), (math.inf, 5.0, None), (0.0, 5.0, None),
+        (2.0, math.nan, None), (2.0, math.inf, None), (2.0, 5.0, math.nan),
+        (2.0, 5.0, math.inf), (2.0, 5.0, 0.0)])
+    def test_invalid(self, h, r_cut, delta):
+        with pytest.raises(DomainError):
+            qz.RegionParams(h, r_cut, 1, delta)
+
+
 class TestSignedOffset:
     def test_examples(self, qp11):
         assert qz.signed_offset(qp11, math.e, 1) == pytest.approx(math.e - 1)
@@ -104,6 +114,11 @@ class TestSectorContains:
         with pytest.raises(DomainError):
             qz.sector_contains(0, 0.1, 1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+    def test_invalid_delta(self, delta):
+        with pytest.raises(DomainError):
+            qz.sector_contains(1j, delta, 1)
+
 
 class TestSectorCoverRadius:
     def test_examples(self, qp11):
@@ -133,6 +148,25 @@ class TestSectorCoverRadius:
             qz.sector_cover_radius(qp11, 2.0, 2.0)
         with pytest.raises(DomainError):
             qz.sector_cover_radius(qp11, 2.0, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_h(self, qp11, h):
+        with pytest.raises(DomainError, match="h must be a positive finite number"):
+            qz.sector_cover_radius(qp11, h, 0.5)
+
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    @pytest.mark.parametrize("h", [200.0, 745.0, 1e3, 1e5, 1e300])
+    def test_large_h(self, k, h):
+        # the peak exp(1 - h/k) of (h + k ln r)/r underflows beyond h/k of
+        # about 745, and the root lies far more doublings above it than 200
+        qp = qz.QuasiPolynomial(k, 1 + 0j)
+        for delta in (0.5, 1.5):
+            r = qz.sector_cover_radius(qp, h, delta)
+            assert (h + k * math.log(r)) / r == pytest.approx(math.sin(delta), rel=1e-9)
+
+    def test_radius_beyond_the_float_range(self, qp11):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            qz.sector_cover_radius(qp11, 1e308, 0.5)
 
 
 class TestStripQuadrangle:
