@@ -31,8 +31,7 @@ the exterior and sector checks load neither.
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from ._backend import kernels
 from .errors import (
@@ -60,8 +59,8 @@ DEFAULT_R_MAX = 1e3
 H_CLAMP = 1e-3
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "region samples min_margin proven_margin "
+                                           "worst_point threshold_h_used passed")):
     """Outcome of one sampled lower-bound verification.
 
     proven_margin is the closed-form lower bound on the margin over the whole
@@ -69,37 +68,21 @@ class BoundReport:
     the S=2 branch); passed still reads the sampled min_margin >= 1.
     """
 
-    region: str
-    samples: int
-    min_margin: float
-    proven_margin: Optional[float]
-    worst_point: complex
-    threshold_h_used: float
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SectorCoverReport:
+class SectorCoverReport(namedtuple("SectorCoverReport", "r_used samples min_margin "
+                                                       "worst_point violations passed")):
     """Outcome of a sampled sector-containment check for the strip."""
 
-    r_used: float
-    samples: int
-    min_margin: float
-    worst_point: complex
-    violations: int
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CDeltaEstimate:
+class CDeltaEstimate(namedtuple("CDeltaEstimate", "c_hat argmin delta_used h_used r_used "
+                                                 "sample_count")):
     """Empirical infimum of |f(l)|/|l|^k over the punctured strip."""
 
-    c_hat: float
-    argmin: complex
-    delta_used: float
-    h_used: float
-    r_used: float
-    sample_count: int
+    __slots__ = ()
 
 
 def derive_substream(seed, index):

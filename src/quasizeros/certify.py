@@ -38,8 +38,7 @@ from their Newton polish (certify_polished).
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from . import core, zeros as zeros_mod
 from ._backend import kernels
@@ -65,35 +64,41 @@ RESIDUAL_GATE = 1e-6
 BRANCH_POINT_DISTANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
+class Circle(namedtuple("Circle", "center radius")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+    def __new__(cls, center, radius):
+        if not (cmath.isfinite(center) and 0 < radius < math.inf):
             raise DomainError("circle needs a finite center and a positive "
                               "finite radius")
+        return super().__new__(cls, center, radius)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def contains(self, point):
         return abs(complex(point) - self.center) < self.radius
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(namedtuple("Rectangle", "corner_min corner_max")):
     """Axis-aligned rectangle given by two opposite corners (CCW oriented)."""
 
-    corner_min: complex
-    corner_max: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.corner_min) and cmath.isfinite(self.corner_max)):
+    def __new__(cls, corner_min, corner_max):
+        if not (cmath.isfinite(corner_min) and cmath.isfinite(corner_max)):
             raise DomainError("rectangle corners must be finite")
-        if not (self.corner_max.real > self.corner_min.real
-                and self.corner_max.imag > self.corner_min.imag):
+        if not (corner_max.real > corner_min.real
+                and corner_max.imag > corner_min.imag):
             raise DomainError("rectangle must have positive width and height")
-        if not cmath.isfinite(self.corner_max - self.corner_min):
+        if not cmath.isfinite(corner_max - corner_min):
             raise DomainError("rectangle width and height must be finite")
+        return super().__new__(cls, corner_min, corner_max)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def contains(self, point):
         p = complex(point)
@@ -101,11 +106,7 @@ class Rectangle:
                 and self.corner_min.imag < p.imag < self.corner_max.imag)
 
 
-Contour = Union[Circle, Rectangle]
-
-
-@dataclass(frozen=True)
-class ContourReport:
+class ContourReport(namedtuple("ContourReport", "count min_scaled_modulus segments_used")):
     """Result of one winding count.
 
     count is the number of zeros inside, with multiplicity;
@@ -114,9 +115,7 @@ class ContourReport:
     segments_used is the number of tracking steps, at most STEP_BUDGET.
     """
 
-    count: int
-    min_scaled_modulus: float
-    segments_used: int
+    __slots__ = ()
 
 
 def winding_count(qp, contour):
@@ -196,6 +195,16 @@ def certify_polished(qp, nu, value, residual, seed, iterations, cofactor, radius
     return zeros_mod.ZeroRecord(nu, value, residual, seed, iterations, proven, radius)
 
 
+def certify_joined(qp, records):
+    """A joined list of certified records (a ladder's and a disk search's),
+    each certified again (certify_record) at its isolation radius in the
+    joined list where that is below the radius it holds: a zero of the other
+    list nearer than its own list's neighbors shrinks its isolation disk,
+    and a disk that held both zeros could not certify."""
+    return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
+            for rec, r in zip(records, zeros_mod.isolation_radii(records))]
+
+
 def _proven(qp, value, residual, cofactor, multiplicity, r):
     """A certificate settled without a winding count: False when the radius
     leaves no room or the residual at value fails RESIDUAL_GATE, True when
@@ -210,7 +219,7 @@ def _proven(qp, value, residual, cofactor, multiplicity, r):
 
 def _certificate(record, certified, radius):
     """The record with its certificate fields set.  Built directly: this is
-    about twice as fast as dataclasses.replace, and it runs once per record."""
+    about twice as fast as record._replace, and it runs once per record."""
     return zeros_mod.ZeroRecord(record.nu, record.value, record.residual, record.seed,
                                 record.iterations, certified, radius,
                                 record.multiplicity)

@@ -162,12 +162,15 @@ def _cmd_zeros(args):
     if args.with_disk is not None:
         # the disk search labels a zero as the ladder does, so it adds only
         # the zeros whose index the ladder did not walk; two records on one
-        # zero raise DuplicateZeroError
+        # zero raise DuplicateZeroError.  A record with a zero of the other
+        # search nearer than its own neighbors is certified again
         from . import certify as certify_mod
 
         disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
         records += [rec for rec in disk if rec.nu is None or not lo <= rec.nu <= hi]
         zeros_mod._check_duplicates(records)
+        if args.certify:
+            records = certify_mod.certify_joined(qp, records)
         notes["disk_radius"] = args.with_disk
     records.sort(key=zeros_mod.im_order)
     results = [record_to_obj(r) for r in records]

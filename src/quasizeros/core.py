@@ -8,39 +8,31 @@ co-factor 1 + subdominant/dominant has magnitude at most 2).
 
 import cmath
 import math
+from collections import namedtuple
 
-# every command reaches the kernels, the package's largest module, through
-# here: compiled before dataclasses and inspect load rather than after, its
-# parse does not stack on their memory, and a command's peak RSS is about
-# 0.8 MB lower
 from ._backend import kernels
-
-from dataclasses import dataclass, field
-
 from .errors import DerivativeVanishesError, DomainError, OverflowRangeError
 
 #: |Re l| and k*ln|l| limit for the direct (unscaled) forms.
 DIRECT_RANGE = 700.0
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "k a log_a")):
     """The pair (k, A) defining f(l) = e^l + A*l^k.
 
     k must be a positive integer and A a nonzero complex coefficient.
     log_a = ln|A| + i arg A (principal argument in (-pi, pi]) is derived
-    once here; the kernels take it in place of A.
+    once here; the kernels take it in place of A.  It is the tuple's third
+    field, but a function of a: the constructor and _replace take only k
+    and a, and repr shows only them.
     """
 
-    k: int
-    a: complex
-    log_a: complex = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise DomainError(f"k must be a positive integer, got {self.k!r}")
-        a = complex(self.a)
-        object.__setattr__(self, "a", a)
+    def __new__(cls, k, a):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise DomainError(f"k must be a positive integer, got {k!r}")
+        a = complex(a)
         if a == 0:
             raise DomainError("coefficient A must be nonzero")
         arg = kernels.wrap_angle(math.atan2(a.imag, a.real))
@@ -48,7 +40,20 @@ class QuasiPolynomial:
             log_abs = math.log(abs(a))
         except OverflowError:  # |A| beyond the float range; A/4 is exact
             log_abs = math.log(abs(0.25 * a)) + 2.0 * kernels.LN2
-        object.__setattr__(self, "log_a", complex(log_abs, arg))
+        return super().__new__(cls, k, a, complex(log_abs, arg))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(changes.pop("k", self.k), changes.pop("a", self.a), **changes)
+
+    def __getnewargs__(self):
+        return self.k, self.a
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k!r}, a={self.a!r})"
 
     @property
     def a_magnitude(self):
@@ -77,15 +82,13 @@ class QuasiPolynomial:
         return self.log_a.imag
 
 
-@dataclass(frozen=True)
-class EvalScale:
+class EvalScale(namedtuple("EvalScale", "log_magnitude phase")):
     """Overflow-safe value of f: natural log of |f| plus principal phase.
 
     log_magnitude is -inf exactly when f vanishes.
     """
 
-    log_magnitude: float
-    phase: float
+    __slots__ = ()
 
     @property
     def value(self):

@@ -9,8 +9,7 @@ curvilinear quadrangles.
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import DomainError, OutsideStripError
 
@@ -22,41 +21,45 @@ class RegionTag(enum.Enum):
     STRIP = "strip"
 
 
-@dataclass(frozen=True)
-class RegionParams:
+class RegionParams(namedtuple("RegionParams", "h r_cut s_branch delta")):
     """Geometry parameters: strip half-width h, inner cutoff R, branch S,
     and an optional sector half-angle / exclusion radius delta."""
 
-    h: float
-    r_cut: float
-    s_branch: int = 1
-    delta: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.h < math.inf:
+    def __new__(cls, h, r_cut, s_branch=1, delta=None):
+        if not 0 < h < math.inf:
             raise DomainError("h must be a positive finite number")
-        if not 0 < self.r_cut < math.inf:
+        if not 0 < r_cut < math.inf:
             raise DomainError("R must be a positive finite number")
-        if self.s_branch not in (1, 2):
+        if s_branch not in (1, 2):
             raise DomainError("S must be 1 or 2")
-        if self.delta is not None and not 0 < self.delta < math.inf:
+        if delta is not None and not 0 < delta < math.inf:
             raise DomainError("delta must be a positive finite number when present")
+        return super().__new__(cls, h, r_cut, s_branch, delta)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(namedtuple("RegionLabel", "tag half")):
     """Classification outcome; half (1 = upper, 2 = lower) only for STRIP."""
 
-    tag: RegionTag
-    half: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.half is not None) != (self.tag is RegionTag.STRIP):
+    def __new__(cls, tag, half=None):
+        if (half is not None) != (tag is RegionTag.STRIP):
             raise DomainError("half is present exactly for strip labels")
+        return super().__new__(cls, tag, half)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Quadrangle:
+class Quadrangle(namedtuple("Quadrangle", "nu lower_ordinate upper_ordinate left_curve "
+                                          "right_curve diagonal")):
     """One strip cell between two horizontal lines and the two level curves.
 
     The diagonal is the maximum pairwise distance over sampled boundary
@@ -64,12 +67,7 @@ class Quadrangle:
     is the horizontal width.
     """
 
-    nu: int
-    lower_ordinate: float
-    upper_ordinate: float
-    left_curve: tuple
-    right_curve: tuple
-    diagonal: float
+    __slots__ = ()
 
 
 def signed_offset(qp, lam, s_branch):

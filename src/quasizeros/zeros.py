@@ -20,8 +20,6 @@ import cmath
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from . import core
 from ._backend import kernels
@@ -59,8 +57,9 @@ FIXED_POINT_CONTRACTION = 0.99
 REAL_AXIS_NOISE = 1e-9
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(namedtuple("ZeroRecord", "nu value residual seed iterations certified "
+                                         "isolation_radius multiplicity",
+                             defaults=(False, None, 1))):
     """One computed zero.
 
     nu is the ladder index of the branch pair (j, m) polished, whichever
@@ -72,35 +71,23 @@ class ZeroRecord:
     simple zeros and otherwise by a winding count.
     """
 
-    nu: Optional[int]
-    value: complex
-    residual: float
-    seed: complex
-    iterations: int
-    certified: bool = False
-    isolation_radius: Optional[float] = None
-    multiplicity: int = 1
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(namedtuple("IterationTrace", "xi_sequence converged")):
     """Fixed-point iterates in the shifted variable xi = l - 2*pi*nu*i."""
 
-    xi_sequence: Tuple[complex, ...]
-    converged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GapStats:
+class GapStats(namedtuple("GapStats", "gaps max_deviation deviations_scaled")):
     """Consecutive gaps |l_(nu+1) - l_nu| within one half-plane.
 
     deviations_scaled multiplies |gap - 2*pi| by |nu|/ln(|nu|+2) to expose
     the decay trend of the remainder.
     """
 
-    gaps: Tuple[float, ...]
-    max_deviation: float
-    deviations_scaled: Tuple[float, ...]
+    __slots__ = ()
 
 
 def asymptotic_zero(qp, nu):

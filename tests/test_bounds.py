@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -331,7 +330,7 @@ class TestCDelta:
     def test_close_pair_inside_the_window_refused(self, qp11):
         strip = _strip_zeros(qp11, 8)
         inside = next(rec for rec in strip if rec.nu == 3)
-        crowded = strip + [dataclasses.replace(inside, value=inside.value + 0.6)]
+        crowded = strip + [inside._replace(value=inside.value + 0.6)]
         with pytest.raises(DeltaTooLargeError, match="separation radius 0.3 "):
             qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, crowded,
                                 im_cap=2 * math.pi * 5.5)
@@ -346,7 +345,7 @@ class TestCDelta:
                                 im_cap=2 * math.pi * 5.5)
 
     def test_uncertified_list_rejected(self, qp11):
-        strip = [dataclasses.replace(r, certified=False)
+        strip = [r._replace(certified=False)
                  for r in _strip_zeros(qp11, 8)]
         with pytest.raises(IncompleteZeroListError):
             qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, strip,

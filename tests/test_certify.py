@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -257,6 +256,25 @@ class TestFindZerosInDisk:
         assert recs[0].certified
         # labelled by W_0's partner branch, as the ladder's nu = -1
         assert recs[0].nu == -1
+
+    @pytest.mark.parametrize("eps", [1e-3, -1e-3])
+    def test_joined_ladder_record_certifies_at_the_joint_radius(self, eps):
+        # nu = -1 beside its unnamed twin 0.089 away: alone on the ladder its
+        # disk holds both zeros; joined with the disk's twin it certifies at
+        # half their distance, and no other record is touched
+        qp = qz.QuasiPolynomial(1, complex(-math.e * (1 + eps), 0.0))
+        ladder = qz.zeros_in_index_range(qp, -3, 3)
+        twin = [r for r in qz.find_zeros_in_disk(qp, 5.0) if r.nu is None]
+        assert [r.nu for r in ladder if not r.certified] == [-1]
+        joined = certify_mod.certify_joined(qp, ladder + twin)
+        assert joined[len(ladder):] == twin
+        for before, after in zip(ladder, joined):
+            if before.nu != -1:
+                assert after is before
+        after = next(r for r in joined if r.nu == -1)
+        assert after.certified
+        assert after.isolation_radius == pytest.approx(0.5 * abs(after.value - twin[0].value))
+        assert after.isolation_radius == pytest.approx(0.0447, abs=1e-4)
 
     def test_principal_zero_beside_the_cut(self):
         # z_2 = -0.4933 lies on the cut, where W_0 was once seeded by a
@@ -687,10 +705,8 @@ class TestCertifyCompleteness:
         assert detail["expected_count"] == 9
 
     def test_moved_record_detected(self, qp11):
-        import dataclasses
-
         box, recs = self._window_records(qp11, 1, 10)
-        moved = dataclasses.replace(recs[3], value=recs[3].value + 0.5)
+        moved = recs[3]._replace(value=recs[3].value + 0.5)
         ok, _detail = qz.certify_completeness(qp11, box, recs[:3] + [moved] + recs[4:])
         assert not ok
 
@@ -794,7 +810,7 @@ class TestRoucheDiskTest:
 
     def test_stale_value_refused_before_fast_test(self, qp11):
         rec = qz.zeros_in_index_range(qp11, 5, 5, 1e-12, certify=False)[0]
-        stale = dataclasses.replace(rec, value=rec.value + 0.01)
+        stale = rec._replace(value=rec.value + 0.01)
         # the disk around the stale value does hold one zero, so only the
         # residual gate can refuse it
         assert _rouche(qp11, stale.value, 0.5)

@@ -195,10 +195,10 @@ class TestZerosCommand:
         (1, -2.718281828459045, 0, 6, [(-1, 1.0, 2, True)]),
         (1, -3.0, 0, 7, [("origin", 0.619061287, 1, True), (-1, 1.512134552, 1, True)]),
         (1, -2.73, 0, 7, [("origin", 0.910091762, 1, True), (-1, 1.095643169, 1, True)]),
-        (1, -math.e * (1 + 1e-3), 1, 7,
-         [("origin", 0.955953651, 1, True), (-1, 1.045378987, 1, False)]),
-        (1, -math.e * (1 - 1e-3), 1, 7,
-         [(-1, 0.999332985 - 0.04473006j, 1, False),
+        (1, -math.e * (1 + 1e-3), 0, 7,
+         [("origin", 0.955953651, 1, True), (-1, 1.045378987, 1, True)]),
+        (1, -math.e * (1 - 1e-3), 0, 7,
+         [(-1, 0.999332985 - 0.04473006j, 1, True),
           ("origin", 0.999332985 + 0.04473006j, 1, True)]),
         (2, -math.e ** 2 / 4, 0, 7, [("origin", -0.556929086, 1, True), (-1, 2.0, 2, True)]),
         (4, -math.e ** 4 / 256, 0, 9,
@@ -211,7 +211,8 @@ class TestZerosCommand:
         # the disk search adds only the zeros the ladder does not name; at
         # the branch point the double zero is the ladder's nu = -1, listed
         # once.  The records within the disk are pinned, certificates
-        # included (nu = -1 beside its unnamed twin fails at 0.0625)
+        # included: nu = -1 beside its unnamed twin fails at its ladder-only
+        # radius 0.0625 and certifies at the joint one, 0.0447
         got, out, err = run_cli("zeros", "--k", str(k), "--a", f"{a!r}+0i", "--nu", "-3..3",
                                 "--certify", "--with-disk", "5")
         assert got == code, err

@@ -17,14 +17,22 @@ import quasizeros as qz
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-#: runs the CLI on argv, then prints its exit code and the quasizeros
-#: submodules it loaded
-CHILD = """
+#: standard modules that cost a CLI command milliseconds to import and that
+#: it does not need (dataclasses alone pulls in inspect, ast, dis and tokenize)
+SLOW = ("dataclasses", "inspect")
+
+#: runs the CLI on argv, then prints its exit code, the quasizeros
+#: submodules it loaded, and the SLOW modules that importing and running the
+#: CLI loaded (not those the interpreter's start, site hooks included,
+#: already had)
+CHILD = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 from quasizeros.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quasizeros."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quasizeros.")),
+                  sorted(m for m in {SLOW!r} if m in sys.modules and m not in before)]))
 """
 
 COMPUTE = {"bounds", "certify", "regions", "zeros"}
@@ -33,8 +41,8 @@ COMPUTE = {"bounds", "certify", "regions", "zeros"}
 def _loaded(*argv):
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           text=True, check=True)
-    code, modules = json.loads(proc.stdout)
-    return code, {name.split(".", 1)[1] for name in modules}
+    code, modules, slow = json.loads(proc.stdout)
+    return code, {name.split(".", 1)[1] for name in modules}, slow
 
 
 def test_subcommands_load_only_what_they_run(tmp_path):
@@ -59,9 +67,10 @@ def test_subcommands_load_only_what_they_run(tmp_path):
         ("zeros-k0", ["zeros", "--k", "0", "--a", "1+0i", "--nu", "1..5"], 2, COMPUTE),
     ]
     for label, argv, expected_code, absent in runs:
-        code, loaded = _loaded(*argv)
+        code, loaded, slow = _loaded(*argv)
         assert code == expected_code, label
         assert not loaded & absent, (label, sorted(loaded & absent))
+        assert slow == [], (label, slow)
 
 
 def test_bare_import_loads_no_submodule():

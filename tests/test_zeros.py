@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 import time
@@ -326,7 +325,7 @@ def _reference_ladder(qp, lo, hi, certify):
         if found != nu:
             return NotConvergedError, (f"refinement failed for nu = {nu}: Newton reached "
                                        f"the zero of index {found}")
-        records.append(dataclasses.replace(rec, nu=nu))
+        records.append(rec._replace(nu=nu))
     if certify:
         records = [qz.certify_record(qp, rec, r)
                    for rec, r in zip(records, isolation_radii(records))]
@@ -337,7 +336,7 @@ def _fields(records):
     """Every field of every record by repr, or a failure as (type, message)."""
     if isinstance(records, tuple):
         return records
-    return [tuple(repr(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+    return [tuple(repr(getattr(rec, name)) for name in rec._fields)
             for rec in records]
 
 
