@@ -620,6 +620,12 @@ LN_HUGE_A = math.log(HUGE_A)
 #: exceeds any |1 + t|: no step there can be proven
 STEP_FLOOR = 1e-12
 
+#: a line step proven on its path (_path_length, _path_clear) needs the
+#: endpoint bound on Re w to clear 0 by PATH_MARGIN times the moduli of the
+#: bound's terms, ln|A|, k (|ln|z|| + 1) and Re z: about 45 eps, where the
+#: bound's own rounding is a few eps times that sum
+PATH_MARGIN = 1e-14
+
 
 def _log1p_exp(x):
     """log(1 + e^x) without overflow."""
@@ -728,6 +734,80 @@ def _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap):
     return 0.0
 
 
+def _path_length(k, c, u, g, m):
+    """How far from c along the unit direction u the endpoint bounds of
+    _path_clear keep Re w below -m (g = Re w(c) < -m: e^l dominates) or
+    above m (g > m: A l^k dominates), in closed form; inf when nothing
+    limits it.
+
+    Over [c, c + s u], with r = |c|: ln max|z| <= ln r + s / r, and for
+    s <= r / 2, ln dist(0, S) >= ln r - 2 s / r.  Where Re z falls along u
+    (e^l) or rises (A l^k), it moves by s |u_x| against the margin, so
+    s = (|g| - m) / (k / r + |u_x|), or (g - m) / (2 k / r + |u_x|) capped
+    at r / 2.  Otherwise Re z is bounded by Re c and only |z| counts: it may
+    grow to r e^x, or the segment may come down to r e^-x from 0, where
+    x = (|g| - m) / k, which the quadratic |c + s u|^2 = R^2 places.
+    """
+    r = abs(c)
+    ux = u.real
+    b = c.real * ux + c.imag * u.imag  # |c| d|z|/ds at c
+    x = (abs(g) - m) / k
+    if g < 0.0:
+        if ux < 0.0:
+            return (x * k) / (k / r - ux)
+        if x > 350.0:
+            return math.inf
+        room = r * r * math.expm1(2.0 * x)  # R^2 - r^2, R = r e^x
+        root = math.sqrt(b * b + room)
+        return room / (b + root) if b > 0.0 else root - b
+    if ux > 0.0:
+        s = (x * k) / (2.0 * k / r + ux)
+        return s if s < 0.5 * r else 0.5 * r
+    room = -r * r * math.expm1(-2.0 * x)  # r^2 - R^2, R = r e^-x
+    disc = b * b - room
+    if b >= 0.0 or disc < 0.0:  # the line never comes within R of 0
+        return math.inf
+    return room / (math.sqrt(disc) - b)
+
+
+def _path_clear(k, lna, c, c1, expdom):
+    """Whether the endpoint bound proves |t| < 1 on the segment S = [c, c1],
+    with t of the factor chosen at c:
+      sup_S Re w <= ln|A| + k ln max|z| - min Re z < -m   (e^l dominates),
+      inf_S Re w >= ln|A| + k ln dist(0, S) - max Re z > m   (A l^k),
+    since |z| is convex and Re z linear along S.  m is PATH_MARGIN times
+    the moduli of the bound's terms; where dist(0, S) is the distance to
+    the line, formed from a cross product, k times its condition number
+    joins them (1 for an axis-aligned side).  False for c1 = 0, where the
+    step's end has no w: a side that ends at the origin reaches it by
+    disk steps and the direct bound, which evaluates f(0) = 1."""
+    if c1 == 0:
+        return False
+    cond = 0.0
+    if expdom:
+        r = max(abs(c), abs(c1))
+        x = min(c.real, c1.real)
+    else:
+        d = c1 - c
+        along = -(c.real * d.real + c.imag * d.imag)
+        dd = d.real * d.real + d.imag * d.imag
+        if along <= 0.0:
+            r = abs(c)
+        elif along >= dd:
+            r = abs(c1)
+        else:
+            p, q = c.real * d.imag, c.imag * d.real
+            r = abs(p - q) / math.sqrt(dd)
+            if not r > 0.0:
+                return False
+            cond = (abs(p) + abs(q)) / abs(p - q)
+        x = max(c.real, c1.real)
+    lr = math.log(r)
+    bound = lna + k * lr - x
+    m = PATH_MARGIN * (abs(lna) + k * (abs(lr) + 1.0 + cond) + abs(x))
+    return bound < -m if expdom else bound > m
+
+
 def _exponent(k, log_a, c):
     """w = Log A + k Log c - c at c != 0, and its rounding scale, the sum
     of its terms' moduli."""
@@ -740,26 +820,33 @@ def _where(arc, p, c):
     return f"near {c:.6g}" if arc is None else f"(arc at angle {p:.3g})"
 
 
-def _track(k, log_a, point, p0, p1, arc, budget):
+def _track(k, log_a, point, p0, p1, arc, u, budget):
     """(change of arg f, steps, smallest scaled |f| at a step's start) along
-    point(p) for p from p0 up to p1: a line parametrised by arc length (arc
-    None) or an arc of radius `arc` parametrised by angle.
+    point(p) for p from p0 up to p1: a line in the unit direction u
+    parametrised by arc length (arc None), or an arc of radius `arc`
+    parametrised by angle (u None).
 
-    Each step from c = point(p) is proven on the disk |z - c| <= rho that
-    holds the step's path.  For |c| >= ORIGIN_RADIUS, f = D (1 + t) as in
-    _cofactor, chosen at c; on the disk |w(z) - w(c)| <= delta (see
+    For |c| >= ORIGIN_RADIUS, f = D (1 + t) as in _cofactor, chosen at
+    c = point(p).  On a line where |Re w(c)| exceeds the path margin
+    (PATH_MARGIN, see _path_clear), the step first goes as far as the
+    endpoint bound on Re w proves |t| < 1 on the step's path
+    (_path_length; Ying & Katz, Numer. Math. 53, 1988), and the bound is
+    checked in floats at the step's two ends before the step is taken.
+    Where that step stops short of the line's end, or on an arc, the step
+    may instead be proven on the disk |z - c| <= rho that holds its path,
+    whichever is longer: on the disk |w(z) - w(c)| <= delta (see
     _cofactor_radius, rho <= |c| / 2), so |t(z) - t(c)| <=
-    |t(c)| (e^delta - 1) < STEP_ACCEPT |1 + t(c)|: 1 + t has no zero there
-    and its change of argument is the principal phase of
+    |t(c)| (e^delta - 1) < STEP_ACCEPT |1 + t(c)|.  Either way 1 + t has no
+    zero on the step and its change of argument is the principal phase of
     (1 + t(c1)) / (1 + t(c)), t(c1) taken with the factor chosen at c.  The
     change of arg D is exact: Im(c1 - c) for e^l, k Arg(c1 / c) for A l^k.
     Nearer the origin the step bounds |f(z) - f(c)| below
     STEP_ACCEPT |f(c)| (_origin_radius, or _origin_radius_scaled for |A|
-    above HUGE_A) and adds the phase of
-    f(c1) / f(c).  A step from a scaled |f| below the rounding floor
-    (STEP_FLOOR), or one too short to move p, raises ZeroOnContourError,
-    naming c (an arc: its angle); more than `budget` steps raise
-    QuadratureStalledError.
+    above HUGE_A) and adds the phase of f(c1) / f(c).  Every step, path
+    steps too, starts with the floor check: a step from a scaled |f| below
+    the rounding floor (STEP_FLOOR), or one too short to move p, raises
+    ZeroOnContourError, naming c (an arc: its angle); more than `budget`
+    steps raise QuadratureStalledError.
     """
     a = cmath.exp(log_a)
     lna = log_a.real
@@ -806,20 +893,41 @@ def _track(k, log_a, point, p0, p1, arc, budget):
         if mod < floor:
             raise ZeroOnContourError(f"scaled |f| = {mod:.3g} is below the rounding floor "
                                      f"{floor:.3g} on the contour {_where(arc, p, c)}")
-        if huge and direct:
-            rho = _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
-        elif direct:
-            rho = _origin_radius(k, ea, aa, r, fmod, cap)
-        else:
-            rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
-        if rho >= cap:
-            q = p1 if arc is None or rem <= HALF_PI else p + HALF_PI
-        else:
-            q = p + (rho if arc is None else 2.0 * math.asin(0.5 * rho / arc))
-            if not q > p:
-                raise ZeroOnContourError(f"proven step {rho:.3g} does not move the point "
-                                         f"on the contour {_where(arc, p, c)}")
-        c1 = point(q)
+        rho = q = None
+        if u is not None and not direct:
+            # 4 times the margin at c, PATH_MARGIN (|ln|A|| + k (|ln|c|| + 1)
+            # + |Re c|), k ln|c| read off w: the far end's margin is at most
+            # 3 times it
+            g = w.real
+            m = 4.0 * PATH_MARGIN * (abs(lna) + abs(g - lna + c.real) + k + abs(c.real))
+            if abs(g) > m:
+                s = _path_length(k, c, u, g, m)
+                if s >= rem:
+                    q = p1
+                else:
+                    rho = _cofactor_radius(k, c, -abs(g), mod, cap)
+                    if s > rho:
+                        q = p + s
+                if q is not None:
+                    c1 = point(q)
+                    if not (q > p and _path_clear(k, lna, c, c1, expdom)):
+                        q = None
+        if q is None:
+            if rho is None:
+                if huge and direct:
+                    rho = _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
+                elif direct:
+                    rho = _origin_radius(k, ea, aa, r, fmod, cap)
+                else:
+                    rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
+            if rho >= cap:
+                q = p1 if arc is None or rem <= HALF_PI else p + HALF_PI
+            else:
+                q = p + (rho if arc is None else 2.0 * math.asin(0.5 * rho / arc))
+                if not q > p:
+                    raise ZeroOnContourError(f"proven step {rho:.3g} does not move the point "
+                                             f"on the contour {_where(arc, p, c)}")
+            c1 = point(q)
         if direct:
             f1 = cmath.exp(c1) + a * c1 ** k
             total += cmath.phase(f1 / fc)
@@ -836,7 +944,10 @@ def _track(k, log_a, point, p0, p1, arc, budget):
 
 def line_segment_logderiv(k, log_a, z0, z1, budget):
     """Im of the integral of f'/f along the segment z0 -> z1, the exact
-    change of arg f, by proven steps (see _track).
+    change of arg f, by proven steps (see _track): off the zero strip a step
+    is proven on its path, from Re w at its two ends, so a side away from
+    the strip takes a few steps whatever its length, and only where
+    |Re w| is near 0, about the zeros, are steps sized by a disk.
 
     Returns (that change, steps taken, smallest scaled |f| at a step's
     start); at most `budget` steps.
@@ -846,14 +957,15 @@ def line_segment_logderiv(k, log_a, z0, z1, budget):
         return 0.0, 0, math.inf
     u = (z1 - z0) / length
     return _track(k, log_a, lambda s: z1 if s >= length else z0 + u * s, 0.0, length, None,
-                  budget)
+                  u, budget)
 
 
 def arc_segment_logderiv(k, log_a, center, radius, t0, t1, budget):
     """Im of the integral of f'/f along the arc of the circle
     |l - center| = radius from angle t0 up to t1, as line_segment_logderiv.
     """
-    return _track(k, log_a, lambda t: center + cmath.rect(radius, t), t0, t1, radius, budget)
+    return _track(k, log_a, lambda t: center + cmath.rect(radius, t), t0, t1, radius, None,
+                  budget)
 
 
 def sample_exterior_margin(k, log_a, s_branch, side, h, r_in, r_max,

@@ -3,13 +3,16 @@ exhaustive zero search in a disk, and completeness checks.
 
 A winding count tracks the argument of f around the contour in proven
 steps (_kernels_py.line_segment_logderiv and arc_segment_logderiv): on
-each step's disk f = D (1 + t) with 1 + t kept away from zero by a closed
-bound, so the change of arg f along the step is the exact change of arg D
-plus a principal phase, and the count is the total over 2 pi with no
-tolerance and no retry (Ying & Katz, Numer. Math. 53, 1988; Johnson &
-Tucker, J. Comput. Appl. Math. 228, 2009).  The steps are long away from
-the zero strip and short only near zeros; a step from a point where the
-scaled |f| is down at the rounding floor means a zero on the contour.
+each step f = D (1 + t) with 1 + t kept away from zero by a closed bound,
+so the change of arg f along the step is the exact change of arg D plus a
+principal phase, and the count is the total over 2 pi with no tolerance
+and no retry (Ying & Katz, Numer. Math. 53, 1988; Johnson & Tucker, J.
+Comput. Appl. Math. 228, 2009).  On a rectangle's side away from the zero
+strip the bound holds on the step's path, from Re w at its two ends, so
+such a side takes a few steps whatever its length; near the strip, and on
+a circle's arc, it holds on a disk around the step's start, and steps are
+short only near zeros.  A step from a point where the scaled |f| is down
+at the rounding floor means a zero on the contour.
 
 The disk search and the completeness of an enumeration over a rectangle
 rest on one count identity (_count_identity): the winding count equals the
@@ -111,8 +114,11 @@ class ContourReport(namedtuple("ContourReport", "count min_scaled_modulus segmen
 
     count is the number of zeros inside, with multiplicity;
     min_scaled_modulus is the smallest |1 + t| reached at a step's start (f
-    over its dominant term; near the origin, |f| over max(|e^l|, |A l^k|));
-    segments_used is the number of tracking steps, at most STEP_BUDGET.
+    over its dominant term; near the origin, |f| over max(|e^l|, |A l^k|)),
+    so it reads only the points where steps start; segments_used is the
+    number of tracking steps, at most STEP_BUDGET: a rectangle takes a few
+    per side plus those where a side crosses the zero strip (8 for the
+    41-zero box of criterion 02), a circle tens.
     """
 
     __slots__ = ()
@@ -203,6 +209,17 @@ def certify_joined(qp, records):
     and a disk that held both zeros could not certify."""
     return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
             for rec, r in zip(records, zeros_mod.isolation_radii(records))]
+
+
+def join_disk(qp, ladder, disk, on_ladder, certify=True):
+    """The ladder's records plus the disk search's zeros whose index the
+    ladder did not walk (on_ladder(nu) false, or no index), in that order.
+    The disk search labels a zero as the ladder does, so two records on one
+    zero raise DuplicateZeroError; with certify, the joined list is
+    certified again (certify_joined)."""
+    joined = ladder + [rec for rec in disk if rec.nu is None or not on_ladder(rec.nu)]
+    zeros_mod._check_duplicates(joined)
+    return certify_joined(qp, joined) if certify else joined
 
 
 def _proven(qp, value, residual, cofactor, multiplicity, r):

@@ -160,17 +160,12 @@ def _cmd_zeros(args):
     if lo <= 0 <= hi:
         notes["nu_skipped"] = [0]
     if args.with_disk is not None:
-        # the disk search labels a zero as the ladder does, so it adds only
-        # the zeros whose index the ladder did not walk; two records on one
-        # zero raise DuplicateZeroError.  A record with a zero of the other
-        # search nearer than its own neighbors is certified again
+        # the disk search adds the zeros whose index the ladder did not walk
         from . import certify as certify_mod
 
         disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
-        records += [rec for rec in disk if rec.nu is None or not lo <= rec.nu <= hi]
-        zeros_mod._check_duplicates(records)
-        if args.certify:
-            records = certify_mod.certify_joined(qp, records)
+        records = certify_mod.join_disk(qp, records, disk, lambda nu: lo <= nu <= hi,
+                                        args.certify)
         notes["disk_radius"] = args.with_disk
     records.sort(key=zeros_mod.im_order)
     results = [record_to_obj(r) for r in records]
@@ -325,17 +320,18 @@ def _cmd_bounds(args):
         # the ladder leaves k + 1 zeros to the disk search, (j, 0) for each
         # root j and (0, -1) (see zeros._ladder_branch), and some lie in the
         # window; the disk search supplies them, labelled as the ladder
-        # labels, and the completeness check stays the arbiter.  Only zeros
-        # in the sampled window are added: a list missing one of those
+        # labels, and the completeness check stays the arbiter.  Every disk
+        # zero joins the isolation radii, since one outside the window can
+        # crowd a ladder zero inside it (certify_joined); only those in the
+        # sampled window stay in the list: a list missing one of those
         # failed that check anyway, and the others lie beyond delta of
         # every sample.
         boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
         disk = certify_mod.find_zeros_in_disk(
             qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)
-        strip += [rec for rec in disk
-                  if (rec.nu is None or abs(rec.nu) > span)
-                  and any(box.contains(rec.value) for box in boxes)]
-        zeros_mod._check_duplicates(strip)
+        joined = certify_mod.join_disk(qp, strip, disk, lambda nu: abs(nu) <= span)
+        strip = joined[:len(strip)] + [rec for rec in joined[len(strip):]
+                                       if any(box.contains(rec.value) for box in boxes)]
         est = bounds.estimate_C_delta(qp, h, args.R, args.delta, args.samples,
                                       args.seed, strip, im_cap=args.im_cap)
         summary = {

@@ -116,20 +116,34 @@ class TestWindingCount:
         with pytest.raises(DomainError):
             make()
 
-    def test_oversize_side_stalls(self, qp11):
-        # a side running along the zero strip takes tens of steps per zero
-        # it passes: the 6,024 zeros of this box need about 346,000 steps,
-        # over the budget
+    def test_side_along_the_strip_counts(self, qp11):
+        # off the strip a step is proven on its path, from Re w at its two
+        # ends: the box whose right side runs along the strip past its 6,024
+        # zeros counts in a few steps at the full budget
+        report = qz.winding_count(qp11, qz.Rectangle(complex(10, 1e3), complex(11, 1e5)))
+        assert report.count == 6024 and report.segments_used <= 16
+
+    def test_oversize_side_stalls(self, qp11, monkeypatch):
+        # the side along the zero strip takes 3 steps after the bottom
+        # side's 1; a budget of 3 leaves it 2, and the count is refused
+        monkeypatch.setattr(certify_mod, "STEP_BUDGET", 3)
+        sides = _counting(monkeypatch, kp, "line_segment_logderiv")
         with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
             qz.winding_count(qp11, qz.Rectangle(complex(10, 1e3), complex(11, 1e5)))
+        assert [(args[3], args[-1]) for args in sides] == [(11 + 1e3j, 3), (11 + 1e5j, 2)]
 
-    @pytest.mark.parametrize("corner, budget", [
-        (complex(20.0, 3.0), 24),    # sides of 14, 1, 13 and 1 steps: 29 > 24
-    ])
-    def test_over_budget_refused_before_any_sum(self, qp11, monkeypatch, corner, budget):
+    @pytest.mark.parametrize("corner", [complex(20.0, 3.0), complex(40.0, 100.0)])
+    def test_over_budget_refused_before_any_sum(self, qp11, monkeypatch, corner):
         # the budget is the whole contour's: each side is handed what the
         # sides before it left, and the side that runs out refuses before
-        # the turns are summed into a count
+        # the turns are summed into a count.  The budget is one step short
+        # of the first three sides
+        box = qz.Rectangle(-corner, corner)
+        sw, ne = box
+        corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))
+        need = [kp.line_segment_logderiv(1, qp11.log_a, corners[i], corners[i + 1],
+                                         certify_mod.STEP_BUDGET)[1] for i in range(3)]
+        budget = sum(need) - 1
         monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
         line = kp.line_segment_logderiv
         handed = []
@@ -140,8 +154,16 @@ class TestWindingCount:
 
         monkeypatch.setattr(kp, "line_segment_logderiv", counted)
         with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
-            qz.winding_count(qp11, qz.Rectangle(-corner, corner))
-        assert handed == [budget, budget - 14, budget - 15]
+            qz.winding_count(qp11, box)
+        assert handed == [budget, budget - need[0], budget - need[0] - need[1]]
+
+    def test_floor_beyond_1e12_refuses_path_steps(self, qp11):
+        # the rounding floor is checked at every step's start, path steps
+        # too: beyond |l| of about 1e12 it exceeds any |1 + t|, so this box
+        # is refused although e^l dominates on all of it and the endpoint
+        # bound alone would cover it
+        with pytest.raises(ZeroOnContourError, match="rounding floor"):
+            qz.winding_count(qp11, qz.Rectangle(1e12 + 1e12j, 2e12 + 2e12j))
 
     def test_just_inside_budget_counts(self, qp11, monkeypatch):
         # the budget bounds the steps of the whole contour, all four sides
@@ -326,12 +348,14 @@ class TestFindZerosInDisk:
 
     def test_stalled_outer_square_not_retried(self, monkeypatch):
         # a square over the step budget would be over it at every wider
-        # square too, so the search spends one budget and reports it
+        # square too, so the search spends one budget and reports it.  The
+        # r = 10 square takes 10 steps; its branch walk, 5 branches per
+        # root, stays within the budget of 8
         qp = qz.QuasiPolynomial(1, -3 + 0j)
-        monkeypatch.setattr(certify_mod, "STEP_BUDGET", 16)
+        monkeypatch.setattr(certify_mod, "STEP_BUDGET", 8)
         counts = _counting(monkeypatch, certify_mod, "winding_count")
         with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
-            qz.find_zeros_in_disk(qp, 40.0)
+            qz.find_zeros_in_disk(qp, 10.0)
         assert len(counts) == 1
 
     def test_moved_square_checks_its_edges(self, qp11, monkeypatch):
@@ -493,6 +517,112 @@ class TestTracking:
                         qz.Rectangle(complex(-1, -0.5), complex(0, 0.5))):
             assert qz.winding_count(qp, contour).count == sum(
                 contour.contains(v) for v in zeros), contour
+
+    @pytest.mark.parametrize("k, a", [(1, 0.1 + 0j), (2, -40 + 0j), (3, 2 + 1j)])
+    def test_corner_at_the_origin(self, k, a):
+        # a side that ends at 0 from where e^l dominates could be proven on
+        # its path in one step, but w has no value at 0: it ends by the
+        # direct bound instead; a real zero on a side is refused
+        qp = qz.QuasiPolynomial(k, a)
+        zeros = [v for v, _ in _lambert_oracle(qp, 10.0)]
+        for x, y in ((5, 5), (-5, 5), (-5, -5), (5, -5)):
+            box = qz.Rectangle(complex(min(x, 0), min(y, 0)), complex(max(x, 0), max(y, 0)))
+            if any(abs(v.imag) < 1e-9 and 0 <= v.real / x <= 1 for v in zeros):
+                with pytest.raises(ZeroOnContourError):
+                    qz.winding_count(qp, box)
+            else:
+                assert qz.winding_count(qp, box).count == sum(
+                    box.contains(v) for v in zeros), box
+
+
+def _scaled_modulus(qp, lam):
+    """|f| / max(|e^l|, |A l^k|) by direct complex arithmetic."""
+    e, p = cmath.exp(lam), qp.a * lam ** qp.k
+    return abs(e + p) / max(abs(e), abs(p))
+
+
+class TestPathSteps:
+    """Steps proven on their path change no count: seeded rectangles that
+    pass 1e-3, 1e-6 or 1e-9 from a zero, or whose sides run along the zero
+    strip that close to one, count what scipy's Lambert W lists inside."""
+
+    @staticmethod
+    def _coefficients(k, rng):
+        return ([cmath.rect(10 ** rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi)),
+                 complex(-10 ** rng.uniform(-2, 2), 0.0)]
+                + [complex(-math.exp(k) / k ** k * (1 + eps), 0.0)
+                   for eps in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3)])
+
+    @staticmethod
+    def _near_box(rng, z0, off, along):
+        """A rectangle with one edge `off` from z0: a vertical side along
+        the strip, 40 to 400 tall, or any side of a box up to 30 x 100."""
+        sgn = rng.choice((-1.0, 1.0))
+        if along:
+            x, w = z0.real + sgn * off, rng.uniform(0.5, 5.0)
+            lo, hi = z0.imag - rng.uniform(20, 200), z0.imag + rng.uniform(20, 200)
+            return (qz.Rectangle(complex(x - w, lo), complex(x, hi)) if sgn > 0
+                    else qz.Rectangle(complex(x, lo), complex(x + w, hi)))
+        w, h = 10 ** rng.uniform(-1, 1.5), 10 ** rng.uniform(-1, 2)
+        x0, y0 = z0.real - rng.uniform(0, w), z0.imag - rng.uniform(0, h)
+        side = rng.randrange(4)
+        if side == 0:
+            x0 = z0.real + sgn * off
+        elif side == 1:
+            x0 = z0.real - w + sgn * off
+        elif side == 2:
+            y0 = z0.imag + sgn * off
+        else:
+            y0 = z0.imag - h + sgn * off
+        return qz.Rectangle(complex(x0, y0), complex(x0 + w, y0 + h))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 25])
+    def test_near_zero_counts_match_the_oracle(self, k):
+        # a count is refused only where the edge's nearest point to the zero
+        # has scaled |f| below 1e-9, a double or near-double zero passed
+        # within the rounding floor; every other count equals the oracle's
+        rng = random.Random(2400 + k)
+        refused = 0
+        for a in self._coefficients(k, rng):
+            qp = qz.QuasiPolynomial(k, a)
+            zeros = _lambert_oracle(qp, 400.0)
+            for trial in range(8):
+                z0, _mult = rng.choice(zeros)
+                off = rng.choice((1e-3, 1e-6, 1e-9))
+                box = self._near_box(rng, z0, off, trial % 2)
+                lo, hi = box
+                nearest = complex(min(max(z0.real, lo.real), hi.real),
+                                  min(max(z0.imag, lo.imag), hi.imag))
+                if box.contains(z0):  # the nearest point of the edge
+                    gaps = [z0.real - lo.real, hi.real - z0.real,
+                            z0.imag - lo.imag, hi.imag - z0.imag]
+                    gap = min(gaps)
+                    nearest = z0 + (-gap, gap, -gap * 1j, gap * 1j)[gaps.index(gap)]
+                far = max(abs(complex(x, y)) for x in (lo.real, hi.real)
+                          for y in (lo.imag, hi.imag))
+                want = sum(m for v, m in _lambert_oracle(qp, far) if box.contains(v))
+                try:
+                    got = qz.winding_count(qp, box).count
+                except ZeroOnContourError:
+                    assert _scaled_modulus(qp, nearest) < 1e-9, (k, a, box)
+                    refused += 1
+                    continue
+                assert got == want, (k, a, box, off)
+        assert refused <= 4
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 25])
+    def test_edge_through_a_zero_refused(self, k):
+        # an edge through a listed zero, horizontal or vertical, still
+        # raises: no step, path or disk, can pass it
+        rng = random.Random(2410 + k)
+        for a in self._coefficients(k, rng):
+            qp = qz.QuasiPolynomial(k, a)
+            z0, _mult = rng.choice(_lambert_oracle(qp, 400.0))
+            w, h = rng.uniform(0.5, 20), rng.uniform(0.5, 60)
+            for box in (qz.Rectangle(complex(z0.real - w, z0.imag - h), z0 + h * 1j),
+                        qz.Rectangle(z0 - w, complex(z0.real + w, z0.imag + h))):
+                with pytest.raises(ZeroOnContourError):
+                    qz.winding_count(qp, box)
 
 
 class TestEnumeration:

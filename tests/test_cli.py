@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -154,14 +155,25 @@ class TestZerosCommand:
         assert err.count("\n") == 1
         assert "message" in json.loads(err)["error"]
 
-    def test_oversize_box_stalls(self):
-        # a box whose side runs along the zero strip past 6,024 zeros needs
-        # more tracking steps than the budget
-        code, _out, err = run_cli("certify", "--k", "1", "--a", "1+0i",
-                                  "--box", "10,1e3,11,1e5")
-        assert code == 3
+    def test_oversize_box_stalls(self, monkeypatch, capsys):
+        # a box over the step budget exits 3 with one error line: its right
+        # side runs along the zero strip and takes 3 steps after the bottom
+        # side's 1, and a budget of 3 leaves it 2
+        from quasizeros import certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "STEP_BUDGET", 3)
+        code = main(["certify", "--k", "1", "--a", "1+0i", "--box", "10,1e3,11,1e5"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "QuadratureStalledError"
+
+    def test_box_with_corner_at_origin_counts(self, capsys):
+        # the left side 5i -> 0 starts where e^l dominates and ends at 0
+        code = main(["certify", "--k", "1", "--a", "0.1+0i", "--box", "0,0,5,5"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out)["summary"]["contour_count"] == 0
 
     @pytest.mark.parametrize("argv", [
         ("origin", "--k", "3", "--a", "2+1i", "--radius", "10"),
@@ -454,6 +466,19 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["summary"]["c_hat"] > 0
 
+    @pytest.mark.parametrize("a, c_hat", [(-math.e * (1 + 1e-3), 1.0756),
+                                          (-math.e * (1 - 1e-3), 1.0702)],
+                             ids=["above-e", "below-e"])
+    def test_cdelta_beside_the_branch_point(self, a, c_hat):
+        # the ladder's nu = -1 has an unnamed twin 0.09 away, a disk zero
+        # outside the sampled window; with every disk zero in the isolation
+        # radii it certifies at the joint radius 0.0447, not 0.0625
+        code, out, err = run_cli("bounds", "--k", "1", "--a", f"{a!r}+0i", "--which", "cdelta",
+                                 "--delta", "0.5", "--samples", "2000")
+        assert code == 0, err
+        summary = json.loads(out)["summary"]
+        assert summary["pass"] is True and round(summary["c_hat"], 4) == c_hat
+
     @pytest.mark.parametrize("k, a", [("3", "1+0i"), ("2", "0+0.5i"), ("1", "-3+0i")])
     def test_cdelta_window_zero_off_the_ladder(self, k, a):
         # the default window holds a zero the index ladder does not list
@@ -490,6 +515,25 @@ class TestBoundsCommand:
         _c, out1, _ = run_cli(*args, env={"OMP_NUM_THREADS": "1"})
         _c, out4, _ = run_cli(*args, env={"OMP_NUM_THREADS": "4"})
         assert out1 == out4
+
+
+def test_readme_box_examples():
+    # every `certify --box` example the README quotes with its count and
+    # step count, run as quoted
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    quoted = re.findall(r"`certify --k (\S+) --a (\S+) --box (\S+)`[^`]*?"
+                        r"counts ([\d,]+) zeros in (\d+) steps", readme)
+    above = re.search(r"For the box above these are\s+(\d+) zeros and (\d+) steps", readme)
+    assert len(quoted) >= 3 and above
+    assert ("1", "1+0i", "-12,-129.43,12,129.43", *above.groups()) in quoted
+    for k, a, box, count, steps in quoted:
+        code, out, err = run_cli("certify", "--k", k, "--a", a, "--box", box)
+        assert code == 0, err
+        summary = json.loads(out)["summary"]
+        assert (summary["contour_count"], summary["segments_used"]) == (
+            int(count.replace(",", "")), int(steps)), box
 
 
 class TestCertifyRoundTrip:
