@@ -12,6 +12,12 @@ Conventions:
   * the quasipolynomial is f(l) = e^l + A l^k; kernels take k, the complex
     logarithm log_a = ln|A| + i arg A (computed once per QuasiPolynomial),
     and complex points
+  * the per-zero kernels take lists, one loop in one frame per call:
+    lambert_w_list (one z, many branches), newton_polish_list (many seeds)
+    and rouche_holds_list (many disks).  lambert_w, newton_polish and
+    rouche_holds are one-element calls into them, so each formula exists
+    once, and an element of a list comes out bit for bit as its
+    one-element call gives it
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
   * a sampler accepts n >= 1 points, drawing its uniforms from
@@ -288,36 +294,53 @@ def residual_cofactor(k, log_a, lam):
 
 
 def newton_polish(k, log_a, seed, tolerance, max_iterations, escape):
-    """Newton iteration from seed until the relative residual is below
-    tolerance.
+    """newton_polish_list for one seed: (lam, residual, iterations,
+    cofactor), or its failure raised."""
+    polished, failure = newton_polish_list(k, log_a, (seed,), tolerance, max_iterations, escape)
+    if failure is not None:
+        raise failure
+    return polished[0]
 
-    Returns (lam, residual, iterations, cofactor): the first iterate that
-    passes, its residual, the steps taken, and (expdom, t) at it (None at
-    lam = 0).  Each iterate costs one _cofactor, shared by its residual and,
-    when it does not pass, its Newton step f/f' = (1 + t)/u; an iterate
-    where k/lam overflows steps by newton_step's tiny-lam form.  Raises
+
+def newton_polish_list(k, log_a, seeds, tolerance, max_iterations, escape):
+    """Newton iteration from each seed in turn, in one loop, until the
+    relative residual is below tolerance.
+
+    Returns (polished, failure).  polished holds, for each seed up to the
+    first that fails, (lam, residual, iterations, cofactor): the first
+    iterate that passes, its residual, the steps taken, and (expdom, t) at
+    it (None at lam = 0).  failure is that seed's error, None when every
+    seed passes; the seeds after it are not polished.  Each iterate costs
+    one residual_cofactor, shared by its residual and, when it does not
+    pass, its Newton step f/f' = (1 + t)/u; an iterate where k/lam
+    overflows steps by newton_step's tiny-lam form.  The failures are
     EscapedBasinError when an iterate lies farther than `escape` from the
     seed, DerivativeVanishesError where the step is unusable (see
     newton_step), and MaxIterationsError after max_iterations steps.
     """
-    lam = seed
-    for it in range(max_iterations + 1):
-        residual, cofactor = residual_cofactor(k, log_a, lam)
-        if residual < tolerance:
-            return lam, residual, it, cofactor
-        if cofactor is None or abs(lam) * FLOAT_MAX < k:
-            ratio, vanishes = newton_step(k, log_a, lam)
+    polished = []
+    for seed in seeds:
+        lam = seed
+        for it in range(max_iterations + 1):
+            residual, cofactor = residual_cofactor(k, log_a, lam)
+            if residual < tolerance:
+                polished.append((lam, residual, it, cofactor))
+                break
+            if cofactor is None or abs(lam) * FLOAT_MAX < k:
+                ratio, vanishes = newton_step(k, log_a, lam)
+            else:
+                ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
+            if vanishes:
+                return polished, DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}")
+            lam = lam - ratio
+            if abs(lam - seed) > escape:
+                return polished, EscapedBasinError(
+                    f"Newton iterate left the seed basin (|l - seed| > {escape:g})")
         else:
-            ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
-        if vanishes:
-            raise DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}")
-        lam = lam - ratio
-        if abs(lam - seed) > escape:
-            raise EscapedBasinError(
-                f"Newton iterate left the seed basin (|l - seed| > {escape:g})")
-    raise MaxIterationsError(
-        f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
-        f"in {max_iterations} iterations")
+            return polished, MaxIterationsError(
+                f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
+                f"in {max_iterations} iterations")
+    return polished, None
 
 
 def newton_step(k, log_a, lam):
@@ -455,7 +478,7 @@ def rouche_isolates(k, log_a, lam, radius):
     accumulated term by term from positive terms (never below its true
     value but for rounding), and the inequality must hold with a 1% margin.
     False means "not proven", never "no zero".  The inequality is
-    rouche_holds, from the cofactor at lam.
+    rouche_holds_list, from the cofactor at lam.
     """
     if lam == 0:
         return False
@@ -464,33 +487,49 @@ def rouche_isolates(k, log_a, lam, radius):
 
 
 def rouche_holds(k, lam, expdom, t, radius):
-    """rouche_isolates from the cofactor (expdom, t) of _cofactor at
-    lam != 0, so a caller that has just evaluated f at lam tests the disk
-    without evaluating it again.  Where k/lam overflows (|lam| near the
-    float range's bottom) the scaled f' is not finite and the test reads as
-    not proven, as it does with a non-finite f'' term (see
-    _second_derivative_cofactor)."""
-    if not 0.0 < radius < 700.0:
-        return False
-    u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
-    umag = _modulus(u)
-    if vanishes or not umag < math.inf:
-        return False
-    s = _second_derivative_cofactor(k, lam, expdom, t)
-    etail = _exp_tail3(radius)
-    # sum_{j=3..k} C(k,j) rho^j with rho = r/|z|, term by term
-    rho = radius / zabs
-    term = 0.5 * k * (k - 1) * rho * rho
-    poly = 0.0
-    for j in range(3, k + 1):
-        term *= rho * (k - j + 1) / j
-        poly += term
-    if expdom:
-        remainder = etail + tmag * poly
-    else:
-        remainder = tmag * etail + poly
-    remainder += 0.5 * abs(s) * radius * radius
-    return abs(1.0 + t) + remainder < 0.99 * umag * radius
+    """rouche_holds_list for one disk."""
+    return rouche_holds_list(k, ((lam, (expdom, t), radius),))[0]
+
+
+def rouche_holds_list(k, disks):
+    """rouche_isolates for each (lam, cofactor, radius) of disks, in one
+    loop, from the cofactor (expdom, t) of _cofactor at lam != 0, so a
+    caller that has just evaluated f at lam tests the disk without
+    evaluating it again.  A radius outside (0, 700) reads as not proven
+    before the cofactor is read (it may then be None).  Where k/lam
+    overflows (|lam| near the float range's bottom) the scaled f' is not
+    finite and the test reads as not proven, as it does with a non-finite
+    f'' term (see _second_derivative_cofactor).  _exp_tail3 is formed again
+    only where the radius changes."""
+    holds = []
+    last = None
+    for lam, cofactor, radius in disks:
+        if not 0.0 < radius < 700.0:
+            holds.append(False)
+            continue
+        expdom, t = cofactor
+        u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
+        umag = _modulus(u)
+        if vanishes or not umag < math.inf:
+            holds.append(False)
+            continue
+        s = _second_derivative_cofactor(k, lam, expdom, t)
+        if radius != last:
+            last, etail = radius, _exp_tail3(radius)
+        # sum_{j=3..k} C(k,j) rho^j with rho = r/|z|, term by term
+        rho = radius / zabs
+        term = 0.5 * k * (k - 1) * rho * rho
+        poly = 0.0
+        for j in range(3, k + 1):
+            term *= rho * (k - j + 1) / j
+            poly += term
+        if expdom:
+            remainder = etail + tmag * poly
+        else:
+            remainder = tmag * etail + poly
+        remainder += 0.5 * abs(s) * radius * radius
+        holds.append(abs(1.0 + t) + remainder < 0.99 * umag * radius)
+    return holds
 
 
 def critical_step(k, log_a, lam):
@@ -532,12 +571,18 @@ def _critical_step_tiny(k, log_a, lam, expdom, t, loglam):
 
 
 def lambert_w(z, m=0, logz=None):
-    """Branch m of the Lambert W function: the w with w e^w = z on the
-    branches of Corless, Gonnet, Hare, Jeffrey & Knuth (Adv. Comput. Math. 5,
-    1996), with counter-clockwise continuity: a real z on a branch cut lies
-    on its upper side, or on its lower side when its imaginary part is -0.0
-    (as in scipy.special.lambertw, except that scipy reads -0.0 as +0.0 for
-    W_-1 on (-1/e, 0)).  z != 0.
+    """Branch m of the Lambert W function at z: lambert_w_list for one
+    branch."""
+    return lambert_w_list(z, (m,), logz)[0]
+
+
+def lambert_w_list(z, ms, logz=None):
+    """[W_m(z) for m in ms], one z and many branches in one loop: the w with
+    w e^w = z on the branches of Corless, Gonnet, Hare, Jeffrey & Knuth
+    (Adv. Comput. Math. 5, 1996), with counter-clockwise continuity: a real
+    z on a branch cut lies on its upper side, or on its lower side when its
+    imaginary part is -0.0 (as in scipy.special.lambertw, except that scipy
+    reads -0.0 as +0.0 for W_-1 on (-1/e, 0)).  z != 0.
 
     The seed is the branch-point series in p = +-sqrt(2(e z + 1)) near
     z = -1/e on the branches that meet there (m = 0, and m = -1 above the
@@ -551,44 +596,55 @@ def lambert_w(z, m=0, logz=None):
     of a |z| beyond the float range, and Log z alone places the seed.
     Where W_m is real on the real axis (m = 0 right of -1/e, and on
     (-1/e, 0) the branch m = -1 above or m = 1 below) a finite real z gets
-    a real w, whose imaginary part is the signed zero of z's.
+    a real w, whose imaginary part is the signed zero of z's.  What depends
+    on z alone (Log z, e z + 1, which seeds apply) is formed once.
     """
     z = complex(z)
     on_axis = z.imag == 0
-    if on_axis and math.copysign(1.0, z.imag) < 0:
-        # mixed complex-float arithmetic below reads -0.0 as +0.0; the lower
-        # side of a cut is the mirror image of the upper side of branch -m
-        return lambert_w(z.conjugate(), -m,
-                         None if logz is None else logz.conjugate()).conjugate()
+    # mixed complex-float arithmetic below reads -0.0 as +0.0; the lower
+    # side of a cut is the mirror image of the upper side of branch -m
+    lower = on_axis and math.copysign(1.0, z.imag) < 0
+    if lower:
+        z, ms = z.conjugate(), [-m for m in ms]
+        if logz is not None:
+            logz = logz.conjugate()
     if logz is None:
         logz = cmath.log(z)
     q = math.e * z + 1.0
-    if abs(q) < 0.3 and (m == 0 or m == -math.copysign(1.0, z.imag)):
-        p = cmath.sqrt(2.0 * q) * (1 if m == 0 else -1)
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-    elif (m == 0 and abs(z) < 2.0 and abs(1.0 + z) > 0.5
-          and not (-1.0 < z.real < -1.0 / math.e and abs(z.imag) < 1e-2)):
-        w = cmath.log(1.0 + z)
-    else:
-        l1 = logz + complex(0.0, TWO_PI * m)
-        l2 = cmath.log(l1)
-        w = l1 - l2 + l2 / l1
-    for _ in range(30):
-        t = cmath.exp(logz - w)
-        g = w - t
-        d = 1.0 + t
-        if d == 0:
-            break
-        step = g / (d + 0.5 * g * t / d)
-        w -= step
-        if abs(step) <= 1e-15 * abs(w):
-            break
-    if on_axis and -1.0 / math.e < z.real < math.inf and z.real != 0 and (
-            m == 0 or m == -1 and z.real < 0):
-        # W_m is real here, but Log z of a negative z carries the rounding
-        # of sin(pi) into t
-        return complex(w.real, 0.0)
-    return w
+    near = abs(q) < 0.3
+    if near:
+        partner = -math.copysign(1.0, z.imag)
+        root = cmath.sqrt(2.0 * q)
+    small = (abs(z) < 2.0 and abs(1.0 + z) > 0.5
+             and not (-1.0 < z.real < -1.0 / math.e and abs(z.imag) < 1e-2))
+    # W_m is real here, but Log z of a negative z carries the rounding of
+    # sin(pi) into t
+    real = on_axis and -1.0 / math.e < z.real < math.inf and z.real != 0
+    out = []
+    for m in ms:
+        if near and (m == 0 or m == partner):
+            p = root * (1 if m == 0 else -1)
+            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+        elif m == 0 and small:
+            w = cmath.log(1.0 + z)
+        else:
+            l1 = logz + complex(0.0, TWO_PI * m)
+            l2 = cmath.log(l1)
+            w = l1 - l2 + l2 / l1
+        for _ in range(30):
+            t = cmath.exp(logz - w)
+            g = w - t
+            d = 1.0 + t
+            if d == 0:
+                break
+            step = g / (d + 0.5 * g * t / d)
+            w -= step
+            if abs(step) <= 1e-15 * abs(w):
+                break
+        if real and (m == 0 or m == -1 and z.real < 0):
+            w = complex(w.real, 0.0)
+        out.append(w.conjugate() if lower else w)
+    return out
 
 
 #: a tracking step from c is sized for |t(c)| (e^delta - 1) = STEP_TARGET

@@ -10,6 +10,7 @@ Floats rely on shortest round-trip repr, so re-parsing recovers the exact
 double value.
 """
 
+import cmath
 import io
 import json
 import re
@@ -24,18 +25,22 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
 def parse_complex(text):
-    """Parse 'a+bi' (also plain 'a' or 'bi') into a complex number."""
+    """Parse 'a+bi' (also plain 'a' or 'bi') into a complex number.  A part
+    that overflows the float range (1e400) is refused, as 'nan' and 'inf'
+    are."""
     s = text.strip()
     m = _COMPLEX_RE.match(s)
     if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    m = _IMAG_RE.match(s)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    m = _REAL_RE.match(s)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    raise DomainError(f"cannot parse complex number {text!r}; expected 'a+bi'")
+        z = complex(float(m.group(1)), float(m.group(2)))
+    elif m := _IMAG_RE.match(s):
+        z = complex(0.0, float(m.group(1)))
+    elif m := _REAL_RE.match(s):
+        z = complex(float(m.group(1)), 0.0)
+    else:
+        raise DomainError(f"cannot parse complex number {text!r}; expected 'a+bi'")
+    if not cmath.isfinite(z):
+        raise DomainError(f"complex number {text!r} is beyond the float range")
+    return z
 
 
 def parse_nu_range(text):

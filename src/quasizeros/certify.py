@@ -24,7 +24,7 @@ Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), so walking the
 (j, m) a square can hold and polishing each value lists its zeros; the
 square's winding count then checks the list (count-then-polish run in
 reverse; Kravanja & Van Barel, LNM 1727, 2000), polished and labelled by
-the ladder's own zeros._branch_zero.  When the identity fails the disk
+the ladder's own zeros._polish_branches.  When the identity fails the disk
 search raises SubdivisionStalledError.
 
 A certified record has exactly `multiplicity` zeros in the open disk
@@ -183,22 +183,26 @@ def certify_record(qp, record, radius=None):
     # for a stale value whose disk still happens to contain the true zero
     value = complex(record.value)
     residual, cofactor = kernels.residual_cofactor(qp.k, qp.log_a, value)
-    proven = _proven(qp, value, residual, cofactor, record.multiplicity, r)
+    proven, = _proven(qp, ((value, residual, cofactor, record.multiplicity, r),))
     if proven is None:
         return _winding_certificate(qp, record, r)
     return _certificate(record, proven, r)
 
 
-def certify_polished(qp, nu, value, residual, seed, iterations, cofactor, radius):
-    """The record of a simple zero, certified as certify_record would certify
-    it, from the residual and cofactor (expdom, t) that the polish computed
-    at value (kernels.newton_polish): no further evaluation of f unless
-    Rouche fails and a winding count decides.  Builds one ZeroRecord."""
-    proven = _proven(qp, value, residual, cofactor, 1, radius)
-    if proven is None:
-        return _winding_certificate(
-            qp, zeros_mod.ZeroRecord(nu, value, residual, seed, iterations), radius)
-    return zeros_mod.ZeroRecord(nu, value, residual, seed, iterations, proven, radius)
+def certify_polished(qp, polished, radii):
+    """The records of simple zeros (zeros._Polished), each certified as
+    certify_record would certify it at its radius, from the residual and
+    cofactor (expdom, t) that the polish computed at its value
+    (kernels.newton_polish_list): the list takes one residual gate and one
+    Rouche list (_proven), and no further evaluation of f unless Rouche
+    fails and a winding count decides.  Builds one ZeroRecord per zero."""
+    proven = _proven(qp, [(p.value, p.residual, p.cofactor, 1, r)
+                          for p, r in zip(polished, radii)])
+    record = zeros_mod.ZeroRecord
+    return [record(nu, value, residual, seed, iterations, settled, r) if settled is not None
+            else _winding_certificate(qp, record(nu, value, residual, seed, iterations), r)
+            for (nu, value, residual, seed, iterations, _cofactor), r, settled
+            in zip(polished, radii, proven)]
 
 
 def certify_joined(qp, records):
@@ -206,9 +210,10 @@ def certify_joined(qp, records):
     each certified again (certify_record) at its isolation radius in the
     joined list where that is below the radius it holds: a zero of the other
     list nearer than its own list's neighbors shrinks its isolation disk,
-    and a disk that held both zeros could not certify."""
+    and a disk that held both zeros could not certify.  Two records on one
+    zero raise DuplicateZeroError first (zeros._check_duplicates)."""
     return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
-            for rec, r in zip(records, zeros_mod.isolation_radii(records))]
+            for rec, r in zip(records, zeros_mod._distinct_isolation_radii(records))]
 
 
 def join_disk(qp, ladder, disk, on_ladder, certify=True):
@@ -218,20 +223,33 @@ def join_disk(qp, ladder, disk, on_ladder, certify=True):
     zero raise DuplicateZeroError; with certify, the joined list is
     certified again (certify_joined)."""
     joined = ladder + [rec for rec in disk if rec.nu is None or not on_ladder(rec.nu)]
+    if certify:
+        return certify_joined(qp, joined)
     zeros_mod._check_duplicates(joined)
-    return certify_joined(qp, joined) if certify else joined
+    return joined
 
 
-def _proven(qp, value, residual, cofactor, multiplicity, r):
-    """A certificate settled without a winding count: False when the radius
+def _proven(qp, tests):
+    """For each (value, residual, cofactor, multiplicity, r) of tests, the
+    certificate settled without a winding count: False when the radius
     leaves no room or the residual at value fails RESIDUAL_GATE, True when
-    the Rouche test (kernels.rouche_holds, from the cofactor at value)
-    proves a simple zero, None when a winding count decides."""
-    if not r > 0 or residual >= RESIDUAL_GATE:
-        return False
-    if multiplicity == 1 and kernels.rouche_holds(qp.k, value, *cofactor, r):
-        return True
-    return None
+    the Rouche test proves a simple zero, None when a winding count
+    decides.  One kernels.rouche_holds_list call, from the cofactors at the
+    values; a disk it need not test goes in with radius 0, which it reads
+    as not proven before any arithmetic."""
+    settled = []
+    disks = []
+    for value, residual, cofactor, multiplicity, r in tests:
+        if not r > 0 or residual >= RESIDUAL_GATE:
+            settled.append(False)
+            disks.append((value, cofactor, 0.0))
+        else:
+            settled.append(None)
+            disks.append((value, cofactor, r if multiplicity == 1 else 0.0))
+    for i, holds in enumerate(kernels.rouche_holds_list(qp.k, disks)):
+        if holds:
+            settled[i] = True
+    return settled
 
 
 def _certificate(record, certified, radius):
@@ -342,13 +360,16 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
     one (j, m), and every (j, m) gives a zero.  For |m| >= 2,
     |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
-    |m| > Y / (2 pi k) + 1; the rest are walked, and a value inside the cell
-    is polished and labelled by zeros._branch_zero, as the ladder does.  A
-    polish that leaves the cell drops its value, whose zero then lies across
-    the edge; one that fails raises its error.  At a z_j at the branch point
-    -1/e (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch
-    give one double zero, read by _double_zero into a ZeroRecord labelled by
-    the partner.  A cell reaching so far from the real axis that each root
+    |m| > Y / (2 pi k) + 1; the rest are walked, each root's branches in
+    one kernels.lambert_w_list call, and the values inside the cell, in
+    (j, m) order, are polished and labelled in one list by
+    zeros._polish_branches, as the ladder does.  A polish that leaves the
+    cell drops its value, whose zero then lies across the edge; one that
+    escapes its basin drops it too, and one that fails otherwise raises its
+    error.  At a z_j at the branch point -1/e
+    (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
+    one double zero, read by _double_zero into a ZeroRecord labelled by the
+    partner.  A cell reaching so far from the real axis that each root
     would walk more than STEP_BUDGET branches raises QuadratureStalledError
     before any is walked.
     """
@@ -360,15 +381,18 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
             f"step budget exhausted: the branch walk takes {2 * top + 1} branches per root")
     square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
     found = []
+    nus = []
+    seeds = []
+    ms = range(-top, top + 1)
     for j in range(k):
         z, logz = zeros_mod._lambert_root(qp, j)
         # the branch that meets W_0 at -1/e, when z_j is there
         partner = (int(-math.copysign(1.0, z.imag))
                    if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else None)
-        for m in range(-top, top + 1):
+        for m, w in zip(ms, kernels.lambert_w_list(z, ms, logz)):
             if m == partner:
                 continue
-            lam = -k * kernels.lambert_w(z, m, logz)
+            lam = -k * w
             if m == 0 and partner is not None:
                 c = _double_zero(qp, square, lam)
                 if c is not None:
@@ -376,12 +400,16 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
                         zeros_mod._branch_nu(qp, j, partner), c,
                         core.relative_residual(qp, c), c, 0, multiplicity=2))
             elif square.contains(lam):
-                try:
-                    polished = zeros_mod._branch_zero(qp, j, m, lam, tolerance)
-                except EscapedBasinError:
-                    continue
-                if square.contains(polished.value):
-                    found.append(polished)
+                nus.append(zeros_mod._branch_nu(qp, j, m))
+                seeds.append(lam)
+    while seeds:
+        polished, failure = zeros_mod._polish_branches(qp, nus, seeds, tolerance)
+        found += [p for p in polished if square.contains(p.value)]
+        if failure is None:
+            break
+        if not isinstance(failure, EscapedBasinError):
+            raise failure
+        del nus[:len(polished) + 1], seeds[:len(polished) + 1]
     return found
 
 
@@ -401,11 +429,14 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
         raise DomainError("radius must be a positive finite number")
     found, count = _outer_cell(qp, radius, tolerance)
     found.sort(key=zeros_mod.im_order)
-    # a simple zero certifies from its polish; the double zero at the
-    # branch point by certify_record's winding count
-    records = [certify_polished(qp, *rec, r) if isinstance(rec, zeros_mod._Polished)
-               else certify_record(qp, rec, r)
-               for rec, r in zip(found, zeros_mod.isolation_radii(found))]
+    radii = zeros_mod.isolation_radii(found)
+    # the simple zeros certify from their polish, in one list; the double
+    # zero at the branch point by certify_record's winding count
+    simple = [isinstance(rec, zeros_mod._Polished) for rec in found]
+    certified = iter(certify_polished(qp, [rec for rec, s in zip(found, simple) if s],
+                                      [r for r, s in zip(radii, simple) if s]))
+    records = [next(certified) if s else certify_record(qp, rec, r)
+               for rec, r, s in zip(found, radii, simple)]
     ok, failures = _count_identity(count, found, records)
     if not ok:
         listed = sum(rec.multiplicity for rec in found)

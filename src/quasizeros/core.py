@@ -20,7 +20,7 @@ DIRECT_RANGE = 700.0
 class QuasiPolynomial(namedtuple("QuasiPolynomial", "k a log_a")):
     """The pair (k, A) defining f(l) = e^l + A*l^k.
 
-    k must be a positive integer and A a nonzero complex coefficient.
+    k must be a positive integer and A a nonzero finite complex coefficient.
     log_a = ln|A| + i arg A (principal argument in (-pi, pi]) is derived
     once here; the kernels take it in place of A.  It is the tuple's third
     field, but a function of a: the constructor and _replace take only k
@@ -35,6 +35,8 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "k a log_a")):
         a = complex(a)
         if a == 0:
             raise DomainError("coefficient A must be nonzero")
+        if not cmath.isfinite(a):
+            raise DomainError(f"coefficient A must be finite, got {a!r}")
         arg = kernels.wrap_angle(math.atan2(a.imag, a.real))
         try:
             log_abs = math.log(abs(a))

@@ -7,10 +7,13 @@ zero is l = -k W_m(z_j), z_j = -1/(k w_j), for exactly one root w_j of
 w^k = -A and one branch m of Lambert W (Corless, Gonnet, Hare, Jeffrey &
 Knuth, Adv. Comput. Math. 5, 1996).  Index nu names j = nu mod k and
 m = (j - nu)/k - [nu > 0]; the k + 1 pairs no index names, (j, 0) for each
-j and (0, -1), are unlabelled.  _branch_zero Newton-polishes the W value of
-a pair (quadratic near simple zeros) and checks a named zero against the
-fixed-point equation Im l = 2*pi*nu + pi + arg A + k Arg l; the ladder and
-the disk search in the certify module both list their zeros through it.
+j and (0, -1), are unlabelled.  _polish_branches Newton-polishes the W
+values of a list of pairs (quadratic near simple zeros) and checks each
+named zero against the fixed-point equation
+Im l = 2*pi*nu + pi + arg A + k Arg l; the ladder and the disk search in the
+certify module both list their zeros through it.  Each stage runs once per
+list, through the kernels' list forms: the Lambert-W values of one root's
+branches, the polish, the index check and the certificate.
 asymptotic_zero (the ladder formula above), fixed_point_refine (the
 branch-anchored fixed-point iteration), newton_refine and branch_index are
 standalone references; the package paths call none of them.
@@ -24,12 +27,9 @@ from collections import namedtuple
 from . import core
 from ._backend import kernels
 from .errors import (
-    DerivativeVanishesError,
     DomainError,
     DuplicateZeroError,
-    EscapedBasinError,
     InvalidIndexError,
-    MaxIterationsError,
     NotConvergedError,
     TooFewRecordsError,
 )
@@ -152,10 +152,16 @@ def _lambert_root(qp, j):
 
 
 def _ladder_index(qp, value):
-    """The index nu whose fixed-point map (see fixed_point_refine) has value
-    as its fixed point: Im l = 2 pi nu + pi + arg A + k Arg l, rounded."""
-    z = complex(value)
-    return round((z.imag - qp.k * cmath.phase(z) - qp.arg_a - math.pi) / TWO_PI)
+    """_ladder_indices of one value."""
+    return _ladder_indices(qp, (complex(value),))[0]
+
+
+def _ladder_indices(qp, values):
+    """For each complex value, the index nu whose fixed-point map (see
+    fixed_point_refine) has it as its fixed point:
+    Im l = 2 pi nu + pi + arg A + k Arg l, rounded."""
+    k, arg_a = qp.k, qp.arg_a
+    return [round((z.imag - k * cmath.phase(z) - arg_a - math.pi) / TWO_PI) for z in values]
 
 
 def _ladder_branch(qp, nu):
@@ -177,27 +183,32 @@ def _branch_nu(qp, j, m):
 
 class _Polished(namedtuple("_Polished", "nu value residual seed iterations cofactor")):
     """One simple zero before its certificate: the polish's last iterate, its
-    residual and its cofactor (expdom, t) there (see kernels.newton_polish);
-    multiplicity 1, read like a ZeroRecord's."""
+    residual and its cofactor (expdom, t) there (see
+    kernels.newton_polish_list); multiplicity 1, read like a ZeroRecord's."""
 
     __slots__ = ()
     multiplicity = 1
 
 
-def _branch_zero(qp, j, m, seed, tolerance):
-    """The zero -k W_m(z_j), Newton-polished from that seed (z_j from
-    _lambert_root(qp, j)); a _Polished labelled by _branch_nu.  A named
-    zero's index is checked at the polish's last iterate; reaching another
-    index raises NotConvergedError, and a failed polish its own error."""
-    nu = _branch_nu(qp, j, m)
-    lam, residual, iterations, cofactor = _newton_polish(qp, seed, tolerance)
-    if nu is not None:
-        found = _ladder_index(qp, lam)
-        if found != nu:
+def _polish_branches(qp, nus, seeds, tolerance):
+    """The zeros -k W_m(z_j) of branch pairs labelled nus (_branch_nu; None
+    where no index names the pair), Newton-polished from their seeds, the
+    Lambert-W values, in one list (kernels.newton_polish_list).
+
+    Returns (polished, failure): a _Polished for each seed up to the first
+    whose polish fails, and that failure (None when none fails).  A named
+    zero's index is checked at its polish's last iterate, in list order;
+    reaching another index raises NotConvergedError."""
+    polished, failure = _newton_polish(qp, seeds, tolerance)
+    found = _ladder_indices(qp, [p[0] for p in polished])
+    out = []
+    for nu, seed, got, (lam, residual, iterations, cofactor) in zip(nus, seeds, found, polished):
+        if nu is not None and got != nu:
             raise NotConvergedError(
                 f"refinement failed for nu = {nu}: Newton reached the zero of "
-                f"index {found}")
-    return _Polished(nu, lam, residual, seed, iterations, cofactor)
+                f"index {got}")
+        out.append(_Polished(nu, lam, residual, seed, iterations, cofactor))
+    return out, failure
 
 
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
@@ -248,7 +259,7 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
 def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     """Polish a seed by Newton iteration until the relative residual passes.
 
-    A standalone reference; the package polishes through _branch_zero.
+    A standalone reference; the package polishes through _polish_branches.
     Each iterate costs one scaled evaluation, shared by its residual and its
     Newton step (kernels.newton_polish).  The record is labelled by
     branch_index (None for 0), which for k >= 3 can differ from the ladder's
@@ -258,19 +269,24 @@ def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     DerivativeVanishesError from critical points.
     """
     seed = complex(seed)
-    lam, residual, iterations, _cofactor = _newton_polish(qp, seed, tolerance, max_iterations)
+    polished, failure = _newton_polish(qp, (seed,), tolerance, max_iterations)
+    if failure is not None:
+        raise failure
+    lam, residual, iterations, _cofactor = polished[0]
     idx = branch_index(qp, lam)
     return ZeroRecord(nu=idx if idx != 0 else None, value=lam,
                       residual=residual, seed=seed, iterations=iterations)
 
 
-def _newton_polish(qp, seed, tolerance, max_iterations=NEWTON_ITERATIONS):
-    """kernels.newton_polish from the complex seed with ESCAPE_RADIUS:
-    (value, residual, iterations, cofactor at value)."""
-    if tolerance <= 0:
+def _newton_polish(qp, seeds, tolerance, max_iterations=NEWTON_ITERATIONS):
+    """kernels.newton_polish_list from the complex seeds with ESCAPE_RADIUS:
+    (polished, failure), each polished seed as (value, residual, iterations,
+    cofactor at value).  A tolerance that is not positive raises
+    InvalidIndexError once there is a seed to polish."""
+    if seeds and tolerance <= 0:
         raise InvalidIndexError("tolerance must be positive")
-    return kernels.newton_polish(qp.k, qp.log_a, seed, tolerance, max_iterations,
-                                 ESCAPE_RADIUS)
+    return kernels.newton_polish_list(qp.k, qp.log_a, seeds, tolerance, max_iterations,
+                                      ESCAPE_RADIUS)
 
 
 def _check_duplicates(records):
@@ -321,44 +337,66 @@ def isolation_radii(records):
     return [min(1.0, 0.5 * d) for d in _nearest_distances(records)]
 
 
+def _distinct_isolation_radii(records):
+    """isolation_radii(records), raising DuplicateZeroError where
+    _check_duplicates would.  That test fails only where two records lie
+    within DUPLICATE_DISTANCE, so it runs, and names the same pair, only
+    where a radius is below half that distance: a list of distinct zeros is
+    sorted and swept once."""
+    radii = isolation_radii(records)
+    if radii and min(radii) < 0.5 * DUPLICATE_DISTANCE:
+        _check_duplicates(records)
+    return radii
+
+
 def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     """Refined zeros for every index in [nu_min, nu_max] (nu = 0 skipped).
 
     Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu),
-    Newton-polished from that Lambert-W value (see _branch_zero); z_j is
-    computed once per root j.  A failure raises NotConvergedError naming
-    nu.  Records are sorted by nu; values collapsing within 1e-6 raise
-    DuplicateZeroError.  With certify=True each record is certified over its
-    isolation disk from its polish's final evaluation: the residual gate and
-    the Rouche test take the residual and cofactor the polish computed at the
-    value, and only a zero Rouche does not prove costs a winding count (see
-    certify.certify_polished; certify.certify_record re-checks the residual
-    of a stored record at its value).
+    Newton-polished from that Lambert-W value.  Each stage runs once over
+    the whole list: z_j is computed once per root j, the Lambert-W seeds of
+    each root's indices come from one kernels.lambert_w_list call, and the
+    polish and the index check run over the list in index order
+    (_polish_branches).  A failure raises NotConvergedError naming the first
+    nu that fails.  Records are sorted by nu; values collapsing within 1e-6
+    raise DuplicateZeroError.  With certify=True each record is certified
+    over its isolation disk from its polish's final evaluation: the residual
+    gate and the Rouche test take the residual and cofactor the polish
+    computed at the value, and only a zero Rouche does not prove costs a
+    winding count (see certify.certify_polished; certify.certify_record
+    re-checks the residual of a stored record at its value).
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
+    k = qp.k
     roots = {}
-    polished = []
-    for nu in range(nu_min, nu_max + 1):
-        if nu == 0:
-            continue
-        j, m = _ladder_branch(qp, nu)
-        root = roots.get(j)
-        if root is None:
-            root = roots[j] = _lambert_root(qp, j)
-        seed = -qp.k * kernels.lambert_w(root[0], m, root[1])
-        try:
-            polished.append(_branch_zero(qp, j, m, seed, tolerance))
-        except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
-            raise NotConvergedError(f"refinement failed for nu = {nu}: {exc}") from exc
-    _check_duplicates(polished)
+    nus = []
+    seeds = []
+    # the indices of each sign are consecutive; within one, those of a root
+    # j = nu mod k step by k and their branches m by -1 (_ladder_branch)
+    for run in (range(nu_min, min(nu_max, -1) + 1), range(max(nu_min, 1), nu_max + 1)):
+        base = len(seeds)
+        nus += run
+        seeds += [None] * len(run)
+        for i, nu in enumerate(run[:k]):
+            j, m = _ladder_branch(qp, nu)
+            root = roots.get(j)
+            if root is None:
+                root = roots[j] = _lambert_root(qp, j)
+            ms = range(m, m - len(run[i::k]), -1)
+            seeds[base + i:base + len(run):k] = [
+                -k * w for w in kernels.lambert_w_list(root[0], ms, root[1])]
+    polished, failure = _polish_branches(qp, nus, seeds, tolerance)
+    if failure is not None:
+        raise NotConvergedError(
+            f"refinement failed for nu = {nus[len(polished)]}: {failure}") from failure
     if not certify:
-        return [ZeroRecord(p.nu, p.value, p.residual, p.seed, p.iterations)
-                for p in polished]
+        _check_duplicates(polished)
+        return [ZeroRecord(nu, value, residual, seed, iterations)
+                for nu, value, residual, seed, iterations, _cofactor in polished]
     from . import certify as certify_mod
 
-    return [certify_mod.certify_polished(qp, *p, radius)
-            for p, radius in zip(polished, isolation_radii(polished))]
+    return certify_mod.certify_polished(qp, polished, _distinct_isolation_radii(polished))
 
 
 def gap_statistics(records):

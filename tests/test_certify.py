@@ -677,15 +677,15 @@ class TestEnumeration:
         # certificate takes the polish's last one, not certify_record's
         records = _counting(monkeypatch, certify_mod, "certify_record")
         evaluations = _counting(monkeypatch, kp, "residual_cofactor")
-        polish = zeros_mod._newton_polish
+        polish = kp.newton_polish_list
         iterations = []
 
         def counted(*args):
-            result = polish(*args)
-            iterations.append(result[2])
-            return result
+            polished, failure = polish(*args)
+            iterations.extend(p[2] for p in polished)
+            return polished, failure
 
-        monkeypatch.setattr(zeros_mod, "_newton_polish", counted)
+        monkeypatch.setattr(kp, "newton_polish_list", counted)
         recs = qz.find_zeros_in_disk(qp11, 100.0)
         assert len(recs) == 33 and all(r.certified for r in recs)
         assert records == []

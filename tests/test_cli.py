@@ -16,6 +16,16 @@ from quasizeros.cli import _build_parser, main
 from quasizeros.errors import DomainError
 
 
+def _reject_constant(name):
+    raise ValueError(f"the document holds {name}, which JSON does not allow")
+
+
+def loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity: a document the
+    CLI writes must be strict JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(*args, env=None):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     full_env = dict(os.environ)
@@ -38,7 +48,8 @@ class TestParsers:
     def test_complex(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "i+1", "1+", "2 3", "1+2", "abc"])
+    @pytest.mark.parametrize("bad", ["", "i+1", "1+", "2 3", "1+2", "abc", "nan", "inf+0i",
+                                     "1e400", "1e400+0i", "1-1e400i", "-1e400i"])
     def test_complex_rejects(self, bad):
         with pytest.raises(DomainError):
             parse_complex(bad)
@@ -57,12 +68,36 @@ class TestParsers:
         assert parse_complex(f"{re}{im:+}i") == complex(re, im)
 
 
+class TestNonFiniteInputs:
+    """A number that overflows the float range in --a or --point exits 2
+    with one DomainError line and no document."""
+
+    @pytest.mark.parametrize("argv", [
+        ("origin", "--k", "1", "--a", "1e400+0i", "--radius", "2"),
+        ("zeros", "--k", "1", "--a", "1e400+0i", "--nu", "1..2"),
+        ("bounds", "--k", "1", "--a", "1e400+0i", "--which", "T1", "--samples", "100"),
+        ("certify", "--k", "1", "--a", "1e400+0i", "--box", "-1,-1,1,1"),
+        ("classify", "--k", "1", "--a", "1e400+0i", "--h", "2", "--R", "5",
+         "--point", "1+1i"),
+        ("sector-radius", "--k", "1", "--a", "1e400+0i", "--h", "2", "--delta", "0.5"),
+        ("classify", "--k", "1", "--a", "1+0i", "--h", "2", "--R", "5",
+         "--point", "1e400+0i"),
+        ("zeros", "--k", "1", "--a", "1-1e400i", "--nu", "1..2"),
+    ], ids=["origin", "zeros", "bounds", "certify", "classify", "sector-radius",
+            "classify-point", "zeros-imaginary-part"])
+    def test_refused(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        error = loads(err)["error"]
+        assert error["type"] == "DomainError" and "1e400" in error["message"]
+
+
 class TestZerosCommand:
     def test_json_document(self):
         code, out, _ = run_cli("zeros", "--k", "1", "--a", "1+0i",
                                "--nu", "-5..5", "--tol", "1e-12", "--certify")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["command"] == "zeros"
         assert doc["quasipolynomial"] == {"k": 1, "a": {"re": 1.0, "im": 0.0}}
         assert len(doc["results"]) == 10
@@ -78,7 +113,7 @@ class TestZerosCommand:
         code, _out, err = run_cli("zeros", "--k", "1", "--a", "0+0i",
                                   "--nu", "1..2")
         assert code == 2
-        assert json.loads(err.strip())["error"]["type"] == "DomainError"
+        assert loads(err.strip())["error"]["type"] == "DomainError"
 
     def test_bad_tolerance_rejected(self):
         code, _out, _err = run_cli("zeros", "--k", "1", "--a", "1+0i",
@@ -153,7 +188,7 @@ class TestZerosCommand:
         code, _out, err = run_cli(*argv)
         assert code == 2
         assert err.count("\n") == 1
-        assert "message" in json.loads(err)["error"]
+        assert "message" in loads(err)["error"]
 
     def test_oversize_box_stalls(self, monkeypatch, capsys):
         # a box over the step budget exits 3 with one error line: its right
@@ -166,14 +201,14 @@ class TestZerosCommand:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.count("\n") == 1
-        assert json.loads(err)["error"]["type"] == "QuadratureStalledError"
+        assert loads(err)["error"]["type"] == "QuadratureStalledError"
 
     def test_box_with_corner_at_origin_counts(self, capsys):
         # the left side 5i -> 0 starts where e^l dominates and ends at 0
         code = main(["certify", "--k", "1", "--a", "0.1+0i", "--box", "0,0,5,5"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
-        assert json.loads(out)["summary"]["contour_count"] == 0
+        assert loads(out)["summary"]["contour_count"] == 0
 
     @pytest.mark.parametrize("argv", [
         ("origin", "--k", "3", "--a", "2+1i", "--radius", "10"),
@@ -183,7 +218,7 @@ class TestZerosCommand:
     def test_ladder_labels_distinct(self, argv):
         code, out, _ = run_cli(*argv)
         assert code == 0
-        indexed = [r for r in json.loads(out)["results"] if r["nu"] != "origin"]
+        indexed = [r for r in loads(out)["results"] if r["nu"] != "origin"]
         assert len({r["nu"] for r in indexed}) == len(indexed)
         assert all((r["nu"] > 0) == (r["im"] > 0) for r in indexed)
 
@@ -197,7 +232,7 @@ class TestZerosCommand:
         code, out, _ = run_cli("zeros", "--k", "1", "--a", a, "--nu", "-1..1",
                                "--certify")
         assert code == 0
-        results = json.loads(out)["results"]
+        results = loads(out)["results"]
         assert [r["nu"] for r in results] == [-1, 1]
         assert all(r["certified"] for r in results)
         for r, want in zip(results, (real, upper)):
@@ -228,7 +263,7 @@ class TestZerosCommand:
         got, out, err = run_cli("zeros", "--k", str(k), "--a", f"{a!r}+0i", "--nu", "-3..3",
                                 "--certify", "--with-disk", "5")
         assert got == code, err
-        results = json.loads(out)["results"]
+        results = loads(out)["results"]
         values = [complex(r["re"], r["im"]) for r in results]
         assert len(results) == count
         assert min(abs(u - v) for i, u in enumerate(values) for v in values[:i]) > 1e-6
@@ -243,7 +278,7 @@ class TestZerosCommand:
         code, out, _ = run_cli("zeros", "--k", "10", "--a", "1+0i", "--nu", "-3..3",
                                "--certify")
         assert code == 0
-        results = json.loads(out)["results"]
+        results = loads(out)["results"]
         assert [r["nu"] for r in results] == [-3, -2, -1, 1, 2, 3]
         assert all(r["certified"] for r in results)
 
@@ -251,7 +286,7 @@ class TestZerosCommand:
         code, _out, err = run_cli("zeros", "--k", "1", "--a", "1+0i",
                                   "--nu", "2609..2609")
         assert code == 3
-        error = json.loads(err)["error"]
+        error = loads(err)["error"]
         assert error["type"] == "NotConvergedError"
         assert "nu = 2609" in error["message"]
 
@@ -262,7 +297,7 @@ class TestZerosCommand:
         code, out, err = run_cli("zeros", "--k", "1", "--a", "1e-320+0i", "--nu", "1..3",
                                  "--certify")
         assert (code, err) == (0, "")
-        results = json.loads(out)["results"]
+        results = loads(out)["results"]
         assert [r["nu"] for r in results] == [1, 2, 3]
         for r in results:
             assert r["certified"] and r["residual"] < 1e-12
@@ -270,7 +305,7 @@ class TestZerosCommand:
             assert abs(lam.real - math.log(1e-320) - math.log(abs(lam))) < 1e-9
         code, out, err = run_cli("origin", "--k", "1", "--a", "1e-320+0i", "--radius", "5")
         assert (code, err) == (0, "")
-        assert json.loads(out)["summary"]["count"] == 0
+        assert loads(out)["summary"]["count"] == 0
 
     def test_coefficient_beyond_the_float_range(self):
         # |A| = 1.97e308 overflows abs(); ln|A| is formed from A/4.  The
@@ -278,7 +313,7 @@ class TestZerosCommand:
         code, out, err = run_cli("zeros", "--k", "1", "--a", "1.7e308+1e308i", "--nu", "-3..3",
                                  "--certify")
         assert (code, err) == (0, "")
-        results = json.loads(out)["results"]
+        results = loads(out)["results"]
         assert [r["nu"] for r in results] == [-3, -2, -1, 1, 2, 3]
         ln_a = math.log(abs(complex(1.7e308, 1e308) / 4)) + math.log(4.0)
         for r in results:
@@ -302,7 +337,7 @@ class TestZerosCommand:
         assert len(lines) == 4
         # floats round-trip exactly through the CSV text
         first = lines[1].split(",")
-        assert float(first[1]) == json.loads(
+        assert float(first[1]) == loads(
             run_cli("zeros", "--k", "1", "--a", "1+0i", "--nu", "1..3")[1]
         )["results"][0]["re"]
 
@@ -312,7 +347,7 @@ class TestZerosCommand:
                                "--nu", "1..2", "--out", str(path))
         assert code == 0
         assert out == ""
-        doc = json.loads(path.read_text())
+        doc = loads(path.read_text())
         assert len(doc["results"]) == 2
 
 
@@ -321,7 +356,7 @@ class TestOriginCommand:
         code, out, _ = run_cli("origin", "--k", "1", "--a", "1+0i",
                                "--radius", "2")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["count"] == 1
         rec = doc["results"][0]
         assert rec["nu"] == "origin"
@@ -332,7 +367,7 @@ class TestOriginCommand:
         # for k = 1 the Rouche test's second-order term is exactly 0
         code, out, err = run_cli("origin", "--k", "1", "--a", "1e300+0i", "--radius", "5")
         assert (code, err) == (0, "")
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"] == {"count": 1, "all_certified": True}
         assert doc["results"][0]["re"] == pytest.approx(-1e-300, rel=1e-12)
 
@@ -342,7 +377,7 @@ class TestOriginCommand:
         # tracker forms |A| |l|^k there in logarithms
         code, out, err = run_cli("origin", "--k", "2", "--a", "1e308+0i", "--radius", "5")
         assert (code, err) == (0, "")
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"] == {"count": 2, "all_certified": True}
         ims = sorted(r["im"] for r in doc["results"])
         assert ims == [pytest.approx(-1e-154, rel=1e-12), pytest.approx(1e-154, rel=1e-12)]
@@ -362,9 +397,9 @@ class TestOriginCommand:
         got, out, err = run_cli("origin", "--k", "1", "--a", "1+0i", "--radius", radius)
         assert got == code
         if error is None:
-            assert json.loads(out)["summary"]["count"] > 3000
+            assert loads(out)["summary"]["count"] > 3000
         else:
-            assert out == "" and json.loads(err)["error"]["type"] == error
+            assert out == "" and loads(err)["error"]["type"] == error
 
 
 class TestClassifyCommand:
@@ -374,7 +409,7 @@ class TestClassifyCommand:
                                "--point", "-100+0i", "--point", "100+0i",
                                "--point", "2.33+10i", "--point", "1+1i")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         tags = [row["tag"] for row in doc["results"]]
         assert tags == ["t_exterior_1", "t_exterior_2", "strip", "origin_disk"]
         assert doc["results"][2]["half"] == 1
@@ -386,7 +421,7 @@ class TestGapsCommand:
         code, out, _ = run_cli("gaps", "--k", "1", "--a", "1+0i",
                                "--nu", "20..25")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["count"] == 5
         assert doc["summary"]["max_deviation"] < 0.1
         for row in doc["results"]:
@@ -403,7 +438,7 @@ class TestSectorRadiusCommand:
         code, out, _ = run_cli("sector-radius", "--k", "1", "--h", "2",
                                "--delta", "0.5", "--samples", "2000")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["r_star"] == pytest.approx(8.68, abs=0.05)
         assert doc["summary"]["violations"] == 0
 
@@ -413,7 +448,7 @@ class TestSectorRadiusCommand:
         code, out, _ = run_cli("sector-radius", "--k", "1", "--h", "1e3",
                                "--delta", "0.5")
         assert code == 0
-        r_star = json.loads(out)["summary"]["r_star"]
+        r_star = loads(out)["summary"]["r_star"]
         assert (1e3 + math.log(r_star)) / r_star == pytest.approx(math.sin(0.5), rel=1e-9)
 
     def test_radius_beyond_sampled_shell_rejected(self):
@@ -424,7 +459,7 @@ class TestSectorRadiusCommand:
         assert code == 2 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "DomainError"
+        assert loads(lines[0])["error"]["type"] == "DomainError"
 
 
 class TestBoundsCommand:
@@ -433,7 +468,7 @@ class TestBoundsCommand:
                                "--which", "T1", "--samples", "5000",
                                "--seed", "1")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["pass"] is True
         assert doc["summary"]["min_margin"] >= 1.0
 
@@ -441,21 +476,21 @@ class TestBoundsCommand:
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "T1", "--samples", "1000",
                                "--seed", "7")
-        summary = json.loads(out)["summary"]
+        summary = loads(out)["summary"]
         assert code == 0
         assert round(summary["proven_margin"], 4) == 1.3935
         assert summary["min_margin"] >= summary["proven_margin"]
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "T2", "--samples", "1000",
                                "--seed", "7", "--s-branch", "2")
-        assert json.loads(out)["summary"]["proven_margin"] is None
+        assert loads(out)["summary"]["proven_margin"] is None
 
     def test_T2_printed_branch_fails(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "T2", "--samples", "100000",
                                "--seed", "1", "--s-branch", "2")
         assert code == 1
-        assert json.loads(out)["summary"]["pass"] is False
+        assert loads(out)["summary"]["pass"] is False
 
     def test_cdelta(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
@@ -463,7 +498,7 @@ class TestBoundsCommand:
                                "--seed", "1", "--delta", "0.5",
                                "--im-cap", "40")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["c_hat"] > 0
 
     @pytest.mark.parametrize("a, c_hat", [(-math.e * (1 + 1e-3), 1.0756),
@@ -476,7 +511,7 @@ class TestBoundsCommand:
         code, out, err = run_cli("bounds", "--k", "1", "--a", f"{a!r}+0i", "--which", "cdelta",
                                  "--delta", "0.5", "--samples", "2000")
         assert code == 0, err
-        summary = json.loads(out)["summary"]
+        summary = loads(out)["summary"]
         assert summary["pass"] is True and round(summary["c_hat"], 4) == c_hat
 
     @pytest.mark.parametrize("k, a", [("3", "1+0i"), ("2", "0+0.5i"), ("1", "-3+0i")])
@@ -489,14 +524,14 @@ class TestBoundsCommand:
         code, out, err = run_cli("bounds", "--k", k, "--a", a, "--which", "cdelta",
                                  "--samples", "2000")
         assert code == 0, err
-        assert json.loads(out)["summary"]["pass"] is True
+        assert loads(out)["summary"]["pass"] is True
 
     def test_cdelta_records_tol(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "cdelta", "--samples", "1000",
                                "--seed", "1", "--im-cap", "40", "--tol", "1e-10")
         assert code == 0
-        assert json.loads(out)["params"]["tol"] == 1e-10
+        assert loads(out)["params"]["tol"] == 1e-10
 
     @pytest.mark.parametrize("which", ["T1", "cdelta"])
     def test_s_branch_2_outside_T2_rejected(self, which):
@@ -505,7 +540,7 @@ class TestBoundsCommand:
                                  "--s-branch", "2")
         assert code == 2 and out == ""
         assert err.count("\n") == 1
-        assert json.loads(err)["error"]["type"] == "DomainError"
+        assert loads(err)["error"]["type"] == "DomainError"
 
     def test_thread_env_invariance(self):
         # The sampler's stream layout is fixed, so thread settings in the
@@ -531,7 +566,7 @@ def test_readme_box_examples():
     for k, a, box, count, steps in quoted:
         code, out, err = run_cli("certify", "--k", k, "--a", a, "--box", box)
         assert code == 0, err
-        summary = json.loads(out)["summary"]
+        summary = loads(out)["summary"]
         assert (summary["contour_count"], summary["segments_used"]) == (
             int(count.replace(",", "")), int(steps)), box
 
@@ -541,7 +576,7 @@ class TestCertifyRoundTrip:
         code, out, _ = run_cli("certify", "--k", "1", "--a", "1+0i",
                                "--box", "-10,5,10,33")
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["contour_count"] == 4
         assert set(doc["summary"]) == {"contour_count", "min_scaled_modulus", "segments_used"}
         assert isinstance(doc["summary"]["segments_used"], int)
@@ -551,7 +586,7 @@ class TestCertifyRoundTrip:
         code, out, err = run_cli("certify", "--k", "1", "--a", "1+0i",
                                  "--box", f"-10,0.5,10,{z.imag!r}")
         assert code == 3 and out == ""
-        assert json.loads(err)["error"]["type"] == "ZeroOnContourError"
+        assert loads(err)["error"]["type"] == "ZeroOnContourError"
 
     def test_round_trip_and_tamper(self, tmp_path):
         zpath = tmp_path / "zeros.json"
@@ -564,11 +599,11 @@ class TestCertifyRoundTrip:
         code, out, _ = run_cli("certify", "--k", "1", "--a", "1+0i",
                                "--box", box, "--expect-from", str(zpath))
         assert code == 0
-        doc = json.loads(out)
+        doc = loads(out)
         assert doc["summary"]["pass"] is True
         assert doc["summary"]["contour_count"] == doc["summary"]["expected_count"]
         # tamper: drop one in-window record
-        zdoc = json.loads(zpath.read_text())
+        zdoc = loads(zpath.read_text())
         kept = [r for r in zdoc["results"] if abs(r["im"]) < cap]
         zdoc["results"].remove(kept[0])
         tampered = tmp_path / "tampered.json"
@@ -576,7 +611,7 @@ class TestCertifyRoundTrip:
         code, out, _ = run_cli("certify", "--k", "1", "--a", "1+0i",
                                "--box", box, "--expect-from", str(tampered))
         assert code == 1
-        assert json.loads(out)["summary"]["pass"] is False
+        assert loads(out)["summary"]["pass"] is False
 
 
 class TestInProcessMain:

@@ -20,6 +20,12 @@ class TestQuasiPolynomial:
         with pytest.raises(DomainError):
             qz.QuasiPolynomial(1, 0j)
 
+    @pytest.mark.parametrize("a", [complex("nan"), complex("inf"), complex(1.0, -math.inf),
+                                   complex(math.nan, 0.0)])
+    def test_rejects_non_finite_coefficient(self, a):
+        with pytest.raises(DomainError, match="must be finite"):
+            qz.QuasiPolynomial(1, a)
+
     @pytest.mark.parametrize("k", [0, -1, 1.5])
     def test_rejects_bad_exponent(self, k):
         with pytest.raises(DomainError):

@@ -2,8 +2,8 @@
 the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
 ln|1 + t|, the contour segment kernels' tracked change of arg f against
 direct f unwrapped on a fine grid, the Lambert-W kernel against scipy, the Rouche disk test
-against its first-order predecessor and at (near-)double zeros, and the
-reported backend name."""
+against its first-order predecessor and at (near-)double zeros, the list
+kernels against their one-element calls, and the reported backend name."""
 
 import cmath
 import decimal
@@ -19,7 +19,7 @@ from scipy.special import lambertw
 
 from quasizeros import _kernels_py as kp, bounds, certify, core, zeros as zeros_mod
 from quasizeros._backend import backend_name
-from quasizeros.errors import EscapedBasinError, MaxIterationsError
+from quasizeros.errors import DerivativeVanishesError, EscapedBasinError, MaxIterationsError
 
 
 SPLITMIX64_SEED0 = [  # standard splitmix64 test vector for seed 0
@@ -402,6 +402,93 @@ def test_lambert_w_from_log_argument():
     for z in (0.3 + 2j, -5 - 1e-3j, 1e200 + 1e200j):
         for m in (-2, 0, 3):
             assert kp.lambert_w(z, m, cmath.log(z)) == kp.lambert_w(z, m)
+
+
+def _bits(w):
+    """A complex value bit for bit, signed zeros included."""
+    return w.real.hex(), w.imag.hex()
+
+
+_CUT = -1.0 / math.e
+
+
+@pytest.mark.parametrize("z, logz", [
+    # the branch-point series, above, below and on both sides of the cut
+    (complex(_CUT + 1e-3, 0.0), None), (complex(_CUT + 1e-3, -0.0), None),
+    (complex(_CUT + 1e-8, 1e-4), None), (complex(_CUT - 1e-3, -1e-4), None),
+    (complex(_CUT - 1e-3, 0.0), None), (complex(_CUT - 1e-3, -0.0), None),
+    # the cut on (-1/e, 0), where W_-1 above and W_1 below are real
+    (complex(-0.2, 0.0), None), (complex(-0.2, -0.0), None),
+    (complex(-1e-12, -0.0), None),
+    # m = 0 within 1e-2 of the cut on (-1, -1/e): the asymptotic seed
+    (complex(-0.5, 5e-3), None), (complex(-0.9, -5e-3), None), (complex(-0.5, -0.0), None),
+    # Log(1 + z) for m = 0, and the generic seed
+    (0.3 + 0.2j, None), (-3.0 + 1e-3j, None), (1e200 + 1e200j, None),
+    # a |z| beyond the float range, placed by its logarithm alone
+    (complex(math.inf, 0.0), complex(320 * math.log(10.0), 0.5)),
+    (complex(math.inf, -0.0), complex(320 * math.log(10.0), -2.0)),
+])
+def test_lambert_w_list_matches_one_branch_calls(z, logz):
+    # what depends on z alone is formed once per list; each branch's value
+    # must be the one-branch value bit for bit, in any order, repeats too
+    ms = [0, -1, 1, 2, -2, 0, 5, -37, 120, 1, -1]
+    got = kp.lambert_w_list(z, ms, logz)
+    assert [_bits(w) for w in got] == [_bits(kp.lambert_w(z, m, logz)) for m in ms]
+    assert [_bits(w) for w in kp.lambert_w_list(z, ms[::-1], logz)] == [
+        _bits(w) for w in got[::-1]]
+
+
+def _polish_seeds():
+    """k = 1, A = 1: three seeds 1e-6 from zeros -W_m(1)."""
+    qp = core.QuasiPolynomial(1, 1 + 0j)
+    z = zeros_mod.lambert_argument(qp, 0)
+    return qp, [-kp.lambert_w(z, m) + 1e-6 for m in (-2, 0, 3)]
+
+
+@pytest.mark.parametrize("offset, tolerance, iterations, escape, error", [
+    (0.1, 1e-12, 60, 1e-3, EscapedBasinError),
+    (None, 1e-12, 60, 3.0, DerivativeVanishesError),  # at l = i pi, f' = e^l + 1 = 0
+    (0.5, 1e-12, 2, 3.0, MaxIterationsError),
+])
+def test_newton_polish_list_stops_at_the_first_failure(offset, tolerance, iterations,
+                                                       escape, error):
+    qp, seeds = _polish_seeds()
+    bad = 1j * math.pi if offset is None else seeds[2] + offset
+    args = (tolerance, iterations, escape)
+    with pytest.raises(error) as info:
+        kp.newton_polish(1, qp.log_a, bad, *args)
+    polished, failure = kp.newton_polish_list(1, qp.log_a, [*seeds[:2], bad, seeds[2]], *args)
+    # the seeds before it polished as one-seed calls do, the failure the
+    # one-seed call's, and nothing polished after it
+    assert polished == [kp.newton_polish(1, qp.log_a, s, *args) for s in seeds[:2]]
+    assert type(failure) is error and str(failure) == str(info.value)
+    assert kp.newton_polish_list(1, qp.log_a, seeds, *args) == (
+        [kp.newton_polish(1, qp.log_a, s, *args) for s in seeds], None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_rouche_holds_list_matches_one_disk_calls(k):
+    # radii below, at and above 1 in mixed order, so the list's tail
+    # e^r - 1 - r - r^2/2, formed again only where the radius changes, is
+    # reused across equal radii and re-formed across different ones
+    rng = random.Random(40 + k)
+    qp = core.QuasiPolynomial(k, 2 + 1j)
+    disks = []
+    for j in range(k):
+        z = zeros_mod.lambert_argument(qp, j)
+        for m in (-3, -1, 1, 4):
+            lam = -k * kp.lambert_w(z, m) + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+            cofactor = kp.residual_cofactor(k, qp.log_a, lam)[1]
+            for r in (1e-3, 0.3, 0.3, 0.999, 1.0, 1.0, 1.7, 6.0, 0.0, -1.0, 700.0):
+                disks.append((lam, cofactor, r))
+    rng.shuffle(disks)
+    got = kp.rouche_holds_list(k, disks)
+    assert got == [kp.rouche_holds(k, lam, *cofactor, r) for lam, cofactor, r in disks]
+    assert got == [kp.rouche_isolates(k, qp.log_a, lam, r) for lam, cofactor, r in disks]
+    assert True in got and False in got
+    # a radius the test refuses is not proven before the cofactor is read
+    assert kp.rouche_holds_list(k, [(0j, None, 0.0), (disks[0][0], None, -1.0)]) == [
+        False, False]
 
 
 def test_origin_radius_scaled_keeps_its_bound():

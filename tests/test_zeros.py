@@ -375,18 +375,18 @@ class TestLadderParity:
     @pytest.mark.parametrize("certify", [True, False])
     def test_matches_reference_composition(self, certify, monkeypatch):
         seeds = []
-        lambert_w = kp.lambert_w
+        lambert_w_list = kp.lambert_w_list
 
-        def counted(*args):
-            seeds.append(args)
-            return lambert_w(*args)
+        def counted(z, ms, logz=None):
+            seeds.extend(ms)
+            return lambert_w_list(z, ms, logz)
 
         rereads = failures = 0
         for k, a, lo, hi in _parity_cases():
             qp = qz.QuasiPolynomial(k, a)
-            monkeypatch.setattr(kp, "lambert_w", counted)
+            monkeypatch.setattr(kp, "lambert_w_list", counted)
             got = _ladder_outcome(qp, lo, hi, certify)
-            monkeypatch.setattr(kp, "lambert_w", lambert_w)
+            monkeypatch.setattr(kp, "lambert_w_list", lambert_w_list)
             if isinstance(got, tuple):
                 failures += 1
             else:
@@ -420,7 +420,7 @@ class TestLadderParity:
 class TestLadderWork:
     """Each ladder zero costs one Lambert-W seed, one scaled evaluation per
     Newton iterate and one record; a Rouche certificate reuses the last
-    evaluation."""
+    evaluation.  Each stage is one list kernel call over the range."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -460,6 +460,20 @@ class TestLadderWork:
         # one cofactor per Newton iterate, the last one shared by the
         # residual gate and the Rouche test
         assert len(cofactors) == sum(rec.iterations + 1 for rec in records)
+
+    @pytest.mark.parametrize("k, a, lo, hi, roots", [
+        (1, 1 + 0j, -1000, 1000, 2), (3, 2 + 1j, -50, 50, 6), (25, 1 + 0j, 1, 20, 20)])
+    def test_one_kernel_call_per_list(self, monkeypatch, k, a, lo, hi, roots):
+        # the seeds come one Lambert-W list per root and sign of nu, and the
+        # polish and the Rouche test take the whole range in one call each
+        lambert = self._count(monkeypatch, kp, "lambert_w_list")
+        polish = self._count(monkeypatch, kp, "newton_polish_list")
+        rouche = self._count(monkeypatch, kp, "rouche_holds_list")
+        records = qz.zeros_in_index_range(qz.QuasiPolynomial(k, a), lo, hi)
+        assert len(lambert) == roots
+        assert sum(len(args[1]) for args in lambert) == len(records)
+        assert [len(args[2]) for args in polish] == [len(records)]
+        assert [len(args[1]) for args in rouche] == [len(records)]
 
     @pytest.mark.parametrize("certify", [True, False])
     def test_one_record_per_zero(self, monkeypatch, certify):
