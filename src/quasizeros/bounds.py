@@ -270,7 +270,13 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
     y_min = math.sqrt(max(r_cut * r_cut - re_at_r * re_at_r, 0.0))
     pad = delta + 1.0
     y_hi = im_cap + pad
-    x_lo = k * math.log(r_cut) - h - pad
+    # no strip point lies left of x* < 0, the root of x = k ln(-x) - h: each
+    # has Re l >= k ln|l| - h >= k ln|Re l| - h, and x - k ln(-x) + h
+    # increases on x < 0; x* = -k W_0(e^(h/k) / k)
+    log_z = h / k - math.log(k)
+    z = math.exp(log_z) if log_z < 709.0 else math.inf
+    x_star = -k * kernels.lambert_w(z, 0, complex(log_z)).real
+    x_lo = max(k * math.log(r_cut) - h, x_star) - pad
     x_hi = h + k * math.log(y_hi + 5.0) + pad
     y_lo = max(y_min - pad, 1.0)
     if y_lo >= y_hi:

@@ -24,7 +24,9 @@ Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), so walking the
 (j, m) a square can hold and polishing each value lists its zeros; the
 square's winding count then checks the list (count-then-polish run in
 reverse; Kravanja & Van Barel, LNM 1727, 2000), polished and labelled by
-the ladder's own zeros._polish_branches.  When the identity fails the disk
+the ladder's own zeros._polish_branches and zeros._check_indices; for real
+A > 0 one zero of each conjugate pair is polished and the other is its
+conjugate, and the count checks the whole list.  When the identity fails the disk
 search raises SubdivisionStalledError.
 
 A certified record has exactly `multiplicity` zeros in the open disk
@@ -362,11 +364,16 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
     |m| > Y / (2 pi k) + 1; the rest are walked, each root's branches in
     one kernels.lambert_w_list call, and the values inside the cell, in
-    (j, m) order, are polished and labelled in one list by
-    zeros._polish_branches, as the ladder does.  A polish that leaves the
+    (j, m) order, are polished in one list by zeros._polish_branches and
+    index-checked by zeros._check_indices, as the ladder does.  For real
+    A > 0 and a cell symmetric about the real axis only one branch of each
+    conjugate pair (j, m), (k - 1 - j, -m) is walked and polished (the
+    roots with 2j + 1 <= k, and the branches m <= 0 of a root that is its
+    own partner), and the other is listed as its conjugate
+    (zeros._conjugate), index-checked too.  A polish that leaves the
     cell drops its value, whose zero then lies across the edge; one that
-    escapes its basin drops it too, and one that fails otherwise raises its
-    error.  At a z_j at the branch point -1/e
+    escapes its basin drops it and its conjugate too, and one that fails
+    otherwise raises its error.  At a z_j at the branch point -1/e
     (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
     one double zero, read by _double_zero into a ZeroRecord labelled by the
     partner.  A cell reaching so far from the real axis that each root
@@ -380,36 +387,51 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
         raise QuadratureStalledError(
             f"step budget exhausted: the branch walk takes {2 * top + 1} branches per root")
     square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
+    # a cell symmetric about the real axis holds the conjugate of each of
+    # its zeros, which for real A > 0 is another branch's (zeros._partner)
+    mirror = ymin == -ymax and zeros_mod._partner(qp, 0) is not None
     found = []
     nus = []
     seeds = []
-    ms = range(-top, top + 1)
+    partners = []
     for j in range(k):
+        conj = zeros_mod._partner(qp, j) if mirror else None
+        if conj is not None and conj[0] < j:
+            continue
+        # a root that is its own partner gives the conjugates of its
+        # branches m < 0 on the branches -m
+        ms = range(-top, 1 if conj is not None and conj[0] == j else top + 1)
         z, logz = zeros_mod._lambert_root(qp, j)
         # the branch that meets W_0 at -1/e, when z_j is there
-        partner = (int(-math.copysign(1.0, z.imag))
-                   if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else None)
+        double = (int(-math.copysign(1.0, z.imag))
+                  if abs(math.e * z + 1.0) < BRANCH_POINT_DISTANCE else None)
         for m, w in zip(ms, kernels.lambert_w_list(z, ms, logz)):
-            if m == partner:
+            if m == double:
                 continue
             lam = -k * w
-            if m == 0 and partner is not None:
+            if m == 0 and double is not None:
                 c = _double_zero(qp, square, lam)
                 if c is not None:
                     found.append(zeros_mod.ZeroRecord(
-                        zeros_mod._branch_nu(qp, j, partner), c,
+                        zeros_mod._branch_nu(qp, j, double), c,
                         core.relative_residual(qp, c), c, 0, multiplicity=2))
             elif square.contains(lam):
                 nus.append(zeros_mod._branch_nu(qp, j, m))
                 seeds.append(lam)
+                pair = zeros_mod._partner(qp, j, m) if mirror else None
+                partners.append(None if pair == (j, m) else pair)
     while seeds:
         polished, failure = zeros_mod._polish_branches(qp, nus, seeds, tolerance)
+        n = len(polished)
+        polished += [zeros_mod._conjugate(p, zeros_mod._branch_nu(qp, *pair))
+                     for p, pair in zip(polished, partners) if pair is not None]
+        zeros_mod._check_indices(qp, polished)
         found += [p for p in polished if square.contains(p.value)]
         if failure is None:
             break
         if not isinstance(failure, EscapedBasinError):
             raise failure
-        del nus[:len(polished) + 1], seeds[:len(polished) + 1]
+        del nus[:n + 1], seeds[:n + 1], partners[:n + 1]
     return found
 
 

@@ -38,6 +38,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Options must be spelled out: an abbreviation would read `--h` as
+    `--help` where a subcommand has no `--h`, and print help, not JSON."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

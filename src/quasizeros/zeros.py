@@ -8,12 +8,14 @@ w^k = -A and one branch m of Lambert W (Corless, Gonnet, Hare, Jeffrey &
 Knuth, Adv. Comput. Math. 5, 1996).  Index nu names j = nu mod k and
 m = (j - nu)/k - [nu > 0]; the k + 1 pairs no index names, (j, 0) for each
 j and (0, -1), are unlabelled.  _polish_branches Newton-polishes the W
-values of a list of pairs (quadratic near simple zeros) and checks each
-named zero against the fixed-point equation
+values of a list of pairs (quadratic near simple zeros) and _check_indices
+checks each named zero against the fixed-point equation
 Im l = 2*pi*nu + pi + arg A + k Arg l; the ladder and the disk search in the
-certify module both list their zeros through it.  Each stage runs once per
+certify module both list their zeros through them.  Each stage runs once per
 list, through the kernels' list forms: the Lambert-W values of one root's
-branches, the polish, the index check and the certificate.
+branches, the polish, the index check and the certificate.  For real A > 0
+the zeros come in conjugate pairs (_partner), and both searches polish one
+zero of each pair and take the other as its exact conjugate.
 asymptotic_zero (the ladder formula above), fixed_point_refine (the
 branch-anchored fixed-point iteration), newton_refine and branch_index are
 standalone references; the package paths call none of them.
@@ -39,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 #: Newton steps the ladder allows each zero (newton_refine's default)
 NEWTON_ITERATIONS = 60
 
-#: refined values closer than this collapse onto one zero
+#: refined values closer than this times min(1, |l|) collapse onto one zero
 DUPLICATE_DISTANCE = 1e-6
 
 #: Newton iterates farther than this from the seed abandon the branch; kept
@@ -53,7 +55,7 @@ ESCAPE_RADIUS = 3.0
 #: steps (~230 per decade at worst).
 FIXED_POINT_CONTRACTION = 0.99
 
-#: |Im l| at or below this times max(1, |l|) counts as the real axis
+#: |Im l| at or below this times |l| counts as the real axis
 REAL_AXIS_NOISE = 1e-9
 
 
@@ -68,7 +70,10 @@ class ZeroRecord(namedtuple("ZeroRecord", "nu value residual seed iterations cer
     residual is the relative residual |f|/max(|e^l|, |A l^k|) at
     value.  certified means exactly `multiplicity` zeros lie in the open
     disk |l - value| < isolation_radius, proven by the Rouche disk test for
-    simple zeros and otherwise by a winding count.
+    simple zeros and otherwise by a winding count.  For real A > 0 the
+    ladder and the disk search list the zeros as exact conjugate pairs:
+    one of each pair is polished, and its partner's value and seed are the
+    conjugates, with the same residual and iterations.
     """
 
     __slots__ = ()
@@ -111,23 +116,49 @@ def branch_index(qp, value):
 
 
 def _on_real_axis(z):
-    return abs(z.imag) <= REAL_AXIS_NOISE * max(1.0, abs(z))
+    return abs(z.imag) <= REAL_AXIS_NOISE * abs(z)
 
 
 def im_order(record):
     """Sort key of a record: (Im, Re) of its value, with an Im within
-    REAL_AXIS_NOISE of the real axis read as 0, so real zeros come in Re
-    order whatever the sign of their rounding-level Im."""
+    REAL_AXIS_NOISE * |l| of the real axis read as 0, so real zeros come in
+    Re order whatever the sign of their rounding-level Im, at every scale."""
     z = record.value
     return (0.0 if _on_real_axis(z) else z.imag), z.real
+
+
+def _partner(qp, j, m=0):
+    """The branch pair whose zero is the conjugate of the zero -k W_m(z_j),
+    or None where no pair is taken by conjugation.
+
+    For real A > 0, f(conj l) = conj f(l), and the root w_(k-1-j) of w^k = -A
+    is conj w_j, so z_(k-1-j) = conj z_j and -k W_-m(z_(k-1-j)) =
+    conj(-k W_m(z_j)) (W_-m(conj z) = conj W_m(z) off the cut; Corless,
+    Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996): the
+    partner is (k - 1 - j, -m), and a named zero's index nu becomes
+    -nu - 1 (_branch_nu).  For odd k the root j = (k - 1)/2 is its own
+    partner: z_j > 0, whose W_0 is real.  For real A < 0, z_(k-1) lies on
+    the cut, and complex A has no conjugate symmetry, so there the result
+    is None."""
+    return (qp.k - 1 - j, -m) if qp.arg_a == 0.0 else None
 
 
 def lambert_argument(qp, j):
     """z_j = -1/(k w_j) for the root w_j = exp((Log A + i pi (2j + 1)) / k)
     of w^k = -A.  Every zero of f solves e^(l/k) = w_j l for exactly one j,
-    so it is l = -k W_m(z_j) for exactly one branch m of Lambert W."""
+    so it is l = -k W_m(z_j) for exactly one branch m of Lambert W.
+
+    For real A > 0 the roots come in conjugate pairs (_partner): z_j is
+    formed only where 2j + 1 <= k, root k - 1 - j is its exact conjugate,
+    and the real z_j of j = (k - 1)/2 has Im exactly 0.0."""
     k = qp.k
-    return -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+    partner = _partner(qp, j)
+    if partner is not None and partner[0] < j:
+        return lambert_argument(qp, partner[0]).conjugate()
+    z = -1.0 / (k * cmath.exp((qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / k))
+    if partner is not None and partner[0] == j:
+        return complex(z.real, 0.0)
+    return z
 
 
 def _lambert_root(qp, j):
@@ -135,17 +166,25 @@ def _lambert_root(qp, j):
     where z_j is finite and nonzero; where |z_j| = 1/(k |A|^(1/k)) leaves the
     float range (|A| below about 1e-308 for k = 1) it is formed from Log A,
     as -ln k - (Log A + i pi (2j + 1)) / k + i pi, wrapped to (-pi, pi].
+    For real A > 0 root k - 1 - j is the exact conjugate of root j, and a
+    real z_j has a real Log z_j (see lambert_argument).
 
     For real A < 0, z_(k-1) lies on the cut, and the (j, m) labels read it
     from below, the side that arg A -> pi reaches (above it, W_1 below is
     W_-1 above and every other W_m below with m != 0 is W_(m-1) above).
     Where rounding puts it above, both are conjugated."""
+    partner = _partner(qp, j)
+    if partner is not None and partner[0] < j:
+        z, logz = _lambert_root(qp, partner[0])
+        return z.conjugate(), logz.conjugate()
     z = lambert_argument(qp, j)
     if z and cmath.isfinite(z):
         logz = cmath.log(z)
     else:
         u = (qp.log_a + complex(0.0, math.pi * (2 * j + 1))) / qp.k
         logz = complex(-math.log(qp.k) - u.real, kernels.wrap_angle(math.pi - u.imag))
+        if partner is not None and partner[0] == j:
+            logz = complex(logz.real, 0.0)
     if j == qp.k - 1 and qp.arg_a == math.pi and logz.imag > 0:
         return z.conjugate(), logz.conjugate()
     return z, logz
@@ -196,19 +235,34 @@ def _polish_branches(qp, nus, seeds, tolerance):
     Lambert-W values, in one list (kernels.newton_polish_list).
 
     Returns (polished, failure): a _Polished for each seed up to the first
-    whose polish fails, and that failure (None when none fails).  A named
-    zero's index is checked at its polish's last iterate, in list order;
-    reaching another index raises NotConvergedError."""
+    whose polish fails, and that failure (None when none fails).  The
+    labels are not checked here (_check_indices)."""
     polished, failure = _newton_polish(qp, seeds, tolerance)
-    found = _ladder_indices(qp, [p[0] for p in polished])
-    out = []
-    for nu, seed, got, (lam, residual, iterations, cofactor) in zip(nus, seeds, found, polished):
-        if nu is not None and got != nu:
+    return [_Polished(nu, lam, residual, seed, iterations, cofactor)
+            for nu, seed, (lam, residual, iterations, cofactor)
+            in zip(nus, seeds, polished)], failure
+
+
+def _conjugate(polished, nu):
+    """The conjugate of a polished zero of real A > 0, labelled nu (its
+    partner's label, see _partner): value and seed conjugated, the
+    cofactor (expdom, conj t), the same residual and iterations.  This is
+    bit for bit what polishing the conjugate seed gives, since every step
+    of the polish commutes with conjugation when Log A is real."""
+    expdom, t = polished.cofactor
+    return _Polished(nu, polished.value.conjugate(), polished.residual,
+                     polished.seed.conjugate(), polished.iterations, (expdom, t.conjugate()))
+
+
+def _check_indices(qp, polished):
+    """Check each named zero's index at its polish's last iterate, in list
+    order; reaching another index raises NotConvergedError."""
+    found = _ladder_indices(qp, [p.value for p in polished])
+    for p, got in zip(polished, found):
+        if p.nu is not None and got != p.nu:
             raise NotConvergedError(
-                f"refinement failed for nu = {nu}: Newton reached the zero of "
+                f"refinement failed for nu = {p.nu}: Newton reached the zero of "
                 f"index {got}")
-        out.append(_Polished(nu, lam, residual, seed, iterations, cofactor))
-    return out, failure
 
 
 def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
@@ -289,10 +343,18 @@ def _newton_polish(qp, seeds, tolerance, max_iterations=NEWTON_ITERATIONS):
                                       ESCAPE_RADIUS)
 
 
+def _duplicate(value, distance):
+    """Whether a zero at value and one at distance from it are one zero:
+    closer than DUPLICATE_DISTANCE * min(1, |value|), since a duplicate
+    polish lands within the polish's relative tolerance of the other.  The
+    absolute test comes first, so zeros with |l| >= 1 pay nothing more."""
+    return distance < DUPLICATE_DISTANCE and distance < DUPLICATE_DISTANCE * abs(value)
+
+
 def _check_duplicates(records):
     ordered = sorted(records, key=lambda r: (r.value.imag, r.value.real))
     for a, b in zip(ordered, ordered[1:]):
-        if abs(a.value - b.value) < DUPLICATE_DISTANCE:
+        if _duplicate(a.value, abs(a.value - b.value)):
             raise DuplicateZeroError(
                 f"indices {a.nu} and {b.nu} converged to the same zero "
                 f"{a.value:.9g}")
@@ -340,9 +402,9 @@ def isolation_radii(records):
 def _distinct_isolation_radii(records):
     """isolation_radii(records), raising DuplicateZeroError where
     _check_duplicates would.  That test fails only where two records lie
-    within DUPLICATE_DISTANCE, so it runs, and names the same pair, only
-    where a radius is below half that distance: a list of distinct zeros is
-    sorted and swept once."""
+    within DUPLICATE_DISTANCE * min(1, |l|), so it runs, and names the same
+    pair, only where a radius is below half DUPLICATE_DISTANCE: a list of
+    distinct zeros with |l| >= 1 is sorted and swept once."""
     radii = isolation_radii(records)
     if radii and min(radii) < 0.5 * DUPLICATE_DISTANCE:
         _check_duplicates(records)
@@ -356,11 +418,16 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     Newton-polished from that Lambert-W value.  Each stage runs once over
     the whole list: z_j is computed once per root j, the Lambert-W seeds of
     each root's indices come from one kernels.lambert_w_list call, and the
-    polish and the index check run over the list in index order
-    (_polish_branches).  A failure raises NotConvergedError naming the first
-    nu that fails.  Records are sorted by nu; values collapsing within 1e-6
-    raise DuplicateZeroError.  With certify=True each record is certified
-    over its isolation disk from its polish's final evaluation: the residual
+    polish runs over the list in index order.  For real A > 0 the zeros
+    are listed as exact conjugate pairs: index -nu - 1 names the conjugate
+    of zero nu (_partner), so of each pair nu, -nu - 1 inside the range
+    only the negative index is seeded and polished, and the positive one is
+    its conjugate (_conjugate).  Every record's index is then checked, in
+    index order (_check_indices).  A failure raises NotConvergedError
+    naming the first nu that fails.  Records are sorted by nu; values
+    collapsing within DUPLICATE_DISTANCE * min(1, |l|) raise
+    DuplicateZeroError.  With certify=True each record is certified over
+    its isolation disk from its polish's final evaluation: the residual
     gate and the Rouche test take the residual and cofactor the polish
     computed at the value, and only a zero Rouche does not prove costs a
     winding count (see certify.certify_polished; certify.certify_record
@@ -369,12 +436,17 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
     k = qp.k
+    negative = range(nu_min, min(nu_max, -1) + 1)
+    positive = range(max(nu_min, 1), nu_max + 1)
+    # the positive indices 1 .. -nu_min - 1 are the partners -nu - 1 of
+    # negative ones in the range
+    mirrored = max(0, min(len(positive), -nu_min - 1)) if _partner(qp, 0) is not None else 0
     roots = {}
     nus = []
     seeds = []
     # the indices of each sign are consecutive; within one, those of a root
     # j = nu mod k step by k and their branches m by -1 (_ladder_branch)
-    for run in (range(nu_min, min(nu_max, -1) + 1), range(max(nu_min, 1), nu_max + 1)):
+    for run in (negative, positive[mirrored:]):
         base = len(seeds)
         nus += run
         seeds += [None] * len(run)
@@ -382,14 +454,24 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
             j, m = _ladder_branch(qp, nu)
             root = roots.get(j)
             if root is None:
-                root = roots[j] = _lambert_root(qp, j)
+                # a root whose conjugate partner is formed is its conjugate
+                pair = _partner(qp, j)
+                root = roots[j] = (_lambert_root(qp, j) if pair is None or pair[0] not in roots
+                                   else tuple(x.conjugate() for x in roots[pair[0]]))
             ms = range(m, m - len(run[i::k]), -1)
             seeds[base + i:base + len(run):k] = [
                 -k * w for w in kernels.lambert_w_list(root[0], ms, root[1])]
     polished, failure = _polish_branches(qp, nus, seeds, tolerance)
+    n = len(negative)
+    if mirrored and len(polished) >= n:
+        polished[n:n] = [_conjugate(polished[-nu - 1 - nu_min], nu)
+                         for nu in range(1, mirrored + 1)]
+    _check_indices(qp, polished)
     if failure is not None:
+        i = len(polished)
         raise NotConvergedError(
-            f"refinement failed for nu = {nus[len(polished)]}: {failure}") from failure
+            f"refinement failed for nu = {negative[i] if i < n else positive[i - n]}: "
+            f"{failure}") from failure
     if not certify:
         _check_duplicates(polished)
         return [ZeroRecord(nu, value, residual, seed, iterations)
@@ -421,11 +503,15 @@ def gap_statistics(records):
 
 
 def separation_radius(records):
-    """Half the minimum pairwise distance; disks of this radius are disjoint."""
+    """Half the minimum pairwise distance; disks of this radius are disjoint.
+    Two records within DUPLICATE_DISTANCE * min(1, |l|) of each other raise
+    DuplicateZeroError."""
     if len(records) < 2:
         raise TooFewRecordsError("separation radius needs at least two records")
-    best = min(_nearest_distances(records))
-    if best < DUPLICATE_DISTANCE:
+    nearest = _nearest_distances(records)
+    best = min(nearest)
+    if best < DUPLICATE_DISTANCE and any(_duplicate(rec.value, d)
+                                         for rec, d in zip(records, nearest)):
         raise DuplicateZeroError(f"records contain a duplicate (distance {best:.3g})")
     return 0.5 * best
 

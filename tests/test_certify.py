@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -810,6 +811,80 @@ class TestBranchProof:
             for dx, want in ((-1e-6, 1), (1e-6, 0)):
                 box = qz.Rectangle(complex(x + dx, -1), complex(x + 0.5, 1))
                 assert qz.winding_count(qp, box).count == want
+
+
+class TestConjugateWalk:
+    """For real A > 0 the disk search walks one branch of each conjugate
+    pair (j, m), (k - 1 - j, -m) and lists the other as its conjugate."""
+
+    @staticmethod
+    def _disks():
+        rng = random.Random(2603)
+        disks = [(1, 1.0, 40.0), (2, 3.0, 8.0), (3, 1.0, 5.0), (3, 1e300, 1.0),
+                 (25, 1e150, 1.0), (4, 1e-300, 3.0)]
+        for k in (1, 2, 3, 4, 5, 7, 10, 25):
+            disks += [(k, 10 ** rng.uniform(-3, 3), rng.uniform(1, 25)) for _ in range(3)]
+        return disks
+
+    def test_disk_lists_exact_conjugates(self, monkeypatch):
+        seeds = []
+        polish = kp.newton_polish_list
+
+        def counted(k, log_a, values, *args):
+            seeds.extend(values)
+            return polish(k, log_a, values, *args)
+
+        monkeypatch.setattr(kp, "newton_polish_list", counted)
+        for k, a, radius in self._disks():
+            qp = qz.QuasiPolynomial(k, complex(a, 0.0))
+            seeds.clear()
+            found, count = certify_mod._outer_cell(qp, radius, 1e-12)
+            # the count identity over the mirrored list
+            assert count == sum(rec.multiplicity for rec in found), (k, a, radius)
+            # the real zeros, W_0 of the self-paired root, are polished alone
+            real = [rec for rec in found if zeros_mod._on_real_axis(rec.value)]
+            assert all(rec.nu is None for rec in real) and len(real) <= k % 2
+            values = {(rec.value.real, rec.value.imag) for rec in found if rec not in real}
+            assert len(values) == len(found) - len(real)
+            assert values == {(x, -y) for x, y in values}, (k, a, radius)
+            assert len(seeds) == len(values) // 2 + len(real), (k, a, radius)
+            recs = qz.find_zeros_in_disk(qp, radius)
+            assert all(rec.certified for rec in recs)
+            listed = {(rec.value.real, rec.value.imag) for rec in recs
+                      if not zeros_mod._on_real_axis(rec.value)}
+            assert listed == {(x, -y) for x, y in listed}
+
+    def test_mirror_is_the_walk(self):
+        # a cell just off symmetric walks every root; inside the symmetric
+        # cell it lists the mirrored walk's zeros, bit for bit, labels,
+        # seeds and cofactors included
+        for k, a, radius in self._disks()[:14]:
+            qp = qz.QuasiPolynomial(k, complex(a, 0.0))
+            cell = certify_mod._square(radius, 0)
+            mirrored = certify_mod._branch_zeros(qp, cell)
+            xmin, xmax, ymin, ymax = cell
+            walked = certify_mod._branch_zeros(qp, (xmin, xmax, ymin, math.nextafter(ymax, 0)))
+            key = lambda p: (p.value.imag, p.value.real)  # noqa: E731
+            assert sorted(map(repr, sorted(mirrored, key=key))) == sorted(
+                map(repr, sorted(walked, key=key))), (k, a, radius)
+
+    def test_origin_lists_the_zeros_of_the_ladder_document(self, capsys):
+        # k = 3, A = 1e300: three zeros at |l| = 1e-100, closer together than
+        # the absolute 1e-6 that once read them as duplicates
+        from quasizeros.cli import main
+
+        docs = []
+        for argv in (["origin", "--radius", "1"], ["zeros", "--nu", "1..2", "--with-disk", "1"]):
+            assert main([*argv, "--k", "3", "--a", "1e300+0i"]) == 0
+            docs.append(json.loads(capsys.readouterr().out)["results"])
+        origin, zeros = docs
+        assert len(origin) == 3 and all(rec["certified"] for rec in origin)
+        assert [rec for rec in zeros if rec["nu"] == "origin"] == origin
+        assert all(abs(complex(rec["re"], rec["im"])) == pytest.approx(1e-100) for rec in origin)
+        # in (Im, Re) order: a zero at this scale is not read as real
+        # (zeros.im_order), and the real one's Im is exactly 0
+        assert [rec["im"] for rec in origin] == [-origin[2]["im"], 0.0, origin[2]["im"]]
+        assert origin[2]["im"] > 0 and origin[1]["re"] == pytest.approx(-1e-100)
 
 
 class TestCertifyCompleteness:

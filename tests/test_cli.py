@@ -351,6 +351,17 @@ class TestZerosCommand:
         assert len(doc["results"]) == 2
 
 
+    @pytest.mark.parametrize("k, a", [("3", "1e300+0i"), ("25", "1e150+0i"),
+                                      ("25", "1e300+0i")])
+    def test_tiny_disk_zeros_are_distinct(self, k, a):
+        # the disk's zeros lie at |l| = |A|^(-1/k), closer together than the
+        # duplicate distance 1e-6 read as absolute; it is 1e-6 min(1, |l|)
+        code, out, err = run_cli("zeros", "--k", k, "--a", a, "--nu", "1..2",
+                                 "--with-disk", "1")
+        assert (code, err) == (0, "")
+        assert loads(out)["summary"]["count"] == 2 + int(k)
+
+
 class TestOriginCommand:
     def test_single_zero(self):
         code, out, _ = run_cli("origin", "--k", "1", "--a", "1+0i",
@@ -523,6 +534,27 @@ class TestBoundsCommand:
         # would otherwise fall below delta = 0.5
         code, out, err = run_cli("bounds", "--k", k, "--a", a, "--which", "cdelta",
                                  "--samples", "2000")
+        assert code == 0, err
+        assert loads(out)["summary"]["pass"] is True
+
+    @pytest.mark.parametrize("k, a, r_cut", [("1", "1e-5+0i", "1e-6"), ("1", "1e-10+0i", "1e-10"),
+                                             ("1", "1e-20+0i", "1e-20"),
+                                             ("2", "1e-300+0i", "1e-300")])
+    def test_cdelta_window_left_edge_from_the_strip(self, k, a, r_cut):
+        # at R <= A the box's left edge k ln R - h - (delta + 1) reached far
+        # past the strip, whose points all have Re l >= x* with
+        # x* = k ln(-x*) - h, and a zero there (-677.74+3.13i for k = 2)
+        # was in neither the ladder nor the disk list
+        code, out, err = run_cli("bounds", "--k", k, "--a", a, "--which", "cdelta",
+                                 "--samples", "50", "--delta", "0.1", "--R", r_cut)
+        assert code == 0, err
+        assert loads(out)["summary"]["pass"] is True
+
+    @pytest.mark.parametrize("k, a", [("25", "1e300+0i"), ("3", "1e300+0i")])
+    def test_cdelta_tiny_zeros_are_distinct(self, k, a):
+        # the disk zeros at |l| = |A|^(-1/k) lie closer together than 1e-6
+        code, out, err = run_cli("bounds", "--which", "cdelta", "--k", k, "--a", a,
+                                 "--samples", "200")
         assert code == 0, err
         assert loads(out)["summary"]["pass"] is True
 

@@ -340,6 +340,15 @@ def _fields(records):
             for rec in records]
 
 
+def _mirrored(a, lo, records):
+    """The records a ladder from lo takes by conjugation, with no seed and
+    no polish of their own: for real A > 0, each positive nu whose partner
+    -nu - 1 is in the range."""
+    if not (a.imag == 0 and a.real > 0):
+        return 0
+    return sum(1 for rec in records if rec.nu > 0 and -rec.nu - 1 >= lo)
+
+
 def _ladder_outcome(qp, lo, hi, certify):
     try:
         return qz.zeros_in_index_range(qp, lo, hi, 1e-12, certify)
@@ -390,8 +399,9 @@ class TestLadderParity:
             if isinstance(got, tuple):
                 failures += 1
             else:
-                # one Lambert-W seed per zero: the cut is read once per root
-                assert len(seeds) == len(got), (k, a, lo, hi)
+                # one Lambert-W seed per zero, the cut read once per root,
+                # and none for a mirrored zero
+                assert len(seeds) == len(got) - _mirrored(a, lo, got), (k, a, lo, hi)
             rereads += (zeros_mod._lambert_root(qp, k - 1)[0]
                         != zeros_mod.lambert_argument(qp, k - 1))
             seeds.clear()
@@ -436,13 +446,18 @@ class TestLadderWork:
 
     @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (3, 2 + 1j), (10, 1 + 0j)])
     def test_lambert_argument_once_per_root(self, monkeypatch, k, a):
+        # for real A > 0 root k - 1 - j is the conjugate of root j, formed
+        # only for 2j + 1 <= k
         calls = self._count(monkeypatch, zeros_mod, "lambert_argument")
         qp = qz.QuasiPolynomial(k, a)
+        paired = a.imag == 0 and a.real > 0
         qz.zeros_in_index_range(qp, -40, 40)
-        assert sorted(j for _qp, j in calls) == list(range(k))
+        assert sorted(j for _qp, j in calls) == list(range((k + 1) // 2 if paired else k))
         calls.clear()
+        # roots 1 .. (k + 1) // 2, of which root k // 2 + 1 is the conjugate
+        # of root (k - 1) // 2 for even k
         qz.zeros_in_index_range(qp, 21, 21 + (k - 1) // 2)
-        assert len(calls) == (k - 1) // 2 + 1
+        assert len(calls) == (k - 1) // 2 + 1 - (paired and k % 2 == 0)
 
     def test_rouche_record_costs_no_further_evaluation(self, monkeypatch):
         qp = qz.QuasiPolynomial(2, 2 + 1j)
@@ -470,9 +485,10 @@ class TestLadderWork:
         polish = self._count(monkeypatch, kp, "newton_polish_list")
         rouche = self._count(monkeypatch, kp, "rouche_holds_list")
         records = qz.zeros_in_index_range(qz.QuasiPolynomial(k, a), lo, hi)
+        mirrored = _mirrored(a, lo, records)
         assert len(lambert) == roots
-        assert sum(len(args[1]) for args in lambert) == len(records)
-        assert [len(args[2]) for args in polish] == [len(records)]
+        assert sum(len(args[1]) for args in lambert) == len(records) - mirrored
+        assert [len(args[2]) for args in polish] == [len(records) - mirrored]
         assert [len(args[1]) for args in rouche] == [len(records)]
 
     @pytest.mark.parametrize("certify", [True, False])
@@ -481,6 +497,103 @@ class TestLadderWork:
         records = qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), -30, 30,
                                           certify=certify)
         assert len(built) == len(records) == 60
+
+
+def _positive_a_cases():
+    """Seeded ladders of real A > 0 with |A| in [1e-3, 1e3]: symmetric
+    ranges, one-sided ranges and ranges whose pairs nu, -nu - 1 are cut
+    off on either side."""
+    rng = random.Random(26)
+    cases = []
+    for k in (1, 2, 3, 4, 5, 10, 25):
+        for _ in range(3):
+            a = complex(10 ** rng.uniform(-3, 3), 0.0)
+            n = rng.randint(5, 60)
+            lo = rng.randint(-80, 40)
+            cases += [(k, a, -n, n), (k, a, lo, lo + n),
+                      (k, a, -n - rng.randint(1, 20), n - 1),
+                      (k, a, -n, n + rng.randint(1, 20))]
+    return cases
+
+
+class TestConjugatePairs:
+    """For real A > 0 the zeros come in exact conjugate pairs: the ladder
+    polishes one of each pair nu, -nu - 1 and conjugates it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 10, 25])
+    @pytest.mark.parametrize("a", [1e-320, 1e-3, 1.0, 2.5, 1e3, 1e300])
+    def test_roots_are_exact_conjugates(self, k, a):
+        qp = qz.QuasiPolynomial(k, complex(a, 0.0))
+        for j in range(k // 2):
+            z, logz = zeros_mod._lambert_root(qp, j)
+            pz, plogz = zeros_mod._lambert_root(qp, k - 1 - j)
+            assert (repr(z), repr(logz)) == (repr(pz.conjugate()), repr(plogz.conjugate()))
+            assert repr(zeros_mod.lambert_argument(qp, j)) == repr(
+                zeros_mod.lambert_argument(qp, k - 1 - j).conjugate())
+        if k % 2:
+            z, logz = zeros_mod._lambert_root(qp, (k - 1) // 2)
+            assert math.copysign(1.0, z.imag) == math.copysign(1.0, logz.imag) == 1.0
+            assert z.imag == logz.imag == 0.0 and not z.real < 0
+
+    def test_ladder_matches_reference_in_conjugate_pairs(self):
+        # the mirrored records are bit for bit those of polishing every
+        # index, and each pair nu, -nu - 1 is conjugate in every field
+        for k, a, lo, hi in _positive_a_cases():
+            qp = qz.QuasiPolynomial(k, a)
+            for certify in (True, False):
+                got = _ladder_outcome(qp, lo, hi, certify)
+                assert _fields(got) == _fields(_reference_ladder(qp, lo, hi, certify)), (
+                    k, a, lo, hi)
+                by_nu = {rec.nu: rec for rec in got}
+                for rec in got:
+                    twin = by_nu.get(-rec.nu - 1)
+                    if twin is None:
+                        continue
+                    assert (twin.value.real, twin.value.imag) == (rec.value.real,
+                                                                  -rec.value.imag)
+                    assert twin.seed == rec.seed.conjugate()
+                    assert (twin.residual, twin.iterations, twin.certified,
+                            twin.isolation_radius) == (rec.residual, rec.iterations,
+                                                       rec.certified, rec.isolation_radius)
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_baseline_polishes_half(self, monkeypatch, certify):
+        # k = 1, A = 1, nu = -1000..1000: the negative indices and nu = 1000,
+        # whose partner -1001 is outside; nu = -1 pairs with the unnamed
+        # (0, -1)
+        seeds = []
+        lambert_w_list = kp.lambert_w_list
+        polish = kp.newton_polish_list
+
+        def counted_seeds(z, ms, logz=None):
+            seeds.extend(ms)
+            return lambert_w_list(z, ms, logz)
+
+        def counted_polish(k, log_a, values, *args):
+            seeds.append(len(values))
+            return polish(k, log_a, values, *args)
+
+        monkeypatch.setattr(kp, "lambert_w_list", counted_seeds)
+        monkeypatch.setattr(kp, "newton_polish_list", counted_polish)
+        records = qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), -1000, 1000,
+                                          certify=certify)
+        assert len(records) == 2000
+        assert len(seeds) == 1002 and seeds[-1] == 1001
+
+    @pytest.mark.parametrize("a", [2 + 1j, -2 + 0j, complex(1.0, 1e-300)])
+    def test_other_a_polishes_every_index(self, monkeypatch, a):
+        # complex A, even beside the positive axis, and real A < 0 keep one
+        # polish per index
+        polish = kp.newton_polish_list
+        counts = []
+
+        def counted(k, log_a, values, *args):
+            counts.append(len(values))
+            return polish(k, log_a, values, *args)
+
+        monkeypatch.setattr(kp, "newton_polish_list", counted)
+        records = qz.zeros_in_index_range(qz.QuasiPolynomial(2, a), -30, 30)
+        assert counts == [len(records)] == [60]
 
 
 class TestSubnormalCoefficient:
@@ -515,6 +628,21 @@ class TestDuplicateDetection:
         rec = qz.newton_refine(qp11, qz.asymptotic_zero(qp11, 2), 1e-13)
         with pytest.raises(DuplicateZeroError):
             qz.separation_radius([rec, rec])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-100, 1e-300])
+    def test_duplicate_distance_scales_below_one(self, scale):
+        # distinct zeros at |l| = scale lie closer than 1e-6 apart; a
+        # duplicate lies within 1e-6 |l| of its twin
+        values = [scale * cmath.exp(1j * math.pi * (2 * j + 1) / 3) for j in range(3)]
+        records = [qz.ZeroRecord(None, v, 0.0, v, 0) for v in values]
+        assert qz.separation_radius(records) == pytest.approx(0.5 * math.sqrt(3) * scale)
+        zeros_mod._check_duplicates(records)
+        assert zeros_mod._distinct_isolation_radii(records) == isolation_radii(records)
+        twin = records[:1] + [qz.ZeroRecord(None, values[0] * (1 + 1e-7), 0.0, 0j, 0)]
+        for check in (qz.separation_radius, zeros_mod._check_duplicates,
+                      zeros_mod._distinct_isolation_radii):
+            with pytest.raises(DuplicateZeroError):
+                check(twin)
 
 
 class TestGapStatistics:
