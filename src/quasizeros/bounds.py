@@ -116,10 +116,7 @@ def _check_log_polar(h, r_cut, r_max, sample_count, s_branch):
 
 def _check_strip(h, r_cut, delta, im_cap, sample_count):
     """Inputs of the punctured-strip sampler: the strip |offset| <= h cut
-    to R <= |l| and |Im l| <= im_cap, less the delta-disks; im_cap is at
-    most 2 pi certify.STEP_BUDGET, the budget of the disk search's walk."""
-    from . import certify as certify_mod
-
+    to R <= |l| and |Im l| <= im_cap, less the delta-disks."""
     if not 0 < h < math.inf:
         raise DomainError("h must be a positive finite number")
     if not 0 < r_cut < math.inf:
@@ -128,10 +125,6 @@ def _check_strip(h, r_cut, delta, im_cap, sample_count):
         raise DomainError("delta must be a positive finite number")
     if not 0 < im_cap < math.inf:
         raise DomainError(f"im_cap = {im_cap:g} must be positive and finite")
-    limit = TWO_PI * certify_mod.STEP_BUDGET
-    if im_cap > limit:
-        raise DomainError(f"im_cap = {im_cap:g} exceeds the limit {limit:g} "
-                          f"(2 pi times the step budget {certify_mod.STEP_BUDGET})")
     if sample_count < 1:
         raise DomainError("sample count must be at least 1")
 
@@ -261,7 +254,7 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
 def _window_boxes(qp, h, r_cut, im_cap, delta):
     """The boxes of the sampled strip's two half-windows, upper then lower:
     each holds its half's samples with delta + 1 to spare.  Empty when the
-    padded window has no height."""
+    padded window has no height; refused past its walk's budget (window_zeros)."""
     from . import certify as certify_mod
 
     k = qp.k
@@ -270,6 +263,10 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
     y_min = math.sqrt(max(r_cut * r_cut - re_at_r * re_at_r, 0.0))
     pad = delta + 1.0
     y_hi = im_cap + pad
+    if not y_hi + certify_mod.WALK_PAD < certify_mod._walk_height(k):
+        limit = certify_mod._walk_height(k) - certify_mod.WALK_PAD - pad
+        raise DomainError(f"im_cap = {im_cap:g} exceeds the limit {limit:g} of the "
+                          f"window's branch walk")
     # no strip point lies left of x* < 0, the root of x = k ln(-x) - h: each
     # has Re l >= k ln|l| - h >= k ln|Re l| - h, and x - k ln(-x) + h
     # increases on x < 0; x* = -k W_0(e^(h/k) / k)
@@ -277,12 +274,29 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
     z = math.exp(log_z) if log_z < 709.0 else math.inf
     x_star = -k * kernels.lambert_w(z, 0, complex(log_z)).real
     x_lo = max(k * math.log(r_cut) - h, x_star) - pad
-    x_hi = h + k * math.log(y_hi + 5.0) + pad
+    # nor right of the largest root of x = h + k ln(x + im_cap), which the
+    # map decreases to from above; x - h - k ln(x + im_cap) is convex
+    x_hi = h + k + 1.0
+    while x_hi < h + k * math.log(x_hi + im_cap):
+        x_hi *= 2.0
+    for _ in range(50):
+        x_hi = h + k * math.log(x_hi + im_cap)
     y_lo = max(y_min - pad, 1.0)
     if y_lo >= y_hi:
         return []
-    return [certify_mod.Rectangle(complex(x_lo, y_lo), complex(x_hi, y_hi)),
-            certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi, -y_lo))]
+    return [certify_mod.Rectangle(complex(x_lo, y_lo), complex(x_hi + pad, y_hi)),
+            certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi + pad, -y_lo))]
+
+
+def window_zeros(qp, h, r_cut, im_cap, delta, tolerance=1e-12):
+    """The certified zeros of the box around both half-boxes (_window_boxes),
+    by one branch walk (certify._box_zeros): estimate_C_delta's list, with
+    those between the halves, which a sample may lie within delta of."""
+    from . import certify as certify_mod
+
+    boxes = _window_boxes(qp, h, r_cut, im_cap, delta)
+    return certify_mod._box_zeros(qp, certify_mod.Rectangle(
+        boxes[1].corner_min, boxes[0].corner_max), tolerance)[1] if boxes else []
 
 
 def _completeness_window(qp, boxes, strip_zeros):
@@ -311,12 +325,12 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     sample and constrain nothing, and with fewer than two inside there is no
     constraint.  The list must be certified and cover the sampled window
     (checked by certify_completeness over each half-window's box, by its
-    winding count, unless verify_completeness is disabled).
+    winding count, unless verify_completeness is disabled, which refuses []).
     """
     from . import zeros as zeros_mod
 
     _check_strip(h, r_cut, delta, im_cap, sample_count)
-    if not strip_zeros:
+    if not strip_zeros and not verify_completeness:
         raise IncompleteZeroListError("an empty zero list cannot cover the strip")
     if any(not rec.certified for rec in strip_zeros):
         raise IncompleteZeroListError("strip zeros must be certified")

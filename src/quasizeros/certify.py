@@ -17,17 +17,16 @@ at the rounding floor means a zero on the contour.
 The disk search and the completeness of an enumeration over a rectangle
 rest on one count identity (_count_identity): the winding count equals the
 sum of the multiplicities of the records inside, and every record
-certifies at its isolation radius.  The disk search lists its zeros by
-Lambert-W branch: every zero is l = -k W_m(z_j), z_j = -1/(k w_j), for
-exactly one root w_j of w^k = -A and one branch m of Lambert W (Corless,
-Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996), so walking the
-(j, m) a square can hold and polishing each value lists its zeros; the
-square's winding count then checks the list (count-then-polish run in
-reverse; Kravanja & Van Barel, LNM 1727, 2000), polished and labelled by
-the ladder's own zeros._polish_branches and zeros._check_indices; for real
-A > 0 one zero of each conjugate pair is polished and the other is its
-conjugate, and the count checks the whole list.  When the identity fails the disk
-search raises SubdivisionStalledError.
+certifies at its isolation radius.  Every zero is l = -k W_m(z_j),
+z_j = -1/(k w_j), for exactly one root w_j of w^k = -A and one branch m of
+Lambert W (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5,
+1996), so walking the (j, m) a cell can hold and polishing each value as
+the ladder does lists its zeros (_branch_zeros).  One routine lists and
+certifies a box's zeros this way (_box_zeros), for the disk search's square
+and the C_delta window of the bounds module alike.  The square's winding
+count then checks the list (count-then-polish run in reverse; Kravanja &
+Van Barel, LNM 1727, 2000); when the identity fails the disk search raises
+SubdivisionStalledError.
 
 A certified record has exactly `multiplicity` zeros in the open disk
 |l - value| < isolation_radius.  For a simple zero this is proven by an
@@ -57,8 +56,11 @@ from .errors import (
 )
 
 #: tracking steps per winding count, and Lambert-W branches per root per
-#: disk-search walk
+#: branch walk
 STEP_BUDGET = 1 << 16
+
+#: a box's branch walk also lists the zeros this near the box (_box_zeros)
+WALK_PAD = 2.0
 
 #: a record's value must have relative residual below this to certify
 RESIDUAL_GATE = 1e-6
@@ -207,28 +209,21 @@ def certify_polished(qp, polished, radii):
             in zip(polished, radii, proven)]
 
 
-def certify_joined(qp, records):
-    """A joined list of certified records (a ladder's and a disk search's),
-    each certified again (certify_record) at its isolation radius in the
-    joined list where that is below the radius it holds: a zero of the other
-    list nearer than its own list's neighbors shrinks its isolation disk,
-    and a disk that held both zeros could not certify.  Two records on one
-    zero raise DuplicateZeroError first (zeros._check_duplicates)."""
-    return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
-            for rec, r in zip(records, zeros_mod._distinct_isolation_radii(records))]
-
-
-def join_disk(qp, ladder, disk, on_ladder, certify=True):
+def join_disk(qp, ladder, disk, nus, certify=True):
     """The ladder's records plus the disk search's zeros whose index the
-    ladder did not walk (on_ladder(nu) false, or no index), in that order.
+    ladder did not walk (not in its index range nus, or none), in that order.
     The disk search labels a zero as the ladder does, so two records on one
-    zero raise DuplicateZeroError; with certify, the joined list is
-    certified again (certify_joined)."""
-    joined = ladder + [rec for rec in disk if rec.nu is None or not on_ladder(rec.nu)]
-    if certify:
-        return certify_joined(qp, joined)
-    zeros_mod._check_duplicates(joined)
-    return joined
+    zero raise DuplicateZeroError (zeros._check_duplicates).  With certify,
+    each record is certified again (certify_record) at its isolation radius
+    in the joined list where that is below the radius it holds: a zero of
+    the other list nearer than its own list's neighbors shrinks its
+    isolation disk, and a disk that held both zeros could not certify."""
+    joined = ladder + [rec for rec in disk if rec.nu is None or rec.nu not in nus]
+    if not certify:
+        zeros_mod._check_duplicates(joined)
+        return joined
+    return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
+            for rec, r in zip(joined, zeros_mod._distinct_isolation_radii(joined))]
 
 
 def _proven(qp, tests):
@@ -332,8 +327,8 @@ def _square(radius, attempt):
 
 def _outer_cell(qp, radius, tolerance):
     """The disk search's bounding square, placed off the zero set: its
-    zeros listed by Lambert-W branch and polished to the tolerance, and its
-    winding count, as (records, count).
+    zeros listed and certified (_box_zeros) and its winding count, as
+    (found, records, count).
 
     Only a zero on the square moves it.  A moved square is first checked
     for edges clear of the zero set (_edge_clear), which the first square,
@@ -345,13 +340,37 @@ def _outer_cell(qp, radius, tolerance):
             corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))
             if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4]) for i in range(4)):
                 continue
-        found = _branch_zeros(qp, cell, tolerance)
+        found, records = _box_zeros(qp, Rectangle(sw, ne), tolerance)
         try:
-            return found, winding_count(qp, Rectangle(sw, ne)).count
+            return found, records, winding_count(qp, Rectangle(sw, ne)).count
         except ZeroOnContourError:
             continue
     raise SubdivisionStalledError(
         "could not place the outer square off the zero set")
+
+
+def _walk_height(k):
+    """The |Im l| from which a branch walk takes over STEP_BUDGET branches per root."""
+    return 2.0 * math.pi * k * ((STEP_BUDGET - 1) // 2)
+
+
+def _box_zeros(qp, box, tolerance):
+    """The zeros of f inside the Rectangle box, before and after their
+    certificates, in im_order: (found, records).  One walk (_branch_zeros)
+    lists the box widened by WALK_PAD, and the isolation radii min(1, d/2)
+    over all it lists are the whole zero set's.  Simple zeros certify from
+    their polish, the branch point's double zero by certify_record."""
+    (x0, y0), (x1, y1) = [(z.real, z.imag) for z in box]
+    found = _branch_zeros(qp, (x0 - WALK_PAD, x1 + WALK_PAD, y0 - WALK_PAD, y1 + WALK_PAD),
+                          tolerance)
+    found.sort(key=zeros_mod.im_order)
+    kept = [(rec, r) for rec, r in zip(found, zeros_mod.isolation_radii(found))
+            if box.contains(rec.value)]
+    simple = [(rec, r) for rec, r in kept if isinstance(rec, zeros_mod._Polished)]
+    certified = iter(certify_polished(qp, [rec for rec, _r in simple], [r for _rec, r in simple]))
+    records = [next(certified) if isinstance(rec, zeros_mod._Polished)
+               else certify_record(qp, rec, r) for rec, r in kept]
+    return [rec for rec, _r in kept], records
 
 
 def _branch_zeros(qp, cell, tolerance=1e-12):
@@ -376,16 +395,17 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     otherwise raises its error.  At a z_j at the branch point -1/e
     (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
     one double zero, read by _double_zero into a ZeroRecord labelled by the
-    partner.  A cell reaching so far from the real axis that each root
-    would walk more than STEP_BUDGET branches raises QuadratureStalledError
-    before any is walked.
+    partner.  A cell reaching _walk_height(k), where each root would walk
+    more than STEP_BUDGET branches, raises QuadratureStalledError before
+    any is walked.
     """
     k = qp.k
     xmin, xmax, ymin, ymax = cell
-    top = int(max(-ymin, ymax) / (2.0 * math.pi * k)) + 1
-    if 2 * top + 1 > STEP_BUDGET:
-        raise QuadratureStalledError(
-            f"step budget exhausted: the branch walk takes {2 * top + 1} branches per root")
+    height = max(-ymin, ymax)
+    if not height < _walk_height(k):
+        raise QuadratureStalledError(f"step budget exhausted: the branch walk takes more "
+                                     f"than {STEP_BUDGET} branches per root")
+    top = int(height / (2.0 * math.pi * k)) + 1
     square = Rectangle(complex(xmin, ymin), complex(xmax, ymax))
     # a cell symmetric about the real axis holds the conjugate of each of
     # its zeros, which for real A > 0 is another branch's (zeros._partner)
@@ -439,32 +459,22 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """All zeros of f with |l| <= radius, each certified.
 
     The zeros inside a square a little wider than the disk are listed by
-    their Lambert-W branches, polished and labelled as the ladder does (see
-    _branch_zeros) and certified at their isolation radii, and the square,
-    placed off the zero set (_outer_cell), gets one winding count.  The
-    multiplicities must add up to that count and every record must certify
-    (the count identity, see _count_identity); when they do not,
+    Lambert-W branch, polished, labelled as the ladder does and certified
+    at their isolation radii (_box_zeros), and the square, placed off the
+    zero set (_outer_cell), gets one winding count.  The multiplicities
+    must add up to that count and every record must certify (the count
+    identity, see _count_identity); when they do not,
     SubdivisionStalledError names the count, the listed multiplicity sum
     and the records that did not certify.
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
-    found, count = _outer_cell(qp, radius, tolerance)
-    found.sort(key=zeros_mod.im_order)
-    radii = zeros_mod.isolation_radii(found)
-    # the simple zeros certify from their polish, in one list; the double
-    # zero at the branch point by certify_record's winding count
-    simple = [isinstance(rec, zeros_mod._Polished) for rec in found]
-    certified = iter(certify_polished(qp, [rec for rec, s in zip(found, simple) if s],
-                                      [r for r, s in zip(radii, simple) if s]))
-    records = [next(certified) if s else certify_record(qp, rec, r)
-               for rec, r, s in zip(found, radii, simple)]
+    found, records, count = _outer_cell(qp, radius, tolerance)
     ok, failures = _count_identity(count, found, records)
     if not ok:
-        listed = sum(rec.multiplicity for rec in found)
         raise SubdivisionStalledError(
-            f"the square's count is {count}, the listed "
-            f"multiplicities add up to {listed}, and the uncertified records "
+            f"the square's count is {count}, the listed multiplicities add up to "
+            f"{sum(rec.multiplicity for rec in found)}, and the uncertified records "
             f"are [{', '.join(f'{rec.value:.12g}' for rec in failures)}]")
     return [rec for rec in records if abs(rec.value) <= radius]
 

@@ -170,8 +170,7 @@ def _cmd_zeros(args):
         from . import certify as certify_mod
 
         disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
-        records = certify_mod.join_disk(qp, records, disk, lambda nu: lo <= nu <= hi,
-                                        args.certify)
+        records = certify_mod.join_disk(qp, records, disk, range(lo, hi + 1), args.certify)
         notes["disk_radius"] = args.with_disk
     records.sort(key=zeros_mod.im_order)
     results = [record_to_obj(r) for r in records]
@@ -318,26 +317,7 @@ def _cmd_bounds(args):
     else:
         _check_tol(args.tol)
         bounds._check_strip(h, args.R, args.delta, args.im_cap, args.samples)
-        from . import certify as certify_mod, zeros as zeros_mod
-
-        span = int(args.im_cap / (2.0 * math.pi)) + 3
-        strip = zeros_mod.zeros_in_index_range(qp, -span, span, args.tol,
-                                               certify=True)
-        # the ladder leaves k + 1 zeros to the disk search, (j, 0) for each
-        # root j and (0, -1) (see zeros._ladder_branch), and some lie in the
-        # window; the disk search supplies them, labelled as the ladder
-        # labels, and the completeness check stays the arbiter.  Every disk
-        # zero joins the isolation radii, since one outside the window can
-        # crowd a ladder zero inside it (certify_joined); only those in the
-        # sampled window stay in the list: a list missing one of those
-        # failed that check anyway, and the others lie beyond delta of
-        # every sample.
-        boxes = bounds._window_boxes(qp, h, args.R, args.im_cap, args.delta)
-        disk = certify_mod.find_zeros_in_disk(
-            qp, args.R + h + 2.0 * math.pi * qp.k, args.tol)
-        joined = certify_mod.join_disk(qp, strip, disk, lambda nu: abs(nu) <= span)
-        strip = joined[:len(strip)] + [rec for rec in joined[len(strip):]
-                                       if any(box.contains(rec.value) for box in boxes)]
+        strip = bounds.window_zeros(qp, h, args.R, args.im_cap, args.delta, args.tol)
         est = bounds.estimate_C_delta(qp, h, args.R, args.delta, args.samples,
                                       args.seed, strip, im_cap=args.im_cap)
         summary = {

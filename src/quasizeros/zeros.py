@@ -190,11 +190,6 @@ def _lambert_root(qp, j):
     return z, logz
 
 
-def _ladder_index(qp, value):
-    """_ladder_indices of one value."""
-    return _ladder_indices(qp, (complex(value),))[0]
-
-
 def _ladder_indices(qp, values):
     """For each complex value, the index nu whose fixed-point map (see
     fixed_point_refine) has it as its fixed point:

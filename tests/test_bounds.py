@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from quasizeros.errors import (
     EmptyRegionSampleError,
     IncompleteZeroListError,
     PreconditionHError,
+    QuasiZeroError,
 )
 
 from conftest import direct_f
@@ -367,15 +369,45 @@ class TestCDelta:
                                 _strip_zeros(qp11, 8), im_cap=im_cap)
 
     def test_window_beyond_the_step_budget_refused(self, qp11):
-        # a window taller than 2 pi STEP_BUDGET is refused by name, before
-        # its draws, whether or not completeness is checked
-        limit = 2 * math.pi * qz.certify.STEP_BUDGET
+        # a window whose branch walk would take more than STEP_BUDGET
+        # branches per root is refused by name, before its draws, whether or
+        # not completeness is checked: for k = 1 and delta = 0.5, the walk
+        # of the window padded by delta + 1 and then by 2 must stay below
+        # |Im l| = 2 pi 32767
+        limit = 2 * math.pi * ((qz.certify.STEP_BUDGET - 1) // 2) - 3.5
         strip = _strip_zeros(qp11, 8)
         for im_cap in (1e200, limit * (1 + 1e-12)):
-            with pytest.raises(DomainError, match=r"^im_cap = .* exceeds the limit 411775 "):
+            with pytest.raises(DomainError, match=r"^im_cap = .* exceeds the limit 205878 of "
+                                                  r"the window's branch walk$"):
                 qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 100, 1, strip, im_cap=im_cap,
                                     verify_completeness=False)
-        bounds._check_strip(2.0, 10.0, 0.5, limit, 100)
+        assert len(bounds._window_boxes(qp11, 2.0, 10.0, limit * (1 - 1e-12), 0.5)) == 2
+        # the limit grows with k
+        qp25 = qz.QuasiPolynomial(25, 1 + 0j)
+        assert len(bounds._window_boxes(qp25, 2.0, 10.0, 25 * limit, 0.5)) == 2
+
+    def test_window_limit_is_the_walk_budget(self, qp11, monkeypatch):
+        # with a budget of 8 branches per root the walk covers |Im l| below
+        # 2 pi 3: the window walks up to that height, and a window a little
+        # taller is refused before its walk
+        monkeypatch.setattr(qz.certify, "STEP_BUDGET", 8)
+        limit = 2 * math.pi * 3 - 2.0 - 1.5
+        assert bounds.window_zeros(qp11, 2.0, 10.0, limit - 1e-9, 0.5)
+        with pytest.raises(DomainError, match="exceeds the limit 15.3496 "):
+            bounds.window_zeros(qp11, 2.0, 10.0, limit + 1e-9, 0.5)
+
+    def test_empty_window_decided_by_the_count(self, qp11):
+        # k = 4, A = 0.0023, im_cap = 1: the window holds no zero, and the
+        # empty list passes the count; unchecked it is refused, and a window
+        # with zeros refuses it by the count
+        qp = qz.QuasiPolynomial(4, 0.0023 + 0j)
+        assert bounds.window_zeros(qp, 2.0, 10.0, 1.0, 0.5) == []
+        assert qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 1000, 1, [], im_cap=1.0).c_hat > 0
+        with pytest.raises(IncompleteZeroListError, match="^an empty zero list cannot"):
+            qz.estimate_C_delta(qp, 2.0, 10.0, 0.5, 1000, 1, [], im_cap=1.0,
+                                verify_completeness=False)
+        with pytest.raises(IncompleteZeroListError, match="^zero list covers 0 zeros"):
+            qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 1000, 1, [], im_cap=50.0)
 
     def test_determinism(self, qp11):
         strip = _strip_zeros(qp11, 8)
@@ -383,6 +415,106 @@ class TestCDelta:
         a = qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 5000, 77, strip, **kw)
         b = qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 5000, 77, strip, **kw)
         assert a == b
+
+
+def _assembled_window(qp, h, r_cut, im_cap, delta, tol=1e-12):
+    """The C_delta strip list as the command line once assembled it: the
+    ladder over |nu| <= im_cap / 2 pi + 3, the disk search of radius
+    R + h + 2 pi k joined to it (certify.join_disk), and of the disk's zeros
+    only those in the window's boxes."""
+    span = int(im_cap / (2 * math.pi)) + 3
+    ladder = qz.zeros_in_index_range(qp, -span, span, tol)
+    disk = qz.find_zeros_in_disk(qp, r_cut + h + 2 * math.pi * qp.k, tol)
+    joined = qz.certify.join_disk(qp, ladder, disk, range(-span, span + 1))
+    boxes = bounds._window_boxes(qp, h, r_cut, im_cap, delta)
+    return joined[:len(ladder)] + [rec for rec in joined[len(ladder):]
+                                   if any(box.contains(rec.value) for box in boxes)]
+
+
+def _window_cases(count=48):
+    """(k, A, R, im_cap, delta, seed): A complex, real < 0 and real > 0
+    with |A| from 1e-5 to 720, and A = -e^k/k^k (1 + eps), at and beside the
+    branch point; R from 1e-6 to 50."""
+    rng = random.Random(2701)
+    cases = []
+    for i in range(count):
+        k = rng.choice((1, 2, 3, 4, 5, 7, 10, 25))
+        mag = 10 ** rng.uniform(-5, math.log10(720))
+        a = (mag * cmath.exp(1j * rng.uniform(-math.pi, math.pi)), complex(-mag, 0.0),
+             complex(mag, 0.0),
+             complex(-math.e ** k / k ** k * (1 + rng.choice((0.0, 1e-9, -1e-3, 1e-3))), 0.0)
+             )[i % 4]
+        cases.append((k, a, 10 ** rng.uniform(-6, math.log10(50)),
+                      rng.choice((1.0, 3.0, 10.0, 40.0, 2 * math.pi * 20)),
+                      rng.choice((0.1, 0.25, 0.5)), rng.getrandbits(16)))
+    return cases
+
+
+def _estimate(qp, r_cut, delta, seed, strip, im_cap):
+    try:
+        return qz.estimate_C_delta(qp, 2.0, r_cut, delta, 2000, seed, strip, im_cap=im_cap)
+    except QuasiZeroError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestWindowListing:
+    """bounds.window_zeros lists the C_delta window by one branch walk."""
+
+    def test_matches_the_ladder_and_disk_assembly(self):
+        # the same records in the window's boxes, and the same estimate,
+        # except where the assembly's estimate drew within delta of a zero
+        # between the half-boxes that it left out (one of the k + 1 zeros
+        # the ladder does not name)
+        agree = 0
+        for case in _window_cases():
+            k, a, r_cut, im_cap, delta, seed = case
+            qp = qz.QuasiPolynomial(k, a)
+            try:
+                assembled = _assembled_window(qp, 2.0, r_cut, im_cap, delta)
+            except QuasiZeroError:
+                continue
+            listed = bounds.window_zeros(qp, 2.0, r_cut, im_cap, delta)
+            boxes = bounds._window_boxes(qp, 2.0, r_cut, im_cap, delta)
+            assert [rec for rec in sorted(listed, key=qz.zeros.im_order)
+                    if any(box.contains(rec.value) for box in boxes)] == sorted(
+                [rec for rec in assembled if any(box.contains(rec.value) for box in boxes)],
+                key=qz.zeros.im_order), case
+            old, new = (_estimate(qp, r_cut, delta, seed, strip, im_cap)
+                        for strip in (assembled, listed))
+            if old == new:
+                agree += 1
+                continue
+            missed = [rec.value for rec in listed
+                      if all(abs(rec.value - other.value) > 1e-9 for other in assembled)]
+            assert min(abs(z - old.argmin) for z in missed) < delta, case
+            assert all(abs(rec.value - new.argmin) >= delta for rec in listed), case
+        assert agree >= 40
+
+    def test_lists_the_zeros_between_the_half_boxes(self, capsys):
+        # k = 1, A = 1, R = 0.5: the real zero -0.567 lies between the
+        # half-boxes, in the sampled strip; the ladder does not name it, and a
+        # list without it drew 0.033 from it (c_hat 0.0862)
+        qp = qz.QuasiPolynomial(1, 1 + 0j)
+        listed = bounds.window_zeros(qp, 2.0, 0.5, 2 * math.pi * 60, 0.5)
+        assert any(abs(rec.value + 0.5671432904097838) < 1e-12 for rec in listed)
+        assert cli.main(["bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+                         "--R", "0.5", "--samples", "20000"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        argmin = complex(summary["argmin_re"], summary["argmin_im"])
+        assert all(abs(rec.value - argmin) >= 0.5 for rec in listed)
+
+    @pytest.mark.parametrize("k, im_cap", [(1, 376.99), (3, 376.99), (25, 1.0), (25, 86.4)])
+    def test_boxes_hold_the_strip(self, k, im_cap):
+        # every strip point with |Im l| <= im_cap has Re l <= x, the largest
+        # root of x = h + k ln|x + i im_cap|; the boxes reach delta + 1 past it
+        h, delta = 2.0, 0.5
+        qp = qz.QuasiPolynomial(k, 1 + 0j)
+        lo, hi = float(k), 1e4
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid < h + k * math.log(abs(complex(mid, im_cap))) else (lo, mid)
+        boxes = bounds._window_boxes(qp, h, 10.0, im_cap, delta)
+        assert all(box.corner_max.real >= hi + delta + 1.0 for box in boxes)
 
 
 class TestEmptyRegion:

@@ -289,7 +289,7 @@ class TestFindZerosInDisk:
         ladder = qz.zeros_in_index_range(qp, -3, 3)
         twin = [r for r in qz.find_zeros_in_disk(qp, 5.0) if r.nu is None]
         assert [r.nu for r in ladder if not r.certified] == [-1]
-        joined = certify_mod.certify_joined(qp, ladder + twin)
+        joined = certify_mod.join_disk(qp, ladder, twin, range(-3, 4))
         assert joined[len(ladder):] == twin
         for before, after in zip(ladder, joined):
             if before.nu != -1:
@@ -386,11 +386,11 @@ class TestSharedEdges:
     winding count of the same rectangle gives."""
 
     def test_outer_square_report_matches_fresh_winding_count(self, qp11):
-        found, count = certify_mod._outer_cell(qp11, 40.0, 1e-12)
+        found, records, count = certify_mod._outer_cell(qp11, 40.0, 1e-12)
         xmin, xmax, ymin, ymax = certify_mod._square(40.0, 0)
         fresh = qz.winding_count(qp11, qz.Rectangle(complex(xmin, ymin),
                                                     complex(xmax, ymax)))
-        assert count == fresh.count == len(found) == 13
+        assert count == fresh.count == len(found) == len(records) == 13
 
     def test_disk_search_work_bound(self, qp11, monkeypatch):
         # the square's one count: one tracking call per side
@@ -695,12 +695,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("tamper", ["drop", "duplicate"])
     def test_broken_list_falls_back(self, qp11, tamper, monkeypatch):
         # a list that fails the count identity stops the search, naming the
-        # count and the listed sum
+        # count and the listed sum; the walk of the padded square is broken
+        # at a zero inside the square
         branch_zeros = certify_mod._branch_zeros
 
         def broken(*args):
             found = branch_zeros(*args)
-            return found[1:] if tamper == "drop" else found + found[:1]
+            i = next(i for i, rec in enumerate(found) if abs(rec.value) < 10.0)
+            return found[:i] + found[i + 1:] if tamper == "drop" else found + found[i:i + 1]
 
         monkeypatch.setattr(certify_mod, "_branch_zeros", broken)
         listed = 2 if tamper == "drop" else 4
@@ -835,17 +837,28 @@ class TestConjugateWalk:
             return polish(k, log_a, values, *args)
 
         monkeypatch.setattr(kp, "newton_polish_list", counted)
+        walks = []
+        branch_zeros = certify_mod._branch_zeros
+
+        def walked(*args):
+            walks.append(branch_zeros(*args))
+            return list(walks[-1])
+
+        monkeypatch.setattr(certify_mod, "_branch_zeros", walked)
         for k, a, radius in self._disks():
             qp = qz.QuasiPolynomial(k, complex(a, 0.0))
             seeds.clear()
-            found, count = certify_mod._outer_cell(qp, radius, 1e-12)
+            walks.clear()
+            found, _records, count = certify_mod._outer_cell(qp, radius, 1e-12)
             # the count identity over the mirrored list
             assert count == sum(rec.multiplicity for rec in found), (k, a, radius)
-            # the real zeros, W_0 of the self-paired root, are polished alone
-            real = [rec for rec in found if zeros_mod._on_real_axis(rec.value)]
+            # over the whole walk of the padded square, the real zeros, W_0 of
+            # the self-paired root, are polished alone
+            walk, = walks
+            real = [rec for rec in walk if zeros_mod._on_real_axis(rec.value)]
             assert all(rec.nu is None for rec in real) and len(real) <= k % 2
-            values = {(rec.value.real, rec.value.imag) for rec in found if rec not in real}
-            assert len(values) == len(found) - len(real)
+            values = {(rec.value.real, rec.value.imag) for rec in walk if rec not in real}
+            assert len(values) == len(walk) - len(real)
             assert values == {(x, -y) for x, y in values}, (k, a, radius)
             assert len(seeds) == len(values) // 2 + len(real), (k, a, radius)
             recs = qz.find_zeros_in_disk(qp, radius)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -394,6 +395,14 @@ class TestOriginCommand:
         assert ims == [pytest.approx(-1e-154, rel=1e-12), pytest.approx(1e-154, rel=1e-12)]
         assert all(abs(r["re"]) < 1e-165 for r in doc["results"])
 
+    def test_walk_over_budget_message_is_short(self, capsys):
+        # the branch walk's refusal names the budget, not the branch count
+        code = main(["origin", "--k", "1", "--a", "1+0i", "--radius", "1e300"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert loads(err)["error"]["type"] == "QuadratureStalledError"
+
     @pytest.mark.parametrize("radius, code, error", [
         ("1e4", 0, None),
         ("2e4", 3, "MaxIterationsError"),
@@ -550,6 +559,49 @@ class TestBoundsCommand:
         assert code == 0, err
         assert loads(out)["summary"]["pass"] is True
 
+    @pytest.mark.parametrize("a", ["300+0i", "500+0i"])
+    def test_cdelta_window_listed_by_branch_walk(self, a, capsys):
+        # at R = 1e-6 the disk search of radius R + h + 2 pi k held fewer
+        # window zeros than the winding count (3 of 4 at A = 300, 1 of 2 at
+        # A = 500), and the command exited 1; one branch walk lists them all
+        code = main(["bounds", "--k", "1", "--a", a, "--which", "cdelta", "--R", "1e-6",
+                     "--delta", "0.1", "--samples", "50"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert loads(out)["summary"]["pass"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "3", "--a", "1e-5+0i", "--R", "50"),
+        ("--k", "4", "--a", "0.0023+0i", "--im-cap", "1"),
+        ("--k", "4", "--a", "0.0023+0i", "--im-cap", "3"),
+    ])
+    def test_cdelta_empty_window(self, argv, capsys):
+        # the window holds no zero: its list is empty, and the count agrees
+        code = main(["bounds", "--which", "cdelta", *argv, "--samples", "2000"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert loads(out)["summary"]["pass"] is True
+
+    def test_cdelta_window_right_of_its_left_edge(self, capsys):
+        # k = 25, R = 12.4, im_cap = 1: the boxes' right edge, once
+        # h + k ln(im_cap + delta + 6) + delta + 1, lay left of their left
+        # edge k ln R - h - (delta + 1), and the command exited 2
+        code = main(["bounds", "--which", "cdelta", "--k", "25", "--a", "12.523716236143063+0i",
+                     "--R", "12.4", "--im-cap", "1", "--delta", "0.1", "--samples", "2000"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+
+    def test_cdelta_window_over_the_walk_budget(self, capsys):
+        # the window's branch walk refuses more than 65,536 branches per root
+        # up front: exit 2 naming the limit, not 3 from a failed polish
+        code = main(["bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+                     "--im-cap", "3e5", "--samples", "10"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        error = loads(err)["error"]
+        assert error == {"type": "DomainError", "message": "im_cap = 300000 exceeds the limit "
+                                                           "205878 of the window's branch walk"}
+
     @pytest.mark.parametrize("k, a", [("25", "1e300+0i"), ("3", "1e300+0i")])
     def test_cdelta_tiny_zeros_are_distinct(self, k, a):
         # the disk zeros at |l| = |A|^(-1/k) lie closer together than 1e-6
@@ -683,3 +735,16 @@ class TestOptionSurface:
                         for opt in action.option_strings}
                  for name, command in sub.choices.items()}
         assert found == self.EXPECTED
+
+
+#: documents of README commands and of `bounds --which cdelta` for the nine
+#: acceptance combinations (k = 1, 2, 3 with A = 1, 2 + i, 0.5i), pinned
+#: byte for byte
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("pin", GOLDEN, ids=[" ".join(p["argv"]) for p in GOLDEN])
+def test_pinned_documents(pin, capsys):
+    assert main(list(pin["argv"])) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out == pin["document"]

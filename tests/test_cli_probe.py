@@ -13,7 +13,6 @@ import io
 import json
 import math
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +49,10 @@ RADII = st.sampled_from(["5e-324", "1e-300", "0.5", "1", "2.5", "6"])
 POINTS = st.sampled_from(["0+0i", "-1+0i", "5e-324+0i", "1e300+0i", "1e-300+1e-300i",
                           "2.33+10i", "-100+0i", "0-1e300i"])
 TOLERANCES = st.sampled_from(["1e-12", "1e-8"])
+#: |A| in [1e2, 1e3], real of either sign or complex, drawn with R <= 1e-3
+#: for a C_delta window
+LARGE_A = st.tuples(st.floats(2.0, 3.0), st.sampled_from([0.0, math.pi, 1.0, -2.5])).map(
+    lambda p: f"{10 ** p[0] * math.cos(p[1])!r}{10 ** p[0] * math.sin(p[1]):+}i")
 #: a value the CLI must refuse; argparse keeps an option's last occurrence
 REFUSED = st.sampled_from([
     ["--k", "0"], ["--k", "-1"], ["--a", "0+0i"], ["--a", "0-0i"], ["--a", "nan"],
@@ -87,6 +90,10 @@ VALID = st.one_of(
              h=st.sampled_from(["auto", "2", "1e300"]), R=RADII,
              delta=st.sampled_from(["0.1", "0.5"]),
              s_branch=st.sampled_from(["1", "2"]), seed=st.sampled_from(["1", "7"])),
+    _command("bounds", "--k", KS, "--a", LARGE_A, "--which", "cdelta",
+             "--R", st.sampled_from(["1e-3", "1e-6", "1e-300"]),
+             "--samples", st.sampled_from(["50", "200"]),
+             delta=st.sampled_from(["0.1", "0.5"]), im_cap=st.sampled_from(["10", "40"])),
     _command("gaps", "--k", KS, "--a", COEFFICIENTS, "--nu", NU_RANGES, tol=TOLERANCES),
     _command("sector-radius", "--k", KS, "--h", NUMBERS, "--delta", NUMBERS,
              a=COEFFICIENTS, samples=st.sampled_from(["0", "50"])),
@@ -118,6 +125,17 @@ def _run(argv):
                "--k", "1", "--a", "1e-20+0i", "--R", "1e-20"])
 @example(argv=["bounds", "--which", "cdelta", "--samples", "50", "--delta", "0.1",
                "--k", "2", "--a", "1e-300+0i", "--R", "1e-300"])
+# at large A and small R the disk search held fewer window zeros than the
+# window's count
+@example(argv=["bounds", "--which", "cdelta", "--samples", "50", "--delta", "0.1",
+               "--k", "1", "--a", "300+0i", "--R", "1e-6"])
+@example(argv=["bounds", "--which", "cdelta", "--samples", "50", "--delta", "0.1",
+               "--k", "1", "--a", "500+0i", "--R", "1e-6"])
+# windows that hold no zero
+@example(argv=["bounds", "--which", "cdelta", "--samples", "50", "--k", "3",
+               "--a", "1e-5+0i", "--R", "50"])
+@example(argv=["bounds", "--which", "cdelta", "--samples", "50", "--k", "4",
+               "--a", "0.0023+0i", "--im-cap", "1"])
 # an abbreviation of --help printed help text and raised SystemExit(0)
 @example(argv=["zeros", "--k", "1", "--a", "1+0i", "--nu", "1..2", "--h", "0"])
 def test_cli_probe(argv):
@@ -137,13 +155,13 @@ def test_cli_probe(argv):
         assert not {e["type"] for e in errors} & SELF_CHECKS, (argv, err)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the disk search takes isolation radii from the zeros of its own square "
-    "only: A = -e (1 + 1e-3) has zeros at 0.956 and 1.045, across the edge "
-    "of the r = 1 square, and the winding count around 0.956 holds both at "
-    "every radius down to 0.125, so the search exits 3 with "
-    "SubdivisionStalledError"))
 def test_origin_near_double_pair_across_the_square():
-    code, _out, err = _run(["origin", "--k", "1", "--a", f"{-math.e * (1 + 1e-3)!r}+0i",
-                            "--radius", "1"])
+    # A = -e (1 + 1e-3) has zeros at 0.956 and 1.045, across the edge of the
+    # r = 1 square; the walk of the padded square lists both, so 0.956
+    # certifies at half their distance, not at a radius holding both
+    code, out, err = _run(["origin", "--k", "1", "--a", f"{-math.e * (1 + 1e-3)!r}+0i",
+                           "--radius", "1"])
     assert code == 0, err
+    record, = _loads(out)["results"]
+    assert record["certified"] and abs(record["re"] - 0.956) < 1e-3
+    assert abs(record["isolation_radius"] - 0.0447) < 1e-4

@@ -314,14 +314,14 @@ def _reference_ladder(qp, lo, hi, certify):
         j, m = zeros_mod._ladder_branch(qp, nu)
         z = zeros_mod.lambert_argument(qp, j)
         seed = -k * kp.lambert_w(z, m)
-        off = zeros_mod._ladder_index(qp, seed) - nu
+        off = zeros_mod._ladder_indices(qp, [seed])[0] - nu
         if off and off % k == 0:
             seed = -k * kp.lambert_w(z.conjugate(), m)
         try:
             rec = qz.newton_refine(qp, seed, 1e-12)
         except (EscapedBasinError, MaxIterationsError, DerivativeVanishesError) as exc:
             return NotConvergedError, f"refinement failed for nu = {nu}: {exc}"
-        found = zeros_mod._ladder_index(qp, rec.value)
+        found, = zeros_mod._ladder_indices(qp, [rec.value])
         if found != nu:
             return NotConvergedError, (f"refinement failed for nu = {nu}: Newton reached "
                                        f"the zero of index {found}")
