@@ -14,8 +14,8 @@ Conventions:
     and complex points
   * the per-zero kernels take lists, one loop in one frame per call:
     lambert_w_list (one z, many branches), newton_polish_list (many seeds)
-    and rouche_holds_list (many disks).  lambert_w, newton_polish and
-    rouche_holds are one-element calls into them, so each formula exists
+    and rouche_holds_list (many disks).  lambert_w and rouche_isolates are
+    one-element calls into the first and the last, so each formula exists
     once, and an element of a list comes out bit for bit as its
     one-element call gives it
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
@@ -286,20 +286,11 @@ def relative_residual(k, log_a, lam):
 
 def residual_cofactor(k, log_a, lam):
     """(relative_residual, (expdom, t)) at lam from one _cofactor, the
-    cofactor as rouche_holds takes it; (1.0, None) at lam = 0."""
+    cofactor as rouche_holds_list takes it; (1.0, None) at lam = 0."""
     if lam == 0:
         return 1.0, None
     expdom, t, _loglam = _cofactor(k, log_a, lam)
     return abs(1.0 + t), (expdom, t)
-
-
-def newton_polish(k, log_a, seed, tolerance, max_iterations, escape):
-    """newton_polish_list for one seed: (lam, residual, iterations,
-    cofactor), or its failure raised."""
-    polished, failure = newton_polish_list(k, log_a, (seed,), tolerance, max_iterations, escape)
-    if failure is not None:
-        raise failure
-    return polished[0]
 
 
 def newton_polish_list(k, log_a, seeds, tolerance, max_iterations, escape):
@@ -483,11 +474,6 @@ def rouche_isolates(k, log_a, lam, radius):
     if lam == 0:
         return False
     expdom, t, _loglam = _cofactor(k, log_a, lam)
-    return rouche_holds(k, lam, expdom, t, radius)
-
-
-def rouche_holds(k, lam, expdom, t, radius):
-    """rouche_holds_list for one disk."""
     return rouche_holds_list(k, ((lam, (expdom, t), radius),))[0]
 
 
@@ -660,12 +646,6 @@ LN_ACCEPT = math.log(STEP_ACCEPT)
 #: this long, so every power of |l| it takes stays below 1
 ORIGIN_RADIUS = 0.5
 
-#: above this |A| the tracker forms |A| |l|^k near the origin in logarithms
-#: (_origin_radius_scaled): there |A| k may overflow, and |A| times the
-#: rounding of a subnormal power of |l| is no longer negligible
-HUGE_A = 1e280
-LN_HUGE_A = math.log(HUGE_A)
-
 #: the tracker refuses a step whose size rests on a scaled |f| at c below
 #: STEP_FLOOR times the rounding scale of its evaluation: the sum of the
 #: moduli of the terms of w = Log A + k Log c - c (about eps times it is the
@@ -726,62 +706,45 @@ def _cofactor_radius(k, c, ln_tau, mu, cap):
     return 0.0
 
 
-def _origin_radius(k, ea, aa, r, fmod, cap):
+def _origin_radius(k, ea, lna, r, lark, fmod, cap):
     """Largest rho <= min(cap, ORIGIN_RADIUS) with
     |e^c| (e^rho - 1) + |A| ((r + rho)^k - r^k) <= STEP_TARGET |f(c)|, a bound
-    on |f(z) - f(c)| over |z - c| <= rho; ea = |e^c|, aa = |A|, r = |c| and
-    fmod = |f(c)|.  Returned once the bound is below STEP_ACCEPT |f(c)|.
+    on |f(z) - f(c)| over |z - c| <= rho; ea = |e^c|, lna = ln|A|, r = |c|,
+    lark = ln(|A| r^k) (-inf at r = 0) and fmod = |f(c)|.  Returned once the
+    bound is below STEP_ACCEPT |f(c)|.
 
-    The bound is convex in rho and 0 at 0, so its tangent there is below it
-    and Newton from where that tangent meets the target falls to the root
-    from above.
-    """
-    top = ORIGIN_RADIUS if cap > ORIGIN_RADIUS else cap
-    target = STEP_TARGET * fmod
-    accept = STEP_ACCEPT * fmod
-    rho = target / (ea + aa * k * r ** (k - 1))
-    if rho > top:
-        rho = top
-    rk = r ** k
-    for _ in range(30):
-        b = ea * math.expm1(rho) + aa * ((r + rho) ** k - rk)
-        if b < accept:
-            return rho
-        rho -= (b - target) / (ea * math.exp(rho) + aa * k * (r + rho) ** (k - 1))
-    return 0.0
+    The polynomial term is formed as |A| r^k expm1(k log1p(rho / r)), so no
+    power of r is formed and the difference keeps its relative precision;
+    where |A| r^k underflows, or is below e^-700 times |A| (r + rho)^k
+    (rho / r may overflow there), it is |A| (r + rho)^k, formed in
+    logarithms.  So nothing overflows for any |A|, up to beyond the float
+    range, and a subnormal power of r is never multiplied by a huge |A|.
 
-
-def _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap):
-    """_origin_radius for |A| above HUGE_A, from lna = ln|A| and
-    lark = ln(|A| r^k) (-inf at r = 0).  The polynomial term
-    |A| ((r + rho)^k - r^k) is formed as |A| r^k expm1(k log1p(rho / r)), so
-    no power of r is formed and the difference keeps its relative precision;
-    where |A| r^k underflows it is |A| (r + rho)^k, formed in logarithms.
-
-    Newton starts from where each term alone meets the target, the smaller
-    of the two: both lie above the root, and from there it falls to the
-    root without forming anything that overflows.
+    The bound is convex in rho and 0 at 0.  Newton starts from where each
+    term alone meets the midpoint of the target and the acceptance level,
+    the smaller of the two: the bound is at least that midpoint there, so
+    the start lies above the root and Newton falls to it, and where one
+    term dominates the start is accepted as it is.  A start beyond 1, above
+    any cap, is taken as 1, so none overflows for a tiny |A|.
     """
     top = ORIGIN_RADIUS if cap > ORIGIN_RADIUS else cap
     target = STEP_TARGET * fmod
     accept = STEP_ACCEPT * fmod
     ark = math.exp(lark)
-    rho = math.log1p(target / ea)
+    start = 0.5 * (target + accept)
+    rho = math.log1p(start / ea)
     if ark:
-        g = _log1p_exp(math.log(target) - lark) / k  # (1 + rho/r)^k = 1 + target/ark
-        alone = r * math.expm1(g) if g < 1.0 else math.exp(math.log(r) + g)
+        g = _log1p_exp(math.log(start) - lark) / k  # (1 + rho/r)^k = 1 + start/ark
+        alone = r * math.expm1(g) if g < 1.0 else math.exp(min(math.log(r) + g, 0.0))
     else:
-        alone = math.exp((math.log(target) - lna) / k)
+        alone = math.exp(min((math.log(start) - lna) / k, 0.0))
     if alone < rho:
         rho = alone
     if rho > top:
         rho = top
     for _ in range(30):
-        if ark:
-            g = k * math.log1p(rho / r)
-            poly = ark * math.expm1(g) if g < 700.0 else math.exp(lark + g)
-        else:
-            poly = math.exp(lna + k * math.log(r + rho))
+        g = k * math.log1p(rho / r) if ark else math.inf  # rho / r may overflow
+        poly = ark * math.expm1(g) if g < 700.0 else math.exp(lna + k * math.log(r + rho))
         b = ea * math.expm1(rho) + poly
         if b < accept:
             return rho
@@ -897,17 +860,14 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
     (1 + t(c1)) / (1 + t(c)), t(c1) taken with the factor chosen at c.  The
     change of arg D is exact: Im(c1 - c) for e^l, k Arg(c1 / c) for A l^k.
     Nearer the origin the step bounds |f(z) - f(c)| below
-    STEP_ACCEPT |f(c)| (_origin_radius, or _origin_radius_scaled for |A|
-    above HUGE_A) and adds the phase of f(c1) / f(c).  Every step, path
-    steps too, starts with the floor check: a step from a scaled |f| below
-    the rounding floor (STEP_FLOOR), or one too short to move p, raises
-    ZeroOnContourError, naming c (an arc: its angle); more than `budget`
-    steps raise QuadratureStalledError.
+    STEP_ACCEPT |f(c)| (_origin_radius) and adds the phase of
+    f(c1) / f(c).  Every step, path steps too, starts with the floor check:
+    a step from a scaled |f| below the rounding floor (STEP_FLOOR), or one
+    too short to move p, raises ZeroOnContourError, naming c (an arc: its
+    angle); more than `budget` steps raise QuadratureStalledError.
     """
     a = cmath.exp(log_a)
     lna = log_a.real
-    huge = lna > LN_HUGE_A
-    aa = None if huge else abs(a)
     total = 0.0
     steps = 0
     minmod = math.inf
@@ -930,11 +890,8 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
                 fc = cmath.exp(c) + a * c ** k
             ea = math.exp(c.real)
             fmod = abs(fc)
-            if huge:
-                lark = lna + k * math.log(r) if r else -math.inf
-                ark = math.exp(lark)
-            else:
-                ark = aa * r ** k
+            lark = lna + k * math.log(r) if r else -math.inf
+            ark = math.exp(lark)
             mod = fmod / max(ea, ark)
             scale = 1.0 + k
         else:
@@ -970,10 +927,8 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
                         q = None
         if q is None:
             if rho is None:
-                if huge and direct:
-                    rho = _origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
-                elif direct:
-                    rho = _origin_radius(k, ea, aa, r, fmod, cap)
+                if direct:
+                    rho = _origin_radius(k, ea, lna, r, lark, fmod, cap)
                 else:
                     rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
             if rho >= cap:

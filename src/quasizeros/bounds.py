@@ -252,9 +252,12 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
 
 
 def _window_boxes(qp, h, r_cut, im_cap, delta):
-    """The boxes of the sampled strip's two half-windows, upper then lower:
-    each holds its half's samples with delta + 1 to spare.  Empty when the
-    padded window has no height; refused past its walk's budget (window_zeros)."""
+    """The boxes of the sampled strip window, which hold its samples with
+    delta + 1 to spare: the two half-windows' boxes, upper then lower, where
+    the padded halves stay at least 1 from the real axis, and otherwise one
+    box around the whole window, so that no sample lies within delta + 1 of
+    the stretch between them.  Empty when the padded window has no height;
+    refused past its walk's budget (window_zeros)."""
     from . import certify as certify_mod
 
     k = qp.k
@@ -281,36 +284,39 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
         x_hi *= 2.0
     for _ in range(50):
         x_hi = h + k * math.log(x_hi + im_cap)
-    y_lo = max(y_min - pad, 1.0)
+    y_lo = y_min - pad
     if y_lo >= y_hi:
         return []
+    if y_lo < 1.0:
+        return [certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi + pad, y_hi))]
     return [certify_mod.Rectangle(complex(x_lo, y_lo), complex(x_hi + pad, y_hi)),
             certify_mod.Rectangle(complex(x_lo, -y_hi), complex(x_hi + pad, -y_lo))]
 
 
 def window_zeros(qp, h, r_cut, im_cap, delta, tolerance=1e-12):
-    """The certified zeros of the box around both half-boxes (_window_boxes),
-    by one branch walk (certify._box_zeros): estimate_C_delta's list, with
-    those between the halves, which a sample may lie within delta of."""
+    """The certified zeros of the box around the window's boxes
+    (_window_boxes), by one branch walk (certify._box_zeros):
+    estimate_C_delta's list."""
     from . import certify as certify_mod
 
     boxes = _window_boxes(qp, h, r_cut, im_cap, delta)
     return certify_mod._box_zeros(qp, certify_mod.Rectangle(
-        boxes[1].corner_min, boxes[0].corner_max), tolerance)[1] if boxes else []
+        boxes[-1].corner_min, boxes[0].corner_max), tolerance)[1] if boxes else []
 
 
 def _completeness_window(qp, boxes, strip_zeros):
-    """Verify the zero list covers the sampled strip window (both halves):
-    certify_completeness over each half-window's box (see _window_boxes)."""
+    """Verify the zero list covers the sampled strip window:
+    certify_completeness over each of its boxes (see _window_boxes)."""
     from . import certify as certify_mod
 
-    for half, box in zip((1, -1), boxes):
+    parts = ("half 1", "half -1") if len(boxes) == 2 else ("the whole window",)
+    for part, box in zip(parts, boxes):
         inside = [rec for rec in strip_zeros if box.contains(rec.value)]
         ok, detail = certify_mod.certify_completeness(qp, box, inside)
         if not ok:
             raise IncompleteZeroListError(
                 f"zero list covers {detail['expected_count']} zeros in "
-                f"the sampled window (half {half}) but the winding count is "
+                f"the sampled window ({part}) but the winding count is "
                 f"{detail['contour_count']}")
 
 
@@ -324,7 +330,7 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     (_window_boxes); zeros outside them lie more than delta + 1 from every
     sample and constrain nothing, and with fewer than two inside there is no
     constraint.  The list must be certified and cover the sampled window
-    (checked by certify_completeness over each half-window's box, by its
+    (checked by certify_completeness over each of the window's boxes, by its
     winding count, unless verify_completeness is disabled, which refuses []).
     """
     from . import zeros as zeros_mod

@@ -392,7 +392,9 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     (zeros._conjugate), index-checked too.  A polish that leaves the
     cell drops its value, whose zero then lies across the edge; one that
     escapes its basin drops it and its conjugate too, and one that fails
-    otherwise raises its error.  At a z_j at the branch point -1/e
+    otherwise raises its error again, of its type, naming the zero's index
+    as the ladder does, or its (j, m) where no index names it.  At a z_j at
+    the branch point -1/e
     (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
     one double zero, read by _double_zero into a ZeroRecord labelled by the
     partner.  A cell reaching _walk_height(k), where each root would walk
@@ -411,6 +413,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     # its zeros, which for real A > 0 is another branch's (zeros._partner)
     mirror = ymin == -ymax and zeros_mod._partner(qp, 0) is not None
     found = []
+    branches = []
     nus = []
     seeds = []
     partners = []
@@ -436,6 +439,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
                         zeros_mod._branch_nu(qp, j, double), c,
                         core.relative_residual(qp, c), c, 0, multiplicity=2))
             elif square.contains(lam):
+                branches.append((j, m))
                 nus.append(zeros_mod._branch_nu(qp, j, m))
                 seeds.append(lam)
                 pair = zeros_mod._partner(qp, j, m) if mirror else None
@@ -450,8 +454,9 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
         if failure is None:
             break
         if not isinstance(failure, EscapedBasinError):
-            raise failure
-        del nus[:n + 1], seeds[:n + 1], partners[:n + 1]
+            name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
+            raise type(failure)(f"refinement failed for {name}: {failure}") from failure
+        del branches[:n + 1], nus[:n + 1], seeds[:n + 1], partners[:n + 1]
     return found
 
 

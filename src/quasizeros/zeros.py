@@ -310,7 +310,7 @@ def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
 
     A standalone reference; the package polishes through _polish_branches.
     Each iterate costs one scaled evaluation, shared by its residual and its
-    Newton step (kernels.newton_polish).  The record is labelled by
+    Newton step (kernels.newton_polish_list).  The record is labelled by
     branch_index (None for 0), which for k >= 3 can differ from the ladder's
     index for the same zero.  Raises
     EscapedBasinError when an iterate strays more than ESCAPE_RADIUS from
@@ -347,12 +347,21 @@ def _duplicate(value, distance):
 
 
 def _check_duplicates(records):
+    """Raise DuplicateZeroError at the first two records that are one zero
+    (_duplicate).  In (Im, Re) order, each record is compared with every
+    later one whose Im lies less than DUPLICATE_DISTANCE above its own, so
+    no pair is missed for another record sorting between them."""
     ordered = sorted(records, key=lambda r: (r.value.imag, r.value.real))
-    for a, b in zip(ordered, ordered[1:]):
-        if _duplicate(a.value, abs(a.value - b.value)):
-            raise DuplicateZeroError(
-                f"indices {a.nu} and {b.nu} converged to the same zero "
-                f"{a.value:.9g}")
+    n = len(ordered)
+    for i, a in enumerate(ordered):
+        j = i + 1
+        while j < n and ordered[j].value.imag - a.value.imag < DUPLICATE_DISTANCE:
+            b = ordered[j]
+            if _duplicate(a.value, abs(a.value - b.value)):
+                raise DuplicateZeroError(
+                    f"indices {a.nu} and {b.nu} converged to the same zero "
+                    f"{a.value:.9g}")
+            j += 1
 
 
 def _nearest_distances(records):

@@ -10,6 +10,7 @@ import quasizeros as qz
 from quasizeros import _kernels_py as kp, certify as certify_mod, zeros as zeros_mod
 from quasizeros.errors import (
     DomainError,
+    MaxIterationsError,
     QuadratureStalledError,
     RecordOutsideContourError,
     SubdivisionStalledError,
@@ -710,6 +711,21 @@ class TestEnumeration:
                            match=f"^the square's count is 3, the listed multiplicities "
                                  f"add up to {listed}, and the uncertified records are "):
             qz.find_zeros_in_disk(qp11, 10.0)
+
+    @pytest.mark.parametrize("radius, label", [(0.5, r"\(j, m\) = \(0, 0\)"),
+                                               (10.0, "nu = 1")], ids=["unnamed", "indexed"])
+    def test_polish_failure_names_its_zero(self, qp11, radius, label, monkeypatch):
+        # a polish that fails inside the walk, other than by leaving its
+        # basin, raises its own error type naming the zero as the ladder
+        # does: by index, or by (j, m) for -W_0(1) = -0.567, which no index
+        # names
+        def failing(qp, seeds, tolerance, max_iterations=zeros_mod.NEWTON_ITERATIONS):
+            return [], MaxIterationsError("Newton refinement did not converge")
+
+        monkeypatch.setattr(zeros_mod, "_newton_polish", failing)
+        with pytest.raises(MaxIterationsError, match=f"^refinement failed for {label}: "
+                                                     "Newton refinement did not converge$"):
+            qz.find_zeros_in_disk(qp11, radius)
 
 
 def _label_sweep():

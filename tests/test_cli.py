@@ -63,7 +63,7 @@ class TestParsers:
         with pytest.raises(DomainError):
             parse_nu_range("1-5")
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(re=st.floats(-1e6, 1e6), im=st.floats(-1e6, 1e6))
     def test_complex_roundtrip(self, re, im):
         assert parse_complex(f"{re}{im:+}i") == complex(re, im)
@@ -420,6 +420,9 @@ class TestOriginCommand:
             assert loads(out)["summary"]["count"] > 3000
         else:
             assert out == "" and loads(err)["error"]["type"] == error
+        if error == "MaxIterationsError":
+            # the walk names the zero whose polish failed, as the ladder does
+            assert loads(err)["error"]["message"].startswith("refinement failed for nu = ")
 
 
 class TestClassifyCommand:
@@ -601,6 +604,17 @@ class TestBoundsCommand:
         error = loads(err)["error"]
         assert error == {"type": "DomainError", "message": "im_cap = 300000 exceeds the limit "
                                                            "205878 of the window's branch walk"}
+
+    def test_cdelta_walk_failure_names_its_zero(self, capsys):
+        # within the budget but above the height where the polish reaches
+        # 1e-12: exit 3 naming the zero's index, as the ladder does
+        code = main(["bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
+                     "--im-cap", "2e4", "--samples", "10"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        error = loads(err)["error"]
+        assert error["type"] == "MaxIterationsError"
+        assert error["message"].startswith("refinement failed for nu = ")
 
     @pytest.mark.parametrize("k, a", [("25", "1e300+0i"), ("3", "1e300+0i")])
     def test_cdelta_tiny_zeros_are_distinct(self, k, a):

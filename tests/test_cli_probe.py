@@ -108,7 +108,7 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(argv=ARGV)
 # tiny disk zeros, closer together than 1e-6, read as duplicates
 @example(argv=["zeros", "--k", "3", "--a", "1e300+0i", "--nu", "1..2", "--with-disk", "1"])

@@ -137,7 +137,7 @@ class TestEvaluateScaled:
         assert (es.log_magnitude, es.phase) == (0.0, 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     re=st.floats(-40, 40),
     im=st.floats(-40, 40),

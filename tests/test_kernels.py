@@ -57,7 +57,7 @@ def test_uniform_in_unit_interval():
         assert 0.0 <= u1 < 1.0 and 0.0 <= u2 < 1.0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.floats(-1e6, 1e6, allow_nan=False))
 def test_wrap_angle_principal(x):
     y = kp.wrap_angle(x)
@@ -360,12 +360,14 @@ def test_polish_and_critical_step_from_a_subnormal_point(lam, a, k):
     ratio, vanishes = kp.newton_step(k, qp.log_a, seed)
     assert not vanishes and cmath.isfinite(ratio) and ratio != 0
     huge = abs(a.real) > 1e300
+    polished, failure = kp.newton_polish_list(
+        k, qp.log_a, [seed], 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
     if (k == 2 and a == 1) or (huge and k >= 2):
-        with pytest.raises(EscapedBasinError if a == 1 else MaxIterationsError):
-            kp.newton_polish(k, qp.log_a, seed, 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
+        assert polished == []
+        assert type(failure) is (EscapedBasinError if a == 1 else MaxIterationsError)
     else:
-        value, residual, _its, _cofactor = kp.newton_polish(
-            k, qp.log_a, seed, 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
+        assert failure is None
+        [(value, residual, _its, _cofactor)] = polished
         assert residual < 1e-12 and value != seed
     step = kp.critical_step(k, qp.log_a, seed)
     assert step is None or cmath.isfinite(step)
@@ -383,13 +385,14 @@ def test_newton_polish_carries_its_last_evaluation():
         z = zeros_mod.lambert_argument(qp, rng.randrange(k))
         lam = -k * kp.lambert_w(z, rng.randint(-4, 4))
         lam += complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
-        value, residual, _its, cofactor = kp.newton_polish(
-            k, qp.log_a, lam, 1e-12, 60, zeros_mod.ESCAPE_RADIUS)
+        [(value, residual, _its, cofactor)], failure = kp.newton_polish_list(
+            k, qp.log_a, [lam], 1e-12, 60, zeros_mod.ESCAPE_RADIUS)
+        assert failure is None
         assert (residual, cofactor) == kp.residual_cofactor(k, qp.log_a, value)
         assert residual == kp.relative_residual(k, qp.log_a, value) < 1e-12
-        for r in (1e-3, 0.1, 1.0):
-            assert kp.rouche_holds(k, value, *cofactor, r) == kp.rouche_isolates(
-                k, qp.log_a, value, r)
+        radii = (1e-3, 0.1, 1.0)
+        assert kp.rouche_holds_list(k, [(value, cofactor, r) for r in radii]) == [
+            kp.rouche_isolates(k, qp.log_a, value, r) for r in radii]
 
 
 def test_lambert_w_from_log_argument():
@@ -455,15 +458,19 @@ def test_newton_polish_list_stops_at_the_first_failure(offset, tolerance, iterat
     qp, seeds = _polish_seeds()
     bad = 1j * math.pi if offset is None else seeds[2] + offset
     args = (tolerance, iterations, escape)
-    with pytest.raises(error) as info:
-        kp.newton_polish(1, qp.log_a, bad, *args)
+
+    def one_seed(seed):
+        return kp.newton_polish_list(1, qp.log_a, [seed], *args)
+
+    alone, alone_failure = one_seed(bad)
+    assert alone == [] and type(alone_failure) is error
     polished, failure = kp.newton_polish_list(1, qp.log_a, [*seeds[:2], bad, seeds[2]], *args)
     # the seeds before it polished as one-seed calls do, the failure the
     # one-seed call's, and nothing polished after it
-    assert polished == [kp.newton_polish(1, qp.log_a, s, *args) for s in seeds[:2]]
-    assert type(failure) is error and str(failure) == str(info.value)
+    assert polished == [one_seed(s)[0][0] for s in seeds[:2]]
+    assert type(failure) is error and str(failure) == str(alone_failure)
     assert kp.newton_polish_list(1, qp.log_a, seeds, *args) == (
-        [kp.newton_polish(1, qp.log_a, s, *args) for s in seeds], None)
+        [one_seed(s)[0][0] for s in seeds], None)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])
@@ -483,7 +490,6 @@ def test_rouche_holds_list_matches_one_disk_calls(k):
                 disks.append((lam, cofactor, r))
     rng.shuffle(disks)
     got = kp.rouche_holds_list(k, disks)
-    assert got == [kp.rouche_holds(k, lam, *cofactor, r) for lam, cofactor, r in disks]
     assert got == [kp.rouche_isolates(k, qp.log_a, lam, r) for lam, cofactor, r in disks]
     assert True in got and False in got
     # a radius the test refuses is not proven before the cofactor is read
@@ -491,28 +497,54 @@ def test_rouche_holds_list_matches_one_disk_calls(k):
         False, False]
 
 
-def test_origin_radius_scaled_keeps_its_bound():
-    # the step bound e^Re c (e^rho - 1) + |A| ((r + rho)^k - r^k) at the
-    # returned rho, in 60-digit decimals: below STEP_ACCEPT |f(c)|, and above
-    # 0.4 |f(c)| unless the step reached its cap.  |A| up to beyond the
-    # float range, r down to subnormal powers and 0
-    decimal.getcontext().prec = 60
+def _decimal_step_bound(k, lna, r, ea, rho):
+    """The step bound e^Re c (e^rho - 1) + |A| ((r + rho)^k - r^k) in
+    60-digit decimals.  Both differences are formed as sums of positive
+    terms, the series of expm1 and the binomial expansion, so no digit
+    cancels however small rho is against 1 and r."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d_rho, d_r = decimal.Decimal(rho), decimal.Decimal(r)
+        expm1 = term = d_rho
+        j = 1
+        while term > expm1 * decimal.Decimal("1e-62"):
+            j += 1
+            term = term * d_rho / j
+            expm1 += term
+        poly = d_rho ** k + sum(math.comb(k, j) * d_r ** (k - j) * d_rho ** j
+                                for j in range(1, k))
+        return decimal.Decimal(ea) * expm1 + decimal.Decimal(lna).exp() * poly
+
+
+def test_origin_radius_keeps_its_bound():
+    # the near-origin step bound at the returned rho, in 60-digit decimals:
+    # below STEP_ACCEPT |f(c)|, and above 0.4 |f(c)| unless the step reached
+    # its cap.  |A| from e^-700 to beyond the float range, r near the
+    # zeros' |A|^(-1/k) or anywhere down to subnormal values, and 0
     rng = random.Random(18)
     cases = [(2, math.log(1e308), 1.414213562373095e-154, 1.0, 2.2360679774998133, 1.4e-154),
-             (1, 709.875, 4e-309, 1.0, 1e-3, 0.5), (3, 700.0, 0.0, 1.0, 1.0, 0.5)]
-    for _ in range(300):
-        k = rng.choice((1, 2, 3, 5, 10))
-        lna = rng.uniform(math.log(kp.HUGE_A), 709.9)
-        r = math.exp(-lna / k) * 10.0 ** rng.uniform(-3, 3) if rng.random() < 0.9 else 0.0
+             (1, 709.875, 4e-309, 1.0, 1e-3, 0.5), (3, 700.0, 0.0, 1.0, 1.0, 0.5),
+             (1, -700.0, 0.0, 1.0, 1.0, 0.5), (25, -700.0, 0.3, 1.2, 0.9, 0.5),
+             # rho / r overflows at the subnormal r
+             (1, 11.301909570198859, 2.87e-322, 0.6721101474079423, 4.672847991052346e-05,
+              2.662590124592442e-05)]
+    for _ in range(600):
+        k = rng.choice((1, 2, 3, 5, 10, 25))
+        lna = rng.uniform(-700.0, 709.9)
+        u = rng.random()
+        if u < 0.5:
+            r = math.exp(-lna / k) * 10.0 ** rng.uniform(-3, 3)
+        elif u < 0.9:
+            r = 10.0 ** rng.uniform(-323, 0)
+        else:
+            r = 0.0
         cases.append((k, lna, min(r, 0.49), math.exp(rng.uniform(-0.5, 0.5)),
                       10.0 ** rng.uniform(-10, 1), 10.0 ** rng.uniform(-160, 0)))
     for k, lna, r, ea, fmod, cap in cases:
         lark = lna + k * math.log(r) if r else -math.inf
-        rho = kp._origin_radius_scaled(k, ea, lna, r, lark, fmod, cap)
+        rho = kp._origin_radius(k, ea, lna, r, lark, fmod, cap)
         assert 0.0 < rho <= min(cap, kp.ORIGIN_RADIUS), (k, lna, r, fmod, cap)
-        d_rho, d_r = decimal.Decimal(rho), decimal.Decimal(r)
-        bound = (decimal.Decimal(ea) * (d_rho.exp() - 1)
-                 + decimal.Decimal(lna).exp() * ((d_r + d_rho) ** k - d_r ** k))
+        bound = _decimal_step_bound(k, lna, r, ea, rho)
         assert bound < decimal.Decimal(kp.STEP_ACCEPT * fmod), (k, lna, r, fmod, cap)
         if rho < min(cap, kp.ORIGIN_RADIUS):
             assert bound > decimal.Decimal(0.4 * fmod), (k, lna, r, fmod, cap)

@@ -95,7 +95,7 @@ class TestClassify:
         assert hits > 0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(re=st.floats(-500, 500), im=st.floats(-500, 500),
        h=st.floats(0.1, 5), r=st.floats(0.1, 20), s=st.sampled_from([1, 2]))
 def test_classify_total_property(re, im, h, r, s):

@@ -644,6 +644,16 @@ class TestDuplicateDetection:
             with pytest.raises(DuplicateZeroError):
                 check(twin)
 
+    def test_duplicate_with_a_record_sorting_between(self):
+        # in (Im, Re) order -3 + 1e-12i sorts between 5 and its twin
+        # 5 + 2e-12i, so the twins are not neighbours there
+        values = [5.0 + 0j, -3.0 + 1e-12j, 5.0 + 2e-12j]
+        records = [qz.ZeroRecord(None, v, 0.0, v, 0) for v in values]
+        for check in (qz.separation_radius, zeros_mod._check_duplicates,
+                      zeros_mod._distinct_isolation_radii):
+            with pytest.raises(DuplicateZeroError):
+                check(records)
+
 
 class TestGapStatistics:
     def test_refined_gaps(self, qp11):
