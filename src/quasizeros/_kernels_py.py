@@ -12,12 +12,13 @@ Conventions:
   * the quasipolynomial is f(l) = e^l + A l^k; kernels take k, the complex
     logarithm log_a = ln|A| + i arg A (computed once per QuasiPolynomial),
     and complex points
-  * the per-zero kernels take lists, one loop in one frame per call:
-    lambert_w_list (one z, many branches), newton_polish_list (many seeds)
-    and rouche_holds_list (many disks).  lambert_w and rouche_isolates are
-    one-element calls into the first and the last, so each formula exists
-    once, and an element of a list comes out bit for bit as its
-    one-element call gives it
+  * the per-zero kernels take and give columns, one list per field, in one
+    loop in one frame per call: lambert_w_list (one z, many branches),
+    newton_polish_list (many seeds) and rouche_holds_list (many disks), so
+    the zeros reach their certificates with no record built in between.
+    lambert_w and rouche_isolates are one-element calls into the first and
+    the last, so each formula exists once, and an element of a list comes
+    out bit for bit as its one-element call gives it
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
   * a sampler accepts n >= 1 points, drawing its uniforms from
@@ -297,41 +298,44 @@ def newton_polish_list(k, log_a, seeds, tolerance, max_iterations, escape):
     """Newton iteration from each seed in turn, in one loop, until the
     relative residual is below tolerance.
 
-    Returns (polished, failure).  polished holds, for each seed up to the
-    first that fails, (lam, residual, iterations, cofactor): the first
-    iterate that passes, its residual, the steps taken, and (expdom, t) at
-    it (None at lam = 0).  failure is that seed's error, None when every
-    seed passes; the seeds after it are not polished.  Each iterate costs
-    one residual_cofactor, shared by its residual and, when it does not
-    pass, its Newton step f/f' = (1 + t)/u; an iterate where k/lam
-    overflows steps by newton_step's tiny-lam form.  The failures are
+    Returns the columns (values, residuals, iterations, cofactors, failure).
+    For each seed up to the first that fails they hold the first iterate
+    that passes, its residual, the steps taken, and (expdom, t) at it (None
+    at lam = 0).  failure is that seed's error, None when every seed
+    passes; the seeds after it are not polished.  Each iterate costs one
+    residual_cofactor, shared by its residual and, when it does not pass,
+    its Newton step f/f' = (1 + t)/u; an iterate where k/lam overflows
+    steps by newton_step's tiny-lam form.  The failures are
     EscapedBasinError when an iterate lies farther than `escape` from the
     seed, DerivativeVanishesError where the step is unusable (see
     newton_step), and MaxIterationsError after max_iterations steps.
     """
-    polished = []
+    values, residuals, iterations, cofactors = columns = [], [], [], []
     for seed in seeds:
         lam = seed
         for it in range(max_iterations + 1):
             residual, cofactor = residual_cofactor(k, log_a, lam)
             if residual < tolerance:
-                polished.append((lam, residual, it, cofactor))
+                values.append(lam)
+                residuals.append(residual)
+                iterations.append(it)
+                cofactors.append(cofactor)
                 break
             if cofactor is None or abs(lam) * FLOAT_MAX < k:
                 ratio, vanishes = newton_step(k, log_a, lam)
             else:
                 ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
             if vanishes:
-                return polished, DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}")
+                return (*columns, DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}"))
             lam = lam - ratio
             if abs(lam - seed) > escape:
-                return polished, EscapedBasinError(
-                    f"Newton iterate left the seed basin (|l - seed| > {escape:g})")
+                return (*columns, EscapedBasinError(
+                    f"Newton iterate left the seed basin (|l - seed| > {escape:g})"))
         else:
-            return polished, MaxIterationsError(
+            return (*columns, MaxIterationsError(
                 f"Newton refinement from {seed:.6g} did not reach {tolerance:g} "
-                f"in {max_iterations} iterations")
-    return polished, None
+                f"in {max_iterations} iterations"))
+    return (*columns, None)
 
 
 def newton_step(k, log_a, lam):
@@ -474,22 +478,22 @@ def rouche_isolates(k, log_a, lam, radius):
     if lam == 0:
         return False
     expdom, t, _loglam = _cofactor(k, log_a, lam)
-    return rouche_holds_list(k, ((lam, (expdom, t), radius),))[0]
+    return rouche_holds_list(k, (lam,), ((expdom, t),), (radius,))[0]
 
 
-def rouche_holds_list(k, disks):
-    """rouche_isolates for each (lam, cofactor, radius) of disks, in one
-    loop, from the cofactor (expdom, t) of _cofactor at lam != 0, so a
-    caller that has just evaluated f at lam tests the disk without
-    evaluating it again.  A radius outside (0, 700) reads as not proven
-    before the cofactor is read (it may then be None).  Where k/lam
+def rouche_holds_list(k, values, cofactors, radii):
+    """rouche_isolates for each disk of the columns values, cofactors and
+    radii, in one loop, from the cofactor (expdom, t) of _cofactor at each
+    lam != 0, so a caller that has just evaluated f at lam tests the disk
+    without evaluating it again.  A radius outside (0, 700) reads as not
+    proven before the cofactor is read (it may then be None).  Where k/lam
     overflows (|lam| near the float range's bottom) the scaled f' is not
     finite and the test reads as not proven, as it does with a non-finite
     f'' term (see _second_derivative_cofactor).  _exp_tail3 is formed again
     only where the radius changes."""
     holds = []
     last = None
-    for lam, cofactor, radius in disks:
+    for lam, cofactor, radius in zip(values, cofactors, radii):
         if not 0.0 < radius < 700.0:
             holds.append(False)
             continue
@@ -706,12 +710,12 @@ def _cofactor_radius(k, c, ln_tau, mu, cap):
     return 0.0
 
 
-def _origin_radius(k, ea, lna, r, lark, fmod, cap):
+def _origin_radius(k, ea, lna, r, lark, ark, fmod, cap):
     """Largest rho <= min(cap, ORIGIN_RADIUS) with
     |e^c| (e^rho - 1) + |A| ((r + rho)^k - r^k) <= STEP_TARGET |f(c)|, a bound
     on |f(z) - f(c)| over |z - c| <= rho; ea = |e^c|, lna = ln|A|, r = |c|,
-    lark = ln(|A| r^k) (-inf at r = 0) and fmod = |f(c)|.  Returned once the
-    bound is below STEP_ACCEPT |f(c)|.
+    lark = ln(|A| r^k) (-inf at r = 0), ark = e^lark and fmod = |f(c)|.
+    Returned once the bound is below STEP_ACCEPT |f(c)|.
 
     The polynomial term is formed as |A| r^k expm1(k log1p(rho / r)), so no
     power of r is formed and the difference keeps its relative precision;
@@ -730,7 +734,6 @@ def _origin_radius(k, ea, lna, r, lark, fmod, cap):
     top = ORIGIN_RADIUS if cap > ORIGIN_RADIUS else cap
     target = STEP_TARGET * fmod
     accept = STEP_ACCEPT * fmod
-    ark = math.exp(lark)
     start = 0.5 * (target + accept)
     rho = math.log1p(start / ea)
     if ark:
@@ -928,7 +931,7 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
         if q is None:
             if rho is None:
                 if direct:
-                    rho = _origin_radius(k, ea, lna, r, lark, fmod, cap)
+                    rho = _origin_radius(k, ea, lna, r, lark, ark, fmod, cap)
                 else:
                     rho = _cofactor_radius(k, c, -abs(w.real), mod, cap)
             if rho >= cap:

@@ -14,6 +14,7 @@ import cmath
 import io
 import json
 import re
+import sys
 
 from .errors import DomainError
 
@@ -67,20 +68,21 @@ def record_to_obj(rec):
 
 
 def record_from_obj(obj):
+    """The ZeroRecord of one result of a zeros document; a value outside the
+    schema above (a bool or 1.5 for an int, NaN or inf) raises ValueError."""
     from .zeros import ZeroRecord
 
-    nu = obj["nu"]
-    radius = obj.get("isolation_radius", 0.0)
-    return ZeroRecord(
-        nu=None if nu == "origin" else int(nu),
-        value=complex(obj["re"], obj["im"]),
-        residual=float(obj.get("residual", 0.0)),
-        seed=complex(obj["re"], obj["im"]),
-        iterations=0,
-        certified=bool(obj.get("certified", False)),
-        isolation_radius=radius if radius else None,
-        multiplicity=int(obj.get("multiplicity", 1)),
-    )
+    nu, residual, radius = obj["nu"], obj.get("residual", 0.0), obj.get("isolation_radius", 0.0)
+    certified, multiplicity = obj.get("certified", False), obj.get("multiplicity", 1)
+    # type(x) is int refuses a bool, which JSON writes as true or false
+    if not ((nu == "origin" or type(nu) is int) and type(certified) is bool
+            and type(multiplicity) is int and multiplicity >= 1
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    for x in (obj["re"], obj["im"], residual, radius))):
+        raise ValueError(f"a result holds a value outside the schema: {obj!r}")
+    value = complex(obj["re"], obj["im"])
+    return ZeroRecord(None if nu == "origin" else nu, value, float(residual), value, 0,
+                      certified, radius or None, multiplicity)
 
 
 def document(qp, command, params, results, summary):

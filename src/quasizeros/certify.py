@@ -21,9 +21,9 @@ certifies at its isolation radius.  Every zero is l = -k W_m(z_j),
 z_j = -1/(k w_j), for exactly one root w_j of w^k = -A and one branch m of
 Lambert W (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5,
 1996), so walking the (j, m) a cell can hold and polishing each value as
-the ladder does lists its zeros (_branch_zeros).  One routine lists and
-certifies a box's zeros this way (_box_zeros), for the disk search's square
-and the C_delta window of the bounds module alike.  The square's winding
+the ladder does lists its zeros, as the ladder's columns (_branch_zeros).
+One routine lists and certifies a box's zeros this way (_box_zeros), for
+the disk search's square and the C_delta window alike.  The square's winding
 count then checks the list (count-then-polish run in reverse; Kravanja &
 Van Barel, LNM 1727, 2000); when the identity fails the disk search raises
 SubdivisionStalledError.
@@ -37,12 +37,13 @@ pair at its own isolation radius; otherwise, or when that test does not
 succeed, by a winding count over the disk.  certify_record evaluates f once
 at the record's value for both the residual gate and the Rouche test; the
 simple zeros the ladder and the disk search polish take that evaluation
-from their Newton polish (certify_polished).
+from the columns of their Newton polish (certify_polished).
 """
 
 import cmath
 import math
 from collections import namedtuple
+from itertools import compress, repeat
 
 from . import core, zeros as zeros_mod
 from ._backend import kernels
@@ -187,26 +188,32 @@ def certify_record(qp, record, radius=None):
     # for a stale value whose disk still happens to contain the true zero
     value = complex(record.value)
     residual, cofactor = kernels.residual_cofactor(qp.k, qp.log_a, value)
-    proven, = _proven(qp, ((value, residual, cofactor, record.multiplicity, r),))
-    if proven is None:
-        return _winding_certificate(qp, record, r)
-    return _certificate(record, proven, r)
+    if residual >= RESIDUAL_GATE:
+        return _certificate(record, False, r)
+    if (record.multiplicity == 1
+            and kernels.rouche_holds_list(qp.k, (value,), (cofactor,), (r,))[0]):
+        return _certificate(record, True, r)
+    return _winding_certificate(qp, record, r)
 
 
-def certify_polished(qp, polished, radii):
-    """The records of simple zeros (zeros._Polished), each certified as
-    certify_record would certify it at its radius, from the residual and
-    cofactor (expdom, t) that the polish computed at its value
-    (kernels.newton_polish_list): the list takes one residual gate and one
-    Rouche list (_proven), and no further evaluation of f unless Rouche
-    fails and a winding count decides.  Builds one ZeroRecord per zero."""
-    proven = _proven(qp, [(p.value, p.residual, p.cofactor, 1, r)
-                          for p, r in zip(polished, radii)])
-    record = zeros_mod.ZeroRecord
-    return [record(nu, value, residual, seed, iterations, settled, r) if settled is not None
-            else _winding_certificate(qp, record(nu, value, residual, seed, iterations), r)
-            for (nu, value, residual, seed, iterations, _cofactor), r, settled
-            in zip(polished, radii, proven)]
+def certify_polished(qp, columns, radii):
+    """The records of simple zeros, given as the columns (nus, values,
+    residuals, seeds, iterations, cofactors) of their polish, each certified
+    as certify_record would certify it at its radius, from the residual and
+    cofactor (expdom, t) the polish computed at its value: one residual gate
+    and one Rouche list, and no further evaluation of f unless a winding
+    count decides.  Builds each ZeroRecord once, from its row."""
+    nus, values, residuals, seeds, iterations, cofactors = columns
+    # a zero whose radius leaves no room or whose residual fails the gate is
+    # not certified; the Rouche list reads its radius 0 as not proven before
+    # any arithmetic
+    tested = [r if r > 0 and not residual >= RESIDUAL_GATE else 0.0
+              for residual, r in zip(residuals, radii)]
+    holds = kernels.rouche_holds_list(qp.k, values, cofactors, tested)
+    make = zeros_mod.ZeroRecord._make
+    return [make(row) if row[5] or not r else _winding_certificate(qp, row, row[6])
+            for r, row in zip(tested, zip(nus, values, residuals, seeds, iterations, holds,
+                                          radii, repeat(1)))]
 
 
 def join_disk(qp, ladder, disk, nus, certify=True):
@@ -219,49 +226,26 @@ def join_disk(qp, ladder, disk, nus, certify=True):
     the other list nearer than its own list's neighbors shrinks its
     isolation disk, and a disk that held both zeros could not certify."""
     joined = ladder + [rec for rec in disk if rec.nu is None or rec.nu not in nus]
+    labels, values = [rec.nu for rec in joined], [rec.value for rec in joined]
     if not certify:
-        zeros_mod._check_duplicates(joined)
+        zeros_mod._check_duplicates(labels, values)
         return joined
     return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
-            for rec, r in zip(joined, zeros_mod._distinct_isolation_radii(joined))]
-
-
-def _proven(qp, tests):
-    """For each (value, residual, cofactor, multiplicity, r) of tests, the
-    certificate settled without a winding count: False when the radius
-    leaves no room or the residual at value fails RESIDUAL_GATE, True when
-    the Rouche test proves a simple zero, None when a winding count
-    decides.  One kernels.rouche_holds_list call, from the cofactors at the
-    values; a disk it need not test goes in with radius 0, which it reads
-    as not proven before any arithmetic."""
-    settled = []
-    disks = []
-    for value, residual, cofactor, multiplicity, r in tests:
-        if not r > 0 or residual >= RESIDUAL_GATE:
-            settled.append(False)
-            disks.append((value, cofactor, 0.0))
-        else:
-            settled.append(None)
-            disks.append((value, cofactor, r if multiplicity == 1 else 0.0))
-    for i, holds in enumerate(kernels.rouche_holds_list(qp.k, disks)):
-        if holds:
-            settled[i] = True
-    return settled
+            for rec, r in zip(joined, zeros_mod._distinct_isolation_radii(labels, values))]
 
 
 def _certificate(record, certified, radius):
-    """The record with its certificate fields set.  Built directly: this is
-    about twice as fast as record._replace, and it runs once per record."""
-    return zeros_mod.ZeroRecord(record.nu, record.value, record.residual, record.seed,
-                                record.iterations, certified, radius,
-                                record.multiplicity)
+    """The record (or a row of its fields) with its certificate fields set,
+    built directly: about twice as fast as record._replace."""
+    return zeros_mod.ZeroRecord._make((*record[:5], certified, radius, record[7]))
 
 
 def _winding_certificate(qp, record, r):
-    """certify_record's winding-count path, starting at radius r."""
-    mult = record.multiplicity
+    """certify_record's winding-count path for a record (or a row of its
+    fields), starting at radius r."""
+    nu, value, _residual, seed, iterations, _certified, _radius, mult = record
     for _ in range(4):
-        disk = Circle(complex(record.value), r)
+        disk = Circle(complex(value), r)
         try:
             report = winding_count(qp, disk)
         except ZeroOnContourError:
@@ -270,11 +254,10 @@ def _winding_certificate(qp, record, r):
         if report.count == mult:
             return _certificate(record, True, r)
         if report.count == 2 and mult == 1:
-            c = _double_zero(qp, disk, record.value)
+            c = _double_zero(qp, disk, value)
             if c is not None:
-                return zeros_mod.ZeroRecord(
-                    record.nu, c, core.relative_residual(qp, c), record.seed,
-                    record.iterations, True, r, 2)
+                return zeros_mod.ZeroRecord(nu, c, core.relative_residual(qp, c), seed,
+                                            iterations, True, r, 2)
         r *= 0.5
     return _certificate(record, False, r)
 
@@ -328,7 +311,7 @@ def _square(radius, attempt):
 def _outer_cell(qp, radius, tolerance):
     """The disk search's bounding square, placed off the zero set: its
     zeros listed and certified (_box_zeros) and its winding count, as
-    (found, records, count).
+    (listed, records, count).
 
     Only a zero on the square moves it.  A moved square is first checked
     for edges clear of the zero set (_edge_clear), which the first square,
@@ -340,9 +323,9 @@ def _outer_cell(qp, radius, tolerance):
             corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))
             if not all(_edge_clear(qp, corners[i], corners[(i + 1) % 4]) for i in range(4)):
                 continue
-        found, records = _box_zeros(qp, Rectangle(sw, ne), tolerance)
+        listed, records = _box_zeros(qp, Rectangle(sw, ne), tolerance)
         try:
-            return found, records, winding_count(qp, Rectangle(sw, ne)).count
+            return listed, records, winding_count(qp, Rectangle(sw, ne)).count
         except ZeroOnContourError:
             continue
     raise SubdivisionStalledError(
@@ -355,27 +338,32 @@ def _walk_height(k):
 
 
 def _box_zeros(qp, box, tolerance):
-    """The zeros of f inside the Rectangle box, before and after their
-    certificates, in im_order: (found, records).  One walk (_branch_zeros)
-    lists the box widened by WALK_PAD, and the isolation radii min(1, d/2)
-    over all it lists are the whole zero set's.  Simple zeros certify from
-    their polish, the branch point's double zero by certify_record."""
+    """The zeros of f inside the Rectangle box in im_order, as listed
+    (values, multiplicities) and as certified: (listed, records).  One walk
+    (_branch_zeros) lists the box widened by WALK_PAD, and the isolation
+    radii min(1, d/2) over all it lists are the whole zero set's.  Simple
+    zeros certify from their polish, double zeros by certify_record."""
     (x0, y0), (x1, y1) = [(z.real, z.imag) for z in box]
-    found = _branch_zeros(qp, (x0 - WALK_PAD, x1 + WALK_PAD, y0 - WALK_PAD, y1 + WALK_PAD),
-                          tolerance)
-    found.sort(key=zeros_mod.im_order)
-    kept = [(rec, r) for rec, r in zip(found, zeros_mod.isolation_radii(found))
-            if box.contains(rec.value)]
-    simple = [(rec, r) for rec, r in kept if isinstance(rec, zeros_mod._Polished)]
-    certified = iter(certify_polished(qp, [rec for rec, _r in simple], [r for _rec, r in simple]))
-    records = [next(certified) if isinstance(rec, zeros_mod._Polished)
-               else certify_record(qp, rec, r) for rec, r in kept]
-    return [rec for rec, _r in kept], records
+    doubles, walked = _branch_zeros(
+        qp, (x0 - WALK_PAD, x1 + WALK_PAD, y0 - WALK_PAD, y1 + WALK_PAD), tolerance)
+    values = [rec.value for rec in doubles] + walked[1]
+    radii = zeros_mod.isolation_radii(values)
+    d = len(doubles)
+    inside = sorted((i for i, lam in enumerate(values) if box.contains(lam)),
+                    key=lambda i: zeros_mod.im_order(values[i]))
+    simple = [i - d for i in inside if i >= d]
+    certified = iter(certify_polished(qp, [list(map(col.__getitem__, simple)) for col in walked],
+                                      [radii[i + d] for i in simple]))
+    records = [certify_record(qp, doubles[i], radii[i]) if i < d else next(certified)
+               for i in inside]
+    return ([values[i] for i in inside],
+            [doubles[i].multiplicity if i < d else 1 for i in inside]), records
 
 
 def _branch_zeros(qp, cell, tolerance=1e-12):
     """The zeros of f inside the cell (xmin, xmax, ymin, ymax), listed by
-    Lambert-W branch, before their certificates.
+    Lambert-W branch, before their certificates: the double zeros' records
+    and the columns (nus, values, residuals, seeds, iterations, cofactors).
 
     Every zero solves e^(l/k) = w_j l for exactly one root w_j of
     w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
@@ -383,13 +371,13 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
     |m| > Y / (2 pi k) + 1; the rest are walked, each root's branches in
     one kernels.lambert_w_list call, and the values inside the cell, in
-    (j, m) order, are polished in one list by zeros._polish_branches and
+    (j, m) order, are polished in one list (zeros._newton_polish) and
     index-checked by zeros._check_indices, as the ladder does.  For real
     A > 0 and a cell symmetric about the real axis only one branch of each
     conjugate pair (j, m), (k - 1 - j, -m) is walked and polished (the
     roots with 2j + 1 <= k, and the branches m <= 0 of a root that is its
     own partner), and the other is listed as its conjugate
-    (zeros._conjugate), index-checked too.  A polish that leaves the
+    (zeros._mirror), index-checked too.  A polish that leaves the
     cell drops its value, whose zero then lies across the edge; one that
     escapes its basin drops it and its conjugate too, and one that fails
     otherwise raises its error again, of its type, naming the zero's index
@@ -412,7 +400,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     # a cell symmetric about the real axis holds the conjugate of each of
     # its zeros, which for real A > 0 is another branch's (zeros._partner)
     mirror = ymin == -ymax and zeros_mod._partner(qp, 0) is not None
-    found = []
+    doubles = []
     branches = []
     nus = []
     seeds = []
@@ -435,7 +423,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
             if m == 0 and double is not None:
                 c = _double_zero(qp, square, lam)
                 if c is not None:
-                    found.append(zeros_mod.ZeroRecord(
+                    doubles.append(zeros_mod.ZeroRecord(
                         zeros_mod._branch_nu(qp, j, double), c,
                         core.relative_residual(qp, c), c, 0, multiplicity=2))
             elif square.contains(lam):
@@ -444,20 +432,27 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
                 seeds.append(lam)
                 pair = zeros_mod._partner(qp, j, m) if mirror else None
                 partners.append(None if pair == (j, m) else pair)
+    found = ([], [], [], [], [], [])
     while seeds:
-        polished, failure = zeros_mod._polish_branches(qp, nus, seeds, tolerance)
-        n = len(polished)
-        polished += [zeros_mod._conjugate(p, zeros_mod._branch_nu(qp, *pair))
-                     for p, pair in zip(polished, partners) if pair is not None]
-        zeros_mod._check_indices(qp, polished)
-        found += [p for p in polished if square.contains(p.value)]
+        values, residuals, iterations, cofactors, failure = zeros_mod._newton_polish(
+            qp, seeds, tolerance)
+        n = len(values)
+        walked = (nus[:n], values, residuals, seeds[:n], iterations, cofactors)
+        picks = [i for i in range(n) if partners[i] is not None]
+        if picks:
+            zeros_mod._mirror(walked, n, picks, [zeros_mod._branch_nu(qp, *partners[i])
+                                                 for i in picks])
+        zeros_mod._check_indices(qp, walked[0], values)
+        inside = [square.contains(lam) for lam in values]
+        for col, new in zip(found, walked):
+            col += compress(new, inside)
         if failure is None:
             break
         if not isinstance(failure, EscapedBasinError):
             name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
             raise type(failure)(f"refinement failed for {name}: {failure}") from failure
         del branches[:n + 1], nus[:n + 1], seeds[:n + 1], partners[:n + 1]
-    return found
+    return doubles, found
 
 
 def find_zeros_in_disk(qp, radius, tolerance=1e-12):
@@ -474,26 +469,26 @@ def find_zeros_in_disk(qp, radius, tolerance=1e-12):
     """
     if not 0 < radius < math.inf:
         raise DomainError("radius must be a positive finite number")
-    found, records, count = _outer_cell(qp, radius, tolerance)
-    ok, failures = _count_identity(count, found, records)
+    listed, records, count = _outer_cell(qp, radius, tolerance)
+    ok, failures = _count_identity(count, *listed, records)
     if not ok:
         raise SubdivisionStalledError(
             f"the square's count is {count}, the listed multiplicities add up to "
-            f"{sum(rec.multiplicity for rec in found)}, and the uncertified records "
-            f"are [{', '.join(f'{rec.value:.12g}' for rec in failures)}]")
+            f"{sum(listed[1])}, and the uncertified records "
+            f"are [{', '.join(f'{z:.12g}' for z in failures)}]")
     return [rec for rec in records if abs(rec.value) <= radius]
 
 
-def _count_identity(count, records, checked):
+def _count_identity(count, values, multiplicities, checked):
     """The count identity: a contour's winding count equals the sum of the
-    multiplicities of the records inside it, and every record certifies, with
-    its own multiplicity, at its radius (checked: the records as certified).
-    Certified disks at isolation radii are disjoint, so the identity proves
-    the records are all the zeros inside (Kravanja & Van Barel, LNM 1727,
-    2000).  Returns (whether it holds, the records that did not certify)."""
-    failures = [rec for rec, c in zip(records, checked)
-                if not c.certified or c.multiplicity != rec.multiplicity]
-    return count == sum(rec.multiplicity for rec in records) and not failures, failures
+    multiplicities of the zeros listed inside it, and every zero certifies,
+    with its own multiplicity, at its radius (checked: the records as
+    certified).  Certified disks at isolation radii are disjoint, so the
+    identity proves the list is all the zeros inside (Kravanja & Van Barel,
+    LNM 1727, 2000).  Returns (whether it holds, the values that fail)."""
+    failures = [z for z, m, c in zip(values, multiplicities, checked)
+                if not c.certified or c.multiplicity != m]
+    return count == sum(multiplicities) and not failures, failures
 
 
 def certify_completeness(qp, contour, records):
@@ -511,10 +506,11 @@ def certify_completeness(qp, contour, records):
                 f"record at {rec.value:.6g} lies outside the contour")
     count = winding_count(qp, contour).count
     checked = [certify_record(qp, rec, rec.isolation_radius) for rec in records]
-    ok, failures = _count_identity(count, records, checked)
+    multiplicities = [rec.multiplicity for rec in records]
+    ok, failures = _count_identity(count, [rec.value for rec in records], multiplicities, checked)
     detail = {
         "contour_count": count,
-        "expected_count": sum(rec.multiplicity for rec in records),
-        "record_failures": [r.value for r in failures],
+        "expected_count": sum(multiplicities),
+        "record_failures": failures,
     }
     return ok, detail

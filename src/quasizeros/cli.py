@@ -172,7 +172,7 @@ def _cmd_zeros(args):
         disk = certify_mod.find_zeros_in_disk(qp, args.with_disk, args.tol)
         records = certify_mod.join_disk(qp, records, disk, range(lo, hi + 1), args.certify)
         notes["disk_radius"] = args.with_disk
-    records.sort(key=zeros_mod.im_order)
+    records.sort(key=lambda rec: zeros_mod.im_order(rec.value))
     results = [record_to_obj(r) for r in records]
     summary = {
         "count": len(records),

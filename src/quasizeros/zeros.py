@@ -7,24 +7,27 @@ zero is l = -k W_m(z_j), z_j = -1/(k w_j), for exactly one root w_j of
 w^k = -A and one branch m of Lambert W (Corless, Gonnet, Hare, Jeffrey &
 Knuth, Adv. Comput. Math. 5, 1996).  Index nu names j = nu mod k and
 m = (j - nu)/k - [nu > 0]; the k + 1 pairs no index names, (j, 0) for each
-j and (0, -1), are unlabelled.  _polish_branches Newton-polishes the W
-values of a list of pairs (quadratic near simple zeros) and _check_indices
-checks each named zero against the fixed-point equation
-Im l = 2*pi*nu + pi + arg A + k Arg l; the ladder and the disk search in the
-certify module both list their zeros through them.  Each stage runs once per
-list, through the kernels' list forms: the Lambert-W values of one root's
-branches, the polish, the index check and the certificate.  For real A > 0
-the zeros come in conjugate pairs (_partner), and both searches polish one
-zero of each pair and take the other as its exact conjugate.
+j and (0, -1), are unlabelled.  The ladder and the disk search in the
+certify module pass their zeros from the polish to the certificate as
+columns, one list per field: nus, values, residuals, seeds, iterations and
+the cofactors (expdom, t) at the values.  kernels.newton_polish_list
+Newton-polishes the W values of a list of pairs (quadratic near simple
+zeros), _check_indices checks each named zero against the fixed-point
+equation Im l = 2*pi*nu + pi + arg A + k Arg l, and the isolation radii,
+the residual gate and the Rouche test read the same columns.  Each stage
+runs once per list, and each ZeroRecord is built once, from its row of the
+columns.  For real A > 0 the zeros come in conjugate pairs (_partner), and
+both searches polish one zero of each pair and take the other as its exact
+conjugate (_mirror).
 asymptotic_zero (the ladder formula above), fixed_point_refine (the
 branch-anchored fixed-point iteration), newton_refine and branch_index are
 standalone references; the package paths call none of them.
 """
 
 import cmath
-import itertools
 import math
 from collections import namedtuple
+from itertools import count, repeat
 
 from . import core
 from ._backend import kernels
@@ -119,11 +122,10 @@ def _on_real_axis(z):
     return abs(z.imag) <= REAL_AXIS_NOISE * abs(z)
 
 
-def im_order(record):
-    """Sort key of a record: (Im, Re) of its value, with an Im within
+def im_order(z):
+    """Sort key of a zero's value z: (Im, Re), with an Im within
     REAL_AXIS_NOISE * |l| of the real axis read as 0, so real zeros come in
     Re order whatever the sign of their rounding-level Im, at every scale."""
-    z = record.value
     return (0.0 if _on_real_axis(z) else z.imag), z.real
 
 
@@ -215,48 +217,30 @@ def _branch_nu(qp, j, m):
     return j - qp.k * (m if m > 0 else m + 1) or None
 
 
-class _Polished(namedtuple("_Polished", "nu value residual seed iterations cofactor")):
-    """One simple zero before its certificate: the polish's last iterate, its
-    residual and its cofactor (expdom, t) there (see
-    kernels.newton_polish_list); multiplicity 1, read like a ZeroRecord's."""
-
-    __slots__ = ()
-    multiplicity = 1
-
-
-def _polish_branches(qp, nus, seeds, tolerance):
-    """The zeros -k W_m(z_j) of branch pairs labelled nus (_branch_nu; None
-    where no index names the pair), Newton-polished from their seeds, the
-    Lambert-W values, in one list (kernels.newton_polish_list).
-
-    Returns (polished, failure): a _Polished for each seed up to the first
-    whose polish fails, and that failure (None when none fails).  The
-    labels are not checked here (_check_indices)."""
-    polished, failure = _newton_polish(qp, seeds, tolerance)
-    return [_Polished(nu, lam, residual, seed, iterations, cofactor)
-            for nu, seed, (lam, residual, iterations, cofactor)
-            in zip(nus, seeds, polished)], failure
+def _mirror(columns, at, picks, nus):
+    """Insert at position `at` of the columns (nus, values, residuals, seeds,
+    iterations, cofactors) the conjugates of the zeros of real A > 0 at
+    positions picks, labelled nus (their partners' labels, see _partner):
+    value, seed and the cofactor's t conjugated, the same residual and
+    iterations.  This is bit for bit what polishing the conjugate seeds
+    gives, since every step of the polish commutes with conjugation when
+    Log A is real."""
+    labels, values, residuals, seeds, iterations, cofactors = columns
+    labels[at:at] = nus
+    values[at:at] = [values[i].conjugate() for i in picks]
+    residuals[at:at] = [residuals[i] for i in picks]
+    seeds[at:at] = [seeds[i].conjugate() for i in picks]
+    iterations[at:at] = [iterations[i] for i in picks]
+    cofactors[at:at] = [(cofactors[i][0], cofactors[i][1].conjugate()) for i in picks]
 
 
-def _conjugate(polished, nu):
-    """The conjugate of a polished zero of real A > 0, labelled nu (its
-    partner's label, see _partner): value and seed conjugated, the
-    cofactor (expdom, conj t), the same residual and iterations.  This is
-    bit for bit what polishing the conjugate seed gives, since every step
-    of the polish commutes with conjugation when Log A is real."""
-    expdom, t = polished.cofactor
-    return _Polished(nu, polished.value.conjugate(), polished.residual,
-                     polished.seed.conjugate(), polished.iterations, (expdom, t.conjugate()))
-
-
-def _check_indices(qp, polished):
-    """Check each named zero's index at its polish's last iterate, in list
-    order; reaching another index raises NotConvergedError."""
-    found = _ladder_indices(qp, [p.value for p in polished])
-    for p, got in zip(polished, found):
-        if p.nu is not None and got != p.nu:
+def _check_indices(qp, nus, values):
+    """Check each named zero's index nu at its polish's last iterate, value,
+    in list order; reaching another index raises NotConvergedError."""
+    for nu, got in zip(nus, _ladder_indices(qp, values)):
+        if nu is not None and got != nu:
             raise NotConvergedError(
-                f"refinement failed for nu = {p.nu}: Newton reached the zero of "
+                f"refinement failed for nu = {nu}: Newton reached the zero of "
                 f"index {got}")
 
 
@@ -287,7 +271,7 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
     xi = seed - base
     trace = [xi]
     step = math.inf
-    for it in itertools.count(1):
+    for it in count(1):
         z = base + xi
         nxt = const + qp.k * complex(math.log(abs(z)), math.atan2(z.imag, z.real))
         trace.append(nxt)
@@ -308,7 +292,8 @@ def fixed_point_refine(qp, nu, tolerance=1e-13, max_iterations=200):
 def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     """Polish a seed by Newton iteration until the relative residual passes.
 
-    A standalone reference; the package polishes through _polish_branches.
+    A standalone reference; the package polishes its lists in one call
+    (zeros_in_index_range).
     Each iterate costs one scaled evaluation, shared by its residual and its
     Newton step (kernels.newton_polish_list).  The record is labelled by
     branch_index (None for 0), which for k >= 3 can differ from the ladder's
@@ -318,20 +303,21 @@ def newton_refine(qp, seed, tolerance=1e-13, max_iterations=NEWTON_ITERATIONS):
     DerivativeVanishesError from critical points.
     """
     seed = complex(seed)
-    polished, failure = _newton_polish(qp, (seed,), tolerance, max_iterations)
+    values, residuals, iterations, _cofactors, failure = _newton_polish(
+        qp, (seed,), tolerance, max_iterations)
     if failure is not None:
         raise failure
-    lam, residual, iterations, _cofactor = polished[0]
-    idx = branch_index(qp, lam)
-    return ZeroRecord(nu=idx if idx != 0 else None, value=lam,
-                      residual=residual, seed=seed, iterations=iterations)
+    idx = branch_index(qp, values[0])
+    return ZeroRecord(nu=idx if idx != 0 else None, value=values[0],
+                      residual=residuals[0], seed=seed, iterations=iterations[0])
 
 
 def _newton_polish(qp, seeds, tolerance, max_iterations=NEWTON_ITERATIONS):
     """kernels.newton_polish_list from the complex seeds with ESCAPE_RADIUS:
-    (polished, failure), each polished seed as (value, residual, iterations,
-    cofactor at value).  A tolerance that is not positive raises
-    InvalidIndexError once there is a seed to polish."""
+    the columns (values, residuals, iterations, cofactors) of the seeds
+    polished up to the first failure, and that failure.  A tolerance that
+    is not positive raises InvalidIndexError once there is a seed to
+    polish."""
     if seeds and tolerance <= 0:
         raise InvalidIndexError("tolerance must be positive")
     return kernels.newton_polish_list(qp.k, qp.log_a, seeds, tolerance, max_iterations,
@@ -346,32 +332,32 @@ def _duplicate(value, distance):
     return distance < DUPLICATE_DISTANCE and distance < DUPLICATE_DISTANCE * abs(value)
 
 
-def _check_duplicates(records):
-    """Raise DuplicateZeroError at the first two records that are one zero
-    (_duplicate).  In (Im, Re) order, each record is compared with every
-    later one whose Im lies less than DUPLICATE_DISTANCE above its own, so
-    no pair is missed for another record sorting between them."""
-    ordered = sorted(records, key=lambda r: (r.value.imag, r.value.real))
-    n = len(ordered)
-    for i, a in enumerate(ordered):
-        j = i + 1
-        while j < n and ordered[j].value.imag - a.value.imag < DUPLICATE_DISTANCE:
-            b = ordered[j]
-            if _duplicate(a.value, abs(a.value - b.value)):
+def _check_duplicates(nus, values):
+    """Raise DuplicateZeroError at the first two of the zeros labelled nus at
+    values that are one zero (_duplicate).  In (Im, Re) order, each value is
+    compared with every later one whose Im lies less than DUPLICATE_DISTANCE
+    above its own, so no pair is missed for another value sorting between
+    them."""
+    order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
+    n = len(order)
+    for p, i in enumerate(order):
+        a = values[i]
+        q = p + 1
+        while q < n and values[order[q]].imag - a.imag < DUPLICATE_DISTANCE:
+            if _duplicate(a, abs(a - values[order[q]])):
                 raise DuplicateZeroError(
-                    f"indices {a.nu} and {b.nu} converged to the same zero "
-                    f"{a.value:.9g}")
-            j += 1
+                    f"indices {nus[i]} and {nus[order[q]]} converged to the same zero "
+                    f"{a:.9g}")
+            q += 1
 
 
-def _nearest_distances(records):
-    """Distance from each record to its nearest other record, in input order.
+def _nearest_distances(values):
+    """Distance from each value to its nearest other value, in input order.
 
-    Sweeps the records sorted by Im: the scan from each record stops in each
+    Sweeps the values sorted by Im: the scan from each value stops in each
     direction once the Im gap alone exceeds the best distance found so far.
-    A lone record gets inf.
+    A lone value gets inf.
     """
-    values = [rec.value for rec in records]
     order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
     ordered = [values[i] for i in order]
     ims = [z.imag for z in ordered]
@@ -397,21 +383,21 @@ def _nearest_distances(records):
     return nearest
 
 
-def isolation_radii(records):
-    """min(1, half nearest-neighbor distance) for each record (1 when alone);
-    a record is anything with a complex .value."""
-    return [min(1.0, 0.5 * d) for d in _nearest_distances(records)]
+def isolation_radii(values):
+    """min(1, half nearest-neighbor distance) for each complex value (1 when
+    alone)."""
+    return [min(1.0, 0.5 * d) for d in _nearest_distances(values)]
 
 
-def _distinct_isolation_radii(records):
-    """isolation_radii(records), raising DuplicateZeroError where
-    _check_duplicates would.  That test fails only where two records lie
+def _distinct_isolation_radii(nus, values):
+    """isolation_radii(values), raising DuplicateZeroError where
+    _check_duplicates would.  That test fails only where two values lie
     within DUPLICATE_DISTANCE * min(1, |l|), so it runs, and names the same
     pair, only where a radius is below half DUPLICATE_DISTANCE: a list of
     distinct zeros with |l| >= 1 is sorted and swept once."""
-    radii = isolation_radii(records)
+    radii = isolation_radii(values)
     if radii and min(radii) < 0.5 * DUPLICATE_DISTANCE:
-        _check_duplicates(records)
+        _check_duplicates(nus, values)
     return radii
 
 
@@ -426,16 +412,17 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     are listed as exact conjugate pairs: index -nu - 1 names the conjugate
     of zero nu (_partner), so of each pair nu, -nu - 1 inside the range
     only the negative index is seeded and polished, and the positive one is
-    its conjugate (_conjugate).  Every record's index is then checked, in
-    index order (_check_indices).  A failure raises NotConvergedError
+    its conjugate (_mirror).  Every zero's index is then checked, in index
+    order (_check_indices).  A failure raises NotConvergedError
     naming the first nu that fails.  Records are sorted by nu; values
     collapsing within DUPLICATE_DISTANCE * min(1, |l|) raise
-    DuplicateZeroError.  With certify=True each record is certified over
-    its isolation disk from its polish's final evaluation: the residual
-    gate and the Rouche test take the residual and cofactor the polish
-    computed at the value, and only a zero Rouche does not prove costs a
-    winding count (see certify.certify_polished; certify.certify_record
-    re-checks the residual of a stored record at its value).
+    DuplicateZeroError.  With certify=True each zero is certified over its
+    isolation disk from its polish's final evaluation: the residual gate
+    and the Rouche test take the residual and cofactor the polish computed
+    at the value, and only a zero Rouche does not prove costs a winding
+    count (see certify.certify_polished; certify.certify_record re-checks
+    the residual of a stored record at its value).  The stages pass the
+    zeros as columns, and each record is built once, at the end.
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
@@ -465,24 +452,26 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
             ms = range(m, m - len(run[i::k]), -1)
             seeds[base + i:base + len(run):k] = [
                 -k * w for w in kernels.lambert_w_list(root[0], ms, root[1])]
-    polished, failure = _polish_branches(qp, nus, seeds, tolerance)
+    values, residuals, iterations, cofactors, failure = _newton_polish(qp, seeds, tolerance)
+    columns = (nus, values, residuals, seeds, iterations, cofactors)
     n = len(negative)
-    if mirrored and len(polished) >= n:
-        polished[n:n] = [_conjugate(polished[-nu - 1 - nu_min], nu)
-                         for nu in range(1, mirrored + 1)]
-    _check_indices(qp, polished)
+    if mirrored and len(values) >= n:
+        # nu = 1 .. mirrored, the conjugates of nu = -2 .. -mirrored - 1
+        _mirror(columns, n, range(-2 - nu_min, -2 - nu_min - mirrored, -1),
+                range(1, mirrored + 1))
+    _check_indices(qp, nus, values)
     if failure is not None:
-        i = len(polished)
+        i = len(values)
         raise NotConvergedError(
             f"refinement failed for nu = {negative[i] if i < n else positive[i - n]}: "
             f"{failure}") from failure
     if not certify:
-        _check_duplicates(polished)
-        return [ZeroRecord(nu, value, residual, seed, iterations)
-                for nu, value, residual, seed, iterations, _cofactor in polished]
+        _check_duplicates(nus, values)
+        return list(map(ZeroRecord._make, zip(*columns[:5], repeat(False), repeat(None),
+                                              repeat(1))))
     from . import certify as certify_mod
 
-    return certify_mod.certify_polished(qp, polished, _distinct_isolation_radii(polished))
+    return certify_mod.certify_polished(qp, columns, _distinct_isolation_radii(nus, values))
 
 
 def gap_statistics(records):
@@ -512,10 +501,10 @@ def separation_radius(records):
     DuplicateZeroError."""
     if len(records) < 2:
         raise TooFewRecordsError("separation radius needs at least two records")
-    nearest = _nearest_distances(records)
+    values = [rec.value for rec in records]
+    nearest = _nearest_distances(values)
     best = min(nearest)
-    if best < DUPLICATE_DISTANCE and any(_duplicate(rec.value, d)
-                                         for rec, d in zip(records, nearest)):
+    if best < DUPLICATE_DISTANCE and any(_duplicate(z, d) for z, d in zip(values, nearest)):
         raise DuplicateZeroError(f"records contain a duplicate (distance {best:.3g})")
     return 0.5 * best
 

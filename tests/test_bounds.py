@@ -483,7 +483,7 @@ class TestWindowListing:
                 return sorted((rec for rec in records
                                if any(box.contains(rec.value) for box in boxes)
                                and (len(boxes) == 2 or abs(rec.value.imag) >= 1.0)),
-                              key=qz.zeros.im_order)
+                              key=lambda rec: qz.zeros.im_order(rec.value))
 
             assert compared(listed) == compared(assembled), case
             old, new = (_estimate(qp, r_cut, delta, seed, strip, im_cap)

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+from collections import namedtuple
 
 import pytest
 from scipy.special import lambertw
@@ -387,11 +388,12 @@ class TestSharedEdges:
     winding count of the same rectangle gives."""
 
     def test_outer_square_report_matches_fresh_winding_count(self, qp11):
-        found, records, count = certify_mod._outer_cell(qp11, 40.0, 1e-12)
+        (values, multiplicities), records, count = certify_mod._outer_cell(qp11, 40.0, 1e-12)
         xmin, xmax, ymin, ymax = certify_mod._square(40.0, 0)
         fresh = qz.winding_count(qp11, qz.Rectangle(complex(xmin, ymin),
                                                     complex(xmax, ymax)))
-        assert count == fresh.count == len(found) == len(records) == 13
+        assert count == fresh.count == len(values) == len(records) == 13
+        assert multiplicities == [1] * 13
 
     def test_disk_search_work_bound(self, qp11, monkeypatch):
         # the square's one count: one tracking call per side
@@ -651,8 +653,7 @@ class TestEnumeration:
         assert qz.winding_count(qp, qz.Circle(0j, radius)).count == sum(
             mult for _, mult in oracle)
         assert len(recs) == len(oracle)
-        radii = zeros_mod.isolation_radii(
-            [qz.ZeroRecord(None, v, 0.0, v, 0) for v, _ in oracle])
+        radii = zeros_mod.isolation_radii([v for v, _ in oracle])
         for (want, mult), radius_want in zip(oracle, radii):
             rec = min(recs, key=lambda r: abs(r.value - want))
             assert abs(rec.value - want) <= 1e-12 * max(1.0, abs(want))
@@ -683,9 +684,9 @@ class TestEnumeration:
         iterations = []
 
         def counted(*args):
-            polished, failure = polish(*args)
-            iterations.extend(p[2] for p in polished)
-            return polished, failure
+            columns = polish(*args)
+            iterations.extend(columns[2])
+            return columns
 
         monkeypatch.setattr(kp, "newton_polish_list", counted)
         recs = qz.find_zeros_in_disk(qp11, 100.0)
@@ -701,9 +702,10 @@ class TestEnumeration:
         branch_zeros = certify_mod._branch_zeros
 
         def broken(*args):
-            found = branch_zeros(*args)
-            i = next(i for i, rec in enumerate(found) if abs(rec.value) < 10.0)
-            return found[:i] + found[i + 1:] if tamper == "drop" else found + found[i:i + 1]
+            doubles, found = branch_zeros(*args)
+            i = next(i for i, value in enumerate(found[1]) if abs(value) < 10.0)
+            return doubles, [col[:i] + col[i + 1:] if tamper == "drop" else col + col[i:i + 1]
+                             for col in found]
 
         monkeypatch.setattr(certify_mod, "_branch_zeros", broken)
         listed = 2 if tamper == "drop" else 4
@@ -720,7 +722,7 @@ class TestEnumeration:
         # does: by index, or by (j, m) for -W_0(1) = -0.567, which no index
         # names
         def failing(qp, seeds, tolerance, max_iterations=zeros_mod.NEWTON_ITERATIONS):
-            return [], MaxIterationsError("Newton refinement did not converge")
+            return [], [], [], [], MaxIterationsError("Newton refinement did not converge")
 
         monkeypatch.setattr(zeros_mod, "_newton_polish", failing)
         with pytest.raises(MaxIterationsError, match=f"^refinement failed for {label}: "
@@ -747,6 +749,14 @@ def _label_sweep():
     return disks
 
 
+_Row = namedtuple("_Row", "nu value residual seed iterations cofactor")
+
+
+def _rows(columns):
+    """The simple zeros of a branch walk's columns, one _Row each."""
+    return list(map(_Row._make, zip(*columns)))
+
+
 def _rect_cell(rect):
     lo, hi = rect.corner_min, rect.corner_max
     return lo.real, hi.real, lo.imag, hi.imag
@@ -769,9 +779,10 @@ class TestBranchProof:
                 complex(x0, y0), complex(x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 60)))))
         for k, a, box in boxes:
             qp = qz.QuasiPolynomial(k, a)
-            found = certify_mod._branch_zeros(qp, _rect_cell(box))
-            assert all(box.contains(rec.value) for rec in found), (k, a, box)
-            assert sum(rec.multiplicity for rec in found) == qz.winding_count(
+            doubles, found = certify_mod._branch_zeros(qp, _rect_cell(box))
+            assert all(box.contains(value) for value in [rec.value for rec in doubles] + found[1])
+            assert len({len(col) for col in found}) == 1, (k, a, box)
+            assert sum(rec.multiplicity for rec in doubles) + len(found[1]) == qz.winding_count(
                 qp, box).count, (k, a, box)
 
     @pytest.mark.parametrize("a, radius", [(complex(-math.e, 0), 1.5), (-3 + 0j, 6.0)],
@@ -857,17 +868,19 @@ class TestConjugateWalk:
         branch_zeros = certify_mod._branch_zeros
 
         def walked(*args):
-            walks.append(branch_zeros(*args))
-            return list(walks[-1])
+            doubles, found = branch_zeros(*args)
+            walks.append(doubles + _rows(found))
+            return doubles, found
 
         monkeypatch.setattr(certify_mod, "_branch_zeros", walked)
         for k, a, radius in self._disks():
             qp = qz.QuasiPolynomial(k, complex(a, 0.0))
             seeds.clear()
             walks.clear()
-            found, _records, count = certify_mod._outer_cell(qp, radius, 1e-12)
+            (_values, multiplicities), _records, count = certify_mod._outer_cell(qp, radius,
+                                                                                 1e-12)
             # the count identity over the mirrored list
-            assert count == sum(rec.multiplicity for rec in found), (k, a, radius)
+            assert count == sum(multiplicities), (k, a, radius)
             # over the whole walk of the padded square, the real zeros, W_0 of
             # the self-paired root, are polished alone
             walk, = walks
@@ -890,9 +903,12 @@ class TestConjugateWalk:
         for k, a, radius in self._disks()[:14]:
             qp = qz.QuasiPolynomial(k, complex(a, 0.0))
             cell = certify_mod._square(radius, 0)
-            mirrored = certify_mod._branch_zeros(qp, cell)
+            doubles, found = certify_mod._branch_zeros(qp, cell)
+            mirrored = doubles + _rows(found)
             xmin, xmax, ymin, ymax = cell
-            walked = certify_mod._branch_zeros(qp, (xmin, xmax, ymin, math.nextafter(ymax, 0)))
+            doubles, found = certify_mod._branch_zeros(
+                qp, (xmin, xmax, ymin, math.nextafter(ymax, 0)))
+            walked = doubles + _rows(found)
             key = lambda p: (p.value.imag, p.value.real)  # noqa: E731
             assert sorted(map(repr, sorted(mirrored, key=key))) == sorted(
                 map(repr, sorted(walked, key=key))), (k, a, radius)
@@ -973,7 +989,7 @@ class TestRoucheDiskTest:
     def test_parity_with_winding_count(self, k, a, lo, hi):
         qp = qz.QuasiPolynomial(k, a)
         records = qz.zeros_in_index_range(qp, lo, hi, 1e-12, certify=False)
-        radii = zeros_mod.isolation_radii(records)
+        radii = zeros_mod.isolation_radii([rec.value for rec in records])
         accepted = 0
         for rec, r in zip(records, radii):
             checked = qz.certify_record(qp, rec, r)

@@ -751,9 +751,10 @@ class TestOptionSurface:
         assert found == self.EXPECTED
 
 
-#: documents of README commands and of `bounds --which cdelta` for the nine
-#: acceptance combinations (k = 1, 2, 3 with A = 1, 2 + i, 0.5i), pinned
-#: byte for byte
+#: documents of README commands, of `bounds --which cdelta` for the nine
+#: acceptance combinations (k = 1, 2, 3 with A = 1, 2 + i, 0.5i) and of
+#: certified ladders for real A > 0 and even k, real A < 0 and k = 10,
+#: pinned byte for byte
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
 
 

@@ -165,3 +165,33 @@ def test_origin_near_double_pair_across_the_square():
     record, = _loads(out)["results"]
     assert record["certified"] and abs(record["re"] - 0.956) < 1e-3
     assert abs(record["isolation_radius"] - 0.0447) < 1e-4
+
+
+#: a value of each class outside the zeros document's schema, as JSON text
+OFF_SCHEMA = [("nu", "1.5"), ("nu", "true"), ("nu", '"1"'), ("nu", "null"),
+              ("multiplicity", "1.9"), ("multiplicity", "0"), ("multiplicity", "true"),
+              ("certified", '"false"'), ("certified", "1"), ("re", "NaN"),
+              ("im", "Infinity"), ("re", "1e400"), ("re", "1" + "0" * 400),
+              ("residual", "-Infinity"), ("isolation_radius", "NaN"), ("im", '"0"')]
+
+
+def test_expect_from_refuses_values_outside_the_schema(tmp_path):
+    # one result of a valid document tampered at a time: a zeros document
+    # holds exactly the schema's values, so anything else exits 2 before
+    # any certificate
+    path = tmp_path / "zeros.json"
+    base = ["--k", "1", "--a", "1+0i"]
+    assert _run(["zeros", *base, "--nu", "-20..20", "--certify", "--with-disk", "5",
+                 "--out", str(path)])[0] == 0
+    doc = _loads(path.read_text())
+    certify = ["certify", *base, "--box", "-12,-129.43,12,129.43", "--expect-from", str(path)]
+    assert _run(certify)[0] == 0
+    for key, text in OFF_SCHEMA:
+        tampered = json.dumps(dict(doc, results=[{**doc["results"][3], key: "@"},
+                                                 *doc["results"][4:]]))
+        path.write_text(tampered.replace('"@"', text))
+        code, out, err = _run(certify)
+        assert (code, out) == (2, ""), (key, text)
+        error = _loads(err)["error"]
+        assert error["type"] == "DomainError", (key, text)
+        assert "is not a zeros document" in error["message"], (key, text)

@@ -360,14 +360,14 @@ def test_polish_and_critical_step_from_a_subnormal_point(lam, a, k):
     ratio, vanishes = kp.newton_step(k, qp.log_a, seed)
     assert not vanishes and cmath.isfinite(ratio) and ratio != 0
     huge = abs(a.real) > 1e300
-    polished, failure = kp.newton_polish_list(
+    *polished, failure = kp.newton_polish_list(
         k, qp.log_a, [seed], 1e-12, 50, zeros_mod.ESCAPE_RADIUS)
     if (k == 2 and a == 1) or (huge and k >= 2):
-        assert polished == []
+        assert polished == [[], [], [], []]
         assert type(failure) is (EscapedBasinError if a == 1 else MaxIterationsError)
     else:
         assert failure is None
-        [(value, residual, _its, _cofactor)] = polished
+        [value], [residual], [_its], [_cofactor] = polished
         assert residual < 1e-12 and value != seed
     step = kp.critical_step(k, qp.log_a, seed)
     assert step is None or cmath.isfinite(step)
@@ -385,13 +385,13 @@ def test_newton_polish_carries_its_last_evaluation():
         z = zeros_mod.lambert_argument(qp, rng.randrange(k))
         lam = -k * kp.lambert_w(z, rng.randint(-4, 4))
         lam += complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
-        [(value, residual, _its, cofactor)], failure = kp.newton_polish_list(
+        [value], [residual], [_its], [cofactor], failure = kp.newton_polish_list(
             k, qp.log_a, [lam], 1e-12, 60, zeros_mod.ESCAPE_RADIUS)
         assert failure is None
         assert (residual, cofactor) == kp.residual_cofactor(k, qp.log_a, value)
         assert residual == kp.relative_residual(k, qp.log_a, value) < 1e-12
         radii = (1e-3, 0.1, 1.0)
-        assert kp.rouche_holds_list(k, [(value, cofactor, r) for r in radii]) == [
+        assert kp.rouche_holds_list(k, [value] * 3, [cofactor] * 3, radii) == [
             kp.rouche_isolates(k, qp.log_a, value, r) for r in radii]
 
 
@@ -462,15 +462,18 @@ def test_newton_polish_list_stops_at_the_first_failure(offset, tolerance, iterat
     def one_seed(seed):
         return kp.newton_polish_list(1, qp.log_a, [seed], *args)
 
-    alone, alone_failure = one_seed(bad)
-    assert alone == [] and type(alone_failure) is error
-    polished, failure = kp.newton_polish_list(1, qp.log_a, [*seeds[:2], bad, seeds[2]], *args)
+    def rows(seeds):
+        """The one-seed calls' columns joined into the columns of a list."""
+        return [[one_seed(s)[field][0] for s in seeds] for field in range(4)]
+
+    *alone, alone_failure = one_seed(bad)
+    assert alone == [[], [], [], []] and type(alone_failure) is error
+    *polished, failure = kp.newton_polish_list(1, qp.log_a, [*seeds[:2], bad, seeds[2]], *args)
     # the seeds before it polished as one-seed calls do, the failure the
     # one-seed call's, and nothing polished after it
-    assert polished == [one_seed(s)[0][0] for s in seeds[:2]]
+    assert polished == rows(seeds[:2])
     assert type(failure) is error and str(failure) == str(alone_failure)
-    assert kp.newton_polish_list(1, qp.log_a, seeds, *args) == (
-        [one_seed(s)[0][0] for s in seeds], None)
+    assert kp.newton_polish_list(1, qp.log_a, seeds, *args) == (*rows(seeds), None)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])
@@ -489,11 +492,11 @@ def test_rouche_holds_list_matches_one_disk_calls(k):
             for r in (1e-3, 0.3, 0.3, 0.999, 1.0, 1.0, 1.7, 6.0, 0.0, -1.0, 700.0):
                 disks.append((lam, cofactor, r))
     rng.shuffle(disks)
-    got = kp.rouche_holds_list(k, disks)
+    got = kp.rouche_holds_list(k, *zip(*disks))
     assert got == [kp.rouche_isolates(k, qp.log_a, lam, r) for lam, cofactor, r in disks]
     assert True in got and False in got
     # a radius the test refuses is not proven before the cofactor is read
-    assert kp.rouche_holds_list(k, [(0j, None, 0.0), (disks[0][0], None, -1.0)]) == [
+    assert kp.rouche_holds_list(k, [0j, disks[0][0]], [None, None], [0.0, -1.0]) == [
         False, False]
 
 
@@ -542,7 +545,7 @@ def test_origin_radius_keeps_its_bound():
                       10.0 ** rng.uniform(-10, 1), 10.0 ** rng.uniform(-160, 0)))
     for k, lna, r, ea, fmod, cap in cases:
         lark = lna + k * math.log(r) if r else -math.inf
-        rho = kp._origin_radius(k, ea, lna, r, lark, fmod, cap)
+        rho = kp._origin_radius(k, ea, lna, r, lark, math.exp(lark), fmod, cap)
         assert 0.0 < rho <= min(cap, kp.ORIGIN_RADIUS), (k, lna, r, fmod, cap)
         bound = _decimal_step_bound(k, lna, r, ea, rho)
         assert bound < decimal.Decimal(kp.STEP_ACCEPT * fmod), (k, lna, r, fmod, cap)

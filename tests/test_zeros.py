@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 import time
@@ -328,7 +329,7 @@ def _reference_ladder(qp, lo, hi, certify):
         records.append(rec._replace(nu=nu))
     if certify:
         records = [qz.certify_record(qp, rec, r)
-                   for rec, r in zip(records, isolation_radii(records))]
+                   for rec, r in zip(records, isolation_radii([rec.value for rec in records]))]
     return records
 
 
@@ -427,6 +428,81 @@ class TestLadderParity:
             (False, 1), (True, 1), (True, 2)}
 
 
+_MINUS_E = complex(-math.e, 0.0)
+_SPLIT = complex(-math.e * (1 + 1e-3), 0.0)
+
+#: sha256 (first 16 hex digits) of the repr of every field of every record,
+#: seed and iterations included: (k, A, lo, hi), certify -> digest.  A = -e
+#: has the double zero at -1, A = -e (1 + 1e-3) the near-double pair beside
+#: it, and nu = 2600..2610 the ladder's documented failure, pinned by its
+#: message
+PINNED_LADDERS = {
+    ((1, 1 + 0j, -200, 200), True): '960b75a56fe198ac',
+    ((1, 1 + 0j, -200, 200), False): '2a5db646be7097ad',
+    ((2, 3 + 0j, -40, 40), True): '50aef133b8489dbf',
+    ((2, 3 + 0j, -40, 40), False): '70d22f0c9d0d5ee2',
+    ((3, -0.5 + 0j, -30, 30), True): 'ae14410d44712b1a',
+    ((3, -0.5 + 0j, -30, 30), False): 'f179b142b65fcaca',
+    ((10, 1 + 0j, 1, 20), True): '97aee2ff5f547bb2',
+    ((10, 1 + 0j, 1, 20), False): '434b9144c63b457f',
+    ((25, 1 + 0j, -20, 20), True): '67b516963c90e4be',
+    ((25, 1 + 0j, -20, 20), False): '5af1d88e89df16c2',
+    ((3, 2 + 1j, -40, 40), True): '43b8394014ca2769',
+    ((3, 2 + 1j, -40, 40), False): '85abee92ede12a28',
+    ((2, 0.5j, -30, 30), True): '47f195721e67d57b',
+    ((2, 0.5j, -30, 30), False): '24a05c9ccf5a5e01',
+    ((1, _MINUS_E, -10, 10), True): 'f34107b10d0a7797',
+    ((1, _MINUS_E, -10, 10), False): 'dced7aa75f6b83b6',
+    ((1, _SPLIT, -10, 10), True): '1e8c9a1f696c961f',
+    ((1, _SPLIT, -10, 10), False): 'fc11ab37d5c794ed',
+    ((3, 1e300 + 0j, -10, 10), True): '931aefdeb169444d',
+    ((3, 1e300 + 0j, -10, 10), False): 'd2e330866350fe43',
+    ((1, 1 + 0j, 2600, 2610), True): 'add9d072fe3cf5fa',
+    ((1, 1 + 0j, 2600, 2610), False): 'add9d072fe3cf5fa',
+}
+
+#: the same digests for find_zeros_in_disk: (k, A, radius) -> digest
+PINNED_DISKS = {
+    (1, 1 + 0j, 40.0): '88aedb5cdbb55903',
+    (1, _MINUS_E, 1.5): 'b45ff05d7c6602f4',
+    (1, _SPLIT, 3.0): 'eed242f529fa46ed',
+    (3, 1e300 + 0j, 1.0): '3281df2f52be8c8e',
+    (2, 2 + 1j, 10.0): 'ccdf46e79cded731',
+    (1, -3 + 0j, 6.0): 'b2af4ac934ea3864',
+    (2, 3 + 0j, 8.0): 'cc3349b7a2286230',
+    (4, 1e-3 + 0j, 30.0): '5afdadf65e112e2e',
+    (3, 2 + 1j, 25.0): '2cd899bd713a9b9d',
+    (5, -2 + 0j, 12.0): '4a2c45cf42da1bc9',
+}
+
+
+def _digest(outcome):
+    if isinstance(outcome, tuple):
+        text = repr(outcome)
+    else:
+        text = "\n".join(repr(tuple(rec)) for rec in outcome)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedRecords:
+    """Every field of every record, bit for bit, as pinned above."""
+
+    @pytest.mark.parametrize("case, certify", PINNED_LADDERS, ids=str)
+    def test_ladder(self, case, certify):
+        k, a, lo, hi = case
+        try:
+            got = qz.zeros_in_index_range(qz.QuasiPolynomial(k, a), lo, hi, 1e-12, certify)
+        except NotConvergedError as exc:
+            got = ("NotConvergedError", str(exc))
+        assert _digest(got) == PINNED_LADDERS[case, certify]
+
+    @pytest.mark.parametrize("case", PINNED_DISKS, ids=str)
+    def test_disk(self, case):
+        k, a, radius = case
+        got = qz.find_zeros_in_disk(qz.QuasiPolynomial(k, a), radius)
+        assert _digest(got) == PINNED_DISKS[case]
+
+
 class TestLadderWork:
     """Each ladder zero costs one Lambert-W seed, one scaled evaluation per
     Newton iterate and one record; a Rouche certificate reuses the last
@@ -438,7 +514,8 @@ class TestLadderWork:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            # the lists as passed: the ladder extends its seed column later
+            calls.append(tuple(list(a) if isinstance(a, list) else a for a in args))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -491,12 +568,42 @@ class TestLadderWork:
         assert [len(args[2]) for args in polish] == [len(records) - mirrored]
         assert [len(args[1]) for args in rouche] == [len(records)]
 
+    @staticmethod
+    def _count_records(monkeypatch):
+        """Every ZeroRecord built, through its constructor or _make."""
+        built = []
+        new, make = zeros_mod.ZeroRecord.__new__, zeros_mod.ZeroRecord._make
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        def counted_make(cls, iterable):
+            built.append(iterable)
+            return make(iterable)
+
+        monkeypatch.setattr(zeros_mod.ZeroRecord, "__new__", counted_new)
+        monkeypatch.setattr(zeros_mod.ZeroRecord, "_make", classmethod(counted_make))
+        return built
+
     @pytest.mark.parametrize("certify", [True, False])
     def test_one_record_per_zero(self, monkeypatch, certify):
-        built = self._count(monkeypatch, zeros_mod, "ZeroRecord")
+        built = self._count_records(monkeypatch)
         records = qz.zeros_in_index_range(qz.QuasiPolynomial(1, 1 + 0j), -30, 30,
                                           certify=certify)
         assert len(built) == len(records) == 60
+
+    @pytest.mark.parametrize("k, a, radius", [(1, 1 + 0j, 40.0), (3, 2 + 1j, 25.0)])
+    def test_one_record_per_disk_zero(self, monkeypatch, k, a, radius):
+        # one record per zero the disk search's square holds, any outside
+        # the disk included
+        qp = qz.QuasiPolynomial(k, a)
+        built = self._count_records(monkeypatch)
+        records = qz.find_zeros_in_disk(qp, radius)
+        monkeypatch.undo()
+        xmin, xmax, ymin, ymax = certify_mod._square(radius, 0)
+        square = qz.winding_count(qp, qz.Rectangle(complex(xmin, ymin), complex(xmax, ymax)))
+        assert len(built) == square.count >= len(records) > 0
 
 
 def _positive_a_cases():
@@ -623,6 +730,15 @@ class TestSubnormalCoefficient:
                 assert abs(cmath.exp(closed) - z) < 1e-12 * abs(z)
 
 
+#: the duplicate checks, each on a list of records
+_DUPLICATE_CHECKS = (
+    qz.separation_radius,
+    lambda records: zeros_mod._check_duplicates([r.nu for r in records],
+                                                [r.value for r in records]),
+    lambda records: zeros_mod._distinct_isolation_radii([r.nu for r in records],
+                                                        [r.value for r in records]))
+
+
 class TestDuplicateDetection:
     def test_duplicates_raise(self, qp11):
         rec = qz.newton_refine(qp11, qz.asymptotic_zero(qp11, 2), 1e-13)
@@ -636,11 +752,10 @@ class TestDuplicateDetection:
         values = [scale * cmath.exp(1j * math.pi * (2 * j + 1) / 3) for j in range(3)]
         records = [qz.ZeroRecord(None, v, 0.0, v, 0) for v in values]
         assert qz.separation_radius(records) == pytest.approx(0.5 * math.sqrt(3) * scale)
-        zeros_mod._check_duplicates(records)
-        assert zeros_mod._distinct_isolation_radii(records) == isolation_radii(records)
+        zeros_mod._check_duplicates([None] * 3, values)
+        assert zeros_mod._distinct_isolation_radii([None] * 3, values) == isolation_radii(values)
         twin = records[:1] + [qz.ZeroRecord(None, values[0] * (1 + 1e-7), 0.0, 0j, 0)]
-        for check in (qz.separation_radius, zeros_mod._check_duplicates,
-                      zeros_mod._distinct_isolation_radii):
+        for check in _DUPLICATE_CHECKS:
             with pytest.raises(DuplicateZeroError):
                 check(twin)
 
@@ -649,8 +764,7 @@ class TestDuplicateDetection:
         # 5 + 2e-12i, so the twins are not neighbours there
         values = [5.0 + 0j, -3.0 + 1e-12j, 5.0 + 2e-12j]
         records = [qz.ZeroRecord(None, v, 0.0, v, 0) for v in values]
-        for check in (qz.separation_radius, zeros_mod._check_duplicates,
-                      zeros_mod._distinct_isolation_radii):
+        for check in _DUPLICATE_CHECKS:
             with pytest.raises(DuplicateZeroError):
                 check(records)
 
@@ -714,9 +828,9 @@ class TestIsolationRadii:
                                  iterations=0) for v in values]
         nearest = [min(abs(a - b) for j, b in enumerate(values) if j != i)
                    for i, a in enumerate(values)]
-        assert isolation_radii(records) == [min(1.0, 0.5 * d) for d in nearest]
+        assert isolation_radii(values) == [min(1.0, 0.5 * d) for d in nearest]
         assert qz.separation_radius(records) == 0.5 * min(nearest)
-        assert isolation_radii(records[:1]) == [1.0]
+        assert isolation_radii(values[:1]) == [1.0]
 
 
 class TestRefinerAgreement:
