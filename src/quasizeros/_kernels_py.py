@@ -378,7 +378,7 @@ def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
 
 def _newton_step_cofactor(k, lam, expdom, t):
     """newton_step at lam != 0 from the cofactor (expdom, t) of _cofactor."""
-    u, _r, _tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
+    u, _umag, _r, _tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return 0j, True
     return (1.0 + t) / u, False
@@ -398,9 +398,10 @@ def _derivative_at_origin(k, log_a):
 def _derivative_cofactor(k, lam, expdom, t):
     """f' divided by the dominant term of f, from _cofactor's outputs.
 
-    Returns (u, |lam|, |t|, vanishes): u = 1 + (k/lam) t when e^lam
-    dominates and t + k/lam otherwise, so f' = dominant * u; vanishes is True
-    when |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  lam != 0.
+    Returns (u, |u|, |lam|, |t|, vanishes): u = 1 + (k/lam) t when e^lam
+    dominates and t + k/lam otherwise, so f' = dominant * u; |u| is
+    _modulus(u); vanishes is True when
+    |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  lam != 0.
     """
     r = abs(lam)
     q = k / lam
@@ -415,7 +416,8 @@ def _derivative_cofactor(k, lam, expdom, t):
         scale = k / r
         if tmag > scale:
             scale = tmag
-    return u, r, tmag, _modulus(u) < 1e-14 * scale
+    umag = _modulus(u)
+    return u, umag, r, tmag, umag < 1e-14 * scale
 
 
 def _modulus(u):
@@ -498,8 +500,7 @@ def rouche_holds_list(k, values, cofactors, radii):
             holds.append(False)
             continue
         expdom, t = cofactor
-        u, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
-        umag = _modulus(u)
+        _u, umag, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
         if vanishes or not umag < math.inf:
             holds.append(False)
             continue
@@ -537,7 +538,7 @@ def critical_step(k, log_a, lam):
         except OverflowError:  # cmath.exp where A e^-lam rounds past FLOAT_MAX
             return None
     else:
-        u, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
+        u, _umag, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
         s = _second_derivative_cofactor(k, lam, expdom, t)
         if s == 0:
             return None

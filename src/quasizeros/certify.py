@@ -57,8 +57,8 @@ from .errors import (
 )
 
 #: tracking steps per winding count, and Lambert-W branches per root per
-#: branch walk
-STEP_BUDGET = 1 << 16
+#: branch walk: the budget that also bounds the ladder's index range
+STEP_BUDGET = zeros_mod.STEP_BUDGET
 
 #: a box's branch walk also lists the zeros this near the box (_box_zeros)
 WALK_PAD = 2.0

@@ -451,6 +451,8 @@ def main(argv=None):
         _emit_error("usage", str(exc))
         return EXIT_USAGE
     try:
+        if args.out == "":
+            raise DomainError("--out needs a file name, got ''")
         return _HANDLERS[args.command](args)
     except DomainError as exc:
         _emit_error(type(exc).__name__, str(exc))

@@ -44,6 +44,10 @@ TWO_PI = 2.0 * math.pi
 #: Newton steps the ladder allows each zero (newton_refine's default)
 NEWTON_ITERATIONS = 60
 
+#: Lambert-W branches per root that one ladder or one branch walk takes, and
+#: tracking steps per winding count (certify.STEP_BUDGET is this budget)
+STEP_BUDGET = 1 << 16
+
 #: refined values closer than this times min(1, |l|) collapse onto one zero
 DUPLICATE_DISTANCE = 1e-6
 
@@ -334,10 +338,14 @@ def _duplicate(value, distance):
 
 def _check_duplicates(nus, values):
     """Raise DuplicateZeroError at the first two of the zeros labelled nus at
-    values that are one zero (_duplicate).  In (Im, Re) order, each value is
-    compared with every later one whose Im lies less than DUPLICATE_DISTANCE
-    above its own, so no pair is missed for another value sorting between
-    them."""
+    values that are one zero (_duplicate).  Only values closer than
+    DUPLICATE_DISTANCE can be, so a sweep capped there screens the list
+    first.  Where it finds such a pair, the pair is named in (Im, Re) order:
+    each value is compared with every later one whose Im lies less than
+    DUPLICATE_DISTANCE above its own, so no pair is missed for another value
+    sorting between them."""
+    if not values or min(_nearest_distances(values, DUPLICATE_DISTANCE)) >= DUPLICATE_DISTANCE:
+        return
     order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
     n = len(order)
     for p, i in enumerate(order):
@@ -351,22 +359,26 @@ def _check_duplicates(nus, values):
             q += 1
 
 
-def _nearest_distances(values):
-    """Distance from each value to its nearest other value, in input order.
+def _nearest_distances(values, cap):
+    """min(cap, distance from each value to its nearest other value), in
+    input order.
 
     Sweeps the values sorted by Im: the scan from each value stops in each
-    direction once the Im gap alone exceeds the best distance found so far.
-    A lone value gets inf.
+    direction once the Im gap alone exceeds the best distance so far, which
+    starts at cap, so a value with no other within cap in Im costs no
+    distance.  Values of equal Im may sort in any order: |a - b| == |b - a|
+    exactly, and the minimum is exact.  A lone value gets cap.
     """
-    order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
+    ims = [z.imag for z in values]
+    order = sorted(range(len(values)), key=ims.__getitem__)
     ordered = [values[i] for i in order]
-    ims = [z.imag for z in ordered]
+    ims.sort()
     n = len(ordered)
-    nearest = [math.inf] * n
+    nearest = [cap] * n
     for pos, i in enumerate(order):
         a = ordered[pos]
         im = ims[pos]
-        best = math.inf
+        best = cap
         j = pos + 1
         while j < n and not ims[j] - im > best:
             d = abs(a - ordered[j])
@@ -385,8 +397,9 @@ def _nearest_distances(values):
 
 def isolation_radii(values):
     """min(1, half nearest-neighbor distance) for each complex value (1 when
-    alone)."""
-    return [min(1.0, 0.5 * d) for d in _nearest_distances(values)]
+    alone): half the nearest distance capped at 2, which is the same float,
+    so no distance past 2 is formed."""
+    return [0.5 * d for d in _nearest_distances(values, 2.0)]
 
 
 def _distinct_isolation_radii(nus, values):
@@ -414,7 +427,9 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     only the negative index is seeded and polished, and the positive one is
     its conjugate (_mirror).  Every zero's index is then checked, in index
     order (_check_indices).  A failure raises NotConvergedError
-    naming the first nu that fails.  Records are sorted by nu; values
+    naming the first nu that fails.  A range of more than k * STEP_BUDGET
+    indices, more than STEP_BUDGET branches per root, raises DomainError
+    before any seed is formed.  Records are sorted by nu; values
     collapsing within DUPLICATE_DISTANCE * min(1, |l|) raise
     DuplicateZeroError.  With certify=True each zero is certified over its
     isolation disk from its polish's final evaluation: the residual gate
@@ -427,6 +442,11 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
     k = qp.k
+    size = nu_max - nu_min + 1 - (nu_min <= 0 <= nu_max)
+    if size > k * STEP_BUDGET:
+        raise DomainError(f"index range [{nu_min}, {nu_max}] holds {size} indices, more "
+                          f"than the {k * STEP_BUDGET} a ladder lists for k = {k} "
+                          f"({STEP_BUDGET} branches per root)")
     negative = range(nu_min, min(nu_max, -1) + 1)
     positive = range(max(nu_min, 1), nu_max + 1)
     # the positive indices 1 .. -nu_min - 1 are the partners -nu - 1 of
@@ -502,7 +522,7 @@ def separation_radius(records):
     if len(records) < 2:
         raise TooFewRecordsError("separation radius needs at least two records")
     values = [rec.value for rec in records]
-    nearest = _nearest_distances(values)
+    nearest = _nearest_distances(values, math.inf)
     best = min(nearest)
     if best < DUPLICATE_DISTANCE and any(_duplicate(z, d) for z, d in zip(values, nearest)):
         raise DuplicateZeroError(f"records contain a duplicate (distance {best:.3g})")

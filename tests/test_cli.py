@@ -204,6 +204,25 @@ class TestZerosCommand:
         assert err.count("\n") == 1
         assert loads(err)["error"]["type"] == "QuadratureStalledError"
 
+    @pytest.mark.parametrize("command", ["zeros", "gaps"])
+    def test_index_range_over_the_budget_refused(self, monkeypatch, capsys, command):
+        # at 4 branches per root, k = 1 lists at most 4 indices: 1..5 exits
+        # 2 with one error line, before any zero is polished
+        from quasizeros import zeros as zeros_mod
+
+        monkeypatch.setattr(zeros_mod, "STEP_BUDGET", 4)
+        argv = [command, "--k", "1", "--a", "1+0i", "--nu"]
+        assert main([*argv, "1..4"]) == 0
+        capsys.readouterr()
+        code = main([*argv, "1..5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert loads(err)["error"] == {
+            "type": "DomainError",
+            "message": "index range [1, 5] holds 5 indices, more than the 4 a ladder lists "
+                       "for k = 1 (4 branches per root)"}
+
     def test_box_with_corner_at_origin_counts(self, capsys):
         # the left side 5i -> 0 starts where e^l dominates and ends at 0
         code = main(["certify", "--k", "1", "--a", "0.1+0i", "--box", "0,0,5,5"])

@@ -13,6 +13,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -195,3 +196,21 @@ def test_expect_from_refuses_values_outside_the_schema(tmp_path):
         error = _loads(err)["error"]
         assert error["type"] == "DomainError", (key, text)
         assert "is not a zeros document" in error["message"], (key, text)
+
+
+@pytest.mark.parametrize("command", [
+    ["zeros", "--k", "1", "--a", "1+0i", "--nu", "1..3"],
+    ["origin", "--k", "1", "--a", "1+0i", "--radius", "2"],
+    ["classify", "--k", "1", "--a", "1+0i", "--h", "2", "--R", "5", "--S", "1",
+     "--point", "2+1i"],
+])
+def test_out_that_names_no_writable_file(tmp_path, command):
+    # a directory, a file under a missing directory and the empty string
+    # each exit 2 with one JSON error line, and nothing on stdout
+    for out, kind in ((str(tmp_path), "io"), (str(tmp_path / "missing" / "doc.json"), "io"),
+                      ("", "DomainError")):
+        code, stdout, err = _run([*command, "--out", out])
+        assert (code, stdout) == (2, ""), (out, err)
+        assert "Traceback" not in err and err.count("\n") == 1, out
+        assert _loads(err)["error"]["type"] == kind, out
+    assert not (tmp_path / "missing").exists()

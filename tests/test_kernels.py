@@ -249,7 +249,7 @@ def _first_order_isolates(k, log_a, lam, radius):
     exact second-order term: the reference the new test must never refuse
     where this one accepts."""
     expdom, t, _loglam = kp._cofactor(k, log_a, lam)
-    u, zabs, tmag, vanishes = kp._derivative_cofactor(k, lam, expdom, t)
+    u, _umag, zabs, tmag, vanishes = kp._derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return False
     etail = math.expm1(radius) - radius

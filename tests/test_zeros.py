@@ -181,6 +181,26 @@ class TestZerosInIndexRange:
         with pytest.raises(InvalidIndexError):
             qz.zeros_in_index_range(qp11, 3, 1)
 
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (3, 0.5j)])
+    def test_range_beyond_the_step_budget_refused(self, monkeypatch, k, a):
+        # at 4 branches per root a ladder lists at most 4 k indices, nu = 0
+        # not counted; one more is refused before any seed is formed
+        monkeypatch.setattr(zeros_mod, "STEP_BUDGET", 4)
+        qp = qz.QuasiPolynomial(k, a)
+        n = 4 * k
+        assert len(qz.zeros_in_index_range(qp, -n // 2, n - n // 2)) == n
+        seeds = []
+        monkeypatch.setattr(zeros_mod.kernels, "lambert_w_list",
+                            lambda *args: seeds.append(args))
+        for lo, hi in ((-n // 2, n - n // 2 + 1), (1, n + 1), (-n - 1, -1)):
+            for certify in (True, False):
+                with pytest.raises(DomainError, match=rf"^index range \[{lo}, {hi}\] holds "
+                                                      rf"{n + 1} indices, more than the {n} "
+                                                      rf"a ladder lists for k = {k} \(4 "
+                                                      rf"branches per root\)$"):
+                    qz.zeros_in_index_range(qp, lo, hi, certify=certify)
+        assert seeds == []
+
     def test_all_zeros_satisfy_f(self, qp11):
         for rec in qz.zeros_in_index_range(qp11, -4, 4, 1e-12, certify=False):
             assert abs(direct_f(qp11, rec.value)) < 1e-9 * abs(
@@ -768,6 +788,71 @@ class TestDuplicateDetection:
             with pytest.raises(DuplicateZeroError):
                 check(records)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_names_the_pair_of_an_im_re_ordered_pass(self, seed):
+        # several duplicate pairs, exact and up to 0.75e-6 min(1, |l|) apart,
+        # among values with tied and signed-zero Im: the capped screen lets
+        # the naming pass run, and it names the pair the (Im, Re)-ordered
+        # pass names
+        rng = random.Random(seed)
+        scale = rng.choice([1.0, 1e-3, 1e-100])
+        values = _cloud(rng, 40, scale)
+        for _ in range(rng.randint(2, 5)):
+            twin = rng.choice(values)
+            values.insert(rng.randrange(len(values) + 1),
+                          rng.choice([twin, twin * (1 + 1e-8), twin + 1e-9 * scale,
+                                      twin + 0.75e-6j * min(1.0, abs(twin))]))
+        nus = list(range(len(values)))
+        with pytest.raises(DuplicateZeroError) as raised:
+            _reference_duplicates(nus, values)
+        for check in (zeros_mod._check_duplicates, zeros_mod._distinct_isolation_radii):
+            with pytest.raises(DuplicateZeroError) as got:
+                check(nus, values)
+            assert str(got.value) == str(raised.value)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pair_just_inside_the_distance(self, seed):
+        # the only pair closer than DUPLICATE_DISTANCE lies 0.75 of it
+        # apart, at |l| >= 1: a duplicate, which the screen must pass on;
+        # 1.25 of it apart they are two zeros
+        values = _cloud(random.Random(seed), 30, 3.0)
+        twin = max(values, key=abs)
+        for gap, duplicate in ((0.75, True), (1.25, False)):
+            listed = values + [twin + 1j * gap * zeros_mod.DUPLICATE_DISTANCE]
+            nus = list(range(len(listed)))
+            if not duplicate:
+                assert zeros_mod._check_duplicates(nus, listed) is None
+                continue
+            with pytest.raises(DuplicateZeroError) as raised:
+                _reference_duplicates(nus, listed)
+            with pytest.raises(DuplicateZeroError) as got:
+                zeros_mod._check_duplicates(nus, listed)
+            assert str(got.value) == str(raised.value)
+
+
+def _cloud(rng, n, scale):
+    """n values of modulus about scale, a third of them on Im values shared
+    with another, among them +0.0 and -0.0."""
+    values = [scale * complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+    for i in range(0, n, 3):
+        values[i] = complex(values[i].real, rng.choice(
+            [0.0, -0.0, values[(i + 1) % n].imag, values[(i + 2) % n].imag]))
+    return values
+
+
+def _reference_duplicates(nus, values):
+    """The duplicate check as one pass in (Im, Re) order, with no screen:
+    each value against every later one less than DUPLICATE_DISTANCE above
+    it in Im."""
+    order = sorted(range(len(values)), key=lambda i: (values[i].imag, values[i].real))
+    for p, i in enumerate(order):
+        for q in order[p + 1:]:
+            if not values[q].imag - values[i].imag < zeros_mod.DUPLICATE_DISTANCE:
+                break
+            if zeros_mod._duplicate(values[i], abs(values[i] - values[q])):
+                raise DuplicateZeroError(f"indices {nus[i]} and {nus[q]} converged to the "
+                                         f"same zero {values[i]:.9g}")
+
 
 class TestGapStatistics:
     def test_refined_gaps(self, qp11):
@@ -831,6 +916,33 @@ class TestIsolationRadii:
         assert isolation_radii(values) == [min(1.0, 0.5 * d) for d in nearest]
         assert qz.separation_radius(records) == 0.5 * min(nearest)
         assert isolation_radii(values[:1]) == [1.0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("cap", [2.0, 1e-6, 1e-99, math.inf])
+    def test_capped_sweep_matches_brute_force_bit_for_bit(self, seed, cap):
+        # Im ties, +-0.0 Im, exact duplicates, and the zeros of k = 3,
+        # A = 1e300 at |l| = 1e-100, closer together than any cap but inf
+        rng = random.Random(seed)
+        values = _cloud(rng, rng.randint(0, 80), rng.choice([1.0, 3.0, 1e-100]))
+        values += rng.sample(values, min(3, len(values)))
+        if seed % 2:
+            qp = qz.QuasiPolynomial(3, 1e300 + 0j)
+            values += [rec.value for rec in qz.find_zeros_in_disk(qp, 1.0)]
+        rng.shuffle(values)
+        want = [min(cap, min((abs(a - b) for j, b in enumerate(values) if j != i),
+                             default=math.inf)) for i, a in enumerate(values)]
+        got = zeros_mod._nearest_distances(values, cap)
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+        radii = [min(1.0, 0.5 * min((abs(a - b) for j, b in enumerate(values) if j != i),
+                                    default=math.inf)) for i, a in enumerate(values)]
+        assert [r.hex() for r in isolation_radii(values)] == [r.hex() for r in radii]
+
+    @pytest.mark.parametrize("cap", [2.0, 1e-6, math.inf])
+    def test_capped_sweep_of_empty_and_lone_lists(self, cap):
+        assert zeros_mod._nearest_distances([], cap) == []
+        assert zeros_mod._nearest_distances([1e-100 + 0j], cap) == [cap]
+        assert isolation_radii([]) == []
+        assert isolation_radii([-0.0 - 0.0j]) == [1.0]
 
 
 class TestRefinerAgreement:
