@@ -21,6 +21,9 @@ Conventions:
     out bit for bit as its one-element call gives it
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
+  * w = Log A + k Log l - l is formed from a complex l in one place,
+    _cofactor, which returns it with t and Log l; the tracker reads w and t
+    there, and carries the result from a step's end to the next step
   * a sampler accepts n >= 1 points, drawing its uniforms from
     uniform_pairs(seed), the Mersenne Twister stream of random.Random(seed),
     so a seed fully determines the samples; sm64 (splitmix64) only derives
@@ -77,6 +80,7 @@ import cmath
 import math
 import random
 import sys
+from bisect import bisect_left
 
 from .errors import (
     DerivativeVanishesError,
@@ -159,16 +163,17 @@ def wrap_angle(x):
 def _cofactor(k, log_a, lam):
     """Dominance-factored co-factor of f at lam != 0.
 
-    With w = Log A + k Log lam - lam, returns (expdom, t, Log lam) where t is
-    the subdominant/dominant term (|t| <= 1), so that
+    With w = Log A + k Log lam - lam, returns (expdom, t, Log lam, w) where t
+    is the subdominant/dominant term (|t| <= 1), so that
       f = e^lam (1 + t)       when expdom (Re w <= 0, t = e^w)
       f = A lam^k (1 + t)     otherwise (t = e^-w).
+    This is the one place w is formed from a complex lam.
     """
     loglam = cmath.log(lam)
     w = log_a + k * loglam - lam
     if w.real <= 0.0:
-        return True, cmath.exp(w), loglam
-    return False, cmath.exp(-w), loglam
+        return True, cmath.exp(w), loglam, w
+    return False, cmath.exp(-w), loglam, w
 
 
 def _skip_cut(minlog, base):
@@ -270,7 +275,7 @@ def eval_scaled(k, log_a, lam):
     complex(-inf, 0)."""
     if lam == 0:
         return 0j
-    expdom, t, loglam = _cofactor(k, log_a, lam)
+    expdom, t, loglam, _w = _cofactor(k, log_a, lam)
     co = 1.0 + t
     if co == 0:
         return complex(-math.inf, 0.0)
@@ -280,9 +285,7 @@ def eval_scaled(k, log_a, lam):
 
 def relative_residual(k, log_a, lam):
     """|f| / max(|e^l|, |A l^k|) at lam; equals |1 + subdominant/dominant|."""
-    if lam == 0:
-        return 1.0
-    return abs(1.0 + _cofactor(k, log_a, lam)[1])
+    return residual_cofactor(k, log_a, lam)[0]
 
 
 def residual_cofactor(k, log_a, lam):
@@ -290,7 +293,7 @@ def residual_cofactor(k, log_a, lam):
     cofactor as rouche_holds_list takes it; (1.0, None) at lam = 0."""
     if lam == 0:
         return 1.0, None
-    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    expdom, t, _loglam, _w = _cofactor(k, log_a, lam)
     return abs(1.0 + t), (expdom, t)
 
 
@@ -349,7 +352,7 @@ def newton_step(k, log_a, lam):
         if _modulus(d) < 1e-14 * scale:
             return 0j, True
         return 1.0 / d, False
-    expdom, t, loglam = _cofactor(k, log_a, lam)
+    expdom, t, loglam, _w = _cofactor(k, log_a, lam)
     if abs(lam) * FLOAT_MAX < k:
         return _newton_step_tiny(k, log_a, lam, expdom, t, loglam)
     return _newton_step_cofactor(k, lam, expdom, t)
@@ -479,7 +482,7 @@ def rouche_isolates(k, log_a, lam, radius):
     """
     if lam == 0:
         return False
-    expdom, t, _loglam = _cofactor(k, log_a, lam)
+    expdom, t, _loglam, _w = _cofactor(k, log_a, lam)
     return rouche_holds_list(k, (lam,), ((expdom, t),), (radius,))[0]
 
 
@@ -531,7 +534,7 @@ def critical_step(k, log_a, lam):
     are formed as in _newton_step_tiny (_critical_step_tiny)."""
     if lam == 0:
         return None
-    expdom, t, loglam = _cofactor(k, log_a, lam)
+    expdom, t, loglam, _w = _cofactor(k, log_a, lam)
     if abs(lam) * FLOAT_MAX < k:
         try:
             step = _critical_step_tiny(k, log_a, lam, expdom, t, loglam)
@@ -653,12 +656,12 @@ ORIGIN_RADIUS = 0.5
 
 #: the tracker refuses a step whose size rests on a scaled |f| at c below
 #: STEP_FLOOR times the rounding scale of its evaluation: the sum of the
-#: moduli of the terms of w = Log A + k Log c - c (about eps times it is the
-#: error of w, so of t relative), or 1 + k near the origin (the error of
-#: e^c + A c^k relative to its larger term).  At 1e-12, about 4500 eps,
-#: rounding moves |1 + t| by under 1e-3 relative, far inside the
-#: STEP_TARGET / STEP_ACCEPT gap.  Beyond |c| of about 1e12 the floor
-#: exceeds any |1 + t|: no step there can be proven
+#: moduli of the terms of w = Log A + k Log c - c, formed from _cofactor's
+#: Log c (about eps times it is the error of w, so of t relative), or 1 + k
+#: near the origin (the error of e^c + A c^k relative to its larger term).
+#: At 1e-12, about 4500 eps, rounding moves |1 + t| by under 1e-3 relative,
+#: far inside the STEP_TARGET / STEP_ACCEPT gap.  Beyond |c| of about 1e12
+#: the floor exceeds any |1 + t|: no step there can be proven
 STEP_FLOOR = 1e-12
 
 #: a line step proven on its path (_path_length, _path_clear) needs the
@@ -831,13 +834,6 @@ def _path_clear(k, lna, c, c1, expdom):
     return bound < -m if expdom else bound > m
 
 
-def _exponent(k, log_a, c):
-    """w = Log A + k Log c - c at c != 0, and its rounding scale, the sum
-    of its terms' moduli."""
-    loglam = cmath.log(c)
-    return log_a + k * loglam - c, abs(log_a) + k * abs(loglam) + abs(c)
-
-
 def _where(arc, p, c):
     """Where a tracked point lies, the way its piece is parametrised."""
     return f"near {c:.6g}" if arc is None else f"(arc at angle {p:.3g})"
@@ -850,9 +846,11 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
     parametrised by angle (u None).
 
     For |c| >= ORIGIN_RADIUS, f = D (1 + t) as in _cofactor, chosen at
-    c = point(p).  On a line where |Re w(c)| exceeds the path margin
-    (PATH_MARGIN, see _path_clear), the step first goes as far as the
-    endpoint bound on Re w proves |t| < 1 on the step's path
+    c = point(p); a step's end takes its one _cofactor, which the next step
+    starts from, and t there is formed again in the factor chosen at c only
+    where the dominant term changes.  On a line where |Re w(c)| exceeds the
+    path margin (PATH_MARGIN, see _path_clear), the step first goes as far
+    as the endpoint bound on Re w proves |t| < 1 on the step's path
     (_path_length; Ying & Katz, Numer. Math. 53, 1988), and the bound is
     checked in floats at the step's two ends before the step is taken.
     Where that step stops short of the line's end, or on an arc, the step
@@ -877,7 +875,7 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
     minmod = math.inf
     p = p0
     c = point(p)
-    w = fc = None  # w (with its rounding scale) or f at c, carried from the step ending there
+    cof = fc = None  # _cofactor or f at c, carried from the step ending there
     while p < p1:
         steps += 1
         if steps > budget:
@@ -899,10 +897,10 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
             mod = fmod / max(ea, ark)
             scale = 1.0 + k
         else:
-            if w is None:
-                w, scale = _exponent(k, log_a, c)
-            expdom = w.real <= 0.0
-            t = cmath.exp(w if expdom else -w)
+            if cof is None:
+                cof = _cofactor(k, log_a, c)
+            expdom, t, loglam, w = cof
+            scale = abs(log_a) + k * abs(loglam) + abs(c)
             mod = abs(1.0 + t)
         if mod < minmod:
             minmod = mod
@@ -946,13 +944,15 @@ def _track(k, log_a, point, p0, p1, arc, u, budget):
         if direct:
             f1 = cmath.exp(c1) + a * c1 ** k
             total += cmath.phase(f1 / fc)
-            fc, w = f1, None
+            fc, cof = f1, None
         else:
-            w1, scale1 = _exponent(k, log_a, c1)
-            t1 = cmath.exp(w1 if expdom else -w1)
+            cof = _cofactor(k, log_a, c1)
+            expdom1, t1, _loglam1, w1 = cof
+            if expdom1 != expdom:  # t(c1) in the factor chosen at c
+                t1 = cmath.exp(w1 if expdom else -w1)
             total += ((c1.imag - c.imag) if expdom else k * cmath.phase(c1 / c)) \
                 + cmath.phase((1.0 + t1) / (1.0 + t))
-            fc, w, scale = None, w1, scale1
+            fc = None
         p, c = q, c1
     return total, steps, minmod
 
@@ -1291,16 +1291,7 @@ def sample_strip_ratio(k, log_a, h, r_in, im_cap, delta, zre, zim, n, seed):
                 if resid > 1e-9 or resid < -1e-9:
                     bad = True
         if not bad and nz > 0:
-            ylo = y - delta
-            lo = 0
-            hi = nz
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if zim[mid] < ylo:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            i = lo
+            i = bisect_left(zim, y - delta)
             yhi = y + delta
             while i < nz and zim[i] <= yhi:
                 dx = x - zre[i]

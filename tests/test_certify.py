@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from quasizeros import _kernels_py as kp, certify as certify_mod, zeros as zeros
 from quasizeros.errors import (
     DomainError,
     MaxIterationsError,
+    NumericalError,
     QuadratureStalledError,
     RecordOutsideContourError,
     SubdivisionStalledError,
@@ -537,6 +539,87 @@ class TestTracking:
             else:
                 assert qz.winding_count(qp, box).count == sum(
                     box.contains(v) for v in zeros), box
+
+
+#: sha256 (first 16 hex digits) of the winding-count reports of
+#: TestPinnedWindings._cases, one line per contour: (count,
+#: min_scaled_modulus.hex(), segments_used), or the error type's name
+PINNED_WINDINGS = "c2746da9618e5796"
+
+
+class TestPinnedWindings:
+    """Every field of every winding-count report, bit for bit: seeded
+    contours at k from 1 to 25 and |A| from 1e-300 to 1e308 (1 + i), some
+    under a lowered step budget."""
+
+    KS = (1, 2, 3, 5, 10, 25)
+    COEFFICIENTS = (1e-300 + 0j, cmath.rect(1e-6, 2.0), 1 + 0j, -3 + 0j, 2 + 1j, 1e6j,
+                    -1e300 + 0j, complex(1e308, 1e308))
+
+    @staticmethod
+    def _contours(qp, rng):
+        """Rectangles across the zero strip up to |Im l| of about 2,000,
+        squares about the origin that cross |l| = 0.5 (where the tracker
+        leaves its direct bound), circles on the strip and about the origin,
+        and a rectangle with a corner on a ladder zero."""
+        k, lna = qp.k, qp.log_a.real
+        out = []
+        for _ in range(3):
+            y0 = rng.uniform(-2000.0, 2000.0)
+            height = 10 ** rng.uniform(0.0, 2.5)
+            x = lna + k * math.log(max(abs(y0), abs(y0 + height), 1.0))
+            out.append(qz.Rectangle(complex(x - rng.uniform(1.0, 40.0), y0),
+                                    complex(x + rng.uniform(1.0, 40.0), y0 + height)))
+        for _ in range(2):
+            c = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+            s = 10 ** rng.uniform(-0.5, 0.7)
+            out.append(qz.Rectangle(c - complex(s, s), c + complex(s, s)))
+        y = rng.uniform(-300.0, 300.0)
+        x = lna + k * math.log(max(abs(y), 1.0)) + rng.uniform(-5.0, 5.0)
+        out.append(qz.Circle(complex(x, y), 10 ** rng.uniform(-0.5, 1.3)))
+        out.append(qz.Circle(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)),
+                             10 ** rng.uniform(-0.5, 1.0)))
+        try:
+            z = qz.zeros_in_index_range(qp, 2, 2, 1e-12, certify=False)[0].value
+        except NumericalError:
+            return out
+        w, h = rng.uniform(0.5, 20.0), rng.uniform(0.5, 60.0)
+        out.append(qz.Rectangle(complex(z.real - w, z.imag - h), z + h * 1j))
+        return out
+
+    def _cases(self):
+        """(qp, contour, step budget); one contour in ten gets 1 to 6 steps."""
+        rng = random.Random(3100)
+        for k in self.KS:
+            for a in self.COEFFICIENTS:
+                qp = qz.QuasiPolynomial(k, a)
+                for contour in self._contours(qp, rng):
+                    budget = (rng.randint(1, 6) if rng.random() < 0.1
+                              else zeros_mod.STEP_BUDGET)
+                    yield qp, contour, budget
+
+    def test_reports(self, monkeypatch):
+        lines = []
+        for qp, contour, budget in self._cases():
+            monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
+            try:
+                r = qz.winding_count(qp, contour)
+            except (ZeroOnContourError, QuadratureStalledError) as exc:
+                lines.append(type(exc).__name__)
+            else:
+                lines.append(repr((r.count, r.min_scaled_modulus.hex(), r.segments_used)))
+        assert len(lines) == 384
+        assert (lines.count("ZeroOnContourError"), lines.count("QuadratureStalledError")) \
+            == (39, 51)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == PINNED_WINDINGS
+
+    @pytest.mark.parametrize("box, report", [
+        ((-1e6 - 1e6j, 1e6 + 1e6j), (318311, 0.9367582668017868, 11)),
+        ((10 + 1e3j, 11 + 1e5j), (6024, 0.7907129412979003, 8)),
+        ((complex(-12, -129.43), complex(12, 129.43)), (41, 0.798656525824964, 8)),
+    ], ids=["square-1e6", "strip-side-1e5", "criterion-12-box"])
+    def test_tall_boxes(self, qp11, box, report):
+        assert qz.winding_count(qp11, qz.Rectangle(*box)) == report
 
 
 def _scaled_modulus(qp, lam):

@@ -3,9 +3,10 @@ with edge values for every number (0, negative, subnormal, 1e+-300, A at the
 Lambert-W branch point) at small sizes, run in-process through cli.main.
 
 Every run must exit 0-3 without a traceback and write strict JSON: the
-document on stdout and one object per stderr line.  A zero list that the
-program builds itself (origin, zeros --with-disk, bounds --which cdelta) must
-never be refused by its own completeness or duplicate checks.
+document on stdout and one object per stderr line.  An exit 1 must be one of
+the two documented outcomes (_check_exit_one).  A zero list that the program
+builds itself (origin, zeros --with-disk, bounds --which cdelta) must never
+be refused by its own completeness or duplicate checks.
 """
 
 import contextlib
@@ -17,10 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasizeros import errors as errors_mod
 from quasizeros.cli import main
 
 #: errors that name a defect of the program when the zero list is its own
 SELF_CHECKS = {"IncompleteZeroListError", "DuplicateZeroError"}
+
+#: the summary field a document that exits 1 reports false, by subcommand,
+#: and the option without which that subcommand verifies nothing
+FAILURE_FIELDS = {"zeros": ("all_certified", "--certify"), "origin": ("all_certified", None),
+                  "certify": ("pass", "--expect-from"), "bounds": ("pass", None),
+                  "sector-radius": ("pass", None)}
 
 
 def _reject_constant(name):
@@ -102,6 +110,23 @@ VALID = st.one_of(
 ARGV = st.one_of(VALID, st.tuples(VALID, REFUSED).map(lambda t: t[0] + t[1]))
 
 
+def _check_exit_one(argv, out, errors):
+    """An exit 1 is a document whose summary reports the failure, or exactly
+    one error line naming a QuasiZeroError that is neither a DomainError nor
+    a NumericalError (a check of a zero list that did not hold)."""
+    if out:
+        assert not errors, (argv, errors)
+        field, option = FAILURE_FIELDS[argv[0]]
+        assert option is None or option in argv, argv
+        assert _loads(out)["summary"][field] is False, argv
+        return
+    assert len(errors) == 1, (argv, errors)
+    kind = getattr(errors_mod, errors[0]["type"], None)
+    assert isinstance(kind, type) and issubclass(kind, errors_mod.QuasiZeroError), (argv, errors)
+    assert not issubclass(kind, (errors_mod.DomainError, errors_mod.NumericalError)), \
+        (argv, errors)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -148,7 +173,9 @@ def test_cli_probe(argv):
     errors = [_loads(line)["error"] for line in err.splitlines()]
     if code == 0:
         assert not errors, argv
-    elif code != 1:
+    elif code == 1:
+        _check_exit_one(argv, out, errors)
+    else:
         assert len(errors) == 1 and not out, (argv, code, err)
     own_list = (argv[0] == "origin" or argv[0] == "zeros" and "--with-disk" in argv
                 or argv[0] == "bounds" and "cdelta" in argv)
@@ -196,6 +223,31 @@ def test_expect_from_refuses_values_outside_the_schema(tmp_path):
         error = _loads(err)["error"]
         assert error["type"] == "DomainError", (key, text)
         assert "is not a zeros document" in error["message"], (key, text)
+
+
+def test_expect_from_wrong_documents_exit_one(tmp_path):
+    # valid zeros documents that list the window wrongly: a value moved 0.01
+    # off its zero, an in-window zero dropped, one repeated.  Each exits 1
+    # with a document that names the record or the count
+    path = tmp_path / "zeros.json"
+    base = ["--k", "1", "--a", "1+0i"]
+    assert _run(["zeros", *base, "--nu", "-20..20", "--certify", "--with-disk", "5",
+                 "--out", str(path)])[0] == 0
+    doc = _loads(path.read_text())
+    results = doc["results"]
+    moved = dict(results[3], re=results[3]["re"] + 0.01)
+    certify = ["certify", *base, "--box", "-12,-129.43,12,129.43", "--expect-from", str(path)]
+    for wrong, counts in (
+            ([*results[:3], moved, *results[4:]], (41, 41, 1)),
+            ([*results[:3], *results[4:]], (41, 40, 0)),
+            ([*results, results[3]], (41, 42, 0))):
+        path.write_text(json.dumps(dict(doc, results=wrong)))
+        code, out, err = _run(certify)
+        assert (code, err) == (1, ""), counts
+        _check_exit_one(certify, out, [])
+        summary = _loads(out)["summary"]
+        assert (summary["contour_count"], summary["expected_count"],
+                summary["record_failures"]) == counts
 
 
 @pytest.mark.parametrize("command", [

@@ -3,7 +3,8 @@ the samplers' Mersenne Twister uniform stream, angle wrapping, the samplers'
 ln|1 + t|, the contour segment kernels' tracked change of arg f against
 direct f unwrapped on a fine grid, the Lambert-W kernel against scipy, the Rouche disk test
 against its first-order predecessor and at (near-)double zeros, the list
-kernels against their one-element calls, and the reported backend name."""
+kernels against their one-element calls, _cofactor's t against a 50-digit
+decimal reference, and the reported backend name."""
 
 import cmath
 import decimal
@@ -20,6 +21,8 @@ from scipy.special import lambertw
 from quasizeros import _kernels_py as kp, bounds, certify, core, zeros as zeros_mod
 from quasizeros._backend import backend_name
 from quasizeros.errors import DerivativeVanishesError, EscapedBasinError, MaxIterationsError
+
+import decimal_reference as ref
 
 
 SPLITMIX64_SEED0 = [  # standard splitmix64 test vector for seed 0
@@ -248,7 +251,7 @@ def _first_order_isolates(k, log_a, lam, radius):
     """The Rouche test with f'' bounded term by term, as it stood before the
     exact second-order term: the reference the new test must never refuse
     where this one accepts."""
-    expdom, t, _loglam = kp._cofactor(k, log_a, lam)
+    expdom, t, _loglam, _w = kp._cofactor(k, log_a, lam)
     u, _umag, zabs, tmag, vanishes = kp._derivative_cofactor(k, lam, expdom, t)
     if vanishes:
         return False
@@ -324,6 +327,61 @@ def test_exp_tail_matches_decimal():
         want = d.exp() - 1 - d - d * d / 2
         got = decimal.Decimal(kp._exp_tail3(r))
         assert abs(got - want) <= decimal.Decimal("1e-12") * want, r
+
+
+#: _cofactor's t is within this many times its rounding scale of the
+#: reference: relative error <= T_BOUND (|Log A| + k |Log l| + |l|) 2^-52
+T_BOUND = 4.0
+
+
+def test_decimal_reference_agrees_with_cmath():
+    # the reference rounds to the double cmath gives, within an ulp or two
+    D = decimal.Decimal
+    rng = random.Random(3103)
+    with decimal.localcontext() as ctx:
+        ctx.prec = ref.PRECISION
+        for _ in range(40):
+            z = cmath.rect(10.0 ** rng.uniform(-5, 6), rng.uniform(-math.pi, math.pi))
+            w = complex(rng.uniform(-50.0, 50.0), z.imag)
+            for got, want in ((ref.log(D(z.real), D(z.imag)), cmath.log(z)),
+                              (ref.exp(D(w.real), D(w.imag)), cmath.exp(w))):
+                got = complex(float(got[0]), float(got[1]))
+                assert abs(got - want) <= 1e-15 * abs(want), (z, got, want)
+
+
+def test_cofactor_t_matches_the_decimal_reference():
+    # t = e^(+-w) carries the rounding of w's terms, about eps times the sum
+    # of their moduli (the scale STEP_FLOOR rests on), and no more.  Points
+    # lie near the zero strip (Re w drawn in [-20, 20]) at |Im l| from 1 to
+    # 1e6
+    D = decimal.Decimal
+    rng = random.Random(3102)
+    coefficients = [1e-300 + 0j, 1 + 0j, 2 + 1j, -3 + 0j, -1e300 + 0j, complex(0.0, 1e300)]
+    coefficients += [cmath.rect(10.0 ** rng.uniform(-300, 300), rng.uniform(-math.pi, math.pi))
+                     for _ in range(3)]
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = ref.PRECISION
+        for k in (1, 3, 10):
+            for a in coefficients:
+                qp = core.QuasiPolynomial(k, a)
+                ar, ai = ref.log(D(a.real), D(a.imag))
+                for height in [10.0 ** rng.uniform(0, 6) for _ in range(10)] + [1e6]:
+                    y = math.copysign(height, rng.random() - 0.5)
+                    s = rng.uniform(-20.0, 20.0)
+                    x = qp.log_a.real + k * math.log(height) - s
+                    for _ in range(4):  # Re w = ln|A| + k ln|l| - x -> s
+                        x = qp.log_a.real + 0.5 * k * math.log(x * x + y * y) - s
+                    lam = complex(x, y)
+                    expdom, t, loglam, _w = kp._cofactor(k, qp.log_a, lam)
+                    lr, li = ref.log(D(x), D(y))
+                    wr, wi = ar + k * lr - D(x), ai + k * li - D(y)
+                    tr, ti = ref.exp(wr, wi) if expdom else ref.exp(-wr, -wi)
+                    err = (((D(t.real) - tr) ** 2 + (D(t.imag) - ti) ** 2)
+                           / (tr * tr + ti * ti)).sqrt()
+                    scale = abs(qp.log_a) + k * abs(loglam) + abs(lam)
+                    worst = max(worst, float(err) / (scale * 2.0 ** -52))
+    assert worst <= T_BOUND, worst
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
