@@ -4,8 +4,8 @@ Computation and refinement of the indexed zero family, winding-number
 certification via the argument principle (arg f tracked around a contour
 in proven steps), region decomposition of the complex plane, and seeded
 sampling verification of the lower-bound estimates.  The hot kernels
-(scaled evaluation, argument tracking, seeded samplers) are plain Python
-in quasizeros._kernels_py.
+(scaled evaluation, argument tracking) are plain Python in
+quasizeros._kernels_py, and the seeded samplers in quasizeros._sampling.
 
 ``import quasizeros`` loads no submodule: a public name, or a submodule
 such as ``quasizeros.certify``, is imported on first use (PEP 562), so a
@@ -37,8 +37,8 @@ _PUBLIC = {
 }
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
-_SUBMODULES = frozenset({"_backend", "_kernels_py", "_serialize", "bounds", "certify",
-                         "cli", "core", "errors", "regions", "zeros"})
+_SUBMODULES = frozenset({"_backend", "_kernels_py", "_sampling", "_serialize", "bounds",
+                         "certify", "cli", "core", "errors", "regions", "zeros"})
 
 __all__ = sorted(_EXPORTS)
 

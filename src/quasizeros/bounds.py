@@ -21,19 +21,21 @@ with C_delta > 0 estimated empirically as the sampled infimum of |f|/|l|^k.
 
 All sampling is seeded and deterministic: a fixed number of substream seeds
 is derived from the seed by splitmix64 (derive_substream), each substream
-draws its uniforms through kernels.uniform_pairs (the Mersenne Twister of
-random.Random(substream seed)), and the results are merged in a fixed
+draws its uniforms through _sampling.uniform_pairs (the Mersenne Twister
+of random.Random(substream seed)), and the results are merged in a fixed
 order, so reports are bit-for-bit reproducible.
 
-Only the C_delta functions call certify and zeros; they import them, so
-the exterior and sector checks load neither.
+The samplers live in _sampling, which loads no other module of the
+package.  Only the C_delta functions call certify, zeros and the kernels
+(Lambert W); they import them, so the exterior and sector checks load none
+of these.
 """
 
 import math
 import sys
 from collections import namedtuple
 
-from ._backend import kernels
+from . import _sampling
 from .errors import (
     DeltaTooLargeError,
     DomainError,
@@ -44,6 +46,7 @@ from .errors import (
 
 M64 = 0xFFFFFFFFFFFFFFFF
 TWO_PI = 2.0 * math.pi
+LN2 = math.log(2.0)
 LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: fixed substream count; part of the sample stream, so changing it changes
@@ -88,8 +91,8 @@ class CDeltaEstimate(namedtuple("CDeltaEstimate", "c_hat argmin delta_used h_use
 def derive_substream(seed, index):
     """Deterministic 64-bit seed of substream `index` derived from `seed`."""
     state = (seed + (index + 1) * 0x9E3779B97F4A7C15) & M64
-    state, _ = kernels.sm64(state)
-    state, z = kernels.sm64(state)
+    state, _ = _sampling.sm64(state)
+    state, z = _sampling.sm64(state)
     return z
 
 
@@ -156,7 +159,7 @@ def h_threshold(qp, which):
         value = math.log(2.0 * qp.b_magnitude)
     elif which == "T2":
         two_a = 2.0 * qp.a_magnitude
-        value = math.log(two_a) if two_a < math.inf else kernels.LN2 + qp.log_abs_a
+        value = math.log(two_a) if two_a < math.inf else LN2 + qp.log_abs_a
     else:
         raise DomainError("which must be 'T1' or 'T2'")
     return max(value, H_CLAMP)
@@ -166,7 +169,7 @@ def _exterior_report(qp, region_name, s_branch, side, h, r_cut, sample_count,
                      seed, r_max, bound_kind, threshold, proven_margin):
     _check_log_polar(h, r_cut, r_max, sample_count, s_branch)
     results = _run_chunks(
-        kernels.sample_exterior_margin,
+        _sampling.sample_exterior_margin,
         (qp.k, qp.log_a, s_branch, side, h, r_cut, r_max, bound_kind),
         sample_count, seed, region_name)
     min_log, wre, wim, _ = min(results, key=lambda r: r[0])
@@ -236,7 +239,7 @@ def verify_sector_cover(qp, h, delta, r_cut, sample_count, seed,
         count = per_branch + (extra if i == 0 else 0)
         if count:
             results += _run_chunks(
-                kernels.sample_strip_sector,
+                _sampling.sample_strip_sector,
                 (qp.k, branch, h, r_cut, r_max, delta),
                 count, seed + branch, f"the S={branch} strip")
     min_margin, wre, wim, _, _ = min(results, key=lambda r: r[0])
@@ -259,6 +262,7 @@ def _window_boxes(qp, h, r_cut, im_cap, delta):
     the stretch between them.  Empty when the padded window has no height;
     refused past its walk's budget (window_zeros)."""
     from . import certify as certify_mod
+    from ._backend import kernels
 
     k = qp.k
     # smallest |Im| reachable by a strip sample: |l| >= R with |Re| bounded
@@ -355,7 +359,7 @@ def estimate_C_delta(qp, h, r_cut, delta, sample_count, seed, strip_zeros,
     zre = [rec.value.real for rec in ordered]
     zim = [rec.value.imag for rec in ordered]
     results = _run_chunks(
-        kernels.sample_strip_ratio,
+        _sampling.sample_strip_ratio,
         (qp.k, qp.log_a, h, r_cut, im_cap, delta, zre, zim),
         sample_count, seed, "the punctured strip")
     min_log, wre, wim, _ = min(results, key=lambda r: r[0])

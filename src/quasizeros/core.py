@@ -3,14 +3,15 @@
 Direct evaluation is exact double-precision complex arithmetic and is limited
 to the range where e^l and A*l^k are representable; the scaled forms factor out
 the dominant of the two terms, so they work across the whole plane (the
-co-factor 1 + subdominant/dominant has magnitude at most 2).
+co-factor 1 + subdominant/dominant has magnitude at most 2).  The scaled
+forms import the kernels when called, so a command that only builds a
+QuasiPolynomial (classify, a refused input) loads none.
 """
 
 import cmath
 import math
 from collections import namedtuple
 
-from ._backend import kernels
 from .errors import DerivativeVanishesError, DomainError, OverflowRangeError
 
 #: |Re l| and k*ln|l| limit for the direct (unscaled) forms.
@@ -37,11 +38,13 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "k a log_a")):
             raise DomainError("coefficient A must be nonzero")
         if not cmath.isfinite(a):
             raise DomainError(f"coefficient A must be finite, got {a!r}")
-        arg = kernels.wrap_angle(math.atan2(a.imag, a.real))
+        arg = math.atan2(a.imag, a.real)
+        if arg == -math.pi:  # A on, or just below, the negative real axis
+            arg = math.pi
         try:
             log_abs = math.log(abs(a))
         except OverflowError:  # |A| beyond the float range; A/4 is exact
-            log_abs = math.log(abs(0.25 * a)) + 2.0 * kernels.LN2
+            log_abs = math.log(abs(0.25 * a)) + 2.0 * math.log(2.0)
         return super().__new__(cls, k, a, complex(log_abs, arg))
 
     @classmethod
@@ -137,12 +140,16 @@ def evaluate_scaled(qp, lam):
     EvalScale(-inf, 0.0) rather than an error, so contour integrands can
     detect near-zeros uniformly.
     """
+    from ._backend import kernels
+
     logf = kernels.eval_scaled(qp.k, qp.log_a, complex(lam))
     return EvalScale(logf.real, logf.imag)
 
 
 def relative_residual(qp, lam):
     """|f(l)| / max(|e^l|, |A*l^k|): the scale-free size of f at l."""
+    from ._backend import kernels
+
     return kernels.relative_residual(qp.k, qp.log_a, complex(lam))
 
 
@@ -152,6 +159,8 @@ def newton_ratio(qp, lam):
     Raises DerivativeVanishesError when |f'| is below
     1e-14 * max(|e^l|, k|A||l|^(k-1)).
     """
+    from ._backend import kernels
+
     lam = complex(lam)
     ratio, vanishes = kernels.newton_step(qp.k, qp.log_a, lam)
     if vanishes:

@@ -75,3 +75,28 @@ def test_traced_ladder_accounting(layers):
     assert metrics["certify.certify_record.certified_frac"]["value"] == 0.0
     assert metrics["zeros.isolation_radii.pairs"]["value"] == 40 * 39
     assert metrics["zeros.zeros_in_index_range.self_s"]["value"] > 0.0
+
+
+def test_traced_samplers_are_counted(layers):
+    # the layers reach the samplers through the kernels' forward to
+    # _sampling; one T1 check runs one sampler call per substream
+    from quasizeros import _sampling
+
+    tracer_module = sys.modules[layers.self_times.__module__]
+    qp = quasizeros.QuasiPolynomial(1, 1 + 0j)
+    original = _sampling.sample_exterior_margin
+    tracer = tracer_module.Tracer()
+    layers.install(tracer)
+    try:
+        assert _sampling.sample_exterior_margin is not original
+        report = quasizeros.verify_T1_bound(qp, quasizeros.h_threshold(qp, "T1") + 0.5, 10.0,
+                                            2000, seed=1)
+    finally:
+        tracer.uninstall()
+    assert _sampling.sample_exterior_margin is original
+    assert report.samples == 2000
+    assert tracer.names.count("kernels.sample_exterior_margin") == 16
+    metrics, _accounting, _shares = layers.summarize(
+        tracer, cycles=1, traced_wall=1.0, base_wall=1.0, base_samples=0, import_s=0.0)
+    assert metrics["kernels.sampler.calls"]["value"] == 16
+    assert metrics["kernels.sample_exterior_margin.self_s"]["value"] > 0.0

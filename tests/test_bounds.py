@@ -9,7 +9,7 @@ import types
 import pytest
 
 import quasizeros as qz
-from quasizeros import _kernels_py as kp, bounds, cli
+from quasizeros import _sampling as sp, bounds, cli
 from quasizeros.errors import (
     DeltaTooLargeError,
     DomainError,
@@ -556,15 +556,15 @@ class TestEmptyRegion:
                                         im_cap=20.0, verify_completeness=False)),
     ])
     def test_raises_after_one_substream(self, qp11, monkeypatch, sampler, run):
-        monkeypatch.setattr(kp, "REJECTION_BUDGET", 1000)
+        monkeypatch.setattr(sp, "REJECTION_BUDGET", 1000)
         calls = []
-        original = getattr(kp, sampler)
+        original = getattr(sp, sampler)
 
         def counted(*args):
             calls.append(args[-1])
             return original(*args)
 
-        monkeypatch.setattr(kp, sampler, counted)
+        monkeypatch.setattr(sp, sampler, counted)
         with pytest.raises(EmptyRegionSampleError):
             run(qp11)
         assert calls == [bounds.derive_substream(1, 0)]
@@ -716,18 +716,18 @@ class TestParity:
 
 class TestSamplerWork:
     """A sampler evaluates the margin only of points that could lower its
-    running minimum (kernels._skip_cut); the skipped points change nothing."""
+    running minimum (_sampling._skip_cut); the skipped points change nothing."""
 
     @staticmethod
     def _count(monkeypatch, name):
-        inner = getattr(kp, name)
+        inner = getattr(sp, name)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(kp, name, counted)
+        monkeypatch.setattr(sp, name, counted)
         return calls
 
     def test_few_margins_evaluated(self, qp11, monkeypatch):
@@ -750,7 +750,7 @@ class TestSamplerWork:
     def test_skipping_changes_no_report(self, monkeypatch, run, k, a):
         qp = qz.QuasiPolynomial(k, a)
         skipped = run(qp)
-        monkeypatch.setattr(kp, "_skip_cut", lambda minlog, base: math.inf)
+        monkeypatch.setattr(sp, "_skip_cut", lambda minlog, base: math.inf)
         assert repr(run(qp)) == repr(skipped)
 
     @pytest.mark.parametrize("base", [LN2, 0.0, -5.0, 709.8, -744.4])
@@ -762,19 +762,19 @@ class TestSamplerWork:
         for gap in (0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3, 0.1, LN2, 0.7, 3.0, 50.0, 1e3,
                     math.inf):
             minlog = base - gap
-            cut = kp._skip_cut(minlog, base)
+            cut = sp._skip_cut(minlog, base)
             assert cut >= LN2
             if cut == math.inf:
-                assert minlog - base + kp.SKIP_SLACK >= 0.0
+                assert minlog - base + sp.SKIP_SLACK >= 0.0
                 continue
             if cut > LN2:
-                edge = base + kp._log_abs_1p(cut, math.pi) - minlog
-                assert 0.0 < edge < 2.0 * kp.SKIP_SLACK
+                edge = base + sp._log_abs_1p(cut, math.pi) - minlog
+                assert 0.0 < edge < 2.0 * sp.SKIP_SLACK
             for stretch in (1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1.01, 1.5, 4.0, 100.0):
                 wr = math.nextafter(cut, math.inf) * stretch
                 for sign in (1.0, -1.0):
                     for wi in phases:
-                        assert base + kp._log_abs_1p(sign * wr, wi) >= minlog, (gap, wr, wi)
+                        assert base + sp._log_abs_1p(sign * wr, wi) >= minlog, (gap, wr, wi)
 
 
 class TestSamplerStream:
@@ -809,16 +809,16 @@ class TestSamplerStream:
     def test_stream(self, monkeypatch, name, kq, draws, digest, run):
         qp = qz.QuasiPolynomial(*kq)
         points = TestSamplerWork._count(monkeypatch, "_log_abs_1p")
-        monkeypatch.setattr(kp, "_skip_cut", lambda minlog, base: math.inf)
+        monkeypatch.setattr(sp, "_skip_cut", lambda minlog, base: math.inf)
         pairs = [0]
-        stream = kp.uniform_pairs
+        stream = sp.uniform_pairs
 
         def counted(seed):
             for pair in stream(seed):
                 pairs[0] += 1
                 yield pair
 
-        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        monkeypatch.setattr(sp, "uniform_pairs", counted)
         run(qp)
         assert pairs[0] == draws
         if digest is None:
@@ -832,7 +832,7 @@ def _float_region(k, sgn, lna, lr0, lspan, u1, u2):
     """The samplers' exact float steps for one draw: (offset, Re w)."""
     lr = lr0 + u1 * lspan
     r = math.exp(lr)
-    th = -kp.PI + kp.TWO_PI * u2
+    th = -sp.PI + sp.TWO_PI * u2
     xre = r * math.cos(th)
     klr = k * lr
     return xre + sgn * klr, lna + klr - xre
@@ -885,10 +885,10 @@ class TestAngleBracket:
             lr0 = math.log(r_in)
             lspan = math.log(r_max) - lr0
             lr1 = lr0 + lspan
-            rej_below, rej_above, acc_below, acc_above = kp._region_cuts(
+            rej_below, rej_above, acc_below, acc_above = sp._region_cuts(
                 k, sgn, side, h, lr0, lr1)
-            wcuts = [kp.LN2, 1.0, 5.0, 30.0, rng.uniform(kp.LN2, 50.0)]
-            skips = [(wcut, *kp._skip_angles(lna, k, wcut, lr0, lr1)) for wcut in wcuts]
+            wcuts = [sp.LN2, 1.0, 5.0, 30.0, rng.uniform(sp.LN2, 50.0)]
+            skips = [(wcut, *sp._skip_angles(lna, k, wcut, lr0, lr1)) for wcut in wcuts]
             vs = (_near(rej_below, -1) + _near(rej_above, 1) + _near(acc_below, 1)
                   + _near(acc_above, -1))
             for _wcut, below, above in skips:
@@ -926,12 +926,12 @@ class TestAngleBracket:
         lr0 = math.log(r_in)
         lr1 = math.log(1e3)
         for k, sgn, h in ((1, -1.0, 0.5), (25, 1.0, 50.0), (3, -1.0, 1e-3)):
-            rej_below, rej_above, acc_below, acc_above = kp._region_cuts(
+            rej_below, rej_above, acc_below, acc_above = sp._region_cuts(
                 k, sgn, side, h, lr0, lr1)
             assert rej_below <= 0.0 and rej_above >= 0.5
             assert acc_below >= min(acc_above, 0.5) or acc_above <= 0.0
-            for wcut in (kp.LN2, 5.0, 700.0):
-                below, above = kp._skip_angles(0.0, k, wcut, lr0, lr1)
+            for wcut in (sp.LN2, 5.0, 700.0):
+                below, above = sp._skip_angles(0.0, k, wcut, lr0, lr1)
                 assert below <= 0.0 and above >= 0.5
 
 
@@ -951,16 +951,16 @@ class TestAngleWork:
             return math.cos(x)
 
         proxy.cos = cos
-        monkeypatch.setattr(kp, "math", proxy)
+        monkeypatch.setattr(sp, "math", proxy)
         margins = TestSamplerWork._count(monkeypatch, "_log_abs_1p")
-        stream = kp.uniform_pairs
+        stream = sp.uniform_pairs
 
         def counted(seed):
             for pair in stream(seed):
                 calls["pairs"] += 1
                 yield pair
 
-        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        monkeypatch.setattr(sp, "uniform_pairs", counted)
         return lambda: (calls["cos"] - len(margins), calls["pairs"])
 
     def test_T1_exact_draws(self, qp11, monkeypatch):
@@ -1103,7 +1103,7 @@ class TestStripDecision:
         steep = 0
         for k, lna, h, r_in, delta, im_cap, spacing, rng in self._grid():
             zre, zim = _strip_points(k, lna, im_cap, spacing, rng)
-            y_dec, zone_lo, zone_hi = kp._strip_decision(k, h, r_in, im_cap, delta, zre, zim)
+            y_dec, zone_lo, zone_hi = sp._strip_decision(k, h, r_in, im_cap, delta, zre, zim)
             if y_dec == math.inf:
                 undecided += 1
                 continue
@@ -1113,18 +1113,18 @@ class TestStripDecision:
             ys = [s * y for y in ys if y_dec <= y <= im_cap for s in (1.0, -1.0)]
             ts = {"zone": _past(zone_lo, -1) + _past(zone_hi, 1),
                   "random": [rng.uniform(-h, h) for _ in range(6)]}
-            wcuts = (kp.LN2, 1.0, 5.0, rng.uniform(kp.LN2, 30.0))
+            wcuts = (sp.LN2, 1.0, 5.0, rng.uniform(sp.LN2, 30.0))
             for wcut in wcuts:
-                t_lo, t_hi = kp._strip_band(zone_lo, zone_hi, lna, wcut)
+                t_lo, t_hi = sp._strip_band(zone_lo, zone_hi, lna, wcut)
                 assert t_lo <= zone_lo and t_hi >= zone_hi
-                ts["skip"] = _past(lna - wcut - kp.STRIP_SLACK, -1) \
-                    + _past(lna + wcut + kp.STRIP_SLACK, 1)
+                ts["skip"] = _past(lna - wcut - sp.STRIP_SLACK, -1) \
+                    + _past(lna + wcut + sp.STRIP_SLACK, 1)
                 ts["y_dec"] = _past(t_lo, -1) + _past(t_hi, 1)
                 draws = [(case, y, t) for case, values in ts.items() for t in values
                          for y in ys]
                 for y, t in _steepest(k, zre, zim, delta):
                     # only the zone keeps a draw past the skip band and y_dec
-                    if abs(y) >= y_dec and abs(t - lna) > wcut + kp.STRIP_SLACK:
+                    if abs(y) >= y_dec and abs(t - lna) > wcut + sp.STRIP_SLACK:
                         steep += 1
                         draws.append(("zone", y, t))
                 for case, y, t in draws:
@@ -1140,7 +1140,7 @@ class TestStripDecision:
     def test_large_k_decides_nothing(self, r_in):
         # y_dec = 4k = 100 lies above im_cap
         zre, zim = _strip_points(25, 0.0, 50.0, 2 * math.pi, random.Random(1))
-        assert kp._strip_decision(25, 2.0, r_in, 50.0, 0.5, zre, zim)[0] == math.inf
+        assert sp._strip_decision(25, 2.0, r_in, 50.0, 0.5, zre, zim)[0] == math.inf
 
     def test_reports_match_without_the_decision(self, monkeypatch):
         runs = []
@@ -1148,11 +1148,11 @@ class TestStripDecision:
             zre, zim = _strip_points(k, lna, im_cap, spacing, rng)
             log_a = complex(lna, rng.uniform(-math.pi, math.pi))
             args = (k, log_a, h, r_in, im_cap, delta, zre, zim, 300, rng.getrandbits(32))
-            runs.append((args, kp.sample_strip_ratio(*args)))
-        monkeypatch.setattr(kp, "_strip_decision",
+            runs.append((args, sp.sample_strip_ratio(*args)))
+        monkeypatch.setattr(sp, "_strip_decision",
                             lambda *args: (math.inf, -math.inf, math.inf))
         for args, decided in runs:
-            assert repr(kp.sample_strip_ratio(*args)) == repr(decided), args[:6]
+            assert repr(sp.sample_strip_ratio(*args)) == repr(decided), args[:6]
 
     def test_fixed_point_log_is_the_residual_checks(self):
         """At an exact repeat the solve's (k/2) ln r2 stands in for the
@@ -1187,15 +1187,15 @@ class TestStripWork:
             return math.log(x)
 
         proxy.log = log
-        monkeypatch.setattr(kp, "math", proxy)
-        stream = kp.uniform_pairs
+        monkeypatch.setattr(sp, "math", proxy)
+        stream = sp.uniform_pairs
 
         def counted(seed):
             for pair in stream(seed):
                 calls["pairs"] += 1
                 yield pair
 
-        monkeypatch.setattr(kp, "uniform_pairs", counted)
+        monkeypatch.setattr(sp, "uniform_pairs", counted)
         qz.estimate_C_delta(qp11, 2.0, 10.0, 0.5, 10000, 1, strip, im_cap=2 * math.pi * 60.0,
                             verify_completeness=False)
         assert calls["pairs"] > 10000

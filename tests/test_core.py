@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,52 @@ class TestQuasiPolynomial:
         # f'(0) = 1 + A overflows abs(); the Newton ratio 1 / (1 + A) at the
         # origin is below the normal range
         assert abs(qz.newton_ratio(qp, 0)) < 1e-300
+
+
+class TestLogAPinned:
+    """log_a = ln|A| + i arg A, bit for bit as recorded (float.hex): arg A
+    is atan2's with -pi read as pi, so the negative real axis has arg pi
+    from either side and a -0.0 imaginary part on the positive one gives
+    -0.0; |A| subnormal and |A| beyond the float range."""
+
+    PINNED = [
+        (complex(-2.0, -0.0), "0x1.62e42fefa39efp-1", "0x1.921fb54442d18p+1"),
+        (complex(-2.0, 0.0), "0x1.62e42fefa39efp-1", "0x1.921fb54442d18p+1"),
+        (complex(2.0, -0.0), "0x1.62e42fefa39efp-1", "-0x0.0p+0"),
+        (complex(2.0, 0.0), "0x1.62e42fefa39efp-1", "0x0.0p+0"),
+        (complex(-0.0, 1.0), "0x0.0p+0", "0x1.921fb54442d18p+0"),
+        (complex(0.0, -1.0), "0x0.0p+0", "-0x1.921fb54442d18p+0"),
+        (complex(-1.0, 5e-324), "0x0.0p+0", "0x1.921fb54442d18p+1"),
+        (complex(-1.0, -5e-324), "0x0.0p+0", "0x1.921fb54442d18p+1"),
+        (complex(5e-324, 0.0), "-0x1.74385446d71c3p+9", "0x0.0p+0"),
+        (complex(-5e-324, -0.0), "-0x1.74385446d71c3p+9", "0x1.921fb54442d18p+1"),
+        (complex(0.0, 5e-324), "-0x1.74385446d71c3p+9", "0x1.921fb54442d18p+0"),
+        (complex(3e-320, -4e-321), "-0x1.6fdc219340bc5p+9", "-0x1.0f991cbd46298p-3"),
+        (complex(1.7976931348623157e308, 1.7976931348623157e308), "0x1.63108c75a1936p+9",
+         "0x1.921fb54442d18p-1"),
+        (complex(-1.7e308, -1.7e308), "0x1.63096583c4ed0p+9", "-0x1.2d97c7f3321d2p+1"),
+        (complex(-1.7976931348623157e308, -0.0), "0x1.62e42fefa39efp+9",
+         "0x1.921fb54442d18p+1"),
+        (complex(1.3e308, 1.3e308), "0x1.62e70f0a585dcp+9", "0x1.921fb54442d18p-1"),
+    ]
+
+    @pytest.mark.parametrize("a, log_abs, arg", PINNED)
+    def test_pinned(self, a, log_abs, arg):
+        log_a = qz.QuasiPolynomial(1, a).log_a
+        assert (log_a.real.hex(), log_a.imag.hex()) == (log_abs, arg)
+
+    def test_seeded_digest(self):
+        # 2,000 A log-uniform in |A| from 1e-323 to past the float range,
+        # uniform in angle
+        rng = random.Random(32)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            mag = 10.0 ** rng.uniform(-323.0, 308.25)
+            th = rng.uniform(-math.pi, math.pi)
+            log_a = qz.QuasiPolynomial(1, complex(mag * math.cos(th), mag * math.sin(th))).log_a
+            digest.update(f"{log_a.real.hex()} {log_a.imag.hex()};".encode())
+        assert digest.hexdigest() == \
+            "14176353db7fc1dacc42df25d123830e94ba6a3467df20288a13768c6428c0c1"
 
 
 class TestEvaluate:

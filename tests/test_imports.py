@@ -1,9 +1,10 @@
 """The package namespace loads its submodules on first use, and each CLI
 subcommand imports only the modules it calls.
 
-A stray top-level import (in __init__, cli, _serialize or bounds) would load
-every compute module for every subcommand; the per-command checks below run
-each in a fresh interpreter, as a user's command runs."""
+A stray top-level import (in __init__, cli, _serialize, core or bounds)
+would load every compute module, or the kernels, for every subcommand; the
+per-command checks below run each in a fresh interpreter, as a user's
+command runs."""
 
 import importlib.util
 import json
@@ -37,6 +38,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quasizero
 
 COMPUTE = {"bounds", "certify", "regions", "zeros"}
 
+#: the kernels of the zero finders, and the samplers of the lower bounds
+KERNELS = {"_backend", "_kernels_py"}
+SAMPLING = {"_sampling"}
+
 
 def _loaded(*argv):
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
@@ -47,30 +52,59 @@ def _loaded(*argv):
 
 def test_subcommands_load_only_what_they_run(tmp_path):
     # the argv of the benchmark's cli workload; the zeros run writes the
-    # document the certify runs read
+    # document the certify runs read.  Each run names the modules it must
+    # not load and those it must
     common = ["--k", "1", "--a", "1+0i"]
     zeros_json = str(tmp_path / "zeros.json")
     runs = [
         ("zeros", ["zeros", *common, "--nu", "-20..20", "--tol", "1e-12", "--certify",
-                   "--with-disk", "5", "--out", zeros_json], 0, {"bounds", "regions"}),
+                   "--with-disk", "5", "--out", zeros_json], 0,
+         {"bounds", "regions", *SAMPLING}, {"zeros", "certify", *KERNELS}),
         ("certify", ["certify", *common, "--box", "-12,-129.43,12,129.43",
-                     "--expect-from", zeros_json], 0, {"bounds", "regions"}),
-        ("origin", ["origin", *common, "--radius", "2"], 0, {"bounds", "regions"}),
+                     "--expect-from", zeros_json], 0, {"bounds", "regions", *SAMPLING},
+         {"certify", *KERNELS}),
+        ("origin", ["origin", *common, "--radius", "2"], 0, {"bounds", "regions", *SAMPLING},
+         {"certify", *KERNELS}),
         ("bounds-T1", ["bounds", "--k", "2", "--a", "2+1i", "--which", "T1",
-                       "--samples", "10000"], 0, {"certify", "zeros", "regions"}),
-        ("gaps", ["gaps", *common, "--nu", "20..50"], 0, {"certify", "bounds", "regions"}),
+                       "--samples", "10000"], 0, {"certify", "zeros", "regions", *KERNELS},
+         {"bounds", *SAMPLING}),
+        ("gaps", ["gaps", *common, "--nu", "20..50"], 0,
+         {"certify", "bounds", "regions", *SAMPLING}, {"zeros", *KERNELS}),
         ("classify", ["classify", *common, "--h", "2", "--R", "5", "--S", "1",
                       "--point", "2.33+10i", "--point", "-100+0i"], 0,
-         {"zeros", "certify", "bounds"}),
+         {"zeros", "certify", "bounds", *KERNELS, *SAMPLING}, {"core", "regions"}),
         ("sector-radius", ["sector-radius", "--k", "1", "--h", "2", "--delta", "0.5",
-                           "--samples", "1000"], 0, {"certify", "zeros"}),
-        ("zeros-k0", ["zeros", "--k", "0", "--a", "1+0i", "--nu", "1..5"], 2, COMPUTE),
+                           "--samples", "1000"], 0, {"certify", "zeros", *KERNELS},
+         {"bounds", "regions", *SAMPLING}),
+        ("zeros-k0", ["zeros", "--k", "0", "--a", "1+0i", "--nu", "1..5"], 2,
+         COMPUTE | KERNELS | SAMPLING, {"core"}),
     ]
-    for label, argv, expected_code, absent in runs:
+    for label, argv, expected_code, absent, present in runs:
         code, loaded, slow = _loaded(*argv)
         assert code == expected_code, label
         assert not loaded & absent, (label, sorted(loaded & absent))
+        assert present <= loaded, (label, sorted(present - loaded))
         assert slow == [], (label, slow)
+
+
+def test_kernels_load_no_sampler():
+    # the kernels forward a sampler's name to _sampling, which they load
+    # only on that first read
+    code = ("import sys, quasizeros._kernels_py as kp; "
+            "before = 'quasizeros._sampling' in sys.modules; "
+            "from quasizeros import _sampling; "
+            "print(before, kp.sample_exterior_margin is _sampling.sample_exterior_margin, "
+            "kp.uniform_pairs is _sampling.uniform_pairs)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_kernels_lack_what_neither_module_has():
+    from quasizeros import _kernels_py
+
+    with pytest.raises(AttributeError, match="'quasizeros._kernels_py' has no attribute 'nope'"):
+        _kernels_py.nope
 
 
 def test_bare_import_loads_no_submodule():
