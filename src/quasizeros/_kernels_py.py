@@ -19,8 +19,14 @@ Conventions:
     newton_polish_list (many seeds) and rouche_holds_list (many disks), so
     the zeros reach their certificates with no record built in between.
     lambert_w and rouche_isolates are one-element calls into the first and
-    the last, so each formula exists once, and an element of a list comes
-    out bit for bit as its one-element call gives it
+    the last, so an element of a list comes out bit for bit as its
+    one-element call gives it
+  * a list kernel's loop makes at most one helper call per element: one
+    _cofactor call per iterate of the polish (an iterate that does not
+    pass adds its Newton step's) and one _derivatives_cofactor call per
+    tested Rouche disk.  Each formula lives in one function: _cofactor
+    forms (expdom, t), _derivatives_cofactor f'/D and f''/D together,
+    _exp_tail3 the exponential's tail; a loop calls them and copies none
   * "scaled" quantities divide f by its dominant term, max(|e^l|, |A l^k|),
     so nothing overflows for |Re l| or k*ln|l| in the hundreds
   * w = Log A + k Log l - l is formed from a complex l in one place,
@@ -123,11 +129,12 @@ def newton_polish_list(k, log_a, seeds, tolerance, max_iterations, escape):
     Returns the columns (values, residuals, iterations, cofactors, failure).
     For each seed up to the first that fails they hold the first iterate
     that passes, its residual, the steps taken, and (expdom, t) at it (None
-    at lam = 0).  failure is that seed's error, None when every seed
-    passes; the seeds after it are not polished.  Each iterate costs one
-    residual_cofactor, shared by its residual and, when it does not pass,
-    its Newton step f/f' = (1 + t)/u; an iterate where k/lam overflows
-    steps by newton_step's tiny-lam form.  The failures are
+    at lam = 0, where the residual reads 1).  failure is that seed's error,
+    None when every seed passes; the seeds after it are not polished.  Each
+    iterate costs one _cofactor call, shared by its residual |1 + t| and,
+    when it does not pass, its Newton step f/f' = (1 + t)/u
+    (_newton_step_cofactor); an iterate where k/lam overflows steps by
+    _newton_step_tiny from the same call.  The failures are
     EscapedBasinError when an iterate lies farther than `escape` from the
     seed, DerivativeVanishesError where the step is unusable (see
     newton_step), and MaxIterationsError after max_iterations steps.
@@ -136,17 +143,23 @@ def newton_polish_list(k, log_a, seeds, tolerance, max_iterations, escape):
     for seed in seeds:
         lam = seed
         for it in range(max_iterations + 1):
-            residual, cofactor = residual_cofactor(k, log_a, lam)
+            if lam:
+                expdom, t, loglam, _w = _cofactor(k, log_a, lam)
+                residual = abs(1.0 + t)
+            else:
+                residual = 1.0  # f(0) = 1
             if residual < tolerance:
                 values.append(lam)
                 residuals.append(residual)
                 iterations.append(it)
-                cofactors.append(cofactor)
+                cofactors.append((expdom, t) if lam else None)
                 break
-            if cofactor is None or abs(lam) * FLOAT_MAX < k:
+            if not lam:
                 ratio, vanishes = newton_step(k, log_a, lam)
+            elif abs(lam) * FLOAT_MAX < k:
+                ratio, vanishes = _newton_step_tiny(k, log_a, lam, expdom, t, loglam)
             else:
-                ratio, vanishes = _newton_step_cofactor(k, lam, *cofactor)
+                ratio, vanishes = _newton_step_cofactor(k, lam, expdom, t)
             if vanishes:
                 return (*columns, DerivativeVanishesError(f"f' vanishes near l = {lam:.6g}"))
             lam = lam - ratio
@@ -180,7 +193,7 @@ def newton_step(k, log_a, lam):
 def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
     """newton_step where k/lam overflows, |lam| < k/FLOAT_MAX.
 
-    Where e^lam dominates, the product (k/lam) t of _derivative_cofactor is
+    Where e^lam dominates, the product (k/lam) t of _derivatives_cofactor is
     formed as k e^(Log A + (k-1) Log lam - lam), which is finite and keeps
     its precision when t is subnormal.  Where A lam^k dominates,
     f/f' = lam (1 + t) / (lam t + k), and |lam t + k| >= k - |lam| never
@@ -200,7 +213,7 @@ def _newton_step_tiny(k, log_a, lam, expdom, t, loglam):
 
 def _newton_step_cofactor(k, lam, expdom, t):
     """newton_step at lam != 0 from the cofactor (expdom, t) of _cofactor."""
-    u, _umag, _r, _tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
+    u, _umag, _r, _tmag, vanishes, _s = _derivatives_cofactor(k, lam, expdom, t)
     if vanishes:
         return 0j, True
     return (1.0 + t) / u, False
@@ -217,17 +230,29 @@ def _derivative_at_origin(k, log_a):
     return 1.0 + a, scale
 
 
-def _derivative_cofactor(k, lam, expdom, t):
-    """f' divided by the dominant term of f, from _cofactor's outputs.
+def _derivatives_cofactor(k, lam, expdom, t):
+    """f' and f'' divided by the dominant term of f, from _cofactor's
+    outputs; lam != 0.
 
-    Returns (u, |u|, |lam|, |t|, vanishes): u = 1 + (k/lam) t when e^lam
+    Returns (u, |u|, |lam|, |t|, vanishes, s).  u = 1 + (k/lam) t when e^lam
     dominates and t + k/lam otherwise, so f' = dominant * u; |u| is
     _modulus(u); vanishes is True when
-    |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  lam != 0.
+    |u| < 1e-14 * max(|e^l|, k|A||l|^(k-1)) / dominant.  s is
+    1 + k(k-1) t / lam^2 when e^lam dominates and t + k(k-1) / lam^2
+    otherwise, so f'' = dominant * s.  For k = 1 the lam^2 term is exactly
+    0; where lam^2 underflows (|lam| below about 1e-154) it is formed as
+    (k(k-1) / lam) / lam.  Where k/lam or that term overflows, u or s is
+    not finite; nothing raises.
     """
     r = abs(lam)
     q = k / lam
     tmag = abs(t)
+    if k == 1:
+        s = 1.0 + 0j if expdom else t
+    else:
+        sq = lam * lam
+        c = k * (k - 1) / sq if sq else k * (k - 1) / lam / lam
+        s = 1.0 + c * t if expdom else t + c
     if expdom:
         u = 1.0 + q * t
         scale = (k / r) * tmag
@@ -239,7 +264,7 @@ def _derivative_cofactor(k, lam, expdom, t):
         if tmag > scale:
             scale = tmag
     umag = _modulus(u)
-    return u, umag, r, tmag, umag < 1e-14 * scale
+    return u, umag, r, tmag, umag < 1e-14 * scale, s
 
 
 def _modulus(u):
@@ -249,19 +274,6 @@ def _modulus(u):
         return abs(u)
     except OverflowError:
         return math.inf
-
-
-def _second_derivative_cofactor(k, lam, expdom, t):
-    """f'' divided by the dominant term of f, from _cofactor's outputs:
-    1 + k(k-1) t / lam^2 when e^lam dominates, t + k(k-1) / lam^2
-    otherwise.  lam != 0.  For k = 1 the lam^2 term is exactly 0; where
-    lam^2 underflows (|lam| below about 1e-154) it is formed as
-    (k(k-1) / lam) / lam, which may overflow to a non-finite value."""
-    if k == 1:
-        return 1.0 + 0j if expdom else t
-    sq = lam * lam
-    c = k * (k - 1) / sq if sq else k * (k - 1) / lam / lam
-    return 1.0 + c * t if expdom else t + c
 
 
 def _exp_tail3(r):
@@ -309,12 +321,14 @@ def rouche_holds_list(k, values, cofactors, radii):
     """rouche_isolates for each disk of the columns values, cofactors and
     radii, in one loop, from the cofactor (expdom, t) of _cofactor at each
     lam != 0, so a caller that has just evaluated f at lam tests the disk
-    without evaluating it again.  A radius outside (0, 700) reads as not
-    proven before the cofactor is read (it may then be None).  Where k/lam
-    overflows (|lam| near the float range's bottom) the scaled f' is not
-    finite and the test reads as not proven, as it does with a non-finite
-    f'' term (see _second_derivative_cofactor).  _exp_tail3 is formed again
-    only where the radius changes."""
+    without evaluating it again.  A tested disk costs one
+    _derivatives_cofactor call, for both f' and f''; a radius outside
+    (0, 700) reads as not proven before the cofactor is read (it may then be
+    None), and costs none.  Where k/lam overflows (|lam| near the float
+    range's bottom) the scaled f' is not finite and the test reads as not
+    proven, as it does with a non-finite f'' term.  _exp_tail3 is formed
+    again only where the radius changes, and the polynomial remainder sum
+    only for k >= 3 (below that it is 0)."""
     holds = []
     last = None
     for lam, cofactor, radius in zip(values, cofactors, radii):
@@ -322,20 +336,20 @@ def rouche_holds_list(k, values, cofactors, radii):
             holds.append(False)
             continue
         expdom, t = cofactor
-        _u, umag, zabs, tmag, vanishes = _derivative_cofactor(k, lam, expdom, t)
+        _u, umag, zabs, tmag, vanishes, s = _derivatives_cofactor(k, lam, expdom, t)
         if vanishes or not umag < math.inf:
             holds.append(False)
             continue
-        s = _second_derivative_cofactor(k, lam, expdom, t)
         if radius != last:
             last, etail = radius, _exp_tail3(radius)
-        # sum_{j=3..k} C(k,j) rho^j with rho = r/|z|, term by term
-        rho = radius / zabs
-        term = 0.5 * k * (k - 1) * rho * rho
         poly = 0.0
-        for j in range(3, k + 1):
-            term *= rho * (k - j + 1) / j
-            poly += term
+        if k > 2:
+            # sum_{j=3..k} C(k,j) rho^j with rho = r/|z|, term by term
+            rho = radius / zabs
+            term = 0.5 * k * (k - 1) * rho * rho
+            for j in range(3, k + 1):
+                term *= rho * (k - j + 1) / j
+                poly += term
         if expdom:
             remainder = etail + tmag * poly
         else:
@@ -347,10 +361,11 @@ def rouche_holds_list(k, values, cofactors, radii):
 
 def critical_step(k, log_a, lam):
     """Newton step f'/f'' towards a critical point of f, in dominance-factored
-    form (both divided by the dominant term of f); None where f'' vanishes,
-    at lam = 0, and where the step is not finite (f' or f'' beyond the
-    float range).  Where k/lam overflows (|lam| < k/FLOAT_MAX) the terms
-    are formed as in _newton_step_tiny (_critical_step_tiny)."""
+    form (both divided by the dominant term of f, u and s of one
+    _derivatives_cofactor call); None where f'' vanishes, at lam = 0, and
+    where the step is not finite (f' or f'' beyond the float range).  Where
+    k/lam overflows (|lam| < k/FLOAT_MAX) the terms are formed as in
+    _newton_step_tiny (_critical_step_tiny)."""
     if lam == 0:
         return None
     expdom, t, loglam, _w = _cofactor(k, log_a, lam)
@@ -360,8 +375,7 @@ def critical_step(k, log_a, lam):
         except OverflowError:  # cmath.exp where A e^-lam rounds past FLOAT_MAX
             return None
     else:
-        u, _umag, _r, _tmag, _vanishes = _derivative_cofactor(k, lam, expdom, t)
-        s = _second_derivative_cofactor(k, lam, expdom, t)
+        u, _umag, _r, _tmag, _vanishes, s = _derivatives_cofactor(k, lam, expdom, t)
         if s == 0:
             return None
         step = u / s

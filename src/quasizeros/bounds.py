@@ -48,6 +48,7 @@ M64 = 0xFFFFFFFFFFFFFFFF
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
 LN_FLOAT_MAX = math.log(sys.float_info.max)
+FLOAT_MIN = sys.float_info.min
 
 #: fixed substream count; part of the sample stream, so changing it changes
 #: every seeded report
@@ -154,9 +155,12 @@ def h_threshold(qp, which):
     """Admissible half-width threshold: T1 -> ln(2/|A|), T2 -> ln(2|A|).
 
     Clamped below at 1e-3 because the region definitions require h > 0.
+    Where 2/|A| or 2|A| leaves the float range the threshold is formed from
+    ln|A|, as ln 2 - ln|A| or ln 2 + ln|A|.
     """
     if which == "T1":
-        value = math.log(2.0 * qp.b_magnitude)
+        two_b = 2.0 * qp.b_magnitude
+        value = math.log(two_b) if two_b < math.inf else LN2 - qp.log_abs_a
     elif which == "T2":
         two_a = 2.0 * qp.a_magnitude
         value = math.log(two_a) if two_a < math.inf else LN2 + qp.log_abs_a
@@ -192,7 +196,10 @@ def verify_T1_bound(qp, h, r_cut, sample_count, seed, r_max=DEFAULT_R_MAX):
     if h <= threshold:
         raise PreconditionHError(
             f"h = {h:g} must exceed the T1 threshold {threshold:g}")
-    proven = 2.0 * (1.0 - math.exp(-h) / qp.a_magnitude)
+    # e^-h / |A|, formed as e^(-h - ln|A|) where e^-h is subnormal or 0
+    e_h = math.exp(-h)
+    ratio = e_h / qp.a_magnitude if e_h >= FLOAT_MIN else math.exp(-h - qp.log_abs_a)
+    proven = 2.0 * (1.0 - ratio)
     return _exterior_report(qp, "T1 exterior: offset(S=1) < -h", 1, -1, h,
                             r_cut, sample_count, seed, r_max, 1, threshold,
                             proven)

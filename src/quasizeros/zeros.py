@@ -201,7 +201,8 @@ def _ladder_indices(qp, values):
     fixed_point_refine) has it as its fixed point:
     Im l = 2 pi nu + pi + arg A + k Arg l, rounded."""
     k, arg_a = qp.k, qp.arg_a
-    return [round((z.imag - k * cmath.phase(z) - arg_a - math.pi) / TWO_PI) for z in values]
+    phase, pi, two_pi = cmath.phase, math.pi, TWO_PI
+    return [round((z.imag - k * phase(z) - arg_a - pi) / two_pi) for z in values]
 
 
 def _ladder_branch(qp, nu):
@@ -239,9 +240,16 @@ def _mirror(columns, at, picks, nus):
 
 
 def _check_indices(qp, nus, values):
-    """Check each named zero's index nu at its polish's last iterate, value,
-    in list order; reaching another index raises NotConvergedError."""
-    for nu, got in zip(nus, _ladder_indices(qp, values)):
+    """Check each named zero's index nu at its polish's last iterate, value;
+    reaching another index raises NotConvergedError naming the first such
+    nu in list order.  One list comparison of the indices with nus passes a
+    fully labelled, fully polished list; the loop runs only where it fails:
+    to name the nu, or where nus holds unlabelled (None) entries or more
+    entries than values (the polish stopped early)."""
+    indices = _ladder_indices(qp, values)
+    if indices == nus:
+        return
+    for nu, got in zip(nus, indices):
         if nu is not None and got != nu:
             raise NotConvergedError(
                 f"refinement failed for nu = {nu}: Newton reached the zero of "

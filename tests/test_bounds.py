@@ -46,6 +46,18 @@ class TestHThreshold:
         rep = qz.verify_T1_bound(qp, 0.5, 10.0, 100, seed=1)
         assert rep.passed and rep.proven_margin == 2.0
 
+    @pytest.mark.parametrize("a", [1e-308 + 0j, 1e-320 + 0j, 5e-324 + 0j, 3e-300 + 2e-300j])
+    def test_tiny_coefficient(self, a):
+        # 2/|A| (and for the subnormal A, 1/|A| itself) overflows; ln(2/|A|)
+        # does not.  At h = threshold + 1/2, e^-h is subnormal or 0, and
+        # e^-h / |A| is 1/2 e^-1/2 all the same
+        qp = qz.QuasiPolynomial(1, a)
+        threshold = qz.h_threshold(qp, "T1")
+        assert threshold == pytest.approx(LN2 - qp.log_abs_a, rel=1e-15)
+        rep = qz.verify_T1_bound(qp, threshold + 0.5, 10.0, 100, seed=1)
+        assert rep.passed and rep.threshold_h_used == threshold
+        assert rep.proven_margin == pytest.approx(2.0 - math.exp(-0.5), rel=1e-12)
+
     def test_strip_constant_beyond_the_float_range(self):
         # |f|/|l|^k is about |A| in the strip; e^709.9 has no float
         qp = qz.QuasiPolynomial(1, 1.7e308 + 1e308j)

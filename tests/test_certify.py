@@ -759,22 +759,35 @@ class TestEnumeration:
                     assert abs(rec.value - want) <= tol, (k, a, radius, rec)
 
     def test_simple_zeros_evaluated_once(self, qp11, monkeypatch):
-        # each simple zero costs its polish's evaluations and no more: the
-        # certificate takes the polish's last one, not certify_record's
+        # each simple zero costs its polish's evaluations, one _cofactor per
+        # iterate, and no more: the certificate takes the polish's last one,
+        # not certify_record's, and no residual is formed again
         records = _counting(monkeypatch, certify_mod, "certify_record")
-        evaluations = _counting(monkeypatch, kp, "residual_cofactor")
-        polish = kp.newton_polish_list
+        residuals = _counting(monkeypatch, kp, "residual_cofactor")
+        polish, cofactor = kp.newton_polish_list, kp._cofactor
         iterations = []
+        evaluations = []
+        polishing = []
 
         def counted(*args):
-            columns = polish(*args)
+            polishing.append(True)
+            try:
+                columns = polish(*args)
+            finally:
+                polishing.pop()
             iterations.extend(columns[2])
             return columns
 
+        def counted_cofactor(*args):
+            if polishing:
+                evaluations.append(args)
+            return cofactor(*args)
+
         monkeypatch.setattr(kp, "newton_polish_list", counted)
+        monkeypatch.setattr(kp, "_cofactor", counted_cofactor)
         recs = qz.find_zeros_in_disk(qp11, 100.0)
         assert len(recs) == 33 and all(r.certified for r in recs)
-        assert records == []
+        assert records == [] and residuals == []
         assert len(evaluations) == sum(it + 1 for it in iterations)
 
     @pytest.mark.parametrize("tamper", ["drop", "duplicate"])

@@ -514,6 +514,19 @@ class TestBoundsCommand:
         assert doc["summary"]["pass"] is True
         assert doc["summary"]["min_margin"] >= 1.0
 
+    @pytest.mark.parametrize("a", ["1e-308+0i", "1e-320+0i", "5e-324+0i", "3e-300+2e-300i"])
+    def test_T1_auto_tiny_coefficient(self, a):
+        # below |A| = 2/FLOAT_MAX the threshold ln 2 - ln|A| is finite, so
+        # the automatic h = threshold + 1/2 is admissible
+        code, out, _ = run_cli("bounds", "--k", "1", "--a", a, "--which", "T1",
+                               "--samples", "1000", "--seed", "1")
+        assert code == 0
+        summary = loads(out)["summary"]
+        lna = math.log(abs(complex(a.replace("i", "j"))))
+        assert summary["threshold_h"] == pytest.approx(math.log(2.0) - lna, rel=1e-15)
+        assert summary["proven_margin"] == pytest.approx(2.0 - math.exp(-0.5), rel=1e-12)
+        assert summary["pass"] is True
+
     def test_proven_margin_reported(self):
         code, out, _ = run_cli("bounds", "--k", "1", "--a", "1+0i",
                                "--which", "T1", "--samples", "1000",

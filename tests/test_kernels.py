@@ -8,6 +8,7 @@ decimal reference, and the reported backend name."""
 
 import cmath
 import decimal
+import hashlib
 import math
 import random
 import types
@@ -247,12 +248,72 @@ def test_lambert_w_principal_branch_beside_the_cut(im):
         assert _w_error(complex(x, im), 0) <= 1e-13, (x, im)
 
 
+def _derivative_cases():
+    """Seeded (k, lam, expdom, t) for the scaled-derivative helper: the
+    cofactors of _cofactor at points near ladder zeros and at random points
+    for |A| from 1e-300 to 1e308; points with |lam| below 1e-154, where
+    lam^2 underflows, and just above k/FLOAT_MAX; t on |t| = 1 with either
+    dominant term; and points where the scaled f' nearly vanishes."""
+    rng = random.Random(3300)
+    cases = []
+    for k in (1, 2, 3, 25):
+        for a in (complex(1e-300, 0.0), cmath.rect(1e-300, rng.uniform(-math.pi, math.pi)),
+                  complex(1e308, 0.0), cmath.rect(1e308, rng.uniform(-math.pi, math.pi)),
+                  1 + 0j, cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))):
+            qp = core.QuasiPolynomial(k, a)
+            z, logz = zeros_mod._lambert_root(qp, rng.randrange(k))
+            points = [-k * kp.lambert_w(z, rng.randint(-5, 5), logz)
+                      + cmath.rect(10.0 ** rng.uniform(-12, -1), rng.uniform(-math.pi, math.pi))
+                      for _ in range(3)]
+            points += [cmath.rect(10.0 ** rng.uniform(-3, 4), rng.uniform(-math.pi, math.pi))
+                       for _ in range(3)]
+            points += [cmath.rect(10.0 ** rng.uniform(-300, -155), rng.uniform(-math.pi, math.pi)),
+                       cmath.rect(k / kp.FLOAT_MAX * (1.0 + 10.0 ** rng.uniform(-15, 0)),
+                                  rng.uniform(-math.pi, math.pi))]
+            for lam in points:
+                expdom, t, _loglam, _w = kp._cofactor(k, qp.log_a, lam)
+                cases.append((k, lam, expdom, t))
+        for _ in range(6):
+            lam = cmath.rect(10.0 ** rng.uniform(-200, 3), rng.uniform(-math.pi, math.pi))
+            cases.append((k, lam, rng.random() < 0.5, cmath.rect(1.0, rng.uniform(-math.pi, math.pi))))
+        for _ in range(3):
+            # u = 1 + (k/lam) t and u = k/lam + t within rounding of 0
+            theta = rng.uniform(-math.pi, math.pi)
+            lam = cmath.rect(k * (1.0 + 10.0 ** rng.uniform(-16, -8)), theta)
+            cases.append((k, lam, True, -cmath.rect(1.0, theta)))
+            cases.append((k, lam, False, -k / lam))
+    return cases
+
+
+def _hex(x):
+    """float.hex of x, of both parts of a complex x, or the bool's repr."""
+    if isinstance(x, complex):
+        return f"{x.real.hex()},{x.imag.hex()}"
+    return x.hex() if isinstance(x, float) else repr(x)
+
+
+#: sha256 (first 16 hex digits) of the _hex of every input and every output,
+#: (f'/D, |f'/D|, |lam|, |t|, vanishes, f''/D), of the scaled-derivative
+#: helper over _derivative_cases; pinned when f'/D and f''/D were formed by
+#: two helpers, which the one helper must reproduce bit for bit
+PINNED_DERIVATIVES = "82240229812bef5b"
+
+
+def test_derivative_helper_pinned():
+    lines = []
+    for k, lam, expdom, t in _derivative_cases():
+        outputs = kp._derivatives_cofactor(k, lam, expdom, t)
+        lines.append(" ".join(map(_hex, (k, lam, expdom, t, *outputs))))
+    assert len(lines) == 240
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == PINNED_DERIVATIVES
+
+
 def _first_order_isolates(k, log_a, lam, radius):
     """The Rouche test with f'' bounded term by term, as it stood before the
     exact second-order term: the reference the new test must never refuse
     where this one accepts."""
     expdom, t, _loglam, _w = kp._cofactor(k, log_a, lam)
-    u, _umag, zabs, tmag, vanishes = kp._derivative_cofactor(k, lam, expdom, t)
+    u, _umag, zabs, tmag, vanishes, _s = kp._derivatives_cofactor(k, lam, expdom, t)
     if vanishes:
         return False
     etail = math.expm1(radius) - radius

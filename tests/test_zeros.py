@@ -588,6 +588,68 @@ class TestLadderWork:
         assert [len(args[2]) for args in polish] == [len(records) - mirrored]
         assert [len(args[1]) for args in rouche] == [len(records)]
 
+    @pytest.mark.parametrize("k, a", [(1, 1 + 0j), (3, 2 + 1j)])
+    def test_polish_one_cofactor_per_iterate(self, monkeypatch, k, a):
+        # ladder seeds moved off their zeros, so most iterates step, and
+        # subnormal seeds, which step by the tiny-lam form: every iterate
+        # makes one _cofactor call and reaches no other evaluation helper
+        qp = qz.QuasiPolynomial(k, a)
+        rng = random.Random(3310 + k)
+        seeds = [rec.value + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+                 for rec in qz.zeros_in_index_range(qp, -30, 30, certify=False)]
+        seeds += [1e-310 + 0j, 3e-309 + 0j]
+        cofactors = self._count(monkeypatch, kp, "_cofactor")
+        refused = [self._count(monkeypatch, kp, name)
+                   for name in ("residual_cofactor", "relative_residual", "newton_step")]
+        values, _residuals, iterations, _cofactors, failure = kp.newton_polish_list(
+            k, qp.log_a, seeds, 1e-12, zeros_mod.NEWTON_ITERATIONS, zeros_mod.ESCAPE_RADIUS)
+        assert failure is None and len(values) == len(seeds)
+        assert sum(iterations) > len(seeds)
+        assert len(cofactors) == sum(it + 1 for it in iterations)
+        assert not any(refused)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_rouche_one_helper_call_per_tested_disk(self, monkeypatch, k):
+        # one _derivatives_cofactor call per disk with a radius in (0, 700),
+        # none for the others, and no evaluation of f
+        qp = qz.QuasiPolynomial(k, 2 + 1j)
+        records = qz.zeros_in_index_range(qp, -20, 20, certify=False)
+        values = [rec.value for rec in records]
+        cofactors = [kp.residual_cofactor(k, qp.log_a, lam)[1] for lam in values]
+        radii = [(0.5, 0.0, -1.0, 700.0, 1e3, 1e-3, 699.0)[i % 7] for i in range(len(values))]
+        helper = self._count(monkeypatch, kp, "_derivatives_cofactor")
+        evaluated = self._count(monkeypatch, kp, "_cofactor")
+        holds = kp.rouche_holds_list(k, values, cofactors, radii)
+        tested = [i for i, r in enumerate(radii) if 0.0 < r < 700.0]
+        assert [args[1] for args in helper] == [values[i] for i in tested]
+        assert evaluated == []
+        assert True in holds and not any(holds[i] for i in range(len(radii)) if i not in tested)
+
+    @pytest.mark.parametrize("a", [1 + 0j, 2 + 1j])
+    @pytest.mark.parametrize("moved", [(500,), (900, 500)])
+    def test_index_check_names_first_moved_value(self, monkeypatch, a, moved):
+        # in the 2,001-index baseline, a polished value moved onto its
+        # neighbour's zero is named, and of two the first in list order,
+        # which is index order.  For A = 1 the polish takes nu = -1000..-1
+        # and 1000, for A = 2 + i every nu
+        polish = kp.newton_polish_list
+
+        def moving(*args):
+            values, *rest = polish(*args)
+            for i in moved:
+                values[i] = values[i + 1]
+            return (values, *rest)
+
+        monkeypatch.setattr(kp, "newton_polish_list", moving)
+        qp = qz.QuasiPolynomial(1, a)
+        first = min(moved)
+        nu = first - 1000
+        for certify in (True, False):
+            with pytest.raises(NotConvergedError) as info:
+                qz.zeros_in_index_range(qp, -1000, 1000, certify=certify)
+            assert str(info.value) == (f"refinement failed for nu = {nu}: Newton reached "
+                                       f"the zero of index {nu + 1}")
+
     @staticmethod
     def _count_records(monkeypatch):
         """Every ZeroRecord built, through its constructor or _make."""
