@@ -12,7 +12,10 @@ strip the bound holds on the step's path, from Re w at its two ends, so
 such a side takes a few steps whatever its length; near the strip, and on
 a circle's arc, it holds on a disk around the step's start, and steps are
 short only near zeros.  A step from a point where the scaled |f| is down
-at the rounding floor means a zero on the contour.
+at the rounding floor means a zero on the contour.  For real A,
+f(conj l) = conj f(l), so arg f changes along the lower half of a box
+symmetric about the real axis as along its upper half: such a box tracks
+its upper half only and doubles the turn.
 
 The disk search and the completeness of an enumeration over a rectangle
 rest on one count identity (_count_identity): the winding count equals the
@@ -122,8 +125,9 @@ class ContourReport(namedtuple("ContourReport", "count min_scaled_modulus segmen
     over its dominant term; near the origin, |f| over max(|e^l|, |A l^k|)),
     so it reads only the points where steps start; segments_used is the
     number of tracking steps, at most STEP_BUDGET: a rectangle takes a few
-    per side plus those where a side crosses the zero strip (8 for the
-    41-zero box of criterion 02), a circle tens.
+    per side plus those where a side crosses the zero strip, a circle tens.
+    For a real A, a box symmetric about the real axis is tracked over its
+    upper half only (5 steps for the 41-zero box of criterion 02).
     """
 
     __slots__ = ()
@@ -134,16 +138,25 @@ def winding_count(qp, contour):
 
     Tracks arg f counter-clockwise around the contour in proven steps (a
     rectangle side by side, a circle as one arc) and divides the total
-    change by 2 pi.  Raises ZeroOnContourError when the contour runs
-    through or too near a zero, and QuadratureStalledError beyond
-    STEP_BUDGET steps.
+    change by 2 pi.  For a real A, a rectangle symmetric about the real
+    axis is tracked over its upper half only, from (x1, 0) up, across and
+    down to (x0, 0), and that turn doubled.  Raises ZeroOnContourError
+    when the contour runs through or too near a zero, and
+    QuadratureStalledError beyond STEP_BUDGET steps.
     """
     k, log_a = qp.k, qp.log_a
+    turns = 1.0
     if isinstance(contour, Rectangle):
-        sw, ne = contour.corner_min, contour.corner_max
-        corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))
-        pieces = [(kernels.line_segment_logderiv, (k, log_a, corners[i], corners[(i + 1) % 4]))
-                  for i in range(4)]
+        (x0, y0), (x1, y1) = [(z.real, z.imag) for z in contour]
+        if y0 == -y1 and qp.a.imag == 0:
+            # the upper half, from the real axis and back to it
+            path = (complex(x1, 0.0), complex(x1, y1), complex(x0, y1), complex(x0, 0.0))
+            turns = 2.0
+        else:
+            path = (contour.corner_min, complex(x1, y0), contour.corner_max, complex(x0, y1),
+                    contour.corner_min)
+        pieces = [(kernels.line_segment_logderiv, (k, log_a, z0, z1))
+                  for z0, z1 in zip(path, path[1:])]
     elif isinstance(contour, Circle):
         pieces = [(kernels.arc_segment_logderiv,
                    (k, log_a, contour.center, contour.radius, 0.0, 2.0 * math.pi))]
@@ -157,7 +170,7 @@ def winding_count(qp, contour):
         total += turn
         steps += used
         minmod = min(minmod, mod)
-    return ContourReport(count=round(total / (2.0 * math.pi)), min_scaled_modulus=minmod,
+    return ContourReport(count=round(turns * total / (2.0 * math.pi)), min_scaled_modulus=minmod,
                          segments_used=steps)
 
 
@@ -180,20 +193,32 @@ def certify_record(qp, record, radius=None):
     zeros with certify_polished, which takes that evaluation from the polish.
     """
     r = radius if radius is not None else record.isolation_radius
-    if r is None:
-        r = 1.0
-    if not r > 0:  # a duplicate record's isolation radius: no room to prove
-        return _certificate(record, False, r)
-    # the value itself must be a zero; the disk count alone would also pass
-    # for a stale value whose disk still happens to contain the true zero
-    value = complex(record.value)
-    residual, cofactor = kernels.residual_cofactor(qp.k, qp.log_a, value)
-    if residual >= RESIDUAL_GATE:
-        return _certificate(record, False, r)
-    if (record.multiplicity == 1
-            and kernels.rouche_holds_list(qp.k, (value,), (cofactor,), (r,))[0]):
-        return _certificate(record, True, r)
-    return _winding_certificate(qp, record, r)
+    return _certify_records(qp, (record,), (r,))[0]
+
+
+def _certify_records(qp, records, radii):
+    """certify_record for each record at its radius (None: 1.0), in one
+    pass: one residual_cofactor call per record whose radius leaves room,
+    one Rouche list over the simple zeros that pass the residual gate, and
+    a winding certificate only where that list does not prove the disk.
+    Each record keeps its stored residual."""
+    k, log_a = qp.k, qp.log_a
+    radii = [1.0 if r is None else r for r in radii]
+    values = [complex(rec.value) for rec in records]
+    # a duplicate record's isolation radius leaves no room to prove; and the
+    # value itself must be a zero, since the disk count alone would also pass
+    # for a stale value whose disk still holds the true zero
+    gates = [kernels.residual_cofactor(k, log_a, value) if r > 0 else (math.inf, None)
+             for value, r in zip(values, radii)]
+    passed = [not residual >= RESIDUAL_GATE for residual, _cofactor in gates]
+    # the Rouche list reads a radius of 0 as not proven before any arithmetic
+    holds = kernels.rouche_holds_list(
+        k, values, [cofactor for _residual, cofactor in gates],
+        [r if ok and rec.multiplicity == 1 else 0.0 for rec, r, ok in zip(records, radii, passed)])
+    return [_certificate(rec, True, r) if proven
+            else _winding_certificate(qp, rec, r) if ok
+            else _certificate(rec, False, r)
+            for rec, r, ok, proven in zip(records, radii, passed, holds)]
 
 
 def certify_polished(qp, columns, radii):
@@ -230,8 +255,11 @@ def join_disk(qp, ladder, disk, nus, certify=True):
     if not certify:
         zeros_mod._check_duplicates(labels, values)
         return joined
-    return [certify_record(qp, rec, r) if r < rec.isolation_radius else rec
-            for rec, r in zip(joined, zeros_mod._distinct_isolation_radii(labels, values))]
+    radii = zeros_mod._distinct_isolation_radii(labels, values)
+    shrunk = [r < rec.isolation_radius for rec, r in zip(joined, radii)]
+    certified = iter(_certify_records(qp, list(compress(joined, shrunk)),
+                                      list(compress(radii, shrunk))))
+    return [next(certified) if s else rec for rec, s in zip(joined, shrunk)]
 
 
 def _certificate(record, certified, radius):
@@ -505,7 +533,7 @@ def certify_completeness(qp, contour, records):
             raise RecordOutsideContourError(
                 f"record at {rec.value:.6g} lies outside the contour")
     count = winding_count(qp, contour).count
-    checked = [certify_record(qp, rec, rec.isolation_radius) for rec in records]
+    checked = _certify_records(qp, records, [rec.isolation_radius for rec in records])
     multiplicities = [rec.multiplicity for rec in records]
     ok, failures = _count_identity(count, [rec.value for rec in records], multiplicities, checked)
     detail = {

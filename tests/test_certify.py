@@ -20,6 +20,8 @@ from quasizeros.errors import (
     ZeroOnContourError,
 )
 
+from conftest import bisect_real_root
+
 
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
@@ -138,29 +140,35 @@ class TestWindingCount:
         assert [(args[3], args[-1]) for args in sides] == [(11 + 1e3j, 3), (11 + 1e5j, 2)]
 
     @pytest.mark.parametrize("corner", [complex(20.0, 3.0), complex(40.0, 100.0)])
-    def test_over_budget_refused_before_any_sum(self, qp11, monkeypatch, corner):
-        # the budget is the whole contour's: each side is handed what the
-        # sides before it left, and the side that runs out refuses before
+    def test_over_budget_refused_before_any_sum(self, monkeypatch, corner):
+        # the budget is the whole contour's: each piece is handed what the
+        # pieces before it left, and the piece that runs out refuses before
         # the turns are summed into a count.  The budget is one step short
-        # of the first three sides
+        # of the first three pieces: three of the four sides for a complex
+        # A, the whole upper half of the box for a real A
         box = qz.Rectangle(-corner, corner)
         sw, ne = box
-        corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))
-        need = [kp.line_segment_logderiv(1, qp11.log_a, corners[i], corners[i + 1],
-                                         certify_mod.STEP_BUDGET)[1] for i in range(3)]
-        budget = sum(need) - 1
-        monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
         line = kp.line_segment_logderiv
-        handed = []
+        for a, path in [(2 + 1j, (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag))),
+                        (1 + 0j, (complex(ne.real, 0.0), ne, complex(sw.real, ne.imag),
+                                  complex(sw.real, 0.0)))]:
+            qp = qz.QuasiPolynomial(1, a)
+            need = [line(1, qp.log_a, path[i], path[i + 1], zeros_mod.STEP_BUDGET)[1]
+                    for i in range(3)]
+            budget = sum(need) - 1
+            monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
+            handed = []
 
-        def counted(*args):
-            handed.append(args[-1])
-            return line(*args)
+            def counted(*args):
+                handed.append(args[2:])
+                return line(*args)
 
-        monkeypatch.setattr(kp, "line_segment_logderiv", counted)
-        with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
-            qz.winding_count(qp11, box)
-        assert handed == [budget, budget - need[0], budget - need[0] - need[1]]
+            monkeypatch.setattr(kp, "line_segment_logderiv", counted)
+            with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
+                qz.winding_count(qp, box)
+            assert handed == [(path[0], path[1], budget),
+                              (path[1], path[2], budget - need[0]),
+                              (path[2], path[3], budget - need[0] - need[1])]
 
     def test_floor_beyond_1e12_refuses_path_steps(self, qp11):
         # the rounding floor is checked at every step's start, path steps
@@ -354,14 +362,16 @@ class TestFindZerosInDisk:
     def test_stalled_outer_square_not_retried(self, monkeypatch):
         # a square over the step budget would be over it at every wider
         # square too, so the search spends one budget and reports it.  The
-        # r = 10 square takes 10 steps; its branch walk, 5 branches per
-        # root, stays within the budget of 8
-        qp = qz.QuasiPolynomial(1, -3 + 0j)
-        monkeypatch.setattr(certify_mod, "STEP_BUDGET", 8)
-        counts = _counting(monkeypatch, certify_mod, "winding_count")
-        with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
-            qz.find_zeros_in_disk(qp, 10.0)
-        assert len(counts) == 1
+        # r = 10 square takes 10 steps round its four sides for A = -3 + i,
+        # and 6 over its upper half for A = 1; its branch walk, 5 branches
+        # per root, stays within either budget
+        for a, budget in [(-3 + 1j, 8), (1 + 0j, 5)]:
+            monkeypatch.undo()
+            monkeypatch.setattr(certify_mod, "STEP_BUDGET", budget)
+            counts = _counting(monkeypatch, certify_mod, "winding_count")
+            with pytest.raises(QuadratureStalledError, match="step budget exhausted"):
+                qz.find_zeros_in_disk(qz.QuasiPolynomial(1, a), 10.0)
+            assert len(counts) == 1
 
     def test_moved_square_checks_its_edges(self, qp11, monkeypatch):
         # the first square is counted without _edge_clear; a square moved
@@ -397,13 +407,16 @@ class TestSharedEdges:
         assert count == fresh.count == len(values) == len(records) == 13
         assert multiplicities == [1] * 13
 
-    def test_disk_search_work_bound(self, qp11, monkeypatch):
-        # the square's one count: one tracking call per side
+    def test_disk_search_work_bound(self, monkeypatch):
+        # the square's one count: one tracking call per piece, the three of
+        # its upper half for a real A, its four sides otherwise
         lines = _counting(monkeypatch, certify_mod.kernels, "line_segment_logderiv")
         counts = _counting(monkeypatch, certify_mod, "winding_count")
-        recs = qz.find_zeros_in_disk(qp11, 40.0)
-        assert len(recs) == 13 and all(r.certified for r in recs)
-        assert len(lines) == 4 and len(counts) == 1
+        for a, pieces in [(1 + 0j, 3), (2 + 1j, 4)]:
+            del lines[:], counts[:]
+            recs = qz.find_zeros_in_disk(qz.QuasiPolynomial(1, a), 40.0)
+            assert len(recs) == 13 and all(r.certified for r in recs)
+            assert len(lines) == pieces and len(counts) == 1
 
 
 def _lambert_oracle(qp, radius):
@@ -614,9 +627,9 @@ class TestPinnedWindings:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == PINNED_WINDINGS
 
     @pytest.mark.parametrize("box, report", [
-        ((-1e6 - 1e6j, 1e6 + 1e6j), (318311, 0.9367582668017868, 11)),
+        ((-1e6 - 1e6j, 1e6 + 1e6j), (318311, 0.9367582668017868, 6)),
         ((10 + 1e3j, 11 + 1e5j), (6024, 0.7907129412979003, 8)),
-        ((complex(-12, -129.43), complex(12, 129.43)), (41, 0.798656525824964, 8)),
+        ((complex(-12, -129.43), complex(12, 129.43)), (41, 0.798656525824964, 5)),
     ], ids=["square-1e6", "strip-side-1e5", "criterion-12-box"])
     def test_tall_boxes(self, qp11, box, report):
         assert qz.winding_count(qp11, qz.Rectangle(*box)) == report
@@ -627,6 +640,104 @@ def _scaled_modulus(qp, lam):
     e, p = cmath.exp(lam), qp.a * lam ** qp.k
     return abs(e + p) / max(abs(e), abs(p))
 
+
+def _four_sides(qp, box):
+    """The box's count from its four sides' turns, summed here."""
+    sw, ne = box
+    corners = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag), sw)
+    total = sum(kp.line_segment_logderiv(qp.k, qp.log_a, z0, z1, zeros_mod.STEP_BUDGET)[0]
+                for z0, z1 in zip(corners, corners[1:]))
+    return round(total / (2.0 * math.pi))
+
+
+class TestHalfContour:
+    """For a real A, a box symmetric about the real axis is counted over
+    its upper half, the turn doubled: the count its four sides give, on
+    seeded boxes at k from 1 to 25 and real A of both signs with |A| from
+    1e-300 to 1e308.  A complex A's box keeps its four sides."""
+
+    KS = (1, 2, 3, 5, 10, 25)
+
+    @staticmethod
+    def _coefficients(k, rng):
+        return ([1e-300 + 0j, -1e-300 + 0j, 1 + 0j, -3 + 0j, 1e308 + 0j, -1e308 + 0j,
+                 complex(-math.exp(k) / k ** k, 0.0)]
+                + [complex(sign * 10 ** rng.uniform(-300.0, 308.0), 0.0) for sign in (1, -1)]
+                + [2 + 1j, cmath.rect(10 ** rng.uniform(-300.0, 300.0), rng.uniform(-3.0, 3.0))])
+
+    @staticmethod
+    def _boxes(qp, rng):
+        """Squares about the origin with half-side below 0.5, boxes across
+        the zero strip up to |Im l| of about 2,000, and a tall box up to
+        |Im l| of about 1e5 whose sides run near the strip, all symmetric
+        about the real axis."""
+        k, lna = qp.k, qp.log_a.real
+        out = [qz.Rectangle(complex(-s, -s), complex(s, s))
+               for s in (10 ** rng.uniform(-3.0, -0.31) for _ in range(2))]
+        for y, pad in ((10 ** rng.uniform(0.0, 3.3), 40.0), (10 ** rng.uniform(3.0, 5.0), 5.0)):
+            x = lna + k * math.log(max(y, abs(lna), 1.0))
+            out.append(qz.Rectangle(complex(x - rng.uniform(1.0, pad), -y),
+                                    complex(x + rng.uniform(1.0, pad), y)))
+        return out
+
+    def test_counts_match_four_sides(self):
+        rng = random.Random(3400)
+        counted = 0
+        for k in self.KS:
+            for a in self._coefficients(k, rng):
+                qp = qz.QuasiPolynomial(k, a)
+                for box in self._boxes(qp, rng):
+                    try:
+                        want = _four_sides(qp, box)
+                    except ZeroOnContourError:
+                        with pytest.raises(ZeroOnContourError):
+                            qz.winding_count(qp, box)
+                        continue
+                    assert qz.winding_count(qp, box).count == want, (k, a, box)
+                    counted += want != 0
+        assert counted >= 150
+
+    @pytest.mark.parametrize("k, a, bracket", [(1, 1.0, (-1.0, 0.0)), (1, -3.0, (0.5, 1.0)),
+                                               (1, -3.0, (1.0, 2.0)), (3, 1.0, (-1.0, -0.5))])
+    def test_zero_on_contour_refused(self, k, a, bracket):
+        # a box whose left or right side runs through a real zero, or whose
+        # top runs through a zero off the axis, is refused by both counts
+        qp = qz.QuasiPolynomial(k, complex(a, 0.0))
+        x = bisect_real_root(lambda x: math.exp(x) + a * x ** k, *bracket)
+        z = qz.zeros_in_index_range(qp, 2, 2, 1e-12)[0].value
+        for box in (qz.Rectangle(complex(x, -3.0), complex(x + 2.0, 3.0)),
+                    qz.Rectangle(complex(x - 2.0, -3.0), complex(x, 3.0)),
+                    qz.Rectangle(complex(z.real - 5.0, -abs(z.imag)),
+                                 complex(z.real + 5.0, abs(z.imag)))):
+            with pytest.raises(ZeroOnContourError):
+                _four_sides(qp, box)
+            with pytest.raises(ZeroOnContourError):
+                qz.winding_count(qp, box)
+
+    @pytest.mark.parametrize("a, box", [
+        (1 + 0j, (complex(-12, -129.43), complex(12, 129.43))),
+        (-3 + 0j, (-40 - 100j, 40 + 100j)),
+        (2 + 1j, (-40 - 100j, 40 + 100j)),
+        (1 + 0j, (complex(-12, -129.43), complex(12, 130.0))),
+    ], ids=["real-A", "negative-A", "complex-A", "asymmetric"])
+    def test_pieces(self, monkeypatch, a, box):
+        # the count is handed the upper half's three pieces, from the real
+        # axis and back to it, only for a real A and a symmetric box, and
+        # reports their steps and smallest scaled |f|
+        qp = qz.QuasiPolynomial(1, a)
+        sw, ne = box
+        if a.imag == 0 and sw.imag == -ne.imag:
+            path = (complex(ne.real, 0.0), ne, complex(sw.real, ne.imag), complex(sw.real, 0.0))
+        else:
+            path = (sw, complex(ne.real, sw.imag), ne, complex(sw.real, ne.imag), sw)
+        tracked = [kp.line_segment_logderiv(1, qp.log_a, z0, z1, zeros_mod.STEP_BUDGET)
+                   for z0, z1 in zip(path, path[1:])]
+        handed = _counting(monkeypatch, kp, "line_segment_logderiv")
+        report = qz.winding_count(qp, qz.Rectangle(*box))
+        assert [args[2:4] for args in handed] == list(zip(path, path[1:]))
+        assert report.segments_used == sum(used for _turn, used, _mod in tracked)
+        assert report.min_scaled_modulus == min(mod for _turn, _used, mod in tracked)
+        assert report.count == _four_sides(qp, qz.Rectangle(*box))
 
 class TestPathSteps:
     """Steps proven on their path change no count: seeded rectangles that
@@ -1069,6 +1180,54 @@ class TestCertifyCompleteness:
         box = qz.Rectangle(complex(-10, 0.5), complex(10, z4.imag))
         with pytest.raises(ZeroOnContourError):
             qz.certify_completeness(qp11, box, recs)
+
+
+class TestStoredRecords:
+    """Stored records are certified in one pass (certify._certify_records):
+    one residual gate per record whose radius leaves room, one Rouche list
+    over the simple zeros that pass it, a winding count only where that
+    list does not prove the disk, and each record's stored residual kept."""
+
+    def _mixed(self, qp):
+        recs = qz.zeros_in_index_range(qp, -4, 4, 1e-12)
+        stale = recs[1]._replace(value=recs[1].value + 1e-3)
+        mislabelled = recs[2]._replace(multiplicity=2)
+        records = [recs[0], stale, mislabelled, recs[3], recs[4], recs[5], recs[6]]
+        radii = [recs[0].isolation_radius, 0.1, 0.5, 0.0, None, 800.0, 0.2]
+        return records, radii
+
+    def test_each_record_as_alone(self, qp11):
+        records, radii = self._mixed(qp11)
+        got = certify_mod._certify_records(qp11, records, radii)
+        assert got == [certify_mod.certify_record(qp11, rec, r) for rec, r in zip(records, radii)]
+        # the stale value fails the gate; the mislabelled multiplicity and
+        # the radius beyond the Rouche range go to winding counts, whose
+        # disks, halved four times, never hold the multiplicity claimed
+        assert [rec.certified for rec in got] == [True, False, False, False, True, False, True]
+        assert [rec.isolation_radius for rec in got] == [radii[0], 0.1, 0.03125, 0.0, 1.0,
+                                                         50.0, 0.2]
+        assert [rec.residual for rec in got] == [rec.residual for rec in records]
+
+    def test_one_pass(self, qp11, monkeypatch):
+        records, radii = self._mixed(qp11)
+        gates = _counting(monkeypatch, kp, "residual_cofactor")
+        lists = _counting(monkeypatch, kp, "rouche_holds_list")
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        certify_mod._certify_records(qp11, records, radii)
+        assert len(gates) == 6 and len(lists) == 1
+        assert lists[0][3] == [radii[0], 0.0, 0.0, 0.0, 1.0, 800.0, 0.2]
+        # the mislabelled record's disk, halved until three counts refuse it,
+        # and the radius beyond the Rouche range
+        assert [c.radius for _qp, c in counts] == [0.5, 0.25, 0.125, 0.0625, 800.0, 400.0,
+                                                   200.0, 100.0]
+
+    def test_completeness_certifies_in_one_pass(self, qp11, monkeypatch):
+        recs = qz.zeros_in_index_range(qp11, 1, 10, 1e-12)
+        box = qz.Rectangle(complex(-10, 5.0), complex(10, recs[-1].value.imag + math.pi))
+        lists = _counting(monkeypatch, kp, "rouche_holds_list")
+        ok, detail = qz.certify_completeness(qp11, box, recs)
+        assert ok and detail["contour_count"] == 10
+        assert len(lists) == 1 and len(lists[0][1]) == 10
 
 
 ACCEPTANCE_COMBOS = [(k, a) for k in (1, 2, 3) for a in (1 + 0j, 2 + 1j, 0.5j)]
