@@ -37,10 +37,11 @@ O(k) Rouche disk test (f against its linear Taylor part, with the exact
 second-order term and a closed-form bound on the rest; see
 _kernels_py.rouche_isolates), which also proves each zero of a near-double
 pair at its own isolation radius; otherwise, or when that test does not
-succeed, by a winding count over the disk.  certify_record evaluates f once
-at the record's value for both the residual gate and the Rouche test; the
-simple zeros the ladder and the disk search polish take that evaluation
-from the columns of their Newton polish (certify_polished).
+succeed, by a winding count over the disk.  One pass over columns decides
+every certificate (_certify_columns), from one evaluation of f at each
+value: made again for a stored record (certify_record), and taken from the
+Newton polish for the ladder's and a box walk's zeros, whose double zeros
+are rows too.  A polish that leaves its Newton basin is an error.
 """
 
 import cmath
@@ -52,7 +53,6 @@ from . import core, zeros as zeros_mod
 from ._backend import kernels
 from .errors import (
     DomainError,
-    EscapedBasinError,
     QuadratureStalledError,
     RecordOutsideContourError,
     SubdivisionStalledError,
@@ -68,6 +68,10 @@ WALK_PAD = 2.0
 
 #: a record's value must have relative residual below this to certify
 RESIDUAL_GATE = 1e-6
+
+#: a moved square's edge is clear when |f| is above this at EDGE_POINTS + 1 points
+EDGE_FLOOR = 1e-5
+EDGE_POINTS = 33
 
 #: |e z + 1| below this puts z = -1/(k w_j) at the Lambert-W branch point
 #: -1/e, where W_0 and its partner branch meet in a double zero; a float A =
@@ -189,8 +193,8 @@ def certify_record(qp, record, radius=None):
     of 2 around a multiplicity-1 record is re-read as a double zero when the
     critical point of f polishes to a genuine zero inside the disk; the
     record is then upgraded (value moved to the critical point,
-    multiplicity 2).  The ladder and the disk search certify their simple
-    zeros with certify_polished, which takes that evaluation from the polish.
+    multiplicity 2).  The decision is _certify_columns', as for the zeros
+    the ladder and the disk search polish (certify_polished, _box_zeros).
     """
     r = radius if radius is not None else record.isolation_radius
     return _certify_records(qp, (record,), (r,))[0]
@@ -198,10 +202,9 @@ def certify_record(qp, record, radius=None):
 
 def _certify_records(qp, records, radii):
     """certify_record for each record at its radius (None: 1.0), in one
-    pass: one residual_cofactor call per record whose radius leaves room,
-    one Rouche list over the simple zeros that pass the residual gate, and
-    a winding certificate only where that list does not prove the disk.
-    Each record keeps its stored residual."""
+    _certify_columns pass: the residual gate and the cofactor are computed
+    again at each value whose radius leaves room, and each record keeps its
+    stored residual."""
     k, log_a = qp.k, qp.log_a
     radii = [1.0 if r is None else r for r in radii]
     values = [complex(rec.value) for rec in records]
@@ -210,35 +213,44 @@ def _certify_records(qp, records, radii):
     # for a stale value whose disk still holds the true zero
     gates = [kernels.residual_cofactor(k, log_a, value) if r > 0 else (math.inf, None)
              for value, r in zip(values, radii)]
-    passed = [not residual >= RESIDUAL_GATE for residual, _cofactor in gates]
-    # the Rouche list reads a radius of 0 as not proven before any arithmetic
-    holds = kernels.rouche_holds_list(
-        k, values, [cofactor for _residual, cofactor in gates],
-        [r if ok and rec.multiplicity == 1 else 0.0 for rec, r, ok in zip(records, radii, passed)])
-    return [_certificate(rec, True, r) if proven
-            else _winding_certificate(qp, rec, r) if ok
-            else _certificate(rec, False, r)
-            for rec, r, ok, proven in zip(records, radii, passed, holds)]
+    nus, _values, residuals, seeds, iterations, _certified, _radii, multiplicities = (
+        list(zip(*records)) or [()] * 8)
+    return _certify_columns(
+        qp, (nus, values, residuals, seeds, iterations,
+             [cofactor for _residual, cofactor in gates], multiplicities),
+        [residual for residual, _cofactor in gates], radii)
 
 
 def certify_polished(qp, columns, radii):
     """The records of simple zeros, given as the columns (nus, values,
     residuals, seeds, iterations, cofactors) of their polish, each certified
     as certify_record would certify it at its radius, from the residual and
-    cofactor (expdom, t) the polish computed at its value: one residual gate
-    and one Rouche list, and no further evaluation of f unless a winding
-    count decides.  Builds each ZeroRecord once, from its row."""
-    nus, values, residuals, seeds, iterations, cofactors = columns
-    # a zero whose radius leaves no room or whose residual fails the gate is
-    # not certified; the Rouche list reads its radius 0 as not proven before
-    # any arithmetic
-    tested = [r if r > 0 and not residual >= RESIDUAL_GATE else 0.0
-              for residual, r in zip(residuals, radii)]
+    cofactor (expdom, t) the polish computed at its value (_certify_columns):
+    no further evaluation of f unless a winding count decides."""
+    return _certify_columns(qp, (*columns, repeat(1)), columns[2], radii)
+
+
+def _certify_columns(qp, columns, gates, radii):
+    """The records of the zeros given as the columns (nus, values,
+    residuals, seeds, iterations, cofactors, multiplicities), each certified
+    at its radius: the one place a certificate is decided.  A zero whose
+    radius leaves room and whose gate residual is below RESIDUAL_GATE is
+    tried, if simple, by one Rouche list from its cofactor (expdom, t), and
+    otherwise, or where Rouche fails, by a winding count.  Builds each
+    ZeroRecord once, from its row."""
+    nus, values, residuals, seeds, iterations, cofactors, multiplicities = columns
+    # the Rouche list reads a radius of 0 as not proven before any arithmetic
+    tested = [r if m == 1 and r > 0 and not g >= RESIDUAL_GATE else 0.0
+              for g, r, m in zip(gates, radii, multiplicities)]
     holds = kernels.rouche_holds_list(qp.k, values, cofactors, tested)
     make = zeros_mod.ZeroRecord._make
-    return [make(row) if row[5] or not r else _winding_certificate(qp, row, row[6])
-            for r, row in zip(tested, zip(nus, values, residuals, seeds, iterations, holds,
-                                          radii, repeat(1)))]
+    # a count decides where Rouche was tried and failed, and for a zero
+    # that passes the gate but is not simple
+    return [_winding_certificate(qp, row, row[6])
+            if not row[5] and (t or row[7] != 1 and row[6] > 0 and not g >= RESIDUAL_GATE)
+            else make(row)
+            for t, g, row in zip(tested, gates, zip(nus, values, residuals, seeds, iterations,
+                                                     holds, radii, multiplicities))]
 
 
 def join_disk(qp, ladder, disk, nus, certify=True):
@@ -262,16 +274,10 @@ def join_disk(qp, ladder, disk, nus, certify=True):
     return [next(certified) if s else rec for rec, s in zip(joined, shrunk)]
 
 
-def _certificate(record, certified, radius):
-    """The record (or a row of its fields) with its certificate fields set,
-    built directly: about twice as fast as record._replace."""
-    return zeros_mod.ZeroRecord._make((*record[:5], certified, radius, record[7]))
-
-
-def _winding_certificate(qp, record, r):
-    """certify_record's winding-count path for a record (or a row of its
-    fields), starting at radius r."""
-    nu, value, _residual, seed, iterations, _certified, _radius, mult = record
+def _winding_certificate(qp, row, r):
+    """_certify_columns' winding-count path for a row of a record's fields,
+    starting at radius r."""
+    nu, value, residual, seed, iterations, _certified, _radius, mult = row
     for _ in range(4):
         disk = Circle(complex(value), r)
         try:
@@ -280,21 +286,22 @@ def _winding_certificate(qp, record, r):
             r *= 0.5
             continue
         if report.count == mult:
-            return _certificate(record, True, r)
+            return zeros_mod.ZeroRecord(nu, value, residual, seed, iterations, True, r, mult)
         if report.count == 2 and mult == 1:
             c = _double_zero(qp, disk, value)
             if c is not None:
                 return zeros_mod.ZeroRecord(nu, c, core.relative_residual(qp, c), seed,
                                             iterations, True, r, 2)
         r *= 0.5
-    return _certificate(record, False, r)
+    return zeros_mod.ZeroRecord(nu, value, residual, seed, iterations, False, r, mult)
 
 
-def _edge_clear(qp, z0, z1, floor=1e-5, points=33):
-    """Cheap pre-check that a proposed cell edge stays away from zeros."""
-    for j in range(points + 1):
-        z = z0 + (z1 - z0) * (j / points)
-        if core.relative_residual(qp, z) < floor:
+def _edge_clear(qp, z0, z1):
+    """Cheap pre-check that a proposed cell edge stays away from zeros: the
+    relative residual is at least EDGE_FLOOR at EDGE_POINTS + 1 even steps."""
+    for j in range(EDGE_POINTS + 1):
+        z = z0 + (z1 - z0) * (j / EDGE_POINTS)
+        if core.relative_residual(qp, z) < EDGE_FLOOR:
             return False
     return True
 
@@ -369,29 +376,26 @@ def _box_zeros(qp, box, tolerance):
     """The zeros of f inside the Rectangle box in im_order, as listed
     (values, multiplicities) and as certified: (listed, records).  One walk
     (_branch_zeros) lists the box widened by WALK_PAD, and the isolation
-    radii min(1, d/2) over all it lists are the whole zero set's.  Simple
-    zeros certify from their polish, double zeros by certify_record."""
+    radii min(1, d/2) over all it lists are the whole zero set's.  The
+    zeros inside, double zeros among them, are certified in one
+    _certify_columns call, gated on the residuals of their polish."""
     (x0, y0), (x1, y1) = [(z.real, z.imag) for z in box]
-    doubles, walked = _branch_zeros(
+    columns = _branch_zeros(
         qp, (x0 - WALK_PAD, x1 + WALK_PAD, y0 - WALK_PAD, y1 + WALK_PAD), tolerance)
-    values = [rec.value for rec in doubles] + walked[1]
+    values = columns[1]
     radii = zeros_mod.isolation_radii(values)
-    d = len(doubles)
     inside = sorted((i for i, lam in enumerate(values) if box.contains(lam)),
                     key=lambda i: zeros_mod.im_order(values[i]))
-    simple = [i - d for i in inside if i >= d]
-    certified = iter(certify_polished(qp, [list(map(col.__getitem__, simple)) for col in walked],
-                                      [radii[i + d] for i in simple]))
-    records = [certify_record(qp, doubles[i], radii[i]) if i < d else next(certified)
-               for i in inside]
-    return ([values[i] for i in inside],
-            [doubles[i].multiplicity if i < d else 1 for i in inside]), records
+    picked = [list(map(col.__getitem__, inside)) for col in columns]
+    records = _certify_columns(qp, picked, picked[2], list(map(radii.__getitem__, inside)))
+    return (picked[1], picked[6]), records
 
 
 def _branch_zeros(qp, cell, tolerance=1e-12):
     """The zeros of f inside the cell (xmin, xmax, ymin, ymax), listed by
-    Lambert-W branch, before their certificates: the double zeros' records
-    and the columns (nus, values, residuals, seeds, iterations, cofactors).
+    Lambert-W branch, before their certificates: the columns (nus, values,
+    residuals, seeds, iterations, cofactors, multiplicities), the double
+    zeros' rows first.
 
     Every zero solves e^(l/k) = w_j l for exactly one root w_j of
     w^k = -A, so it is l = -k W_m(z_j) with z_j = -1/(k w_j) for exactly
@@ -405,17 +409,16 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     conjugate pair (j, m), (k - 1 - j, -m) is walked and polished (the
     roots with 2j + 1 <= k, and the branches m <= 0 of a root that is its
     own partner), and the other is listed as its conjugate
-    (zeros._mirror), index-checked too.  A polish that leaves the
-    cell drops its value, whose zero then lies across the edge; one that
-    escapes its basin drops it and its conjugate too, and one that fails
-    otherwise raises its error again, of its type, naming the zero's index
-    as the ladder does, or its (j, m) where no index names it.  At a z_j at
-    the branch point -1/e
-    (|e z_j + 1| < BRANCH_POINT_DISTANCE) W_0 and its partner branch give
-    one double zero, read by _double_zero into a ZeroRecord labelled by the
-    partner.  A cell reaching _walk_height(k), where each root would walk
-    more than STEP_BUDGET branches, raises QuadratureStalledError before
-    any is walked.
+    (zeros._mirror), index-checked too.  A polish that leaves the cell
+    drops its value, whose zero then lies across the edge; one that fails,
+    by leaving its basin or otherwise, raises its error again, of its type,
+    naming the zero's index as the ladder does, or its (j, m) where no index
+    names it.  At a z_j at the branch point -1/e (|e z_j + 1| <
+    BRANCH_POINT_DISTANCE) W_0 and its partner branch give one double zero,
+    read by _double_zero into a row labelled by the partner, with no
+    cofactor and multiplicity 2.  A cell reaching _walk_height(k), where
+    each root would walk more than STEP_BUDGET branches, raises
+    QuadratureStalledError before any is walked.
     """
     k = qp.k
     xmin, xmax, ymin, ymax = cell
@@ -428,7 +431,7 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     # a cell symmetric about the real axis holds the conjugate of each of
     # its zeros, which for real A > 0 is another branch's (zeros._partner)
     mirror = ymin == -ymax and zeros_mod._partner(qp, 0) is not None
-    doubles = []
+    found = ([], [], [], [], [], [], [])
     branches = []
     nus = []
     seeds = []
@@ -451,36 +454,31 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
             if m == 0 and double is not None:
                 c = _double_zero(qp, square, lam)
                 if c is not None:
-                    doubles.append(zeros_mod.ZeroRecord(
-                        zeros_mod._branch_nu(qp, j, double), c,
-                        core.relative_residual(qp, c), c, 0, multiplicity=2))
+                    for col, field in zip(found, (zeros_mod._branch_nu(qp, j, double), c,
+                                                  core.relative_residual(qp, c), c, 0, None, 2)):
+                        col.append(field)
             elif square.contains(lam):
                 branches.append((j, m))
                 nus.append(zeros_mod._branch_nu(qp, j, m))
                 seeds.append(lam)
                 pair = zeros_mod._partner(qp, j, m) if mirror else None
                 partners.append(None if pair == (j, m) else pair)
-    found = ([], [], [], [], [], [])
-    while seeds:
-        values, residuals, iterations, cofactors, failure = zeros_mod._newton_polish(
-            qp, seeds, tolerance)
-        n = len(values)
-        walked = (nus[:n], values, residuals, seeds[:n], iterations, cofactors)
-        picks = [i for i in range(n) if partners[i] is not None]
-        if picks:
-            zeros_mod._mirror(walked, n, picks, [zeros_mod._branch_nu(qp, *partners[i])
-                                                 for i in picks])
-        zeros_mod._check_indices(qp, walked[0], values)
-        inside = [square.contains(lam) for lam in values]
-        for col, new in zip(found, walked):
-            col += compress(new, inside)
-        if failure is None:
-            break
-        if not isinstance(failure, EscapedBasinError):
-            name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
-            raise type(failure)(f"refinement failed for {name}: {failure}") from failure
-        del branches[:n + 1], nus[:n + 1], seeds[:n + 1], partners[:n + 1]
-    return doubles, found
+    values, residuals, iterations, cofactors, failure = zeros_mod._newton_polish(
+        qp, seeds, tolerance)
+    n = len(values)
+    walked = (nus[:n], values, residuals, seeds[:n], iterations, cofactors)
+    picks = [i for i in range(n) if partners[i] is not None]
+    if picks:
+        zeros_mod._mirror(walked, n, picks, [zeros_mod._branch_nu(qp, *partners[i])
+                                             for i in picks])
+    zeros_mod._check_indices(qp, walked[0], values)
+    if failure is not None:
+        name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
+        raise type(failure)(f"refinement failed for {name}: {failure}") from failure
+    inside = [square.contains(lam) for lam in values]
+    for col, new in zip(found, (*walked, repeat(1))):
+        col += compress(new, inside)
+    return found
 
 
 def find_zeros_in_disk(qp, radius, tolerance=1e-12):

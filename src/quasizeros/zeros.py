@@ -443,8 +443,8 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     isolation disk from its polish's final evaluation: the residual gate
     and the Rouche test take the residual and cofactor the polish computed
     at the value, and only a zero Rouche does not prove costs a winding
-    count (see certify.certify_polished; certify.certify_record re-checks
-    the residual of a stored record at its value).  The stages pass the
+    count (certify.certify_polished: the one pass certify.certify_record
+    also runs, gated here on the polish's residuals).  The stages pass the
     zeros as columns, and each record is built once, at the end.
     """
     if nu_min > nu_max:

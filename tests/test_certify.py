@@ -12,6 +12,7 @@ import quasizeros as qz
 from quasizeros import _kernels_py as kp, certify as certify_mod, zeros as zeros_mod
 from quasizeros.errors import (
     DomainError,
+    EscapedBasinError,
     MaxIterationsError,
     NumericalError,
     QuadratureStalledError,
@@ -45,6 +46,10 @@ class TestWindingCount:
     def test_empty_disk(self, qp11):
         rep = qz.winding_count(qp11, qz.Circle(0j, 0.1))
         assert rep.count == 0
+
+    def test_unsupported_contour_refused(self, qp11):
+        with pytest.raises(DomainError, match="^unsupported contour type str$"):
+            qz.winding_count(qp11, "x")
 
     def test_double_zero(self):
         qp = qz.QuasiPolynomial(1, complex(-math.e, 0))
@@ -393,6 +398,60 @@ class TestFindZerosInDisk:
         assert len(recs) == 13 and all(r.certified for r in recs)
         assert len(clear) == 4
         assert calls[1].corner_max.real > calls[0].corner_max.real
+
+    def test_square_near_a_zero_is_passed_over(self, qp11, monkeypatch):
+        # a moved square whose edges are not clear is neither walked nor
+        # counted: the search goes on to the next square
+        winding = certify_mod.winding_count
+        calls = []
+
+        def on_first_square(qp, contour):
+            calls.append(contour)
+            if len(calls) == 1:
+                raise ZeroOnContourError("a zero on the first square")
+            return winding(qp, contour)
+
+        edges = []
+
+        def second_square_blocked(qp, z0, z1):
+            edges.append(z0)
+            return len(edges) > 1
+
+        monkeypatch.setattr(certify_mod, "winding_count", on_first_square)
+        monkeypatch.setattr(certify_mod, "_edge_clear", second_square_blocked)
+        walks = _counting(monkeypatch, certify_mod, "_box_zeros")
+        recs = qz.find_zeros_in_disk(qp11, 40.0)
+        assert len(recs) == 13 and all(r.certified for r in recs)
+        squares = [qz.Rectangle(complex(xmin, ymin), complex(xmax, ymax))
+                   for xmin, xmax, ymin, ymax in (certify_mod._square(40.0, a) for a in range(3))]
+        # the square of attempt 1 fails at its first edge, attempt 2 clears all four
+        assert edges == [squares[1].corner_min, squares[2].corner_min,
+                         complex(squares[2].corner_max.real, squares[2].corner_min.imag),
+                         squares[2].corner_max,
+                         complex(squares[2].corner_min.real, squares[2].corner_max.imag)]
+        assert [box for _qp, box, _tol in walks] == [squares[0], squares[2]]
+        assert [c for c in calls if isinstance(c, qz.Rectangle)] == [squares[0], squares[2]]
+
+    def test_nine_squares_on_zeros_stop_the_search(self, monkeypatch, capsys):
+        # after nine squares that each meet the zero set the search gives
+        # up with SubdivisionStalledError, which origin exits 3 with
+        from quasizeros.cli import main
+
+        squares = []
+
+        def on_every_square(qp, contour):
+            squares.append(contour)
+            raise ZeroOnContourError("a zero on the square")
+
+        monkeypatch.setattr(certify_mod, "winding_count", on_every_square)
+        monkeypatch.setattr(certify_mod, "_edge_clear", lambda qp, z0, z1: True)
+        with pytest.raises(SubdivisionStalledError,
+                           match="^could not place the outer square off the zero set$"):
+            qz.find_zeros_in_disk(qz.QuasiPolynomial(1, 1 + 0j), 2.0)
+        assert len(squares) == 9
+        assert main(["origin", "--k", "1", "--a", "1+0i", "--radius", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["type"] == "SubdivisionStalledError"
 
 
 class TestSharedEdges:
@@ -909,10 +968,10 @@ class TestEnumeration:
         branch_zeros = certify_mod._branch_zeros
 
         def broken(*args):
-            doubles, found = branch_zeros(*args)
+            found = branch_zeros(*args)
             i = next(i for i, value in enumerate(found[1]) if abs(value) < 10.0)
-            return doubles, [col[:i] + col[i + 1:] if tamper == "drop" else col + col[i:i + 1]
-                             for col in found]
+            return [col[:i] + col[i + 1:] if tamper == "drop" else col + col[i:i + 1]
+                    for col in found]
 
         monkeypatch.setattr(certify_mod, "_branch_zeros", broken)
         listed = 2 if tamper == "drop" else 4
@@ -921,20 +980,28 @@ class TestEnumeration:
                                  f"add up to {listed}, and the uncertified records are "):
             qz.find_zeros_in_disk(qp11, 10.0)
 
-    @pytest.mark.parametrize("radius, label", [(0.5, r"\(j, m\) = \(0, 0\)"),
-                                               (10.0, "nu = 1")], ids=["unnamed", "indexed"])
-    def test_polish_failure_names_its_zero(self, qp11, radius, label, monkeypatch):
-        # a polish that fails inside the walk, other than by leaving its
-        # basin, raises its own error type naming the zero as the ladder
+    @pytest.mark.parametrize("radius, label, error, message", [
+        (0.5, r"\(j, m\) = \(0, 0\)", MaxIterationsError, "Newton refinement did not converge"),
+        (10.0, "nu = 1", MaxIterationsError, "Newton refinement did not converge"),
+        (0.5, r"\(j, m\) = \(0, 0\)", EscapedBasinError, "Newton left the basin"),
+        (10.0, "nu = 1", EscapedBasinError, "Newton left the basin"),
+    ], ids=["unnamed", "indexed", "unnamed-escape", "indexed-escape"])
+    def test_polish_failure_names_its_zero(self, qp11, radius, label, error, message,
+                                           monkeypatch):
+        # a polish that fails inside the walk, by leaving its basin or
+        # otherwise, raises its own error type naming the zero as the ladder
         # does: by index, or by (j, m) for -W_0(1) = -0.567, which no index
-        # names
+        # names; the one polish call is not run again without the seed
+        calls = []
+
         def failing(qp, seeds, tolerance, max_iterations=zeros_mod.NEWTON_ITERATIONS):
-            return [], [], [], [], MaxIterationsError("Newton refinement did not converge")
+            calls.append(seeds)
+            return [], [], [], [], error(message)
 
         monkeypatch.setattr(zeros_mod, "_newton_polish", failing)
-        with pytest.raises(MaxIterationsError, match=f"^refinement failed for {label}: "
-                                                     "Newton refinement did not converge$"):
+        with pytest.raises(error, match=f"^refinement failed for {label}: {message}$"):
             qz.find_zeros_in_disk(qp11, radius)
+        assert len(calls) == 1
 
 
 def _label_sweep():
@@ -956,11 +1023,11 @@ def _label_sweep():
     return disks
 
 
-_Row = namedtuple("_Row", "nu value residual seed iterations cofactor")
+_Row = namedtuple("_Row", "nu value residual seed iterations cofactor multiplicity")
 
 
 def _rows(columns):
-    """The simple zeros of a branch walk's columns, one _Row each."""
+    """The zeros of a branch walk's columns, one _Row each."""
     return list(map(_Row._make, zip(*columns)))
 
 
@@ -986,11 +1053,10 @@ class TestBranchProof:
                 complex(x0, y0), complex(x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 60)))))
         for k, a, box in boxes:
             qp = qz.QuasiPolynomial(k, a)
-            doubles, found = certify_mod._branch_zeros(qp, _rect_cell(box))
-            assert all(box.contains(value) for value in [rec.value for rec in doubles] + found[1])
+            found = certify_mod._branch_zeros(qp, _rect_cell(box))
+            assert all(box.contains(value) for value in found[1])
             assert len({len(col) for col in found}) == 1, (k, a, box)
-            assert sum(rec.multiplicity for rec in doubles) + len(found[1]) == qz.winding_count(
-                qp, box).count, (k, a, box)
+            assert sum(found[6]) == qz.winding_count(qp, box).count, (k, a, box)
 
     @pytest.mark.parametrize("a, radius", [(complex(-math.e, 0), 1.5), (-3 + 0j, 6.0)],
                              ids=["branch-point", "cut"])
@@ -1075,9 +1141,9 @@ class TestConjugateWalk:
         branch_zeros = certify_mod._branch_zeros
 
         def walked(*args):
-            doubles, found = branch_zeros(*args)
-            walks.append(doubles + _rows(found))
-            return doubles, found
+            found = branch_zeros(*args)
+            walks.append(_rows(found))
+            return found
 
         monkeypatch.setattr(certify_mod, "_branch_zeros", walked)
         for k, a, radius in self._disks():
@@ -1110,12 +1176,10 @@ class TestConjugateWalk:
         for k, a, radius in self._disks()[:14]:
             qp = qz.QuasiPolynomial(k, complex(a, 0.0))
             cell = certify_mod._square(radius, 0)
-            doubles, found = certify_mod._branch_zeros(qp, cell)
-            mirrored = doubles + _rows(found)
+            mirrored = _rows(certify_mod._branch_zeros(qp, cell))
             xmin, xmax, ymin, ymax = cell
-            doubles, found = certify_mod._branch_zeros(
-                qp, (xmin, xmax, ymin, math.nextafter(ymax, 0)))
-            walked = doubles + _rows(found)
+            walked = _rows(certify_mod._branch_zeros(
+                qp, (xmin, xmax, ymin, math.nextafter(ymax, 0))))
             key = lambda p: (p.value.imag, p.value.real)  # noqa: E731
             assert sorted(map(repr, sorted(mirrored, key=key))) == sorted(
                 map(repr, sorted(walked, key=key))), (k, a, radius)
@@ -1180,6 +1244,24 @@ class TestCertifyCompleteness:
         box = qz.Rectangle(complex(-10, 0.5), complex(10, z4.imag))
         with pytest.raises(ZeroOnContourError):
             qz.certify_completeness(qp11, box, recs)
+
+
+class TestWindingFallback:
+    """The winding-count path of a certificate halves its disk when the
+    circle runs through a zero."""
+
+    def test_circle_through_a_zero_is_halved(self, qp11, monkeypatch):
+        # a radius of exactly the distance to the next zero puts that zero
+        # on the circle: the first count refuses it, and the record
+        # certifies at half the distance
+        rec, nxt = qz.zeros_in_index_range(qp11, 1, 2, 1e-12)
+        distance = abs(nxt.value - rec.value)
+        with pytest.raises(ZeroOnContourError, match="rounding floor"):
+            qz.winding_count(qp11, qz.Circle(rec.value, distance))
+        counts = _counting(monkeypatch, certify_mod, "winding_count")
+        got = qz.certify_record(qp11, rec, distance)
+        assert got == rec._replace(certified=True, isolation_radius=0.5 * distance)
+        assert [c.radius for _qp, c in counts] == [distance, 0.5 * distance]
 
 
 class TestStoredRecords:

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from quasizeros import QuasiPolynomial, zeros_in_index_range
 from quasizeros._serialize import parse_complex, parse_nu_range
-from quasizeros.cli import _build_parser, main
+from quasizeros.cli import _build_parser, _parse_box, main
 from quasizeros.errors import DomainError
 
 
@@ -742,6 +744,62 @@ class TestCertifyRoundTrip:
                                "--box", box, "--expect-from", str(tampered))
         assert code == 1
         assert loads(out)["summary"]["pass"] is False
+
+
+def _csv_field(value):
+    """The CSV text of one summary value: bools as true/false, None empty,
+    numbers and strings as str writes them."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+class TestSummaryCsv:
+    """A command whose document holds no results writes its summary as CSV:
+    the summary's keys as the header, in order, and one row."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("certify", "--box", "-12,-129.43,12,129.43"), 0),
+        (("bounds", "--which", "T2", "--s-branch", "2"), 1),
+        (("bounds", "--which", "cdelta"), 0),
+        (("sector-radius", "--h", "2", "--delta", "0.5"), 0),
+    ], ids=["certify", "bounds-T2", "bounds-cdelta", "sector-radius"])
+    def test_one_summary_row(self, argv, code, capsys):
+        argv = [*argv, "--k", "1", "--a", "1+0i"]
+        assert main(argv) == code
+        doc = loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == code
+        out, err = capsys.readouterr()
+        assert err == "" and doc["results"] == []
+        header, row = csv.reader(io.StringIO(out))
+        summary = doc["summary"]
+        assert header == list(summary)
+        assert row == [_csv_field(value) for value in summary.values()]
+
+    def test_bools_and_none(self, capsys):
+        # T2 at S = 2 fails its check (exit 1), and its proven margin is None
+        assert main(["bounds", "--which", "T2", "--s-branch", "2", "--k", "1", "--a", "1+0i",
+                     "--format", "csv"]) == 1
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        fields = dict(zip(header, row))
+        assert fields["pass"] == "false" and fields["proven_margin"] == ""
+        assert main(["bounds", "--which", "cdelta", "--k", "1", "--a", "1+0i",
+                     "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert dict(zip(header, row))["pass"] == "true"
+
+
+class TestBoxRefused:
+    """A --box that is not four numbers exits 2 with a DomainError."""
+
+    @pytest.mark.parametrize("box", ["-1,-1,1", "-1,-1,1,1,2"], ids=["three", "five"])
+    def test_box_of_the_wrong_length(self, box, capsys):
+        assert main(["certify", "--k", "1", "--a", "1+0i", "--box", box]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and loads(err) == {"error": {
+            "type": "DomainError", "message": "box must be re_min,im_min,re_max,im_max"}}
+        with pytest.raises(DomainError, match="^box must be re_min,im_min,re_max,im_max$"):
+            _parse_box(box)
 
 
 class TestInProcessMain:

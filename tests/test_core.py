@@ -121,6 +121,12 @@ class TestEvaluate:
         with pytest.raises(OverflowRangeError):
             qz.evaluate(qz.QuasiPolynomial(3, 1 + 0j), 1e90)
 
+    @pytest.mark.parametrize("function", [qz.evaluate, qz.derivative])
+    def test_power_beyond_the_direct_range(self, function):
+        # |Re l| = 0 is in range, but k ln|l| = 3 ln(1e110) = 760 is not
+        with pytest.raises(OverflowRangeError, match=r"^k\*ln\|l\| = 760 exceeds the direct range$"):
+            function(qz.QuasiPolynomial(3, 1 + 0j), 1e110j)
+
     def test_derivative_examples(self):
         assert qz.derivative(qz.QuasiPolynomial(1, 1 + 0j), 0) == 2 + 0j
         assert qz.derivative(qz.QuasiPolynomial(2, 3 + 0j), 0) == 1 + 0j

@@ -114,6 +114,10 @@ class TestSectorContains:
         with pytest.raises(DomainError):
             qz.sector_contains(0, 0.1, 1)
 
+    def test_sector_index_rejected(self):
+        with pytest.raises(DomainError, match="^sector index must be 1 or 2$"):
+            qz.sector_contains(1j, 0.5, 3)
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
     def test_invalid_delta(self, delta):
         with pytest.raises(DomainError):

@@ -38,3 +38,20 @@ def test_every_private_symbol_is_used():
                        for other in trees.values()):
                 unused.append(f"{name}: {definition.name}")
     assert unused == []
+
+
+def _functions_reading(tree, name):
+    """The functions of a module tree whose bodies read name, by bare name or
+    as an attribute."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and name in _references(node, set())]
+
+
+def test_one_certification_decision():
+    # the residual gate and the Rouche list are read in one function, which
+    # decides every certificate, so a change to either is made once
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    gate = _functions_reading(tree, "RESIDUAL_GATE")
+    assert len(gate) == 1
+    assert _functions_reading(tree, "rouche_holds_list") == gate

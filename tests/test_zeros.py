@@ -69,6 +69,10 @@ class TestAsymptoticZero:
 
 
 class TestFixedPointRefine:
+    def test_tolerance_must_be_positive(self, qp11):
+        with pytest.raises(InvalidIndexError, match="^tolerance must be positive$"):
+            qz.fixed_point_refine(qp11, 5, tolerance=0)
+
     def test_converges_small_index(self, qp11):
         rec, trace = qz.fixed_point_refine(qp11, 5, 1e-13)
         assert trace.converged
@@ -945,6 +949,13 @@ class TestGapStatistics:
         recs = qz.zeros_in_index_range(qp11, -1, 1, 1e-12, certify=False)
         with pytest.raises(DomainError):
             qz.gap_statistics(recs)
+
+    def test_unlabelled_record_rejected(self, qp11):
+        # a record labelled as the disk search labels a zero no index names
+        recs = qz.zeros_in_index_range(qp11, 1, 2, 1e-12)
+        unlabelled = recs[0]._replace(nu=None)
+        with pytest.raises(DomainError, match="^gap statistics need indexed records$"):
+            qz.gap_statistics([unlabelled, recs[1]])
 
 
 class TestSeparationRadius:
