@@ -23,8 +23,9 @@ sum of the multiplicities of the records inside, and every record
 certifies at its isolation radius.  Every zero is l = -k W_m(z_j),
 z_j = -1/(k w_j), for exactly one root w_j of w^k = -A and one branch m of
 Lambert W (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5,
-1996), so walking the (j, m) a cell can hold and polishing each value as
-the ladder does lists its zeros, as the ladder's columns (_branch_zeros).
+1996), so walking the (j, m) a cell can hold and ending as the ladder does
+(zeros._polish_walk) lists its zeros, as the ladder's columns
+(_branch_zeros).
 One routine lists and certifies a box's zeros this way (_box_zeros), for
 the disk search's square and the C_delta window alike.  The square's winding
 count then checks the list (count-then-polish run in reverse; Kravanja &
@@ -41,7 +42,8 @@ succeed, by a winding count over the disk.  One pass over columns decides
 every certificate (_certify_columns), from one evaluation of f at each
 value: made again for a stored record (certify_record), and taken from the
 Newton polish for the ladder's and a box walk's zeros, whose double zeros
-are rows too.  A polish that leaves its Newton basin is an error.
+are rows too.  A failed polish, a Newton escape included, is a
+NotConvergedError in either walk.
 """
 
 import cmath
@@ -403,17 +405,14 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     |Im W_m| > 2 (|m| - 1) pi, so a cell with |Im l| <= Y holds none with
     |m| > Y / (2 pi k) + 1; the rest are walked, each root's branches in
     one kernels.lambert_w_list call, and the values inside the cell, in
-    (j, m) order, are polished in one list (zeros._newton_polish) and
-    index-checked by zeros._check_indices, as the ladder does.  For real
-    A > 0 and a cell symmetric about the real axis only one branch of each
-    conjugate pair (j, m), (k - 1 - j, -m) is walked and polished (the
-    roots with 2j + 1 <= k, and the branches m <= 0 of a root that is its
-    own partner), and the other is listed as its conjugate
-    (zeros._mirror), index-checked too.  A polish that leaves the cell
-    drops its value, whose zero then lies across the edge; one that fails,
-    by leaving its basin or otherwise, raises its error again, of its type,
-    naming the zero's index as the ladder does, or its (j, m) where no index
-    names it.  At a z_j at the branch point -1/e (|e z_j + 1| <
+    (j, m) order, end as the ladder's do (zeros._polish_walk), whose
+    NotConvergedError names a failed zero's index, or its (j, m) where no
+    index names it.  For real A > 0 and a cell symmetric about the real
+    axis only one branch of each conjugate pair (j, m), (k - 1 - j, -m) is
+    walked (the roots with 2j + 1 <= k, and the branches m <= 0 of a root
+    that is its own partner), and the other is listed as its conjugate.  A
+    polish that leaves the cell drops its value, whose zero then lies
+    across the edge.  At a z_j at the branch point -1/e (|e z_j + 1| <
     BRANCH_POINT_DISTANCE) W_0 and its partner branch give one double zero,
     read by _double_zero into a row labelled by the partner, with no
     cofactor and multiplicity 2.  A cell reaching _walk_height(k), where
@@ -435,7 +434,9 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
     branches = []
     nus = []
     seeds = []
-    partners = []
+    # the seeds whose conjugates are listed too, and those conjugates' labels
+    picks = []
+    partner_nus = []
     for j in range(k):
         conj = zeros_mod._partner(qp, j) if mirror else None
         if conj is not None and conj[0] < j:
@@ -458,24 +459,16 @@ def _branch_zeros(qp, cell, tolerance=1e-12):
                                                   core.relative_residual(qp, c), c, 0, None, 2)):
                         col.append(field)
             elif square.contains(lam):
+                pair = zeros_mod._partner(qp, j, m) if mirror else None
+                if pair is not None and pair != (j, m):
+                    picks.append(len(seeds))
+                    partner_nus.append(zeros_mod._branch_nu(qp, *pair))
                 branches.append((j, m))
                 nus.append(zeros_mod._branch_nu(qp, j, m))
                 seeds.append(lam)
-                pair = zeros_mod._partner(qp, j, m) if mirror else None
-                partners.append(None if pair == (j, m) else pair)
-    values, residuals, iterations, cofactors, failure = zeros_mod._newton_polish(
-        qp, seeds, tolerance)
-    n = len(values)
-    walked = (nus[:n], values, residuals, seeds[:n], iterations, cofactors)
-    picks = [i for i in range(n) if partners[i] is not None]
-    if picks:
-        zeros_mod._mirror(walked, n, picks, [zeros_mod._branch_nu(qp, *partners[i])
-                                             for i in picks])
-    zeros_mod._check_indices(qp, walked[0], values)
-    if failure is not None:
-        name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
-        raise type(failure)(f"refinement failed for {name}: {failure}") from failure
-    inside = [square.contains(lam) for lam in values]
+    walked = zeros_mod._polish_walk(qp, nus, seeds, (len(seeds), picks, partner_nus),
+                                    tolerance, branches)
+    inside = [square.contains(lam) for lam in walked[1]]
     for col, new in zip(found, (*walked, repeat(1))):
         col += compress(new, inside)
     return found

@@ -39,8 +39,9 @@ class DerivativeVanishesError(NumericalError):
 
 
 class NotConvergedError(NumericalError):
-    """A zero of the index ladder could not be refined, or the fixed-point
-    iteration stopped contracting before it reached tolerance."""
+    """A zero of the ladder or of a box's walk could not be refined (the
+    polish's error is its __cause__), or the fixed-point iteration stopped
+    contracting before it reached tolerance."""
 
 
 class MaxIterationsError(NumericalError):

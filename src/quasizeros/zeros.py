@@ -10,15 +10,15 @@ m = (j - nu)/k - [nu > 0]; the k + 1 pairs no index names, (j, 0) for each
 j and (0, -1), are unlabelled.  The ladder and the disk search in the
 certify module pass their zeros from the polish to the certificate as
 columns, one list per field: nus, values, residuals, seeds, iterations and
-the cofactors (expdom, t) at the values.  kernels.newton_polish_list
-Newton-polishes the W values of a list of pairs (quadratic near simple
-zeros), _check_indices checks each named zero against the fixed-point
-equation Im l = 2*pi*nu + pi + arg A + k Arg l, and the isolation radii,
-the residual gate and the Rouche test read the same columns.  Each stage
-runs once per list, and each ZeroRecord is built once, from its row of the
-columns.  For real A > 0 the zeros come in conjugate pairs (_partner), and
-both searches polish one zero of each pair and take the other as its exact
-conjugate (_mirror).
+the cofactors (expdom, t) at the values.  Both end in _polish_walk:
+kernels.newton_polish_list Newton-polishes the W values of a list of pairs
+(quadratic near simple zeros), _check_indices checks each named zero
+against Im l = 2*pi*nu + pi + arg A + k Arg l, and a failure raises
+NotConvergedError.  For real A > 0 the zeros come in conjugate pairs
+(_partner): both searches polish one of each pair and take the other as
+its exact conjugate (_mirror).  The isolation radii, the residual gate and
+the Rouche test read the same columns.  Each stage runs once per list, and
+each ZeroRecord is built once, from its row of the columns.
 asymptotic_zero (the ladder formula above), fixed_point_refine (the
 branch-anchored fixed-point iteration), newton_refine and branch_index are
 standalone references; the package paths call none of them.
@@ -336,6 +336,29 @@ def _newton_polish(qp, seeds, tolerance, max_iterations=NEWTON_ITERATIONS):
                                       ESCAPE_RADIUS)
 
 
+def _polish_walk(qp, nus, seeds, mirror, tolerance, branches):
+    """The columns (nus, values, residuals, seeds, iterations, cofactors) of
+    a walk's zeros, the ladder's or a box's (certify._branch_zeros), from
+    their seeds in polish order, labelled nus (None where no index names the
+    zero): one _newton_polish call, the conjugates of real A > 0 inserted
+    by _mirror(columns, *mirror), and each named zero's index checked in
+    list order (_check_indices).  A polish that fails, by leaving its basin
+    or otherwise, raises NotConvergedError from its error, naming the seed
+    by its nu, or where none names it by its (j, m) in branches.  The zeros
+    polished before it are index-checked first, and no conjugate is formed,
+    since each follows its partner in list order."""
+    values, residuals, iterations, cofactors, failure = _newton_polish(qp, seeds, tolerance)
+    columns = (nus, values, residuals, seeds, iterations, cofactors)
+    if failure is None:
+        _mirror(columns, *mirror)
+    _check_indices(qp, nus, values)
+    if failure is not None:
+        n = len(values)
+        name = f"nu = {nus[n]}" if nus[n] is not None else f"(j, m) = {branches[n]}"
+        raise NotConvergedError(f"refinement failed for {name}: {failure}") from failure
+    return columns
+
+
 def _duplicate(value, distance):
     """Whether a zero at value and one at distance from it are one zero:
     closer than DUPLICATE_DISTANCE * min(1, |value|), since a duplicate
@@ -425,27 +448,19 @@ def _distinct_isolation_radii(nus, values):
 def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
     """Refined zeros for every index in [nu_min, nu_max] (nu = 0 skipped).
 
-    Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu),
-    Newton-polished from that Lambert-W value.  Each stage runs once over
-    the whole list: z_j is computed once per root j, the Lambert-W seeds of
-    each root's indices come from one kernels.lambert_w_list call, and the
-    polish runs over the list in index order.  For real A > 0 the zeros
-    are listed as exact conjugate pairs: index -nu - 1 names the conjugate
-    of zero nu (_partner), so of each pair nu, -nu - 1 inside the range
-    only the negative index is seeded and polished, and the positive one is
-    its conjugate (_mirror).  Every zero's index is then checked, in index
-    order (_check_indices).  A failure raises NotConvergedError
-    naming the first nu that fails.  A range of more than k * STEP_BUDGET
-    indices, more than STEP_BUDGET branches per root, raises DomainError
-    before any seed is formed.  Records are sorted by nu; values
-    collapsing within DUPLICATE_DISTANCE * min(1, |l|) raise
+    Each nu is the zero -k W_m(z_j) of _ladder_branch(qp, nu), seeded by one
+    kernels.lambert_w_list call per root j and polished in index order by
+    _polish_walk, which names the first nu that fails.  For real A > 0, of
+    each pair nu, -nu - 1 in the range only the negative index is seeded,
+    and the positive one is its conjugate (_partner).  A range of more than
+    k * STEP_BUDGET indices, more than STEP_BUDGET branches per root, raises
+    DomainError before any seed is formed.  Records are sorted by nu;
+    values collapsing within DUPLICATE_DISTANCE * min(1, |l|) raise
     DuplicateZeroError.  With certify=True each zero is certified over its
-    isolation disk from its polish's final evaluation: the residual gate
-    and the Rouche test take the residual and cofactor the polish computed
-    at the value, and only a zero Rouche does not prove costs a winding
-    count (certify.certify_polished: the one pass certify.certify_record
-    also runs, gated here on the polish's residuals).  The stages pass the
-    zeros as columns, and each record is built once, at the end.
+    isolation disk from the residual and cofactor its polish computed at
+    the value (certify.certify_polished: the one pass certify.certify_record
+    also runs), so only a zero the Rouche test does not prove costs a
+    winding count.  Each record is built once, at the end, from columns.
     """
     if nu_min > nu_max:
         raise InvalidIndexError(f"empty index range [{nu_min}, {nu_max}]")
@@ -457,8 +472,8 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
                           f"({STEP_BUDGET} branches per root)")
     negative = range(nu_min, min(nu_max, -1) + 1)
     positive = range(max(nu_min, 1), nu_max + 1)
-    # the positive indices 1 .. -nu_min - 1 are the partners -nu - 1 of
-    # negative ones in the range
+    # the positive indices nu = 1 .. mirrored are the conjugates of their
+    # partners -nu - 1 = -2 .. -mirrored - 1, negative ones in the range
     mirrored = max(0, min(len(positive), -nu_min - 1)) if _partner(qp, 0) is not None else 0
     roots = {}
     nus = []
@@ -480,26 +495,16 @@ def zeros_in_index_range(qp, nu_min, nu_max, tolerance=1e-12, certify=True):
             ms = range(m, m - len(run[i::k]), -1)
             seeds[base + i:base + len(run):k] = [
                 -k * w for w in kernels.lambert_w_list(root[0], ms, root[1])]
-    values, residuals, iterations, cofactors, failure = _newton_polish(qp, seeds, tolerance)
-    columns = (nus, values, residuals, seeds, iterations, cofactors)
-    n = len(negative)
-    if mirrored and len(values) >= n:
-        # nu = 1 .. mirrored, the conjugates of nu = -2 .. -mirrored - 1
-        _mirror(columns, n, range(-2 - nu_min, -2 - nu_min - mirrored, -1),
-                range(1, mirrored + 1))
-    _check_indices(qp, nus, values)
-    if failure is not None:
-        i = len(values)
-        raise NotConvergedError(
-            f"refinement failed for nu = {negative[i] if i < n else positive[i - n]}: "
-            f"{failure}") from failure
+    mirror = (len(negative), range(-2 - nu_min, -2 - nu_min - mirrored, -1),
+              range(1, mirrored + 1))
+    columns = _polish_walk(qp, nus, seeds, mirror, tolerance, None)
     if not certify:
-        _check_duplicates(nus, values)
+        _check_duplicates(nus, columns[1])
         return list(map(ZeroRecord._make, zip(*columns[:5], repeat(False), repeat(None),
                                               repeat(1))))
     from . import certify as certify_mod
 
-    return certify_mod.certify_polished(qp, columns, _distinct_isolation_radii(nus, values))
+    return certify_mod.certify_polished(qp, columns, _distinct_isolation_radii(nus, columns[1]))
 
 
 def gap_statistics(records):

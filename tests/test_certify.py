@@ -14,6 +14,7 @@ from quasizeros.errors import (
     DomainError,
     EscapedBasinError,
     MaxIterationsError,
+    NotConvergedError,
     NumericalError,
     QuadratureStalledError,
     RecordOutsideContourError,
@@ -928,6 +929,24 @@ class TestEnumeration:
                     want = qz.zeros_in_index_range(qp, rec.nu, rec.nu)[0].value
                     assert abs(rec.value - want) <= tol, (k, a, radius, rec)
 
+    def test_both_walks_list_a_zero_bit_for_bit(self):
+        # a zero that the disk search and the ladder over its labelled range
+        # both list has the same value, residual, seed, iterations and
+        # certificate, by repr; only the isolation radius may differ, since
+        # each list has its own neighbours
+        shared = 0
+        for k in (1, 2, 3, 5, 10):
+            for a in (1, 2 + 1j, 0.5j, 3, -2, 0.25):
+                qp = qz.QuasiPolynomial(k, complex(a))
+                disk = [rec._replace(isolation_radius=None)
+                        for rec in qz.find_zeros_in_disk(qp, 60.0) if rec.nu is not None]
+                nus = [rec.nu for rec in disk]
+                ladder = {rec.nu: rec._replace(isolation_radius=None)
+                          for rec in qz.zeros_in_index_range(qp, min(nus), max(nus))}
+                assert [repr(rec) for rec in disk] == [repr(ladder[nu]) for nu in nus], (k, a)
+                shared += len(disk)
+        assert shared == 459
+
     def test_simple_zeros_evaluated_once(self, qp11, monkeypatch):
         # each simple zero costs its polish's evaluations, one _cofactor per
         # iterate, and no more: the certificate takes the polish's last one,
@@ -989,9 +1008,10 @@ class TestEnumeration:
     def test_polish_failure_names_its_zero(self, qp11, radius, label, error, message,
                                            monkeypatch):
         # a polish that fails inside the walk, by leaving its basin or
-        # otherwise, raises its own error type naming the zero as the ladder
-        # does: by index, or by (j, m) for -W_0(1) = -0.567, which no index
-        # names; the one polish call is not run again without the seed
+        # otherwise, raises NotConvergedError from its own error, naming the
+        # zero as the ladder does: by index, or by (j, m) for
+        # -W_0(1) = -0.567, which no index names; the one polish call is not
+        # run again without the seed
         calls = []
 
         def failing(qp, seeds, tolerance, max_iterations=zeros_mod.NEWTON_ITERATIONS):
@@ -999,8 +1019,10 @@ class TestEnumeration:
             return [], [], [], [], error(message)
 
         monkeypatch.setattr(zeros_mod, "_newton_polish", failing)
-        with pytest.raises(error, match=f"^refinement failed for {label}: {message}$"):
+        with pytest.raises(NotConvergedError,
+                           match=f"^refinement failed for {label}: {message}$") as info:
             qz.find_zeros_in_disk(qp11, radius)
+        assert type(info.value.__cause__) is error
         assert len(calls) == 1
 
 

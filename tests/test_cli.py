@@ -426,9 +426,9 @@ class TestOriginCommand:
 
     @pytest.mark.parametrize("radius, code, error", [
         ("1e4", 0, None),
-        ("2e4", 3, "MaxIterationsError"),
-        ("3e4", 3, "MaxIterationsError"),
-        ("1e5", 3, "MaxIterationsError"),
+        ("2e4", 3, "NotConvergedError"),
+        ("3e4", 3, "NotConvergedError"),
+        ("1e5", 3, "NotConvergedError"),
         ("3e5", 3, "QuadratureStalledError"),
     ])
     def test_large_disk_exit_codes(self, radius, code, error):
@@ -441,7 +441,7 @@ class TestOriginCommand:
             assert loads(out)["summary"]["count"] > 3000
         else:
             assert out == "" and loads(err)["error"]["type"] == error
-        if error == "MaxIterationsError":
+        if error == "NotConvergedError":
             # the walk names the zero whose polish failed, as the ladder does
             assert loads(err)["error"]["message"].startswith("refinement failed for nu = ")
 
@@ -641,13 +641,13 @@ class TestBoundsCommand:
 
     def test_cdelta_walk_failure_names_its_zero(self, capsys):
         # within the budget but above the height where the polish reaches
-        # 1e-12: exit 3 naming the zero's index, as the ladder does
+        # 1e-12: exit 3 with the ladder's error type, naming the zero's index
         code = main(["bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta",
                      "--im-cap", "2e4", "--samples", "10"])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         error = loads(err)["error"]
-        assert error["type"] == "MaxIterationsError"
+        assert error["type"] == "NotConvergedError"
         assert error["message"].startswith("refinement failed for nu = ")
 
     @pytest.mark.parametrize("k, a", [("25", "1e300+0i"), ("3", "1e300+0i")])

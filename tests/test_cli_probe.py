@@ -6,7 +6,8 @@ Every run must exit 0-3 without a traceback and write strict JSON: the
 document on stdout and one object per stderr line.  An exit 1 must be one of
 the two documented outcomes (_check_exit_one).  A zero list that the program
 builds itself (origin, zeros --with-disk, bounds --which cdelta) must never
-be refused by its own completeness or duplicate checks.
+be refused by its own completeness or duplicate checks, and a polish that
+fails raises NotConvergedError, whichever walk ran it.
 """
 
 import contextlib
@@ -164,6 +165,8 @@ def _run(argv):
                "--a", "0.0023+0i", "--im-cap", "1"])
 # an abbreviation of --help printed help text and raised SystemExit(0)
 @example(argv=["zeros", "--k", "1", "--a", "1+0i", "--nu", "1..2", "--h", "0"])
+# a polish that fails in the disk search's walk, at nu = 3184
+@example(argv=["origin", "--k", "1", "--a", "1+0i", "--radius", "2e4"])
 def test_cli_probe(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code)
@@ -177,6 +180,9 @@ def test_cli_probe(argv):
         _check_exit_one(argv, out, errors)
     else:
         assert len(errors) == 1 and not out, (argv, code, err)
+    # a failed polish raises one type, whichever walk ran it
+    assert all(e["type"] == "NotConvergedError" for e in errors
+               if e["message"].startswith("refinement failed for")), (argv, errors)
     own_list = (argv[0] == "origin" or argv[0] == "zeros" and "--with-disk" in argv
                 or argv[0] == "bounds" and "cdelta" in argv)
     if own_list:

@@ -55,3 +55,18 @@ def test_one_certification_decision():
     gate = _functions_reading(tree, "RESIDUAL_GATE")
     assert len(gate) == 1
     assert _functions_reading(tree, "rouche_holds_list") == gate
+
+
+def test_one_walk_tail():
+    # the ladder and the box walk end in one function, which alone polishes
+    # a walk's seeds, mirrors the conjugates and checks the indices, so the
+    # polish's acceptance and its failure are written once
+    trees = [ast.parse((PACKAGE / name).read_text()) for name in ("zeros.py", "certify.py")]
+
+    def readers(name):
+        return sorted(f for tree in trees for f in _functions_reading(tree, name))
+
+    tail = readers("_mirror")
+    assert len(tail) == 1
+    assert readers("_check_indices") == tail
+    assert readers("_newton_polish") == sorted([*tail, "newton_refine"])
