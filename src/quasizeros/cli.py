@@ -6,9 +6,13 @@ JSON on stderr.  Exit codes: 0 success/pass, 1 verification failure,
 2 usage/validation error, 3 numerical failure.  Identical argv and seed
 produce byte-identical output.
 
-Each handler imports the compute modules it calls just before its first
-call into them, so a run loads only what its subcommand needs and an input
-error exits before any of them loads.
+`main` alone turns parsed arguments into output: it builds the
+quasi-polynomial, calls the subcommand's handler, writes the document and
+picks the exit code from the handler's pass flag.  A handler only validates
+and computes, returning (params, results, summary, passed).  It imports the
+compute modules it calls just before its first call into them, so a run
+loads only what its subcommand needs and an input error exits before any of
+them loads.
 """
 
 import argparse
@@ -77,6 +81,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="refined zeros over an index range")
+    p.set_defaults(handler=_cmd_zeros)
     _add_common(p)
     p.add_argument("--nu", type=str, required=True, help="index range 'lo..hi'")
     p.add_argument("--certify", action="store_true",
@@ -87,10 +92,12 @@ def _build_parser():
                    help="also search the disk |l| <= R and merge the results")
 
     p = sub.add_parser("origin", help="exhaustive zero search in a disk")
+    p.set_defaults(handler=_cmd_origin)
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
 
     p = sub.add_parser("classify", help="classify points into regions")
+    p.set_defaults(handler=_cmd_classify)
     _add_common(p, tol=False)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
@@ -102,6 +109,7 @@ def _build_parser():
 
     p = sub.add_parser("certify", help="winding count over a box, optionally "
                                        "against an expected record file")
+    p.set_defaults(handler=_cmd_certify)
     _add_common(p, tol=False)
     p.add_argument("--box", type=str, required=True,
                    help="re_min,im_min,re_max,im_max")
@@ -109,6 +117,7 @@ def _build_parser():
                    help="JSON document whose records should be complete")
 
     p = sub.add_parser("bounds", help="sampled lower-bound verification")
+    p.set_defaults(handler=_cmd_bounds)
     _add_common(p, tol=False)
     p.add_argument("--which", choices=("T1", "T2", "cdelta"), required=True)
     p.add_argument("--h", type=str, default="auto",
@@ -125,11 +134,13 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("gaps", help="consecutive gap statistics of refined zeros")
+    p.set_defaults(handler=_cmd_gaps)
     _add_common(p)
     p.add_argument("--nu", type=str, required=True,
                    help="index range 'lo..hi', entirely positive or negative")
 
     p = sub.add_parser("sector-radius", help="certified sector-cover radius")
+    p.set_defaults(handler=_cmd_sector_radius)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=str, default="1+0i")
     p.add_argument("--h", type=float, required=True)
@@ -142,20 +153,12 @@ def _build_parser():
     return parser
 
 
-def _make_qp(args):
-    a = parse_complex(args.a)
-    from . import core
-
-    return core.QuasiPolynomial(args.k, a)
-
-
 def _check_tol(tol):
     if not 0.0 < tol <= 1e-4:
         raise DomainError(f"tolerance must lie in (0, 1e-4], got {tol:g}")
 
 
-def _cmd_zeros(args):
-    qp = _make_qp(args)
+def _cmd_zeros(qp, args):
     _check_tol(args.tol)
     lo, hi = parse_nu_range(args.nu)
     from . import zeros as zeros_mod
@@ -180,16 +183,11 @@ def _cmd_zeros(args):
         "all_certified": all(r.certified for r in records) if args.certify else False,
         **notes,
     }
-    doc = document(qp, "zeros", {"nu_min": lo, "nu_max": hi, "tol": args.tol,
-                                 "certify": args.certify}, results, summary)
-    _write(doc, args.format, args.out)
-    if args.certify and not summary["all_certified"]:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    params = {"nu_min": lo, "nu_max": hi, "tol": args.tol, "certify": args.certify}
+    return params, results, summary, summary["all_certified"] or not args.certify
 
 
-def _cmd_origin(args):
-    qp = _make_qp(args)
+def _cmd_origin(qp, args):
     _check_tol(args.tol)
     from . import certify as certify_mod
 
@@ -197,14 +195,11 @@ def _cmd_origin(args):
     results = [record_to_obj(r) for r in records]
     summary = {"count": len(records),
                "all_certified": all(r.certified for r in records)}
-    doc = document(qp, "origin", {"radius": args.radius, "tol": args.tol},
-                   results, summary)
-    _write(doc, args.format, args.out)
-    return EXIT_OK if summary["all_certified"] else EXIT_VERIFICATION
+    return ({"radius": args.radius, "tol": args.tol}, results, summary,
+            summary["all_certified"])
 
 
-def _cmd_classify(args):
-    qp = _make_qp(args)
+def _cmd_classify(qp, args):
     from . import regions
 
     params = regions.RegionParams(args.h, args.R, args.S, args.delta)
@@ -228,11 +223,8 @@ def _cmd_classify(args):
                                   if lam != 0 else "")
         results.append(row)
         tallies[label.tag.value] = tallies.get(label.tag.value, 0) + 1
-    doc = document(qp, "classify",
-                   {"h": args.h, "R": args.R, "S": args.S, "delta": args.delta},
-                   results, {"counts": tallies})
-    _write(doc, args.format, args.out)
-    return EXIT_OK
+    return ({"h": args.h, "R": args.R, "S": args.S, "delta": args.delta},
+            results, {"counts": tallies}, True)
 
 
 def _parse_float(text, what):
@@ -262,8 +254,7 @@ def _load_records(path):
             ) from None
 
 
-def _cmd_certify(args):
-    qp = _make_qp(args)
+def _cmd_certify(qp, args):
     corners = _parse_box(args.box)
     from . import certify as certify_mod
 
@@ -275,9 +266,7 @@ def _cmd_certify(args):
             "min_scaled_modulus": report.min_scaled_modulus,
             "segments_used": report.segments_used,
         }
-        doc = document(qp, "certify", {"box": args.box}, [], summary)
-        _write(doc, args.format, args.out)
-        return EXIT_OK
+        return {"box": args.box}, [], summary, True
     records = _load_records(args.expect_from)
     inside = [r for r in records if box.contains(r.value)]
     ok, detail = certify_mod.certify_completeness(qp, box, inside)
@@ -288,15 +277,10 @@ def _cmd_certify(args):
         "records_outside_window": len(records) - len(inside),
         "record_failures": len(detail["record_failures"]),
     }
-    doc = document(qp, "certify",
-                   {"box": args.box, "expect_from": args.expect_from},
-                   [], summary)
-    _write(doc, args.format, args.out)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {"box": args.box, "expect_from": args.expect_from}, [], summary, ok
 
 
-def _cmd_bounds(args):
-    qp = _make_qp(args)
+def _cmd_bounds(qp, args):
     if args.s_branch != 1 and args.which != "T2":
         raise DomainError(f"--s-branch {args.s_branch} applies to --which T2 only")
     from . import bounds
@@ -330,14 +314,10 @@ def _cmd_bounds(args):
             "R": est.r_used,
             "samples": est.sample_count,
         }
-        doc = document(qp, "bounds",
-                       {"which": "cdelta", "h": h, "R": args.R,
-                        "delta": args.delta, "im_cap": args.im_cap,
-                        "samples": args.samples, "seed": args.seed,
-                        "tol": args.tol},
-                       [], summary)
-        _write(doc, args.format, args.out)
-        return EXIT_OK if summary["pass"] else EXIT_VERIFICATION
+        params = {"which": "cdelta", "h": h, "R": args.R, "delta": args.delta,
+                  "im_cap": args.im_cap, "samples": args.samples, "seed": args.seed,
+                  "tol": args.tol}
+        return params, [], summary, summary["pass"]
     summary = {
         "pass": report.passed,
         "min_margin": report.min_margin,
@@ -348,17 +328,12 @@ def _cmd_bounds(args):
         "region": report.region,
         "samples": report.samples,
     }
-    doc = document(qp, "bounds",
-                   {"which": args.which, "h": h, "R": args.R,
-                    "samples": args.samples, "seed": args.seed,
-                    "rmax": rmax, "s_branch": args.s_branch},
-                   [], summary)
-    _write(doc, args.format, args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    params = {"which": args.which, "h": h, "R": args.R, "samples": args.samples,
+              "seed": args.seed, "rmax": rmax, "s_branch": args.s_branch}
+    return params, [], summary, report.passed
 
 
-def _cmd_gaps(args):
-    qp = _make_qp(args)
+def _cmd_gaps(qp, args):
     _check_tol(args.tol)
     lo, hi = parse_nu_range(args.nu)
     if lo <= 0 <= hi:
@@ -377,21 +352,17 @@ def _cmd_gaps(args):
                                      stats.deviations_scaled)
     ]
     summary = {"count": len(stats.gaps), "max_deviation": stats.max_deviation}
-    doc = document(qp, "gaps", {"nu_min": lo, "nu_max": hi, "tol": args.tol},
-                   results, summary)
-    _write(doc, args.format, args.out)
-    return EXIT_OK
+    return {"nu_min": lo, "nu_max": hi, "tol": args.tol}, results, summary, True
 
 
-def _cmd_sector_radius(args):
-    qp = _make_qp(args)
+def _cmd_sector_radius(qp, args):
     if args.samples < 0:
         raise DomainError(f"--samples must be 0 or more, got {args.samples}")
     from . import regions
 
     r_star = regions.sector_cover_radius(qp, args.h, args.delta)
     summary = {"r_star": r_star, "h": args.h, "delta": args.delta}
-    code = EXIT_OK
+    passed = True
     if args.samples > 0:
         from . import bounds
 
@@ -399,30 +370,15 @@ def _cmd_sector_radius(args):
                                             args.samples, args.seed)
         summary["violations"] = report.violations
         summary["min_margin"] = report.min_margin
-        summary["pass"] = report.passed
-        if not report.passed:
-            code = EXIT_VERIFICATION
-    doc = document(qp, "sector-radius",
-                   {"h": args.h, "delta": args.delta, "samples": args.samples},
-                   [], summary)
-    _write(doc, args.format, args.out)
-    return code
-
-
-_HANDLERS = {
-    "zeros": _cmd_zeros,
-    "origin": _cmd_origin,
-    "classify": _cmd_classify,
-    "certify": _cmd_certify,
-    "bounds": _cmd_bounds,
-    "gaps": _cmd_gaps,
-    "sector-radius": _cmd_sector_radius,
-}
+        summary["pass"] = passed = report.passed
+    return {"h": args.h, "delta": args.delta, "samples": args.samples}, [], summary, passed
 
 
 #: options whose values can legitimately start with '-' (negative numbers,
-#: negative index ranges); joined as --opt=value so argparse accepts them
-_DASH_VALUE_OPTS = ("--a", "--nu", "--point", "--box", "--h")
+#: in exponent form too, and negative index ranges); joined as --opt=value
+#: so argparse accepts them and the value reaches its validator
+_DASH_VALUE_OPTS = ("--a", "--nu", "--point", "--box", "--h", "--tol", "--radius",
+                    "--with-disk", "--R", "--delta", "--rmax", "--im-cap")
 
 
 def _join_dash_values(argv):
@@ -453,7 +409,13 @@ def main(argv=None):
     try:
         if args.out == "":
             raise DomainError("--out needs a file name, got ''")
-        return _HANDLERS[args.command](args)
+        a = parse_complex(args.a)
+        from . import core
+
+        qp = core.QuasiPolynomial(args.k, a)
+        params, results, summary, passed = args.handler(qp, args)
+        _write(document(qp, args.command, params, results, summary), args.format, args.out)
+        return EXIT_OK if passed else EXIT_VERIFICATION
     except DomainError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_USAGE

@@ -802,6 +802,26 @@ class TestBoxRefused:
             _parse_box(box)
 
 
+class TestNegativeExponentForm:
+    """A negative number in exponent form, which argparse would take for an
+    option, reaches its validator and exits 2 with its DomainError."""
+
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--k", "1", "--a", "1+0i", "--nu", "1..2", "--tol", "-1e-12"),
+        ("origin", "--k", "1", "--a", "1+0i", "--radius", "-2e3"),
+        ("zeros", "--k", "1", "--a", "1+0i", "--nu", "1..2", "--with-disk", "-5e0"),
+        ("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--R", "-1e3"),
+        ("sector-radius", "--k", "1", "--h", "2", "--delta", "-5e-1"),
+        ("bounds", "--k", "1", "--a", "1+0i", "--which", "T1", "--rmax", "-1e3"),
+        ("bounds", "--k", "1", "--a", "1+0i", "--which", "cdelta", "--im-cap", "-4e1"),
+    ], ids=["tol", "radius", "with-disk", "R", "delta", "rmax", "im-cap"])
+    def test_refused_by_its_validator(self, argv, capsys):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert loads(err)["error"]["type"] == "DomainError"
+
+
 class TestInProcessMain:
     def test_main_returns_code(self, capsys):
         assert main(["classify", "--k", "1", "--a", "1+0i", "--h", "2",

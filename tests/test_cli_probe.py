@@ -4,7 +4,8 @@ Lambert-W branch point) at small sizes, run in-process through cli.main.
 
 Every run must exit 0-3 without a traceback and write strict JSON: the
 document on stdout and one object per stderr line.  An exit 1 must be one of
-the two documented outcomes (_check_exit_one).  A zero list that the program
+the two documented outcomes (_check_exit_one), and an exit 0 never reports
+a failed check (_check_exit_zero).  A zero list that the program
 builds itself (origin, zeros --with-disk, bounds --which cdelta) must never
 be refused by its own completeness or duplicate checks, and a polish that
 fails raises NotConvergedError, whichever walk ran it.
@@ -128,6 +129,14 @@ def _check_exit_one(argv, out, errors):
         (argv, errors)
 
 
+def _check_exit_zero(argv, out):
+    """An exit 0 never hides a failed check: where the subcommand verifies
+    something, its document does not report the failure field false."""
+    field, option = FAILURE_FIELDS.get(argv[0], (None, None))
+    if out and field and (option is None or option in argv):
+        assert _loads(out)["summary"].get(field) is not False, argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -176,6 +185,7 @@ def test_cli_probe(argv):
     errors = [_loads(line)["error"] for line in err.splitlines()]
     if code == 0:
         assert not errors, argv
+        _check_exit_zero(argv, out)
     elif code == 1:
         _check_exit_one(argv, out, errors)
     else:

@@ -70,3 +70,12 @@ def test_one_walk_tail():
     assert len(tail) == 1
     assert readers("_check_indices") == tail
     assert readers("_newton_polish") == sorted([*tail, "newton_refine"])
+
+
+def test_one_document_writer():
+    # main alone builds the quasi-polynomial, writes the document and picks
+    # the exit code, so a change to what every command writes or how it
+    # exits is made once; the handlers only compute
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for name in ("document", "_write", "EXIT_VERIFICATION", "QuasiPolynomial"):
+        assert _functions_reading(tree, name) == ["main"], name
